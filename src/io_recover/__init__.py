@@ -74,28 +74,18 @@ from .verify import (
 
 __version__ = "0.1.0"
 
-SOLVERS = {
-    ModelKind.NLO_DG: solve_nlo_dg,
-    ModelKind.NLO_SD: solve_nlo_sd,
-    ModelKind.RLO_IU_DG: solve_rlo_iu_dg,
-    ModelKind.RLO_IU_SD: solve_rlo_iu_sd,
-    ModelKind.RLO_CCU_DG: solve_rlo_ccu_dg,
-    ModelKind.RLO_CCU_SD: solve_rlo_ccu_sd,
-}
-
 
 def solve(model, problem, x_hat, structure=None, omega=None, prior=None):
-    """Dispatch to the solver for `model` with the arguments it needs."""
+    """Run the solver for `model`; the one mapping from ModelKind to solver.
+
+    The robust families take `structure`; the strong-duality models take
+    `prior`, the gap models `omega`.  The solver is looked up by name at
+    call time, so rebinding a solver in this module redirects every caller.
+    """
     model = ModelKind(model)
+    solver = globals()["solve_" + model.value.replace("-", "_")]
+    data = prior if model.is_sd else omega
+    if model.family == "nlo":
+        return solver(problem, x_hat, data)
     structure = structure if structure is not None else UncertaintyStructure.nominal()
-    if model == ModelKind.NLO_DG:
-        return solve_nlo_dg(problem, x_hat, omega)
-    if model == ModelKind.NLO_SD:
-        return solve_nlo_sd(problem, x_hat, prior)
-    if model == ModelKind.RLO_IU_DG:
-        return solve_rlo_iu_dg(problem, x_hat, structure, omega)
-    if model == ModelKind.RLO_IU_SD:
-        return solve_rlo_iu_sd(problem, x_hat, structure, prior)
-    if model == ModelKind.RLO_CCU_DG:
-        return solve_rlo_ccu_dg(problem, x_hat, structure, omega)
-    return solve_rlo_ccu_sd(problem, x_hat, structure, prior)
+    return solver(problem, x_hat, structure, data)

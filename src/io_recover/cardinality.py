@@ -6,11 +6,11 @@ solves one small LP per constraint and the strong-duality model is closed
 form in those budgets.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NominalInfeasibleError, NumericalFailureError
+from .errors import NominalInfeasibleError, PreconditionError
 from .geometry import gamma_bar, norm_value, realized_row_cardinality
 from .lp import LinearProgram, LpRow, LpStatus, solve_lp_batch
 from .model import (
@@ -18,14 +18,13 @@ from .model import (
     ModelKind,
     Status,
     Variant,
+    active_solution,
     as_observed,
     canonicalize_omega,
     clamp_budget_prior,
     param_keys,
+    raise_on_failure,
 )
-from .errors import PreconditionError
-
-_ZERO_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -142,11 +141,7 @@ def solve_rlo_ccu_dg(problem, x_hat, structure, omega):
             coeffs[:m] = canon.G[r]
             rows.append(LpRow(coeffs, "<=", canon.h[r]))
         lps.append(LinearProgram(objective=objective, rows=tuple(rows), bounds=bounds))
-    outcomes = solve_lp_batch(lps)
-
-    for i, out in enumerate(outcomes):
-        if out.status == LpStatus.FAILED:
-            raise NumericalFailureError(f"subproblem {i + 1}: {out.error}")
+    outcomes = raise_on_failure(solve_lp_batch(lps))
     if outcomes[0].status == LpStatus.INFEASIBLE:
         return InverseSolution(
             model=ModelKind.RLO_CCU_DG,
@@ -168,24 +163,7 @@ def solve_rlo_ccu_dg(problem, x_hat, structure, omega):
     cost = realized_row_cardinality(
         problem.A[i_star], structure.alpha[i_star], gamma[i_star], structure.sets[i_star], x
     )
-    pi = np.zeros(m)
-    pi[i_star] = 1.0
-
-    solution = InverseSolution(
-        model=ModelKind.RLO_CCU_DG,
-        status=Status.OPTIMAL,
-        imputed=gamma,
-        cost=cost,
-        dual_pi=pi,
-        duality_gap=float(t[i_star]),
-        active_index=i_star + 1,
-        objective_value=float(t[i_star]),
-        per_constraint={"t": t},
-        subresults=subresults,
-    )
-    if np.max(np.abs(cost)) <= _ZERO_TOL:
-        solution = replace(solution, status=Status.TRIVIAL_DETECTED)
-    return solution
+    return active_solution(ModelKind.RLO_CCU_DG, i_star, gamma, cost, t[i_star], {"t": t}, subresults, False)
 
 
 def solve_rlo_ccu_sd(problem, x_hat, structure, prior):
@@ -238,20 +216,6 @@ def solve_rlo_ccu_sd(problem, x_hat, structure, prior):
     cost = realized_row_cardinality(
         problem.A[i_star], structure.alpha[i_star], gamma[i_star], structure.sets[i_star], x
     )
-    pi = np.zeros(m)
-    pi[i_star] = 1.0
-
-    solution = InverseSolution(
-        model=ModelKind.RLO_CCU_SD,
-        status=Status.OPTIMAL,
-        imputed=gamma,
-        cost=cost,
-        dual_pi=pi,
-        duality_gap=0.0,
-        active_index=i_star + 1,
-        objective_value=float(objective),
-        per_constraint={"f": f, "g": g},
+    return active_solution(
+        ModelKind.RLO_CCU_SD, i_star, gamma, cost, objective, {"f": f, "g": g}, None, False
     )
-    if np.max(np.abs(cost)) <= _ZERO_TOL:
-        solution = replace(solution, status=Status.TRIVIAL_DETECTED)
-    return solution

@@ -7,7 +7,7 @@ import sys
 
 import numpy as np
 
-from . import fixtures, problem_io, verify
+from . import fixtures, problem_io, solve, verify
 from .errors import InverseLpError
 from .model import Status, validate
 from .regions import polylines_to_doc, region_polylines
@@ -20,19 +20,6 @@ EXIT_TRIVIAL = 3
 
 def _err(message):
     print(message, file=sys.stderr)
-
-
-def _solve_bundle(bundle):
-    from . import solve
-
-    return solve(
-        bundle.model,
-        bundle.problem,
-        bundle.x_hat,
-        structure=bundle.structure,
-        omega=bundle.omega,
-        prior=bundle.prior,
-    )
 
 
 def _cmd_solve(args):
@@ -49,7 +36,14 @@ def _cmd_solve(args):
         if entry.level != "pass":
             rows = f" rows {list(entry.rows)}" if entry.rows else ""
             _err(f"{entry.level}: {entry.check}{rows}: {entry.message}")
-    solution = _solve_bundle(bundle)
+    solution = solve(
+        bundle.model,
+        bundle.problem,
+        bundle.x_hat,
+        structure=bundle.structure,
+        omega=bundle.omega,
+        prior=bundle.prior,
+    )
     cert = None
     if solution.status in (Status.OPTIMAL, Status.TRIVIAL_DETECTED):
         cert = verify.check_certificate(

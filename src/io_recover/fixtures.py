@@ -12,9 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cardinality import compute_gamma_bounds, solve_rlo_ccu_dg, solve_rlo_ccu_sd
+from . import solve
+from .cardinality import compute_gamma_bounds
 from .geometry import NormKind
-from .interval import solve_rlo_iu_dg, solve_rlo_iu_sd
 from .model import (
     ForwardProblem,
     ModelKind,
@@ -25,7 +25,7 @@ from .model import (
     UncertaintyStructure,
     WeightBoost,
 )
-from .nominal import perturb_and_resolve, solve_nlo_dg, solve_nlo_sd
+from .nominal import perturb_and_resolve
 
 DERIVED_TOL = 1e-6
 PRINTED_TOL = 5e-3
@@ -223,17 +223,14 @@ def case_bundle(case):
 
 
 def solve_case(case):
-    if case.model == ModelKind.NLO_DG:
-        return solve_nlo_dg(case.problem, case.x_hat, case.omega)
-    if case.model == ModelKind.NLO_SD:
-        return solve_nlo_sd(case.problem, case.x_hat, case.prior)
-    if case.model == ModelKind.RLO_IU_DG:
-        return solve_rlo_iu_dg(case.problem, case.x_hat, case.structure, case.omega)
-    if case.model == ModelKind.RLO_IU_SD:
-        return solve_rlo_iu_sd(case.problem, case.x_hat, case.structure, case.prior)
-    if case.model == ModelKind.RLO_CCU_DG:
-        return solve_rlo_ccu_dg(case.problem, case.x_hat, case.structure, case.omega)
-    return solve_rlo_ccu_sd(case.problem, case.x_hat, case.structure, case.prior)
+    return solve(
+        case.model,
+        case.problem,
+        case.x_hat,
+        structure=case.structure,
+        omega=case.omega,
+        prior=case.prior,
+    )
 
 
 def _close(computed, expected, tol):

@@ -6,11 +6,11 @@ the strong-duality model minimizes the weighted l1/linf distance to the
 prior magnitudes subject to making that row robust-active.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalFailureError, PreconditionError, UnsupportedNormError
+from .errors import PreconditionError, UnsupportedNormError
 from .geometry import NormKind, realized_row_interval
 from .lp import LinearProgram, LpRow, LpStatus, solve_lp_batch
 from .model import (
@@ -18,12 +18,12 @@ from .model import (
     ModelKind,
     Status,
     Variant,
+    active_solution,
     as_observed,
     canonicalize_omega,
     param_keys,
+    raise_on_failure,
 )
-
-_ZERO_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -88,11 +88,7 @@ def solve_rlo_iu_dg(problem, x_hat, structure, omega):
     for i in range(m):
         objective = np.array([-weight[k] if keys[k][1] == i else 0.0 for k in range(p)])
         lps.append(LinearProgram(objective=objective, rows=rows, bounds=bounds))
-    outcomes = solve_lp_batch(lps)
-
-    for i, out in enumerate(outcomes):
-        if out.status == LpStatus.FAILED:
-            raise NumericalFailureError(f"subproblem {i + 1}: {out.error}")
+    outcomes = raise_on_failure(solve_lp_batch(lps))
     if outcomes[0].status == LpStatus.INFEASIBLE:
         return InverseSolution(
             model=ModelKind.RLO_IU_DG,
@@ -108,24 +104,7 @@ def solve_rlo_iu_dg(problem, x_hat, structure, omega):
     i_star = int(np.argmin(t))
     alpha = subresults[i_star].alpha_full
     cost = realized_row_interval(problem.A[i_star], alpha[i_star], structure.sets[i_star], x)
-    pi = np.zeros(m)
-    pi[i_star] = 1.0
-
-    solution = InverseSolution(
-        model=ModelKind.RLO_IU_DG,
-        status=Status.OPTIMAL,
-        imputed=alpha,
-        cost=cost,
-        dual_pi=pi,
-        duality_gap=float(t[i_star]),
-        active_index=i_star + 1,
-        objective_value=float(t[i_star]),
-        per_constraint={"t": t},
-        subresults=subresults,
-    )
-    if np.max(np.abs(cost)) <= _ZERO_TOL:
-        solution = replace(solution, status=Status.TRIVIAL_DETECTED)
-    return solution
+    return active_solution(ModelKind.RLO_IU_DG, i_star, alpha, cost, t[i_star], {"t": t}, subresults, False)
 
 
 def solve_rlo_iu_sd(problem, x_hat, structure, prior):
@@ -192,14 +171,9 @@ def solve_rlo_iu_sd(problem, x_hat, structure, prior):
                     coeffs[k] = weight[k]
             rows.append(LpRow(coeffs, "=" if i == i_hat else "<=", surplus[i]))
         lps.append(LinearProgram(objective=objective, rows=tuple(rows), bounds=bounds))
-    outcomes = solve_lp_batch(lps)
+    outcomes = raise_on_failure(solve_lp_batch(lps))
 
-    t = np.full(m, np.inf)
-    for i, out in enumerate(outcomes):
-        if out.status == LpStatus.FAILED:
-            raise NumericalFailureError(f"subproblem {i + 1}: {out.error}")
-        if out.status == LpStatus.OPTIMAL:
-            t[i] = out.value
+    t = np.array([out.value if out.status == LpStatus.OPTIMAL else np.inf for out in outcomes])
     if not np.any(np.isfinite(t)):
         return InverseSolution(
             model=ModelKind.RLO_IU_SD,
@@ -210,20 +184,4 @@ def solve_rlo_iu_sd(problem, x_hat, structure, prior):
     i_star = int(np.argmin(t))
     alpha = _alpha_matrix(problem, keys, outcomes[i_star].solution[: len(keys)])
     cost = realized_row_interval(problem.A[i_star], alpha[i_star], structure.sets[i_star], x)
-    pi = np.zeros(m)
-    pi[i_star] = 1.0
-
-    solution = InverseSolution(
-        model=ModelKind.RLO_IU_SD,
-        status=Status.OPTIMAL,
-        imputed=alpha,
-        cost=cost,
-        dual_pi=pi,
-        duality_gap=0.0,
-        active_index=i_star + 1,
-        objective_value=float(t[i_star]),
-        per_constraint={"t": t},
-    )
-    if np.max(np.abs(cost)) <= _ZERO_TOL:
-        solution = replace(solution, status=Status.TRIVIAL_DETECTED)
-    return solution
+    return active_solution(ModelKind.RLO_IU_SD, i_star, alpha, cost, t[i_star], {"t": t}, None, False)

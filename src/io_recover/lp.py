@@ -11,8 +11,6 @@ Tolerances: feasibility 1e-9, reduced cost 1e-9, pivot floor 1e-12.
 """
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -401,14 +399,6 @@ def solve_lp(lp):
     )
 
 
-def _worker_cap():
-    raw = os.environ.get("IO_RECOVER_THREADS", "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def _solve_guarded(lp):
     try:
         return solve_lp(lp)
@@ -418,9 +408,4 @@ def _solve_guarded(lp):
 
 def solve_lp_batch(lps):
     """Solve a list of LPs, outcomes in input order; one failure never aborts the rest."""
-    lps = list(lps)
-    cap = _worker_cap()
-    if cap <= 1 or len(lps) <= 1:
-        return [_solve_guarded(lp) for lp in lps]
-    with ThreadPoolExecutor(max_workers=min(cap, len(lps))) as pool:
-        return list(pool.map(_solve_guarded, lps))
+    return [_solve_guarded(lp) for lp in lps]

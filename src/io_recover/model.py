@@ -11,8 +11,11 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import DimensionError
+from .errors import DimensionError, NumericalFailureError
 from .geometry import NormKind
+from .lp import LpStatus
+
+ZERO_TOL = 1e-9
 
 
 class ModelKind(str, Enum):
@@ -272,10 +275,6 @@ class CanonicalOmega:
     h: np.ndarray
     feasible: bool
 
-    @property
-    def has_coupled(self):
-        return self.G.shape[0] > 0
-
 
 def canonicalize_omega(omega, keys, lower_floor=None, upper_cap=None):
     """Merge single-parameter rows of omega into bounds; keep the rest.
@@ -441,6 +440,40 @@ class InverseSolution:
     remediations: tuple = ()
     ray: np.ndarray = None
     message: str = None
+
+
+def active_solution(model, i_star, imputed, cost, objective, per_constraint, subresults, zero_row):
+    """Solution making constraint `i_star` (0-based) the active one.
+
+    The dual is the unit vector on `i_star`; the duality gap is `objective`
+    for the gap models and 0 under strong duality.  The status is
+    trivial-detected when the cost vector vanishes or `zero_row` reports
+    a vanishing imputed row.  `imputed` has one row or entry per constraint.
+    """
+    pi = np.zeros(len(imputed))
+    pi[i_star] = 1.0
+    objective = float(objective)
+    trivial = zero_row or float(np.max(np.abs(cost))) <= ZERO_TOL
+    return InverseSolution(
+        model=model,
+        status=Status.TRIVIAL_DETECTED if trivial else Status.OPTIMAL,
+        imputed=imputed,
+        cost=cost,
+        dual_pi=pi,
+        duality_gap=0.0 if model.is_sd else objective,
+        active_index=i_star + 1,
+        objective_value=objective,
+        per_constraint=per_constraint,
+        subresults=subresults,
+    )
+
+
+def raise_on_failure(outcomes):
+    """Return the per-constraint LP outcomes, raising on the first one the engine gave up on."""
+    for i, out in enumerate(outcomes):
+        if out.status == LpStatus.FAILED:
+            raise NumericalFailureError(f"subproblem {i + 1}: {out.error}")
+    return outcomes
 
 
 # Assumption checks.  Levels: "pass", "warn" (documented circumvention or
@@ -638,6 +671,11 @@ def validate(problem, x_hat, structure, model, omega=None, prior=None):
                 )
             else:
                 entries.append(_entry("A9", "pass"))
+            weighted = np.flatnonzero(prior.weights(m) != 1.0)
+            if weighted.size:
+                entries.append(
+                    _entry("xi", "warn", weighted, "budget recovery ignores prior weights; all are taken as 1")
+                )
         bad10 = []
         for i in range(m):
             strong = any(

@@ -9,10 +9,11 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import verify
-from .errors import NumericalFailureError, ZeroObservationError
+from .errors import ZeroObservationError
 from .geometry import project_halfspace, project_hyperplane
 from .lp import LinearProgram, LpRow, LpStatus, solve_lp_batch
 from .model import (
+    ZERO_TOL,
     ForwardProblem,
     InverseSolution,
     ModelKind,
@@ -22,12 +23,12 @@ from .model import (
     Status,
     UncertaintyStructure,
     WeightBoost,
+    active_solution,
     as_observed,
     canonicalize_omega,
     param_keys,
+    raise_on_failure,
 )
-
-_ZERO_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -38,8 +39,8 @@ class NloDgSubresult:
     A_i: np.ndarray
 
 
-def _trivial_rows(matrix):
-    return [i for i in range(matrix.shape[0]) if np.max(np.abs(matrix[i])) <= _ZERO_TOL]
+def _has_zero_row(matrix):
+    return bool(np.any(np.max(np.abs(matrix), axis=1) <= ZERO_TOL))
 
 
 def solve_nlo_dg(problem, x_hat, omega):
@@ -81,11 +82,9 @@ def solve_nlo_dg(problem, x_hat, omega):
         objective = np.zeros(len(keys))
         objective[i * n : (i + 1) * n] = x
         lps.append(LinearProgram(objective=objective, rows=rows, bounds=bounds))
-    outcomes = solve_lp_batch(lps)
+    outcomes = raise_on_failure(solve_lp_batch(lps))
 
     for i, out in enumerate(outcomes):
-        if out.status == LpStatus.FAILED:
-            raise NumericalFailureError(f"subproblem {i + 1}: {out.error}")
         if out.status == LpStatus.UNBOUNDED:
             return InverseSolution(
                 model=ModelKind.NLO_DG,
@@ -111,25 +110,10 @@ def solve_nlo_dg(problem, x_hat, omega):
     )
     i_star = int(np.argmin(t))
     A_star = subresults[i_star].A_i
-    cost = A_star[i_star].copy()
-    pi = np.zeros(m)
-    pi[i_star] = 1.0
-
-    solution = InverseSolution(
-        model=ModelKind.NLO_DG,
-        status=Status.OPTIMAL,
-        imputed=A_star,
-        cost=cost,
-        dual_pi=pi,
-        duality_gap=float(t[i_star]),
-        active_index=i_star + 1,
-        objective_value=float(t[i_star]),
-        per_constraint={"t": t},
-        subresults=subresults,
+    return active_solution(
+        ModelKind.NLO_DG, i_star, A_star, A_star[i_star].copy(), t[i_star],
+        {"t": t}, subresults, _has_zero_row(A_star),
     )
-    if np.max(np.abs(cost)) <= _ZERO_TOL or _trivial_rows(A_star):
-        solution = replace(solution, status=Status.TRIVIAL_DETECTED)
-    return solution
 
 
 def solve_nlo_sd(problem, x_hat, prior):
@@ -162,24 +146,11 @@ def solve_nlo_sd(problem, x_hat, prior):
 
     i_star = int(np.argmin(f - g))
     A = np.vstack([rows_f[i] if i == i_star else rows_g[i] for i in range(m)])
-    cost = A[i_star].copy()
-    pi = np.zeros(m)
-    pi[i_star] = 1.0
-    objective = float(f[i_star] + np.sum(g) - g[i_star])
-
-    solution = InverseSolution(
-        model=ModelKind.NLO_SD,
-        status=Status.OPTIMAL,
-        imputed=A,
-        cost=cost,
-        dual_pi=pi,
-        duality_gap=0.0,
-        active_index=i_star + 1,
-        objective_value=objective,
-        per_constraint={"f": f, "g": g},
+    solution = active_solution(
+        ModelKind.NLO_SD, i_star, A, A[i_star].copy(), f[i_star] + np.sum(g) - g[i_star],
+        {"f": f, "g": g}, None, _has_zero_row(A),
     )
-    if np.max(np.abs(cost)) <= _ZERO_TOL or _trivial_rows(A):
-        solution = replace(solution, status=Status.TRIVIAL_DETECTED)
+    if solution.status == Status.TRIVIAL_DETECTED:
         hints = verify.diagnose_trivial(
             solution, problem, UncertaintyStructure.nominal(), prior=prior, x_hat=x
         )

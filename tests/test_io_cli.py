@@ -4,8 +4,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import io_recover
 from io_recover import ProblemFileError, cli, problem_io
-from io_recover.fixtures import all_examples, case_bundle
+from io_recover.fixtures import all_examples, case_bundle, example_case, solve_case
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -85,6 +86,21 @@ class TestCliSolve:
         assert code == expected
         doc = _load(out)
         assert doc["schema_version"] == "1"
+
+    @pytest.mark.parametrize("number", range(1, 9))
+    def test_one_solve_path(self, tmp_path, number):
+        case = example_case(number)
+        library = io_recover.solve(
+            case.model, case.problem, case.x_hat,
+            structure=case.structure, omega=case.omega, prior=case.prior,
+        )
+        out = tmp_path / "solution.json"
+        cli.main(["solve", "--input", str(FIXTURES / f"example{number}.json"), "--output", str(out)])
+        doc = _load(out)
+        for sol in (library, solve_case(case)):
+            assert sol.active_index == doc["active_index"]
+            assert sol.objective_value == doc["objective_value"]
+            assert np.asarray(sol.imputed).tolist() == next(iter(doc["imputed"].values()))
 
     def test_example1_document_contents(self, tmp_path):
         out = tmp_path / "solution.json"

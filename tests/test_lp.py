@@ -204,8 +204,7 @@ class TestDeterminismAndBatch:
         assert [o.status for o in outs] == [LpStatus.OPTIMAL, LpStatus.FAILED, LpStatus.OPTIMAL]
         assert outs[1].error == "synthetic failure"
 
-    def test_parallel_batch_order(self, monkeypatch):
-        monkeypatch.setenv("IO_RECOVER_THREADS", "4")
+    def test_batch_order(self):
         lps = [simple([1.0], [([1.0], ">=", float(k))]) for k in range(8)]
         outs = solve_lp_batch(lps)
         assert [o.value for o in outs] == pytest.approx(list(range(8)), abs=1e-12)

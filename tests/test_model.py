@@ -10,6 +10,7 @@ from io_recover import (
     Prior,
     SideConstraints,
     UncertaintyStructure,
+    solve_rlo_ccu_sd,
     validate,
 )
 from io_recover.fixtures import example_case
@@ -146,6 +147,20 @@ class TestValidate:
         assert report.level("A9") == "warn"
         clamped = clamp_budget_prior(prior, case.structure)
         assert clamped == pytest.approx([0.2, 1.0, 2.0])
+
+    def test_ccu_sd_weights_warn_and_are_ignored(self):
+        case = example_case(6)
+        weighted = Prior(estimates=case.prior.estimates, xi=[1.0, 2.0, 1.0], norm=NormKind.L1)
+        report = validate(case.problem, case.x_hat, case.structure, case.model, prior=weighted)
+        assert report.level("xi") == "warn"
+        assert [e.rows for e in report.warnings() if e.check == "xi"] == [(2,)]
+        unweighted = validate(case.problem, case.x_hat, case.structure, case.model, prior=case.prior)
+        assert unweighted.level("xi") == "pass"
+        plain = solve_rlo_ccu_sd(case.problem, case.x_hat, case.structure, case.prior)
+        sol = solve_rlo_ccu_sd(case.problem, case.x_hat, case.structure, weighted)
+        assert sol.active_index == plain.active_index
+        assert sol.objective_value == plain.objective_value
+        assert np.array_equal(sol.imputed, plain.imputed)
 
     def test_iu_sd_l2_norm_flagged(self):
         case = example_case(4)

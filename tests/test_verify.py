@@ -18,6 +18,7 @@ from io_recover import (
     brute_force_min,
     check_certificate,
     diagnose_trivial,
+    solve_rlo_iu_dg,
 )
 from io_recover.fixtures import all_examples, example_case, solve_case
 from io_recover.verify import REPORT_TOL
@@ -55,6 +56,22 @@ class TestCertificateCorpus:
         assert report.verdict == "valid"
         assert not report.nontriviality["cost_nonzero"]
         assert not report.nontriviality["rows_nonzero_all_orthants"]
+
+    def test_row_zero_in_one_orthant_of_many_is_flagged(self):
+        # n = 8: the realized row 1 vanishes only in the orthant x >= 0
+        n = 8
+        problem = ForwardProblem(A=np.vstack([np.ones(n), 2.0 * np.ones(n)]), b=[-10.0, 1.0])
+        x = np.array([1.0] * 7 + [-1.0])
+        structure = UncertaintyStructure.interval([tuple(range(n))] * 2)
+        lo = np.concatenate([np.ones(n), np.zeros(n)])
+        omega = SideConstraints(G=np.vstack([-np.eye(2 * n), np.eye(2 * n)]),
+                                h=np.concatenate([-lo, np.ones(2 * n)]))
+        sol = solve_rlo_iu_dg(problem, x, structure, omega)
+        assert np.array_equal(sol.imputed[0], np.ones(n))
+        report = check_certificate(ModelKind.RLO_IU_DG, problem, x, structure, sol)
+        assert report.nontriviality == {
+            "cost_nonzero": True, "rows_nonzero_all_orthants": False, "orthants_checked": 2**n,
+        }
 
     def test_requires_solved_status(self):
         case, sol = _solved(3)
