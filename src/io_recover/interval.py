@@ -1,9 +1,15 @@
 """Recovery of interval-uncertainty magnitudes.
 
-Both models solve one LP per constraint over the flattened nonnegative
-deviation magnitudes: the gap model minimizes one row's robust surplus,
-the strong-duality model minimizes the weighted l1/linf distance to the
-prior magnitudes subject to making that row robust-active.
+Both models solve one LP per constraint over nonnegative deviation
+magnitudes.  The gap model's LP for row i spans the flattened magnitudes
+of every row: it maximizes row i's protection subject to robust
+feasibility of every row and the side constraints, which may couple rows.
+The strong-duality model separates by forward row, since its objective
+sum_i w_i ||alpha_i - alpha_hat_i|| and its constraints do: the LP for row
+i covers only row i's uncertain columns and finds f_i, the cheapest move
+making the row robust-active; the cost g_i of keeping the row
+robust-feasible follows from it (0 when the prior row fits, f_i
+otherwise), and the objective with row i active is f_i + sum(g) - g_i.
 """
 
 from dataclasses import dataclass
@@ -21,6 +27,7 @@ from .model import (
     active_solution,
     as_observed,
     canonicalize_omega,
+    check_magnitude_prior,
     param_keys,
     raise_on_failure,
 )
@@ -107,18 +114,46 @@ def solve_rlo_iu_dg(problem, x_hat, structure, omega):
     return active_solution(ModelKind.RLO_IU_DG, i_star, alpha, cost, t[i_star], {"t": t}, subresults, False)
 
 
+def _activation_lp(load, center, target, weight, norm):
+    """Cheapest weighted move of one row's magnitudes that makes the row robust-active.
+
+    Columns: the row's magnitudes, then the deviation bounds (one per
+    magnitude for l1, one shared for linf); rows: two deviation bounds per
+    magnitude and the activeness equality load . alpha = target.
+    """
+    k = load.size
+    dev = -np.eye(k) if norm == NormKind.L1 else -np.ones((k, 1))
+    up = np.hstack([np.eye(k), dev])
+    down = np.hstack([-np.eye(k), dev])
+    rows = []
+    for j in range(k):
+        rows.append(LpRow(up[j], "<=", center[j]))
+        rows.append(LpRow(down[j], "<=", -center[j]))
+    rows.append(LpRow(np.concatenate([load, np.zeros(dev.shape[1])]), "=", target))
+    objective = np.concatenate([np.zeros(k), np.full(dev.shape[1], weight)])
+    return LinearProgram(objective=objective, rows=tuple(rows), bounds=((0.0, None),) * objective.size)
+
+
 def solve_rlo_iu_sd(problem, x_hat, structure, prior):
     """Smallest weighted perturbation of prior magnitudes achieving exact optimality.
 
     Feasible exactly when the observation satisfies the nominal
     constraints; the norm must be l1 or linf so the per-row subproblems
-    stay linear.
+    stay linear, and the prior magnitudes must be nonnegative.  One LP per
+    row over that row's magnitudes gives f_i, the cheapest move making row
+    i robust-active.  Keeping row i robust-feasible costs g_i = 0 when its
+    prior row fits (load <= surplus) and g_i = f_i otherwise: any feasible
+    row can be pulled toward the prior until it is active, staying
+    nonnegative and no farther away, so the f-optimum is also the
+    cheapest feasible row.  The row with the smallest premium f_i - g_i is
+    made active (ties to the lowest index), with objective f_i + sum(g) - g_i.
     """
     x, surplus = _setup(problem, x_hat, structure)
     if prior.norm not in (NormKind.L1, NormKind.LINF):
         raise UnsupportedNormError(
             "deviation recovery under strong duality supports l1 and linf priors only"
         )
+    check_magnitude_prior(prior, problem, structure)
     m = problem.m
     worst = int(np.argmin(surplus))
     if surplus[worst] < -1e-9:
@@ -131,57 +166,29 @@ def solve_rlo_iu_sd(problem, x_hat, structure, prior):
             ),
         )
     w = prior.weights(m)
-    keys = param_keys(ModelKind.RLO_IU_SD, problem, structure)
-    p = len(keys)
-    alpha_hat = np.array([prior.estimates[i, j] for (_, i, j) in keys])
-    weight = np.array([abs(x[j]) for (_, _, j) in keys])
-
-    # Columns: p magnitudes, then the epigraph block (one deviation bound
-    # per parameter for l1, one per row for linf).
-    epi = p if prior.norm == NormKind.L1 else m
-    total = p + epi
-    bounds = tuple([(0.0, None)] * p + [(0.0, None)] * epi)
-    objective = np.zeros(total)
-    if prior.norm == NormKind.L1:
-        for k, (_, i, _) in enumerate(keys):
-            objective[p + k] = w[i]
-    else:
-        for i in range(m):
-            objective[p + i] = w[i]
-
-    base_rows = []
-    for k, (_, i, _) in enumerate(keys):
-        dev_col = p + k if prior.norm == NormKind.L1 else p + i
-        up = np.zeros(total)
-        up[k] = 1.0
-        up[dev_col] = -1.0
-        base_rows.append(LpRow(up, "<=", alpha_hat[k]))
-        down = np.zeros(total)
-        down[k] = -1.0
-        down[dev_col] = -1.0
-        base_rows.append(LpRow(down, "<=", -alpha_hat[k]))
-
-    lps = []
-    for i_hat in range(m):
-        rows = list(base_rows)
-        for i in range(m):
-            coeffs = np.zeros(total)
-            for k in range(p):
-                if keys[k][1] == i:
-                    coeffs[k] = weight[k]
-            rows.append(LpRow(coeffs, "=" if i == i_hat else "<=", surplus[i]))
-        lps.append(LinearProgram(objective=objective, rows=tuple(rows), bounds=bounds))
+    cols = [list(s) for s in structure.sets]
+    centers = [prior.estimates[i, cols[i]] for i in range(m)]
+    loads = [np.abs(x[cols[i]]) for i in range(m)]
+    fits = np.array([float(loads[i] @ centers[i]) <= surplus[i] for i in range(m)])
+    lps = [_activation_lp(loads[i], centers[i], surplus[i], w[i], prior.norm) for i in range(m)]
     outcomes = raise_on_failure(solve_lp_batch(lps))
 
-    t = np.array([out.value if out.status == LpStatus.OPTIMAL else np.inf for out in outcomes])
-    if not np.any(np.isfinite(t)):
+    f = np.array([out.value if out.status == LpStatus.OPTIMAL else np.inf for out in outcomes])
+    g = np.where(fits, 0.0, f)
+    if not np.all(np.isfinite(g)) or not np.any(np.isfinite(f)):
         return InverseSolution(
             model=ModelKind.RLO_IU_SD,
             status=Status.INFEASIBLE,
             message="no constraint can be made robust-active at the observation",
         )
 
-    i_star = int(np.argmin(t))
-    alpha = _alpha_matrix(problem, keys, outcomes[i_star].solution[: len(keys)])
+    i_star = int(np.argmin(f - g))
+    t = f + np.sum(g) - g
+    alpha = np.zeros((m, problem.n))
+    for i in range(m):
+        moved = i == i_star or not fits[i]
+        alpha[i, cols[i]] = np.maximum(outcomes[i].solution[: len(cols[i])], 0.0) if moved else centers[i]
     cost = realized_row_interval(problem.A[i_star], alpha[i_star], structure.sets[i_star], x)
-    return active_solution(ModelKind.RLO_IU_SD, i_star, alpha, cost, t[i_star], {"t": t}, None, False)
+    return active_solution(
+        ModelKind.RLO_IU_SD, i_star, alpha, cost, t[i_star], {"f": f, "g": g, "t": t}, None, False
+    )

@@ -424,7 +424,9 @@ class InverseSolution:
     `active_index` is 1-based.  `duality_gap` is the minimized gap for the
     gap models and 0 for the strong-duality models; `objective_value` is
     the gap or the prior deviation respectively.  `per_constraint` holds
-    the per-row diagnostics (t, or f and g).
+    the per-row diagnostics: t (objective with the row active) for the gap
+    models, f and g (cost of making the row active, of keeping it
+    feasible) for nlo-sd and rlo-ccu-sd, all three for rlo-iu-sd.
     """
 
     model: ModelKind
@@ -533,10 +535,26 @@ def _check_dimensions(problem, x, structure, model, omega, prior):
         if model == ModelKind.RLO_CCU_SD:
             if est.ndim != 1 or est.size != problem.m:
                 raise DimensionError("prior.estimates", f"budget prior must have length m = {problem.m}")
-        elif model in (ModelKind.NLO_SD, ModelKind.RLO_IU_SD):
+        elif model == ModelKind.NLO_SD:
             if est.shape != (problem.m, problem.n):
                 raise DimensionError(
                     "prior.estimates", f"shape {est.shape} != ({problem.m}, {problem.n})"
+                )
+        elif model == ModelKind.RLO_IU_SD:
+            check_magnitude_prior(prior, problem, structure)
+
+
+def check_magnitude_prior(prior, problem, structure):
+    """Reject a prior-magnitude matrix of the wrong shape or with a negative
+    magnitude on an uncertain column (entries off the columns are ignored)."""
+    est = prior.estimates
+    if est.shape != (problem.m, problem.n):
+        raise DimensionError("prior.estimates", f"shape {est.shape} != ({problem.m}, {problem.n})")
+    for i, cols in enumerate(structure.sets):
+        for j in cols:
+            if est[i, j] < 0.0:
+                raise DimensionError(
+                    "prior.estimates", f"alpha[{i + 1}][{j + 1}] = {est[i, j]:g} is negative"
                 )
 
 

@@ -21,6 +21,7 @@ from .model import (
     SideConstraints,
     Status,
     UncertaintyStructure,
+    check_magnitude_prior,
     param_keys,
 )
 
@@ -243,6 +244,7 @@ def parse_problem(doc):
         if alpha_rows is None:
             raise ProblemFileError("alpha", "required by model rlo-iu-sd (prior magnitudes)")
         prior = Prior(estimates=alpha_rows, xi=xi, norm=norm)
+        check_magnitude_prior(prior, problem, structure)
     if model.is_sd and prior is None:
         raise ProblemFileError("prior", f"required by model {model.value}")
     if model == ModelKind.RLO_IU_DG and alpha_rows is not None:

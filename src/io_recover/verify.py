@@ -36,6 +36,16 @@ from .model import (
 )
 
 REPORT_TOL = 1e-7
+# Residuals of multipliers, budgets and the dual normalization: compared
+# against REPORT_TOL as they stand, whatever the scale of the data.
+UNIT_FREE = frozenset({
+    "normalization",
+    "dual.pi_nonneg",
+    "dual.multiplier_pairing",
+    "dual.allocation_cap",
+    "dual.budget_cap",
+    "primal.budget_range",
+})
 GRID_CAP = 10_000_000
 _CHUNK = 262_144
 
@@ -44,8 +54,11 @@ _CHUNK = 262_144
 class CertificateReport:
     """Residuals of the optimality system for a returned solution.
 
-    The verdict is "valid" exactly when every residual is at or below the
-    report tolerance; the gap value itself is not a residual.
+    The verdict is "valid" exactly when every residual is at or below its
+    tolerance: REPORT_TOL for the unit-free residuals (UNIT_FREE), and
+    REPORT_TOL * (1 + scale) for those in data units, where scale is the
+    largest |entry| of A, b, the observation, the cost and the imputed
+    block.  The gap value itself is not a residual.
     """
 
     primal_residuals: dict
@@ -242,9 +255,11 @@ def check_certificate(model, problem, x_hat, structure, solution):
     if strong_duality is not None:
         residuals["strong_duality"] = strong_duality
 
+    scale = max(float(np.max(np.abs(arr), initial=0.0))
+                for arr in (problem.A, problem.b, x, c, np.asarray(solution.imputed, dtype=float)))
     verdict, reason = "valid", None
     for name, val in residuals.items():
-        if val > REPORT_TOL:
+        if val > (REPORT_TOL if name in UNIT_FREE else REPORT_TOL * (1.0 + scale)):
             verdict, reason = "invalid", f"{name} = {val:g}"
             break
 

@@ -200,3 +200,31 @@ def make_ccu_sd(seed):
         parameter_box=tuple(zip(lo, hi)), step=STEP, model=ModelKind.RLO_CCU_SD
     )
     return problem, x, structure, prior, spec
+
+
+def make_baseline_nlo_sd(m, n, seed, norm=NormKind.L2):
+    """nlo-sd instance of the benchmark's baseline family (`bench/instances.py`,
+    stream 0, positive tilt), drawn identically: A ~ U[-2, 2] with rows
+    signed so a_i'x >= 0.5, slack U[0.1, 0.9] * a_i'x, prior A + U[-0.5, 0.5]."""
+    rng = np.random.default_rng([seed, 1, 0])
+    while True:
+        signs = np.array([1.0, -1.0] * (n // 2) + [1.0] * (n % 2))
+        rng.shuffle(signs)
+        x = rng.uniform(0.5, 2.0, n) * signs
+        x += (1.0 - x.sum()) / n
+        if np.min(np.abs(x)) >= 0.1:
+            break
+    A = np.empty((m, n))
+    for i in range(m):
+        while True:
+            a = rng.uniform(-2.0, 2.0, n)
+            if a @ x < 0.0:
+                a = -a
+            if a @ x >= 0.5:
+                A[i] = a
+                break
+    ax = A @ x
+    b = ax - rng.uniform(0.1, 0.9, m) * ax
+    rng.uniform(0.2, 0.9, A.shape)  # the family's fixed magnitudes, unused by nlo-sd
+    estimates = A + rng.uniform(-0.5, 0.5, A.shape)
+    return A, b, x, Prior(estimates=estimates, norm=norm)

@@ -3,7 +3,11 @@ import pytest
 
 import gen
 from io_recover import (
+    DimensionError,
     ForwardProblem,
+    LinearProgram,
+    LpRow,
+    LpStatus,
     ModelKind,
     NormKind,
     PreconditionError,
@@ -17,10 +21,67 @@ from io_recover import (
     counters,
     oracle_tolerance,
     realized_row_interval,
+    solve_lp,
     solve_rlo_iu_dg,
     solve_rlo_iu_sd,
+    validate,
 )
+from io_recover import interval
 from io_recover.fixtures import evaluate_example, example_case
+
+
+def joint_t(problem, x, structure, prior):
+    """Per-candidate-row optima of the joint strong-duality LP: every row's
+    magnitudes at once, row `target` robust-active and the others
+    robust-feasible.  The reference the per-row LPs must reproduce."""
+    m = problem.m
+    keys = [(i, j) for i in range(m) for j in structure.sets[i]]
+    p = len(keys)
+    l1 = prior.norm == NormKind.L1
+    epi = p if l1 else m
+    w = prior.weights(m)
+    objective = np.concatenate([np.zeros(p), [w[i] for i, _ in keys] if l1 else w])
+    base = []
+    for k, (i, j) in enumerate(keys):
+        for sign in (1.0, -1.0):
+            row = np.zeros(p + epi)
+            row[k] = sign
+            row[p + (k if l1 else i)] = -1.0
+            base.append(LpRow(row, "<=", sign * prior.estimates[i, j]))
+    load = np.zeros((m, p + epi))
+    for k, (i, j) in enumerate(keys):
+        load[i, k] = abs(x[j])
+    surplus = problem.surplus(x)
+    t = np.full(m, np.inf)
+    for target in range(m):
+        rows = base + [LpRow(load[i], "=" if i == target else "<=", surplus[i]) for i in range(m)]
+        out = solve_lp(LinearProgram(objective, tuple(rows), ((0.0, None),) * (p + epi)))
+        if out.status == LpStatus.OPTIMAL:
+            t[target] = out.value
+    return t
+
+
+def _deviation(sol, structure, prior):
+    """Weighted distance of the imputed magnitudes from the prior."""
+    w = prior.weights(len(structure.sets))
+    total = 0.0
+    for i, cols in enumerate(structure.sets):
+        d = np.abs(sol.imputed[i, list(cols)] - prior.estimates[i, list(cols)])
+        total += w[i] * (d.sum() if prior.norm == NormKind.L1 else d.max())
+    return total
+
+
+def _all_uncertain_10x5(seed=5):
+    rng = np.random.default_rng(seed)
+    m, n = 10, 5
+    x = rng.uniform(0.5, 2.0, n) * np.array([1.0, -1.0, 1.0, -1.0, 1.0])
+    A = rng.uniform(-2.0, 2.0, (m, n))
+    A *= np.where(A @ x < 0.0, -1.0, 1.0)[:, None]
+    ax = A @ x
+    b = ax - rng.uniform(0.1, 0.9, m) * ax
+    structure = UncertaintyStructure.interval([tuple(range(n))] * m)
+    prior = Prior(estimates=rng.uniform(0.0, 0.5, (m, n)) * np.abs(A), norm=NormKind.L1)
+    return ForwardProblem(A=A, b=b), x, structure, prior
 
 
 def test_example_3_checks():
@@ -190,3 +251,110 @@ class TestIuSd:
                 value,
                 tol,
             )
+
+    def test_per_constraint_reports_f_and_g(self):
+        case = example_case(4)
+        sol = solve_rlo_iu_sd(case.problem, case.x_hat, case.structure, case.prior)
+        pc = sol.per_constraint
+        assert pc["f"] == pytest.approx([1.5, 1.5, 1.0], abs=1e-12)
+        assert pc["g"] == pytest.approx([0.0, 0.0, 0.0], abs=1e-12)
+        assert pc["t"] == pytest.approx([1.5, 1.5, 1.0], abs=1e-12)
+        assert sol.active_index == 3
+
+    def test_each_lp_spans_one_forward_row(self, monkeypatch):
+        problem, x, structure, prior = _all_uncertain_10x5()
+        seen = []
+
+        def record(lps):
+            seen.extend(lps)
+            return solve_lp_batch(lps)
+
+        solve_lp_batch = interval.solve_lp_batch
+        monkeypatch.setattr(interval, "solve_lp_batch", record)
+        for norm in (NormKind.L1, NormKind.LINF):
+            seen.clear()
+            sol = solve_rlo_iu_sd(problem, x, structure, Prior(prior.estimates, norm=norm))
+            assert sol.status == Status.OPTIMAL
+            assert len(seen) == problem.m
+            for i, lp in enumerate(seen):
+                size = len(structure.sets[i])
+                assert len(lp.rows) <= 2 * size + 1, (norm, i, len(lp.rows))
+                assert lp.num_vars <= 2 * size, (norm, i, lp.num_vars)
+
+    @pytest.mark.parametrize("variant", ["plain", "l1-weights", "linf-weights"])
+    def test_matches_joint_lp(self, variant):
+        rng = np.random.default_rng({"plain": 0, "l1-weights": 1, "linf-weights": 2}[variant])
+        for seed in range(25):
+            problem, x, structure, prior, _ = gen.make_iu_sd(seed)
+            if variant != "plain":
+                xi = rng.uniform(0.1, 3.0, problem.m)
+                prior = Prior(prior.estimates, xi=xi, norm=variant.split("-")[0])
+            sol = solve_rlo_iu_sd(problem, x, structure, prior)
+            t_ref = joint_t(problem, x, structure, prior)
+            t = sol.per_constraint["t"]
+            tol = 1e-9 * (1.0 + np.abs(np.where(np.isfinite(t_ref), t_ref, 0.0)))
+            assert np.array_equal(np.isfinite(t), np.isfinite(t_ref)), seed
+            finite = np.isfinite(t_ref)
+            assert np.all(np.abs(t[finite] - t_ref[finite]) <= tol[finite]), (seed, t, t_ref)
+            best = float(np.min(t_ref))
+            assert abs(sol.objective_value - best) <= 1e-9 * (1.0 + abs(best)), seed
+            assert t[sol.active_index - 1] <= float(np.min(t)) + 1e-9 * (1.0 + abs(best)), seed
+            # the imputed magnitudes attain the objective and keep every row
+            # robust-feasible, with the active row robust-active
+            assert _deviation(sol, structure, prior) == pytest.approx(sol.objective_value, abs=1e-9)
+            protection = sol.imputed @ np.abs(x)
+            slack = problem.surplus(x) - protection
+            assert np.all(slack >= -1e-9), seed
+            assert slack[sol.active_index - 1] == pytest.approx(0.0, abs=1e-9)
+
+    def test_tied_rows_activate_the_lower_index(self):
+        # rows 2 and 3 have prior rows that do not fit, so both premiums
+        # f - g are exactly 0; row 1 fits and has a positive premium
+        x = np.array([1.3, -0.7])
+        problem = ForwardProblem(A=[[2.0, 0.5], [2.0, 0.5], [2.0, 0.5]], b=[1.0, 1.0, 1.0])
+        structure = UncertaintyStructure.interval(((0, 1),) * 3)
+        est = np.array([[0.1, 0.2], [0.7, 0.9], [0.6, 0.8]])
+        for norm in (NormKind.L1, NormKind.LINF):
+            prior = Prior(estimates=est, norm=norm)
+            first = solve_rlo_iu_sd(problem, x, structure, prior)
+            f, g = first.per_constraint["f"], first.per_constraint["g"]
+            assert g[0] == 0.0 and f[0] > 0.0
+            assert f[1] == g[1] > 0.0 and f[2] == g[2] > 0.0
+            assert first.active_index == 2
+            for _ in range(5):
+                again = solve_rlo_iu_sd(problem, x, structure, prior)
+                assert again.active_index == 2
+                assert np.array_equal(again.imputed, first.imputed)
+                assert again.objective_value == first.objective_value
+
+
+class TestIuSdNegativePrior:
+    """A negative prior magnitude is rejected before any LP is built: the
+    per-row rule g_i = 0 or f_i holds only for nonnegative priors."""
+
+    problem = ForwardProblem(A=[[1.0, 1.0], [1.0, 1.0]], b=[1.0, 1.0])
+    structure = UncertaintyStructure.interval(((0, 1), (0, 1)))
+    x = np.array([2.0, 1.0])
+    prior = Prior(estimates=[[-0.5, 0.2], [0.1, 0.1]], norm=NormKind.L1)
+
+    def test_joint_optimum_differs_from_the_row_rule(self):
+        # the joint LP's optimum is 1.35; the row rule would report 0.85
+        assert float(np.min(joint_t(self.problem, self.x, self.structure, self.prior))) == pytest.approx(1.35)
+
+    def test_solver_rejects(self):
+        before = counters()["lp_solve"]
+        with pytest.raises(DimensionError) as err:
+            solve_rlo_iu_sd(self.problem, self.x, self.structure, self.prior)
+        assert err.value.field == "prior.estimates"
+        assert "alpha[1][1]" in str(err.value)
+        assert counters()["lp_solve"] == before
+
+    def test_validate_rejects(self):
+        with pytest.raises(DimensionError) as err:
+            validate(self.problem, self.x, self.structure, ModelKind.RLO_IU_SD, prior=self.prior)
+        assert err.value.field == "prior.estimates"
+
+    def test_negative_entry_off_the_uncertain_columns_is_ignored(self):
+        structure = UncertaintyStructure.interval(((1,), (0, 1)))
+        sol = solve_rlo_iu_sd(self.problem, self.x, structure, self.prior)
+        assert sol.status == Status.OPTIMAL

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import io_recover
-from io_recover import ProblemFileError, cli, problem_io
+from io_recover import DimensionError, ProblemFileError, cli, problem_io
 from io_recover.fixtures import all_examples, case_bundle, example_case, solve_case
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -62,6 +62,14 @@ class TestProblemFiles:
         doc["uncertain_columns"][0] = [0]
         with pytest.raises(ProblemFileError):
             problem_io.parse_problem(doc)
+
+    def test_negative_prior_magnitude_rejected(self):
+        doc = _load(FIXTURES / "example4.json")
+        doc["alpha"][2] = [1.0, -0.25]
+        with pytest.raises(DimensionError) as err:
+            problem_io.parse_problem(doc)
+        assert err.value.field == "prior.estimates"
+        assert "alpha[3][2]" in str(err.value)
 
     def test_variable_order_round_trip(self):
         doc = _load(FIXTURES / "example5.json")
@@ -130,6 +138,17 @@ class TestCliSolve:
         assert cli.main(["solve", "--input", str(src), "--output", str(out)]) == 2
         solved = _load(out)
         assert solved["status"] == "infeasible"
+
+    def test_negative_prior_magnitude_exits_1(self, tmp_path, capsys):
+        doc = _load(FIXTURES / "example4.json")
+        doc["alpha"][0] = [-0.5]
+        src = tmp_path / "problem.json"
+        src.write_text(json.dumps(doc))
+        out = tmp_path / "solution.json"
+        assert cli.main(["solve", "--input", str(src), "--output", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "alpha[1][1]" in err
+        assert not out.exists()
 
     def test_malformed_json_exits_1(self, tmp_path, capsys):
         src = tmp_path / "broken.json"

@@ -3,10 +3,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import gen
 from io_recover import (
     ForwardProblem,
     GridOracleSpec,
     GridTooLargeError,
+    InverseSolution,
     ModelKind,
     PreconditionError,
     PriorEpsilon,
@@ -18,6 +20,7 @@ from io_recover import (
     brute_force_min,
     check_certificate,
     diagnose_trivial,
+    solve_nlo_sd,
     solve_rlo_iu_dg,
 )
 from io_recover.fixtures import all_examples, example_case, solve_case
@@ -78,6 +81,47 @@ class TestCertificateCorpus:
         bad = replace(sol, status=Status.INFEASIBLE)
         with pytest.raises(PreconditionError):
             check_certificate(case.model, case.problem, case.x_hat, case.structure, bad)
+
+
+class TestScaledData:
+    SCALE = 1e8
+
+    def _scaled(self, seed):
+        A, b, x, prior = gen.make_baseline_nlo_sd(20, 10, seed)
+        problem = ForwardProblem(A=A * self.SCALE, b=b * self.SCALE)
+        prior = replace(prior, estimates=prior.estimates * self.SCALE)
+        return problem, x, solve_nlo_sd(problem, x, prior)
+
+    def test_correct_solutions_stay_valid_at_scale(self):
+        # residuals in data units grow with the data; an absolute 1e-7
+        # called some of these 50 correct solutions invalid
+        for seed in range(50):
+            problem, x, sol = self._scaled(seed)
+            report = check_certificate(ModelKind.NLO_SD, problem, x, UncertaintyStructure.nominal(), sol)
+            assert report.verdict == "valid", (seed, report.reason)
+
+    def test_unit_free_residuals_stay_absolute_at_scale(self):
+        # pi puts 1e-6 on a row whose imputed row and right-hand side are 0:
+        # only the normalization residual moves, and it is not scaled
+        S = self.SCALE
+        problem = ForwardProblem(A=[[S, 0.0], [0.0, S]], b=[S, 0.0])
+        imputed = np.array([[S, 0.0], [0.0, 0.0]])
+        sol = InverseSolution(
+            model=ModelKind.NLO_SD, status=Status.TRIVIAL_DETECTED, imputed=imputed,
+            cost=imputed[0].copy(), dual_pi=np.array([1.0, 1e-6]), duality_gap=0.0,
+            active_index=1, objective_value=0.0,
+        )
+        report = check_certificate(ModelKind.NLO_SD, problem, [1.0, 1.0], UncertaintyStructure.nominal(), sol)
+        assert report.verdict == "invalid"
+        assert report.reason == "normalization = 1e-06"
+
+    def test_data_unit_residuals_scale_with_the_data(self):
+        problem, x, sol = self._scaled(0)
+        cost = np.array(sol.cost)
+        for shift, verdict in ((1.0, "valid"), (1e3, "invalid")):
+            bad = replace(sol, cost=cost + shift)
+            report = check_certificate(ModelKind.NLO_SD, problem, x, UncertaintyStructure.nominal(), bad)
+            assert report.verdict == verdict, (shift, report.reason)
 
 
 class TestFaultInjection:
