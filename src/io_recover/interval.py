@@ -78,10 +78,7 @@ def solve_rlo_iu_dg(problem, x_hat, structure, omega):
             status=Status.INFEASIBLE,
             message="side constraints are contradictory",
         )
-    bounds = tuple(
-        (canon.lower[k], None if not np.isfinite(canon.upper[k]) else canon.upper[k])
-        for k in range(p)
-    )
+    bounds = tuple(zip(canon.lower, canon.upper))
     weight = np.array([abs(x[j]) for (_, _, j) in keys])
     rows = []
     for i in range(m):

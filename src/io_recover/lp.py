@@ -2,10 +2,13 @@
 
 Dantzig pricing with a fall-back to Bland's rule after a run of
 degenerate pivots; fixed tie-breaking throughout, so identical inputs
-give bit-identical outcomes.  Free variables are split into a
-nonnegative pair; finite bounds are absorbed by shifting (or mirroring,
-for upper-bound-only variables), with two-sided bounds adding one range
-row.
+give bit-identical outcomes.  The equality form comes from one column
+map: a variable with a lower bound is shifted onto one nonnegative
+column, one with only an upper bound is mirrored onto one, a free one is
+split into a nonnegative pair, and a two-sided bound adds one range row.
+The same map builds the rows and the cost and maps solutions and rays
+back.  One pivot routine serves both phases and the drive-out of
+artificial columns.
 
 Tolerances: feasibility 1e-9, reduced cost 1e-9, pivot floor 1e-12.
 """
@@ -27,6 +30,7 @@ MAX_PIVOTS = 10_000
 
 GE, LE, EQ = ">=", "<=", "="
 _SENSES = (GE, LE, EQ)
+_FLIPPED = {GE: LE, LE: GE, EQ: EQ}
 
 
 @dataclass(frozen=True)
@@ -48,8 +52,8 @@ class LpRow:
 class LinearProgram:
     """Minimize objective . x subject to the rows and per-variable bounds.
 
-    bounds is a sequence of (lower, upper) with None for absent; default
-    is free variables.
+    bounds is a sequence of (lower, upper) with None (or -inf / +inf) for
+    absent; default is free variables.  They are stored as floats or None.
     """
 
     objective: np.ndarray
@@ -69,17 +73,24 @@ class LinearProgram:
                 raise DimensionError("rows", f"row {k} has {r.coeffs.size} coefficients, expected {obj.size}")
         object.__setattr__(self, "rows", rows)
         if self.bounds is not None:
-            bounds = tuple((lo, hi) for lo, hi in self.bounds)
+            bounds = tuple(self.bounds)
             if len(bounds) != obj.size:
                 raise DimensionError("bounds", f"{len(bounds)} bound pairs for {obj.size} variables")
-            for k, (lo, hi) in enumerate(bounds):
-                if lo is not None and hi is not None and lo > hi + FEAS_TOL:
-                    raise DimensionError("bounds", f"variable {k} has lower {lo} > upper {hi}")
-            object.__setattr__(self, "bounds", bounds)
+            object.__setattr__(self, "bounds", tuple(_bound_pair(k, lo, hi) for k, (lo, hi) in enumerate(bounds)))
 
     @property
     def num_vars(self):
         return self.objective.size
+
+
+def _bound_pair(k, lo, hi):
+    lo = -math.inf if lo is None else float(lo)
+    hi = math.inf if hi is None else float(hi)
+    if not (lo < math.inf and hi > -math.inf):
+        raise DimensionError("bounds", f"variable {k} has bounds ({lo}, {hi}): NaN or an infinity on the wrong side")
+    if lo > hi + FEAS_TOL:
+        raise DimensionError("bounds", f"variable {k} has lower {lo} > upper {hi}")
+    return (lo if lo > -math.inf else None), (hi if hi < math.inf else None)
 
 
 class LpStatus(str, Enum):
@@ -102,189 +113,112 @@ class LpOutcome:
 
 
 class _Std:
-    """Equality-form rewrite: columns for shifted/mirrored/split variables,
-    then slack/surplus/artificial columns per row."""
+    """Equality form of an LP, built from one column map.
+
+    Variable column c belongs to variable owner[c] with sign[c]: +1 for a
+    shifted column and for u+, -1 for a mirrored column and for u-.
+    offset[k] is variable k's lower bound (shifted), its upper bound
+    (mirrored) or 0 (split), so x = offset + bincount(owner, sign * u).
+    The LP's rows come first, negated where their shifted right-hand side
+    is negative (row_sign), then one range row per two-sided bound.  The
+    slack, surplus and artificial columns follow the variable columns in
+    row order; `structural` marks every column but the artificials.
+    """
 
     def __init__(self, lp):
         p = lp.num_vars
         bounds = lp.bounds if lp.bounds is not None else ((None, None),) * p
-        # var k maps to std columns: ("shift", col, lo) x = lo + u
-        #                            ("mirror", col, hi) x = hi - u
-        #                            ("split", c+, c-)   x = u+ - u-
-        self.var_map = []
-        ncols = 0
-        range_rows = []  # (col, cap) for two-sided bounds
+        owner, sign, range_col, range_cap = [], [], [], []
+        self.offset = np.zeros(p)
         for k, (lo, hi) in enumerate(bounds):
             if lo is None and hi is None:
-                self.var_map.append(("split", ncols, ncols + 1))
-                ncols += 2
-            elif lo is not None:
-                self.var_map.append(("shift", ncols, float(lo)))
-                if hi is not None:
-                    range_rows.append((ncols, float(hi) - float(lo)))
-                ncols += 1
-            else:
-                self.var_map.append(("mirror", ncols, float(hi)))
-                ncols += 1
-
-        rows = []
-        rhs = []
-        senses = []
-        self.orig_row_pos = []  # (std row index, sign) per original row
-        for r in lp.rows:
-            coeffs = np.zeros(ncols)
-            shift = 0.0
-            for k in range(p):
-                c = r.coeffs[k]
-                if c == 0.0:
-                    continue
-                kind = self.var_map[k]
-                if kind[0] == "split":
-                    coeffs[kind[1]] += c
-                    coeffs[kind[2]] -= c
-                elif kind[0] == "shift":
-                    coeffs[kind[1]] += c
-                    shift += c * kind[2]
-                else:
-                    coeffs[kind[1]] -= c
-                    shift += c * kind[2]
-            b = r.rhs - shift
-            sign = 1.0
-            sense = r.sense
-            if b < 0.0:
-                coeffs, b, sign = -coeffs, -b, -1.0
-                sense = {GE: LE, LE: GE, EQ: EQ}[sense]
-            self.orig_row_pos.append((len(rows), sign))
-            rows.append(coeffs)
-            rhs.append(b)
-            senses.append(sense)
-        for col, cap in range_rows:
-            coeffs = np.zeros(ncols)
-            coeffs[col] = 1.0
-            rows.append(coeffs)
-            rhs.append(cap)
-            senses.append(LE)
-
-        m = len(rows)
-        A = np.array(rows) if rows else np.zeros((0, ncols))
-        extra = []
-        self.basis = []
-        self.artificial = []
-        for i, sense in enumerate(senses):
-            col = np.zeros(m)
-            if sense == LE:
-                col[i] = 1.0
-                extra.append(col)
-                self.basis.append(ncols + len(extra) - 1)
-            elif sense == GE:
-                col[i] = -1.0
-                extra.append(col)
-                art = np.zeros(m)
-                art[i] = 1.0
-                extra.append(art)
-                self.basis.append(ncols + len(extra) - 1)
-                self.artificial.append(ncols + len(extra) - 1)
-            else:
-                art = np.zeros(m)
-                art[i] = 1.0
-                extra.append(art)
-                self.basis.append(ncols + len(extra) - 1)
-                self.artificial.append(ncols + len(extra) - 1)
-        self.A = np.hstack([A, np.array(extra).T]) if extra else A
-        self.b = np.array(rhs)
-        self.ncols_struct = ncols
-        self.ncols = self.A.shape[1] if m else ncols
-        self.m = m
-
-        cost = np.zeros(self.ncols)
-        shift = 0.0
-        for k in range(p):
-            c = lp.objective[k]
-            if c == 0.0:
+                owner += [k, k]
+                sign += [1.0, -1.0]
                 continue
-            kind = self.var_map[k]
-            if kind[0] == "split":
-                cost[kind[1]] += c
-                cost[kind[2]] -= c
-            elif kind[0] == "shift":
-                cost[kind[1]] += c
-                shift += c * kind[2]
-            else:
-                cost[kind[1]] -= c
-                shift += c * kind[2]
-        self.cost = cost
-        self.cost_shift = shift
+            if hi is not None and lo is not None:
+                range_col.append(len(owner))
+                range_cap.append(hi - lo)
+            owner.append(k)
+            sign.append(1.0 if lo is not None else -1.0)
+            self.offset[k] = lo if lo is not None else hi
+        self.owner = np.array(owner, dtype=np.intp)
+        self.sign = np.array(sign)
+        nvar = self.owner.size
 
-    def to_original(self, u):
-        x = np.zeros(len(self.var_map))
-        for k, kind in enumerate(self.var_map):
-            if kind[0] == "split":
-                x[k] = u[kind[1]] - u[kind[2]]
-            elif kind[0] == "shift":
-                x[k] = kind[2] + u[kind[1]]
-            else:
-                x[k] = kind[2] - u[kind[1]]
-        return x
+        R = np.array([r.coeffs for r in lp.rows]).reshape(len(lp.rows), p)
+        # Summed left to right as a scalar loop would; a BLAS dot can change
+        # the last bits of b and with them the pivots.
+        shift = np.add.accumulate(R * self.offset, axis=1)[:, -1] if p else 0.0
+        b = np.array([r.rhs for r in lp.rows]) - shift
+        self.row_sign = np.where(b < 0.0, -1.0, 1.0)
+        senses = [_FLIPPED[r.sense] if s < 0.0 else r.sense for r, s in zip(lp.rows, self.row_sign)]
+        senses += [LE] * len(range_col)
+
+        extra_row, extra_val, self.basis = [], [], []
+        for i, sense in enumerate(senses):
+            if sense == GE:
+                extra_row.append(i)  # surplus
+                extra_val.append(-1.0)
+            self.basis.append(nvar + len(extra_row))
+            extra_row.append(i)  # slack for <=, artificial for >= and =
+            extra_val.append(1.0)
+        self.m = len(senses)
+        self.ncols = nvar + len(extra_row)
+        # BLAS sums in an order that depends on the memory layout, so the
+        # layout is part of every outcome: column-major for a single
+        # variable column, row-major otherwise.
+        self.A = np.zeros((self.m, self.ncols), order="F" if nvar == 1 else "C")
+        self.A[: len(R), :nvar] = R[:, self.owner] * self.sign * self.row_sign[:, None]
+        self.A[len(R) + np.arange(len(range_col)), range_col] = 1.0
+        self.A[extra_row, np.arange(nvar, self.ncols)] = extra_val
+        self.b = np.concatenate([b * self.row_sign, range_cap])
+        self.structural = np.ones(self.ncols, dtype=bool)
+        self.structural[[j for j, s in zip(self.basis, senses) if s != LE]] = False
+        self.cost = np.zeros(self.ncols)
+        self.cost[:nvar] = lp.objective[self.owner] * self.sign
 
     def direction_to_original(self, d):
-        x = np.zeros(len(self.var_map))
-        for k, kind in enumerate(self.var_map):
-            if kind[0] == "split":
-                x[k] = d[kind[1]] - d[kind[2]]
-            elif kind[0] == "shift":
-                x[k] = d[kind[1]]
-            else:
-                x[k] = -d[kind[1]]
-        return x
+        return np.bincount(self.owner, self.sign * d[: self.owner.size], minlength=self.offset.size)
+
+    def to_original(self, u):
+        return self.offset + self.direction_to_original(u)
+
+
+def _pivot(T, i, j):
+    """Make column j basic in row i: scale row i, then eliminate column j
+    from every other row where it is nonzero."""
+    T[i] /= T[i, j]
+    rows = T[:, j].nonzero()[0]
+    rows = rows[rows != i]
+    T[rows] -= T[rows, j, None] * T[i]
 
 
 def _simplex(T, basis, cost, allowed, degen_limit):
-    """Run simplex pivots on tableau T (m x n+1) in place.
+    """Run simplex pivots on tableau T (m x n+1) in place, entering only
+    allowed columns.
 
     Returns ("optimal", None) or ("unbounded", entering column).
     """
-    m = T.shape[0]
     degenerate = 0
     bland = False
     for _ in range(MAX_PIVOTS):
-        cb = cost[basis]
-        red = cost - cb @ T[:, :-1]
-        candidates = [j for j in range(T.shape[1] - 1) if allowed[j] and red[j] < -OPT_TOL]
+        red = (cost - cost[basis] @ T[:, :-1]).tolist()
+        candidates = [j for j, r in enumerate(red) if r < -OPT_TOL and allowed[j]]
         if not candidates:
             return "optimal", None
         if bland or degenerate > degen_limit:
             bland = True
-            candidates.sort()
+            j = candidates[0]
         else:
-            candidates.sort(key=lambda j: (red[j], j))
-        entered = False
-        for j in candidates:
-            col = T[:, j]
-            ratios = [
-                (T[i, -1] / col[i], i)
-                for i in range(m)
-                if col[i] > RATIO_TOL and abs(col[i]) >= PIVOT_TOL
-            ]
-            if not ratios:
-                if np.all(col <= RATIO_TOL):
-                    return "unbounded", j
-                continue  # only tiny pivots available in this column
-            ratios.sort(key=lambda t: (t[0], t[1]))
-            ratio, i = ratios[0]
-            if ratio <= RATIO_TOL:
-                degenerate += 1
-            else:
-                degenerate = 0
-            piv = T[i, j]
-            T[i, :] /= piv
-            for r in range(m):
-                if r != i and T[r, j] != 0.0:
-                    T[r, :] -= T[r, j] * T[i, :]
-            basis[i] = j
-            entered = True
-            break
-        if not entered:
-            raise NumericalFailureError("no admissible pivot above the magnitude floor")
+            j = min(candidates, key=lambda j: (red[j], j))
+        rhs = T[:, -1].tolist()
+        ratios = [(rhs[i] / c, i) for i, c in enumerate(T[:, j].tolist()) if c > RATIO_TOL]
+        if not ratios:
+            return "unbounded", j
+        ratio, i = min(ratios)
+        degenerate = degenerate + 1 if ratio <= RATIO_TOL else 0
+        _pivot(T, i, j)
+        basis[i] = j
     raise NumericalFailureError(f"simplex did not terminate within {MAX_PIVOTS} pivots")
 
 
@@ -292,108 +226,67 @@ def solve_lp(lp):
     """Solve one dense LP; deterministic for identical inputs."""
     bump("lp_solve")
     std = _Std(lp)
-    m, ncols = std.m, std.ncols
-    if m == 0:
-        # No rows: optimum is at the bound corner unless a split/negative
-        # direction makes the objective unbounded.
-        x = std.to_original(np.zeros(std.ncols_struct))
-        if np.any(std.cost < -OPT_TOL):
-            j = int(np.argmin(std.cost))
-            d = np.zeros(std.ncols_struct)
-            d[j] = 1.0
-            return LpOutcome(status=LpStatus.UNBOUNDED, ray=std.direction_to_original(d))
-        return LpOutcome(
-            status=LpStatus.OPTIMAL,
-            solution=x,
-            value=float(lp.objective @ x),
-            dual=np.zeros(len(lp.rows)),
-        )
-
-    T = np.hstack([std.A, std.b.reshape(-1, 1)]).astype(float)
+    T = np.hstack([std.A, std.b.reshape(-1, 1)])
     basis = list(std.basis)
-    kept_rows = list(range(m))
-    degen_limit = 10 * (ncols + m)
+    kept = np.arange(std.m)
+    degen_limit = 10 * (std.ncols + std.m)
 
-    art_set = set(std.artificial)
-    if art_set:
-        cost1 = np.zeros(ncols)
-        for j in std.artificial:
-            cost1[j] = 1.0
-        allowed = np.ones(ncols, dtype=bool)
-        status, _ = _simplex(T, basis, cost1, allowed, degen_limit)
+    cost1 = (~std.structural).astype(float)
+    if cost1.any():
+        status, _ = _simplex(T, basis, cost1, np.ones(std.ncols, dtype=bool), degen_limit)
         if status != "optimal":
             raise NumericalFailureError("phase one reported unbounded")
         value1 = float(cost1[basis] @ T[:, -1])
         if value1 > FEAS_TOL * (1.0 + float(np.max(np.abs(std.b), initial=0.0))):
             return LpOutcome(status=LpStatus.INFEASIBLE, infeasibility=value1)
         # Drive leftover artificials out of the basis; all-zero rows are redundant.
-        keep = np.ones(T.shape[0], dtype=bool)
-        for i in range(T.shape[0]):
-            if basis[i] in art_set:
-                pivot_col = None
-                for j in range(ncols):
-                    if j not in art_set and abs(T[i, j]) >= PIVOT_TOL:
-                        pivot_col = j
-                        break
-                if pivot_col is None:
+        keep = np.ones(std.m, dtype=bool)
+        for i in range(std.m):
+            if not std.structural[basis[i]]:
+                cols = np.flatnonzero(std.structural & (np.abs(T[i, :-1]) >= PIVOT_TOL))
+                if cols.size:
+                    _pivot(T, i, cols[0])
+                    basis[i] = int(cols[0])
+                else:
                     keep[i] = False
-                    continue
-                piv = T[i, pivot_col]
-                T[i, :] /= piv
-                for r in range(T.shape[0]):
-                    if r != i and T[r, pivot_col] != 0.0:
-                        T[r, :] -= T[r, pivot_col] * T[i, :]
-                basis[i] = pivot_col
-        if not np.all(keep):
-            T = T[keep]
-            basis = [b for b, k in zip(basis, keep) if k]
-            kept_rows = [r for r, k in zip(kept_rows, keep) if k]
+        if not keep.all():
+            T, kept = T[keep], kept[keep]
+            basis = [j for j, k in zip(basis, keep) if k]
 
-    allowed = np.ones(ncols, dtype=bool)
-    for j in std.artificial:
-        allowed[j] = False
-    status, enter = _simplex(T, basis, std.cost, allowed, degen_limit)
+    status, enter = _simplex(T, basis, std.cost, std.structural, degen_limit)
     if status == "unbounded":
-        d = np.zeros(ncols)
+        d = np.zeros(std.ncols)
         d[enter] = 1.0
-        col = T[:, enter]
-        for i, bcol in enumerate(basis):
-            d[bcol] = -col[i]
-        return LpOutcome(status=LpStatus.UNBOUNDED, ray=std.direction_to_original(d[: std.ncols_struct]))
+        d[basis] = -T[:, enter]
+        return LpOutcome(status=LpStatus.UNBOUNDED, ray=std.direction_to_original(d))
 
-    u = np.zeros(ncols)
-    for i, bcol in enumerate(basis):
-        u[bcol] = T[i, -1]
-    x = std.to_original(u[: std.ncols_struct])
-    value = float(lp.objective @ x)
+    u = np.zeros(std.ncols)
+    u[basis] = T[:, -1]
+    x = std.to_original(u)
 
     # Dual certificate on the equality form: y = B^{-T} c_B over the kept
     # rows; reduced costs must be nonnegative and vanish on the basis.
     kkt = {}
-    dual = np.zeros(len(lp.rows))
     try:
-        Akept = std.A[kept_rows]
-        y_kept = np.linalg.solve(Akept[:, basis].T, std.cost[basis])
+        Akept = std.A[kept]
         y = np.zeros(std.m)
-        y[kept_rows] = y_kept
+        y[kept] = np.linalg.solve(Akept[:, basis].T, std.cost[basis])
         red = std.cost - y @ std.A
-        struct_mask = np.ones(ncols, dtype=bool)
-        for j in std.artificial:
-            struct_mask[j] = False
-        kkt["dual_feasibility"] = float(max(0.0, -float(np.min(red[struct_mask], initial=0.0))))
-        kkt["basic_reduced"] = float(np.max(np.abs(red[basis]), initial=0.0))
-        kkt["primal_equality"] = float(np.max(np.abs(Akept @ u - std.b[kept_rows]), initial=0.0))
-        kkt["comp_slackness"] = float(np.max(np.abs(red * u), initial=0.0))
-        kkt["strong_duality"] = abs(float(std.cost @ u) - float(y @ std.b))
-        for r, (pos, sign) in enumerate(std.orig_row_pos):
-            dual[r] = sign * y[pos]
+        kkt = {
+            "dual_feasibility": max(0.0, -float(np.min(red[std.structural], initial=0.0))),
+            "basic_reduced": float(np.max(np.abs(red[basis]), initial=0.0)),
+            "primal_equality": float(np.max(np.abs(Akept @ u - std.b[kept]), initial=0.0)),
+            "comp_slackness": float(np.max(np.abs(red * u), initial=0.0)),
+            "strong_duality": abs(float(std.cost @ u) - float(y @ std.b)),
+        }
+        dual = std.row_sign * y[: len(lp.rows)]
     except np.linalg.LinAlgError:
         dual = None
 
     return LpOutcome(
         status=LpStatus.OPTIMAL,
         solution=x,
-        value=value,
+        value=float(lp.objective @ x),
         dual=dual,
         kkt_residuals=kkt,
     )

@@ -63,11 +63,7 @@ def solve_nlo_dg(problem, x_hat, omega):
             message="side constraints are contradictory",
         )
 
-    bounds = tuple(
-        (None if not np.isfinite(canon.lower[k]) else canon.lower[k],
-         None if not np.isfinite(canon.upper[k]) else canon.upper[k])
-        for k in range(len(keys))
-    )
+    bounds = tuple(zip(canon.lower, canon.upper))
     rows = []
     for i in range(m):
         coeffs = np.zeros(len(keys))
