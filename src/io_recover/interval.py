@@ -53,10 +53,9 @@ def _setup(problem, x_hat, structure):
     return x, problem.surplus(x)
 
 
-def _alpha_matrix(problem, keys, values):
+def _alpha_matrix(problem, key_rows, key_cols, values):
     alpha = np.zeros((problem.m, problem.n))
-    for k, (_, i, j) in enumerate(keys):
-        alpha[i, j] = max(values[k], 0.0)
+    alpha[key_rows, key_cols] = np.maximum(values, 0.0)
     return alpha
 
 
@@ -79,19 +78,15 @@ def solve_rlo_iu_dg(problem, x_hat, structure, omega):
             message="side constraints are contradictory",
         )
     bounds = tuple(zip(canon.lower, canon.upper))
-    weight = np.array([abs(x[j]) for (_, _, j) in keys])
-    rows = []
-    for i in range(m):
-        coeffs = np.array([weight[k] if keys[k][1] == i else 0.0 for k in range(p)])
-        rows.append(LpRow(coeffs, "<=", surplus[i]))
+    key_rows = np.array([i for _, i, _ in keys], dtype=np.intp)
+    key_cols = np.array([j for _, _, j in keys], dtype=np.intp)
+    weight = np.abs(x[key_cols])
+    own = key_rows == np.arange(m)[:, None]  # own[i, k]: key k is a magnitude of row i
+    rows = [LpRow(np.where(own[i], weight, 0.0), "<=", surplus[i]) for i in range(m)]
     for r in range(canon.G.shape[0]):
         rows.append(LpRow(canon.G[r], "<=", canon.h[r]))
     rows = tuple(rows)
-
-    lps = []
-    for i in range(m):
-        objective = np.array([-weight[k] if keys[k][1] == i else 0.0 for k in range(p)])
-        lps.append(LinearProgram(objective=objective, rows=rows, bounds=bounds))
+    lps = [LinearProgram(objective=np.where(own[i], -weight, 0.0), rows=rows, bounds=bounds) for i in range(m)]
     outcomes = raise_on_failure(solve_lp_batch(lps))
     if outcomes[0].status == LpStatus.INFEASIBLE:
         return InverseSolution(
@@ -102,7 +97,7 @@ def solve_rlo_iu_dg(problem, x_hat, structure, omega):
 
     t = np.array([surplus[i] + out.value for i, out in enumerate(outcomes)])
     subresults = tuple(
-        IuSubresult(t_i=float(t[i]), alpha_full=_alpha_matrix(problem, keys, outcomes[i].solution))
+        IuSubresult(t_i=float(t[i]), alpha_full=_alpha_matrix(problem, key_rows, key_cols, outcomes[i].solution))
         for i in range(m)
     )
     i_star = int(np.argmin(t))

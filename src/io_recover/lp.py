@@ -10,6 +10,13 @@ The same map builds the rows and the cost and maps solutions and rays
 back.  One pivot routine serves both phases and the drive-out of
 artificial columns.
 
+Phase 1 and the drive-out never read the objective, so a batch runs them
+once per run of consecutive LPs over the same rows and bounds, and each
+LP's phase 2 starts from a copy of that tableau (reoptimization after an
+objective change).  The dual is read from the final tableau: the initial
+basis is a +1 identity, so its columns hold the row operations applied,
+and y = c_B T[:, initial basis].
+
 Tolerances: feasibility 1e-9, reduced cost 1e-9, pivot floor 1e-12.
 """
 
@@ -122,7 +129,10 @@ class _Std:
     The LP's rows come first, negated where their shifted right-hand side
     is negative (row_sign), then one range row per two-sided bound.  The
     slack, surplus and artificial columns follow the variable columns in
-    row order; `structural` marks every column but the artificials.
+    row order; `structural` marks every column but the artificials.  The
+    initial basis (one slack or artificial per row) is a +1 identity.  The
+    form reads no objective, so it serves every LP over the same rows and
+    bounds; `cost` maps each LP's objective onto its columns.
     """
 
     def __init__(self, lp):
@@ -174,8 +184,12 @@ class _Std:
         self.b = np.concatenate([b * self.row_sign, range_cap])
         self.structural = np.ones(self.ncols, dtype=bool)
         self.structural[[j for j, s in zip(self.basis, senses) if s != LE]] = False
-        self.cost = np.zeros(self.ncols)
-        self.cost[:nvar] = lp.objective[self.owner] * self.sign
+
+    def cost(self, objective):
+        """The cost vector of the equality form for an objective over x."""
+        cost = np.zeros(self.ncols)
+        cost[: self.owner.size] = objective[self.owner] * self.sign
+        return cost
 
     def direction_to_original(self, d):
         return np.bincount(self.owner, self.sign * d[: self.owner.size], minlength=self.offset.size)
@@ -222,38 +236,56 @@ def _simplex(T, basis, cost, allowed, degen_limit):
     raise NumericalFailureError(f"simplex did not terminate within {MAX_PIVOTS} pivots")
 
 
-def solve_lp(lp):
-    """Solve one dense LP; deterministic for identical inputs."""
-    bump("lp_solve")
-    std = _Std(lp)
-    T = np.hstack([std.A, std.b.reshape(-1, 1)])
-    basis = list(std.basis)
-    kept = np.arange(std.m)
-    degen_limit = 10 * (std.ncols + std.m)
+class _Start:
+    """The objective-free start of a solve, shared by every LP over the
+    same rows and bounds: the equality form, phase 1 and the drive-out of
+    leftover artificials.  The artificial columns stay in the tableau T,
+    since the dual is read from the initial-basis columns.
+    """
 
-    cost1 = (~std.structural).astype(float)
-    if cost1.any():
-        status, _ = _simplex(T, basis, cost1, np.ones(std.ncols, dtype=bool), degen_limit)
-        if status != "optimal":
-            raise NumericalFailureError("phase one reported unbounded")
-        value1 = float(cost1[basis] @ T[:, -1])
-        if value1 > FEAS_TOL * (1.0 + float(np.max(np.abs(std.b), initial=0.0))):
-            return LpOutcome(status=LpStatus.INFEASIBLE, infeasibility=value1)
-        # Drive leftover artificials out of the basis; all-zero rows are redundant.
-        keep = np.ones(std.m, dtype=bool)
-        for i in range(std.m):
-            if not std.structural[basis[i]]:
-                cols = np.flatnonzero(std.structural & (np.abs(T[i, :-1]) >= PIVOT_TOL))
-                if cols.size:
-                    _pivot(T, i, cols[0])
-                    basis[i] = int(cols[0])
-                else:
-                    keep[i] = False
-        if not keep.all():
-            T, kept = T[keep], kept[keep]
-            basis = [j for j, k in zip(basis, keep) if k]
+    def __init__(self, lp):
+        std = self.std = _Std(lp)
+        T = np.hstack([std.A, std.b.reshape(-1, 1)])
+        basis = list(std.basis)
+        kept = np.arange(std.m)
+        self.degen_limit = 10 * (std.ncols + std.m)
+        self.infeasibility = None
 
-    status, enter = _simplex(T, basis, std.cost, std.structural, degen_limit)
+        cost1 = (~std.structural).astype(float)
+        if cost1.any():
+            status, _ = _simplex(T, basis, cost1, np.ones(std.ncols, dtype=bool), self.degen_limit)
+            if status != "optimal":
+                raise NumericalFailureError("phase one reported unbounded")
+            value1 = float(cost1[basis] @ T[:, -1])
+            if value1 > FEAS_TOL * (1.0 + float(np.max(np.abs(std.b), initial=0.0))):
+                self.infeasibility = value1
+                return
+            # Drive leftover artificials out of the basis; all-zero rows are redundant.
+            keep = np.ones(std.m, dtype=bool)
+            for i in range(std.m):
+                if not std.structural[basis[i]]:
+                    cols = np.flatnonzero(std.structural & (np.abs(T[i, :-1]) >= PIVOT_TOL))
+                    if cols.size:
+                        _pivot(T, i, cols[0])
+                        basis[i] = int(cols[0])
+                    else:
+                        keep[i] = False
+            if not keep.all():
+                T, kept = T[keep], kept[keep]
+                basis = [j for j, k in zip(basis, keep) if k]
+        self.T, self.basis, self.kept = T, basis, kept
+        self.A_kept = std.A[kept]
+
+
+def _phase_two(start, lp):
+    """Solve lp, whose rows and bounds are those start was built from."""
+    if start.infeasibility is not None:
+        return LpOutcome(status=LpStatus.INFEASIBLE, infeasibility=start.infeasibility)
+    std = start.std
+    cost = std.cost(lp.objective)
+    T = start.T.copy(order="K")  # same memory layout: see _Std
+    basis = list(start.basis)
+    status, enter = _simplex(T, basis, cost, std.structural, start.degen_limit)
     if status == "unbounded":
         d = np.zeros(std.ncols)
         d[enter] = 1.0
@@ -264,41 +296,62 @@ def solve_lp(lp):
     u[basis] = T[:, -1]
     x = std.to_original(u)
 
-    # Dual certificate on the equality form: y = B^{-T} c_B over the kept
-    # rows; reduced costs must be nonnegative and vanish on the basis.
-    kkt = {}
-    try:
-        Akept = std.A[kept]
-        y = np.zeros(std.m)
-        y[kept] = np.linalg.solve(Akept[:, basis].T, std.cost[basis])
-        red = std.cost - y @ std.A
-        kkt = {
-            "dual_feasibility": max(0.0, -float(np.min(red[std.structural], initial=0.0))),
-            "basic_reduced": float(np.max(np.abs(red[basis]), initial=0.0)),
-            "primal_equality": float(np.max(np.abs(Akept @ u - std.b[kept]), initial=0.0)),
-            "comp_slackness": float(np.max(np.abs(red * u), initial=0.0)),
-            "strong_duality": abs(float(std.cost @ u) - float(y @ std.b)),
-        }
-        dual = std.row_sign * y[: len(lp.rows)]
-    except np.linalg.LinAlgError:
-        dual = None
-
+    # Dual certificate on the equality form: y = c_B B^-1, read from the
+    # initial-basis columns; reduced costs must be nonnegative and vanish
+    # on the basis.
+    y = cost[basis] @ T[:, std.basis]
+    red = cost - y @ std.A
+    kkt = {
+        "dual_feasibility": max(0.0, -float(np.min(red[std.structural], initial=0.0))),
+        "basic_reduced": float(np.max(np.abs(red[basis]), initial=0.0)),
+        "primal_equality": float(np.max(np.abs(start.A_kept @ u - std.b[start.kept]), initial=0.0)),
+        "comp_slackness": float(np.max(np.abs(red * u), initial=0.0)),
+        "strong_duality": abs(float(cost @ u) - float(y @ std.b)),
+    }
     return LpOutcome(
         status=LpStatus.OPTIMAL,
         solution=x,
         value=float(lp.objective @ x),
-        dual=dual,
+        dual=std.row_sign * y[: len(lp.rows)],
         kkt_residuals=kkt,
     )
 
 
-def _solve_guarded(lp):
+def solve_lp(lp):
+    """Solve one dense LP; deterministic for identical inputs."""
+    bump("lp_solve")
+    return _phase_two(_Start(lp), lp)
+
+
+def _same_constraints(a, b):
+    """Whether LPs a and b have the same rows (the same LpRow objects) and bounds."""
+    return (
+        a.num_vars == b.num_vars
+        and len(a.rows) == len(b.rows)
+        and all(r is s for r, s in zip(a.rows, b.rows))
+        and a.bounds == b.bounds
+    )
+
+
+def _guarded(step, *args):
     try:
-        return solve_lp(lp)
+        return step(*args)
     except NumericalFailureError as exc:
         return LpOutcome(status=LpStatus.FAILED, error=str(exc))
 
 
 def solve_lp_batch(lps):
-    """Solve a list of LPs, outcomes in input order; one failure never aborts the rest."""
-    return [_solve_guarded(lp) for lp in lps]
+    """Solve a list of LPs, outcomes in input order; one failure never aborts the rest.
+
+    Each run of consecutive LPs over the same rows and bounds shares one
+    start (equality form, phase 1, drive-out), so a failure there fails
+    every LP of the run, as solving them one by one would.
+    """
+    outcomes, previous = [], None
+    for lp in lps:
+        bump("lp_solve")
+        if previous is None or not _same_constraints(previous, lp):
+            start = _guarded(_Start, lp)
+        previous = lp
+        outcomes.append(start if isinstance(start, LpOutcome) else _guarded(_phase_two, start, lp))
+    return outcomes

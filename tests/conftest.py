@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from io_recover import instrument
+from io_recover import lp as lp_mod
 
 _acceptance_lines = []
 
@@ -23,6 +24,20 @@ def pytest_terminal_summary(terminalreporter):
 def _reset_counters():
     instrument.reset_counters()
     yield
+
+
+@pytest.fixture
+def std_builds(monkeypatch):
+    """The LPs the engine builds an equality form (lp._Std) from, in order."""
+    built = []
+    real = lp_mod._Std
+
+    def counting(lp):
+        built.append(lp)
+        return real(lp)
+
+    monkeypatch.setattr(lp_mod, "_Std", counting)
+    return built
 
 
 def vertex_enumeration_min(objective, rows):

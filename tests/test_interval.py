@@ -105,6 +105,15 @@ class TestIuDg:
         solve_rlo_iu_dg(case.problem, case.x_hat, case.structure, case.omega)
         assert counters()["lp_solve"] - before == case.problem.m
 
+    def test_one_equality_form_serves_all_m_lps(self, std_builds):
+        problem, x, structure, _ = _all_uncertain_10x5()
+        omega = SideConstraints(G=np.eye(50), h=np.full(50, 3.0))
+        before = counters()["lp_solve"]
+        sol = solve_rlo_iu_dg(problem, x, structure, omega)
+        assert sol.status == Status.OPTIMAL
+        assert counters()["lp_solve"] - before == problem.m
+        assert len(std_builds) == 1
+
     def test_empty_uncertain_set_rejected(self):
         prob = ForwardProblem(A=[[1.0, 0.0], [0.0, 1.0]], b=[0.0, 0.0])
         structure = UncertaintyStructure.interval(((0,), ()))

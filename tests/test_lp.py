@@ -255,19 +255,40 @@ class TestDeterminismAndBatch:
 
     def test_batch_isolates_failures(self, monkeypatch):
         lp = simple([1.0], [([1.0], ">=", 1.0)])
-        real = lp_mod.solve_lp
+        real = lp_mod._phase_two
+        calls = {"k": 0}
+
+        def flaky(start, arg):
+            calls["k"] += 1
+            if calls["k"] == 2:
+                raise NumericalFailureError("synthetic failure")
+            return real(start, arg)
+
+        monkeypatch.setattr(lp_mod, "_phase_two", flaky)
+        outs = lp_mod.solve_lp_batch([lp, lp, lp])
+        assert [o.status for o in outs] == [LpStatus.OPTIMAL, LpStatus.FAILED, LpStatus.OPTIMAL]
+        assert outs[1].error == "synthetic failure"
+
+    def test_failed_shared_start_fails_its_run_only(self, monkeypatch):
+        first = simple([1.0], [([1.0], ">=", 1.0)])
+        second = simple([2.0], [([1.0], ">=", 3.0)])
+        real = lp_mod._Start
         calls = {"k": 0}
 
         def flaky(arg):
             calls["k"] += 1
-            if calls["k"] == 2:
-                raise NumericalFailureError("synthetic failure")
+            if calls["k"] == 1:
+                raise NumericalFailureError("synthetic phase one failure")
             return real(arg)
 
-        monkeypatch.setattr(lp_mod, "solve_lp", flaky)
-        outs = lp_mod.solve_lp_batch([lp, lp, lp])
-        assert [o.status for o in outs] == [LpStatus.OPTIMAL, LpStatus.FAILED, LpStatus.OPTIMAL]
-        assert outs[1].error == "synthetic failure"
+        monkeypatch.setattr(lp_mod, "_Start", flaky)
+        before = counters()["lp_solve"]
+        outs = lp_mod.solve_lp_batch([first, first, first, second])
+        assert counters()["lp_solve"] - before == 4
+        assert calls["k"] == 2
+        assert [o.status for o in outs] == [LpStatus.FAILED] * 3 + [LpStatus.OPTIMAL]
+        assert [o.error for o in outs[:3]] == ["synthetic phase one failure"] * 3
+        assert outs[3].value == 6.0
 
     def test_batch_order(self):
         lps = [simple([1.0], [([1.0], ">=", float(k))]) for k in range(8)]
@@ -349,10 +370,93 @@ class TestColumnMap:
             nvar = cost.size
             assert np.array_equal(std.A[:, :nvar], rows), trial
             assert np.array_equal(std.b, rhs), trial
-            assert np.array_equal(std.cost[:nvar], cost), trial
-            assert not np.any(std.cost[nvar:])
+            full_cost = std.cost(lp.objective)
+            assert np.array_equal(full_cost[:nvar], cost), trial
+            assert not np.any(full_cost[nvar:])
             u = rng.uniform(0.0, 5.0, std.ncols)
             assert np.array_equal(std.to_original(u), to_original(u)), trial
+
+
+def outcomes_equal(a, b):
+    return (
+        a.status == b.status
+        and all(np.array_equal(getattr(a, f), getattr(b, f)) for f in ("solution", "dual", "ray"))
+        and a.value == b.value
+        and a.infeasibility == b.infeasibility
+        and a.kkt_residuals == b.kkt_residuals
+    )
+
+
+class TestSharedStart:
+    """LPs over the same rows and bounds share one equality form and one phase 1."""
+
+    ROWS_A = (LpRow([1.0, 1.0, 0.0], ">=", 1.0), LpRow([1.0, -1.0, 2.0], "=", 0.5))
+    ROWS_B = (LpRow([0.0, 1.0, 1.0], ">=", 2.0),)
+    BOUNDS = ((0.0, 3.0), (-1.0, None), (None, 2.0))
+
+    def test_runs_share_one_equality_form(self, std_builds):
+        objectives = [[1.0, 2.0, -1.0], [-1.0, 0.5, 0.0], [2.0, -1.0, 1.0], [0.0, 1.0, -3.0]]
+        rows = [self.ROWS_A, self.ROWS_A, self.ROWS_B, self.ROWS_A]
+        lps = [LinearProgram(objective=np.array(c), rows=r, bounds=self.BOUNDS) for c, r in zip(objectives, rows)]
+        before = counters()["lp_solve"]
+        outs = solve_lp_batch(lps)
+        assert counters()["lp_solve"] - before == 4
+        assert len(std_builds) == 3
+        alone = [solve_lp(lp) for lp in lps]
+        assert all(outcomes_equal(a, b) for a, b in zip(outs, alone))
+        assert {o.status for o in outs} == {LpStatus.OPTIMAL, LpStatus.UNBOUNDED}
+
+    def test_rows_match_by_identity_and_bounds_by_value(self, std_builds):
+        copy_a = tuple(LpRow(r.coeffs.copy(), r.sense, r.rhs) for r in self.ROWS_A)
+        bounds = tuple((lo, hi) for lo, hi in self.BOUNDS)
+        objective = np.array([1.0, 1.0, 1.0])
+        lps = [
+            LinearProgram(objective=objective, rows=self.ROWS_A, bounds=self.BOUNDS),
+            LinearProgram(objective=-objective, rows=list(self.ROWS_A), bounds=bounds),
+            LinearProgram(objective=objective, rows=copy_a, bounds=bounds),
+            LinearProgram(objective=objective, rows=copy_a, bounds=((0.0, 1.0),) + bounds[1:]),
+        ]
+        outs = solve_lp_batch(lps)
+        assert len(std_builds) == 3
+        assert all(outcomes_equal(a, solve_lp(lp)) for a, lp in zip(outs, lps))
+
+    def test_no_rows_and_free_bounds_still_split_by_size(self, std_builds):
+        outs = solve_lp_batch([simple([0.0], []), simple([0.0, 0.0], [])])
+        assert len(std_builds) == 2
+        assert [o.solution.size for o in outs] == [1, 2]
+
+    def test_infeasible_start_is_shared(self, std_builds):
+        rows = (LpRow([1.0, 1.0], ">=", 5.0), LpRow([1.0, 0.0], "<=", 1.0))
+        lps = [LinearProgram(objective=np.array(c), rows=rows, bounds=((None, 2.0), (None, 2.0)))
+               for c in ([1.0, 0.0], [0.0, -1.0], [3.0, 2.0])]
+        outs = solve_lp_batch(lps)
+        assert len(std_builds) == 1
+        assert [o.status for o in outs] == [LpStatus.INFEASIBLE] * 3
+        assert outs[0].infeasibility > 0.5
+        assert {o.infeasibility for o in outs} == {outs[0].infeasibility}
+        assert outs[0].infeasibility == solve_lp(lps[1]).infeasibility
+
+    def test_tableau_dual_after_the_drive_out_drops_rows(self):
+        # equality rows plus a combination of them: phase 1 leaves one
+        # all-zero row, which the drive-out drops
+        rng = np.random.default_rng(11)
+        dropped = 0
+        for trial in range(60):
+            p = int(rng.integers(3, 6))
+            base = rng.integers(-3, 4, (int(rng.integers(1, p)), p)).astype(float)
+            point = rng.integers(0, 3, p).astype(float)
+            mix = rng.integers(1, 3, base.shape[0]).astype(float)
+            R = np.vstack([base, mix @ base])
+            rows = tuple(LpRow(r, "=", float(r @ point)) for r in R)
+            bounds = ((0.0, 4.0),) * p
+            lps = [LinearProgram(objective=rng.integers(-3, 4, p).astype(float), rows=rows, bounds=bounds)
+                   for _ in range(4)]
+            start = lp_mod._Start(lps[0])
+            dropped += start.kept.size < start.std.m
+            for out in solve_lp_batch(lps):
+                assert out.status == LpStatus.OPTIMAL, trial
+                assert max(out.kkt_residuals.values()) <= 1e-9, (trial, out.kkt_residuals)
+        assert dropped >= 40, dropped
 
 
 class TestAgainstHighs:
@@ -367,6 +471,22 @@ class TestAgainstHighs:
         return linprog(objective, A_ub=A_ub or None, b_ub=b_ub or None, A_eq=A_eq or None,
                        b_eq=b_eq or None, bounds=list(bounds), method="highs")
 
+    def _check(self, linprog, out, objective, rows, bounds, label):
+        res = self._highs(linprog, objective, rows, bounds)
+        status = res.status
+        # HiGHS's presolve can call a feasible unbounded LP infeasible;
+        # on a zero objective it settles feasibility alone.
+        if status == 2 and self._highs(linprog, np.zeros_like(objective), rows, bounds).status == 0:
+            status = 3
+        expected = {0: LpStatus.OPTIMAL, 2: LpStatus.INFEASIBLE, 3: LpStatus.UNBOUNDED}[status]
+        assert out.status == expected, (label, out.status, res.message)
+        if expected == LpStatus.OPTIMAL:
+            assert abs(out.value - res.fun) <= 1e-7 * (1.0 + abs(res.fun)), (label, out.value, res.fun)
+            assert max(out.kkt_residuals.values(), default=0.0) <= 1e-7, (label, out.kkt_residuals)
+        elif expected == LpStatus.UNBOUNDED:
+            assert float(objective @ out.ray) < 0.0, label
+        return expected
+
     def test_status_and_value_match(self):
         linprog = pytest.importorskip("scipy.optimize").linprog
         rng = np.random.default_rng(20261018)
@@ -375,19 +495,27 @@ class TestAgainstHighs:
         for trial in range(600):
             objective, rows, bounds = random_lp(rng, integer=trial % 2 == 0)
             out = solve_lp(simple(objective, rows, bounds=bounds))
-            res = self._highs(linprog, objective, rows, bounds)
-            status = res.status
-            # HiGHS's presolve can call a feasible unbounded LP infeasible;
-            # on a zero objective it settles feasibility alone.
-            if status == 2 and self._highs(linprog, np.zeros_like(objective), rows, bounds).status == 0:
-                status = 3
-            expected = {0: LpStatus.OPTIMAL, 2: LpStatus.INFEASIBLE, 3: LpStatus.UNBOUNDED}[status]
-            assert out.status == expected, (trial, out.status, res.message)
-            if expected == LpStatus.OPTIMAL:
-                assert abs(out.value - res.fun) <= 1e-7 * (1.0 + abs(res.fun)), (trial, out.value, res.fun)
-            elif expected == LpStatus.UNBOUNDED:
-                assert float(objective @ out.ray) < 0.0, trial
-            seen[expected] += 1
+            seen[self._check(linprog, out, objective, rows, bounds, trial)] += 1
             no_rows += not rows
         assert min(seen.values()) >= 100, seen
         assert no_rows >= 50
+
+    def test_shared_start_batches_match(self, std_builds):
+        # four objectives over each row set, solved from one shared start
+        linprog = pytest.importorskip("scipy.optimize").linprog
+        rng = np.random.default_rng(20261019)
+        seen = {LpStatus.OPTIMAL: 0, LpStatus.INFEASIBLE: 0, LpStatus.UNBOUNDED: 0}
+        trials = 150
+        for trial in range(trials):
+            integer = trial % 2 == 0
+            objective, rows, bounds = random_lp(rng, integer)
+            p = objective.size
+            objectives = [objective] + [
+                rng.integers(-3, 4, p).astype(float) if integer else rng.uniform(-3.0, 3.0, p) for _ in range(3)
+            ]
+            shared = tuple(LpRow(*r) for r in rows)
+            lps = [LinearProgram(objective=c, rows=shared, bounds=bounds) for c in objectives]
+            for k, (c, out) in enumerate(zip(objectives, solve_lp_batch(lps))):
+                seen[self._check(linprog, out, c, rows, bounds, (trial, k))] += 1
+        assert len(std_builds) == trials
+        assert min(seen.values()) >= 100, seen

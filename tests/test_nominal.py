@@ -46,6 +46,30 @@ class TestDgBehavior:
         solve_nlo_dg(case.problem, case.x_hat, case.omega)
         assert counters()["lp_solve"] - before == case.problem.m
 
+    def test_one_equality_form_serves_all_m_lps(self, std_builds):
+        rng = np.random.default_rng(3)
+        A = rng.uniform(-2.0, 2.0, (5, 3))
+        x = np.array([1.0, -0.5, 2.0])
+        b = A @ x - 0.5
+        G = np.vstack([np.eye(15), -np.eye(15), np.ones((1, 15))])
+        h = np.concatenate([np.full(30, 3.0), [15.0]])
+        before = counters()["lp_solve"]
+        sol = solve_nlo_dg(ForwardProblem(A=A, b=b), x, SideConstraints(G=G, h=h))
+        assert sol.status == Status.OPTIMAL
+        assert counters()["lp_solve"] - before == 5
+        assert len(std_builds) == 1
+
+    def test_infeasible_shared_phase_one(self, std_builds):
+        # with every a_ij in [0, 1], row 2 cannot reach b = 5 at x = (1, 1)
+        p = 6
+        G = np.vstack([np.eye(p), -np.eye(p)])
+        h = np.concatenate([np.ones(p), np.zeros(p)])
+        problem = ForwardProblem(A=np.ones((3, 2)), b=[1.0, 5.0, 1.0])
+        sol = solve_nlo_dg(problem, np.array([1.0, 1.0]), SideConstraints(G=G, h=h))
+        assert sol.status == Status.INFEASIBLE
+        assert "phase-one infeasibility" in sol.message
+        assert len(std_builds) == 1
+
     def test_solution_invariants(self):
         case = example_case(1)
         sol = solve_nlo_dg(case.problem, case.x_hat, case.omega)
