@@ -42,6 +42,7 @@ from .geometry import (
     realized_row_interval,
     sorted_uncertainty,
 )
+from . import model as _model
 from .instrument import counters, reset_counters
 from .interval import IuSubresult, solve_rlo_iu_dg, solve_rlo_iu_sd
 from .lp import LinearProgram, LpOutcome, LpRow, LpStatus, solve_lp, solve_lp_batch
@@ -79,13 +80,17 @@ def solve(model, problem, x_hat, structure=None, omega=None, prior=None):
     """Run the solver for `model`; the one mapping from ModelKind to solver.
 
     The robust families take `structure`; the strong-duality models take
-    `prior`, the gap models `omega`.  The solver is looked up by name at
-    call time, so rebinding a solver in this module redirects every caller.
+    `prior`, the gap models `omega`.  Dimensions are checked first, so a
+    wrong-shaped input raises DimensionError naming the field.  The solver
+    is looked up by name at call time, so rebinding a solver in this module
+    redirects every caller.
     """
     model = ModelKind(model)
+    structure = structure if structure is not None else UncertaintyStructure.nominal()
+    omega, prior = (None, prior) if model.is_sd else (omega, None)
+    _model._check_dimensions(problem, _model.as_observed(x_hat), structure, model, omega, prior)
     solver = globals()["solve_" + model.value.replace("-", "_")]
     data = prior if model.is_sd else omega
     if model.family == "nlo":
         return solver(problem, x_hat, data)
-    structure = structure if structure is not None else UncertaintyStructure.nominal()
     return solver(problem, x_hat, structure, data)

@@ -289,32 +289,17 @@ def canonicalize_omega(omega, keys, lower_floor=None, upper_cap=None):
         lo = np.maximum(lo, np.asarray(lower_floor, dtype=float))
     if upper_cap is not None:
         hi = np.minimum(hi, np.asarray(upper_cap, dtype=float))
-    coupled = []
-    coupled_rhs = []
-    feasible = True
-    if omega is not None:
-        G, h = omega.arranged(keys)
-        for r in range(G.shape[0]):
-            nz = np.flatnonzero(G[r])
-            if nz.size == 0:
-                if h[r] < -1e-9:
-                    feasible = False
-                continue
-            if nz.size == 1:
-                j = int(nz[0])
-                g = G[r, j]
-                if g > 0:
-                    hi[j] = min(hi[j], h[r] / g)
-                else:
-                    lo[j] = max(lo[j], h[r] / g)
-            else:
-                coupled.append(G[r])
-                coupled_rhs.append(h[r])
-    if np.any(lo > hi + 1e-9):
-        feasible = False
-    G = np.array(coupled) if coupled else np.zeros((0, p))
-    h = np.array(coupled_rhs) if coupled_rhs else np.zeros(0)
-    return CanonicalOmega(lower=lo, upper=hi, G=G, h=h, feasible=feasible)
+    G, h = (np.zeros((0, p)), np.zeros(0)) if omega is None else omega.arranged(keys)
+    nonzero = G != 0.0
+    count = nonzero.sum(axis=1)
+    single = np.flatnonzero(count == 1)
+    col = nonzero[single].argmax(axis=1) if single.size else single
+    g = G[single, col]
+    bound = h[single] / g
+    np.minimum.at(hi, col[g > 0], bound[g > 0])
+    np.maximum.at(lo, col[g < 0], bound[g < 0])
+    feasible = not (np.any(h[count == 0] < -1e-9) or np.any(lo > hi + 1e-9))
+    return CanonicalOmega(lower=lo, upper=hi, G=G[count > 1], h=h[count > 1], feasible=feasible)
 
 
 def omega_couples_rows(omega, keys):
@@ -322,11 +307,11 @@ def omega_couples_rows(omega, keys):
     if omega is None:
         return False
     G, _ = omega.arranged(keys)
-    for r in range(G.shape[0]):
-        rows_touched = {keys[int(j)][1] for j in np.flatnonzero(G[r])}
-        if len(rows_touched) > 1:
-            return True
-    return False
+    nonzero = G != 0.0
+    touched = nonzero[nonzero.sum(axis=1) > 1]  # a row of one entry couples nothing
+    rows = np.array([key[1] for key in keys])
+    lowest = np.min(np.where(touched, rows, np.inf), axis=1, initial=np.inf)
+    return bool(np.any(touched & (rows != lowest[:, None])))
 
 
 @dataclass(frozen=True, eq=False)
@@ -585,10 +570,8 @@ def validate(problem, x_hat, structure, model, omega=None, prior=None):
             if coupled:
                 uncertifiable.append(i)
                 continue
-            cols = [keys.index(("a", i, j)) for j in range(n)]
-            zero_allowed = all(
-                canon.lower[c] <= 1e-12 and canon.upper[c] >= -1e-12 for c in cols
-            )
+            cols = slice(i * n, (i + 1) * n)  # ("a", i, j) in natural order
+            zero_allowed = np.all(canon.lower[cols] <= 1e-12) and np.all(canon.upper[cols] >= -1e-12)
             if zero_allowed and problem.b[i] <= 1e-12:
                 bad.append(i)
         if bad:

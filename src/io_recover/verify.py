@@ -1,6 +1,12 @@
 """Independent checking: optimality certificates, brute-force grid oracles,
 and diagnostics for trivial (vacuous) imputations.
 
+The certificates of the two robust families share one deviation block,
+built for all rows at once: interval uncertainty is budget uncertainty
+with the full budget |J_i|, so in both, row i's deviation multipliers are
+pi_i times the share of each column's deviation in force.  The budget
+family adds only its auxiliary (y, z) block.
+
 The grid oracles re-evaluate model objectives directly from the geometric
 definitions; they share no code path with the solvers they are used to
 cross-check.
@@ -14,12 +20,9 @@ import numpy as np
 from .errors import GridTooLargeError, PreconditionError
 from .geometry import (
     NormKind,
-    aux_optimum,
     dual_norm,
     protection_value,
-    realized_row_cardinality,
-    realized_row_interval,
-    sorted_uncertainty,
+    sgn,
 )
 from .model import (
     Certificate,
@@ -73,11 +76,41 @@ class CertificateReport:
     certificate: Certificate = None
 
 
-def _sign_split(pi_i, xj):
-    # multiplier pair with lam - mu = -sgn(xj) * pi_i and lam + mu = pi_i
-    if xj >= 0.0:
-        return 0.0, pi_i
-    return pi_i, 0.0
+def _excess(values):
+    # largest entry above zero, 0 when none is (or there are no entries)
+    return max(0.0, float(values.max(initial=0.0)))
+
+
+def _deviation_block(model, problem, structure, imputed, point):
+    """Masked magnitudes and deviation shares of every row at `point`.
+
+    Returns (mask, alpha, share, strict_share): the m x n uncertain-column
+    mask, the magnitudes on it (the imputed ones for interval uncertainty,
+    the fixed ones for a budget; 0 off the mask), and the part of each
+    column's deviation in force.  Interval uncertainty is the full-budget
+    case: every uncertain column deviates fully.  A budget, clamped into
+    [0, |J_i|], deviates the columns fully in order of alpha |point|
+    descending (ties: lower column first) and the next one by the
+    fractional part, which `share` takes when it is >= 1e-12 (the realized
+    rows) and `strict_share` when it is > 1e-12 (the multipliers).
+    """
+    mask = np.zeros((problem.m, problem.n), dtype=bool)
+    for i, cols in enumerate(structure.sets):
+        mask[i, list(cols)] = True
+    if model.family == "iu":
+        fully = mask * 1.0
+        return mask, np.where(mask, imputed, 0.0), fully, fully
+    alpha = np.where(mask, structure.alpha, 0.0)
+    budget = np.minimum(np.maximum(imputed, 0.0), mask.sum(axis=1))[:, None]
+    order = np.argsort(np.where(mask, -(alpha * np.abs(point)), np.inf), axis=1, kind="stable")
+    rank = np.argsort(order, axis=1)
+    full = np.floor(budget + 1e-12)
+    frac = budget - full
+
+    def share(take):
+        return np.where(rank < full, 1.0, np.where((rank == full) & take, frac, 0.0))
+
+    return mask, alpha, share(frac >= 1e-12), share(frac > 1e-12)
 
 
 def _nontriviality(model, problem, structure, solution):
@@ -91,18 +124,12 @@ def _nontriviality(model, problem, structure, solution):
     # columns by alpha_j |s_j| = alpha_j).  So the row vanishes in some
     # orthant exactly when |a_j| = dev_j for every j; dev = a - (row at s = +1).
     plus = np.ones(problem.n)
-    rows_ok = True
-    for i in range(problem.m):
-        if model.family == "iu":
-            row = realized_row_interval(problem.A[i], solution.imputed[i], structure.sets[i], plus)
-        else:
-            budget = min(max(float(solution.imputed[i]), 0.0), float(len(structure.sets[i])))
-            row = realized_row_cardinality(
-                problem.A[i], structure.alpha[i], budget, structure.sets[i], plus
-            )
-        dev = problem.A[i] - row
-        if float(np.max(np.abs(np.abs(problem.A[i]) - dev))) <= 1e-9:
-            rows_ok = False
+    _, alpha, share, _ = _deviation_block(
+        model, problem, structure, np.asarray(solution.imputed, dtype=float), plus
+    )
+    row = problem.A - alpha * share  # sgn(plus) = +1
+    dev = problem.A - row
+    rows_ok = not np.any(np.abs(np.abs(problem.A) - dev).max(axis=1) <= 1e-9)
     return {"cost_nonzero": cost_ok, "rows_nonzero_all_orthants": rows_ok, "orthants_checked": 2**problem.n}
 
 
@@ -111,15 +138,20 @@ def check_certificate(model, problem, x_hat, structure, solution):
 
     Auxiliary variables and multipliers are reconstructed from the returned
     (parameters, cost, duals) alone, so agreement is evidence independent of
-    the solver's internal path.
+    the solver's internal path.  Both robust families are checked through
+    one deviation block: row i's deviation multipliers are pi_i times the
+    share of each column's deviation in force, which is 1 on every
+    uncertain column under interval uncertainty (the full-budget case) and
+    the continuous-knapsack share of the budget otherwise; the budget
+    family adds the auxiliary (y, z) block and its budget residuals.
     """
     model = ModelKind(model)
     if solution.status not in (Status.OPTIMAL, Status.TRIVIAL_DETECTED):
         raise PreconditionError("certificates apply to optimal or trivial-detected solutions only")
     x = as_observed(x_hat).x
-    m, n = problem.m, problem.n
     pi = np.asarray(solution.dual_pi, dtype=float)
     c = np.asarray(solution.cost, dtype=float)
+    imputed = np.asarray(solution.imputed, dtype=float)
 
     primal = {}
     dual = {}
@@ -130,90 +162,45 @@ def check_certificate(model, problem, x_hat, structure, solution):
     dual["pi_nonneg"] = float(max(0.0, -float(np.min(pi))))
 
     if model.family == "nlo":
-        A = np.asarray(solution.imputed, dtype=float)
-        primal["feasibility"] = float(np.max(np.maximum(problem.b - A @ x, 0.0)))
-        dual["cost_match"] = float(np.max(np.abs(A.T @ pi - c)))
-    elif model.family == "iu":
-        alpha = np.asarray(solution.imputed, dtype=float)
-        u = np.zeros((m, n))
-        lam = np.zeros((m, n))
-        mu = np.zeros((m, n))
-        p1 = p2 = p4 = 0.0
-        d_pair = 0.0
-        for i in range(m):
-            for j in structure.sets[i]:
-                u[i, j] = alpha[i, j] * abs(x[j])
-                lam[i, j], mu[i, j] = _sign_split(pi[i], x[j])
-                p1 = max(p1, -(alpha[i, j] * x[j] + u[i, j]))
-                p2 = max(p2, -(-alpha[i, j] * x[j] + u[i, j]))
-                p4 = max(p4, -alpha[i, j])
-                d_pair = max(d_pair, abs(pi[i] - lam[i, j] - mu[i, j]))
-        robust = problem.A @ x - u.sum(axis=1) - problem.b
-        primal["deviation_bound_lo"] = float(max(p1, 0.0))
-        primal["deviation_bound_hi"] = float(max(p2, 0.0))
-        primal["robust_feasibility"] = float(max(0.0, -float(np.min(robust))))
-        primal["alpha_nonneg"] = float(max(p4, 0.0))
-        cost_eq = problem.A.T @ pi - c
-        for i in range(m):
-            for j in structure.sets[i]:
-                cost_eq[j] += alpha[i, j] * (lam[i, j] - mu[i, j])
-        dual["cost_match"] = float(np.max(np.abs(cost_eq)))
-        dual["multiplier_pairing"] = float(d_pair)
-        aux["u"] = u
-        dual_aux["lambda"] = lam
-        dual_aux["mu"] = mu
+        realized = imputed
+        primal["feasibility"] = float(np.max(np.maximum(problem.b - imputed @ x, 0.0)))
+        dual["cost_match"] = float(np.max(np.abs(imputed.T @ pi - c)))
     else:
-        gamma = np.asarray(solution.imputed, dtype=float)
-        alpha = structure.alpha
-        u = np.zeros((m, n))
-        y = np.zeros((m, n))
-        z = np.zeros(m)
-        phi = np.zeros((m, n))
-        lam = np.zeros((m, n))
-        mu = np.zeros((m, n))
-        range_res = 0.0
-        for i in range(m):
-            size = len(structure.sets[i])
-            range_res = max(range_res, -gamma[i], gamma[i] - size)
-            budget = min(max(float(gamma[i]), 0.0), float(size))
-            u[i], y[i], z[i] = aux_optimum(alpha[i], budget, structure.sets[i], x)
-            su = sorted_uncertainty(alpha[i], structure.sets[i], x)
-            full = int(math.floor(budget + 1e-12))
-            frac = budget - full
-            for rank, j in enumerate(su.order):
-                if rank < full:
-                    phi[i, j] = pi[i]
-                elif rank == full and frac > 1e-12:
-                    phi[i, j] = frac * pi[i]
-            for j in structure.sets[i]:
-                lam[i, j], mu[i, j] = _sign_split(phi[i, j], x[j])
-        p1 = p2 = p3 = 0.0
-        d_cap = d_pair = d_budget = 0.0
-        for i in range(m):
-            for j in structure.sets[i]:
-                p1 = max(p1, -(alpha[i, j] * x[j] + u[i, j]))
-                p2 = max(p2, -(-alpha[i, j] * x[j] + u[i, j]))
-                p3 = max(p3, u[i, j] - y[i, j] - z[i])
-                d_cap = max(d_cap, phi[i, j] - pi[i])
-                d_pair = max(d_pair, abs(phi[i, j] - lam[i, j] - mu[i, j]))
-            d_budget = max(d_budget, float(np.sum(phi[i])) - gamma[i] * pi[i])
-        robust = problem.A @ x - y.sum(axis=1) - gamma * z - problem.b
-        primal["deviation_bound_lo"] = float(max(p1, 0.0))
-        primal["deviation_bound_hi"] = float(max(p2, 0.0))
-        primal["aux_cover"] = float(max(p3, 0.0))
-        primal["robust_feasibility"] = float(max(0.0, -float(np.min(robust))))
-        primal["aux_nonneg"] = float(max(0.0, -min(float(np.min(y)), float(np.min(z)))))
-        primal["budget_range"] = float(max(range_res, 0.0))
+        mask, alpha, share, strict_share = _deviation_block(model, problem, structure, imputed, x)
+        realized = problem.A - sgn(x) * alpha * share
+        u = alpha * np.abs(x)
+        phi = pi[:, None] * strict_share
+        lam = np.where(x < 0.0, phi, 0.0)
+        mu = np.where(x < 0.0, 0.0, phi)
         cost_eq = problem.A.T @ pi - c
-        for i in range(m):
-            for j in structure.sets[i]:
-                cost_eq[j] += alpha[i, j] * (lam[i, j] - mu[i, j])
+        for i in range(problem.m):  # row by row: one sum over axis 0 would round differently
+            cost_eq += alpha[i] * (lam[i] - mu[i])
+        primal["deviation_bound_lo"] = _excess(-(alpha * x + u)[mask])
+        primal["deviation_bound_hi"] = _excess(-(-alpha * x + u)[mask])
         dual["cost_match"] = float(np.max(np.abs(cost_eq)))
-        dual["allocation_cap"] = float(max(d_cap, 0.0))
-        dual["multiplier_pairing"] = float(d_pair)
-        dual["budget_cap"] = float(max(d_budget, 0.0))
-        aux["u"], aux["y"], aux["z"] = u, y, z
-        dual_aux["phi"] = phi
+        pairing = _excess(np.abs(phi - lam - mu)[mask])
+        if model.family == "iu":
+            robust = problem.A @ x - u.sum(axis=1) - problem.b
+            primal["robust_feasibility"] = float(max(0.0, -float(np.min(robust))))
+            primal["alpha_nonneg"] = _excess(-alpha[mask])
+            dual["multiplier_pairing"] = pairing
+            aux["u"] = u
+        else:
+            gamma = imputed
+            # z is the smallest value alpha |x| in force, the largest when none is
+            z = np.where(share > 0.0, u, np.inf).min(axis=1)
+            z = np.where(np.isinf(z), u.max(axis=1), z)
+            y = np.where(mask, np.maximum(u - z[:, None], 0.0), 0.0)
+            robust = problem.A @ x - y.sum(axis=1) - gamma * z - problem.b
+            primal["aux_cover"] = _excess((u - y - z[:, None])[mask])
+            primal["robust_feasibility"] = float(max(0.0, -float(np.min(robust))))
+            primal["aux_nonneg"] = float(max(0.0, -min(float(np.min(y)), float(np.min(z)))))
+            primal["budget_range"] = _excess(np.maximum(-gamma, gamma - mask.sum(axis=1)))
+            dual["allocation_cap"] = _excess((phi - pi[:, None])[mask])
+            dual["multiplier_pairing"] = pairing
+            dual["budget_cap"] = _excess(phi.sum(axis=1) - gamma * pi)
+            aux["u"], aux["y"], aux["z"] = u, y, z
+            dual_aux["phi"] = phi
         dual_aux["lambda"] = lam
         dual_aux["mu"] = mu
 
@@ -231,18 +218,7 @@ def check_certificate(model, problem, x_hat, structure, solution):
             consistency["gap_consistency"] = abs(gap_value - float(solution.duality_gap))
     if solution.active_index is not None:
         k = solution.active_index - 1
-        if model.family == "nlo":
-            realized = np.asarray(solution.imputed, dtype=float)[k]
-        elif model.family == "iu":
-            realized = realized_row_interval(
-                problem.A[k], solution.imputed[k], structure.sets[k], x
-            )
-        else:
-            budget = min(max(float(solution.imputed[k]), 0.0), float(len(structure.sets[k])))
-            realized = realized_row_cardinality(
-                problem.A[k], structure.alpha[k], budget, structure.sets[k], x
-            )
-        consistency["cost_is_active_row"] = float(np.max(np.abs(realized - c)))
+        consistency["cost_is_active_row"] = float(np.max(np.abs(realized[k] - c)))
 
     residuals = {}
     for name, val in primal.items():
@@ -256,7 +232,7 @@ def check_certificate(model, problem, x_hat, structure, solution):
         residuals["strong_duality"] = strong_duality
 
     scale = max(float(np.max(np.abs(arr), initial=0.0))
-                for arr in (problem.A, problem.b, x, c, np.asarray(solution.imputed, dtype=float)))
+                for arr in (problem.A, problem.b, x, c, imputed))
     verdict, reason = "valid", None
     for name, val in residuals.items():
         if val > (REPORT_TOL if name in UNIT_FREE else REPORT_TOL * (1.0 + scale)):

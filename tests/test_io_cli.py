@@ -199,6 +199,21 @@ class TestCliVerify:
         ) == 2
         assert "invalid" in capsys.readouterr().out
 
+    def test_verify_negative_magnitude_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "solution.json"
+        cli.main(["solve", "--input", str(FIXTURES / "example3.json"), "--output", str(out)])
+        doc = _load(out)
+        doc["imputed"]["alpha"][0][0] = -0.5
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert cli.main(
+            ["verify", "--input", str(FIXTURES / "example3.json"), "--solution", str(bad)]
+        ) == 2
+        text = capsys.readouterr().out
+        assert "verdict: invalid" in text
+        assert "primal.alpha_nonneg              5.000e-01" in text
+
     def test_verify_mismatched_model_exits_1(self, tmp_path, capsys):
         out = tmp_path / "solution.json"
         cli.main(["solve", "--input", str(FIXTURES / "example5.json"), "--output", str(out)])

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+import gen
+import io_recover
 from io_recover import (
     DimensionError,
     ForwardProblem,
@@ -51,6 +53,38 @@ class TestTypes:
         assert a == b and a != c
 
 
+MAKERS = {
+    ModelKind.NLO_DG: gen.make_nlo_dg,
+    ModelKind.NLO_SD: gen.make_nlo_sd,
+    ModelKind.RLO_IU_DG: gen.make_iu_dg,
+    ModelKind.RLO_IU_SD: gen.make_iu_sd,
+    ModelKind.RLO_CCU_DG: gen.make_ccu_dg,
+    ModelKind.RLO_CCU_SD: gen.make_ccu_sd,
+}
+
+
+@pytest.mark.parametrize(
+    "model, defect",
+    [(model, "long x_hat") for model in MAKERS]
+    + [(model, defect) for model in (ModelKind.RLO_IU_DG, ModelKind.RLO_IU_SD)
+       for defect in ("column out of range", "too few sets")],
+)
+def test_solve_names_the_wrong_shaped_field(model, defect):
+    problem, x, structure, data, _ = MAKERS[model](0)
+    field = "x_hat"
+    if defect == "long x_hat":
+        x = np.append(x, 1.0)
+    else:
+        field = "uncertain_columns"
+        sets = structure.sets[:-1]
+        if defect == "column out of range":
+            sets = (structure.sets[0] + (problem.n,),) + structure.sets[1:]
+        structure = UncertaintyStructure.interval(sets)
+    with pytest.raises(DimensionError) as err:
+        io_recover.solve(model, problem, x, structure, omega=data, prior=data)
+    assert err.value.field == field
+
+
 class TestOmega:
     def test_single_variable_rows_become_bounds(self):
         G = np.array([[2.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
@@ -90,6 +124,54 @@ class TestOmega:
         assert omega_couples_rows(case3.omega, keys3)
         box = SideConstraints(G=-np.eye(4), h=np.zeros(4))
         assert not omega_couples_rows(box, keys3)
+
+
+def _loop_canonical(omega, keys, lower_floor, upper_cap):
+    """canonicalize_omega and omega_couples_rows written row by row: the
+    reference for the masked versions."""
+    p = len(keys)
+    lo = np.full(p, -np.inf) if lower_floor is None else np.maximum(np.full(p, -np.inf), lower_floor)
+    hi = np.full(p, np.inf) if upper_cap is None else np.minimum(np.full(p, np.inf), upper_cap)
+    G, h = omega.arranged(keys)
+    coupled, coupled_rhs, feasible, couples = [], [], True, False
+    for r in range(G.shape[0]):
+        nz = np.flatnonzero(G[r])
+        if nz.size == 0:
+            feasible = feasible and not h[r] < -1e-9
+        elif nz.size == 1:
+            j = int(nz[0])
+            if G[r, j] > 0:
+                hi[j] = min(hi[j], h[r] / G[r, j])
+            else:
+                lo[j] = max(lo[j], h[r] / G[r, j])
+        else:
+            coupled.append(G[r])
+            coupled_rhs.append(h[r])
+            couples = couples or len({keys[int(j)][1] for j in nz}) > 1
+    feasible = feasible and not np.any(lo > hi + 1e-9)
+    G = np.array(coupled) if coupled else np.zeros((0, p))
+    h = np.array(coupled_rhs) if coupled_rhs else np.zeros(0)
+    return lo, hi, G, h, feasible, couples
+
+
+def test_masked_omega_matches_row_loop():
+    rng = np.random.default_rng(11)
+    for trial in range(400):
+        m, n = int(rng.integers(1, 5)), int(rng.integers(0, 4))
+        keys = [("alpha", i, j) for i in range(m) for j in range(n)]
+        p = len(keys)
+        G = rng.choice([0.0, 0.0, 0.0, 1.0, -1.0, 2.0, -0.5], (int(rng.integers(0, 8)), p))
+        h = rng.choice([0.0, 1.0, -1.0, -1e-10, -1e-8, 3.0], G.shape[0])
+        order = tuple(keys[k] for k in rng.permutation(p)) if trial % 3 == 0 else None
+        omega = SideConstraints(G=G, h=h, variable_map=order)
+        floor = np.zeros(p) if trial % 2 else None
+        cap = rng.uniform(0.0, 2.0, p) if trial % 4 == 1 else None
+        lo, hi, Gc, hc, feasible, couples = _loop_canonical(omega, keys, floor, cap)
+        canon = canonicalize_omega(omega, keys, floor, cap)
+        assert np.array_equal(canon.lower, lo) and np.array_equal(canon.upper, hi), trial
+        assert np.array_equal(canon.G, Gc) and canon.G.shape == Gc.shape, trial
+        assert np.array_equal(canon.h, hc) and canon.feasible == feasible, trial
+        assert omega_couples_rows(omega, keys) == couples, trial
 
 
 class TestValidate:

@@ -1,9 +1,11 @@
+import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import gen
+import io_recover
 from io_recover import (
     ForwardProblem,
     GridOracleSpec,
@@ -24,7 +26,14 @@ from io_recover import (
     solve_rlo_iu_dg,
 )
 from io_recover.fixtures import all_examples, example_case, solve_case
-from io_recover.verify import REPORT_TOL
+from io_recover.geometry import (
+    aux_optimum,
+    realized_row_cardinality,
+    realized_row_interval,
+    sorted_uncertainty,
+)
+from io_recover.model import as_observed
+from io_recover.verify import REPORT_TOL, UNIT_FREE
 
 
 def _solved(number):
@@ -181,6 +190,16 @@ class TestFaultInjection:
         assert report.verdict == "invalid"
         assert report.consistency_residuals["gap_consistency"] > REPORT_TOL
 
+    def test_negative_magnitude_reported(self):
+        # a negative imputed magnitude fails the certificate instead of raising
+        case, sol = _solved(3)
+        imputed = np.array(sol.imputed)
+        imputed[0, 0] = -0.5
+        bad = replace(sol, imputed=imputed)
+        report = check_certificate(case.model, case.problem, case.x_hat, case.structure, bad)
+        assert report.verdict == "invalid"
+        assert report.primal_residuals["alpha_nonneg"] == 0.5
+
     def test_active_row_consistency_flip(self):
         case, sol = _solved(6)
         bad = replace(sol, active_index=1)  # row 1 realization differs from the cost
@@ -284,3 +303,254 @@ def test_every_optimal_fixture_certificate_is_valid():
         assert sol.duality_gap >= -1e-9
         report = check_certificate(case.model, case.problem, case.x_hat, case.structure, sol)
         assert report.verdict == "valid", (case.number, report.reason)
+
+
+def _sign_split(pi_i, xj):
+    # multiplier pair with lam - mu = -sgn(xj) * pi_i and lam + mu = pi_i
+    if xj >= 0.0:
+        return 0.0, pi_i
+    return pi_i, 0.0
+
+
+def _loop_certificate(model, problem, x_hat, structure, solution):
+    """The interval and budget certificates computed entry by entry with the
+    geometry kernel: the reference the deviation block of check_certificate
+    must reproduce bit for bit."""
+    model = ModelKind(model)
+    x = as_observed(x_hat).x
+    m, n = problem.m, problem.n
+    pi = np.asarray(solution.dual_pi, dtype=float)
+    c = np.asarray(solution.cost, dtype=float)
+    primal, dual, consistency, aux, dual_aux = {}, {}, {}, {}, {}
+    normalization = abs(float(np.sum(pi)) - 1.0)
+    dual["pi_nonneg"] = float(max(0.0, -float(np.min(pi))))
+    if model.family == "iu":
+        alpha = np.asarray(solution.imputed, dtype=float)
+        u = np.zeros((m, n))
+        lam = np.zeros((m, n))
+        mu = np.zeros((m, n))
+        p1 = p2 = p4 = 0.0
+        d_pair = 0.0
+        for i in range(m):
+            for j in structure.sets[i]:
+                u[i, j] = alpha[i, j] * abs(x[j])
+                lam[i, j], mu[i, j] = _sign_split(pi[i], x[j])
+                p1 = max(p1, -(alpha[i, j] * x[j] + u[i, j]))
+                p2 = max(p2, -(-alpha[i, j] * x[j] + u[i, j]))
+                p4 = max(p4, -alpha[i, j])
+                d_pair = max(d_pair, abs(pi[i] - lam[i, j] - mu[i, j]))
+        robust = problem.A @ x - u.sum(axis=1) - problem.b
+        primal["deviation_bound_lo"] = float(max(p1, 0.0))
+        primal["deviation_bound_hi"] = float(max(p2, 0.0))
+        primal["robust_feasibility"] = float(max(0.0, -float(np.min(robust))))
+        primal["alpha_nonneg"] = float(max(p4, 0.0))
+        cost_eq = problem.A.T @ pi - c
+        for i in range(m):
+            for j in structure.sets[i]:
+                cost_eq[j] += alpha[i, j] * (lam[i, j] - mu[i, j])
+        dual["cost_match"] = float(np.max(np.abs(cost_eq)))
+        dual["multiplier_pairing"] = float(d_pair)
+        aux["u"] = u
+        dual_aux["lambda"] = lam
+        dual_aux["mu"] = mu
+    else:
+        gamma = np.asarray(solution.imputed, dtype=float)
+        alpha = structure.alpha
+        u = np.zeros((m, n))
+        y = np.zeros((m, n))
+        z = np.zeros(m)
+        phi = np.zeros((m, n))
+        lam = np.zeros((m, n))
+        mu = np.zeros((m, n))
+        range_res = 0.0
+        for i in range(m):
+            size = len(structure.sets[i])
+            range_res = max(range_res, -gamma[i], gamma[i] - size)
+            budget = min(max(float(gamma[i]), 0.0), float(size))
+            u[i], y[i], z[i] = aux_optimum(alpha[i], budget, structure.sets[i], x)
+            su = sorted_uncertainty(alpha[i], structure.sets[i], x)
+            full = int(math.floor(budget + 1e-12))
+            frac = budget - full
+            for rank, j in enumerate(su.order):
+                if rank < full:
+                    phi[i, j] = pi[i]
+                elif rank == full and frac > 1e-12:
+                    phi[i, j] = frac * pi[i]
+            for j in structure.sets[i]:
+                lam[i, j], mu[i, j] = _sign_split(phi[i, j], x[j])
+        p1 = p2 = p3 = 0.0
+        d_cap = d_pair = d_budget = 0.0
+        for i in range(m):
+            for j in structure.sets[i]:
+                p1 = max(p1, -(alpha[i, j] * x[j] + u[i, j]))
+                p2 = max(p2, -(-alpha[i, j] * x[j] + u[i, j]))
+                p3 = max(p3, u[i, j] - y[i, j] - z[i])
+                d_cap = max(d_cap, phi[i, j] - pi[i])
+                d_pair = max(d_pair, abs(phi[i, j] - lam[i, j] - mu[i, j]))
+            d_budget = max(d_budget, float(np.sum(phi[i])) - gamma[i] * pi[i])
+        robust = problem.A @ x - y.sum(axis=1) - gamma * z - problem.b
+        primal["deviation_bound_lo"] = float(max(p1, 0.0))
+        primal["deviation_bound_hi"] = float(max(p2, 0.0))
+        primal["aux_cover"] = float(max(p3, 0.0))
+        primal["robust_feasibility"] = float(max(0.0, -float(np.min(robust))))
+        primal["aux_nonneg"] = float(max(0.0, -min(float(np.min(y)), float(np.min(z)))))
+        primal["budget_range"] = float(max(range_res, 0.0))
+        cost_eq = problem.A.T @ pi - c
+        for i in range(m):
+            for j in structure.sets[i]:
+                cost_eq[j] += alpha[i, j] * (lam[i, j] - mu[i, j])
+        dual["cost_match"] = float(np.max(np.abs(cost_eq)))
+        dual["allocation_cap"] = float(max(d_cap, 0.0))
+        dual["multiplier_pairing"] = float(d_pair)
+        dual["budget_cap"] = float(max(d_budget, 0.0))
+        aux["u"], aux["y"], aux["z"] = u, y, z
+        dual_aux["phi"] = phi
+        dual_aux["lambda"] = lam
+        dual_aux["mu"] = mu
+
+    def realized(k, point):
+        if model.family == "iu":
+            return realized_row_interval(problem.A[k], solution.imputed[k], structure.sets[k], point)
+        budget = min(max(float(solution.imputed[k]), 0.0), float(len(structure.sets[k])))
+        return realized_row_cardinality(problem.A[k], structure.alpha[k], budget, structure.sets[k], point)
+
+    gap_value = float(c @ x) - float(problem.b @ pi)
+    strong_duality = duality_gap = None
+    if model.is_sd:
+        strong_duality = abs(gap_value)
+        if solution.objective_value is not None:
+            consistency["objective_nonneg"] = float(max(0.0, -solution.objective_value))
+    else:
+        duality_gap = gap_value
+        consistency["gap_nonneg"] = float(max(0.0, -gap_value))
+        if solution.duality_gap is not None:
+            consistency["gap_consistency"] = abs(gap_value - float(solution.duality_gap))
+    if solution.active_index is not None:
+        k = solution.active_index - 1
+        consistency["cost_is_active_row"] = float(np.max(np.abs(realized(k, x) - c)))
+    residuals = {f"primal.{k}": v for k, v in primal.items()}
+    residuals.update({f"dual.{k}": v for k, v in dual.items()})
+    residuals.update({f"consistency.{k}": v for k, v in consistency.items()})
+    residuals["normalization"] = normalization
+    if strong_duality is not None:
+        residuals["strong_duality"] = strong_duality
+    scale = max(float(np.max(np.abs(arr), initial=0.0))
+                for arr in (problem.A, problem.b, x, c, np.asarray(solution.imputed, dtype=float)))
+    verdict, reason = "valid", None
+    for name, val in residuals.items():
+        if val > (REPORT_TOL if name in UNIT_FREE else REPORT_TOL * (1.0 + scale)):
+            verdict, reason = "invalid", f"{name} = {val:g}"
+            break
+    plus = np.ones(n)
+    rows_ok = True
+    for i in range(m):
+        dev = problem.A[i] - realized(i, plus)
+        if float(np.max(np.abs(np.abs(problem.A[i]) - dev))) <= 1e-9:
+            rows_ok = False
+    cost_ok = solution.cost is not None and float(np.max(np.abs(solution.cost))) > 1e-9
+    return {
+        "residuals": residuals, "aux": aux, "dual_aux": dual_aux, "verdict": verdict,
+        "reason": reason, "duality_gap": duality_gap, "strong_duality": strong_duality,
+        "nontriviality": {
+            "cost_nonzero": cost_ok, "rows_nonzero_all_orthants": rows_ok, "orthants_checked": 2**n,
+        },
+    }
+
+
+def _assert_same_report(report, ref):
+    assert list(report.certificate.residuals.items()) == list(ref["residuals"].items())
+    cert = report.certificate
+    for ours, theirs in ((cert.aux, ref["aux"]), (cert.dual_aux, ref["dual_aux"])):
+        assert list(ours) == list(theirs)
+        assert all(np.array_equal(ours[k], theirs[k]) for k in ours)
+    assert (report.verdict, report.reason) == (ref["verdict"], ref["reason"])
+    assert report.nontriviality == ref["nontriviality"]
+    assert report.duality_gap == ref["duality_gap"]
+    assert report.strong_duality_residual == ref["strong_duality"]
+
+
+ROBUST_MAKERS = (
+    (ModelKind.RLO_IU_DG, gen.make_iu_dg),
+    (ModelKind.RLO_IU_SD, gen.make_iu_sd),
+    (ModelKind.RLO_CCU_DG, gen.make_ccu_dg),
+    (ModelKind.RLO_CCU_SD, gen.make_ccu_sd),
+)
+
+
+def _solved_robust_corpus():
+    for number in (3, 4, 5, 6):
+        case, sol = _solved(number)
+        yield case.model, case.problem, case.x_hat, case.structure, sol
+    for model, make in ROBUST_MAKERS:
+        for seed in range(200):
+            problem, x, structure, data, _ = make(seed)
+            if model.is_sd:
+                sol = io_recover.solve(model, problem, x, structure, prior=data)
+            else:
+                sol = io_recover.solve(model, problem, x, structure, omega=data)
+            if sol.status in (Status.OPTIMAL, Status.TRIVIAL_DETECTED):
+                yield model, problem, x, structure, sol
+
+
+def _synthetic_robust_solution(rng):
+    """A seeded solution that need not be optimal: ties in alpha |x|, zero
+    coordinates, empty uncertain sets, budgets on, near and off the integers
+    and outside [0, |J_i|], negative multipliers."""
+    model = list(ModelKind)[2 + int(rng.integers(0, 4))]
+    m, n = int(rng.integers(1, 6)), int(rng.integers(1, 6))
+    x = rng.choice([-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0], n)
+    A = rng.choice([-2.0, -1.0, 0.0, 0.5, 1.0, 1.5], (m, n))
+    sets = [tuple(int(j) for j in np.flatnonzero(rng.random(n) < 0.6)) for _ in range(m)]
+    alpha = rng.choice([0.0, 0.25, 0.5, 1.0], (m, n))
+    if model.family == "iu":
+        structure = UncertaintyStructure.interval(sets)
+        imputed = alpha + rng.choice([0.0, 3.0], (m, n))  # entries off the sets are ignored
+    else:
+        structure = UncertaintyStructure.cardinality(sets, alpha)
+        size = np.array([len(s) for s in sets], dtype=float)
+        whole = np.floor(rng.uniform(0.0, size + 1.0))
+        shift = rng.choice([0.0, 1e-13, -1e-13, 1e-11, -1e-11, 1e-12, 0.37, -0.6, 1.4], m)
+        imputed = np.where(rng.random(m) < 0.15, size, whole + shift)
+    pi = rng.choice([0.0, 0.0, 0.25, 0.5, 1.0, -0.25], m)
+    return model, ForwardProblem(A=A, b=rng.uniform(-2.0, 2.0, m)), x, structure, InverseSolution(
+        model=model, status=Status.OPTIMAL, imputed=imputed, cost=rng.choice([-1.0, 0.0, 0.5, 2.0], n),
+        dual_pi=pi, duality_gap=float(rng.uniform(-1.0, 1.0)) if rng.random() < 0.8 else None,
+        active_index=int(rng.integers(1, m + 1)) if rng.random() < 0.9 else None,
+        objective_value=float(rng.uniform(-1.0, 1.0)),
+    )
+
+
+class TestDeviationBlock:
+    """check_certificate's one deviation block against the entry-by-entry reference."""
+
+    def test_solved_corpus_matches_reference(self):
+        count = 0
+        for model, problem, x, structure, sol in _solved_robust_corpus():
+            report = check_certificate(model, problem, x, structure, sol)
+            _assert_same_report(report, _loop_certificate(model, problem, x, structure, sol))
+            count += 1
+        assert count > 700
+
+    def test_synthetic_corpus_matches_reference(self):
+        rng = np.random.default_rng(20)
+        for _ in range(600):
+            model, problem, x, structure, sol = _synthetic_robust_solution(rng)
+            report = check_certificate(model, problem, x, structure, sol)
+            _assert_same_report(report, _loop_certificate(model, problem, x, structure, sol))
+
+    def test_empty_set_and_full_budget(self):
+        # row 1 has no uncertain column, row 2 a budget of exactly |J_2| = 2
+        problem = ForwardProblem(A=[[1.0, 2.0, 0.0], [1.0, -1.0, 3.0]], b=[0.5, -1.0])
+        alpha = np.array([[0.5, 0.5, 0.5], [0.5, 1.0, 0.25]])
+        structure = UncertaintyStructure.cardinality(((), (0, 2)), alpha)
+        x = np.array([1.0, 0.0, -2.0])
+        sol = InverseSolution(
+            model=ModelKind.RLO_CCU_SD, status=Status.OPTIMAL, imputed=np.array([0.0, 2.0]),
+            cost=np.array([0.5, -1.0, 3.25]), dual_pi=np.array([0.0, 1.0]), duality_gap=0.0,
+            active_index=2, objective_value=0.0,
+        )
+        report = check_certificate(ModelKind.RLO_CCU_SD, problem, x, structure, sol)
+        _assert_same_report(report, _loop_certificate(ModelKind.RLO_CCU_SD, problem, x, structure, sol))
+        assert report.certificate.aux["z"][0] == 0.0
+        assert np.array_equal(report.certificate.dual_aux["phi"], [[0.0, 0.0, 0.0], [1.0, 0.0, 1.0]])
+        assert report.consistency_residuals["cost_is_active_row"] == 0.0
