@@ -34,7 +34,6 @@ from .geometry import (
     dual_norm,
     dual_norm_maximizer,
     gamma_bar,
-    knapsack_continuous,
     project_halfspace,
     project_hyperplane,
     protection_value,

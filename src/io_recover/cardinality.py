@@ -3,7 +3,10 @@
 The activation budget of each row (the smallest budget whose protection
 value equals the nominal surplus) is computed greedily; the gap model then
 solves one small LP per constraint and the strong-duality model is closed
-form in those budgets.
+form in those budgets.  The gap model's LP for row i has variables
+(budgets, row i's fractional allocation): all m budgets while a side
+constraint couples budgets, only gamma_i once the side constraints fold
+into bounds, in which case every other row's budget takes its lower bound.
 """
 
 from dataclasses import dataclass
@@ -19,9 +22,9 @@ from .model import (
     Status,
     Variant,
     active_solution,
-    as_observed,
     canonicalize_omega,
     clamp_budget_prior,
+    observed_x,
     param_keys,
     raise_on_failure,
 )
@@ -57,8 +60,9 @@ class CcuDgSubresult:
 def _setup(problem, x_hat, structure):
     if structure.variant != Variant.CARDINALITY:
         raise PreconditionError("budget models need a cardinality structure")
+    x = observed_x(x_hat, problem)
     structure.check_against(problem)
-    return as_observed(x_hat).x
+    return x
 
 
 def compute_gamma_bounds(problem, structure, x_hat):
@@ -98,7 +102,10 @@ def solve_rlo_ccu_dg(problem, x_hat, structure, omega):
 
     Per candidate row: maximize that row's protected loss over (budgets,
     fractional allocation) subject to the feasibility box on budgets and
-    the side constraints; the joint LP keeps coupled side constraints exact.
+    the side constraints.  With a coupling side constraint each LP spans
+    all m budgets, which keeps the coupling exact; when the side
+    constraints fold into bounds, LP i has gamma_i and row i's |J_i|
+    allocations, and the other budgets take their lower bounds.
     """
     x = _setup(problem, x_hat, structure)
     m = problem.m
@@ -120,29 +127,27 @@ def solve_rlo_ccu_dg(problem, x_hat, structure, omega):
             message="no budgets satisfy both the feasibility box and the side constraints",
         )
 
+    coupled = canon.G.shape[0] > 0
+    head = m if coupled else 1  # budget variables per LP
+    blocks = [slice(None) if coupled else slice(i, i + 1) for i in range(m)]
     lps = []
-    sizes = [len(structure.sets[i]) for i in range(m)]
     for i in range(m):
         values = np.array([structure.alpha[i, j] * abs(x[j]) for j in structure.sets[i]])
-        total = m + sizes[i]
-        bounds = tuple(
-            [(canon.lower[k], canon.upper[k]) for k in range(m)]
-            + [(0.0, 1.0)] * sizes[i]
-        )
+        total = head + values.size
+        bounds = tuple(zip(canon.lower[blocks[i]], canon.upper[blocks[i]])) + ((0.0, 1.0),) * values.size
         objective = np.zeros(total)
-        objective[m:] = -values
-        rows = []
+        objective[head:] = -values
         budget = np.zeros(total)
-        budget[m:] = 1.0
-        budget[i] = -1.0
-        rows.append(LpRow(budget, "<=", 0.0))
+        budget[head:] = 1.0
+        budget[i if coupled else 0] = -1.0
+        rows = [LpRow(budget, "<=", 0.0)]
         for r in range(canon.G.shape[0]):
             coeffs = np.zeros(total)
             coeffs[:m] = canon.G[r]
             rows.append(LpRow(coeffs, "<=", canon.h[r]))
         lps.append(LinearProgram(objective=objective, rows=tuple(rows), bounds=bounds))
     outcomes = raise_on_failure(solve_lp_batch(lps))
-    if outcomes[0].status == LpStatus.INFEASIBLE:
+    if any(out.status == LpStatus.INFEASIBLE for out in outcomes):
         return InverseSolution(
             model=ModelKind.RLO_CCU_DG,
             status=Status.INFEASIBLE,
@@ -150,20 +155,17 @@ def solve_rlo_ccu_dg(problem, x_hat, structure, omega):
         )
 
     t = np.array([surplus[i] + out.value for i, out in enumerate(outcomes)])
-    subresults = tuple(
-        CcuDgSubresult(
-            t_i=float(t[i]),
-            gamma_full=outcomes[i].solution[:m].copy(),
-            phi_i=outcomes[i].solution[m:].copy(),
-        )
-        for i in range(m)
-    )
+    subresults = []
+    for i, out in enumerate(outcomes):
+        gamma_full = canon.lower.copy()
+        gamma_full[blocks[i]] = out.solution[:head]
+        subresults.append(CcuDgSubresult(t_i=float(t[i]), gamma_full=gamma_full, phi_i=out.solution[head:].copy()))
     i_star = int(np.argmin(t))
     gamma = subresults[i_star].gamma_full
     cost = realized_row_cardinality(
         problem.A[i_star], structure.alpha[i_star], gamma[i_star], structure.sets[i_star], x
     )
-    return active_solution(ModelKind.RLO_CCU_DG, i_star, gamma, cost, t[i_star], {"t": t}, subresults, False)
+    return active_solution(ModelKind.RLO_CCU_DG, i_star, gamma, cost, t[i_star], {"t": t}, tuple(subresults), False)
 
 
 def solve_rlo_ccu_sd(problem, x_hat, structure, prior):

@@ -1,8 +1,8 @@
 """Closed-form geometric kernel shared by every solver.
 
 Norms and their maximizers, point-to-hyperplane/halfspace projections,
-realized robust constraint rows, protection values, the continuous
-knapsack, and the minimal activation budget of a row.
+realized robust constraint rows, protection values, and the minimal
+activation budget of a row.
 
 Sign convention: sgn(0) = +1 throughout.  At a zero component the
 deviation term multiplies zero, so the convention never changes a value.
@@ -67,8 +67,9 @@ def dual_norm_maximizer(x, norm):
         raise ZeroVectorError("dual_norm_maximizer requires a nonzero vector")
     if norm == NormKind.L2:
         nv = np.linalg.norm(x)
-        if nv == 0.0:  # subnormal entries can underflow the norm
-            raise ZeroVectorError("vector norm underflows to zero")
+        if nv < 1e-150:  # x . x is subnormal or zero: rescale by the largest entry first
+            x = x / np.max(np.abs(x))
+            nv = np.linalg.norm(x)
         return x / nv
     if norm == NormKind.L1:
         k = int(np.argmax(np.abs(x)))
@@ -198,27 +199,6 @@ def protection_value(alpha_i, budget, cols, x):
     if frac > 0.0 and full < len(su.order):
         total += frac * float(su.values[full])
     return total
-
-
-def knapsack_continuous(values, capacity):
-    """Greedy fractional fill of items in descending value order.
-
-    Returns (phi, total) with phi in input order, each in [0, 1],
-    sum(phi) <= capacity, and total = values . phi maximal.
-    """
-    values = np.asarray(values, dtype=float)
-    if capacity < 0.0:
-        raise PreconditionError("knapsack capacity must be nonnegative")
-    order = sorted(range(values.size), key=lambda k: (-values[k], k))
-    phi = np.zeros(values.size, dtype=float)
-    remaining = float(capacity)
-    for k in order:
-        if remaining <= 0.0:
-            break
-        take = min(1.0, remaining)
-        phi[k] = take
-        remaining -= take
-    return phi, float(values @ phi)
 
 
 @dataclass(frozen=True)

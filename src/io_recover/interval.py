@@ -1,9 +1,14 @@
 """Recovery of interval-uncertainty magnitudes.
 
 Both models solve one LP per constraint over nonnegative deviation
-magnitudes.  The gap model's LP for row i spans the flattened magnitudes
-of every row: it maximizes row i's protection subject to robust
-feasibility of every row and the side constraints, which may couple rows.
+magnitudes.  The gap model's LP for row i maximizes row i's protection
+subject to robust feasibility of every row and the side constraints.
+When a side constraint couples parameters, every LP spans the flattened
+magnitudes of every row, and the m LPs share one equality form.  When the
+side constraints fold into bounds, LP i covers only row i's |J_i|
+magnitudes and the single row of its robust feasibility; every other row
+keeps its lower bound, which is feasible whenever that row's own LP is,
+since the loads |x_j| are nonnegative.
 The strong-duality model separates by forward row, since its objective
 sum_i w_i ||alpha_i - alpha_hat_i|| and its constraints do: the LP for row
 i covers only row i's uncertain columns and finds f_i, the cheapest move
@@ -25,9 +30,9 @@ from .model import (
     Status,
     Variant,
     active_solution,
-    as_observed,
     canonicalize_omega,
     check_magnitude_prior,
+    observed_x,
     param_keys,
     raise_on_failure,
 )
@@ -44,12 +49,13 @@ class IuSubresult:
 def _setup(problem, x_hat, structure):
     if structure.variant != Variant.INTERVAL:
         raise PreconditionError("interval models need an interval structure")
+    x = observed_x(x_hat, problem)
+    structure.check_against(problem)
     empty = [i for i in range(problem.m) if not structure.sets[i]]
     if empty:
         raise PreconditionError(
             f"constraint {empty[0] + 1} has no uncertain coefficients"
         )
-    x = as_observed(x_hat).x
     return x, problem.surplus(x)
 
 
@@ -64,7 +70,11 @@ def solve_rlo_iu_dg(problem, x_hat, structure, omega):
 
     Per candidate row: maximize that row's protection subject to robust
     feasibility of every row, nonnegativity, and the side constraints.
-    The cost vector is the realized active row in the observation's orthant.
+    With a coupling side constraint each LP spans all rows' magnitudes;
+    when the side constraints fold into bounds, LP i has row i's |J_i|
+    magnitudes and one row, and the other rows take their lower bounds.
+    The problem is infeasible iff some row's LP is.  The cost vector is
+    the realized active row in the observation's orthant.
     """
     x, surplus = _setup(problem, x_hat, structure)
     m = problem.m
@@ -77,18 +87,28 @@ def solve_rlo_iu_dg(problem, x_hat, structure, omega):
             status=Status.INFEASIBLE,
             message="side constraints are contradictory",
         )
-    bounds = tuple(zip(canon.lower, canon.upper))
     key_rows = np.array([i for _, i, _ in keys], dtype=np.intp)
     key_cols = np.array([j for _, _, j in keys], dtype=np.intp)
     weight = np.abs(x[key_cols])
     own = key_rows == np.arange(m)[:, None]  # own[i, k]: key k is a magnitude of row i
-    rows = [LpRow(np.where(own[i], weight, 0.0), "<=", surplus[i]) for i in range(m)]
-    for r in range(canon.G.shape[0]):
-        rows.append(LpRow(canon.G[r], "<=", canon.h[r]))
-    rows = tuple(rows)
-    lps = [LinearProgram(objective=np.where(own[i], -weight, 0.0), rows=rows, bounds=bounds) for i in range(m)]
+    if canon.G.shape[0]:
+        rows = [LpRow(np.where(own[i], weight, 0.0), "<=", surplus[i]) for i in range(m)]
+        rows = tuple(rows + [LpRow(canon.G[r], "<=", canon.h[r]) for r in range(canon.G.shape[0])])
+        bounds = tuple(zip(canon.lower, canon.upper))
+        lps = [LinearProgram(objective=np.where(own[i], -weight, 0.0), rows=rows, bounds=bounds) for i in range(m)]
+        blocks = [slice(None)] * m
+    else:
+        blocks = own
+        lps = [
+            LinearProgram(
+                objective=-weight[b],
+                rows=(LpRow(weight[b], "<=", surplus[i]),),
+                bounds=tuple(zip(canon.lower[b], canon.upper[b])),
+            )
+            for i, b in enumerate(own)
+        ]
     outcomes = raise_on_failure(solve_lp_batch(lps))
-    if outcomes[0].status == LpStatus.INFEASIBLE:
+    if any(out.status == LpStatus.INFEASIBLE for out in outcomes):
         return InverseSolution(
             model=ModelKind.RLO_IU_DG,
             status=Status.INFEASIBLE,
@@ -96,14 +116,15 @@ def solve_rlo_iu_dg(problem, x_hat, structure, omega):
         )
 
     t = np.array([surplus[i] + out.value for i, out in enumerate(outcomes)])
-    subresults = tuple(
-        IuSubresult(t_i=float(t[i]), alpha_full=_alpha_matrix(problem, key_rows, key_cols, outcomes[i].solution))
-        for i in range(m)
-    )
+    subresults = []
+    for i, out in enumerate(outcomes):
+        values = canon.lower.copy()
+        values[blocks[i]] = out.solution
+        subresults.append(IuSubresult(t_i=float(t[i]), alpha_full=_alpha_matrix(problem, key_rows, key_cols, values)))
     i_star = int(np.argmin(t))
     alpha = subresults[i_star].alpha_full
     cost = realized_row_interval(problem.A[i_star], alpha[i_star], structure.sets[i_star], x)
-    return active_solution(ModelKind.RLO_IU_DG, i_star, alpha, cost, t[i_star], {"t": t}, subresults, False)
+    return active_solution(ModelKind.RLO_IU_DG, i_star, alpha, cost, t[i_star], {"t": t}, tuple(subresults), False)
 
 
 def _activation_lp(load, center, target, weight, norm):

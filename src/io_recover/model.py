@@ -127,6 +127,14 @@ def as_observed(x):
     return x if isinstance(x, ObservedPoint) else ObservedPoint(np.asarray(x, dtype=float))
 
 
+def observed_x(x_hat, problem):
+    """The observation as a vector, checked to have one entry per column of A."""
+    x = as_observed(x_hat).x
+    if x.size != problem.n:
+        raise DimensionError("x_hat", f"length {x.size} != n = {problem.n}")
+    return x
+
+
 @dataclass(frozen=True, eq=False)
 class UncertaintyStructure:
     """Which coefficients of each row are uncertain, and how.
@@ -504,8 +512,7 @@ def _entry(check, level, rows=(), message=""):
 
 
 def _check_dimensions(problem, x, structure, model, omega, prior):
-    if x.x.size != problem.n:
-        raise DimensionError("x_hat", f"length {x.x.size} != n = {problem.n}")
+    observed_x(x, problem)
     structure.check_against(problem)
     if model.family == "iu" and structure.variant != Variant.INTERVAL:
         raise DimensionError("uncertain_columns", "interval models need an interval structure")

@@ -24,8 +24,8 @@ from .model import (
     UncertaintyStructure,
     WeightBoost,
     active_solution,
-    as_observed,
     canonicalize_omega,
+    observed_x,
     param_keys,
     raise_on_failure,
 )
@@ -51,7 +51,7 @@ def solve_nlo_dg(problem, x_hat, omega):
     The gap equals the smallest achievable surplus; the cost vector is the
     winning row.
     """
-    x = as_observed(x_hat).x
+    x = observed_x(x_hat, problem)
     m, n = problem.m, problem.n
     structure = UncertaintyStructure.nominal()
     keys = param_keys(ModelKind.NLO_DG, problem, structure)
@@ -121,7 +121,7 @@ def solve_nlo_sd(problem, x_hat, prior):
     activation premium f_i - g_i is made active, every other row is made
     feasible, and the cost vector is the active row.
     """
-    x = as_observed(x_hat).x
+    x = observed_x(x_hat, problem)
     if not np.any(x != 0.0):
         raise ZeroObservationError("strong-duality recovery needs a nonzero observation")
     m = problem.m

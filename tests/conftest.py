@@ -40,6 +40,28 @@ def std_builds(monkeypatch):
     return built
 
 
+def knapsack_continuous(values, capacity):
+    """Greedy fractional fill of items in descending value order.
+
+    Returns (phi, total) with phi in input order, each in [0, 1],
+    sum(phi) <= capacity, and total = values . phi maximal: the reference
+    for a row's protected loss at a given budget.
+    """
+    values = np.asarray(values, dtype=float)
+    if capacity < 0.0:
+        raise ValueError("knapsack capacity must be nonnegative")
+    order = sorted(range(values.size), key=lambda k: (-values[k], k))
+    phi = np.zeros(values.size, dtype=float)
+    remaining = float(capacity)
+    for k in order:
+        if remaining <= 0.0:
+            break
+        take = min(1.0, remaining)
+        phi[k] = take
+        remaining -= take
+    return phi, float(values @ phi)
+
+
 def vertex_enumeration_min(objective, rows):
     """Independent LP oracle: scan all basic solutions of the row system.
 

@@ -15,6 +15,7 @@ from io_recover import (
     Prior,
     SideConstraints,
     UncertaintyStructure,
+    compute_gamma_bounds,
 )
 
 STEP = 0.05
@@ -36,6 +37,14 @@ def _box_omega(lo, hi):
     G = np.vstack([-np.eye(p), np.eye(p)])
     h = np.concatenate([-lo, hi])
     return SideConstraints(G=G, h=h)
+
+
+def couple_rows(omega):
+    """omega plus an all-ones row at 1e6, beyond the sum of any of these
+    instances' bounded parameters: the same polyhedron, but a side
+    constraint that couples every row."""
+    p = omega.G.shape[1]
+    return SideConstraints(G=np.vstack([omega.G, np.ones((1, p))]), h=np.append(omega.h, 1e6))
 
 
 def make_nlo_dg(seed):
@@ -200,6 +209,38 @@ def make_ccu_sd(seed):
         parameter_box=tuple(zip(lo, hi)), step=STEP, model=ModelKind.RLO_CCU_SD
     )
     return problem, x, structure, prior, spec
+
+
+def make_dg_box(model, m, n, seed, floor=False):
+    """Box-only rlo-iu-dg or rlo-ccu-dg instance at ladder scale.
+
+    Every column is uncertain and every parameter lies in [lower, 3]: lower
+    is 0, or with `floor` a random share of what keeps the row feasible (a
+    quarter of the row's surplus for magnitudes, a quarter of the largest
+    feasible budget for budgets).  A ~ U[-2, 2] with rows signed so
+    a_i'x > 0, slack U[0.1, 0.9] * a_i'x.
+    """
+    rng = np.random.default_rng([seed, m, n, int(floor)])
+    x = rng.uniform(0.5, 2.0, n) * rng.choice([-1.0, 1.0], n)
+    A = rng.uniform(-2.0, 2.0, (m, n))
+    A *= np.where(A @ x < 0.0, -1.0, 1.0)[:, None]
+    ax = A @ x
+    slack = rng.uniform(0.1, 0.9, m) * ax
+    problem = ForwardProblem(A=A, b=ax - slack)
+    sets = (tuple(range(n)),) * m
+    if model == ModelKind.RLO_IU_DG:
+        structure = UncertaintyStructure.interval(sets)
+        share = rng.uniform(0.0, 0.25, (m, n)) if floor else np.zeros((m, n))
+        lo = (share * (slack / np.abs(x).sum())[:, None]).ravel()
+    else:
+        alpha = rng.uniform(0.2, 0.9, (m, n)) * np.abs(A)
+        structure = UncertaintyStructure.cardinality(sets, alpha)
+        lo = np.zeros(m)
+        if floor:
+            theta = compute_gamma_bounds(problem, structure, x).theta_upper
+            lo = rng.uniform(0.0, 0.25, m) * np.minimum(theta, 3.0)
+    omega = _box_omega(lo, np.full(lo.size, 3.0))
+    return problem, x, structure, omega
 
 
 def make_baseline_nlo_sd(m, n, seed, norm=NormKind.L2):

@@ -160,8 +160,11 @@ def test_criterion_08():
 def test_criterion_09():
     rng = np.random.default_rng(90210)
     checked = 0
+    counted = {"iu": set(), "ccu": set()}  # side constraints (box-only, coupled) whose LPs were counted
     for seed in rng.integers(0, 100_000, size=8):
         seed = int(seed)
+        coupled = checked % 2 == 1  # every other gap instance takes the joint LPs
+        couple = gen.couple_rows if coupled else (lambda omega: omega)
         problem, x, structure, omega, _ = gen.make_nlo_dg(seed)
         reset_counters()
         solve_nlo_dg(problem, x, omega)
@@ -174,8 +177,9 @@ def test_criterion_09():
 
         problem, x, structure, omega, _ = gen.make_iu_dg(seed)
         reset_counters()
-        solve_rlo_iu_dg(problem, x, structure, omega)
+        solve_rlo_iu_dg(problem, x, structure, couple(omega))
         assert counters()["lp_solve"] == problem.m
+        counted["iu"].add(coupled)
 
         problem, x, structure, prior, _ = gen.make_iu_sd(seed)
         reset_counters()
@@ -185,9 +189,10 @@ def test_criterion_09():
 
         problem, x, structure, omega, _ = gen.make_ccu_dg(seed)
         reset_counters()
-        sol = solve_rlo_ccu_dg(problem, x, structure, omega)
+        sol = solve_rlo_ccu_dg(problem, x, structure, couple(omega))
         if sol.status == Status.OPTIMAL:
             assert counters()["lp_solve"] == problem.m
+            counted["ccu"].add(coupled)
         assert counters()["gamma_bar"] <= problem.m
 
         problem, x, structure, prior, _ = gen.make_ccu_sd(seed)
@@ -197,7 +202,8 @@ def test_criterion_09():
         assert counters()["gamma_bar"] <= problem.m
         checked += 1
     assert checked == 8
-    return "8 random instances per model"
+    assert counted == {"iu": {False, True}, "ccu": {False, True}}
+    return "8 random instances per model; gap models on box-only and coupled side constraints"
 
 
 @_criterion(10, "oracle equivalence: 200 random desk-scale instances per model at step 0.05")

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import gen
+from conftest import knapsack_continuous
 from io_recover import (
     ForwardProblem,
     ModelKind,
@@ -14,7 +15,6 @@ from io_recover import (
     brute_force_min,
     compute_gamma_bounds,
     counters,
-    knapsack_continuous,
     oracle_tolerance,
     protection_value,
     realized_row_cardinality,
@@ -118,6 +118,17 @@ class TestCcuDg:
         after = counters()
         assert after["lp_solve"] - before["lp_solve"] == case.problem.m
         assert after["gamma_bar"] - before["gamma_bar"] <= case.problem.m
+
+    def test_box_only_omega_solves_one_row_per_lp(self, std_builds):
+        for seed in range(5):
+            problem, x, structure, omega, _ = gen.make_ccu_dg(seed)
+            std_builds.clear()
+            before = counters()["lp_solve"]
+            sol = solve_rlo_ccu_dg(problem, x, structure, omega)
+            assert sol.status in (Status.OPTIMAL, Status.TRIVIAL_DETECTED)
+            assert counters()["lp_solve"] - before == problem.m
+            assert [lp.num_vars for lp in std_builds] == [1 + len(s) for s in structure.sets]
+            assert all(len(lp.rows) == 1 for lp in std_builds)
 
     def test_zero_budgets_give_min_surplus(self):
         case = example_case(5)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import knapsack_continuous
 from io_recover import (
     ForwardProblem,
     LinearProgram,
@@ -16,7 +17,6 @@ from io_recover import (
     dual_norm,
     dual_norm_maximizer,
     gamma_bar,
-    knapsack_continuous,
     project_halfspace,
     project_hyperplane,
     protection_value,
@@ -56,6 +56,13 @@ class TestDualNorm:
     def test_maximizer_zero_raises(self):
         with pytest.raises(ZeroVectorError):
             dual_norm_maximizer([0.0, 0.0], NormKind.L2)
+
+    def test_maximizer_of_tiny_vector_has_unit_norm(self):
+        # x . x underflows into the subnormal range, where the plain norm loses digits
+        for x in ([9.70243983e-160], [1e-200, -3e-201], [5e-324, 0.0]):
+            v = dual_norm_maximizer(x, NormKind.L2)
+            assert norm_value(v, NormKind.L2) == pytest.approx(1.0, abs=1e-15)
+            assert np.all(np.sign(v) == np.sign(x))
 
     @given(x=vectors, pick=st.integers(0, 2))
     @settings(max_examples=200, deadline=None)

@@ -106,13 +106,26 @@ class TestIuDg:
         assert counters()["lp_solve"] - before == case.problem.m
 
     def test_one_equality_form_serves_all_m_lps(self, std_builds):
+        # the all-ones row never binds but couples the rows, so every LP
+        # spans every row's magnitudes
         problem, x, structure, _ = _all_uncertain_10x5()
-        omega = SideConstraints(G=np.eye(50), h=np.full(50, 3.0))
+        omega = gen.couple_rows(SideConstraints(G=np.eye(50), h=np.full(50, 3.0)))
         before = counters()["lp_solve"]
         sol = solve_rlo_iu_dg(problem, x, structure, omega)
         assert sol.status == Status.OPTIMAL
         assert counters()["lp_solve"] - before == problem.m
         assert len(std_builds) == 1
+
+    def test_box_only_omega_solves_one_row_per_lp(self, std_builds):
+        for seed in range(5):
+            problem, x, structure, omega, _ = gen.make_iu_dg(seed)
+            std_builds.clear()
+            before = counters()["lp_solve"]
+            sol = solve_rlo_iu_dg(problem, x, structure, omega)
+            assert sol.status in (Status.OPTIMAL, Status.TRIVIAL_DETECTED)
+            assert counters()["lp_solve"] - before == problem.m
+            assert [lp.num_vars for lp in std_builds] == [len(s) for s in structure.sets]
+            assert all(len(lp.rows) == 1 for lp in std_builds)
 
     def test_empty_uncertain_set_rejected(self):
         prob = ForwardProblem(A=[[1.0, 0.0], [0.0, 1.0]], b=[0.0, 0.0])

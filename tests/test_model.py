@@ -9,6 +9,7 @@ from io_recover import (
     ModelKind,
     NormKind,
     ObservedPoint,
+    PreconditionError,
     Prior,
     SideConstraints,
     UncertaintyStructure,
@@ -63,13 +64,16 @@ MAKERS = {
 }
 
 
-@pytest.mark.parametrize(
+WRONG_SHAPES = pytest.mark.parametrize(
     "model, defect",
     [(model, "long x_hat") for model in MAKERS]
     + [(model, defect) for model in (ModelKind.RLO_IU_DG, ModelKind.RLO_IU_SD)
        for defect in ("column out of range", "too few sets")],
 )
-def test_solve_names_the_wrong_shaped_field(model, defect):
+
+
+def _wrong_shaped(model, defect):
+    """A generated instance with one defect, and the field it should be named by."""
     problem, x, structure, data, _ = MAKERS[model](0)
     field = "x_hat"
     if defect == "long x_hat":
@@ -80,9 +84,42 @@ def test_solve_names_the_wrong_shaped_field(model, defect):
         if defect == "column out of range":
             sets = (structure.sets[0] + (problem.n,),) + structure.sets[1:]
         structure = UncertaintyStructure.interval(sets)
+    return (problem, x, structure, data), field
+
+
+def _call_solver(model, problem, x, structure, data):
+    solver = getattr(io_recover, "solve_" + model.value.replace("-", "_"))
+    return solver(problem, x, data) if model.family == "nlo" else solver(problem, x, structure, data)
+
+
+@WRONG_SHAPES
+def test_solve_names_the_wrong_shaped_field(model, defect):
+    (problem, x, structure, data), field = _wrong_shaped(model, defect)
     with pytest.raises(DimensionError) as err:
         io_recover.solve(model, problem, x, structure, omega=data, prior=data)
     assert err.value.field == field
+
+
+@WRONG_SHAPES
+def test_solver_names_the_wrong_shaped_field(model, defect):
+    """The solver functions check dimensions themselves, as io_recover.solve does."""
+    args, field = _wrong_shaped(model, defect)
+    with pytest.raises(DimensionError) as err:
+        _call_solver(model, *args)
+    assert err.value.field == field
+
+
+@pytest.mark.parametrize("model", [m for m in MAKERS if m.family != "nlo"], ids=lambda m: m.value)
+def test_solver_rejects_the_wrong_variant(model):
+    problem, x, _, data, _ = MAKERS[model](0)
+    sets = (tuple(range(problem.n)),) * problem.m
+    other = (
+        UncertaintyStructure.cardinality(sets, np.ones((problem.m, problem.n)))
+        if model.family == "iu"
+        else UncertaintyStructure.interval(sets)
+    )
+    with pytest.raises(PreconditionError):
+        _call_solver(model, problem, x, other, data)
 
 
 class TestOmega:

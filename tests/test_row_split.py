@@ -1,0 +1,91 @@
+"""Box-only side constraints: one LP per forward row against the joint LPs.
+
+When the side constraints of rlo-iu-dg or rlo-ccu-dg fold into bounds, LP i
+covers row i's parameters only and every other row takes its lower bound.
+Appending an all-ones row that never binds keeps the same feasible set but
+couples the rows, so the solver takes the joint path; both answers must
+agree.
+"""
+
+import numpy as np
+import pytest
+
+import gen
+from io_recover import (
+    ForwardProblem,
+    ModelKind,
+    SideConstraints,
+    Status,
+    UncertaintyStructure,
+    check_certificate,
+    solve_rlo_ccu_dg,
+    solve_rlo_iu_dg,
+)
+from io_recover.model import canonicalize_omega, param_keys
+
+MAKERS = {ModelKind.RLO_IU_DG: gen.make_iu_dg, ModelKind.RLO_CCU_DG: gen.make_ccu_dg}
+SOLVERS = {ModelKind.RLO_IU_DG: solve_rlo_iu_dg, ModelKind.RLO_CCU_DG: solve_rlo_ccu_dg}
+
+
+def _corpus(model):
+    for seed in range(200):
+        problem, x, structure, omega, _ = MAKERS[model](seed)
+        yield f"gen {seed}", problem, x, structure, omega
+    for m, n in ((20, 10), (40, 10)):
+        for seed in range(3):
+            for floor in (False, True):
+                yield f"{m}x{n} {seed} {floor}", *gen.make_dg_box(model, m, n, seed, floor)
+
+
+def _lower_rows(model, problem, structure, omega):
+    """Each forward row's parameters at their lower bounds, one row per constraint."""
+    keys = param_keys(model, problem, structure)
+    lower = canonicalize_omega(omega, keys, lower_floor=np.zeros(len(keys))).lower
+    if model == ModelKind.RLO_CCU_DG:
+        return lower
+    rows = np.zeros((problem.m, problem.n))
+    rows[[i for _, i, _ in keys], [j for _, _, j in keys]] = lower
+    return rows
+
+
+@pytest.mark.parametrize("model", list(SOLVERS), ids=lambda m: m.value)
+def test_per_row_lps_match_the_joint_lps(model):
+    solve = SOLVERS[model]
+    solved = 0
+    for label, problem, x, structure, omega in _corpus(model):
+        per_row = solve(problem, x, structure, omega)
+        joint = solve(problem, x, structure, gen.couple_rows(omega))
+        assert per_row.status == joint.status, label
+        if joint.status == Status.INFEASIBLE:
+            assert per_row.message == joint.message, label
+            continue
+        solved += 1
+        t, t_joint = per_row.per_constraint["t"], joint.per_constraint["t"]
+        tol = 1e-12 * (1.0 + np.abs(t_joint))
+        assert np.all(np.abs(t - t_joint) <= tol), (label, np.max(np.abs(t - t_joint)))
+        assert abs(per_row.duality_gap - joint.duality_gap) <= 1e-12 * (1.0 + abs(joint.duality_gap)), label
+        tied = np.flatnonzero(t_joint - t_joint.min() <= 1e-12 * (1.0 + abs(t_joint.min())))
+        if tied.size == 1:
+            assert per_row.active_index == joint.active_index, label
+        else:
+            assert per_row.active_index - 1 in tied, label
+
+        lower = _lower_rows(model, problem, structure, omega)
+        for i, sub in enumerate(per_row.subresults):
+            full = sub.alpha_full if model == ModelKind.RLO_IU_DG else sub.gamma_full
+            others = np.arange(problem.m) != i
+            assert np.array_equal(full[others], lower[others]), (label, i)
+        report = check_certificate(model, problem, x, structure, per_row)
+        assert report.verdict == "valid", (label, report.reason)
+    assert solved >= 150
+
+
+def test_infeasible_when_a_later_row_lp_is():
+    # row 1's LP is feasible; row 2's floor alone overloads its surplus
+    problem = ForwardProblem(A=[[1.0, 0.0], [0.0, 1.0]], b=[0.0, 0.5])
+    structure = UncertaintyStructure.interval(((0,), (1,)))
+    omega = SideConstraints(G=[[0.0, -1.0]], h=[-2.0])  # alpha_22 >= 2
+    per_row = solve_rlo_iu_dg(problem, [1.0, 1.0], structure, omega)
+    joint = solve_rlo_iu_dg(problem, [1.0, 1.0], structure, gen.couple_rows(omega))
+    assert per_row.status == joint.status == Status.INFEASIBLE
+    assert per_row.message == joint.message
