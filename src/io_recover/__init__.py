@@ -7,13 +7,7 @@ prior.  Every solve reduces to closed forms or at most one small LP per
 constraint, handled by the built-in dense simplex.
 """
 
-from .cardinality import (
-    CcuDgSubresult,
-    GammaBounds,
-    compute_gamma_bounds,
-    solve_rlo_ccu_dg,
-    solve_rlo_ccu_sd,
-)
+from .cardinality import GammaBounds, compute_gamma_bounds, solve_rlo_ccu_dg, solve_rlo_ccu_sd
 from .errors import (
     DimensionError,
     GridTooLargeError,
@@ -43,11 +37,12 @@ from .geometry import (
 )
 from . import model as _model
 from .instrument import counters, reset_counters
-from .interval import IuSubresult, solve_rlo_iu_dg, solve_rlo_iu_sd
+from .interval import solve_rlo_iu_dg, solve_rlo_iu_sd
 from .lp import LinearProgram, LpOutcome, LpRow, LpStatus, solve_lp, solve_lp_batch
 from .model import (
     Certificate,
     ForwardProblem,
+    GapSubresult,
     InverseSolution,
     ModelKind,
     ObservedPoint,
@@ -62,7 +57,7 @@ from .model import (
     WeightBoost,
     validate,
 )
-from .nominal import NloDgSubresult, PerturbedSolve, perturb_and_resolve, solve_nlo_dg, solve_nlo_sd
+from .nominal import PerturbedSolve, perturb_and_resolve, solve_nlo_dg, solve_nlo_sd
 from .verify import (
     CertificateReport,
     GridOracleSpec,

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import NominalInfeasibleError, PreconditionError
 from .geometry import gamma_bar, norm_value, realized_row_cardinality
-from .lp import LinearProgram, LpRow, LpStatus, solve_lp_batch
+from .lp import LinearProgram, LpRow, solve_lp_batch
 from .model import (
     InverseSolution,
     ModelKind,
@@ -24,9 +24,9 @@ from .model import (
     active_solution,
     canonicalize_omega,
     clamp_budget_prior,
+    gap_solution,
     observed_x,
     param_keys,
-    raise_on_failure,
 )
 
 
@@ -46,15 +46,6 @@ class GammaBounds:
     gamma_upper: np.ndarray
     theta_upper: np.ndarray
     details: tuple
-
-
-@dataclass(frozen=True)
-class CcuDgSubresult:
-    """Robust surplus of one row, the budgets attaining it, and the row's allocation."""
-
-    t_i: float
-    gamma_full: np.ndarray
-    phi_i: np.ndarray
 
 
 def _setup(problem, x_hat, structure):
@@ -146,26 +137,13 @@ def solve_rlo_ccu_dg(problem, x_hat, structure, omega):
             coeffs[:m] = canon.G[r]
             rows.append(LpRow(coeffs, "<=", canon.h[r]))
         lps.append(LinearProgram(objective=objective, rows=tuple(rows), bounds=bounds))
-    outcomes = raise_on_failure(solve_lp_batch(lps))
-    if any(out.status == LpStatus.INFEASIBLE for out in outcomes):
-        return InverseSolution(
-            model=ModelKind.RLO_CCU_DG,
-            status=Status.INFEASIBLE,
-            message="no budgets satisfy both the feasibility box and the side constraints",
-        )
-
-    t = np.array([surplus[i] + out.value for i, out in enumerate(outcomes)])
-    subresults = []
-    for i, out in enumerate(outcomes):
-        gamma_full = canon.lower.copy()
-        gamma_full[blocks[i]] = out.solution[:head]
-        subresults.append(CcuDgSubresult(t_i=float(t[i]), gamma_full=gamma_full, phi_i=out.solution[head:].copy()))
-    i_star = int(np.argmin(t))
-    gamma = subresults[i_star].gamma_full
-    cost = realized_row_cardinality(
-        problem.A[i_star], structure.alpha[i_star], gamma[i_star], structure.sets[i_star], x
+    return gap_solution(
+        ModelKind.RLO_CCU_DG, solve_lp_batch(lps), surplus, canon.lower, blocks, lambda values: values,
+        lambda i, gamma: realized_row_cardinality(
+            problem.A[i], structure.alpha[i], gamma[i], structure.sets[i], x
+        ),
+        "no budgets satisfy both the feasibility box and the side constraints",
     )
-    return active_solution(ModelKind.RLO_CCU_DG, i_star, gamma, cost, t[i_star], {"t": t}, tuple(subresults), False)
 
 
 def solve_rlo_ccu_sd(problem, x_hat, structure, prior):

@@ -17,8 +17,6 @@ robust-feasible follows from it (0 when the prior row fits, f_i
 otherwise), and the objective with row i active is f_i + sum(g) - g_i.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import PreconditionError, UnsupportedNormError
@@ -32,18 +30,11 @@ from .model import (
     active_solution,
     canonicalize_omega,
     check_magnitude_prior,
+    gap_solution,
     observed_x,
     param_keys,
     raise_on_failure,
 )
-
-
-@dataclass(frozen=True)
-class IuSubresult:
-    """Robust surplus of one row and the full magnitudes attaining it."""
-
-    t_i: float
-    alpha_full: np.ndarray
 
 
 def _setup(problem, x_hat, structure):
@@ -107,24 +98,12 @@ def solve_rlo_iu_dg(problem, x_hat, structure, omega):
             )
             for i, b in enumerate(own)
         ]
-    outcomes = raise_on_failure(solve_lp_batch(lps))
-    if any(out.status == LpStatus.INFEASIBLE for out in outcomes):
-        return InverseSolution(
-            model=ModelKind.RLO_IU_DG,
-            status=Status.INFEASIBLE,
-            message="no nonnegative magnitudes in the side constraints keep the observation robust-feasible",
-        )
-
-    t = np.array([surplus[i] + out.value for i, out in enumerate(outcomes)])
-    subresults = []
-    for i, out in enumerate(outcomes):
-        values = canon.lower.copy()
-        values[blocks[i]] = out.solution
-        subresults.append(IuSubresult(t_i=float(t[i]), alpha_full=_alpha_matrix(problem, key_rows, key_cols, values)))
-    i_star = int(np.argmin(t))
-    alpha = subresults[i_star].alpha_full
-    cost = realized_row_interval(problem.A[i_star], alpha[i_star], structure.sets[i_star], x)
-    return active_solution(ModelKind.RLO_IU_DG, i_star, alpha, cost, t[i_star], {"t": t}, tuple(subresults), False)
+    return gap_solution(
+        ModelKind.RLO_IU_DG, solve_lp_batch(lps), surplus, canon.lower, blocks,
+        lambda values: _alpha_matrix(problem, key_rows, key_cols, values),
+        lambda i, alpha: realized_row_interval(problem.A[i], alpha[i], structure.sets[i], x),
+        "no nonnegative magnitudes in the side constraints keep the observation robust-feasible",
+    )
 
 
 def _activation_lp(load, center, target, weight, norm):

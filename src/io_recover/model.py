@@ -1,4 +1,5 @@
-"""Shared domain types, dimension/assumption validation, and the solution model.
+"""Shared domain types, dimension/assumption validation, and the solution model,
+with the one tail that turns a gap model's per-row LP outcomes into a solution.
 
 Constraint sense is fixed: minimize c'x subject to Ax >= b.  Callers with
 <=/maximize problems must pre-negate.  Library indices are 0-based; the
@@ -469,6 +470,64 @@ def raise_on_failure(outcomes):
         if out.status == LpStatus.FAILED:
             raise NumericalFailureError(f"subproblem {i + 1}: {out.error}")
     return outcomes
+
+
+@dataclass(frozen=True)
+class GapSubresult:
+    """LP i of a gap model: t_i, the gap with row i active, the imputed
+    parameters attaining it, and the LP's variables beyond those parameters
+    (row i's fractional allocation for rlo-ccu-dg, empty otherwise)."""
+
+    t_i: float
+    imputed: np.ndarray
+    extra: np.ndarray
+
+
+def gap_solution(model, outcomes, offset, lower, blocks, shape, realize, infeasible_message, zero_row=None):
+    """Solution of a gap model from its per-row LP outcomes, LP i for row i.
+
+    t_i = offset[i] + the value of LP i.  LP i's leading variables are the
+    parameters in `blocks[i]` of the natural order; the others keep `lower`.
+    `shape` turns a parameter vector into the imputed block, `realize(i,
+    imputed)` gives the cost vector with row i active, and `zero_row(imputed)`
+    reports a vanishing imputed row.  The active row is the lowest i with
+    t_i <= min t + ZERO_TOL * (1 + max_i(|offset_i| + |value_i|)), so that
+    rounding noise in near-equal t does not pick it.  An unbounded LP makes
+    the gap unbounded; an infeasible one makes the model infeasible, with
+    `infeasible_message` (which may cite `{infeasibility}`, phase 1's figure).
+    """
+    # only nlo-dg's LPs can be unbounded, and they share one feasible set:
+    # either all of them are infeasible or none is
+    for i, out in enumerate(raise_on_failure(outcomes)):
+        if out.status == LpStatus.UNBOUNDED:
+            return InverseSolution(
+                model=model,
+                status=Status.UNBOUNDED_GAP,
+                active_index=i + 1,
+                ray=shape(out.ray),
+                message=f"surplus of constraint {i + 1} is unbounded below",
+            )
+        if out.status == LpStatus.INFEASIBLE:
+            return InverseSolution(
+                model=model,
+                status=Status.INFEASIBLE,
+                message=infeasible_message.format(infeasibility=out.infeasibility),
+            )
+    values = np.array([out.value for out in outcomes])
+    t = offset + values
+    subresults = []
+    for i, out in enumerate(outcomes):
+        params = lower.copy()
+        k = params[blocks[i]].size
+        params[blocks[i]] = out.solution[:k]
+        subresults.append(GapSubresult(t_i=float(t[i]), imputed=shape(params), extra=out.solution[k:].copy()))
+    near = t <= t.min() + ZERO_TOL * (1.0 + np.max(np.abs(offset) + np.abs(values)))
+    i_star = int(np.argmax(near))
+    imputed = subresults[i_star].imputed
+    return active_solution(
+        model, i_star, imputed, realize(i_star, imputed), t[i_star], {"t": t},
+        tuple(subresults), zero_row is not None and zero_row(imputed),
+    )
 
 
 # Assumption checks.  Levels: "pass", "warn" (documented circumvention or

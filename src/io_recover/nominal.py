@@ -11,7 +11,7 @@ import numpy as np
 from . import verify
 from .errors import ZeroObservationError
 from .geometry import project_halfspace, project_hyperplane
-from .lp import LinearProgram, LpRow, LpStatus, solve_lp_batch
+from .lp import LinearProgram, LpRow, solve_lp_batch
 from .model import (
     ZERO_TOL,
     ForwardProblem,
@@ -25,18 +25,10 @@ from .model import (
     WeightBoost,
     active_solution,
     canonicalize_omega,
+    gap_solution,
     observed_x,
     param_keys,
-    raise_on_failure,
 )
-
-
-@dataclass(frozen=True)
-class NloDgSubresult:
-    """Minimum surplus of one row and the matrix attaining it."""
-
-    t_i: float
-    A_i: np.ndarray
 
 
 def _has_zero_row(matrix):
@@ -63,52 +55,18 @@ def solve_nlo_dg(problem, x_hat, omega):
             message="side constraints are contradictory",
         )
 
+    own = np.array([key[1] for key in keys]) == np.arange(m)[:, None]  # own[i, k]: key k is in row i
+    load = np.tile(x, m)
+    rows = [LpRow(np.where(own[i], load, 0.0), ">=", problem.b[i]) for i in range(m)]
+    rows = tuple(rows + [LpRow(canon.G[r], "<=", canon.h[r]) for r in range(canon.G.shape[0])])
     bounds = tuple(zip(canon.lower, canon.upper))
-    rows = []
-    for i in range(m):
-        coeffs = np.zeros(len(keys))
-        coeffs[i * n : (i + 1) * n] = x
-        rows.append(LpRow(coeffs, ">=", problem.b[i]))
-    for r in range(canon.G.shape[0]):
-        rows.append(LpRow(canon.G[r], "<=", canon.h[r]))
-    rows = tuple(rows)
-
-    lps = []
-    for i in range(m):
-        objective = np.zeros(len(keys))
-        objective[i * n : (i + 1) * n] = x
-        lps.append(LinearProgram(objective=objective, rows=rows, bounds=bounds))
-    outcomes = raise_on_failure(solve_lp_batch(lps))
-
-    for i, out in enumerate(outcomes):
-        if out.status == LpStatus.UNBOUNDED:
-            return InverseSolution(
-                model=ModelKind.NLO_DG,
-                status=Status.UNBOUNDED_GAP,
-                active_index=i + 1,
-                ray=out.ray.reshape(m, n),
-                message=f"surplus of constraint {i + 1} is unbounded below",
-            )
-    if outcomes[0].status == LpStatus.INFEASIBLE:
-        return InverseSolution(
-            model=ModelKind.NLO_DG,
-            status=Status.INFEASIBLE,
-            message=(
-                "no matrix in the side constraints keeps the observation feasible "
-                f"(phase-one infeasibility {outcomes[0].infeasibility:g})"
-            ),
-        )
-
-    t = np.array([out.value - problem.b[i] for i, out in enumerate(outcomes)])
-    subresults = tuple(
-        NloDgSubresult(t_i=float(t[i]), A_i=outcomes[i].solution.reshape(m, n))
-        for i in range(m)
-    )
-    i_star = int(np.argmin(t))
-    A_star = subresults[i_star].A_i
-    return active_solution(
-        ModelKind.NLO_DG, i_star, A_star, A_star[i_star].copy(), t[i_star],
-        {"t": t}, subresults, _has_zero_row(A_star),
+    lps = [LinearProgram(objective=np.where(own[i], load, 0.0), rows=rows, bounds=bounds) for i in range(m)]
+    return gap_solution(
+        ModelKind.NLO_DG, solve_lp_batch(lps), -problem.b, canon.lower, [slice(None)] * m,
+        lambda values: values.reshape(m, n), lambda i, A: A[i].copy(),
+        "no matrix in the side constraints keeps the observation feasible "
+        "(phase-one infeasibility {infeasibility:g})",
+        zero_row=_has_zero_row,
     )
 
 

@@ -74,6 +74,15 @@ def _require(doc, field, kind=None):
     return value
 
 
+def _within(doc, field):
+    """The object doc[field] with its keys prefixed by `field.`, so errors name the full path."""
+    return {f"{field}.{key}": value for key, value in _require(doc, field, dict).items()}
+
+
+def _is_number(value):
+    return type(value) in (int, float)
+
+
 def _matrix(doc, field, rows=None, cols=None):
     raw = _require(doc, field, list)
     try:
@@ -105,7 +114,7 @@ def _vector(doc, field, size=None):
 def _parse_variable_order(names, model):
     keys = []
     for name in names:
-        match = _VAR_RE.match(name)
+        match = _VAR_RE.match(name) if isinstance(name, str) else None
         if not match:
             raise ProblemFileError("omega.variable_order", f"cannot parse {name!r}")
         if match.group(1):
@@ -154,7 +163,7 @@ def parse_problem(doc):
                 raise ProblemFileError("uncertain_columns", f"row {i + 1} must be a list")
             cols = []
             for j in row:
-                if not isinstance(j, int) or j < 1 or j > n:
+                if type(j) is not int or j < 1 or j > n:
                     raise ProblemFileError(
                         "uncertain_columns", f"row {i + 1}: column {j!r} outside 1..{n}"
                     )
@@ -171,9 +180,9 @@ def parse_problem(doc):
             raise ProblemFileError("alpha", f"expected {m} rows")
         alpha_rows = np.zeros((m, n))
         for i, row in enumerate(raw_alpha):
-            if not isinstance(row, list) or len(row) != len(sets[i]):
+            if not isinstance(row, list) or len(row) != len(sets[i]) or not all(map(_is_number, row)):
                 raise ProblemFileError(
-                    "alpha", f"row {i + 1} must list one value per uncertain column"
+                    "alpha", f"row {i + 1} must list one number per uncertain column"
                 )
             for j, val in zip(sets[i], row):
                 alpha_rows[i, j] = float(val)
@@ -382,25 +391,35 @@ def parse_solution(doc, bundle):
         status = Status(status_raw)
     except ValueError:
         raise ProblemFileError("status", f"unknown status {status_raw!r}") from None
+    m, n = bundle.problem.m, bundle.problem.n
+    solved = status in (Status.OPTIMAL, Status.TRIVIAL_DETECTED)  # verify reads every block
+
+    def given(field):
+        return solved or doc.get(field) is not None
+
     imputed = None
-    if doc.get("imputed") is not None:
-        field = _imputed_field(model)
-        if field not in doc["imputed"]:
-            raise ProblemFileError("imputed", f"expected field {field!r}")
-        imputed = np.array(doc["imputed"][field], dtype=float)
-    cost = None if doc.get("cost") is None else np.array(doc["cost"], dtype=float)
-    pi = None if doc.get("dual_pi") is None else np.array(doc["dual_pi"], dtype=float)
-    per_constraint = {
-        k: np.array(v, dtype=float) for k, v in (doc.get("per_constraint") or {}).items()
-    }
+    if given("imputed"):
+        blocks = _within(doc, "imputed")
+        name = f"imputed.{_imputed_field(model)}"
+        imputed = _vector(blocks, name, m) if model.family == "ccu" else _matrix(blocks, name, m, n)
+    per_constraint = {}
+    if doc.get("per_constraint") is not None:
+        rows = _within(doc, "per_constraint")
+        per_constraint = {name.removeprefix("per_constraint."): _vector(rows, name, m) for name in rows}
+    for field in ("duality_gap", "objective_value"):
+        if doc.get(field) is not None and not _is_number(doc[field]):
+            raise ProblemFileError(field, "expected a number")
+    active = doc.get("active_index")
+    if active is not None and (type(active) is not int or not 1 <= active <= m):
+        raise ProblemFileError("active_index", f"expected a constraint index in 1..{m}")
     return InverseSolution(
         model=model,
         status=status,
         imputed=imputed,
-        cost=cost,
-        dual_pi=pi,
+        cost=_vector(doc, "cost", n) if given("cost") else None,
+        dual_pi=_vector(doc, "dual_pi", m) if given("dual_pi") else None,
         duality_gap=doc.get("duality_gap"),
-        active_index=doc.get("active_index"),
+        active_index=active,
         objective_value=doc.get("objective_value"),
         per_constraint=per_constraint,
         message=doc.get("message"),

@@ -159,8 +159,8 @@ class TestCcuDg:
             values = np.array(
                 [case.structure.alpha[i, j] * absx[j] for j in case.structure.sets[i]]
             )
-            _, best = knapsack_continuous(values, sub.gamma_full[i])
-            assert float(values @ sub.phi_i) == pytest.approx(best, abs=1e-9)
+            _, best = knapsack_continuous(values, sub.imputed[i])
+            assert float(values @ sub.extra) == pytest.approx(best, abs=1e-9)
 
     def test_realized_cost_identity(self):
         case = example_case(5)

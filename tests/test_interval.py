@@ -171,7 +171,7 @@ class TestIuDg:
         absx = np.abs(case.x_hat)
         for sub in sol.subresults:
             for i in range(case.problem.m):
-                prot = float(sub.alpha_full[i] @ absx)
+                prot = float(sub.imputed[i] @ absx)
                 assert case.problem.surplus(case.x_hat)[i] - prot >= -1e-9
 
     def test_oracle_agreement_random_boxes(self):

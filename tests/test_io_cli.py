@@ -263,3 +263,73 @@ class TestCliRegions:
         assert cli.main(
             ["regions", "--input", str(src), "--bbox=-8,-8,8,8", "--output", str(out)]
         ) == 1
+
+
+def _set(field, value):
+    def mutate(doc):
+        doc[field] = value
+    return mutate
+
+
+def _set_in(field, key, value):
+    def mutate(doc):
+        doc[field][key] = value
+    return mutate
+
+
+# (solution field or path, mutation) on the solution of fixture 1 (nlo-dg, m = 3, n = 2)
+MALFORMED_SOLUTIONS = {
+    "non-numeric cost": ("cost", _set("cost", ["a", 1.0])),
+    "ragged cost": ("cost", _set("cost", [[1.0], [1.0, 2.0]])),
+    "short cost": ("cost", _set("cost", [1.0])),
+    "imputed not an object": ("imputed", _set("imputed", 5)),
+    "ragged imputed": ("imputed.A", _set_in("imputed", "A", [[1.0], [0.0, 2.0], [1.0, 1.0]])),
+    "imputed of the wrong shape": ("imputed.A", _set_in("imputed", "A", [[1.0, 0.0]])),
+    "active_index a string": ("active_index", _set("active_index", "3")),
+    "active_index out of range": ("active_index", _set("active_index", 4)),
+    "active_index zero": ("active_index", _set("active_index", 0)),
+    "short dual_pi": ("dual_pi", _set("dual_pi", [1.0])),
+    "non-numeric per_constraint entry": ("per_constraint.t", _set_in("per_constraint", "t", ["x", 1.0, 2.0])),
+    "non-numeric duality_gap": ("duality_gap", _set("duality_gap", "two")),
+}
+
+
+@pytest.mark.parametrize("command", ["verify", "regions"])
+@pytest.mark.parametrize("case", MALFORMED_SOLUTIONS, ids=str)
+def test_malformed_solution_exits_1(tmp_path, capsys, command, case):
+    field, mutate = MALFORMED_SOLUTIONS[case]
+    problem = str(FIXTURES / "example1.json")
+    out = tmp_path / "solution.json"
+    assert cli.main(["solve", "--input", problem, "--output", str(out)]) == 0
+    doc = _load(out)
+    mutate(doc)
+    out.write_text(json.dumps(doc))
+    capsys.readouterr()
+    extra = ["--bbox=-8,-8,8,8", "--output", str(tmp_path / "regions.json")] if command == "regions" else []
+    assert cli.main([command, "--input", problem, "--solution", str(out)] + extra) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith(f"{field}: ") and "Traceback" not in err
+
+
+# (fixture, problem field, mutation)
+MALFORMED_PROBLEMS = {
+    "non-numeric alpha entry": (5, "alpha", _set("alpha", [["wide"], [0.5], [2.0, 1.0]])),
+    "non-string variable_order name": (
+        1, "omega.variable_order", _set_in("omega", "variable_order", [1, 2, 3, 4, 5, 6])
+    ),
+    "boolean uncertain column": (3, "uncertain_columns", _set("uncertain_columns", [[True], [2], [1, 2]])),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED_PROBLEMS, ids=str)
+def test_malformed_problem_exits_1(tmp_path, capsys, case):
+    number, field, mutate = MALFORMED_PROBLEMS[case]
+    doc = _load(FIXTURES / f"example{number}.json")
+    mutate(doc)
+    src = tmp_path / "problem.json"
+    src.write_text(json.dumps(doc))
+    out = tmp_path / "solution.json"
+    assert cli.main(["solve", "--input", str(src), "--output", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith(f"{field}: ") and "Traceback" not in err
+    assert not out.exists()

@@ -303,3 +303,61 @@ class TestValidate:
         prob = ForwardProblem(A=[[1.0, 0.0]], b=[-1.0])
         report = validate(prob, [1.0, 0.0], UncertaintyStructure.nominal(), ModelKind.NLO_DG)
         assert report.level("A1") == "fail"
+
+
+# The gap models' shared tail: per-row LP outcomes to t, the active row and the solution.
+
+def _near_tie(model, scale=1.0):
+    """A gap instance whose least t is shared, up to rounding, by several rows,
+    with A, b and every parameter in data units multiplied by `scale`."""
+    if model == ModelKind.NLO_DG:
+        problem, x, structure, omega, _ = gen.make_nlo_dg(7)
+    elif model == ModelKind.RLO_IU_DG:
+        problem, x, structure, omega = gen.make_dg_box(model, 20, 10, 3)
+    else:
+        problem, x, structure, omega, _ = gen.make_ccu_dg(1)
+        structure = UncertaintyStructure.cardinality(structure.sets, structure.alpha * scale)
+    if model != ModelKind.RLO_CCU_DG:  # budgets carry no units
+        omega = SideConstraints(G=omega.G, h=omega.h * scale)
+    return ForwardProblem(A=problem.A * scale, b=problem.b * scale), x, structure, omega
+
+
+GAP_MODELS = pytest.mark.parametrize(
+    "model", [ModelKind.NLO_DG, ModelKind.RLO_IU_DG, ModelKind.RLO_CCU_DG], ids=lambda m: m.value
+)
+
+
+@GAP_MODELS
+def test_gap_tie_picks_the_lowest_near_minimal_row(model):
+    problem, x, structure, omega = _near_tie(model)
+    sol = io_recover.solve(model, problem, x, structure=structure, omega=omega)
+    t = sol.per_constraint["t"]
+    near = np.flatnonzero(t - t.min() <= 1e-12 * (1.0 + np.max(np.abs(t))))
+    assert near[0] < np.argmin(t)  # rounding puts the least t on a later row
+    assert sol.active_index == near[0] + 1
+    problem, x, structure, omega = _near_tie(model, 1e6)
+    scaled = io_recover.solve(model, problem, x, structure=structure, omega=omega)
+    assert scaled.active_index == sol.active_index
+
+
+@GAP_MODELS
+def test_gap_subresults_match_the_solution(model):
+    solved = 0
+    for seed in range(20):
+        problem, x, structure, omega, _ = MAKERS[model](seed)
+        for side in (omega, gen.couple_rows(omega)):
+            sol = io_recover.solve(model, problem, x, structure=structure, omega=side)
+            if sol.subresults is None:
+                continue
+            solved += 1
+            assert [sub.t_i for sub in sol.subresults] == sol.per_constraint["t"].tolist()
+            assert np.array_equal(sol.subresults[sol.active_index - 1].imputed, sol.imputed)
+            for i, sub in enumerate(sol.subresults):
+                if model != ModelKind.RLO_CCU_DG:
+                    assert sub.extra.size == 0
+                    continue
+                # row i's fractional allocation within its budget
+                assert sub.extra.shape == (len(structure.sets[i]),)
+                assert np.all((sub.extra >= -1e-9) & (sub.extra <= 1.0 + 1e-9))
+                assert sub.extra.sum() <= sub.imputed[i] + 1e-9
+    assert solved >= 30

@@ -1,11 +1,15 @@
 """The library reads no environment variable and runs no worker pool: one
-execution path, whatever the process environment."""
+execution path, whatever the process environment.  The benchmark's traced
+runs find every function they wrap."""
 
+import importlib
+import importlib.util
 from pathlib import Path
 
 import pytest
 
-SOURCES = sorted((Path(__file__).resolve().parent.parent / "src" / "io_recover").glob("*.py"))
+ROOT = Path(__file__).resolve().parent.parent
+SOURCES = sorted((ROOT / "src" / "io_recover").glob("*.py"))
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
@@ -13,3 +17,17 @@ def test_no_environment_knobs_or_worker_pools(path):
     text = path.read_text(encoding="utf-8")
     assert "os.environ" not in text and "getenv" not in text
     assert "concurrent.futures" not in text
+
+
+def test_traced_layers_resolve():
+    # a traced run (bench/run.py --trace 1) looks each name up with getattr
+    spec = importlib.util.spec_from_file_location("bench_spans", ROOT / "bench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    missing = [
+        f"{layer}.{name}"
+        for layer, names in spans.LAYERS.items()
+        for name in names
+        if not callable(getattr(importlib.import_module(f"io_recover.{layer}"), name, None))
+    ]
+    assert not missing
