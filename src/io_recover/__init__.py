@@ -10,7 +10,6 @@ constraint, handled by the built-in dense simplex.
 from .cardinality import GammaBounds, compute_gamma_bounds, solve_rlo_ccu_dg, solve_rlo_ccu_sd
 from .errors import (
     DimensionError,
-    GridTooLargeError,
     InverseLpError,
     NominalInfeasibleError,
     NumericalFailureError,
@@ -36,7 +35,6 @@ from .geometry import (
     sorted_uncertainty,
 )
 from . import model as _model
-from .instrument import counters, reset_counters
 from .interval import solve_rlo_iu_dg, solve_rlo_iu_sd
 from .lp import LinearProgram, LpOutcome, LpRow, LpStatus, solve_lp, solve_lp_batch
 from .model import (
@@ -58,14 +56,7 @@ from .model import (
     validate,
 )
 from .nominal import PerturbedSolve, perturb_and_resolve, solve_nlo_dg, solve_nlo_sd
-from .verify import (
-    CertificateReport,
-    GridOracleSpec,
-    brute_force_min,
-    check_certificate,
-    diagnose_trivial,
-    oracle_tolerance,
-)
+from .verify import CertificateReport, check_certificate, diagnose_trivial
 
 __version__ = "0.1.0"
 

@@ -41,10 +41,6 @@ class NominalInfeasibleError(InverseLpError):
         )
 
 
-class GridTooLargeError(InverseLpError):
-    """The requested brute-force grid exceeds the evaluation cap."""
-
-
 class NumericalFailureError(InverseLpError):
     """The simplex could not find an acceptable pivot or exceeded its iteration cap."""
 

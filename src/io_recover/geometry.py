@@ -15,7 +15,6 @@ import math
 import numpy as np
 
 from .errors import PreconditionError, ZeroVectorError
-from .instrument import bump
 
 _VALUE_TOL = 1e-12
 _ACTIVE_TOL = 1e-9
@@ -223,7 +222,6 @@ def gamma_bar(problem, alpha_i, cols, x_hat, row):
     the full protection and some alpha_ij |x_j| = 0, every budget in
     [lower, |cols|] is active, reported as an interval.
     """
-    bump("gamma_bar")
     x_hat = np.asarray(x_hat, dtype=float)
     alpha_i = _check_alpha(alpha_i, cols)
     a_i = np.asarray(problem.A, dtype=float)[row]

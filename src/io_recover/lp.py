@@ -27,7 +27,6 @@ from enum import Enum
 import numpy as np
 
 from .errors import DimensionError, NumericalFailureError
-from .instrument import bump
 
 FEAS_TOL = 1e-9
 OPT_TOL = 1e-9
@@ -319,7 +318,6 @@ def _phase_two(start, lp):
 
 def solve_lp(lp):
     """Solve one dense LP; deterministic for identical inputs."""
-    bump("lp_solve")
     return _phase_two(_Start(lp), lp)
 
 
@@ -349,7 +347,6 @@ def solve_lp_batch(lps):
     """
     outcomes, previous = [], None
     for lp in lps:
-        bump("lp_solve")
         if previous is None or not _same_constraints(previous, lp):
             start = _guarded(_Start, lp)
         previous = lp

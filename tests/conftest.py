@@ -1,9 +1,11 @@
 import itertools
+import sys
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from io_recover import instrument
+from io_recover import geometry
 from io_recover import lp as lp_mod
 
 _acceptance_lines = []
@@ -20,10 +22,36 @@ def pytest_terminal_summary(terminalreporter):
             terminalreporter.line(line)
 
 
-@pytest.fixture(autouse=True)
-def _reset_counters():
-    instrument.reset_counters()
-    yield
+@pytest.fixture
+def calls(monkeypatch):
+    """Counts of the LPs solved ("lp_solve") and of the gamma_bar calls
+    ("gamma_bar") made through the library during the test.
+
+    solve_lp, solve_lp_batch (one count per LP in the batch) and gamma_bar
+    are wrapped wherever a loaded io_recover module binds them, so the
+    names the solver modules import are counted too.  `calls.clear()`
+    starts the counts again.
+    """
+    counts = Counter()
+
+    def counting(fn, key, size):
+        def wrapper(*args, **kwargs):
+            counts[key] += size(args[0])
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    wrappers = {
+        id(lp_mod.solve_lp): counting(lp_mod.solve_lp, "lp_solve", lambda lp: 1),
+        id(lp_mod.solve_lp_batch): counting(lp_mod.solve_lp_batch, "lp_solve", len),
+        id(geometry.gamma_bar): counting(geometry.gamma_bar, "gamma_bar", lambda problem: 1),
+    }
+    for key, mod in list(sys.modules.items()):
+        if key == "io_recover" or key.startswith("io_recover."):
+            for attr, value in list(vars(mod).items()):
+                if id(value) in wrappers:
+                    monkeypatch.setattr(mod, attr, wrappers[id(value)])
+    return counts
 
 
 @pytest.fixture

@@ -9,7 +9,6 @@ import numpy as np
 
 from io_recover import (
     ForwardProblem,
-    GridOracleSpec,
     ModelKind,
     NormKind,
     Prior,
@@ -17,6 +16,7 @@ from io_recover import (
     UncertaintyStructure,
     compute_gamma_bounds,
 )
+from oracle import GridOracleSpec
 
 STEP = 0.05
 

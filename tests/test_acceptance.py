@@ -4,6 +4,7 @@ Run with `pytest tests/test_acceptance.py -v`; the per-criterion pass/fail
 lines are printed in the terminal summary.
 """
 
+import functools
 import time
 from dataclasses import replace
 
@@ -18,18 +19,14 @@ from io_recover import (
     LpRow,
     NormKind,
     Status,
-    brute_force_min,
     check_certificate,
-    counters,
     dual_norm,
     dual_norm_maximizer,
     gamma_bar,
-    oracle_tolerance,
     project_hyperplane,
     protection_value,
     realized_row_cardinality,
     realized_row_interval,
-    reset_counters,
     solve_lp,
     solve_nlo_dg,
     solve_nlo_sd,
@@ -41,13 +38,15 @@ from io_recover import (
 from io_recover.fixtures import evaluate_example, example_case, solve_case
 from io_recover.geometry import norm_value
 from io_recover.verify import REPORT_TOL
+from oracle import brute_force_min, oracle_tolerance
 
 
 def _criterion(number, description):
     def wrap(fn):
-        def run():
+        @functools.wraps(fn)  # pytest reads fn's fixtures through __wrapped__
+        def run(**fixtures):
             try:
-                detail = fn()
+                detail = fn(**fixtures)
             except BaseException as exc:
                 record_acceptance(f"criterion {number:>2}: FAIL  {description} ({exc})")
                 raise
@@ -157,7 +156,7 @@ def test_criterion_08():
 
 
 @_criterion(9, "complexity contract: m LPs for the four LP-based models, none for the closed forms")
-def test_criterion_09():
+def test_criterion_09(calls):
     rng = np.random.default_rng(90210)
     checked = 0
     counted = {"iu": set(), "ccu": set()}  # side constraints (box-only, coupled) whose LPs were counted
@@ -166,40 +165,40 @@ def test_criterion_09():
         coupled = checked % 2 == 1  # every other gap instance takes the joint LPs
         couple = gen.couple_rows if coupled else (lambda omega: omega)
         problem, x, structure, omega, _ = gen.make_nlo_dg(seed)
-        reset_counters()
+        calls.clear()
         solve_nlo_dg(problem, x, omega)
-        assert counters()["lp_solve"] == problem.m
+        assert calls["lp_solve"] == problem.m
 
         problem, x, structure, prior, _ = gen.make_nlo_sd(seed)
-        reset_counters()
+        calls.clear()
         solve_nlo_sd(problem, x, prior)
-        assert counters()["lp_solve"] == 0
+        assert calls["lp_solve"] == 0
 
         problem, x, structure, omega, _ = gen.make_iu_dg(seed)
-        reset_counters()
+        calls.clear()
         solve_rlo_iu_dg(problem, x, structure, couple(omega))
-        assert counters()["lp_solve"] == problem.m
+        assert calls["lp_solve"] == problem.m
         counted["iu"].add(coupled)
 
         problem, x, structure, prior, _ = gen.make_iu_sd(seed)
-        reset_counters()
+        calls.clear()
         sol = solve_rlo_iu_sd(problem, x, structure, prior)
         assert sol.status == Status.OPTIMAL
-        assert counters()["lp_solve"] == problem.m
+        assert calls["lp_solve"] == problem.m
 
         problem, x, structure, omega, _ = gen.make_ccu_dg(seed)
-        reset_counters()
+        calls.clear()
         sol = solve_rlo_ccu_dg(problem, x, structure, couple(omega))
         if sol.status == Status.OPTIMAL:
-            assert counters()["lp_solve"] == problem.m
+            assert calls["lp_solve"] == problem.m
             counted["ccu"].add(coupled)
-        assert counters()["gamma_bar"] <= problem.m
+        assert calls["gamma_bar"] <= problem.m
 
         problem, x, structure, prior, _ = gen.make_ccu_sd(seed)
-        reset_counters()
+        calls.clear()
         solve_rlo_ccu_sd(problem, x, structure, prior)
-        assert counters()["lp_solve"] == 0
-        assert counters()["gamma_bar"] <= problem.m
+        assert calls["lp_solve"] == 0
+        assert calls["gamma_bar"] <= problem.m
         checked += 1
     assert checked == 8
     assert counted == {"iu": {False, True}, "ccu": {False, True}}

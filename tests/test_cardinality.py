@@ -12,10 +12,7 @@ from io_recover import (
     SideConstraints,
     Status,
     UncertaintyStructure,
-    brute_force_min,
     compute_gamma_bounds,
-    counters,
-    oracle_tolerance,
     protection_value,
     realized_row_cardinality,
     solve_rlo_ccu_dg,
@@ -23,6 +20,7 @@ from io_recover import (
     solve_rlo_iu_sd,
 )
 from io_recover.fixtures import evaluate_example, example_case
+from oracle import brute_force_min, oracle_tolerance
 
 
 def test_example_5_checks():
@@ -74,11 +72,10 @@ class TestGammaBounds:
         assert gb.gamma_upper[0] == pytest.approx(2.0)
         assert gb.details[0].kind == "interval"
 
-    def test_gamma_bar_counter(self):
+    def test_gamma_bar_counter(self, calls):
         case = example_case(5)
-        before = counters()["gamma_bar"]
         compute_gamma_bounds(case.problem, case.structure, case.x_hat)
-        assert counters()["gamma_bar"] - before == case.problem.m
+        assert calls["gamma_bar"] == case.problem.m
 
     def test_theta_soundness(self):
         rng = np.random.default_rng(15)
@@ -111,22 +108,20 @@ class TestGammaBounds:
 
 
 class TestCcuDg:
-    def test_lp_and_gamma_bar_counts(self):
+    def test_lp_and_gamma_bar_counts(self, calls):
         case = example_case(5)
-        before = counters()
         solve_rlo_ccu_dg(case.problem, case.x_hat, case.structure, case.omega)
-        after = counters()
-        assert after["lp_solve"] - before["lp_solve"] == case.problem.m
-        assert after["gamma_bar"] - before["gamma_bar"] <= case.problem.m
+        assert calls["lp_solve"] == case.problem.m
+        assert calls["gamma_bar"] <= case.problem.m
 
-    def test_box_only_omega_solves_one_row_per_lp(self, std_builds):
+    def test_box_only_omega_solves_one_row_per_lp(self, std_builds, calls):
         for seed in range(5):
             problem, x, structure, omega, _ = gen.make_ccu_dg(seed)
             std_builds.clear()
-            before = counters()["lp_solve"]
+            calls.clear()
             sol = solve_rlo_ccu_dg(problem, x, structure, omega)
             assert sol.status in (Status.OPTIMAL, Status.TRIVIAL_DETECTED)
-            assert counters()["lp_solve"] - before == problem.m
+            assert calls["lp_solve"] == problem.m
             assert [lp.num_vars for lp in std_builds] == [1 + len(s) for s in structure.sets]
             assert all(len(lp.rows) == 1 for lp in std_builds)
 
@@ -185,13 +180,11 @@ class TestCcuDg:
 
 
 class TestCcuSd:
-    def test_zero_lp_invocations(self):
+    def test_zero_lp_invocations(self, calls):
         case = example_case(6)
-        before = counters()
         solve_rlo_ccu_sd(case.problem, case.x_hat, case.structure, case.prior)
-        after = counters()
-        assert after["lp_solve"] - before["lp_solve"] == 0
-        assert after["gamma_bar"] - before["gamma_bar"] <= case.problem.m
+        assert calls["lp_solve"] == 0
+        assert calls["gamma_bar"] <= case.problem.m
 
     def test_prior_admitting_active_row_is_free(self):
         case = example_case(6)

@@ -16,10 +16,7 @@ from io_recover import (
     Status,
     UncertaintyStructure,
     UnsupportedNormError,
-    brute_force_min,
     check_certificate,
-    counters,
-    oracle_tolerance,
     realized_row_interval,
     solve_lp,
     solve_rlo_iu_dg,
@@ -28,6 +25,7 @@ from io_recover import (
 )
 from io_recover import interval
 from io_recover.fixtures import evaluate_example, example_case
+from oracle import brute_force_min, oracle_tolerance
 
 
 def joint_t(problem, x, structure, prior):
@@ -99,31 +97,29 @@ def test_example_4_checks():
 
 
 class TestIuDg:
-    def test_lp_call_count_is_m(self):
+    def test_lp_call_count_is_m(self, calls):
         case = example_case(3)
-        before = counters()["lp_solve"]
         solve_rlo_iu_dg(case.problem, case.x_hat, case.structure, case.omega)
-        assert counters()["lp_solve"] - before == case.problem.m
+        assert calls["lp_solve"] == case.problem.m
 
-    def test_one_equality_form_serves_all_m_lps(self, std_builds):
+    def test_one_equality_form_serves_all_m_lps(self, std_builds, calls):
         # the all-ones row never binds but couples the rows, so every LP
         # spans every row's magnitudes
         problem, x, structure, _ = _all_uncertain_10x5()
         omega = gen.couple_rows(SideConstraints(G=np.eye(50), h=np.full(50, 3.0)))
-        before = counters()["lp_solve"]
         sol = solve_rlo_iu_dg(problem, x, structure, omega)
         assert sol.status == Status.OPTIMAL
-        assert counters()["lp_solve"] - before == problem.m
+        assert calls["lp_solve"] == problem.m
         assert len(std_builds) == 1
 
-    def test_box_only_omega_solves_one_row_per_lp(self, std_builds):
+    def test_box_only_omega_solves_one_row_per_lp(self, std_builds, calls):
         for seed in range(5):
             problem, x, structure, omega, _ = gen.make_iu_dg(seed)
             std_builds.clear()
-            before = counters()["lp_solve"]
+            calls.clear()
             sol = solve_rlo_iu_dg(problem, x, structure, omega)
             assert sol.status in (Status.OPTIMAL, Status.TRIVIAL_DETECTED)
-            assert counters()["lp_solve"] - before == problem.m
+            assert calls["lp_solve"] == problem.m
             assert [lp.num_vars for lp in std_builds] == [len(s) for s in structure.sets]
             assert all(len(lp.rows) == 1 for lp in std_builds)
 
@@ -193,11 +189,10 @@ class TestIuSd:
         with pytest.raises(UnsupportedNormError):
             solve_rlo_iu_sd(case.problem, case.x_hat, case.structure, prior)
 
-    def test_lp_call_count_is_m(self):
+    def test_lp_call_count_is_m(self, calls):
         case = example_case(4)
-        before = counters()["lp_solve"]
         solve_rlo_iu_sd(case.problem, case.x_hat, case.structure, case.prior)
-        assert counters()["lp_solve"] - before == case.problem.m
+        assert calls["lp_solve"] == case.problem.m
 
     def test_infeasible_iff_nominal_infeasible(self):
         case = example_case(4)
@@ -363,13 +358,12 @@ class TestIuSdNegativePrior:
         # the joint LP's optimum is 1.35; the row rule would report 0.85
         assert float(np.min(joint_t(self.problem, self.x, self.structure, self.prior))) == pytest.approx(1.35)
 
-    def test_solver_rejects(self):
-        before = counters()["lp_solve"]
+    def test_solver_rejects(self, calls):
         with pytest.raises(DimensionError) as err:
             solve_rlo_iu_sd(self.problem, self.x, self.structure, self.prior)
         assert err.value.field == "prior.estimates"
         assert "alpha[1][1]" in str(err.value)
-        assert counters()["lp_solve"] == before
+        assert calls["lp_solve"] == 0
 
     def test_validate_rejects(self):
         with pytest.raises(DimensionError) as err:

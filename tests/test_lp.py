@@ -8,7 +8,6 @@ from io_recover import (
     LpRow,
     LpStatus,
     NumericalFailureError,
-    counters,
     solve_lp,
     solve_lp_batch,
 )
@@ -237,9 +236,7 @@ class TestDeterminismAndBatch:
         lps = [
             simple([1.0], [([1.0], ">=", float(k))]) for k in range(4)
         ]
-        before = counters()["lp_solve"]
         outs = solve_lp_batch(lps)
-        assert counters()["lp_solve"] - before == 4
         for k, out in enumerate(outs):
             assert out.value == pytest.approx(float(k), abs=1e-9)
 
@@ -282,9 +279,7 @@ class TestDeterminismAndBatch:
             return real(arg)
 
         monkeypatch.setattr(lp_mod, "_Start", flaky)
-        before = counters()["lp_solve"]
         outs = lp_mod.solve_lp_batch([first, first, first, second])
-        assert counters()["lp_solve"] - before == 4
         assert calls["k"] == 2
         assert [o.status for o in outs] == [LpStatus.FAILED] * 3 + [LpStatus.OPTIMAL]
         assert [o.error for o in outs[:3]] == ["synthetic phase one failure"] * 3
@@ -398,9 +393,7 @@ class TestSharedStart:
         objectives = [[1.0, 2.0, -1.0], [-1.0, 0.5, 0.0], [2.0, -1.0, 1.0], [0.0, 1.0, -3.0]]
         rows = [self.ROWS_A, self.ROWS_A, self.ROWS_B, self.ROWS_A]
         lps = [LinearProgram(objective=np.array(c), rows=r, bounds=self.BOUNDS) for c, r in zip(objectives, rows)]
-        before = counters()["lp_solve"]
         outs = solve_lp_batch(lps)
-        assert counters()["lp_solve"] - before == 4
         assert len(std_builds) == 3
         alone = [solve_lp(lp) for lp in lps]
         assert all(outcomes_equal(a, b) for a, b in zip(outs, alone))

@@ -8,8 +8,6 @@ import gen
 import io_recover
 from io_recover import (
     ForwardProblem,
-    GridOracleSpec,
-    GridTooLargeError,
     InverseSolution,
     ModelKind,
     PreconditionError,
@@ -19,7 +17,6 @@ from io_recover import (
     Status,
     UncertaintyStructure,
     WeightBoost,
-    brute_force_min,
     check_certificate,
     diagnose_trivial,
     solve_nlo_sd,
@@ -34,6 +31,7 @@ from io_recover.geometry import (
 )
 from io_recover.model import as_observed
 from io_recover.verify import REPORT_TOL, UNIT_FREE
+from oracle import GridOracleSpec, GridTooLargeError, brute_force_min
 
 
 def _solved(number):
