@@ -21,6 +21,7 @@ from .model import (
     ModelKind,
     Status,
     Variant,
+    active_row,
     active_solution,
     canonicalize_omega,
     clamp_budget_prior,
@@ -151,8 +152,8 @@ def solve_rlo_ccu_sd(problem, x_hat, structure, prior):
 
     Per activatable row the activation premium is the signed budget move
     onto its activation bracket; the row minimizing the norm of the full
-    deviation vector is activated, the other activatable rows are capped at
-    feasibility, and the rest keep their prior budgets.
+    deviation vector is activated (`active_row`), the other activatable
+    rows are capped at feasibility, and the rest keep their prior budgets.
     """
     x = _setup(problem, x_hat, structure)
     m = problem.m
@@ -178,14 +179,12 @@ def solve_rlo_ccu_sd(problem, x_hat, structure, prior):
         f[i] = target - gamma_hat[i]
     g = np.minimum(f, 0.0)
 
-    best = None
+    t = np.full(m, np.inf)  # the norm of the deviation vector with row i active
     for i in gb.i_hat:
         vec = g.copy()
         vec[i] = f[i]
-        value = norm_value(vec, prior.norm)
-        if best is None or value < best[1] - 1e-15:
-            best = (i, value)
-    i_star, objective = best
+        t[i] = norm_value(vec, prior.norm)
+    i_star = active_row(t, t[np.isfinite(t)].max())
 
     gamma = gamma_hat.copy()
     for i in gb.i_hat:
@@ -197,5 +196,5 @@ def solve_rlo_ccu_sd(problem, x_hat, structure, prior):
         problem.A[i_star], structure.alpha[i_star], gamma[i_star], structure.sets[i_star], x
     )
     return active_solution(
-        ModelKind.RLO_CCU_SD, i_star, gamma, cost, objective, {"f": f, "g": g}, None, False
+        ModelKind.RLO_CCU_SD, i_star, gamma, cost, t[i_star], {"f": f, "g": g}, None, False
     )

@@ -2,7 +2,6 @@
 built-in demonstrations, and export 2D region polylines."""
 
 import argparse
-import json
 import sys
 
 import numpy as np
@@ -167,9 +166,6 @@ def main(argv=None):
         return args.func(args)
     except InverseLpError as exc:
         _err(str(exc))
-        return EXIT_INPUT
-    except json.JSONDecodeError as exc:
-        _err(f"invalid JSON: {exc}")
         return EXIT_INPUT
 
 

@@ -27,6 +27,7 @@ from .model import (
     ModelKind,
     Status,
     Variant,
+    active_row,
     active_solution,
     canonicalize_omega,
     check_magnitude_prior,
@@ -137,8 +138,8 @@ def solve_rlo_iu_sd(problem, x_hat, structure, prior):
     prior row fits (load <= surplus) and g_i = f_i otherwise: any feasible
     row can be pulled toward the prior until it is active, staying
     nonnegative and no farther away, so the f-optimum is also the
-    cheapest feasible row.  The row with the smallest premium f_i - g_i is
-    made active (ties to the lowest index), with objective f_i + sum(g) - g_i.
+    cheapest feasible row.  The row with the smallest objective
+    t_i = f_i + sum(g) - g_i is made active (`active_row`).
     """
     x, surplus = _setup(problem, x_hat, structure)
     if prior.norm not in (NormKind.L1, NormKind.LINF):
@@ -174,8 +175,8 @@ def solve_rlo_iu_sd(problem, x_hat, structure, prior):
             message="no constraint can be made robust-active at the observation",
         )
 
-    i_star = int(np.argmin(f - g))
     t = f + np.sum(g) - g
+    i_star = active_row(t, t[np.isfinite(t)].max())
     alpha = np.zeros((m, problem.n))
     for i in range(m):
         moved = i == i_star or not fits[i]

@@ -438,6 +438,16 @@ class InverseSolution:
     message: str = None
 
 
+def active_row(t, scale):
+    """The active row: the lowest i with t_i <= min t + ZERO_TOL * (1 + scale).
+
+    `t` holds each row's objective with that row active (inf where it
+    cannot be), and `scale` the magnitude it is computed from, so rounding
+    noise in near-equal t does not pick the row, whatever the data's scale.
+    """
+    return int(np.argmax(t <= np.min(t) + ZERO_TOL * (1.0 + scale)))
+
+
 def active_solution(model, i_star, imputed, cost, objective, per_constraint, subresults, zero_row):
     """Solution making constraint `i_star` (0-based) the active one.
 
@@ -490,9 +500,8 @@ def gap_solution(model, outcomes, offset, lower, blocks, shape, realize, infeasi
     parameters in `blocks[i]` of the natural order; the others keep `lower`.
     `shape` turns a parameter vector into the imputed block, `realize(i,
     imputed)` gives the cost vector with row i active, and `zero_row(imputed)`
-    reports a vanishing imputed row.  The active row is the lowest i with
-    t_i <= min t + ZERO_TOL * (1 + max_i(|offset_i| + |value_i|)), so that
-    rounding noise in near-equal t does not pick it.  An unbounded LP makes
+    reports a vanishing imputed row.  The active row is `active_row(t,
+    max_i(|offset_i| + |value_i|))`.  An unbounded LP makes
     the gap unbounded; an infeasible one makes the model infeasible, with
     `infeasible_message` (which may cite `{infeasibility}`, phase 1's figure).
     """
@@ -521,8 +530,7 @@ def gap_solution(model, outcomes, offset, lower, blocks, shape, realize, infeasi
         k = params[blocks[i]].size
         params[blocks[i]] = out.solution[:k]
         subresults.append(GapSubresult(t_i=float(t[i]), imputed=shape(params), extra=out.solution[k:].copy()))
-    near = t <= t.min() + ZERO_TOL * (1.0 + np.max(np.abs(offset) + np.abs(values)))
-    i_star = int(np.argmax(near))
+    i_star = active_row(t, np.max(np.abs(offset) + np.abs(values)))
     imputed = subresults[i_star].imputed
     return active_solution(
         model, i_star, imputed, realize(i_star, imputed), t[i_star], {"t": t},

@@ -23,6 +23,7 @@ from .model import (
     Status,
     UncertaintyStructure,
     WeightBoost,
+    active_row,
     active_solution,
     canonicalize_omega,
     gap_solution,
@@ -76,8 +77,8 @@ def solve_nlo_sd(problem, x_hat, prior):
     Per row, the prior vector is projected onto the hyperplane that makes
     the row active at the observation (cost f_i, weighted) and onto the
     halfspace that makes it feasible (cost g_i); the row with the smallest
-    activation premium f_i - g_i is made active, every other row is made
-    feasible, and the cost vector is the active row.
+    objective t_i = f_i + sum(g) - g_i is made active (`active_row`), every
+    other row is made feasible, and the cost vector is the active row.
     """
     x = observed_x(x_hat, problem)
     if not np.any(x != 0.0):
@@ -98,10 +99,11 @@ def solve_nlo_sd(problem, x_hat, prior):
         f[i] = w[i] * dist
         g[i] = w[i] * dist_g
 
-    i_star = int(np.argmin(f - g))
+    t = f + np.sum(g) - g
+    i_star = active_row(t, np.max(t))
     A = np.vstack([rows_f[i] if i == i_star else rows_g[i] for i in range(m)])
     solution = active_solution(
-        ModelKind.NLO_SD, i_star, A, A[i_star].copy(), f[i_star] + np.sum(g) - g[i_star],
+        ModelKind.NLO_SD, i_star, A, A[i_star].copy(), t[i_star],
         {"f": f, "g": g}, None, _has_zero_row(A),
     )
     if solution.status == Status.TRIVIAL_DETECTED:

@@ -1,10 +1,12 @@
 """JSON problem and solution documents.
 
 Schema version "1".  Matrices are row-major lists of lists, numbers are
-plain decimals, constraint and column indices in documents are 1-based.
+JSON numbers (a string or boolean where a number belongs is rejected, not
+converted), constraint and column indices in documents are 1-based.
 Unknown fields are rejected so fixture typos fail loudly.
 """
 
+import itertools
 import json
 import re
 from dataclasses import dataclass
@@ -38,8 +40,8 @@ _TOP_FIELDS = {
     "omega",
     "prior",
 }
-_OMEGA_FIELDS = {"G", "h", "variable_order"}
-_PRIOR_FIELDS = {"estimates", "xi", "norm"}
+_OMEGA_FIELDS = {"omega.G", "omega.h", "omega.variable_order"}
+_PRIOR_FIELDS = {"prior.estimates", "prior.xi", "prior.norm"}
 
 _VAR_RE = re.compile(r"^(a|alpha)\[(\d+)\]\[(\d+)\]$|^(gamma)\[(\d+)\]$")
 
@@ -83,14 +85,32 @@ def _is_number(value):
     return type(value) in (int, float)
 
 
-def _matrix(doc, field, rows=None, cols=None):
+def _numbers(doc, field, ndim):
+    """doc[field] as a float array of `ndim` dimensions (1: a flat list, 2: a
+    list of rows) whose entries are JSON numbers: strings, booleans and
+    nulls are rejected, not converted."""
     raw = _require(doc, field, list)
+    shape = "must be a list of rows" if ndim == 2 else "must be a flat list"
+    if ndim == 2 and not all(type(row) is list for row in raw):
+        raise ProblemFileError(field, shape)
+    types = set(map(type, itertools.chain.from_iterable(raw) if ndim == 2 else raw))  # at C speed
+    if list in types:
+        raise ProblemFileError(field, shape)
+    if not types <= {int, float}:
+        raise ProblemFileError(field, "every entry must be a number")
     try:
         arr = np.array(raw, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ProblemFileError(field, f"not numeric: {exc}") from None
-    if arr.ndim != 2:
-        raise ProblemFileError(field, "must be a list of rows")
+    except ValueError:
+        raise ProblemFileError(field, "rows must have equal length") from None
+    except OverflowError:
+        raise ProblemFileError(field, "number out of range") from None
+    if arr.ndim != ndim:
+        raise ProblemFileError(field, shape)
+    return arr
+
+
+def _matrix(doc, field, rows=None, cols=None):
+    arr = _numbers(doc, field, 2)
     if rows is not None and arr.shape[0] != rows:
         raise ProblemFileError(field, f"expected {rows} rows, got {arr.shape[0]}")
     if cols is not None and arr.shape[1] != cols:
@@ -99,13 +119,7 @@ def _matrix(doc, field, rows=None, cols=None):
 
 
 def _vector(doc, field, size=None):
-    raw = _require(doc, field, list)
-    try:
-        arr = np.array(raw, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ProblemFileError(field, f"not numeric: {exc}") from None
-    if arr.ndim != 1:
-        raise ProblemFileError(field, "must be a flat list")
+    arr = _numbers(doc, field, 1)
     if size is not None and arr.size != size:
         raise ProblemFileError(field, f"expected length {size}, got {arr.size}")
     return arr
@@ -205,15 +219,15 @@ def parse_problem(doc):
 
     omega = None
     if "omega" in doc:
-        omega_doc = _require(doc, "omega", dict)
+        omega_doc = _within(doc, "omega")
         unknown = set(omega_doc) - _OMEGA_FIELDS
         if unknown:
-            raise ProblemFileError(f"omega.{sorted(unknown)[0]}", "unknown field")
-        G = _matrix(omega_doc, "G")
-        h = _vector(omega_doc, "h", G.shape[0])
+            raise ProblemFileError(sorted(unknown)[0], "unknown field")
+        G = _matrix(omega_doc, "omega.G")
+        h = _vector(omega_doc, "omega.h", G.shape[0])
         variable_map = None
-        if "variable_order" in omega_doc:
-            names = _require(omega_doc, "variable_order", list)
+        if "omega.variable_order" in omega_doc:
+            names = _require(omega_doc, "omega.variable_order", list)
             variable_map = _parse_variable_order(names, model)
         omega = SideConstraints(G=G, h=h, variable_map=variable_map)
         omega.arranged(param_keys(model, problem, structure))
@@ -222,28 +236,28 @@ def parse_problem(doc):
     xi = None
     norm = NormKind.L2
     if "prior" in doc:
-        prior_doc = _require(doc, "prior", dict)
+        prior_doc = _within(doc, "prior")
         unknown = set(prior_doc) - _PRIOR_FIELDS
         if unknown:
-            raise ProblemFileError(f"prior.{sorted(unknown)[0]}", "unknown field")
-        if "xi" in prior_doc:
-            xi = _vector(prior_doc, "xi", m)
-        if "norm" in prior_doc:
-            raw_norm = _require(prior_doc, "norm", str)
+            raise ProblemFileError(sorted(unknown)[0], "unknown field")
+        if "prior.xi" in prior_doc:
+            xi = _vector(prior_doc, "prior.xi", m)
+        if "prior.norm" in prior_doc:
+            raw_norm = _require(prior_doc, "prior.norm", str)
             try:
                 norm = NormKind(raw_norm)
             except ValueError:
                 raise ProblemFileError("prior.norm", f"unknown norm {raw_norm!r}") from None
         if model == ModelKind.NLO_SD:
             estimates = (
-                _matrix(prior_doc, "estimates", m, n) if "estimates" in prior_doc else A.copy()
+                _matrix(prior_doc, "prior.estimates", m, n) if "prior.estimates" in prior_doc else A.copy()
             )
             prior = Prior(estimates=estimates, xi=xi, norm=norm)
         elif model == ModelKind.RLO_CCU_SD:
-            estimates = _vector(prior_doc, "estimates", m)
+            estimates = _vector(prior_doc, "prior.estimates", m)
             prior = Prior(estimates=estimates, xi=xi, norm=norm)
         elif model == ModelKind.RLO_IU_SD:
-            if "estimates" in prior_doc:
+            if "prior.estimates" in prior_doc:
                 raise ProblemFileError(
                     "prior.estimates", "magnitude priors belong in the alpha field"
                 )

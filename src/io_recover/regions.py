@@ -14,9 +14,11 @@ import numpy as np
 
 from .errors import DimensionError
 from .geometry import realized_row_cardinality, realized_row_interval
-from .model import ModelKind, Variant
+from .model import Variant
 
 _EPS = 1e-12
+# the uncertainty a model family's prior and imputed rows are realized under
+_FAMILY_VARIANT = {"nlo": Variant.NOMINAL, "iu": Variant.INTERVAL, "ccu": Variant.CARDINALITY}
 
 
 @dataclass(frozen=True)
@@ -174,29 +176,13 @@ def region_polylines(bundle, solution=None, bbox=(-8.0, -8.0, 8.0, 8.0)):
     if not (x0 < x1 and y0 < y1):
         raise DimensionError("bbox", "expected x0 < x1 and y0 < y1")
     box = (x0, y0, x1, y1)
-    model = bundle.model
+    variant = _FAMILY_VARIANT[bundle.model.family]
     out = list(_polylines_for(problem, bundle.structure, box, "nominal", Variant.NOMINAL, problem.A))
-
-    if bundle.prior is not None:
-        if model == ModelKind.NLO_SD:
-            out += _polylines_for(
-                problem, bundle.structure, box, "prior_robust", Variant.NOMINAL, bundle.prior.estimates
-            )
-        elif model == ModelKind.RLO_IU_SD:
-            out += _polylines_for(
-                problem, bundle.structure, box, "prior_robust", Variant.INTERVAL, bundle.prior.estimates
-            )
-        elif model == ModelKind.RLO_CCU_SD:
-            out += _polylines_for(
-                problem, bundle.structure, box, "prior_robust", Variant.CARDINALITY, bundle.prior.estimates
-            )
-
+    if bundle.prior is not None and bundle.model.is_sd:
+        out += _polylines_for(
+            problem, bundle.structure, box, "prior_robust", variant, bundle.prior.estimates
+        )
     if solution is not None and solution.imputed is not None:
-        variant = {
-            "nlo": Variant.NOMINAL,
-            "iu": Variant.INTERVAL,
-            "ccu": Variant.CARDINALITY,
-        }[model.family]
         out += _polylines_for(
             problem, bundle.structure, box, "imputed_robust", variant, solution.imputed
         )

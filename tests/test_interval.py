@@ -182,6 +182,18 @@ class TestIuDg:
             assert abs(sol.duality_gap - value) <= tol, (seed, sol.duality_gap, value, tol)
 
 
+    def test_contradictory_side_constraints(self, calls):
+        case = example_case(3)
+        p = sum(len(s) for s in case.structure.sets)
+        G = np.zeros((1, p))
+        G[0, 0] = 1.0
+        omega = SideConstraints(G=G, h=np.array([-1.0]))  # a magnitude <= -1, below its floor 0
+        sol = solve_rlo_iu_dg(case.problem, case.x_hat, case.structure, omega)
+        assert sol.status == Status.INFEASIBLE
+        assert sol.message == "side constraints are contradictory"
+        assert calls["lp_solve"] == 0
+
+
 class TestIuSd:
     def test_l2_rejected(self):
         case = example_case(4)
@@ -193,6 +205,17 @@ class TestIuSd:
         case = example_case(4)
         solve_rlo_iu_sd(case.problem, case.x_hat, case.structure, case.prior)
         assert calls["lp_solve"] == case.problem.m
+
+    def test_no_row_can_be_made_robust_active(self, calls):
+        # the observation is 0 on every uncertain column, so no magnitude
+        # moves a row, and every row keeps a positive surplus
+        problem = ForwardProblem(A=[[1.0, 1.0], [2.0, 1.0]], b=[0.0, 0.5])
+        structure = UncertaintyStructure.interval(((0,), (0,)))
+        prior = Prior(estimates=[[0.5, 0.0], [0.2, 0.0]], norm=NormKind.L1)
+        sol = solve_rlo_iu_sd(problem, [0.0, 1.0], structure, prior)
+        assert sol.status == Status.INFEASIBLE
+        assert sol.message == "no constraint can be made robust-active at the observation"
+        assert calls["lp_solve"] == problem.m
 
     def test_infeasible_iff_nominal_infeasible(self):
         case = example_case(4)

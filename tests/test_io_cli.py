@@ -37,6 +37,12 @@ class TestProblemFiles:
             problem_io.parse_problem(doc)
         assert err.value.field == "surprise"
 
+    def test_integers_beyond_64_bits_parse(self):
+        doc = _load(FIXTURES / "example1.json")
+        doc["b"][0] = -(2**70)  # a valid JSON number, though no int64
+        bundle = problem_io.parse_problem(json.loads(json.dumps(doc)))
+        assert bundle.problem.b.tolist() == [-(2.0**70), -6.0, -10.0]
+
     def test_unknown_prior_field_rejected(self):
         doc = _load(FIXTURES / "example2.json")
         doc["prior"]["mystery"] = []
@@ -214,6 +220,17 @@ class TestCliVerify:
         assert "verdict: invalid" in text
         assert "primal.alpha_nonneg              5.000e-01" in text
 
+    def test_verify_infeasible_solution_exits_2(self, tmp_path, capsys):
+        doc = _load(FIXTURES / "example4.json")
+        doc["x_hat"] = [9.0, 9.0]
+        src = tmp_path / "problem.json"
+        src.write_text(json.dumps(doc))
+        out = tmp_path / "solution.json"
+        assert cli.main(["solve", "--input", str(src), "--output", str(out)]) == 2
+        capsys.readouterr()
+        assert cli.main(["verify", "--input", str(src), "--solution", str(out)]) == 2
+        assert capsys.readouterr().err == "nothing to verify: solution status is infeasible\n"
+
     def test_verify_mismatched_model_exits_1(self, tmp_path, capsys):
         out = tmp_path / "solution.json"
         cli.main(["solve", "--input", str(FIXTURES / "example5.json"), "--output", str(out)])
@@ -252,6 +269,14 @@ class TestCliRegions:
             ]
         ) == 1
 
+    def test_short_bbox_exits_1(self, tmp_path, capsys):
+        out = tmp_path / "regions.json"
+        assert cli.main(
+            ["regions", "--input", str(FIXTURES / "example4.json"), "--bbox=1,2,3", "--output", str(out)]
+        ) == 1
+        assert capsys.readouterr().err == "bbox needs 4 numbers, got 3\n"
+        assert not out.exists()
+
     def test_not_plottable_dimension_exits_1(self, tmp_path):
         doc = _load(FIXTURES / "example2.json")
         doc["A"] = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [-2.0, -1.0, 0.0]]
@@ -277,6 +302,16 @@ def _set_in(field, key, value):
     return mutate
 
 
+def _poke(*path, value):
+    """Set one entry deep inside the document: doc[path[0]]...[path[-1]] = value."""
+    def mutate(doc):
+        *outer, last = path
+        for key in outer:
+            doc = doc[key]
+        doc[last] = value
+    return mutate
+
+
 # (solution field or path, mutation) on the solution of fixture 1 (nlo-dg, m = 3, n = 2)
 MALFORMED_SOLUTIONS = {
     "non-numeric cost": ("cost", _set("cost", ["a", 1.0])),
@@ -291,6 +326,9 @@ MALFORMED_SOLUTIONS = {
     "short dual_pi": ("dual_pi", _set("dual_pi", [1.0])),
     "non-numeric per_constraint entry": ("per_constraint.t", _set_in("per_constraint", "t", ["x", 1.0, 2.0])),
     "non-numeric duality_gap": ("duality_gap", _set("duality_gap", "two")),
+    "boolean in cost": ("cost", _set("cost", [True, 1.0])),
+    "string in imputed": ("imputed.A", _poke("imputed", "A", 0, 0, value="1")),
+    "null in dual_pi": ("dual_pi", _poke("dual_pi", 0, value=None)),
 }
 
 
@@ -318,6 +356,16 @@ MALFORMED_PROBLEMS = {
         1, "omega.variable_order", _set_in("omega", "variable_order", [1, 2, 3, 4, 5, 6])
     ),
     "boolean uncertain column": (3, "uncertain_columns", _set("uncertain_columns", [[True], [2], [1, 2]])),
+    # every numeric field takes JSON numbers only; np.array would read "-6" as -6 and true as 1
+    "strings and a boolean in b": (1, "b", _set("b", ["-6", True, "-1e1"])),
+    "boolean in x_hat": (1, "x_hat", _poke("x_hat", 0, value=True)),
+    "string in A": (1, "A", _poke("A", 2, 1, value="-1")),
+    "null in omega.G": (1, "omega.G", _poke("omega", "G", 0, 0, value=None)),
+    "boolean in omega.h": (1, "omega.h", _poke("omega", "h", 1, value=False)),
+    "string in prior.estimates": (2, "prior.estimates", _poke("prior", "estimates", 0, 0, value="1")),
+    "boolean in prior.xi": (2, "prior.xi", _set_in("prior", "xi", [1.0, True, 1.0])),
+    "string in a budget prior": (6, "prior.estimates", _poke("prior", "estimates", 0, value="0.2")),
+    "integer beyond any float": (1, "b", _poke("b", 0, value=-(10**400))),
 }
 
 

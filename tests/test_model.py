@@ -340,6 +340,57 @@ def test_gap_tie_picks_the_lowest_near_minimal_row(model):
     assert scaled.active_index == sol.active_index
 
 
+def _sd_near_tie(model, scale=1.0):
+    """A strong-duality instance whose two rows tie up to rounding: row 2 is
+    row 1 times c (A, b and the magnitudes; weight 1/c), and the prior
+    keeps both feasible, so g = 0 and t = f.  Everything in data units is
+    multiplied by `scale`."""
+    if model == ModelKind.RLO_CCU_SD:
+        # budgets near 40 on 48 columns: one rounding step in t exceeds 1e-15
+        n, c = 48, 1.03
+        x = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
+        alpha = np.round(np.linspace(0.1, 0.4, n), 3)
+        v = np.sort(alpha)[::-1]
+        a, b = x.copy(), n - float(v[:40].sum() + 0.5 * v[40])  # activation budget 40.5
+        structure = UncertaintyStructure.cardinality(
+            (tuple(range(n)),) * 2, np.vstack([alpha, c * alpha]) * scale
+        )
+        prior = Prior(estimates=[0.0, 0.0], norm=NormKind.L1)
+    else:
+        x = np.array([1.0, 2.0, -1.0])
+        a, b = np.array([1.0, 1.5, 0.5]), 2.0
+        if model == ModelKind.NLO_SD:
+            c = 6.621
+            structure = UncertaintyStructure.nominal()
+            estimates, norm = np.vstack([a, c * a]), NormKind.L2
+        else:
+            c = 5.511
+            structure = UncertaintyStructure.interval(((0, 1, 2),) * 2)
+            magnitudes = np.array([0.2, 0.1, 0.3])
+            estimates, norm = np.vstack([magnitudes, c * magnitudes]), NormKind.L1
+        prior = Prior(estimates=estimates * scale, xi=[1.0, 1.0 / c], norm=norm)
+    problem = ForwardProblem(A=np.vstack([a, c * a]) * scale, b=np.array([b, c * b]) * scale)
+    return problem, x, structure, prior
+
+
+SD_MODELS = pytest.mark.parametrize(
+    "model", [ModelKind.NLO_SD, ModelKind.RLO_IU_SD, ModelKind.RLO_CCU_SD], ids=lambda m: m.value
+)
+
+
+@SD_MODELS
+def test_sd_tie_picks_the_lowest_near_minimal_row(model):
+    problem, x, structure, prior = _sd_near_tie(model)
+    sol = io_recover.solve(model, problem, x, structure=structure, prior=prior)
+    f, g = sol.per_constraint["f"], sol.per_constraint["g"]
+    assert np.all(g == 0.0)  # so t = f
+    assert f[1] < f[0] <= f[1] * (1.0 + 1e-12)  # rounding puts the least t on row 2
+    assert sol.active_index == 1
+    problem, x, structure, prior = _sd_near_tie(model, 1e6)
+    scaled = io_recover.solve(model, problem, x, structure=structure, prior=prior)
+    assert scaled.active_index == 1
+
+
 @GAP_MODELS
 def test_gap_subresults_match_the_solution(model):
     solved = 0

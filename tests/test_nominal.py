@@ -66,6 +66,16 @@ class TestDgBehavior:
         assert "phase-one infeasibility" in sol.message
         assert len(std_builds) == 1
 
+    def test_contradictory_side_constraints(self, calls):
+        case = example_case(1)
+        G = np.zeros((2, case.problem.m * case.problem.n))
+        G[0, 0], G[1, 0] = 1.0, -1.0
+        omega = SideConstraints(G=G, h=np.array([0.0, -1.0]))  # a_11 <= 0 and a_11 >= 1
+        sol = solve_nlo_dg(case.problem, case.x_hat, omega)
+        assert sol.status == Status.INFEASIBLE
+        assert sol.message == "side constraints are contradictory"
+        assert calls["lp_solve"] == 0
+
     def test_solution_invariants(self):
         case = example_case(1)
         sol = solve_nlo_dg(case.problem, case.x_hat, case.omega)

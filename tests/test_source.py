@@ -1,7 +1,8 @@
 """The library reads no environment variable and runs no worker pool: one
-execution path, whatever the process environment.  The benchmark's traced
-runs find every function they wrap."""
+execution path, whatever the process environment.  Every module uses what
+it imports.  The benchmark's traced runs find every function they wrap."""
 
+import ast
 import importlib
 import importlib.util
 from pathlib import Path
@@ -17,6 +18,18 @@ def test_no_environment_knobs_or_worker_pools(path):
     text = path.read_text(encoding="utf-8")
     assert "os.environ" not in text and "getenv" not in text
     assert "concurrent.futures" not in text
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "__init__.py"], ids=lambda p: p.name)
+def test_every_import_is_used(path):
+    # __init__.py is left out: it imports to re-export
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            imported |= {alias.asname or alias.name.split(".")[0] for alias in node.names}
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert sorted(imported - used) == []
 
 
 def test_traced_layers_resolve():
