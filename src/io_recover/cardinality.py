@@ -184,7 +184,7 @@ def solve_rlo_ccu_sd(problem, x_hat, structure, prior):
         vec = g.copy()
         vec[i] = f[i]
         t[i] = norm_value(vec, prior.norm)
-    i_star = active_row(t, t[np.isfinite(t)].max())
+    i_star = active_row(t, t)
 
     gamma = gamma_hat.copy()
     for i in gb.i_hat:

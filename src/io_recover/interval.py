@@ -176,7 +176,7 @@ def solve_rlo_iu_sd(problem, x_hat, structure, prior):
         )
 
     t = f + np.sum(g) - g
-    i_star = active_row(t, t[np.isfinite(t)].max())
+    i_star = active_row(t, f + np.sum(g))
     alpha = np.zeros((m, problem.n))
     for i in range(m):
         moved = i == i_star or not fits[i]

@@ -439,13 +439,17 @@ class InverseSolution:
 
 
 def active_row(t, scale):
-    """The active row: the lowest i with t_i <= min t + ZERO_TOL * (1 + scale).
+    """The active row: the lowest i with t_i <= t_j + ZERO_TOL * (1 + s_i + s_j),
+    where j = argmin t and s = `scale`.
 
     `t` holds each row's objective with that row active (inf where it
-    cannot be), and `scale` the magnitude it is computed from, so rounding
-    noise in near-equal t does not pick the row, whatever the data's scale.
+    cannot be, and such a row is never picked), and `scale` the magnitude
+    of the terms each t_i is computed from.  So rounding noise in near-equal
+    t does not pick the row, whatever the data's scale, and a row far from
+    active widens no other row's band.
     """
-    return int(np.argmax(t <= np.min(t) + ZERO_TOL * (1.0 + scale)))
+    j = int(np.argmin(t))
+    return int(np.argmax(np.isfinite(t) & (t <= t[j] + ZERO_TOL * (1.0 + scale + scale[j]))))
 
 
 def active_solution(model, i_star, imputed, cost, objective, per_constraint, subresults, zero_row):
@@ -501,9 +505,9 @@ def gap_solution(model, outcomes, offset, lower, blocks, shape, realize, infeasi
     `shape` turns a parameter vector into the imputed block, `realize(i,
     imputed)` gives the cost vector with row i active, and `zero_row(imputed)`
     reports a vanishing imputed row.  The active row is `active_row(t,
-    max_i(|offset_i| + |value_i|))`.  An unbounded LP makes
-    the gap unbounded; an infeasible one makes the model infeasible, with
-    `infeasible_message` (which may cite `{infeasibility}`, phase 1's figure).
+    |offset| + |value|)`.  An unbounded LP makes the gap unbounded; an
+    infeasible one makes the model infeasible, with `infeasible_message`
+    (which may cite `{infeasibility}`, phase 1's figure).
     """
     # only nlo-dg's LPs can be unbounded, and they share one feasible set:
     # either all of them are infeasible or none is
@@ -530,7 +534,7 @@ def gap_solution(model, outcomes, offset, lower, blocks, shape, realize, infeasi
         k = params[blocks[i]].size
         params[blocks[i]] = out.solution[:k]
         subresults.append(GapSubresult(t_i=float(t[i]), imputed=shape(params), extra=out.solution[k:].copy()))
-    i_star = active_row(t, np.max(np.abs(offset) + np.abs(values)))
+    i_star = active_row(t, np.abs(offset) + np.abs(values))
     imputed = subresults[i_star].imputed
     return active_solution(
         model, i_star, imputed, realize(i_star, imputed), t[i_star], {"t": t},

@@ -100,7 +100,7 @@ def solve_nlo_sd(problem, x_hat, prior):
         g[i] = w[i] * dist_g
 
     t = f + np.sum(g) - g
-    i_star = active_row(t, np.max(t))
+    i_star = active_row(t, f + np.sum(g))
     A = np.vstack([rows_f[i] if i == i_star else rows_g[i] for i in range(m)])
     solution = active_solution(
         ModelKind.NLO_SD, i_star, A, A[i_star].copy(), t[i_star],

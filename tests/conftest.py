@@ -27,10 +27,10 @@ def calls(monkeypatch):
     """Counts of the LPs solved ("lp_solve") and of the gamma_bar calls
     ("gamma_bar") made through the library during the test.
 
-    solve_lp, solve_lp_batch (one count per LP in the batch) and gamma_bar
-    are wrapped wherever a loaded io_recover module binds them, so the
-    names the solver modules import are counted too.  `calls.clear()`
-    starts the counts again.
+    solve_lp_batch (one count per LP in the batch), through which every
+    solver solves its LPs, and gamma_bar are wrapped wherever a loaded
+    io_recover module binds them, so the names the solver modules import
+    are counted too.  `calls.clear()` starts the counts again.
     """
     counts = Counter()
 
@@ -42,7 +42,6 @@ def calls(monkeypatch):
         return wrapper
 
     wrappers = {
-        id(lp_mod.solve_lp): counting(lp_mod.solve_lp, "lp_solve", lambda lp: 1),
         id(lp_mod.solve_lp_batch): counting(lp_mod.solve_lp_batch, "lp_solve", len),
         id(geometry.gamma_bar): counting(geometry.gamma_bar, "gamma_bar", lambda problem: 1),
     }

@@ -391,6 +391,47 @@ def test_sd_tie_picks_the_lowest_near_minimal_row(model):
     assert scaled.active_index == 1
 
 
+def _big_m(model):
+    """Three copies of the row x >= b at x_hat = 1: row 2 is nearest to
+    active, row 1 less so, and row 3 is redundant by a surplus of 1e9."""
+    x = np.array([1.0])
+    ones = ((0,),) * 3
+
+    def box(lo, hi):
+        return {"omega": SideConstraints(G=np.vstack([np.eye(3), -np.eye(3)]), h=np.repeat([hi, -lo], 3))}
+
+    structure, b, data = {
+        ModelKind.NLO_DG: (UncertaintyStructure.nominal(), [0.5, 0.999], box(1.0, 2.0)),
+        ModelKind.RLO_IU_DG: (UncertaintyStructure.interval(ones), [0.5, 0.95], box(0.0, 0.049)),
+        ModelKind.RLO_CCU_DG: (
+            UncertaintyStructure.cardinality(ones, np.full((3, 1), 0.01)), [0.5, 0.98], box(0.0, 1.0)
+        ),
+        ModelKind.NLO_SD: (
+            UncertaintyStructure.nominal(), [0.5, 0.999],
+            {"prior": Prior(estimates=np.ones((3, 1)), norm=NormKind.L2)},
+        ),
+        ModelKind.RLO_IU_SD: (
+            UncertaintyStructure.interval(ones), [0.5, 0.999],
+            {"prior": Prior(estimates=np.zeros((3, 1)), norm=NormKind.L1)},
+        ),
+        # budgets carry no units: row 3 is out of reach (t = inf), not far
+        ModelKind.RLO_CCU_SD: (
+            UncertaintyStructure.cardinality(ones, np.full((3, 1), 0.6)), [0.4, 0.45],
+            {"prior": Prior(estimates=np.zeros(3), norm=NormKind.L1)},
+        ),
+    }[model]
+    return ForwardProblem(A=np.ones((3, 1)), b=np.array(b + [-1e9])), x, structure, data
+
+
+@pytest.mark.parametrize("model", list(ModelKind), ids=lambda m: m.value)
+def test_far_row_does_not_widen_the_tie_band(model):
+    problem, x, structure, data = _big_m(model)
+    sol = io_recover.solve(model, problem, x, structure=structure, **data)
+    t = sol.per_constraint["t" if "t" in sol.per_constraint else "f"]  # g = 0 here
+    assert t[1] < t[0] - 0.03
+    assert sol.active_index == 2
+
+
 @GAP_MODELS
 def test_gap_subresults_match_the_solution(model):
     solved = 0
