@@ -36,7 +36,7 @@ from .geometry import (
 )
 from . import model as _model
 from .interval import solve_rlo_iu_dg, solve_rlo_iu_sd
-from .lp import LinearProgram, LpOutcome, LpRow, LpStatus, solve_lp, solve_lp_batch
+from .lp import Constraints, LinearProgram, LpOutcome, LpStatus, solve_lp, solve_lp_batch
 from .model import (
     Certificate,
     ForwardProblem,

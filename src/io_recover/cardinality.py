@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import NominalInfeasibleError, PreconditionError
 from .geometry import gamma_bar, norm_value, realized_row_cardinality
-from .lp import LinearProgram, LpRow, solve_lp_batch
+from .lp import Constraints, LinearProgram, solve_lp_batch
 from .model import (
     InverseSolution,
     ModelKind,
@@ -122,22 +122,19 @@ def solve_rlo_ccu_dg(problem, x_hat, structure, omega):
     coupled = canon.G.shape[0] > 0
     head = m if coupled else 1  # budget variables per LP
     blocks = [slice(None) if coupled else slice(i, i + 1) for i in range(m)]
+    rhs = np.append(0.0, canon.h)  # the budget row, then the side constraints
     lps = []
     for i in range(m):
         values = np.array([structure.alpha[i, j] * abs(x[j]) for j in structure.sets[i]])
-        total = head + values.size
-        bounds = tuple(zip(canon.lower[blocks[i]], canon.upper[blocks[i]])) + ((0.0, 1.0),) * values.size
-        objective = np.zeros(total)
+        objective = np.zeros(head + values.size)
         objective[head:] = -values
-        budget = np.zeros(total)
-        budget[head:] = 1.0
-        budget[i if coupled else 0] = -1.0
-        rows = [LpRow(budget, "<=", 0.0)]
-        for r in range(canon.G.shape[0]):
-            coeffs = np.zeros(total)
-            coeffs[:m] = canon.G[r]
-            rows.append(LpRow(coeffs, "<=", canon.h[r]))
-        lps.append(LinearProgram(objective=objective, rows=tuple(rows), bounds=bounds))
+        A = np.zeros((rhs.size, objective.size))
+        A[0, head:] = 1.0
+        A[0, i if coupled else 0] = -1.0
+        A[1:, :head] = canon.G[:, blocks[i]]
+        lower = np.concatenate([canon.lower[blocks[i]], np.zeros(values.size)])
+        upper = np.concatenate([canon.upper[blocks[i]], np.ones(values.size)])
+        lps.append(LinearProgram(objective, Constraints(A, ("<=",) * rhs.size, rhs, lower, upper)))
     return gap_solution(
         ModelKind.RLO_CCU_DG, solve_lp_batch(lps), surplus, canon.lower, blocks, lambda values: values,
         lambda i, gamma: realized_row_cardinality(

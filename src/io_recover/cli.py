@@ -31,10 +31,6 @@ def _cmd_solve(args):
         omega=bundle.omega,
         prior=bundle.prior,
     )
-    for entry in report.entries:
-        if entry.level != "pass":
-            rows = f" rows {list(entry.rows)}" if entry.rows else ""
-            _err(f"{entry.level}: {entry.check}{rows}: {entry.message}")
     solution = solve(
         bundle.model,
         bundle.problem,
@@ -43,6 +39,11 @@ def _cmd_solve(args):
         omega=bundle.omega,
         prior=bundle.prior,
     )
+    # reported once the solve has not raised, so a rejected input gets one line
+    for entry in report.entries:
+        if entry.level != "pass":
+            rows = f" rows {list(entry.rows)}" if entry.rows else ""
+            _err(f"{entry.level}: {entry.check}{rows}: {entry.message}")
     cert = None
     if solution.status in (Status.OPTIMAL, Status.TRIVIAL_DETECTED):
         cert = verify.check_certificate(

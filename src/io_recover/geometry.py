@@ -31,13 +31,31 @@ def sgn(x):
     return np.where(np.asarray(x, dtype=float) >= 0.0, 1.0, -1.0)
 
 
+def _plain_l2(x):
+    """np.linalg.norm(x), computed the same way (x.ravel(order="K") dotted
+    with itself) but by np.vdot, which returns inf on overflow without a
+    warning."""
+    v = x.ravel(order="K")
+    return math.sqrt(np.vdot(v, v))
+
+
+def _l2_norm(x):
+    """||x||_2, rescaled by the largest |x_k| when x . x overflows."""
+    nv = _plain_l2(x)
+    if nv == math.inf:
+        big = float(np.max(np.abs(x)))
+        if big < math.inf:
+            nv = big * _plain_l2(x / big)
+    return nv
+
+
 def dual_norm(x, norm):
     """max over ||v|| = 1 of x'v: L1 -> max|x_k|, L2 -> ||x||_2, Linf -> sum|x_k|."""
     x = np.asarray(x, dtype=float)
     if norm == NormKind.L1:
         return float(np.max(np.abs(x))) if x.size else 0.0
     if norm == NormKind.L2:
-        return float(np.linalg.norm(x))
+        return _l2_norm(x)
     if norm == NormKind.LINF:
         return float(np.sum(np.abs(x)))
     raise PreconditionError(f"unknown norm {norm!r}")
@@ -49,7 +67,7 @@ def norm_value(x, norm):
     if norm == NormKind.L1:
         return float(np.sum(np.abs(x)))
     if norm == NormKind.L2:
-        return float(np.linalg.norm(x))
+        return _l2_norm(x)
     if norm == NormKind.LINF:
         return float(np.max(np.abs(x))) if x.size else 0.0
     raise PreconditionError(f"unknown norm {norm!r}")
@@ -65,10 +83,10 @@ def dual_norm_maximizer(x, norm):
     if not np.any(x != 0.0):
         raise ZeroVectorError("dual_norm_maximizer requires a nonzero vector")
     if norm == NormKind.L2:
-        nv = np.linalg.norm(x)
-        if nv < 1e-150:  # x . x is subnormal or zero: rescale by the largest entry first
+        nv = _plain_l2(x)
+        if nv < 1e-150 or nv == math.inf:  # x . x underflows or overflows: rescale by the largest entry first
             x = x / np.max(np.abs(x))
-            nv = np.linalg.norm(x)
+            nv = _plain_l2(x)
         return x / nv
     if norm == NormKind.L1:
         k = int(np.argmax(np.abs(x)))

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import PreconditionError, UnsupportedNormError
 from .geometry import NormKind, realized_row_interval
-from .lp import LinearProgram, LpRow, LpStatus, solve_lp_batch
+from .lp import Constraints, LinearProgram, LpStatus, solve_lp_batch
 from .model import (
     InverseSolution,
     ModelKind,
@@ -84,18 +84,17 @@ def solve_rlo_iu_dg(problem, x_hat, structure, omega):
     weight = np.abs(x[key_cols])
     own = key_rows == np.arange(m)[:, None]  # own[i, k]: key k is a magnitude of row i
     if canon.G.shape[0]:
-        rows = [LpRow(np.where(own[i], weight, 0.0), "<=", surplus[i]) for i in range(m)]
-        rows = tuple(rows + [LpRow(canon.G[r], "<=", canon.h[r]) for r in range(canon.G.shape[0])])
-        bounds = tuple(zip(canon.lower, canon.upper))
-        lps = [LinearProgram(objective=np.where(own[i], -weight, 0.0), rows=rows, bounds=bounds) for i in range(m)]
+        constraints = Constraints(
+            np.vstack([np.where(own, weight, 0.0), canon.G]), ("<=",) * (m + canon.G.shape[0]),
+            np.concatenate([surplus, canon.h]), canon.lower, canon.upper,
+        )
+        lps = [LinearProgram(np.where(own[i], -weight, 0.0), constraints) for i in range(m)]
         blocks = [slice(None)] * m
     else:
         blocks = own
         lps = [
             LinearProgram(
-                objective=-weight[b],
-                rows=(LpRow(weight[b], "<=", surplus[i]),),
-                bounds=tuple(zip(canon.lower[b], canon.upper[b])),
+                -weight[b], Constraints(weight[None, b], ("<=",), surplus[[i]], canon.lower[b], canon.upper[b])
             )
             for i, b in enumerate(own)
         ]
@@ -116,15 +115,11 @@ def _activation_lp(load, center, target, weight, norm):
     """
     k = load.size
     dev = -np.eye(k) if norm == NormKind.L1 else -np.ones((k, 1))
-    up = np.hstack([np.eye(k), dev])
-    down = np.hstack([-np.eye(k), dev])
-    rows = []
-    for j in range(k):
-        rows.append(LpRow(up[j], "<=", center[j]))
-        rows.append(LpRow(down[j], "<=", -center[j]))
-    rows.append(LpRow(np.concatenate([load, np.zeros(dev.shape[1])]), "=", target))
+    bands = np.stack([np.hstack([np.eye(k), dev]), np.hstack([-np.eye(k), dev])], axis=1)  # up_j, down_j
+    A = np.vstack([bands.reshape(2 * k, -1), np.concatenate([load, np.zeros(dev.shape[1])])])
+    rhs = np.append(np.column_stack([center, -center]), target)
     objective = np.concatenate([np.zeros(k), np.full(dev.shape[1], weight)])
-    return LinearProgram(objective=objective, rows=tuple(rows), bounds=((0.0, None),) * objective.size)
+    return LinearProgram(objective, Constraints(A, ("<=",) * (2 * k) + ("=",), rhs, np.zeros(objective.size)))
 
 
 def solve_rlo_iu_sd(problem, x_hat, structure, prior):

@@ -10,12 +10,13 @@ The same map builds the rows and the cost and maps solutions and rays
 back.  One pivot routine serves both phases and the drive-out of
 artificial columns.
 
-Phase 1 and the drive-out never read the objective, so a batch runs them
-once per run of consecutive LPs over the same rows and bounds, and each
-LP's phase 2 starts from a copy of that tableau (reoptimization after an
-objective change).  The dual is read from the final tableau: the initial
-basis is a +1 identity, so its columns hold the row operations applied,
-and y = c_B T[:, initial basis].
+Phase 1 and the drive-out never read the objective, so LPs that share
+one `Constraints` object share a start: a batch runs them once per run
+of consecutive LPs over that object, and each LP's phase 2 starts from a
+copy of that tableau (reoptimization after an objective change).  The
+dual is read from the final tableau: the initial basis is a +1 identity,
+so its columns hold the row operations applied, and
+y = c_B T[:, initial basis].
 
 Tolerances: feasibility 1e-9, reduced cost 1e-9, pivot floor 1e-12.
 """
@@ -39,64 +40,68 @@ _SENSES = (GE, LE, EQ)
 _FLIPPED = {GE: LE, LE: GE, EQ: EQ}
 
 
-@dataclass(frozen=True)
-class LpRow:
-    coeffs: np.ndarray
-    sense: str
-    rhs: float
+@dataclass(frozen=True, eq=False)
+class Constraints:
+    """The feasible set of an LP: A x (sense) rhs and lower <= x <= upper.
+
+    A is k x p (k may be 0) and sense holds one of ">=", "<=", "=" per
+    row.  lower and upper are length-p vectors in which -inf / +inf mean
+    absent; None stands for a vector of them.  LPs that hold the same
+    object share one start in `solve_lp_batch`, so its arrays must not
+    change once it is built.
+    """
+
+    A: np.ndarray
+    sense: tuple
+    rhs: np.ndarray
+    lower: np.ndarray = None
+    upper: np.ndarray = None
 
     def __post_init__(self):
-        object.__setattr__(self, "coeffs", np.asarray(self.coeffs, dtype=float))
-        object.__setattr__(self, "rhs", float(self.rhs))
-        if self.sense not in _SENSES:
-            raise DimensionError("sense", f"unknown row sense {self.sense!r}")
-        if not np.all(np.isfinite(self.coeffs)) or not math.isfinite(self.rhs):
-            raise DimensionError("rows", "row coefficients must be finite")
+        A = np.asarray(self.A, dtype=float)
+        if A.ndim != 2:
+            raise DimensionError("A", f"must be a k x p matrix, got shape {A.shape}")
+        k, p = A.shape
+        lower = np.full(p, -np.inf) if self.lower is None else np.asarray(self.lower, dtype=float)
+        upper = np.full(p, np.inf) if self.upper is None else np.asarray(self.upper, dtype=float)
+        rhs, sense = np.asarray(self.rhs, dtype=float), tuple(self.sense)
+        for name, value in (("A", A), ("sense", sense), ("rhs", rhs), ("lower", lower), ("upper", upper)):
+            object.__setattr__(self, name, value)
+        if len(sense) != k or not set(sense) <= set(_SENSES):
+            raise DimensionError("sense", f"needs one of {_SENSES} for each of {k} rows, got {sense!r}")
+        if rhs.shape != (k,) or not (np.isfinite(A).all() and np.isfinite(rhs).all()):
+            raise DimensionError("rows", f"needs finite coefficients and {k} finite right-hand sides")
+        if lower.shape != (p,) or upper.shape != (p,):
+            raise DimensionError("bounds", f"needs {p} lower and {p} upper bounds")
+        ok = (lower < np.inf) & (upper > -np.inf) & (lower <= upper + FEAS_TOL)
+        if not ok.all():
+            j = int(ok.argmin())
+            reason = "crossed, NaN or an infinity on the wrong side"
+            raise DimensionError("bounds", f"variable {j} has bounds ({lower[j]}, {upper[j]}): {reason}")
+
+    @property
+    def num_vars(self):
+        return self.A.shape[1]
 
 
 @dataclass(frozen=True)
 class LinearProgram:
-    """Minimize objective . x subject to the rows and per-variable bounds.
-
-    bounds is a sequence of (lower, upper) with None (or -inf / +inf) for
-    absent; default is free variables.  They are stored as floats or None.
-    """
+    """Minimize objective . x over a feasible set (`Constraints`)."""
 
     objective: np.ndarray
-    rows: tuple
-    bounds: tuple = None
+    constraints: Constraints
 
     def __post_init__(self):
         obj = np.asarray(self.objective, dtype=float)
-        if obj.ndim != 1:
-            raise DimensionError("objective", "must be a vector")
-        if not np.all(np.isfinite(obj)):
+        if obj.shape != (self.constraints.num_vars,):
+            raise DimensionError("objective", f"must be a vector of {self.constraints.num_vars} coefficients")
+        if not np.isfinite(obj).all():
             raise DimensionError("objective", "must be finite")
         object.__setattr__(self, "objective", obj)
-        rows = tuple(r if isinstance(r, LpRow) else LpRow(*r) for r in self.rows)
-        for k, r in enumerate(rows):
-            if r.coeffs.shape != obj.shape:
-                raise DimensionError("rows", f"row {k} has {r.coeffs.size} coefficients, expected {obj.size}")
-        object.__setattr__(self, "rows", rows)
-        if self.bounds is not None:
-            bounds = tuple(self.bounds)
-            if len(bounds) != obj.size:
-                raise DimensionError("bounds", f"{len(bounds)} bound pairs for {obj.size} variables")
-            object.__setattr__(self, "bounds", tuple(_bound_pair(k, lo, hi) for k, (lo, hi) in enumerate(bounds)))
 
     @property
     def num_vars(self):
         return self.objective.size
-
-
-def _bound_pair(k, lo, hi):
-    lo = -math.inf if lo is None else float(lo)
-    hi = math.inf if hi is None else float(hi)
-    if not (lo < math.inf and hi > -math.inf):
-        raise DimensionError("bounds", f"variable {k} has bounds ({lo}, {hi}): NaN or an infinity on the wrong side")
-    if lo > hi + FEAS_TOL:
-        raise DimensionError("bounds", f"variable {k} has lower {lo} > upper {hi}")
-    return (lo if lo > -math.inf else None), (hi if hi < math.inf else None)
 
 
 class LpStatus(str, Enum):
@@ -130,37 +135,37 @@ class _Std:
     slack, surplus and artificial columns follow the variable columns in
     row order; `structural` marks every column but the artificials.  The
     initial basis (one slack or artificial per row) is a +1 identity.  The
-    form reads no objective, so it serves every LP over the same rows and
-    bounds; `cost` maps each LP's objective onto its columns.
+    form reads no objective, so it serves every LP over the same
+    constraints; `cost` maps each LP's objective onto its columns.
     """
 
-    def __init__(self, lp):
-        p = lp.num_vars
-        bounds = lp.bounds if lp.bounds is not None else ((None, None),) * p
-        owner, sign, range_col, range_cap = [], [], [], []
-        self.offset = np.zeros(p)
-        for k, (lo, hi) in enumerate(bounds):
-            if lo is None and hi is None:
+    def __init__(self, cons):
+        p = cons.num_vars
+        owner, sign, offset, range_col, range_cap = [], [], [], [], []
+        for k, (lo, hi) in enumerate(zip(cons.lower.tolist(), cons.upper.tolist())):
+            if lo == -math.inf and hi == math.inf:
                 owner += [k, k]
                 sign += [1.0, -1.0]
+                offset.append(0.0)
                 continue
-            if hi is not None and lo is not None:
+            if lo > -math.inf and hi < math.inf:
                 range_col.append(len(owner))
                 range_cap.append(hi - lo)
             owner.append(k)
-            sign.append(1.0 if lo is not None else -1.0)
-            self.offset[k] = lo if lo is not None else hi
+            sign.append(1.0 if lo > -math.inf else -1.0)
+            offset.append(lo if lo > -math.inf else hi)
         self.owner = np.array(owner, dtype=np.intp)
         self.sign = np.array(sign)
+        self.offset = np.array(offset)
         nvar = self.owner.size
 
-        R = np.array([r.coeffs for r in lp.rows]).reshape(len(lp.rows), p)
+        R = cons.A
         # Summed left to right as a scalar loop would; a BLAS dot can change
         # the last bits of b and with them the pivots.
         shift = np.add.accumulate(R * self.offset, axis=1)[:, -1] if p else 0.0
-        b = np.array([r.rhs for r in lp.rows]) - shift
+        b = cons.rhs - shift
         self.row_sign = np.where(b < 0.0, -1.0, 1.0)
-        senses = [_FLIPPED[r.sense] if s < 0.0 else r.sense for r, s in zip(lp.rows, self.row_sign)]
+        senses = [_FLIPPED[sense] if s < 0.0 else sense for sense, s in zip(cons.sense, self.row_sign)]
         senses += [LE] * len(range_col)
 
         extra_row, extra_val, self.basis = [], [], []
@@ -237,13 +242,13 @@ def _simplex(T, basis, cost, allowed, degen_limit):
 
 class _Start:
     """The objective-free start of a solve, shared by every LP over the
-    same rows and bounds: the equality form, phase 1 and the drive-out of
+    same constraints: the equality form, phase 1 and the drive-out of
     leftover artificials.  The artificial columns stay in the tableau T,
     since the dual is read from the initial-basis columns.
     """
 
-    def __init__(self, lp):
-        std = self.std = _Std(lp)
+    def __init__(self, constraints):
+        std = self.std = _Std(constraints)
         T = np.hstack([std.A, std.b.reshape(-1, 1)])
         basis = list(std.basis)
         kept = np.arange(std.m)
@@ -277,7 +282,7 @@ class _Start:
 
 
 def _phase_two(start, lp):
-    """Solve lp, whose rows and bounds are those start was built from."""
+    """Solve lp, whose constraints are those start was built from."""
     if start.infeasibility is not None:
         return LpOutcome(status=LpStatus.INFEASIBLE, infeasibility=start.infeasibility)
     std = start.std
@@ -311,24 +316,14 @@ def _phase_two(start, lp):
         status=LpStatus.OPTIMAL,
         solution=x,
         value=float(lp.objective @ x),
-        dual=std.row_sign * y[: len(lp.rows)],
+        dual=std.row_sign * y[: std.row_sign.size],
         kkt_residuals=kkt,
     )
 
 
 def solve_lp(lp):
     """Solve one dense LP; deterministic for identical inputs."""
-    return _phase_two(_Start(lp), lp)
-
-
-def _same_constraints(a, b):
-    """Whether LPs a and b have the same rows (the same LpRow objects) and bounds."""
-    return (
-        a.num_vars == b.num_vars
-        and len(a.rows) == len(b.rows)
-        and all(r is s for r, s in zip(a.rows, b.rows))
-        and a.bounds == b.bounds
-    )
+    return _phase_two(_Start(lp.constraints), lp)
 
 
 def _guarded(step, *args):
@@ -341,14 +336,14 @@ def _guarded(step, *args):
 def solve_lp_batch(lps):
     """Solve a list of LPs, outcomes in input order; one failure never aborts the rest.
 
-    Each run of consecutive LPs over the same rows and bounds shares one
-    start (equality form, phase 1, drive-out), so a failure there fails
-    every LP of the run, as solving them one by one would.
+    Each run of consecutive LPs that hold the same `Constraints` object
+    shares one start (equality form, phase 1, drive-out), so a failure
+    there fails every LP of the run, as solving them one by one would.
     """
-    outcomes, previous = [], None
+    outcomes, shared = [], None
     for lp in lps:
-        if previous is None or not _same_constraints(previous, lp):
-            start = _guarded(_Start, lp)
-        previous = lp
+        if lp.constraints is not shared:
+            shared = lp.constraints
+            start = _guarded(_Start, shared)
         outcomes.append(start if isinstance(start, LpOutcome) else _guarded(_phase_two, start, lp))
     return outcomes

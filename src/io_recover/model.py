@@ -505,12 +505,15 @@ def gap_solution(model, outcomes, offset, lower, blocks, shape, realize, infeasi
     `shape` turns a parameter vector into the imputed block, `realize(i,
     imputed)` gives the cost vector with row i active, and `zero_row(imputed)`
     reports a vanishing imputed row.  The active row is `active_row(t,
-    |offset| + |value|)`.  An unbounded LP makes the gap unbounded; an
-    infeasible one makes the model infeasible, with `infeasible_message`
-    (which may cite `{infeasibility}`, phase 1's figure).
+    |offset| + |value|)`.  An infeasible LP makes the model infeasible,
+    with `infeasible_message` (which may cite `{infeasibility}`, phase 1's
+    figure).  An unbounded LP makes the gap unbounded, but only a numerical
+    failure of the LP engine can report one (see below).
     """
-    # only nlo-dg's LPs can be unbounded, and they share one feasible set:
-    # either all of them are infeasible or none is
+    # LP i holds row i's own constraint, which bounds its objective below
+    # (nlo-dg: x . a_i >= b_i; rlo-iu-dg: |x_J| . alpha_i <= surplus_i;
+    # rlo-ccu-dg: each allocation in [0, 1]), so in exact arithmetic no gap
+    # LP is unbounded; an engine that says otherwise is reported, ray and all
     for i, out in enumerate(raise_on_failure(outcomes)):
         if out.status == LpStatus.UNBOUNDED:
             return InverseSolution(

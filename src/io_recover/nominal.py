@@ -11,7 +11,7 @@ import numpy as np
 from . import verify
 from .errors import ZeroObservationError
 from .geometry import project_halfspace, project_hyperplane
-from .lp import LinearProgram, LpRow, solve_lp_batch
+from .lp import Constraints, LinearProgram, solve_lp_batch
 from .model import (
     ZERO_TOL,
     ForwardProblem,
@@ -57,11 +57,12 @@ def solve_nlo_dg(problem, x_hat, omega):
         )
 
     own = np.array([key[1] for key in keys]) == np.arange(m)[:, None]  # own[i, k]: key k is in row i
-    load = np.tile(x, m)
-    rows = [LpRow(np.where(own[i], load, 0.0), ">=", problem.b[i]) for i in range(m)]
-    rows = tuple(rows + [LpRow(canon.G[r], "<=", canon.h[r]) for r in range(canon.G.shape[0])])
-    bounds = tuple(zip(canon.lower, canon.upper))
-    lps = [LinearProgram(objective=np.where(own[i], load, 0.0), rows=rows, bounds=bounds) for i in range(m)]
+    loads = np.where(own, np.tile(x, m), 0.0)  # loads[i] . a = a_i . x
+    constraints = Constraints(
+        np.vstack([loads, canon.G]), (">=",) * m + ("<=",) * canon.G.shape[0],
+        np.concatenate([problem.b, canon.h]), canon.lower, canon.upper,
+    )
+    lps = [LinearProgram(loads[i], constraints) for i in range(m)]
     return gap_solution(
         ModelKind.NLO_DG, solve_lp_batch(lps), -problem.b, canon.lower, [slice(None)] * m,
         lambda values: values.reshape(m, n), lambda i, A: A[i].copy(),

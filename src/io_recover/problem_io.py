@@ -181,6 +181,8 @@ def parse_problem(doc):
                     raise ProblemFileError(
                         "uncertain_columns", f"row {i + 1}: column {j!r} outside 1..{n}"
                     )
+                if j - 1 in cols:
+                    raise ProblemFileError("uncertain_columns", f"row {i + 1}: column {j} listed twice")
                 cols.append(j - 1)
             sets.append(tuple(cols))
         sets = tuple(sets)
@@ -198,8 +200,10 @@ def parse_problem(doc):
                 raise ProblemFileError(
                     "alpha", f"row {i + 1} must list one number per uncertain column"
                 )
-            for j, val in zip(sets[i], row):
-                alpha_rows[i, j] = float(val)
+            try:
+                alpha_rows[i, list(sets[i])] = row
+            except OverflowError:
+                raise ProblemFileError("alpha", "number out of range") from None
 
     if model.family == "nlo":
         structure = UncertaintyStructure.nominal()

@@ -173,6 +173,8 @@ def region_polylines(bundle, solution=None, bbox=(-8.0, -8.0, 8.0, 8.0)):
     if problem.n != 2:
         raise DimensionError("x_hat", f"region extraction needs n = 2, got n = {problem.n}")
     x0, y0, x1, y1 = (float(v) for v in bbox)
+    if not np.all(np.isfinite([x0, y0, x1, y1, x1 - x0, y1 - y0])):
+        raise DimensionError("bbox", "entries, width and height must be finite")
     if not (x0 < x1 and y0 < y1):
         raise DimensionError("bbox", "expected x0 < x1 and y0 < y1")
     box = (x0, y0, x1, y1)

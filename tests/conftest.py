@@ -55,13 +55,13 @@ def calls(monkeypatch):
 
 @pytest.fixture
 def std_builds(monkeypatch):
-    """The LPs the engine builds an equality form (lp._Std) from, in order."""
+    """The Constraints the engine builds an equality form (lp._Std) from, in order."""
     built = []
     real = lp_mod._Std
 
-    def counting(lp):
-        built.append(lp)
-        return real(lp)
+    def counting(constraints):
+        built.append(constraints)
+        return real(constraints)
 
     monkeypatch.setattr(lp_mod, "_Std", counting)
     return built

@@ -15,8 +15,8 @@ import gen
 from conftest import record_acceptance
 from io_recover import (
     ForwardProblem,
+    Constraints,
     LinearProgram,
-    LpRow,
     NormKind,
     Status,
     check_certificate,
@@ -328,11 +328,7 @@ def test_criterion_12():
         surplus = float(rng.uniform(0, total)) if total > 0 else 0.0
         prob = ForwardProblem(A=a.reshape(1, -1), b=[float(a @ x) - surplus])
         res = gamma_bar(prob, alpha, tuple(range(n)), x, 0)
-        lp = LinearProgram(
-            objective=np.ones(n),
-            rows=(LpRow(values, "=", surplus),),
-            bounds=((0.0, 1.0),) * n,
-        )
+        lp = LinearProgram(np.ones(n), Constraints([values], ("=",), [surplus], np.zeros(n), np.ones(n)))
         out = solve_lp(lp)
         assert res.lower == pytest.approx(out.value, abs=1e-7)
 

@@ -123,7 +123,7 @@ class TestCcuDg:
             assert sol.status in (Status.OPTIMAL, Status.TRIVIAL_DETECTED)
             assert calls["lp_solve"] == problem.m
             assert [lp.num_vars for lp in std_builds] == [1 + len(s) for s in structure.sets]
-            assert all(len(lp.rows) == 1 for lp in std_builds)
+            assert all(lp.A.shape[0] == 1 for lp in std_builds)
 
     def test_zero_budgets_give_min_surplus(self):
         case = example_case(5)

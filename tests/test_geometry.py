@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from conftest import knapsack_continuous
 from io_recover import (
     ForwardProblem,
+    Constraints,
     LinearProgram,
-    LpRow,
     NormKind,
     PreconditionError,
     ZeroVectorError,
@@ -63,6 +63,14 @@ class TestDualNorm:
             v = dual_norm_maximizer(x, NormKind.L2)
             assert norm_value(v, NormKind.L2) == pytest.approx(1.0, abs=1e-15)
             assert np.all(np.sign(v) == np.sign(x))
+
+    def test_l2_of_huge_vector_is_finite(self):
+        # x . x overflows past ~1.3e154, where the plain norm reads inf
+        for scale in (1e160, 1e200, 1e300):
+            x = np.array([3.0, -4.0]) * scale
+            assert dual_norm(x, NormKind.L2) == pytest.approx(5.0 * scale, rel=1e-15)
+            assert norm_value(x, NormKind.L2) == pytest.approx(5.0 * scale, rel=1e-15)
+            assert dual_norm_maximizer(x, NormKind.L2) == pytest.approx([0.6, -0.8], rel=1e-15)
 
     @given(x=vectors, pick=st.integers(0, 2))
     @settings(max_examples=200, deadline=None)
@@ -231,11 +239,7 @@ class TestProtectionAndKnapsack:
             budget = float(rng.uniform(0, k))
             direct = protection_value(alpha, budget, tuple(range(k)), x)
             values = alpha * np.abs(x)
-            lp = LinearProgram(
-                objective=-values,
-                rows=(LpRow(np.ones(k), "<=", budget),),
-                bounds=((0.0, 1.0),) * k,
-            )
+            lp = LinearProgram(-values, Constraints([np.ones(k)], ("<=",), [budget], np.zeros(k), np.ones(k)))
             out = solve_lp(lp)
             assert direct == pytest.approx(-out.value, abs=1e-8)
 
@@ -330,11 +334,7 @@ class TestGammaBar:
             prob = ForwardProblem(A=a.reshape(1, -1), b=[b])
             res = gamma_bar(prob, alpha, cols, x, 0)
             assert res.kind in ("unique", "interval")
-            lp = LinearProgram(
-                objective=np.ones(n),
-                rows=(LpRow(values, "=", surplus),),
-                bounds=((0.0, 1.0),) * n,
-            )
+            lp = LinearProgram(np.ones(n), Constraints([values], ("=",), [surplus], np.zeros(n), np.ones(n)))
             out = solve_lp(lp)
             assert out.status.value == "optimal"
             assert res.lower == pytest.approx(out.value, abs=1e-7)

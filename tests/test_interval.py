@@ -5,8 +5,8 @@ import gen
 from io_recover import (
     DimensionError,
     ForwardProblem,
+    Constraints,
     LinearProgram,
-    LpRow,
     LpStatus,
     ModelKind,
     NormKind,
@@ -45,15 +45,17 @@ def joint_t(problem, x, structure, prior):
             row = np.zeros(p + epi)
             row[k] = sign
             row[p + (k if l1 else i)] = -1.0
-            base.append(LpRow(row, "<=", sign * prior.estimates[i, j]))
+            base.append((row, sign * prior.estimates[i, j]))
     load = np.zeros((m, p + epi))
     for k, (i, j) in enumerate(keys):
         load[i, k] = abs(x[j])
     surplus = problem.surplus(x)
+    A = np.vstack([row for row, _ in base] + [load])
+    rhs = [r for _, r in base] + list(surplus)
     t = np.full(m, np.inf)
     for target in range(m):
-        rows = base + [LpRow(load[i], "=" if i == target else "<=", surplus[i]) for i in range(m)]
-        out = solve_lp(LinearProgram(objective, tuple(rows), ((0.0, None),) * (p + epi)))
+        sense = ("<=",) * len(base) + tuple("=" if i == target else "<=" for i in range(m))
+        out = solve_lp(LinearProgram(objective, Constraints(A, sense, rhs, np.zeros(p + epi))))
         if out.status == LpStatus.OPTIMAL:
             t[target] = out.value
     return t
@@ -121,7 +123,7 @@ class TestIuDg:
             assert sol.status in (Status.OPTIMAL, Status.TRIVIAL_DETECTED)
             assert calls["lp_solve"] == problem.m
             assert [lp.num_vars for lp in std_builds] == [len(s) for s in structure.sets]
-            assert all(len(lp.rows) == 1 for lp in std_builds)
+            assert all(lp.A.shape[0] == 1 for lp in std_builds)
 
     def test_empty_uncertain_set_rejected(self):
         prob = ForwardProblem(A=[[1.0, 0.0], [0.0, 1.0]], b=[0.0, 0.0])
@@ -318,7 +320,7 @@ class TestIuSd:
             assert len(seen) == problem.m
             for i, lp in enumerate(seen):
                 size = len(structure.sets[i])
-                assert len(lp.rows) <= 2 * size + 1, (norm, i, len(lp.rows))
+                assert lp.constraints.A.shape[0] <= 2 * size + 1, (norm, i, lp.constraints.A.shape)
                 assert lp.num_vars <= 2 * size, (norm, i, lp.num_vars)
 
     @pytest.mark.parametrize("variant", ["plain", "l1-weights", "linf-weights"])

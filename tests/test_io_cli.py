@@ -1,8 +1,14 @@
+import contextlib
+import copy
+import io
 import json
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import io_recover
 from io_recover import DimensionError, ProblemFileError, cli, problem_io
@@ -156,6 +162,18 @@ class TestCliSolve:
         assert err.count("\n") == 1 and "alpha[1][1]" in err
         assert not out.exists()
 
+    def test_solver_rejection_prints_one_line(self, tmp_path, capsys):
+        # without its prior, fixture 4 (rlo-iu-sd) falls back to an l2 prior,
+        # which validation flags and the solver rejects: one line, not three
+        doc = _load(FIXTURES / "example4.json")
+        del doc["prior"]
+        src = tmp_path / "problem.json"
+        src.write_text(json.dumps(doc))
+        out = tmp_path / "solution.json"
+        assert cli.main(["solve", "--input", str(src), "--output", str(out)]) == 1
+        assert capsys.readouterr().err == "deviation recovery under strong duality supports l1 and linf priors only\n"
+        assert not out.exists()
+
     def test_malformed_json_exits_1(self, tmp_path, capsys):
         src = tmp_path / "broken.json"
         src.write_text("{ not json")
@@ -276,6 +294,13 @@ class TestCliRegions:
         ) == 1
         assert capsys.readouterr().err == "bbox needs 4 numbers, got 3\n"
         assert not out.exists()
+        # an infinite entry, and finite entries whose width and height overflow
+        for bbox in ("-inf,-8,8,8", "-1e308,-1e308,1e308,1e308"):
+            assert cli.main(
+                ["regions", "--input", str(FIXTURES / "example4.json"), f"--bbox={bbox}", "--output", str(out)]
+            ) == 1
+            assert capsys.readouterr().err == "bbox: entries, width and height must be finite\n"
+            assert not out.exists()
 
     def test_not_plottable_dimension_exits_1(self, tmp_path):
         doc = _load(FIXTURES / "example2.json")
@@ -293,6 +318,12 @@ class TestCliRegions:
 def _set(field, value):
     def mutate(doc):
         doc[field] = value
+    return mutate
+
+
+def _update(**fields):
+    def mutate(doc):
+        doc.update(fields)
     return mutate
 
 
@@ -366,6 +397,16 @@ MALFORMED_PROBLEMS = {
     "boolean in prior.xi": (2, "prior.xi", _set_in("prior", "xi", [1.0, True, 1.0])),
     "string in a budget prior": (6, "prior.estimates", _poke("prior", "estimates", 0, value="0.2")),
     "integer beyond any float": (1, "b", _poke("b", 0, value=-(10**400))),
+    "magnitude beyond any float": (5, "alpha", _poke("alpha", 2, 1, value=10**400)),
+    # a column named twice would pair two magnitudes with one coefficient and keep only the last
+    "budget row naming a column twice": (
+        6, "uncertain_columns",
+        _update(uncertain_columns=[[1, 1], [2], [1, 2]], alpha=[[2.5, 0.9], [0.5], [2.0, 1.0]]),
+    ),
+    "interval row naming a column twice": (
+        4, "uncertain_columns",
+        _update(uncertain_columns=[[1], [2, 2], [1, 2]], alpha=[[0.5], [0.5, 0.7], [1.0, 0.0]]),
+    ),
 }
 
 
@@ -381,3 +422,72 @@ def test_malformed_problem_exits_1(tmp_path, capsys, case):
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith(f"{field}: ") and "Traceback" not in err
     assert not out.exists()
+
+
+# Structural fuzzing of the documents the command line reads: each example
+# drops one key or element, swaps one value for another JSON type, or
+# truncates, extends or nests one list, in a fixture or in a solution.
+_SWAPS = st.sampled_from(["x", True, None, {}, [], [[]], 10**400]) | st.integers(-10**6, -1)
+
+
+def _paths(node, prefix=()):
+    """Every path to a value inside a JSON document, the root excluded."""
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, value in items:
+        yield prefix + (key,)
+        yield from _paths(value, prefix + (key,))
+
+
+@pytest.fixture(scope="module")
+def front_door_documents():
+    problems = [_load(FIXTURES / f"example{k}.json") for k in range(1, 9)]
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "solution.json"
+        assert cli.main(["solve", "--input", str(FIXTURES / "example3.json"), "--output", str(out)]) == 0
+        return problems, _load(out)
+
+
+def _run(argv):
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, err.getvalue()
+
+
+@given(data=st.data())
+@settings(derandomize=True, max_examples=150, deadline=None)
+def test_mutated_documents_exit_cleanly(front_door_documents, data):
+    problems, solution = front_door_documents
+    target = data.draw(st.integers(0, len(problems)), label="document")  # the last one is the solution
+    doc = copy.deepcopy(problems[target] if target < len(problems) else solution)
+    path = data.draw(st.sampled_from(list(_paths(doc))), label="path")
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    key, value = path[-1], parent[path[-1]]
+    action = data.draw(st.sampled_from(["drop", "swap", "truncate", "extend", "nest"]), label="action")
+    if action == "drop":
+        del parent[key]
+    elif action == "swap" or not isinstance(value, list):
+        parent[key] = data.draw(_SWAPS, label="value")
+    elif action == "truncate":
+        del value[data.draw(st.integers(0, max(len(value) - 1, 0)), label="length"):]
+    elif action == "extend":
+        value.append(copy.deepcopy(value[-1]) if value else data.draw(st.floats(-1e6, 1e6), label="entry"))
+    else:
+        parent[key] = [value]
+    with tempfile.TemporaryDirectory() as tmp:
+        mutated, out = Path(tmp) / "mutated.json", Path(tmp) / "out.json"
+        mutated.write_text(json.dumps(doc))
+        if target < len(problems):
+            runs = [["solve", "--input", str(mutated), "--output", str(out)],
+                    ["regions", "--input", str(mutated), "--bbox=-8,-8,8,8", "--output", str(out)]]
+        else:
+            problem = str(FIXTURES / "example3.json")
+            runs = [["verify", "--input", problem, "--solution", str(mutated)],
+                    ["regions", "--input", problem, "--solution", str(mutated), "--bbox=-8,-8,8,8",
+                     "--output", str(out)]]
+        for argv in runs:
+            code, err = _run(argv)
+            assert code in (0, 1, 2, 3), (argv[0], path, action, code)
+            assert code != 1 or err.count("\n") == 1, (argv[0], path, action, err)

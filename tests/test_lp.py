@@ -3,9 +3,9 @@ import pytest
 
 import io_recover.lp as lp_mod
 from io_recover import (
+    Constraints,
     DimensionError,
     LinearProgram,
-    LpRow,
     LpStatus,
     NumericalFailureError,
     solve_lp,
@@ -14,12 +14,23 @@ from io_recover import (
 from conftest import vertex_enumeration_min
 
 
+def constraints(p, rows, bounds=None):
+    """Constraints over p variables from (coeffs, sense, rhs) rows and
+    (lower, upper) bound pairs with None for absent."""
+    A = np.array([coeffs for coeffs, _, _ in rows], dtype=float).reshape(len(rows), p)
+    bounds = ((None, None),) * p if bounds is None else bounds
+    lower = [-np.inf if lo is None else lo for lo, _ in bounds]
+    upper = [np.inf if hi is None else hi for _, hi in bounds]
+    return Constraints(A, [sense for _, sense, _ in rows], [rhs for _, _, rhs in rows], lower, upper)
+
+
 def simple(objective, rows, bounds=None):
-    return LinearProgram(objective=np.asarray(objective, float), rows=tuple(rows), bounds=bounds)
+    objective = np.asarray(objective, float)
+    return LinearProgram(objective, constraints(objective.size, rows, bounds))
 
 
 def random_lp(rng, integer):
-    """(objective, rows, bounds) over free, lower-only, upper-only, two-sided
+    """(objective, Constraints) over free, lower-only, upper-only, two-sided
     and fixed bounds and all three senses; some have no rows."""
     p = int(rng.integers(1, 7))
 
@@ -36,14 +47,15 @@ def random_lp(rng, integer):
         lo = float(rng.integers(-3, 3))
         hi = lo + float(rng.integers(0, 4))
         bounds.append(((None, None), (lo, None), (None, hi), (lo, hi), (lo, lo))[kind])
-    return draw(), rows, tuple(bounds)
+    return draw(), constraints(p, rows, bounds)
 
 
 def scalar_equality_form(lp):
     """Rows, right-hand sides and cost of the equality form, and the map back
     to x, one variable and one coefficient at a time: the reference for the
     column map of lp._Std."""
-    bounds = lp.bounds or ((None, None),) * lp.num_vars
+    cons = lp.constraints
+    bounds = [(lo if lo > -np.inf else None, hi if hi < np.inf else None) for lo, hi in zip(cons.lower, cons.upper)]
     columns, ncols = [], 0  # per variable: (first column, kind, offset)
     for lo, hi in bounds:
         kind = "split" if lo is None and hi is None else ("shift" if lo is not None else "mirror")
@@ -63,9 +75,9 @@ def scalar_equality_form(lp):
         return out, shift
 
     rows, rhs = [], []
-    for r in lp.rows:
-        coeffs, shift = mapped(r.coeffs)
-        b = r.rhs - shift
+    for row, rhs_k in zip(cons.A, cons.rhs):
+        coeffs, shift = mapped(row)
+        b = rhs_k - shift
         rows.append(-coeffs if b < 0.0 else coeffs)
         rhs.append(-b if b < 0.0 else b)
     for (lo, hi), (col, _, _) in zip(bounds, columns):
@@ -134,14 +146,15 @@ class TestPaperSubproblems:
         for i in range(3):
             coeffs = np.zeros(6)
             coeffs[2 * i : 2 * i + 2] = x
-            rows.append(LpRow(coeffs, ">=", b[i]))
-        rows.append(LpRow([0, 0, 0, 2, 1, 0], "<=", 2.0))
+            rows.append((coeffs, ">=", b[i]))
+        rows.append(([0, 0, 0, 2, 1, 0], "<=", 2.0))
         bounds = ((1.0, 1.5), (0.0, 0.0), (0.0, 0.0), (2.0, 3.0), (None, -2.0), (-2.0, -0.5))
+        shared = constraints(6, rows, bounds)
         lps = []
         for i in range(3):
             objective = np.zeros(6)
             objective[2 * i : 2 * i + 2] = x
-            lps.append(LinearProgram(objective=objective, rows=tuple(rows), bounds=bounds))
+            lps.append(LinearProgram(objective, shared))
         return lps, b
 
     def test_example1_values(self):
@@ -157,13 +170,13 @@ class TestPaperSubproblems:
         rows = []
         for i in range(3):
             coeffs = np.where(owner == i, w, 0.0)
-            rows.append(LpRow(coeffs, "<=", surplus[i]))
-        rows.append(LpRow([1, 1, 1, 1], "<=", 2.5))
-        bounds = ((0.5, None),) * 4
+            rows.append((coeffs, "<=", surplus[i]))
+        rows.append(([1, 1, 1, 1], "<=", 2.5))
+        shared = constraints(4, rows, ((0.5, None),) * 4)
         lps = []
         for i in range(3):
             objective = -np.where(owner == i, w, 0.0)
-            lps.append(LinearProgram(objective=objective, rows=tuple(rows), bounds=bounds))
+            lps.append(LinearProgram(objective, shared))
         outs = solve_lp_batch(lps)
         values = [surplus[i] + out.value for i, out in enumerate(outs)]
         assert values == pytest.approx([2.0, 6.0, 1.0], abs=1e-9)
@@ -193,7 +206,7 @@ class TestOracle:
         for _ in range(120):
             objective, rows = self._random_bounded_lp(rng)
             expected, _ = vertex_enumeration_min(objective, rows)
-            out = solve_lp(simple(objective, [LpRow(*r) for r in rows]))
+            out = solve_lp(simple(objective, rows))
             if expected is None:
                 assert out.status == LpStatus.INFEASIBLE
             else:
@@ -214,7 +227,7 @@ class TestOracle:
         rng = np.random.default_rng(7)
         for _ in range(60):
             objective, rows = self._random_bounded_lp(rng)
-            out = solve_lp(simple(objective, [LpRow(*r) for r in rows]))
+            out = solve_lp(simple(objective, rows))
             if out.status == LpStatus.OPTIMAL:
                 for name, value in out.kkt_residuals.items():
                     assert value <= 1e-7, (name, value)
@@ -337,7 +350,7 @@ class TestBoundValues:
     @pytest.mark.parametrize("bound", [(-np.inf, np.inf), (None, np.inf), (-np.inf, None), (None, None)])
     def test_infinite_bound_means_absent(self, bound):
         lp = simple([1.0], [([1.0], ">=", 1.0)], bounds=(bound,))
-        assert lp.bounds == ((None, None),)
+        assert (lp.constraints.lower.tolist(), lp.constraints.upper.tolist()) == ([-np.inf], [np.inf])
         out = solve_lp(lp)
         assert out.status == LpStatus.OPTIMAL
         assert out.value == 1.0
@@ -351,17 +364,43 @@ class TestBoundValues:
 
     def test_finite_bounds_are_stored_as_floats(self):
         lp = simple([1.0, 1.0], [], bounds=((np.float64(-1.0), 2), (0, None)))
-        assert lp.bounds == ((-1.0, 2.0), (0.0, None))
-        assert all(type(v) is float for pair in lp.bounds for v in pair if v is not None)
+        assert (lp.constraints.lower.tolist(), lp.constraints.upper.tolist()) == ([-1.0, 0.0], [2.0, np.inf])
+        assert lp.constraints.lower.dtype == lp.constraints.upper.dtype == np.float64
+
+
+class TestConstraints:
+    @pytest.mark.parametrize(
+        "args, field",
+        [
+            (([1.0, 2.0], [">="], [1.0]), "A"),  # A is not a matrix
+            (([[1.0, 2.0]], [">"], [1.0]), "sense"),
+            (([[1.0, 2.0]], [">=", "<="], [1.0]), "sense"),
+            (([[1.0, 2.0]], [">="], [1.0, 2.0]), "rows"),
+            (([[1.0, np.nan]], [">="], [1.0]), "rows"),
+            (([[1.0, 2.0]], [">="], [np.inf]), "rows"),
+            (([[1.0, 2.0]], [">="], [1.0], [0.0]), "bounds"),
+            (([[1.0, 2.0]], [">="], [1.0], None, [1.0, 2.0, 3.0]), "bounds"),
+            (([[1.0, 2.0]], [">="], [1.0], [0.0, 2.0], [1.0, 1.0]), "bounds"),
+        ],
+    )
+    def test_malformed_is_rejected(self, args, field):
+        with pytest.raises(DimensionError) as info:
+            Constraints(*args)
+        assert info.value.field == field
+
+    def test_objective_must_match_the_variables(self):
+        with pytest.raises(DimensionError) as info:
+            LinearProgram([1.0], constraints(2, [([1.0, 1.0], ">=", 1.0)]))
+        assert info.value.field == "objective"
 
 
 class TestColumnMap:
     def test_matches_scalar_reference(self):
         rng = np.random.default_rng(5)
         for trial in range(300):
-            lp = simple(*random_lp(rng, integer=trial % 2 == 0))
+            lp = LinearProgram(*random_lp(rng, integer=trial % 2 == 0))
             rows, rhs, cost, to_original = scalar_equality_form(lp)
-            std = lp_mod._Std(lp)
+            std = lp_mod._Std(lp.constraints)
             nvar = cost.size
             assert np.array_equal(std.A[:, :nvar], rows), trial
             assert np.array_equal(std.b, rhs), trial
@@ -383,34 +422,41 @@ def outcomes_equal(a, b):
 
 
 class TestSharedStart:
-    """LPs over the same rows and bounds share one equality form and one phase 1."""
+    """LPs that hold the same Constraints share one equality form and one phase 1."""
 
-    ROWS_A = (LpRow([1.0, 1.0, 0.0], ">=", 1.0), LpRow([1.0, -1.0, 2.0], "=", 0.5))
-    ROWS_B = (LpRow([0.0, 1.0, 1.0], ">=", 2.0),)
+    ROWS_A = (([1.0, 1.0, 0.0], ">=", 1.0), ([1.0, -1.0, 2.0], "=", 0.5))
+    ROWS_B = (([0.0, 1.0, 1.0], ">=", 2.0),)
     BOUNDS = ((0.0, 3.0), (-1.0, None), (None, 2.0))
 
     def test_runs_share_one_equality_form(self, std_builds):
         objectives = [[1.0, 2.0, -1.0], [-1.0, 0.5, 0.0], [2.0, -1.0, 1.0], [0.0, 1.0, -3.0]]
-        rows = [self.ROWS_A, self.ROWS_A, self.ROWS_B, self.ROWS_A]
-        lps = [LinearProgram(objective=np.array(c), rows=r, bounds=self.BOUNDS) for c, r in zip(objectives, rows)]
+        set_a, set_b = constraints(3, self.ROWS_A, self.BOUNDS), constraints(3, self.ROWS_B, self.BOUNDS)
+        sets = [set_a, set_a, set_b, set_a]
+        lps = [LinearProgram(np.array(c), s) for c, s in zip(objectives, sets)]
         outs = solve_lp_batch(lps)
         assert len(std_builds) == 3
         alone = [solve_lp(lp) for lp in lps]
         assert all(outcomes_equal(a, b) for a, b in zip(outs, alone))
         assert {o.status for o in outs} == {LpStatus.OPTIMAL, LpStatus.UNBOUNDED}
 
-    def test_rows_match_by_identity_and_bounds_by_value(self, std_builds):
-        copy_a = tuple(LpRow(r.coeffs.copy(), r.sense, r.rhs) for r in self.ROWS_A)
-        bounds = tuple((lo, hi) for lo, hi in self.BOUNDS)
+    def test_constraints_match_by_identity(self, std_builds):
+        # LPs share a start iff they hold the same Constraints object: an
+        # equal but distinct object, or the same one after another, starts a
+        # new run
+        set_a = constraints(3, self.ROWS_A, self.BOUNDS)
+        copy_a = constraints(3, self.ROWS_A, self.BOUNDS)
         objective = np.array([1.0, 1.0, 1.0])
         lps = [
-            LinearProgram(objective=objective, rows=self.ROWS_A, bounds=self.BOUNDS),
-            LinearProgram(objective=-objective, rows=list(self.ROWS_A), bounds=bounds),
-            LinearProgram(objective=objective, rows=copy_a, bounds=bounds),
-            LinearProgram(objective=objective, rows=copy_a, bounds=((0.0, 1.0),) + bounds[1:]),
+            LinearProgram(objective, set_a),
+            LinearProgram(-objective, set_a),
+            LinearProgram(objective, copy_a),
+            LinearProgram(objective, copy_a),
+            LinearProgram(objective, constraints(3, self.ROWS_A, ((0.0, 1.0),) + self.BOUNDS[1:])),
+            LinearProgram(-objective, set_a),
         ]
         outs = solve_lp_batch(lps)
-        assert len(std_builds) == 3
+        built = [set_a, copy_a, lps[4].constraints, set_a]
+        assert len(std_builds) == len(built) and all(c is d for c, d in zip(std_builds, built))
         assert all(outcomes_equal(a, solve_lp(lp)) for a, lp in zip(outs, lps))
 
     def test_no_rows_and_free_bounds_still_split_by_size(self, std_builds):
@@ -419,9 +465,8 @@ class TestSharedStart:
         assert [o.solution.size for o in outs] == [1, 2]
 
     def test_infeasible_start_is_shared(self, std_builds):
-        rows = (LpRow([1.0, 1.0], ">=", 5.0), LpRow([1.0, 0.0], "<=", 1.0))
-        lps = [LinearProgram(objective=np.array(c), rows=rows, bounds=((None, 2.0), (None, 2.0)))
-               for c in ([1.0, 0.0], [0.0, -1.0], [3.0, 2.0])]
+        shared = constraints(2, (([1.0, 1.0], ">=", 5.0), ([1.0, 0.0], "<=", 1.0)), ((None, 2.0), (None, 2.0)))
+        lps = [LinearProgram(np.array(c), shared) for c in ([1.0, 0.0], [0.0, -1.0], [3.0, 2.0])]
         outs = solve_lp_batch(lps)
         assert len(std_builds) == 1
         assert [o.status for o in outs] == [LpStatus.INFEASIBLE] * 3
@@ -440,11 +485,9 @@ class TestSharedStart:
             point = rng.integers(0, 3, p).astype(float)
             mix = rng.integers(1, 3, base.shape[0]).astype(float)
             R = np.vstack([base, mix @ base])
-            rows = tuple(LpRow(r, "=", float(r @ point)) for r in R)
-            bounds = ((0.0, 4.0),) * p
-            lps = [LinearProgram(objective=rng.integers(-3, 4, p).astype(float), rows=rows, bounds=bounds)
-                   for _ in range(4)]
-            start = lp_mod._Start(lps[0])
+            shared = Constraints(R, ("=",) * len(R), [float(r @ point) for r in R], np.zeros(p), np.full(p, 4.0))
+            lps = [LinearProgram(rng.integers(-3, 4, p).astype(float), shared) for _ in range(4)]
+            start = lp_mod._Start(shared)
             dropped += start.kept.size < start.std.m
             for out in solve_lp_batch(lps):
                 assert out.status == LpStatus.OPTIMAL, trial
@@ -456,20 +499,21 @@ class TestAgainstHighs:
     """Differential check of solve_lp against HiGHS (scipy.optimize.linprog)."""
 
     @staticmethod
-    def _highs(linprog, objective, rows, bounds):
+    def _highs(linprog, objective, cons):
+        rows = list(zip(cons.A, cons.sense, cons.rhs))
         A_ub = [c if s == "<=" else -c for c, s, _ in rows if s != "="]
         b_ub = [r if s == "<=" else -r for _, s, r in rows if s != "="]
         A_eq = [c for c, s, _ in rows if s == "="]
         b_eq = [r for _, s, r in rows if s == "="]
         return linprog(objective, A_ub=A_ub or None, b_ub=b_ub or None, A_eq=A_eq or None,
-                       b_eq=b_eq or None, bounds=list(bounds), method="highs")
+                       b_eq=b_eq or None, bounds=list(zip(cons.lower, cons.upper)), method="highs")
 
-    def _check(self, linprog, out, objective, rows, bounds, label):
-        res = self._highs(linprog, objective, rows, bounds)
+    def _check(self, linprog, out, objective, cons, label):
+        res = self._highs(linprog, objective, cons)
         status = res.status
         # HiGHS's presolve can call a feasible unbounded LP infeasible;
         # on a zero objective it settles feasibility alone.
-        if status == 2 and self._highs(linprog, np.zeros_like(objective), rows, bounds).status == 0:
+        if status == 2 and self._highs(linprog, np.zeros_like(objective), cons).status == 0:
             status = 3
         expected = {0: LpStatus.OPTIMAL, 2: LpStatus.INFEASIBLE, 3: LpStatus.UNBOUNDED}[status]
         assert out.status == expected, (label, out.status, res.message)
@@ -486,10 +530,10 @@ class TestAgainstHighs:
         seen = {LpStatus.OPTIMAL: 0, LpStatus.INFEASIBLE: 0, LpStatus.UNBOUNDED: 0}
         no_rows = 0
         for trial in range(600):
-            objective, rows, bounds = random_lp(rng, integer=trial % 2 == 0)
-            out = solve_lp(simple(objective, rows, bounds=bounds))
-            seen[self._check(linprog, out, objective, rows, bounds, trial)] += 1
-            no_rows += not rows
+            objective, cons = random_lp(rng, integer=trial % 2 == 0)
+            out = solve_lp(LinearProgram(objective, cons))
+            seen[self._check(linprog, out, objective, cons, trial)] += 1
+            no_rows += not cons.A.shape[0]
         assert min(seen.values()) >= 100, seen
         assert no_rows >= 50
 
@@ -501,14 +545,13 @@ class TestAgainstHighs:
         trials = 150
         for trial in range(trials):
             integer = trial % 2 == 0
-            objective, rows, bounds = random_lp(rng, integer)
+            objective, shared = random_lp(rng, integer)
             p = objective.size
             objectives = [objective] + [
                 rng.integers(-3, 4, p).astype(float) if integer else rng.uniform(-3.0, 3.0, p) for _ in range(3)
             ]
-            shared = tuple(LpRow(*r) for r in rows)
-            lps = [LinearProgram(objective=c, rows=shared, bounds=bounds) for c in objectives]
+            lps = [LinearProgram(c, shared) for c in objectives]
             for k, (c, out) in enumerate(zip(objectives, solve_lp_batch(lps))):
-                seen[self._check(linprog, out, c, rows, bounds, (trial, k))] += 1
+                seen[self._check(linprog, out, c, shared, (trial, k))] += 1
         assert len(std_builds) == trials
         assert min(seen.values()) >= 100, seen

@@ -13,6 +13,7 @@ from io_recover import (
     Status,
     WeightBoost,
     ZeroObservationError,
+    check_certificate,
     perturb_and_resolve,
     project_halfspace,
     project_hyperplane,
@@ -150,6 +151,18 @@ class TestSdBehavior:
         case = example_case(2)
         solve_nlo_sd(case.problem, case.x_hat, case.prior)
         assert calls["lp_solve"] == 0
+
+    @pytest.mark.parametrize("scale", [1e160, 1e200, 1e300])
+    def test_huge_observation_keeps_the_active_row(self, scale):
+        # ||x_hat||_2 overflows a plain x . x past ~1.3e154
+        case = example_case(2)
+        problem = ForwardProblem(A=case.problem.A, b=np.asarray(case.problem.b) * scale)
+        x = np.asarray(case.x_hat) * scale
+        sol = solve_nlo_sd(problem, x, case.prior)
+        assert sol.status == Status.OPTIMAL and sol.active_index == 1
+        assert sol.imputed[0] == pytest.approx([1.2, -0.6], rel=1e-12)
+        assert sol.objective_value == pytest.approx(0.6324555320336759, rel=1e-12)
+        assert check_certificate(case.model, problem, x, case.structure, sol).verdict == "valid"
 
     def test_solution_invariants(self):
         case = example_case(2)
