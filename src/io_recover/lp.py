@@ -13,16 +13,13 @@ artificial columns.
 Phase 1 and the drive-out never read the objective, so LPs that share
 one `Constraints` object share a start: a batch runs them once per run
 of consecutive LPs over that object, and each LP's phase 2 starts from a
-copy of that tableau (reoptimization after an objective change).  The
-dual is read from the final tableau: the initial basis is a +1 identity,
-so its columns hold the row operations applied, and
-y = c_B T[:, initial basis].
+copy of that tableau (reoptimization after an objective change).
 
 Tolerances: feasibility 1e-9, reduced cost 1e-9, pivot floor 1e-12.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -116,10 +113,8 @@ class LpOutcome:
     status: LpStatus
     solution: np.ndarray = None
     value: float = None
-    dual: np.ndarray = None
     infeasibility: float = None
     ray: np.ndarray = None
-    kkt_residuals: dict = field(default_factory=dict)
     error: str = None
 
 
@@ -131,7 +126,7 @@ class _Std:
     offset[k] is variable k's lower bound (shifted), its upper bound
     (mirrored) or 0 (split), so x = offset + bincount(owner, sign * u).
     The LP's rows come first, negated where their shifted right-hand side
-    is negative (row_sign), then one range row per two-sided bound.  The
+    is negative, then one range row per two-sided bound.  The
     slack, surplus and artificial columns follow the variable columns in
     row order; `structural` marks every column but the artificials.  The
     initial basis (one slack or artificial per row) is a +1 identity.  The
@@ -164,8 +159,8 @@ class _Std:
         # the last bits of b and with them the pivots.
         shift = np.add.accumulate(R * self.offset, axis=1)[:, -1] if p else 0.0
         b = cons.rhs - shift
-        self.row_sign = np.where(b < 0.0, -1.0, 1.0)
-        senses = [_FLIPPED[sense] if s < 0.0 else sense for sense, s in zip(cons.sense, self.row_sign)]
+        row_sign = np.where(b < 0.0, -1.0, 1.0)
+        senses = [_FLIPPED[sense] if s < 0.0 else sense for sense, s in zip(cons.sense, row_sign)]
         senses += [LE] * len(range_col)
 
         extra_row, extra_val, self.basis = [], [], []
@@ -182,10 +177,10 @@ class _Std:
         # layout is part of every outcome: column-major for a single
         # variable column, row-major otherwise.
         self.A = np.zeros((self.m, self.ncols), order="F" if nvar == 1 else "C")
-        self.A[: len(R), :nvar] = R[:, self.owner] * self.sign * self.row_sign[:, None]
+        self.A[: len(R), :nvar] = R[:, self.owner] * self.sign * row_sign[:, None]
         self.A[len(R) + np.arange(len(range_col)), range_col] = 1.0
         self.A[extra_row, np.arange(nvar, self.ncols)] = extra_val
-        self.b = np.concatenate([b * self.row_sign, range_cap])
+        self.b = np.concatenate([b * row_sign, range_cap])
         self.structural = np.ones(self.ncols, dtype=bool)
         self.structural[[j for j, s in zip(self.basis, senses) if s != LE]] = False
 
@@ -243,15 +238,15 @@ def _simplex(T, basis, cost, allowed, degen_limit):
 class _Start:
     """The objective-free start of a solve, shared by every LP over the
     same constraints: the equality form, phase 1 and the drive-out of
-    leftover artificials.  The artificial columns stay in the tableau T,
-    since the dual is read from the initial-basis columns.
+    leftover artificials.  The artificial columns stay in the tableau T:
+    phase 2 never enters them, but dropping them would change T's shape,
+    and with it the order in which BLAS sums, and so the pivots.
     """
 
     def __init__(self, constraints):
         std = self.std = _Std(constraints)
         T = np.hstack([std.A, std.b.reshape(-1, 1)])
         basis = list(std.basis)
-        kept = np.arange(std.m)
         self.degen_limit = 10 * (std.ncols + std.m)
         self.infeasibility = None
 
@@ -275,10 +270,9 @@ class _Start:
                     else:
                         keep[i] = False
             if not keep.all():
-                T, kept = T[keep], kept[keep]
+                T = T[keep]
                 basis = [j for j, k in zip(basis, keep) if k]
-        self.T, self.basis, self.kept = T, basis, kept
-        self.A_kept = std.A[kept]
+        self.T, self.basis = T, basis
 
 
 def _phase_two(start, lp):
@@ -299,26 +293,7 @@ def _phase_two(start, lp):
     u = np.zeros(std.ncols)
     u[basis] = T[:, -1]
     x = std.to_original(u)
-
-    # Dual certificate on the equality form: y = c_B B^-1, read from the
-    # initial-basis columns; reduced costs must be nonnegative and vanish
-    # on the basis.
-    y = cost[basis] @ T[:, std.basis]
-    red = cost - y @ std.A
-    kkt = {
-        "dual_feasibility": max(0.0, -float(np.min(red[std.structural], initial=0.0))),
-        "basic_reduced": float(np.max(np.abs(red[basis]), initial=0.0)),
-        "primal_equality": float(np.max(np.abs(start.A_kept @ u - std.b[start.kept]), initial=0.0)),
-        "comp_slackness": float(np.max(np.abs(red * u), initial=0.0)),
-        "strong_duality": abs(float(cost @ u) - float(y @ std.b)),
-    }
-    return LpOutcome(
-        status=LpStatus.OPTIMAL,
-        solution=x,
-        value=float(lp.objective @ x),
-        dual=std.row_sign * y[: std.row_sign.size],
-        kkt_residuals=kkt,
-    )
+    return LpOutcome(status=LpStatus.OPTIMAL, solution=x, value=float(lp.objective @ x))
 
 
 def solve_lp(lp):

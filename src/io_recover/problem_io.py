@@ -3,11 +3,15 @@
 Schema version "1".  Matrices are row-major lists of lists, numbers are
 JSON numbers (a string or boolean where a number belongs is rejected, not
 converted), constraint and column indices in documents are 1-based.
-Unknown fields are rejected so fixture typos fail loudly.
+Documents are written as standard JSON (RFC 8259), which has no Infinity
+or NaN: a non-finite number is written as null, and a null entry of a
+`per_constraint` vector is read back as infinity (a row that cannot be
+made active).  Unknown fields are rejected so fixture typos fail loudly.
 """
 
 import itertools
 import json
+import math
 import re
 from dataclasses import dataclass
 
@@ -85,11 +89,14 @@ def _is_number(value):
     return type(value) in (int, float)
 
 
-def _numbers(doc, field, ndim):
+def _numbers(doc, field, ndim, null=None):
     """doc[field] as a float array of `ndim` dimensions (1: a flat list, 2: a
     list of rows) whose entries are JSON numbers: strings, booleans and
-    nulls are rejected, not converted."""
+    nulls are rejected, not converted, except that, when `null` is given,
+    a flat list reads a null entry as that number."""
     raw = _require(doc, field, list)
+    if null is not None and ndim == 1 and None in raw:
+        raw = [null if value is None else value for value in raw]
     shape = "must be a list of rows" if ndim == 2 else "must be a flat list"
     if ndim == 2 and not all(type(row) is list for row in raw):
         raise ProblemFileError(field, shape)
@@ -118,8 +125,8 @@ def _matrix(doc, field, rows=None, cols=None):
     return arr
 
 
-def _vector(doc, field, size=None):
-    arr = _numbers(doc, field, 1)
+def _vector(doc, field, size=None, null=None):
+    arr = _numbers(doc, field, 1, null)
     if size is not None and arr.size != size:
         raise ProblemFileError(field, f"expected length {size}, got {arr.size}")
     return arr
@@ -423,7 +430,7 @@ def parse_solution(doc, bundle):
     per_constraint = {}
     if doc.get("per_constraint") is not None:
         rows = _within(doc, "per_constraint")
-        per_constraint = {name.removeprefix("per_constraint."): _vector(rows, name, m) for name in rows}
+        per_constraint = {name.removeprefix("per_constraint."): _vector(rows, name, m, math.inf) for name in rows}
     for field in ("duality_gap", "objective_value"):
         if doc.get(field) is not None and not _is_number(doc[field]):
             raise ProblemFileError(field, "expected a number")
@@ -454,19 +461,28 @@ def load_json(path):
         raise ProblemFileError(str(path), f"invalid JSON at line {exc.lineno}: {exc.msg}") from None
 
 
-def _np_default(value):
+def _standard(value):
+    """value with numpy scalars and arrays as Python values and every
+    non-finite float as None."""
+    if isinstance(value, dict):
+        return {key: _standard(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        if set(map(type, value)) <= {float} and all(map(math.isfinite, value)):  # at C speed
+            return value
+        return [_standard(item) for item in value]
+    if isinstance(value, np.ndarray):
+        return _standard(value.tolist())
+    if isinstance(value, (float, np.floating)):
+        return float(value) if math.isfinite(value) else None
     if isinstance(value, np.integer):
         return int(value)
-    if isinstance(value, np.floating):
-        return float(value)
     if isinstance(value, np.bool_):
         return bool(value)
-    if isinstance(value, np.ndarray):
-        return value.tolist()
-    raise TypeError(f"not JSON-serializable: {type(value).__name__}")
+    return value
 
 
 def dump_json(path, doc):
+    """Write doc as standard JSON: a non-finite number becomes null."""
+    text = json.dumps(_standard(doc), indent=2, allow_nan=False)  # one write: faster than json.dump's many
     with open(path, "w", encoding="utf-8") as fp:
-        json.dump(doc, fp, indent=2, sort_keys=False, default=_np_default)
-        fp.write("\n")
+        fp.write(text + "\n")

@@ -8,6 +8,8 @@ the constraint is affine, so its boundary is a clipped segment with exact
 endpoints.
 """
 
+import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,6 +19,10 @@ from .geometry import realized_row_cardinality, realized_row_interval
 from .model import Variant
 
 _EPS = 1e-12
+# Box coordinates and |row . p - b_i| of every drawn row stay below this over
+# the box, so the difference of two such values and the coordinate sums over
+# a cell's vertices (fewer than 16) stay finite.
+_REACH_LIMIT = sys.float_info.max / 16
 # the uncertainty a model family's prior and imputed rows are realized under
 _FAMILY_VARIANT = {"nlo": Variant.NOMINAL, "iu": Variant.INTERVAL, "ccu": Variant.CARDINALITY}
 
@@ -100,7 +106,7 @@ def _segment_in_cell(row, rhs, cell):
         best_d = -1.0
         for a in range(len(unique)):
             for b_ in range(a + 1, len(unique)):
-                d = (unique[a][0] - unique[b_][0]) ** 2 + (unique[a][1] - unique[b_][1]) ** 2
+                d = math.hypot(unique[a][0] - unique[b_][0], unique[a][1] - unique[b_][1])
                 if d > best_d:
                     best_d = d
                     best = (a, b_)
@@ -144,7 +150,33 @@ def _realization(variant, problem, structure, params, row, point):
     )
 
 
+def _check_reach(problem, structure, bbox, kind, variant, params):
+    """Reject a box over which |row . p - b_i| could overflow for row i of
+    `kind`.  A robust row is bounded entrywise by |a_ij| + alpha_ij on its
+    uncertain columns, whatever the realization; the order-swap lines of
+    budget uncertainty have smaller coefficients."""
+    if variant == Variant.NOMINAL:
+        coeffs = np.abs(np.asarray(params, dtype=float))
+    else:
+        deviation = params if variant == Variant.INTERVAL else structure.alpha
+        uncertain = np.zeros(problem.A.shape, dtype=bool)
+        for i, cols in enumerate(structure.sets):
+            uncertain[i, list(cols)] = True
+        with np.errstate(over="ignore"):
+            coeffs = np.abs(problem.A) + np.where(uncertain, np.abs(deviation), 0.0)
+    x0, y0, x1, y1 = bbox
+    with np.errstate(over="ignore"):
+        reach = coeffs @ [max(-x0, x1), max(-y0, y1)] + np.abs(problem.b)
+    within = reach < _REACH_LIMIT
+    if not within.all():
+        i = int(np.argmin(within))
+        raise DimensionError(
+            "bbox", f"{kind} row {i + 1} reaches |row . p - b| = {reach[i]:.3g} over the box, beyond {_REACH_LIMIT:.3g}"
+        )
+
+
 def _polylines_for(problem, structure, bbox, kind, variant, params):
+    _check_reach(problem, structure, bbox, kind, variant, params)
     alpha = structure.alpha if variant == Variant.CARDINALITY else None
     cells = _partition(bbox, structure, variant, alpha)
     out = []
@@ -177,6 +209,8 @@ def region_polylines(bundle, solution=None, bbox=(-8.0, -8.0, 8.0, 8.0)):
         raise DimensionError("bbox", "entries, width and height must be finite")
     if not (x0 < x1 and y0 < y1):
         raise DimensionError("bbox", "expected x0 < x1 and y0 < y1")
+    if max(-x0, x1, -y0, y1) >= _REACH_LIMIT:
+        raise DimensionError("bbox", f"entries must lie within +-{_REACH_LIMIT:.3g}")
     box = (x0, y0, x1, y1)
     variant = _FAMILY_VARIANT[bundle.model.family]
     out = list(_polylines_for(problem, bundle.structure, box, "nominal", Variant.NOMINAL, problem.A))

@@ -256,6 +256,35 @@ class TestCliVerify:
             ["verify", "--input", str(FIXTURES / "example3.json"), "--solution", str(out)]
         ) == 1
 
+    def test_row_that_cannot_be_made_active_is_written_as_null(self, tmp_path, capsys):
+        # fixture 4 at x_hat = (0, 6): row 1 cannot be made robust-active, so
+        # its f and t are infinite, which standard JSON cannot hold
+        doc = _load(FIXTURES / "example4.json")
+        doc["x_hat"] = [0.0, 6.0]
+        problem, out = tmp_path / "problem.json", tmp_path / "solution.json"
+        problem.write_text(json.dumps(doc))
+        assert cli.main(["solve", "--input", str(problem), "--output", str(out)]) == 0
+
+        def reject(token):
+            raise ValueError(f"not standard JSON: {token}")
+
+        solution = json.loads(out.read_text(), parse_constant=reject)
+        assert (solution["status"], solution["active_index"]) == ("optimal", 3)
+        assert solution["objective_value"] == pytest.approx(2.0 / 3.0)
+        per_row = solution["per_constraint"]
+        assert per_row["f"][0] is None and per_row["t"][0] is None
+        capsys.readouterr()
+        assert cli.main(["verify", "--input", str(problem), "--solution", str(out)]) == 0
+        assert capsys.readouterr().out.startswith("verdict: valid\n")
+        bundle = problem_io.parse_problem(doc)
+        parsed = problem_io.parse_solution(solution, bundle)
+        assert parsed.per_constraint["t"][0] == np.inf and parsed.per_constraint["f"][0] == np.inf
+        # a null anywhere else that needs a number is still rejected
+        solution["cost"][0] = None
+        with pytest.raises(ProblemFileError) as err:
+            problem_io.parse_solution(solution, bundle)
+        assert err.value.field == "cost"
+
 
 class TestCliRegions:
     def test_regions_document(self, tmp_path):
@@ -301,6 +330,23 @@ class TestCliRegions:
             ) == 1
             assert capsys.readouterr().err == "bbox: entries, width and height must be finite\n"
             assert not out.exists()
+        # finite width and height, but row . p - b leaves the float range
+        for number in range(1, 7):
+            problem = str(FIXTURES / f"example{number}.json")
+            assert cli.main(
+                ["regions", "--input", problem, "--bbox=-8e307,-8e307,8e307,8e307", "--output", str(out)]
+            ) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("bbox: ") and err.count("\n") == 1, (number, err)
+            assert not out.exists()
+
+    @pytest.mark.parametrize("number", range(1, 9))
+    def test_large_finite_bbox_exits_0(self, tmp_path, number):
+        problem, sol, out = str(FIXTURES / f"example{number}.json"), tmp_path / "solution.json", tmp_path / "regions.json"
+        cli.main(["solve", "--input", problem, "--output", str(sol)])
+        argv = ["regions", "--input", problem, "--solution", str(sol), "--bbox=-1e150,-1e150,1e150,1e150"]
+        assert cli.main(argv + ["--output", str(out)]) == 0
+        assert _load(out)["polylines"]
 
     def test_not_plottable_dimension_exits_1(self, tmp_path):
         doc = _load(FIXTURES / "example2.json")

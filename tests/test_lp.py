@@ -50,6 +50,20 @@ def random_lp(rng, integer):
     return draw(), constraints(p, rows, bounds)
 
 
+def assert_feasible(x, cons, label=None):
+    """x satisfies every row of cons by its sense within 1e-9 * (1 + |rhs|)
+    and every bound within 1e-9 * (1 + |bound|): checked against the input,
+    not against anything the engine reports."""
+    lhs = cons.A @ x
+    for k, (sense, rhs) in enumerate(zip(cons.sense, cons.rhs)):
+        tol = 1e-9 * (1.0 + abs(rhs))
+        ok = {">=": lhs[k] >= rhs - tol, "<=": lhs[k] <= rhs + tol, "=": abs(lhs[k] - rhs) <= tol}[sense]
+        assert ok, (label, "row", k, sense, lhs[k], rhs)
+    for j, (lo, hi) in enumerate(zip(cons.lower, cons.upper)):
+        assert lo == -np.inf or x[j] >= lo - 1e-9 * (1.0 + abs(lo)), (label, "lower", j, x[j], lo)
+        assert hi == np.inf or x[j] <= hi + 1e-9 * (1.0 + abs(hi)), (label, "upper", j, x[j], hi)
+
+
 def scalar_equality_form(lp):
     """Rows, right-hand sides and cost of the equality form, and the map back
     to x, one variable and one coefficient at a time: the reference for the
@@ -223,15 +237,6 @@ class TestOracle:
                 solved += 1
         assert solved > 60  # the generator must exercise the optimal path
 
-    def test_kkt_residuals_small(self):
-        rng = np.random.default_rng(7)
-        for _ in range(60):
-            objective, rows = self._random_bounded_lp(rng)
-            out = solve_lp(simple(objective, rows))
-            if out.status == LpStatus.OPTIMAL:
-                for name, value in out.kkt_residuals.items():
-                    assert value <= 1e-7, (name, value)
-
 
 class TestDeterminismAndBatch:
     def test_bit_identical_resolve(self):
@@ -328,8 +333,6 @@ class TestNoRows:
         assert out.status == LpStatus.OPTIMAL
         assert np.array_equal(out.solution, [1.0, 3.0, 0.0])
         assert out.value == -5.0
-        assert out.dual.shape == (0,)
-        assert out.kkt_residuals and max(out.kkt_residuals.values()) == 0.0
 
     @pytest.mark.parametrize(
         "objective, bounds, ray",
@@ -414,10 +417,10 @@ class TestColumnMap:
 def outcomes_equal(a, b):
     return (
         a.status == b.status
-        and all(np.array_equal(getattr(a, f), getattr(b, f)) for f in ("solution", "dual", "ray"))
+        and all(np.array_equal(getattr(a, f), getattr(b, f)) for f in ("solution", "ray"))
         and a.value == b.value
         and a.infeasibility == b.infeasibility
-        and a.kkt_residuals == b.kkt_residuals
+        and a.error == b.error
     )
 
 
@@ -474,9 +477,10 @@ class TestSharedStart:
         assert {o.infeasibility for o in outs} == {outs[0].infeasibility}
         assert outs[0].infeasibility == solve_lp(lps[1]).infeasibility
 
-    def test_tableau_dual_after_the_drive_out_drops_rows(self):
+    def test_drive_out_drops_redundant_rows(self):
         # equality rows plus a combination of them: phase 1 leaves one
-        # all-zero row, which the drive-out drops
+        # all-zero row, which the drive-out drops; the optimum is that of
+        # the same polyhedron without the combination row
         rng = np.random.default_rng(11)
         dropped = 0
         for trial in range(60):
@@ -485,13 +489,17 @@ class TestSharedStart:
             point = rng.integers(0, 3, p).astype(float)
             mix = rng.integers(1, 3, base.shape[0]).astype(float)
             R = np.vstack([base, mix @ base])
-            shared = Constraints(R, ("=",) * len(R), [float(r @ point) for r in R], np.zeros(p), np.full(p, 4.0))
+            lower, upper = np.zeros(p), np.full(p, 4.0)
+            shared = Constraints(R, ("=",) * len(R), R @ point, lower, upper)
+            reduced = Constraints(base, ("=",) * len(base), base @ point, lower, upper)
             lps = [LinearProgram(rng.integers(-3, 4, p).astype(float), shared) for _ in range(4)]
             start = lp_mod._Start(shared)
-            dropped += start.kept.size < start.std.m
-            for out in solve_lp_batch(lps):
+            dropped += start.T.shape[0] < start.std.m
+            for lp, out in zip(lps, solve_lp_batch(lps)):
                 assert out.status == LpStatus.OPTIMAL, trial
-                assert max(out.kkt_residuals.values()) <= 1e-9, (trial, out.kkt_residuals)
+                assert_feasible(out.solution, shared, trial)
+                v = solve_lp(LinearProgram(lp.objective, reduced)).value
+                assert abs(out.value - v) <= 1e-9 * (1.0 + abs(v)), (trial, out.value, v)
         assert dropped >= 40, dropped
 
 
@@ -518,8 +526,9 @@ class TestAgainstHighs:
         expected = {0: LpStatus.OPTIMAL, 2: LpStatus.INFEASIBLE, 3: LpStatus.UNBOUNDED}[status]
         assert out.status == expected, (label, out.status, res.message)
         if expected == LpStatus.OPTIMAL:
+            # a feasible point with HiGHS's optimal value is optimal
             assert abs(out.value - res.fun) <= 1e-7 * (1.0 + abs(res.fun)), (label, out.value, res.fun)
-            assert max(out.kkt_residuals.values(), default=0.0) <= 1e-7, (label, out.kkt_residuals)
+            assert_feasible(out.solution, cons, label)
         elif expected == LpStatus.UNBOUNDED:
             assert float(objective @ out.ray) < 0.0, label
         return expected

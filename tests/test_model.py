@@ -17,7 +17,8 @@ from io_recover import (
     validate,
 )
 from io_recover.fixtures import example_case
-from io_recover.model import canonicalize_omega, clamp_budget_prior, omega_couples_rows, param_keys
+from io_recover.geometry import norm_value
+from io_recover.model import Status, canonicalize_omega, clamp_budget_prior, omega_couples_rows, param_keys
 
 
 class TestTypes:
@@ -453,3 +454,84 @@ def test_gap_subresults_match_the_solution(model):
                 assert np.all((sub.extra >= -1e-9) & (sub.extra <= 1.0 + 1e-9))
                 assert sub.extra.sum() <= sub.imputed[i] + 1e-9
     assert solved >= 30
+
+
+# Row order carries no meaning: permuting the rows permutes the answer.
+
+def _permuted(model, problem, structure, data, perm):
+    """The instance with row k := row perm[k]; Omega's columns renamed through
+    a variable map, key (kind, i, ...) to (kind, inv[i], ...)."""
+    inv = np.argsort(perm)
+    if model.family == "nlo":
+        moved = structure
+    elif model.family == "iu":
+        moved = UncertaintyStructure.interval([structure.sets[i] for i in perm])
+    else:
+        moved = UncertaintyStructure.cardinality([structure.sets[i] for i in perm], structure.alpha[perm])
+    if model.is_dg:
+        keys = param_keys(model, problem, structure)
+        names = tuple((key[0], int(inv[key[1]])) + key[2:] for key in keys)
+        data = SideConstraints(G=data.G, h=data.h, variable_map=names)
+    else:
+        xi = None if data.xi is None else data.xi[perm]
+        data = Prior(estimates=data.estimates[perm], xi=xi, norm=data.norm)
+    return ForwardProblem(A=problem.A[perm], b=problem.b[perm]), moved, data
+
+
+def _row_objectives(model, sol, problem, x, structure, prior):
+    """Each row's objective with that row active, from the per-row diagnostics."""
+    per_row = sol.per_constraint
+    if "t" in per_row:
+        return per_row["t"]
+    f, g = per_row["f"], per_row["g"]
+    if model == ModelKind.NLO_SD:
+        return f + g.sum() - g
+    t = np.full(problem.m, np.inf)
+    for i in io_recover.compute_gamma_bounds(problem, structure, x).i_hat:
+        vec = g.copy()
+        vec[i] = f[i]
+        t[i] = norm_value(vec, prior.norm)
+    return t
+
+
+def _close(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    same_inf = np.isinf(a) & (a == b)
+    return bool(np.all(same_inf | (np.abs(a - b) <= 1e-9 * (1.0 + np.abs(b)))))
+
+
+@pytest.mark.parametrize("model", list(MAKERS), ids=lambda m: m.value)
+def test_permuting_rows_permutes_the_answer(model):
+    solved = 0
+    for seed in range(200):
+        problem, x, structure, data, _ = MAKERS[model](seed)
+        rng = np.random.default_rng([seed, 17])
+        perm = rng.permutation(problem.m)
+        while np.array_equal(perm, np.arange(problem.m)):
+            perm = rng.permutation(problem.m)
+        side = {"omega" if model.is_dg else "prior": data}
+        sol = io_recover.solve(model, problem, x, structure=structure, **side)
+        problem2, structure2, data2 = _permuted(model, problem, structure, data, perm)
+        side2 = {"omega" if model.is_dg else "prior": data2}
+        sol2 = io_recover.solve(model, problem2, x, structure=structure2, **side2)
+        assert sol2.status == sol.status, seed
+        assert sol2.per_constraint.keys() == sol.per_constraint.keys(), seed
+        for name, v in sol.per_constraint.items():
+            assert _close(sol2.per_constraint[name], v[perm]), (seed, name)
+        if sol.active_index is None:
+            continue
+        assert _close(sol2.objective_value, sol.objective_value), seed
+        t = _row_objectives(model, sol, problem, x, structure, data)
+        near = np.flatnonzero(t <= t.min() + 1e-9)
+        moved = int(perm[sol2.active_index - 1])
+        if near.size > 1:
+            assert moved in near, (seed, moved, near)
+        else:
+            assert moved == sol.active_index - 1, seed
+            if model.is_sd:
+                assert np.allclose(sol2.imputed, sol.imputed[perm], rtol=0.0, atol=1e-9), seed
+        if sol2.status == Status.OPTIMAL:
+            report = io_recover.check_certificate(model, problem2, x, structure2, sol2)
+            assert report.verdict == "valid", (seed, report.reason)
+            solved += 1
+    assert solved >= 100, solved

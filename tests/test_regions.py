@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from io_recover import DimensionError
 from io_recover.fixtures import case_bundle, example_case, solve_case
 from io_recover.regions import region_polylines
 from io_recover.geometry import realized_row_cardinality, realized_row_interval
@@ -113,3 +114,20 @@ def test_prior_robust_only_when_prior_present():
     polylines = region_polylines(bundle, solution=solution, bbox=BBOX)
     kinds = {p.kind for p in polylines}
     assert kinds == {"nominal", "imputed_robust"}
+
+
+@pytest.mark.parametrize(
+    "number, half, message",
+    [
+        # nominal row 3 is (-2, -1): 3 * 5e306 + 10 is beyond max / 16
+        (1, 5e306, "nominal row 3 reaches |row . p - b| = 1.5e+307"),
+        # imputed row 1 of fixture 5 is bounded by |a11| + alpha11 = 1 + 2.5
+        (5, 3.7e306, "imputed_robust row 1 reaches |row . p - b| = 1.29e+307"),
+    ],
+)
+def test_box_is_rejected_where_a_drawn_row_could_overflow(number, half, message):
+    case = example_case(number)
+    box = (-half, -half, half, half)
+    with pytest.raises(DimensionError) as err:
+        region_polylines(case_bundle(case), solution=solve_case(case), bbox=box)
+    assert err.value.field == "bbox" and message in str(err.value)

@@ -1,13 +1,17 @@
 """The library reads no environment variable and runs no worker pool: one
 execution path, whatever the process environment.  Every module uses what
-it imports.  The benchmark's traced runs find every function they wrap."""
+it imports, and the LP engine returns nothing its callers do not read.  The
+benchmark's traced runs find every function they wrap."""
 
 import ast
+import dataclasses
 import importlib
 import importlib.util
 from pathlib import Path
 
 import pytest
+
+from io_recover.lp import LpOutcome
 
 ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted((ROOT / "src" / "io_recover").glob("*.py"))
@@ -30,6 +34,17 @@ def test_every_import_is_used(path):
             imported |= {alias.asname or alias.name.split(".")[0] for alias in node.names}
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert sorted(imported - used) == []
+
+
+def test_every_lp_outcome_field_is_read():
+    # work the engine does per LP for a field no caller reads is waste
+    read = set()
+    for path in SOURCES:
+        if path.name != "lp.py":
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            read |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    fields = [f.name for f in dataclasses.fields(LpOutcome)]
+    assert [name for name in fields if name not in read] == []
 
 
 def test_traced_layers_resolve():
