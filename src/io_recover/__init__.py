@@ -34,7 +34,6 @@ from .geometry import (
     realized_row_interval,
     sorted_uncertainty,
 )
-from . import model as _model
 from .interval import solve_rlo_iu_dg, solve_rlo_iu_sd
 from .lp import Constraints, LinearProgram, LpOutcome, LpStatus, solve_lp, solve_lp_batch
 from .model import (
@@ -43,7 +42,6 @@ from .model import (
     GapSubresult,
     InverseSolution,
     ModelKind,
-    ObservedPoint,
     Prior,
     PriorEpsilon,
     RhsEpsilon,
@@ -65,15 +63,16 @@ def solve(model, problem, x_hat, structure=None, omega=None, prior=None):
     """Run the solver for `model`; the one mapping from ModelKind to solver.
 
     The robust families take `structure`; the strong-duality models take
-    `prior`, the gap models `omega`.  Dimensions are checked first, so a
-    wrong-shaped input raises DimensionError naming the field.  The solver
-    is looked up by name at call time, so rebinding a solver in this module
-    redirects every caller.
+    `prior`, the gap models `omega`.  Each solver checks its inputs
+    (`model.check_inputs`), so calling a solver function directly checks
+    them exactly as this does: a wrong-shaped input raises DimensionError
+    naming the field, a structure of the wrong variant PreconditionError.
+    A numerical failure of the LP engine raises NumericalFailureError.  The
+    solver is looked up by name at call time, so rebinding a solver in this
+    module redirects every caller.
     """
     model = ModelKind(model)
     structure = structure if structure is not None else UncertaintyStructure.nominal()
-    omega, prior = (None, prior) if model.is_sd else (omega, None)
-    _model._check_dimensions(problem, _model.as_observed(x_hat), structure, model, omega, prior)
     solver = globals()["solve_" + model.value.replace("-", "_")]
     data = prior if model.is_sd else omega
     if model.family == "nlo":

@@ -13,20 +13,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NominalInfeasibleError, PreconditionError
+from .errors import NominalInfeasibleError
 from .geometry import gamma_bar, norm_value, realized_row_cardinality
 from .lp import Constraints, LinearProgram, solve_lp_batch
 from .model import (
     InverseSolution,
     ModelKind,
     Status,
-    Variant,
     active_row,
     active_solution,
     canonicalize_omega,
+    check_inputs,
     clamp_budget_prior,
     gap_solution,
-    observed_x,
     param_keys,
 )
 
@@ -49,17 +48,10 @@ class GammaBounds:
     details: tuple
 
 
-def _setup(problem, x_hat, structure):
-    if structure.variant != Variant.CARDINALITY:
-        raise PreconditionError("budget models need a cardinality structure")
-    x = observed_x(x_hat, problem)
-    structure.check_against(problem)
-    return x
-
-
 def compute_gamma_bounds(problem, structure, x_hat):
     """Per-row activation budgets; raises when the observation is nominal-infeasible."""
-    x = _setup(problem, x_hat, structure)
+    # the input rule of either budget model: neither omega nor a prior is read here
+    x = check_inputs(ModelKind.RLO_CCU_DG, problem, x_hat, structure)
     surplus = problem.surplus(x)
     worst = int(np.argmin(surplus))
     if surplus[worst] < -1e-9:
@@ -99,10 +91,10 @@ def solve_rlo_ccu_dg(problem, x_hat, structure, omega):
     constraints fold into bounds, LP i has gamma_i and row i's |J_i|
     allocations, and the other budgets take their lower bounds.
     """
-    x = _setup(problem, x_hat, structure)
+    x = check_inputs(ModelKind.RLO_CCU_DG, problem, x_hat, structure, omega=omega)
     m = problem.m
     try:
-        gb = compute_gamma_bounds(problem, structure, x_hat)
+        gb = compute_gamma_bounds(problem, structure, x)
     except NominalInfeasibleError as exc:
         return InverseSolution(
             model=ModelKind.RLO_CCU_DG,
@@ -152,10 +144,10 @@ def solve_rlo_ccu_sd(problem, x_hat, structure, prior):
     deviation vector is activated (`active_row`), the other activatable
     rows are capped at feasibility, and the rest keep their prior budgets.
     """
-    x = _setup(problem, x_hat, structure)
+    x = check_inputs(ModelKind.RLO_CCU_SD, problem, x_hat, structure, prior=prior)
     m = problem.m
     try:
-        gb = compute_gamma_bounds(problem, structure, x_hat)
+        gb = compute_gamma_bounds(problem, structure, x)
     except NominalInfeasibleError as exc:
         return InverseSolution(
             model=ModelKind.RLO_CCU_SD,

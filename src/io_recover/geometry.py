@@ -51,14 +51,9 @@ def _l2_norm(x):
 
 def dual_norm(x, norm):
     """max over ||v|| = 1 of x'v: L1 -> max|x_k|, L2 -> ||x||_2, Linf -> sum|x_k|."""
-    x = np.asarray(x, dtype=float)
-    if norm == NormKind.L1:
-        return float(np.max(np.abs(x))) if x.size else 0.0
-    if norm == NormKind.L2:
-        return _l2_norm(x)
-    if norm == NormKind.LINF:
-        return float(np.sum(np.abs(x)))
-    raise PreconditionError(f"unknown norm {norm!r}")
+    # l1 and linf are each other's dual, l2 is its own; an unknown norm reaches norm_value's error
+    dual = NormKind.LINF if norm == NormKind.L1 else NormKind.L1 if norm == NormKind.LINF else norm
+    return norm_value(x, dual)
 
 
 def norm_value(x, norm):

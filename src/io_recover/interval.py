@@ -26,29 +26,23 @@ from .model import (
     InverseSolution,
     ModelKind,
     Status,
-    Variant,
     active_row,
     active_solution,
     canonicalize_omega,
-    check_magnitude_prior,
+    check_inputs,
     gap_solution,
-    observed_x,
     param_keys,
-    raise_on_failure,
 )
 
 
-def _setup(problem, x_hat, structure):
-    if structure.variant != Variant.INTERVAL:
-        raise PreconditionError("interval models need an interval structure")
-    x = observed_x(x_hat, problem)
-    structure.check_against(problem)
+def _surplus(problem, x, structure):
+    """The nominal surplus at the observation; every row needs an uncertain column."""
     empty = [i for i in range(problem.m) if not structure.sets[i]]
     if empty:
         raise PreconditionError(
             f"constraint {empty[0] + 1} has no uncertain coefficients"
         )
-    return x, problem.surplus(x)
+    return problem.surplus(x)
 
 
 def _alpha_matrix(problem, key_rows, key_cols, values):
@@ -68,7 +62,8 @@ def solve_rlo_iu_dg(problem, x_hat, structure, omega):
     The problem is infeasible iff some row's LP is.  The cost vector is
     the realized active row in the observation's orthant.
     """
-    x, surplus = _setup(problem, x_hat, structure)
+    x = check_inputs(ModelKind.RLO_IU_DG, problem, x_hat, structure, omega=omega)
+    surplus = _surplus(problem, x, structure)
     m = problem.m
     keys = param_keys(ModelKind.RLO_IU_DG, problem, structure)
     p = len(keys)
@@ -136,12 +131,12 @@ def solve_rlo_iu_sd(problem, x_hat, structure, prior):
     cheapest feasible row.  The row with the smallest objective
     t_i = f_i + sum(g) - g_i is made active (`active_row`).
     """
-    x, surplus = _setup(problem, x_hat, structure)
+    x = check_inputs(ModelKind.RLO_IU_SD, problem, x_hat, structure, prior=prior)
+    surplus = _surplus(problem, x, structure)
     if prior.norm not in (NormKind.L1, NormKind.LINF):
         raise UnsupportedNormError(
             "deviation recovery under strong duality supports l1 and linf priors only"
         )
-    check_magnitude_prior(prior, problem, structure)
     m = problem.m
     worst = int(np.argmin(surplus))
     if surplus[worst] < -1e-9:
@@ -159,7 +154,7 @@ def solve_rlo_iu_sd(problem, x_hat, structure, prior):
     loads = [np.abs(x[cols[i]]) for i in range(m)]
     fits = np.array([float(loads[i] @ centers[i]) <= surplus[i] for i in range(m)])
     lps = [_activation_lp(loads[i], centers[i], surplus[i], w[i], prior.norm) for i in range(m)]
-    outcomes = raise_on_failure(solve_lp_batch(lps))
+    outcomes = solve_lp_batch(lps)
 
     f = np.array([out.value if out.status == LpStatus.OPTIMAL else np.inf for out in outcomes])
     g = np.where(fits, 0.0, f)

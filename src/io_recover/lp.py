@@ -105,7 +105,6 @@ class LpStatus(str, Enum):
     OPTIMAL = "optimal"
     INFEASIBLE = "infeasible"
     UNBOUNDED = "unbounded"
-    FAILED = "failed"
 
 
 @dataclass(frozen=True)
@@ -115,7 +114,6 @@ class LpOutcome:
     value: float = None
     infeasibility: float = None
     ray: np.ndarray = None
-    error: str = None
 
 
 class _Std:
@@ -301,24 +299,17 @@ def solve_lp(lp):
     return _phase_two(_Start(lp.constraints), lp)
 
 
-def _guarded(step, *args):
-    try:
-        return step(*args)
-    except NumericalFailureError as exc:
-        return LpOutcome(status=LpStatus.FAILED, error=str(exc))
-
-
 def solve_lp_batch(lps):
-    """Solve a list of LPs, outcomes in input order; one failure never aborts the rest.
+    """Solve a list of LPs, outcomes in input order.
 
     Each run of consecutive LPs that hold the same `Constraints` object
-    shares one start (equality form, phase 1, drive-out), so a failure
-    there fails every LP of the run, as solving them one by one would.
+    shares one start (equality form, phase 1, drive-out).  A numerical
+    failure raises NumericalFailureError and ends the batch.
     """
     outcomes, shared = [], None
     for lp in lps:
         if lp.constraints is not shared:
             shared = lp.constraints
-            start = _guarded(_Start, shared)
-        outcomes.append(start if isinstance(start, LpOutcome) else _guarded(_phase_two, start, lp))
+            start = _Start(shared)
+        outcomes.append(_phase_two(start, lp))
     return outcomes

@@ -12,7 +12,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import DimensionError, NumericalFailureError
+from .errors import DimensionError, PreconditionError
 from .geometry import NormKind
 from .lp import LpStatus
 
@@ -107,33 +107,6 @@ class ForwardProblem:
             and np.array_equal(self.A, other.A)
             and np.array_equal(self.b, other.b)
         )
-
-
-@dataclass(frozen=True, eq=False)
-class ObservedPoint:
-    x: np.ndarray
-
-    def __post_init__(self):
-        x = np.asarray(self.x, dtype=float)
-        if x.ndim != 1:
-            raise DimensionError("x_hat", "must be a vector")
-        _require_finite("x_hat", x)
-        object.__setattr__(self, "x", _freeze(x))
-
-    def __eq__(self, other):
-        return isinstance(other, ObservedPoint) and np.array_equal(self.x, other.x)
-
-
-def as_observed(x):
-    return x if isinstance(x, ObservedPoint) else ObservedPoint(np.asarray(x, dtype=float))
-
-
-def observed_x(x_hat, problem):
-    """The observation as a vector, checked to have one entry per column of A."""
-    x = as_observed(x_hat).x
-    if x.size != problem.n:
-        raise DimensionError("x_hat", f"length {x.size} != n = {problem.n}")
-    return x
 
 
 @dataclass(frozen=True, eq=False)
@@ -478,14 +451,6 @@ def active_solution(model, i_star, imputed, cost, objective, per_constraint, sub
     )
 
 
-def raise_on_failure(outcomes):
-    """Return the per-constraint LP outcomes, raising on the first one the engine gave up on."""
-    for i, out in enumerate(outcomes):
-        if out.status == LpStatus.FAILED:
-            raise NumericalFailureError(f"subproblem {i + 1}: {out.error}")
-    return outcomes
-
-
 @dataclass(frozen=True)
 class GapSubresult:
     """LP i of a gap model: t_i, the gap with row i active, the imputed
@@ -514,7 +479,7 @@ def gap_solution(model, outcomes, offset, lower, blocks, shape, realize, infeasi
     # (nlo-dg: x . a_i >= b_i; rlo-iu-dg: |x_J| . alpha_i <= surplus_i;
     # rlo-ccu-dg: each allocation in [0, 1]), so in exact arithmetic no gap
     # LP is unbounded; an engine that says otherwise is reported, ray and all
-    for i, out in enumerate(raise_on_failure(outcomes)):
+    for i, out in enumerate(outcomes):
         if out.status == LpStatus.UNBOUNDED:
             return InverseSolution(
                 model=model,
@@ -585,43 +550,49 @@ def _entry(check, level, rows=(), message=""):
     return ValidationEntry(check=check, level=level, rows=tuple(int(r) + 1 for r in rows), message=message)
 
 
-def _check_dimensions(problem, x, structure, model, omega, prior):
-    observed_x(x, problem)
-    structure.check_against(problem)
+def check_inputs(model, problem, x_hat, structure, omega=None, prior=None):
+    """Check one solve input and return the observation as a frozen vector.
+
+    This is the whole rule for a valid (problem, x_hat, structure, omega |
+    prior) tuple, and every public entry that takes one calls it: the
+    observation is a finite vector with one entry per column of A, the
+    robust families hold a structure of their variant (else
+    PreconditionError) fitting the problem, omega covers the model's
+    imputed parameters, and the prior has the model's shape (its weights
+    one per row, a budget prior one entry per row, the others m x n with
+    no negative magnitude on an uncertain column for rlo-iu-sd).  A
+    wrong-shaped field raises DimensionError naming it.
+    """
+    x = np.array(x_hat, dtype=float)
+    if x.ndim != 1:
+        raise DimensionError("x_hat", "must be a vector")
+    _require_finite("x_hat", x)
+    if x.size != problem.n:
+        raise DimensionError("x_hat", f"length {x.size} != n = {problem.n}")
     if model.family == "iu" and structure.variant != Variant.INTERVAL:
-        raise DimensionError("uncertain_columns", "interval models need an interval structure")
+        raise PreconditionError("interval models need an interval structure")
     if model.family == "ccu" and structure.variant != Variant.CARDINALITY:
-        raise DimensionError("alpha", "budget models need a cardinality structure")
+        raise PreconditionError("budget models need a cardinality structure")
+    structure.check_against(problem)
     if omega is not None:
-        keys = param_keys(model, problem, structure)
-        omega.arranged(keys)
+        omega.arranged(param_keys(model, problem, structure))
     if prior is not None:
         prior.weights(problem.m)
         est = prior.estimates
         if model == ModelKind.RLO_CCU_SD:
             if est.ndim != 1 or est.size != problem.m:
                 raise DimensionError("prior.estimates", f"budget prior must have length m = {problem.m}")
-        elif model == ModelKind.NLO_SD:
+        elif model.is_sd:
             if est.shape != (problem.m, problem.n):
-                raise DimensionError(
-                    "prior.estimates", f"shape {est.shape} != ({problem.m}, {problem.n})"
-                )
-        elif model == ModelKind.RLO_IU_SD:
-            check_magnitude_prior(prior, problem, structure)
-
-
-def check_magnitude_prior(prior, problem, structure):
-    """Reject a prior-magnitude matrix of the wrong shape or with a negative
-    magnitude on an uncertain column (entries off the columns are ignored)."""
-    est = prior.estimates
-    if est.shape != (problem.m, problem.n):
-        raise DimensionError("prior.estimates", f"shape {est.shape} != ({problem.m}, {problem.n})")
-    for i, cols in enumerate(structure.sets):
-        for j in cols:
-            if est[i, j] < 0.0:
-                raise DimensionError(
-                    "prior.estimates", f"alpha[{i + 1}][{j + 1}] = {est[i, j]:g} is negative"
-                )
+                raise DimensionError("prior.estimates", f"shape {est.shape} != ({problem.m}, {problem.n})")
+            if model == ModelKind.RLO_IU_SD:
+                for i, cols in enumerate(structure.sets):
+                    for j in cols:
+                        if est[i, j] < 0.0:
+                            raise DimensionError(
+                                "prior.estimates", f"alpha[{i + 1}][{j + 1}] = {est[i, j]:g} is negative"
+                            )
+    return _freeze(x)
 
 
 def validate(problem, x_hat, structure, model, omega=None, prior=None):
@@ -631,9 +602,8 @@ def validate(problem, x_hat, structure, model, omega=None, prior=None):
     under strong duality is a warn, not an error: the solve still runs and
     trivial outputs are detected and remediated downstream.
     """
-    x = as_observed(x_hat)
     model = ModelKind(model)
-    _check_dimensions(problem, x, structure, model, omega, prior)
+    x = check_inputs(model, problem, x_hat, structure, omega, prior)
     entries = []
     m, n = problem.m, problem.n
 
@@ -681,7 +651,7 @@ def validate(problem, x_hat, structure, model, omega=None, prior=None):
             zero_rows = [i for i in range(m) if not np.any(prior.estimates[i] != 0.0)]
             if zero_rows:
                 entries.append(_entry("A2", "fail", zero_rows, "prior row is the zero vector"))
-        if np.any(x.x != 0.0):
+        if np.any(x != 0.0):
             entries.append(_entry("A3", "pass"))
         else:
             entries.append(_entry("A3", "fail", (), "observed point is the zero vector"))
@@ -706,7 +676,7 @@ def validate(problem, x_hat, structure, model, omega=None, prior=None):
         )
         if model == ModelKind.RLO_IU_SD:
             movable = any(
-                any(x.x[j] != 0.0 for j in structure.sets[i]) for i in range(m)
+                any(x[j] != 0.0 for j in structure.sets[i]) for i in range(m)
             )
             entries.append(
                 _entry("A6", "pass")
@@ -719,7 +689,7 @@ def validate(problem, x_hat, structure, model, omega=None, prior=None):
                 )
 
     if model.family == "ccu":
-        surplus = problem.surplus(x.x)
+        surplus = problem.surplus(x)
         bad7 = [i for i in range(m) if surplus[i] < -1e-9]
         entries.append(
             _entry("A7", "fail", bad7, "observed point violates the nominal constraint")
@@ -730,7 +700,7 @@ def validate(problem, x_hat, structure, model, omega=None, prior=None):
         if not bad7:
             for i in range(m):
                 vals = np.array(
-                    [structure.alpha[i, j] * abs(x.x[j]) for j in structure.sets[i]]
+                    [structure.alpha[i, j] * abs(x[j]) for j in structure.sets[i]]
                 )
                 total = float(np.sum(vals))
                 if abs(surplus[i] - total) <= 1e-9 and np.any(vals <= 1e-12):

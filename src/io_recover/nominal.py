@@ -26,8 +26,8 @@ from .model import (
     active_row,
     active_solution,
     canonicalize_omega,
+    check_inputs,
     gap_solution,
-    observed_x,
     param_keys,
 )
 
@@ -44,9 +44,9 @@ def solve_nlo_dg(problem, x_hat, omega):
     The gap equals the smallest achievable surplus; the cost vector is the
     winning row.
     """
-    x = observed_x(x_hat, problem)
-    m, n = problem.m, problem.n
     structure = UncertaintyStructure.nominal()
+    x = check_inputs(ModelKind.NLO_DG, problem, x_hat, structure, omega=omega)
+    m, n = problem.m, problem.n
     keys = param_keys(ModelKind.NLO_DG, problem, structure)
     canon = canonicalize_omega(omega, keys)
     if not canon.feasible:
@@ -81,7 +81,7 @@ def solve_nlo_sd(problem, x_hat, prior):
     objective t_i = f_i + sum(g) - g_i is made active (`active_row`), every
     other row is made feasible, and the cost vector is the active row.
     """
-    x = observed_x(x_hat, problem)
+    x = check_inputs(ModelKind.NLO_SD, problem, x_hat, UncertaintyStructure.nominal(), prior=prior)
     if not np.any(x != 0.0):
         raise ZeroObservationError("strong-duality recovery needs a nonzero observation")
     m = problem.m

@@ -27,8 +27,7 @@ from .model import (
     SideConstraints,
     Status,
     UncertaintyStructure,
-    check_magnitude_prior,
-    param_keys,
+    check_inputs,
 )
 
 SCHEMA_VERSION = "1"
@@ -226,7 +225,6 @@ def parse_problem(doc):
         if alpha_rows is None:
             raise ProblemFileError("alpha", f"required by model {model.value}")
         structure = UncertaintyStructure.cardinality(sets, alpha_rows)
-    structure.check_against(problem)
 
     omega = None
     if "omega" in doc:
@@ -241,7 +239,6 @@ def parse_problem(doc):
             names = _require(omega_doc, "omega.variable_order", list)
             variable_map = _parse_variable_order(names, model)
         omega = SideConstraints(G=G, h=h, variable_map=variable_map)
-        omega.arranged(param_keys(model, problem, structure))
 
     prior = None
     xi = None
@@ -278,11 +275,11 @@ def parse_problem(doc):
         if alpha_rows is None:
             raise ProblemFileError("alpha", "required by model rlo-iu-sd (prior magnitudes)")
         prior = Prior(estimates=alpha_rows, xi=xi, norm=norm)
-        check_magnitude_prior(prior, problem, structure)
     if model.is_sd and prior is None:
         raise ProblemFileError("prior", f"required by model {model.value}")
     if model == ModelKind.RLO_IU_DG and alpha_rows is not None:
         raise ProblemFileError("alpha", "not used by model rlo-iu-dg (magnitudes are imputed)")
+    check_inputs(model, problem, x_hat, structure, omega, prior)
 
     return ProblemBundle(
         model=model, problem=problem, x_hat=x_hat, structure=structure, omega=omega, prior=prior

@@ -21,7 +21,7 @@ from .model import (
     RhsEpsilon,
     Status,
     WeightBoost,
-    as_observed,
+    check_inputs,
 )
 
 REPORT_TOL = 1e-7
@@ -132,7 +132,7 @@ def check_certificate(model, problem, x_hat, structure, solution):
     model = ModelKind(model)
     if solution.status not in (Status.OPTIMAL, Status.TRIVIAL_DETECTED):
         raise PreconditionError("certificates apply to optimal or trivial-detected solutions only")
-    x = as_observed(x_hat).x
+    x = check_inputs(model, problem, x_hat, structure)
     pi = np.asarray(solution.dual_pi, dtype=float)
     c = np.asarray(solution.cost, dtype=float)
     imputed = np.asarray(solution.imputed, dtype=float)
@@ -250,6 +250,7 @@ def diagnose_trivial(solution, problem, structure, prior=None, x_hat=None):
         return []
     if solution.model != ModelKind.NLO_SD or solution.imputed is None:
         return []
+    x = None if x_hat is None else check_inputs(ModelKind.NLO_SD, problem, x_hat, structure, prior=prior)
     suggestions = []
     f = solution.per_constraint.get("f")
     g = solution.per_constraint.get("g")
@@ -261,10 +262,10 @@ def diagnose_trivial(solution, problem, structure, prior=None, x_hat=None):
     for i in rows:
         scale = 0.1 * max(1.0, abs(float(problem.b[i])))
         sign = 1.0
-        if prior is not None and x_hat is not None:
+        if prior is not None and x is not None:
             # Moving b toward the prior's side of the hyperplane keeps the
             # re-imputed row pointing the same way as the prior.
-            direction = float(np.asarray(prior.estimates)[i] @ as_observed(x_hat).x)
+            direction = float(prior.estimates[i] @ x)
             sign = 1.0 if direction >= 0.0 else -1.0
         suggestions.append(RhsEpsilon(row=i, delta=sign * scale, note="perturb the right-hand side"))
         suggestions.append(

@@ -16,7 +16,6 @@ from io_recover.errors import InverseLpError, PreconditionError
 from io_recover.geometry import NormKind, dual_norm, protection_value
 from io_recover.model import (
     ModelKind,
-    as_observed,
     canonicalize_omega,
     clamp_budget_prior,
     omega_couples_rows,
@@ -117,7 +116,7 @@ def brute_force_min(model, problem, x_hat, structure, omega_or_prior, spec):
     model = ModelKind(model)
     if model != spec.model:
         raise PreconditionError("oracle spec is for a different model")
-    x = as_observed(x_hat).x
+    x = np.asarray(x_hat, dtype=float)
     surplus = problem.surplus(x)
     m = problem.m
     keys = param_keys(model, problem, structure)
@@ -427,7 +426,7 @@ def oracle_tolerance(model, problem, x_hat, structure, spec, prior=None):
     """step * (per-instance Lipschitz bound) for comparing a solver optimum
     against brute_force_min on the same grid."""
     model = ModelKind(model)
-    x = as_observed(x_hat).x
+    x = np.asarray(x_hat, dtype=float)
     absx = np.abs(x)
     step = spec.step
     m, n = problem.m, problem.n

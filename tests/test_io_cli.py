@@ -11,7 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import io_recover
-from io_recover import DimensionError, ProblemFileError, cli, problem_io
+from io_recover import DimensionError, NumericalFailureError, ProblemFileError, cli, problem_io
+from io_recover import lp as lp_mod
 from io_recover.fixtures import all_examples, case_bundle, example_case, solve_case
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -172,6 +173,16 @@ class TestCliSolve:
         out = tmp_path / "solution.json"
         assert cli.main(["solve", "--input", str(src), "--output", str(out)]) == 1
         assert capsys.readouterr().err == "deviation recovery under strong duality supports l1 and linf priors only\n"
+        assert not out.exists()
+
+    def test_lp_failure_prints_one_line(self, tmp_path, capsys, monkeypatch):
+        def failing(*args):
+            raise NumericalFailureError("synthetic failure")
+
+        monkeypatch.setattr(lp_mod, "_phase_two", failing)
+        out = tmp_path / "solution.json"
+        assert cli.main(["solve", "--input", str(FIXTURES / "example1.json"), "--output", str(out)]) == 1
+        assert capsys.readouterr().err == "synthetic failure\n"
         assert not out.exists()
 
     def test_malformed_json_exits_1(self, tmp_path, capsys):

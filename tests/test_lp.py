@@ -11,6 +11,7 @@ from io_recover import (
     solve_lp,
     solve_lp_batch,
 )
+from io_recover.fixtures import example_case, solve_case
 from conftest import vertex_enumeration_min
 
 
@@ -268,40 +269,37 @@ class TestDeterminismAndBatch:
         assert batched.value == single.value
         assert np.array_equal(batched.solution, single.solution)
 
-    def test_batch_isolates_failures(self, monkeypatch):
-        lp = simple([1.0], [([1.0], ">=", 1.0)])
-        real = lp_mod._phase_two
+    @pytest.mark.parametrize("step", ["_Start", "_phase_two"])
+    def test_numerical_failure_raises_and_ends_the_batch(self, monkeypatch, step):
+        # a failure in the shared start (phase 1) or in an LP's phase 2 raises
+        # from the batch, and no LP after it is solved
+        first = simple([1.0], [([1.0], ">=", 1.0)])
+        second = simple([2.0], [([1.0], ">=", 3.0)])
+        real = getattr(lp_mod, step)
         calls = {"k": 0}
 
-        def flaky(start, arg):
+        def flaky(*args):
             calls["k"] += 1
             if calls["k"] == 2:
                 raise NumericalFailureError("synthetic failure")
-            return real(start, arg)
+            return real(*args)
 
-        monkeypatch.setattr(lp_mod, "_phase_two", flaky)
-        outs = lp_mod.solve_lp_batch([lp, lp, lp])
-        assert [o.status for o in outs] == [LpStatus.OPTIMAL, LpStatus.FAILED, LpStatus.OPTIMAL]
-        assert outs[1].error == "synthetic failure"
-
-    def test_failed_shared_start_fails_its_run_only(self, monkeypatch):
-        first = simple([1.0], [([1.0], ">=", 1.0)])
-        second = simple([2.0], [([1.0], ">=", 3.0)])
-        real = lp_mod._Start
-        calls = {"k": 0}
-
-        def flaky(arg):
-            calls["k"] += 1
-            if calls["k"] == 1:
-                raise NumericalFailureError("synthetic phase one failure")
-            return real(arg)
-
-        monkeypatch.setattr(lp_mod, "_Start", flaky)
-        outs = lp_mod.solve_lp_batch([first, first, first, second])
+        monkeypatch.setattr(lp_mod, step, flaky)
+        with pytest.raises(NumericalFailureError, match="^synthetic failure$"):
+            lp_mod.solve_lp_batch([first, first, second, second])
         assert calls["k"] == 2
-        assert [o.status for o in outs] == [LpStatus.FAILED] * 3 + [LpStatus.OPTIMAL]
-        assert [o.error for o in outs[:3]] == ["synthetic phase one failure"] * 3
-        assert outs[3].value == 6.0
+
+    @pytest.mark.parametrize("step", ["_Start", "_phase_two"])
+    @pytest.mark.parametrize("number", [1, 3, 4, 5])
+    def test_numerical_failure_raises_from_solve(self, monkeypatch, step, number):
+        # fixtures 1, 3, 4 and 5 are the LP models: nlo-dg, rlo-iu-dg, rlo-iu-sd, rlo-ccu-dg
+        def failing(*args):
+            raise NumericalFailureError("synthetic failure")
+
+        monkeypatch.setattr(lp_mod, step, failing)
+        case = example_case(number)
+        with pytest.raises(NumericalFailureError, match="^synthetic failure$"):
+            solve_case(case)
 
     def test_batch_order(self):
         lps = [simple([1.0], [([1.0], ">=", float(k))]) for k in range(8)]
@@ -420,7 +418,6 @@ def outcomes_equal(a, b):
         and all(np.array_equal(getattr(a, f), getattr(b, f)) for f in ("solution", "ray"))
         and a.value == b.value
         and a.infeasibility == b.infeasibility
-        and a.error == b.error
     )
 
 

@@ -8,7 +8,6 @@ from io_recover import (
     ForwardProblem,
     ModelKind,
     NormKind,
-    ObservedPoint,
     PreconditionError,
     Prior,
     SideConstraints,
@@ -18,7 +17,9 @@ from io_recover import (
 )
 from io_recover.fixtures import example_case
 from io_recover.geometry import norm_value
-from io_recover.model import Status, canonicalize_omega, clamp_budget_prior, omega_couples_rows, param_keys
+from io_recover.model import (
+    Status, canonicalize_omega, check_inputs, clamp_budget_prior, omega_couples_rows, param_keys,
+)
 
 
 class TestTypes:
@@ -37,8 +38,9 @@ class TestTypes:
             prob.A[0, 0] = 5.0
 
     def test_observed_point_must_be_vector(self):
+        problem = ForwardProblem(A=[[1.0]], b=[0.0])
         with pytest.raises(DimensionError):
-            ObservedPoint(x=[[1.0]])
+            check_inputs(ModelKind.NLO_DG, problem, [[1.0]], UncertaintyStructure.nominal())
 
     def test_structure_alpha_nonneg(self):
         with pytest.raises(DimensionError):
@@ -69,23 +71,49 @@ WRONG_SHAPES = pytest.mark.parametrize(
     "model, defect",
     [(model, "long x_hat") for model in MAKERS]
     + [(model, defect) for model in (ModelKind.RLO_IU_DG, ModelKind.RLO_IU_SD)
-       for defect in ("column out of range", "too few sets")],
+       for defect in ("column out of range", "too few sets")]
+    + [(ModelKind.NLO_SD, shape) for shape in ("prior (1, n)", "prior (n,)")]
+    + [(ModelKind.RLO_CCU_SD, shape) for shape in ("prior (1,)", "prior (1, m)", "prior (m, n)")]
+    + [(model, "long xi") for model in MAKERS if model.is_sd]
+    + [(model, "extra omega column") for model in MAKERS if model.is_dg]
+    + [(model, "wrong variant") for model in MAKERS if model.family != "nlo"],
 )
 
 
 def _wrong_shaped(model, defect):
-    """A generated instance with one defect, and the field it should be named by."""
+    """A generated instance with one defect, and the error it should raise:
+    (type, the field it names, None for a PreconditionError)."""
     problem, x, structure, data, _ = MAKERS[model](0)
-    field = "x_hat"
+    m, n = problem.m, problem.n
+    error = (DimensionError, "x_hat")
     if defect == "long x_hat":
         x = np.append(x, 1.0)
+    elif defect.startswith("prior"):
+        error = (DimensionError, "prior.estimates")
+        shape = {"prior (1, n)": (1, n), "prior (n,)": (n,), "prior (1,)": (1,),
+                 "prior (1, m)": (1, m), "prior (m, n)": (m, n)}[defect]
+        data = Prior(estimates=np.full(shape, 0.5), norm=data.norm)
+    elif defect == "long xi":
+        error = (DimensionError, "prior.xi")
+        data = Prior(estimates=data.estimates, xi=np.ones(m + 1), norm=data.norm)
+    elif defect == "extra omega column":
+        error = (DimensionError, "omega.G")
+        data = SideConstraints(G=np.hstack([data.G, np.zeros((data.G.shape[0], 1))]), h=data.h)
+    elif defect == "wrong variant":
+        error = (PreconditionError, None)
+        sets = (tuple(range(n)),) * m
+        structure = (
+            UncertaintyStructure.cardinality(sets, np.ones((m, n)))
+            if model.family == "iu"
+            else UncertaintyStructure.interval(sets)
+        )
     else:
-        field = "uncertain_columns"
+        error = (DimensionError, "uncertain_columns")
         sets = structure.sets[:-1]
         if defect == "column out of range":
-            sets = (structure.sets[0] + (problem.n,),) + structure.sets[1:]
+            sets = (structure.sets[0] + (n,),) + structure.sets[1:]
         structure = UncertaintyStructure.interval(sets)
-    return (problem, x, structure, data), field
+    return (problem, x, structure, data), error
 
 
 def _call_solver(model, problem, x, structure, data):
@@ -93,21 +121,40 @@ def _call_solver(model, problem, x, structure, data):
     return solver(problem, x, data) if model.family == "nlo" else solver(problem, x, structure, data)
 
 
+def _raises(error, call, *args, **kwargs):
+    kind, field = error
+    with pytest.raises(kind) as err:
+        call(*args, **kwargs)
+    assert type(err.value) is kind and getattr(err.value, "field", None) == field
+
+
 @WRONG_SHAPES
 def test_solve_names_the_wrong_shaped_field(model, defect):
-    (problem, x, structure, data), field = _wrong_shaped(model, defect)
-    with pytest.raises(DimensionError) as err:
-        io_recover.solve(model, problem, x, structure, omega=data, prior=data)
-    assert err.value.field == field
+    (problem, x, structure, data), error = _wrong_shaped(model, defect)
+    _raises(error, io_recover.solve, model, problem, x, structure, omega=data, prior=data)
 
 
 @WRONG_SHAPES
 def test_solver_names_the_wrong_shaped_field(model, defect):
-    """The solver functions check dimensions themselves, as io_recover.solve does."""
-    args, field = _wrong_shaped(model, defect)
-    with pytest.raises(DimensionError) as err:
-        _call_solver(model, *args)
-    assert err.value.field == field
+    """The solver functions check their inputs themselves, as io_recover.solve does."""
+    args, error = _wrong_shaped(model, defect)
+    _raises(error, _call_solver, model, *args)
+
+
+@WRONG_SHAPES
+def test_validate_names_the_wrong_shaped_field(model, defect):
+    (problem, x, structure, data), error = _wrong_shaped(model, defect)
+    data = {"prior": data} if model.is_sd else {"omega": data}
+    _raises(error, validate, problem, x, structure, model, **data)
+
+
+@pytest.mark.parametrize("number", range(1, 9))
+def test_certificate_names_a_long_observation(number):
+    case = example_case(number)
+    solution = io_recover.solve(case.model, case.problem, case.x_hat, case.structure, case.omega, case.prior)
+    long_x = np.append(case.x_hat, 1.0)
+    _raises((DimensionError, "x_hat"), io_recover.check_certificate, case.model, case.problem, long_x,
+            case.structure, solution)
 
 
 @pytest.mark.parametrize("model", [m for m in MAKERS if m.family != "nlo"], ids=lambda m: m.value)

@@ -1,7 +1,9 @@
 """The library reads no environment variable and runs no worker pool: one
 execution path, whatever the process environment.  Every module uses what
 it imports, and the LP engine returns nothing its callers do not read.  The
-benchmark's traced runs find every function they wrap."""
+rule for a valid solve input lives in one function, `model.check_inputs`,
+which every solver calls.  The benchmark's traced runs find every function
+they wrap."""
 
 import ast
 import dataclasses
@@ -59,3 +61,35 @@ def test_traced_layers_resolve():
         if not callable(getattr(importlib.import_module(f"io_recover.{layer}"), name, None))
     ]
     assert not missing
+
+
+def _called(tree):
+    """Names of the functions and methods called anywhere in `tree`."""
+    funcs = [node.func for node in ast.walk(tree) if isinstance(node, ast.Call)]
+    return {f.id for f in funcs if isinstance(f, ast.Name)} | {f.attr for f in funcs if isinstance(f, ast.Attribute)}
+
+
+def _functions(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+
+
+SOURCE = {path.name: path for path in SOURCES}
+# the input rule, and the structure's and omega's checks it runs
+INPUT_CHECKS = {"check_inputs", "check_against", "arranged"}
+
+
+def test_solve_only_dispatches():
+    assert _called(_functions(SOURCE["__init__.py"])["solve"]) & INPUT_CHECKS == set()
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "model.py"], ids=lambda p: p.name)
+def test_input_rule_stays_in_model(path):
+    assert _called(ast.parse(path.read_text(encoding="utf-8"))) & (INPUT_CHECKS - {"check_inputs"}) == set()
+
+
+@pytest.mark.parametrize("name", ["nominal.py", "interval.py", "cardinality.py"])
+def test_every_solver_calls_the_one_check(name):
+    solvers = {key: node for key, node in _functions(SOURCE[name]).items() if key.startswith("solve_")}
+    assert len(solvers) == 2
+    assert [key for key, node in solvers.items() if "check_inputs" not in _called(node)] == []

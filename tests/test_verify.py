@@ -29,7 +29,6 @@ from io_recover.geometry import (
     realized_row_interval,
     sorted_uncertainty,
 )
-from io_recover.model import as_observed
 from io_recover.verify import REPORT_TOL, UNIT_FREE
 from oracle import GridOracleSpec, GridTooLargeError, brute_force_min
 
@@ -315,7 +314,7 @@ def _loop_certificate(model, problem, x_hat, structure, solution):
     geometry kernel: the reference the deviation block of check_certificate
     must reproduce bit for bit."""
     model = ModelKind(model)
-    x = as_observed(x_hat).x
+    x = np.asarray(x_hat, dtype=float)
     m, n = problem.m, problem.n
     pi = np.asarray(solution.dual_pi, dtype=float)
     c = np.asarray(solution.cost, dtype=float)
