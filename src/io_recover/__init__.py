@@ -63,10 +63,13 @@ def solve(model, problem, x_hat, structure=None, omega=None, prior=None):
     """Run the solver for `model`; the one mapping from ModelKind to solver.
 
     The robust families take `structure`; the strong-duality models take
-    `prior`, the gap models `omega`.  Each solver checks its inputs
+    `prior`, the gap models `omega`.  Only that one is passed on, so an
+    omega given here to a -sd model, or a prior to a -dg model, is not
+    read (`validate` rejects either).  Each solver checks its inputs
     (`model.check_inputs`), so calling a solver function directly checks
-    them exactly as this does: a wrong-shaped input raises DimensionError
-    naming the field, a structure of the wrong variant PreconditionError.
+    them exactly as this does: a wrong-shaped or missing input raises
+    DimensionError naming the field, a structure of the wrong variant
+    PreconditionError.
     A numerical failure of the LP engine raises NumericalFailureError.  The
     solver is looked up by name at call time, so rebinding a solver in this
     module redirects every caller.

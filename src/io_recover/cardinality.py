@@ -19,7 +19,6 @@ from .lp import Constraints, LinearProgram, solve_lp_batch
 from .model import (
     InverseSolution,
     ModelKind,
-    Status,
     active_row,
     active_solution,
     canonicalize_omega,
@@ -96,19 +95,13 @@ def solve_rlo_ccu_dg(problem, x_hat, structure, omega):
     try:
         gb = compute_gamma_bounds(problem, structure, x)
     except NominalInfeasibleError as exc:
-        return InverseSolution(
-            model=ModelKind.RLO_CCU_DG,
-            status=Status.INFEASIBLE,
-            message=str(exc),
-        )
+        return InverseSolution.infeasible(ModelKind.RLO_CCU_DG, str(exc))
     surplus = problem.surplus(x)
     keys = param_keys(ModelKind.RLO_CCU_DG, problem, structure)
     canon = canonicalize_omega(omega, keys, lower_floor=np.zeros(m), upper_cap=gb.theta_upper)
     if not canon.feasible:
-        return InverseSolution(
-            model=ModelKind.RLO_CCU_DG,
-            status=Status.INFEASIBLE,
-            message="no budgets satisfy both the feasibility box and the side constraints",
+        return InverseSolution.infeasible(
+            ModelKind.RLO_CCU_DG, "no budgets satisfy both the feasibility box and the side constraints"
         )
 
     coupled = canon.G.shape[0] > 0
@@ -149,16 +142,10 @@ def solve_rlo_ccu_sd(problem, x_hat, structure, prior):
     try:
         gb = compute_gamma_bounds(problem, structure, x)
     except NominalInfeasibleError as exc:
-        return InverseSolution(
-            model=ModelKind.RLO_CCU_SD,
-            status=Status.INFEASIBLE,
-            message=str(exc),
-        )
+        return InverseSolution.infeasible(ModelKind.RLO_CCU_SD, str(exc))
     if not gb.i_hat:
-        return InverseSolution(
-            model=ModelKind.RLO_CCU_SD,
-            status=Status.INFEASIBLE,
-            message="no constraint's surplus is within reach of its protection function",
+        return InverseSolution.infeasible(
+            ModelKind.RLO_CCU_SD, "no constraint's surplus is within reach of its protection function"
         )
     gamma_hat = clamp_budget_prior(prior, structure)
 

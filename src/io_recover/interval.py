@@ -25,7 +25,6 @@ from .lp import Constraints, LinearProgram, LpStatus, solve_lp_batch
 from .model import (
     InverseSolution,
     ModelKind,
-    Status,
     active_row,
     active_solution,
     canonicalize_omega,
@@ -69,11 +68,7 @@ def solve_rlo_iu_dg(problem, x_hat, structure, omega):
     p = len(keys)
     canon = canonicalize_omega(omega, keys, lower_floor=np.zeros(p))
     if not canon.feasible:
-        return InverseSolution(
-            model=ModelKind.RLO_IU_DG,
-            status=Status.INFEASIBLE,
-            message="side constraints are contradictory",
-        )
+        return InverseSolution.infeasible(ModelKind.RLO_IU_DG, "side constraints are contradictory")
     key_rows = np.array([i for _, i, _ in keys], dtype=np.intp)
     key_cols = np.array([j for _, _, j in keys], dtype=np.intp)
     weight = np.abs(x[key_cols])
@@ -140,13 +135,10 @@ def solve_rlo_iu_sd(problem, x_hat, structure, prior):
     m = problem.m
     worst = int(np.argmin(surplus))
     if surplus[worst] < -1e-9:
-        return InverseSolution(
-            model=ModelKind.RLO_IU_SD,
-            status=Status.INFEASIBLE,
-            message=(
-                f"observation is nominal-infeasible on constraint {worst + 1} "
-                f"(violation {-surplus[worst]:g}); no magnitudes can restore feasibility"
-            ),
+        return InverseSolution.infeasible(
+            ModelKind.RLO_IU_SD,
+            f"observation is nominal-infeasible on constraint {worst + 1} "
+            f"(violation {-surplus[worst]:g}); no magnitudes can restore feasibility",
         )
     w = prior.weights(m)
     cols = [list(s) for s in structure.sets]
@@ -159,10 +151,8 @@ def solve_rlo_iu_sd(problem, x_hat, structure, prior):
     f = np.array([out.value if out.status == LpStatus.OPTIMAL else np.inf for out in outcomes])
     g = np.where(fits, 0.0, f)
     if not np.all(np.isfinite(g)) or not np.any(np.isfinite(f)):
-        return InverseSolution(
-            model=ModelKind.RLO_IU_SD,
-            status=Status.INFEASIBLE,
-            message="no constraint can be made robust-active at the observation",
+        return InverseSolution.infeasible(
+            ModelKind.RLO_IU_SD, "no constraint can be made robust-active at the observation"
         )
 
     t = f + np.sum(g) - g

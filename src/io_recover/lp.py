@@ -171,10 +171,7 @@ class _Std:
             extra_val.append(1.0)
         self.m = len(senses)
         self.ncols = nvar + len(extra_row)
-        # BLAS sums in an order that depends on the memory layout, so the
-        # layout is part of every outcome: column-major for a single
-        # variable column, row-major otherwise.
-        self.A = np.zeros((self.m, self.ncols), order="F" if nvar == 1 else "C")
+        self.A = np.zeros((self.m, self.ncols))
         self.A[: len(R), :nvar] = R[:, self.owner] * self.sign * row_sign[:, None]
         self.A[len(R) + np.arange(len(range_col)), range_col] = 1.0
         self.A[extra_row, np.arange(nvar, self.ncols)] = extra_val
@@ -237,8 +234,9 @@ class _Start:
     """The objective-free start of a solve, shared by every LP over the
     same constraints: the equality form, phase 1 and the drive-out of
     leftover artificials.  The artificial columns stay in the tableau T:
-    phase 2 never enters them, but dropping them would change T's shape,
-    and with it the order in which BLAS sums, and so the pivots.
+    phase 2 never enters them, and dropping them gives the same outcomes,
+    but gathering the kept columns once per start costs what the smaller
+    phase 2 saves.
     """
 
     def __init__(self, constraints):
@@ -279,7 +277,7 @@ def _phase_two(start, lp):
         return LpOutcome(status=LpStatus.INFEASIBLE, infeasibility=start.infeasibility)
     std = start.std
     cost = std.cost(lp.objective)
-    T = start.T.copy(order="K")  # same memory layout: see _Std
+    T = start.T.copy()
     basis = list(start.basis)
     status, enter = _simplex(T, basis, cost, std.structural, start.degen_limit)
     if status == "unbounded":

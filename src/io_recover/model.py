@@ -410,6 +410,12 @@ class InverseSolution:
     ray: np.ndarray = None
     message: str = None
 
+    @classmethod
+    def infeasible(cls, model, message):
+        """The solution of an input no parameters can make optimal: the one
+        way a solver reports an infeasible model."""
+        return cls(model=model, status=Status.INFEASIBLE, message=message)
+
 
 def active_row(t, scale):
     """The active row: the lowest i with t_i <= t_j + ZERO_TOL * (1 + s_i + s_j),
@@ -489,11 +495,7 @@ def gap_solution(model, outcomes, offset, lower, blocks, shape, realize, infeasi
                 message=f"surplus of constraint {i + 1} is unbounded below",
             )
         if out.status == LpStatus.INFEASIBLE:
-            return InverseSolution(
-                model=model,
-                status=Status.INFEASIBLE,
-                message=infeasible_message.format(infeasibility=out.infeasibility),
-            )
+            return InverseSolution.infeasible(model, infeasible_message.format(infeasibility=out.infeasibility))
     values = np.array([out.value for out in outcomes])
     t = offset + values
     subresults = []
@@ -561,7 +563,9 @@ def check_inputs(model, problem, x_hat, structure, omega=None, prior=None):
     imputed parameters, and the prior has the model's shape (its weights
     one per row, a budget prior one entry per row, the others m x n with
     no negative magnitude on an uncertain column for rlo-iu-sd).  A
-    wrong-shaped field raises DimensionError naming it.
+    strong-duality model needs a prior and takes no omega; a gap model
+    takes no prior.  A wrong-shaped, missing or unused field raises
+    DimensionError naming it.
     """
     x = np.array(x_hat, dtype=float)
     if x.ndim != 1:
@@ -592,6 +596,12 @@ def check_inputs(model, problem, x_hat, structure, omega=None, prior=None):
                             raise DimensionError(
                                 "prior.estimates", f"alpha[{i + 1}][{j + 1}] = {est[i, j]:g} is negative"
                             )
+    if model.is_sd and prior is None:
+        raise DimensionError("prior", f"required by model {model.value}")
+    if model.is_sd and omega is not None:
+        raise DimensionError("omega", f"not used by model {model.value}")
+    if model.is_dg and prior is not None:
+        raise DimensionError("prior", f"not used by model {model.value}")
     return _freeze(x)
 
 
@@ -600,7 +610,9 @@ def validate(problem, x_hat, structure, model, omega=None, prior=None):
 
     Returns per-assumption pass/warn/fail entries.  A zero right-hand side
     under strong duality is a warn, not an error: the solve still runs and
-    trivial outputs are detected and remediated downstream.
+    trivial outputs are detected and remediated downstream.  The input is
+    checked by `check_inputs`, so a strong-duality model without a prior
+    raises, as its solver does.
     """
     model = ModelKind(model)
     x = check_inputs(model, problem, x_hat, structure, omega, prior)
@@ -622,7 +634,12 @@ def validate(problem, x_hat, structure, model, omega=None, prior=None):
                 uncertifiable.append(i)
                 continue
             cols = slice(i * n, (i + 1) * n)  # ("a", i, j) in natural order
-            zero_allowed = np.all(canon.lower[cols] <= 1e-12) and np.all(canon.upper[cols] >= -1e-12)
+            # uncoupled: a side row on row i's parameters reads no other row, so a_i = 0 meets it iff h >= 0
+            within = np.any(canon.G[:, cols] != 0.0, axis=1)
+            zero_allowed = (
+                np.all(canon.lower[cols] <= 1e-12) and np.all(canon.upper[cols] >= -1e-12)
+                and np.all(canon.h[within] >= -1e-12)
+            )
             if zero_allowed and problem.b[i] <= 1e-12:
                 bad.append(i)
         if bad:
@@ -647,10 +664,9 @@ def validate(problem, x_hat, structure, model, omega=None, prior=None):
             )
         else:
             entries.append(_entry("A2", "pass"))
-        if prior is not None:
-            zero_rows = [i for i in range(m) if not np.any(prior.estimates[i] != 0.0)]
-            if zero_rows:
-                entries.append(_entry("A2", "fail", zero_rows, "prior row is the zero vector"))
+        zero_rows = [i for i in range(m) if not np.any(prior.estimates[i] != 0.0)]
+        if zero_rows:
+            entries.append(_entry("A2", "fail", zero_rows, "prior row is the zero vector"))
         if np.any(x != 0.0):
             entries.append(_entry("A3", "pass"))
         else:
@@ -683,7 +699,7 @@ def validate(problem, x_hat, structure, model, omega=None, prior=None):
                 if movable
                 else _entry("A6", "fail", (), "every uncertain column is zero at the observed point")
             )
-            if prior is not None and prior.norm == NormKind.L2:
+            if prior.norm == NormKind.L2:
                 entries.append(
                     _entry("norm", "fail", (), "deviation recovery solves exactly for l1/linf priors only")
                 )
@@ -711,7 +727,7 @@ def validate(problem, x_hat, structure, model, omega=None, prior=None):
             )
         else:
             entries.append(_entry("A8", "pass"))
-        if model == ModelKind.RLO_CCU_SD and prior is not None:
+        if model == ModelKind.RLO_CCU_SD:
             off = [
                 i
                 for i in range(m)

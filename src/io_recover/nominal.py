@@ -9,8 +9,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import verify
-from .errors import ZeroObservationError
-from .geometry import project_halfspace, project_hyperplane
+from .errors import DimensionError, ZeroObservationError
+from .geometry import project_hyperplane
 from .lp import Constraints, LinearProgram, solve_lp_batch
 from .model import (
     ZERO_TOL,
@@ -50,11 +50,7 @@ def solve_nlo_dg(problem, x_hat, omega):
     keys = param_keys(ModelKind.NLO_DG, problem, structure)
     canon = canonicalize_omega(omega, keys)
     if not canon.feasible:
-        return InverseSolution(
-            model=ModelKind.NLO_DG,
-            status=Status.INFEASIBLE,
-            message="side constraints are contradictory",
-        )
+        return InverseSolution.infeasible(ModelKind.NLO_DG, "side constraints are contradictory")
 
     own = np.array([key[1] for key in keys]) == np.arange(m)[:, None]  # own[i, k]: key k is in row i
     loads = np.where(own, np.tile(x, m), 0.0)  # loads[i] . a = a_i . x
@@ -76,10 +72,11 @@ def solve_nlo_sd(problem, x_hat, prior):
     """Closest matrix to the prior making the observation exactly optimal.
 
     Per row, the prior vector is projected onto the hyperplane that makes
-    the row active at the observation (cost f_i, weighted) and onto the
-    halfspace that makes it feasible (cost g_i); the row with the smallest
-    objective t_i = f_i + sum(g) - g_i is made active (`active_row`), every
-    other row is made feasible, and the cost vector is the active row.
+    the row active at the observation (cost f_i, weighted); keeping the row
+    feasible costs g_i = 0 when the prior row fits (a_hat_i . x >= b_i) and
+    f_i otherwise.  The row with the smallest objective t_i = f_i + sum(g) -
+    g_i is made active (`active_row`), every other row that does not fit is
+    projected, and the cost vector is the active row.
     """
     x = check_inputs(ModelKind.NLO_SD, problem, x_hat, UncertaintyStructure.nominal(), prior=prior)
     if not np.any(x != 0.0):
@@ -89,20 +86,18 @@ def solve_nlo_sd(problem, x_hat, prior):
     a_hat = np.asarray(prior.estimates, dtype=float)
 
     f = np.zeros(m)
-    g = np.zeros(m)
+    fits = np.zeros(m, dtype=bool)
     rows_f = []
-    rows_g = []
     for i in range(m):
         a_f, dist = project_hyperplane(a_hat[i], x, problem.b[i], prior.norm)
-        a_g, dist_g = project_halfspace(a_hat[i], x, problem.b[i], prior.norm)
         rows_f.append(a_f)
-        rows_g.append(a_g)
         f[i] = w[i] * dist
-        g[i] = w[i] * dist_g
+        fits[i] = float(a_hat[i] @ x) >= float(problem.b[i])
+    g = np.where(fits, 0.0, f)
 
     t = f + np.sum(g) - g
     i_star = active_row(t, f + np.sum(g))
-    A = np.vstack([rows_f[i] if i == i_star else rows_g[i] for i in range(m)])
+    A = np.vstack([a_hat[i] if fits[i] and i != i_star else rows_f[i] for i in range(m)])
     solution = active_solution(
         ModelKind.NLO_SD, i_star, A, A[i_star].copy(), t[i_star],
         {"f": f, "g": g}, None, _has_zero_row(A),
@@ -129,7 +124,16 @@ def perturb_and_resolve(problem, x_hat, prior, strategy):
 
     Strategies: nudge the right-hand side of a row, nudge one prior
     coefficient, or boost a row's weight so a different row is activated.
+    The inputs are checked as the solve checks them, and a row or column
+    outside the problem raises DimensionError naming it.
     """
+    check_inputs(ModelKind.NLO_SD, problem, x_hat, UncertaintyStructure.nominal(), prior=prior)
+    if not isinstance(strategy, (RhsEpsilon, PriorEpsilon, WeightBoost)):
+        raise TypeError(f"unknown perturbation strategy {strategy!r}")
+    if not 0 <= strategy.row < problem.m:
+        raise DimensionError("strategy.row", f"{strategy.row} outside 0..{problem.m - 1}")
+    if isinstance(strategy, PriorEpsilon) and not 0 <= strategy.col < problem.n:
+        raise DimensionError("strategy.col", f"{strategy.col} outside 0..{problem.n - 1}")
     b = np.asarray(problem.b, dtype=float).copy()
     est = np.asarray(prior.estimates, dtype=float).copy()
     xi = prior.weights(problem.m).copy()
@@ -137,10 +141,8 @@ def perturb_and_resolve(problem, x_hat, prior, strategy):
         b[strategy.row] += strategy.delta
     elif isinstance(strategy, PriorEpsilon):
         est[strategy.row, strategy.col] += strategy.delta
-    elif isinstance(strategy, WeightBoost):
-        xi[strategy.row] = strategy.weight
     else:
-        raise TypeError(f"unknown perturbation strategy {strategy!r}")
+        xi[strategy.row] = strategy.weight
     new_problem = ForwardProblem(A=problem.A, b=b)
     new_prior = Prior(estimates=est, xi=xi, norm=prior.norm)
     return PerturbedSolve(

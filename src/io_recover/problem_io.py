@@ -275,8 +275,6 @@ def parse_problem(doc):
         if alpha_rows is None:
             raise ProblemFileError("alpha", "required by model rlo-iu-sd (prior magnitudes)")
         prior = Prior(estimates=alpha_rows, xi=xi, norm=norm)
-    if model.is_sd and prior is None:
-        raise ProblemFileError("prior", f"required by model {model.value}")
     if model == ModelKind.RLO_IU_DG and alpha_rows is not None:
         raise ProblemFileError("alpha", "not used by model rlo-iu-dg (magnitudes are imputed)")
     check_inputs(model, problem, x_hat, structure, omega, prior)

@@ -132,7 +132,8 @@ def check_certificate(model, problem, x_hat, structure, solution):
     model = ModelKind(model)
     if solution.status not in (Status.OPTIMAL, Status.TRIVIAL_DETECTED):
         raise PreconditionError("certificates apply to optimal or trivial-detected solutions only")
-    x = check_inputs(model, problem, x_hat, structure)
+    # checked against the family's gap model: a certificate reads no omega or prior
+    x = check_inputs(ModelKind(model.value.replace("-sd", "-dg")), problem, x_hat, structure)
     pi = np.asarray(solution.dual_pi, dtype=float)
     c = np.asarray(solution.cost, dtype=float)
     imputed = np.asarray(solution.imputed, dtype=float)
@@ -250,7 +251,8 @@ def diagnose_trivial(solution, problem, structure, prior=None, x_hat=None):
         return []
     if solution.model != ModelKind.NLO_SD or solution.imputed is None:
         return []
-    x = None if x_hat is None else check_inputs(ModelKind.NLO_SD, problem, x_hat, structure, prior=prior)
+    model = ModelKind.NLO_DG if prior is None else ModelKind.NLO_SD  # the prior is optional here
+    x = None if x_hat is None else check_inputs(model, problem, x_hat, structure, prior=prior)
     suggestions = []
     f = solution.per_constraint.get("f")
     g = solution.per_constraint.get("g")

@@ -163,6 +163,24 @@ class TestCliSolve:
         assert err.count("\n") == 1 and "alpha[1][1]" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "number, field, line",
+        [(2, "omega", "omega: not used by model nlo-sd"), (6, "prior", "prior: required by model rlo-ccu-sd")],
+    )
+    def test_strong_duality_data_mismatch_exits_1(self, tmp_path, capsys, number, field, line):
+        # only the gap models take side constraints, and the -sd models need a prior
+        doc = _load(FIXTURES / f"example{number}.json")
+        if field == "omega":
+            doc["omega"] = {"G": [[1.0] * 6], "h": [100.0]}
+        else:
+            del doc["prior"]
+        src = tmp_path / "problem.json"
+        src.write_text(json.dumps(doc))
+        out = tmp_path / "solution.json"
+        assert cli.main(["solve", "--input", str(src), "--output", str(out)]) == 1
+        assert capsys.readouterr().err == line + "\n"
+        assert not out.exists()
+
     def test_solver_rejection_prints_one_line(self, tmp_path, capsys):
         # without its prior, fixture 4 (rlo-iu-sd) falls back to an l2 prior,
         # which validation flags and the solver rejects: one line, not three

@@ -67,8 +67,7 @@ MAKERS = {
 }
 
 
-WRONG_SHAPES = pytest.mark.parametrize(
-    "model, defect",
+DEFECTS = (
     [(model, "long x_hat") for model in MAKERS]
     + [(model, defect) for model in (ModelKind.RLO_IU_DG, ModelKind.RLO_IU_SD)
        for defect in ("column out of range", "too few sets")]
@@ -76,8 +75,15 @@ WRONG_SHAPES = pytest.mark.parametrize(
     + [(ModelKind.RLO_CCU_SD, shape) for shape in ("prior (1,)", "prior (1, m)", "prior (m, n)")]
     + [(model, "long xi") for model in MAKERS if model.is_sd]
     + [(model, "extra omega column") for model in MAKERS if model.is_dg]
-    + [(model, "wrong variant") for model in MAKERS if model.family != "nlo"],
+    + [(model, "wrong variant") for model in MAKERS if model.family != "nlo"]
+    + [(model, "missing prior") for model in MAKERS if model.is_sd]
 )
+WRONG_SHAPES = pytest.mark.parametrize("model, defect", DEFECTS)
+# solve and the solvers pass on only the data their model takes, so only
+# validate sees the other: a well-shaped omega on a -sd model, a prior on a -dg one
+UNREAD = [(model, "omega on -sd") for model in MAKERS if model.is_sd] + [
+    (model, "prior on -dg") for model in MAKERS if model.is_dg
+]
 
 
 def _wrong_shaped(model, defect):
@@ -88,6 +94,13 @@ def _wrong_shaped(model, defect):
     error = (DimensionError, "x_hat")
     if defect == "long x_hat":
         x = np.append(x, 1.0)
+    elif defect == "missing prior":
+        error = (DimensionError, "prior")
+        data = None
+    elif defect == "omega on -sd":
+        error = (DimensionError, "omega")
+    elif defect == "prior on -dg":
+        error = (DimensionError, "prior")
     elif defect.startswith("prior"):
         error = (DimensionError, "prior.estimates")
         shape = {"prior (1, n)": (1, n), "prior (n,)": (n,), "prior (1,)": (1,),
@@ -141,10 +154,14 @@ def test_solver_names_the_wrong_shaped_field(model, defect):
     _raises(error, _call_solver, model, *args)
 
 
-@WRONG_SHAPES
+@pytest.mark.parametrize("model, defect", DEFECTS + UNREAD)
 def test_validate_names_the_wrong_shaped_field(model, defect):
     (problem, x, structure, data), error = _wrong_shaped(model, defect)
     data = {"prior": data} if model.is_sd else {"omega": data}
+    if defect == "omega on -sd":
+        data["omega"] = SideConstraints(G=np.zeros((1, len(param_keys(model, problem, structure)))), h=[1.0])
+    elif defect == "prior on -dg":
+        data["prior"] = Prior(estimates=np.ones((problem.m, problem.n)))
     _raises(error, validate, problem, x, structure, model, **data)
 
 
@@ -346,6 +363,14 @@ class TestValidate:
         )
         report2 = validate(case.problem, case.x_hat, case.structure, case.model, omega=box_omega)
         assert report2.level("A1") == "pass"
+
+    @pytest.mark.parametrize("h, rows", [(-1.0, (2,)), (1.0, (1, 2))])
+    def test_a1_reads_side_rows_within_a_row(self, h, rows):
+        # -a11 - a12 <= h: with h = -1 row 1 cannot be zero, with h = 1 it can
+        prob = ForwardProblem(A=[[1.0, 1.0], [1.0, -1.0]], b=[0.0, -1.0])
+        omega = SideConstraints(G=[[-1.0, -1.0, 0.0, 0.0]], h=[h])
+        report = validate(prob, [1.0, 1.0], UncertaintyStructure.nominal(), ModelKind.NLO_DG, omega=omega)
+        assert [e.rows for e in report.failures()] == [rows]
 
     def test_a1_fails_without_side_constraints(self):
         prob = ForwardProblem(A=[[1.0, 0.0]], b=[-1.0])

@@ -3,6 +3,7 @@ import pytest
 
 import gen
 from io_recover import (
+    DimensionError,
     ForwardProblem,
     ModelKind,
     NormKind,
@@ -304,3 +305,18 @@ class TestTrivialEscapes:
             case.problem, case.x_hat, case.prior, WeightBoost(row=2, weight=10.0)
         )
         assert res3.prior.weights(4)[2] == pytest.approx(10.0)
+
+    @pytest.mark.parametrize(
+        "strategy, field",
+        [
+            (RhsEpsilon(row=9, delta=0.1), "strategy.row"),
+            (PriorEpsilon(row=0, col=7, delta=0.1), "strategy.col"),
+            (WeightBoost(row=-1, weight=2.0), "strategy.row"),  # would boost the last row
+        ],
+        ids=["rhs row", "prior column", "negative weight row"],
+    )
+    def test_perturbation_outside_the_problem_names_the_field(self, strategy, field):
+        case = example_case(2)
+        with pytest.raises(DimensionError) as err:
+            perturb_and_resolve(case.problem, case.x_hat, case.prior, strategy)
+        assert err.value.field == field

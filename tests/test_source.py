@@ -2,13 +2,15 @@
 execution path, whatever the process environment.  Every module uses what
 it imports, and the LP engine returns nothing its callers do not read.  The
 rule for a valid solve input lives in one function, `model.check_inputs`,
-which every solver calls.  The benchmark's traced runs find every function
-they wrap."""
+which every solver and the trivial-escape re-solve call, and an infeasible
+solution is built in `model` alone.  The benchmark's traced runs find every
+function they wrap."""
 
 import ast
 import dataclasses
 import importlib
 import importlib.util
+import re
 from pathlib import Path
 
 import pytest
@@ -93,3 +95,13 @@ def test_every_solver_calls_the_one_check(name):
     solvers = {key: node for key, node in _functions(SOURCE[name]).items() if key.startswith("solve_")}
     assert len(solvers) == 2
     assert [key for key, node in solvers.items() if "check_inputs" not in _called(node)] == []
+
+
+def test_perturbation_calls_the_one_check():
+    assert "check_inputs" in _called(_functions(SOURCE["nominal.py"])["perturb_and_resolve"])
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "model.py"], ids=lambda p: p.name)
+def test_infeasible_solutions_come_from_model(path):
+    # every solver reports an unsolvable input through InverseSolution.infeasible
+    assert re.search(r"\bStatus\.INFEASIBLE", path.read_text(encoding="utf-8")) is None
