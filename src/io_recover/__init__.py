@@ -37,9 +37,7 @@ from .geometry import (
 from .interval import solve_rlo_iu_dg, solve_rlo_iu_sd
 from .lp import Constraints, LinearProgram, LpOutcome, LpStatus, solve_lp, solve_lp_batch
 from .model import (
-    Certificate,
     ForwardProblem,
-    GapSubresult,
     InverseSolution,
     ModelKind,
     Prior,

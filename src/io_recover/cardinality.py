@@ -44,7 +44,6 @@ class GammaBounds:
     gamma_lower: np.ndarray
     gamma_upper: np.ndarray
     theta_upper: np.ndarray
-    details: tuple
 
 
 def compute_gamma_bounds(problem, structure, x_hat):
@@ -56,14 +55,12 @@ def compute_gamma_bounds(problem, structure, x_hat):
     if surplus[worst] < -1e-9:
         raise NominalInfeasibleError(worst, float(-surplus[worst]))
     m = problem.m
-    details = []
     lower = np.full(m, np.nan)
     upper = np.full(m, np.nan)
     theta = np.zeros(m)
     i_hat = []
     for i in range(m):
         res = gamma_bar(problem, structure.alpha[i], structure.sets[i], x, i)
-        details.append(res)
         if res.kind == "not_applicable":
             theta[i] = float(len(structure.sets[i]))
         else:
@@ -71,13 +68,7 @@ def compute_gamma_bounds(problem, structure, x_hat):
             lower[i] = res.lower
             upper[i] = res.upper
             theta[i] = res.upper
-    return GammaBounds(
-        i_hat=tuple(i_hat),
-        gamma_lower=lower,
-        gamma_upper=upper,
-        theta_upper=theta,
-        details=tuple(details),
-    )
+    return GammaBounds(i_hat=tuple(i_hat), gamma_lower=lower, gamma_upper=upper, theta_upper=theta)
 
 
 def solve_rlo_ccu_dg(problem, x_hat, structure, omega):
@@ -172,5 +163,5 @@ def solve_rlo_ccu_sd(problem, x_hat, structure, prior):
         problem.A[i_star], structure.alpha[i_star], gamma[i_star], structure.sets[i_star], x
     )
     return active_solution(
-        ModelKind.RLO_CCU_SD, i_star, gamma, cost, t[i_star], {"f": f, "g": g}, None, False
+        ModelKind.RLO_CCU_SD, i_star, gamma, cost, t[i_star], {"f": f, "g": g}, False
     )

@@ -102,7 +102,7 @@ def _cmd_verify(args):
     print(f"verdict: {report.verdict}")
     if report.reason:
         print(f"reason: {report.reason}")
-    for name, value in sorted(report.certificate.residuals.items()):
+    for name, value in sorted(report.residuals.items()):
         print(f"  {name:<32} {value:.3e}")
     for name, value in sorted(report.nontriviality.items()):
         print(f"  nontriviality.{name:<18} {value}")

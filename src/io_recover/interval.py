@@ -163,5 +163,5 @@ def solve_rlo_iu_sd(problem, x_hat, structure, prior):
         alpha[i, cols[i]] = np.maximum(outcomes[i].solution[: len(cols[i])], 0.0) if moved else centers[i]
     cost = realized_row_interval(problem.A[i_star], alpha[i_star], structure.sets[i_star], x)
     return active_solution(
-        ModelKind.RLO_IU_SD, i_star, alpha, cost, t[i_star], {"f": f, "g": g, "t": t}, None, False
+        ModelKind.RLO_IU_SD, i_star, alpha, cost, t[i_star], {"f": f, "g": g, "t": t}, False
     )

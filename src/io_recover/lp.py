@@ -6,9 +6,8 @@ give bit-identical outcomes.  The equality form comes from one column
 map: a variable with a lower bound is shifted onto one nonnegative
 column, one with only an upper bound is mirrored onto one, a free one is
 split into a nonnegative pair, and a two-sided bound adds one range row.
-The same map builds the rows and the cost and maps solutions and rays
-back.  One pivot routine serves both phases and the drive-out of
-artificial columns.
+The same map builds the rows and the cost and maps solutions back.  One
+pivot routine serves both phases and the drive-out of artificial columns.
 
 Phase 1 and the drive-out never read the objective, so LPs that share
 one `Constraints` object share a start: a batch runs them once per run
@@ -113,7 +112,6 @@ class LpOutcome:
     solution: np.ndarray = None
     value: float = None
     infeasibility: float = None
-    ray: np.ndarray = None
 
 
 class _Std:
@@ -185,11 +183,9 @@ class _Std:
         cost[: self.owner.size] = objective[self.owner] * self.sign
         return cost
 
-    def direction_to_original(self, d):
-        return np.bincount(self.owner, self.sign * d[: self.owner.size], minlength=self.offset.size)
-
     def to_original(self, u):
-        return self.offset + self.direction_to_original(u)
+        x = np.bincount(self.owner, self.sign * u[: self.owner.size], minlength=self.offset.size)
+        return self.offset + x
 
 
 def _pivot(T, i, j):
@@ -205,7 +201,7 @@ def _simplex(T, basis, cost, allowed, degen_limit):
     """Run simplex pivots on tableau T (m x n+1) in place, entering only
     allowed columns.
 
-    Returns ("optimal", None) or ("unbounded", entering column).
+    Returns "optimal" or "unbounded".
     """
     degenerate = 0
     bland = False
@@ -213,7 +209,7 @@ def _simplex(T, basis, cost, allowed, degen_limit):
         red = (cost - cost[basis] @ T[:, :-1]).tolist()
         candidates = [j for j, r in enumerate(red) if r < -OPT_TOL and allowed[j]]
         if not candidates:
-            return "optimal", None
+            return "optimal"
         if bland or degenerate > degen_limit:
             bland = True
             j = candidates[0]
@@ -222,7 +218,7 @@ def _simplex(T, basis, cost, allowed, degen_limit):
         rhs = T[:, -1].tolist()
         ratios = [(rhs[i] / c, i) for i, c in enumerate(T[:, j].tolist()) if c > RATIO_TOL]
         if not ratios:
-            return "unbounded", j
+            return "unbounded"
         ratio, i = min(ratios)
         degenerate = degenerate + 1 if ratio <= RATIO_TOL else 0
         _pivot(T, i, j)
@@ -248,8 +244,7 @@ class _Start:
 
         cost1 = (~std.structural).astype(float)
         if cost1.any():
-            status, _ = _simplex(T, basis, cost1, np.ones(std.ncols, dtype=bool), self.degen_limit)
-            if status != "optimal":
+            if _simplex(T, basis, cost1, np.ones(std.ncols, dtype=bool), self.degen_limit) != "optimal":
                 raise NumericalFailureError("phase one reported unbounded")
             value1 = float(cost1[basis] @ T[:, -1])
             if value1 > FEAS_TOL * (1.0 + float(np.max(np.abs(std.b), initial=0.0))):
@@ -279,13 +274,8 @@ def _phase_two(start, lp):
     cost = std.cost(lp.objective)
     T = start.T.copy()
     basis = list(start.basis)
-    status, enter = _simplex(T, basis, cost, std.structural, start.degen_limit)
-    if status == "unbounded":
-        d = np.zeros(std.ncols)
-        d[enter] = 1.0
-        d[basis] = -T[:, enter]
-        return LpOutcome(status=LpStatus.UNBOUNDED, ray=std.direction_to_original(d))
-
+    if _simplex(T, basis, cost, std.structural, start.degen_limit) == "unbounded":
+        return LpOutcome(status=LpStatus.UNBOUNDED)
     u = np.zeros(std.ncols)
     u[basis] = T[:, -1]
     x = std.to_original(u)

@@ -12,7 +12,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import DimensionError, PreconditionError
+from .errors import DimensionError, NumericalFailureError, PreconditionError
 from .geometry import NormKind
 from .lp import LpStatus
 
@@ -45,7 +45,6 @@ class ModelKind(str, Enum):
 class Status(str, Enum):
     OPTIMAL = "optimal"
     INFEASIBLE = "infeasible"
-    UNBOUNDED_GAP = "unbounded-gap"
     TRIVIAL_DETECTED = "trivial-detected"
 
 
@@ -375,15 +374,6 @@ class WeightBoost:
     note: str = ""
 
 
-@dataclass(frozen=True)
-class Certificate:
-    """Reconstructed auxiliary primal block, dual block, and named residuals."""
-
-    aux: dict
-    dual_aux: dict
-    residuals: dict
-
-
 @dataclass(frozen=True, eq=False)
 class InverseSolution:
     """Result of one inverse solve.
@@ -405,9 +395,7 @@ class InverseSolution:
     active_index: int = None
     objective_value: float = None
     per_constraint: dict = field(default_factory=dict)
-    subresults: tuple = None
     remediations: tuple = ()
-    ray: np.ndarray = None
     message: str = None
 
     @classmethod
@@ -431,7 +419,7 @@ def active_row(t, scale):
     return int(np.argmax(np.isfinite(t) & (t <= t[j] + ZERO_TOL * (1.0 + scale + scale[j]))))
 
 
-def active_solution(model, i_star, imputed, cost, objective, per_constraint, subresults, zero_row):
+def active_solution(model, i_star, imputed, cost, objective, per_constraint, zero_row):
     """Solution making constraint `i_star` (0-based) the active one.
 
     The dual is the unit vector on `i_star`; the duality gap is `objective`
@@ -453,62 +441,39 @@ def active_solution(model, i_star, imputed, cost, objective, per_constraint, sub
         active_index=i_star + 1,
         objective_value=objective,
         per_constraint=per_constraint,
-        subresults=subresults,
     )
-
-
-@dataclass(frozen=True)
-class GapSubresult:
-    """LP i of a gap model: t_i, the gap with row i active, the imputed
-    parameters attaining it, and the LP's variables beyond those parameters
-    (row i's fractional allocation for rlo-ccu-dg, empty otherwise)."""
-
-    t_i: float
-    imputed: np.ndarray
-    extra: np.ndarray
 
 
 def gap_solution(model, outcomes, offset, lower, blocks, shape, realize, infeasible_message, zero_row=None):
     """Solution of a gap model from its per-row LP outcomes, LP i for row i.
 
-    t_i = offset[i] + the value of LP i.  LP i's leading variables are the
-    parameters in `blocks[i]` of the natural order; the others keep `lower`.
-    `shape` turns a parameter vector into the imputed block, `realize(i,
-    imputed)` gives the cost vector with row i active, and `zero_row(imputed)`
-    reports a vanishing imputed row.  The active row is `active_row(t,
-    |offset| + |value|)`.  An infeasible LP makes the model infeasible,
+    t_i = offset[i] + the value of LP i.  The active row is `active_row(t,
+    |offset| + |value|)`; its LP's leading variables are the parameters in
+    `blocks[i]` of the natural order, and the others keep `lower`.  `shape`
+    turns a parameter vector into the imputed block, `realize(i, imputed)`
+    gives the cost vector with row i active, and `zero_row(imputed)` reports
+    a vanishing imputed row.  An infeasible LP makes the model infeasible,
     with `infeasible_message` (which may cite `{infeasibility}`, phase 1's
-    figure).  An unbounded LP makes the gap unbounded, but only a numerical
-    failure of the LP engine can report one (see below).
+    figure).  An unbounded LP raises NumericalFailureError.
     """
     # LP i holds row i's own constraint, which bounds its objective below
     # (nlo-dg: x . a_i >= b_i; rlo-iu-dg: |x_J| . alpha_i <= surplus_i;
     # rlo-ccu-dg: each allocation in [0, 1]), so in exact arithmetic no gap
-    # LP is unbounded; an engine that says otherwise is reported, ray and all
+    # LP is unbounded: an engine that says otherwise has failed numerically
     for i, out in enumerate(outcomes):
         if out.status == LpStatus.UNBOUNDED:
-            return InverseSolution(
-                model=model,
-                status=Status.UNBOUNDED_GAP,
-                active_index=i + 1,
-                ray=shape(out.ray),
-                message=f"surplus of constraint {i + 1} is unbounded below",
-            )
+            raise NumericalFailureError(f"the gap LP of constraint {i + 1} reported unbounded")
         if out.status == LpStatus.INFEASIBLE:
             return InverseSolution.infeasible(model, infeasible_message.format(infeasibility=out.infeasibility))
     values = np.array([out.value for out in outcomes])
     t = offset + values
-    subresults = []
-    for i, out in enumerate(outcomes):
-        params = lower.copy()
-        k = params[blocks[i]].size
-        params[blocks[i]] = out.solution[:k]
-        subresults.append(GapSubresult(t_i=float(t[i]), imputed=shape(params), extra=out.solution[k:].copy()))
     i_star = active_row(t, np.abs(offset) + np.abs(values))
-    imputed = subresults[i_star].imputed
+    params = lower.copy()
+    params[blocks[i_star]] = outcomes[i_star].solution[: params[blocks[i_star]].size]
+    imputed = shape(params)
     return active_solution(
         model, i_star, imputed, realize(i_star, imputed), t[i_star], {"t": t},
-        tuple(subresults), zero_row is not None and zero_row(imputed),
+        zero_row is not None and zero_row(imputed),
     )
 
 

@@ -100,7 +100,7 @@ def solve_nlo_sd(problem, x_hat, prior):
     A = np.vstack([a_hat[i] if fits[i] and i != i_star else rows_f[i] for i in range(m)])
     solution = active_solution(
         ModelKind.NLO_SD, i_star, A, A[i_star].copy(), t[i_star],
-        {"f": f, "g": g}, None, _has_zero_row(A),
+        {"f": f, "g": g}, _has_zero_row(A),
     )
     if solution.status == Status.TRIVIAL_DETECTED:
         hints = verify.diagnose_trivial(

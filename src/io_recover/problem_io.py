@@ -3,10 +3,11 @@
 Schema version "1".  Matrices are row-major lists of lists, numbers are
 JSON numbers (a string or boolean where a number belongs is rejected, not
 converted), constraint and column indices in documents are 1-based.
-Documents are written as standard JSON (RFC 8259), which has no Infinity
-or NaN: a non-finite number is written as null, and a null entry of a
-`per_constraint` vector is read back as infinity (a row that cannot be
-made active).  Unknown fields are rejected so fixture typos fail loudly.
+Documents are written and read as standard JSON (RFC 8259), which has no
+Infinity or NaN: a non-finite number is written as null, a NaN or
+Infinity token is rejected, and a null entry of a `per_constraint`
+vector is read back as infinity (a row that cannot be made active).
+Unknown fields are rejected so fixture typos fail loudly.
 """
 
 import itertools
@@ -363,7 +364,7 @@ def serialize_solution(bundle, solution, report=None, validation=None):
         doc["certificate"] = {
             "verdict": report.verdict,
             "reason": report.reason,
-            "residuals": dict(report.certificate.residuals),
+            "residuals": dict(report.residuals),
             "nontriviality": dict(report.nontriviality),
         }
     if validation is not None:
@@ -446,14 +447,21 @@ def parse_solution(doc, bundle):
     )
 
 
+def _nonstandard(token):
+    raise ValueError(f"{token} is not a JSON number")
+
+
 def load_json(path):
+    """Read a standard JSON (RFC 8259) document in UTF-8: no NaN or Infinity."""
     try:
         with open(path, "r", encoding="utf-8") as fp:
-            return json.load(fp)
+            return json.load(fp, parse_constant=_nonstandard)
     except OSError as exc:
         raise ProblemFileError(str(path), f"cannot read: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ProblemFileError(str(path), f"invalid JSON at line {exc.lineno}: {exc.msg}") from None
+    except (ValueError, RecursionError) as exc:  # not UTF-8, a NaN or Infinity token, or nested too deep
+        raise ProblemFileError(str(path), f"invalid JSON: {exc}") from None
 
 
 def _standard(value):
@@ -479,5 +487,8 @@ def _standard(value):
 def dump_json(path, doc):
     """Write doc as standard JSON: a non-finite number becomes null."""
     text = json.dumps(_standard(doc), indent=2, allow_nan=False)  # one write: faster than json.dump's many
-    with open(path, "w", encoding="utf-8") as fp:
-        fp.write(text + "\n")
+    try:
+        with open(path, "w", encoding="utf-8") as fp:
+            fp.write(text + "\n")
+    except OSError as exc:
+        raise ProblemFileError(str(path), f"cannot write: {exc}") from None

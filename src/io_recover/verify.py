@@ -15,7 +15,6 @@ import numpy as np
 from .errors import PreconditionError
 from .geometry import sgn
 from .model import (
-    Certificate,
     ModelKind,
     PriorEpsilon,
     RhsEpsilon,
@@ -41,23 +40,26 @@ UNIT_FREE = frozenset({
 class CertificateReport:
     """Residuals of the optimality system for a returned solution.
 
-    The verdict is "valid" exactly when every residual is at or below its
-    tolerance: REPORT_TOL for the unit-free residuals (UNIT_FREE), and
+    `residuals` maps each residual's name to its value: the "primal.*",
+    "dual.*" and "consistency.*" ones, then "normalization", then
+    "strong_duality" for the strong-duality models.  `aux` and `dual_aux`
+    hold the reconstructed auxiliary primal and dual blocks.  The verdict
+    is "valid" exactly when every residual is at or below its tolerance:
+    REPORT_TOL for the unit-free residuals (UNIT_FREE), and
     REPORT_TOL * (1 + scale) for those in data units, where scale is the
     largest |entry| of A, b, the observation, the cost and the imputed
-    block.  The gap value itself is not a residual.
+    block.  A solution holding a non-finite number is "invalid", with no
+    residuals.  The gap value c'x - b'pi (gap models only) is not a
+    residual.
     """
 
-    primal_residuals: dict
-    dual_residuals: dict
-    consistency_residuals: dict
-    normalization_residual: float
-    strong_duality_residual: float = None
+    residuals: dict
+    aux: dict
+    dual_aux: dict
     duality_gap: float = None
     nontriviality: dict = None
     verdict: str = "valid"
     reason: str = None
-    certificate: Certificate = None
 
 
 def _excess(values):
@@ -137,6 +139,11 @@ def check_certificate(model, problem, x_hat, structure, solution):
     pi = np.asarray(solution.dual_pi, dtype=float)
     c = np.asarray(solution.cost, dtype=float)
     imputed = np.asarray(solution.imputed, dtype=float)
+    for name, value in (("cost", c), ("dual_pi", pi), ("imputed", imputed),
+                        ("duality_gap", solution.duality_gap), ("objective_value", solution.objective_value)):
+        if value is not None and not np.isfinite(value).all():
+            return CertificateReport(residuals={}, aux={}, dual_aux={}, nontriviality={}, verdict="invalid",
+                                     reason=f"{name}: non-finite entry")
 
     primal = {}
     dual = {}
@@ -205,13 +212,11 @@ def check_certificate(model, problem, x_hat, structure, solution):
         k = solution.active_index - 1
         consistency["cost_is_active_row"] = float(np.max(np.abs(realized[k] - c)))
 
-    residuals = {}
-    for name, val in primal.items():
-        residuals[f"primal.{name}"] = val
-    for name, val in dual.items():
-        residuals[f"dual.{name}"] = val
-    for name, val in consistency.items():
-        residuals[f"consistency.{name}"] = val
+    residuals = {
+        f"{group}.{name}": val
+        for group, values in (("primal", primal), ("dual", dual), ("consistency", consistency))
+        for name, val in values.items()
+    }
     residuals["normalization"] = normalization
     if strong_duality is not None:
         residuals["strong_duality"] = strong_duality
@@ -220,21 +225,18 @@ def check_certificate(model, problem, x_hat, structure, solution):
                 for arr in (problem.A, problem.b, x, c, imputed))
     verdict, reason = "valid", None
     for name, val in residuals.items():
-        if val > (REPORT_TOL if name in UNIT_FREE else REPORT_TOL * (1.0 + scale)):
+        if not val <= (REPORT_TOL if name in UNIT_FREE else REPORT_TOL * (1.0 + scale)):  # NaN fails
             verdict, reason = "invalid", f"{name} = {val:g}"
             break
 
     return CertificateReport(
-        primal_residuals=primal,
-        dual_residuals=dual,
-        consistency_residuals=consistency,
-        normalization_residual=normalization,
-        strong_duality_residual=strong_duality,
+        residuals=residuals,
+        aux=aux,
+        dual_aux=dual_aux,
         duality_gap=duality_gap,
         nontriviality=_nontriviality(model, problem, structure, solution),
         verdict=verdict,
         reason=reason,
-        certificate=Certificate(aux=aux, dual_aux=dual_aux, residuals=residuals),
     )
 
 

@@ -250,7 +250,7 @@ def test_criterion_11():
         assert sol.status in (Status.OPTIMAL, Status.TRIVIAL_DETECTED)
         report = check_certificate(case.model, case.problem, case.x_hat, case.structure, sol)
         assert report.verdict == "valid", (number, report.reason)
-        for name, value in report.certificate.residuals.items():
+        for name, value in report.residuals.items():
             assert value <= REPORT_TOL, (number, name, value)
     # corruption of each certificate group is exercised in test_verify.py;
     # repeat the normalization flip here as the gate's canary

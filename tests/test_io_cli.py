@@ -2,6 +2,7 @@ import contextlib
 import copy
 import io
 import json
+import math
 import tempfile
 from pathlib import Path
 
@@ -203,6 +204,16 @@ class TestCliSolve:
         assert capsys.readouterr().err == "synthetic failure\n"
         assert not out.exists()
 
+    def test_unbounded_gap_lp_prints_one_line(self, tmp_path, capsys, monkeypatch):
+        import io_recover.nominal as nominal_mod
+
+        unbounded = lp_mod.LpOutcome(status=lp_mod.LpStatus.UNBOUNDED)
+        monkeypatch.setattr(nominal_mod, "solve_lp_batch", lambda lps: [unbounded for _ in lps])
+        out = tmp_path / "solution.json"
+        assert cli.main(["solve", "--input", str(FIXTURES / "example1.json"), "--output", str(out)]) == 1
+        assert capsys.readouterr().err == "the gap LP of constraint 1 reported unbounded\n"
+        assert not out.exists()
+
     def test_malformed_json_exits_1(self, tmp_path, capsys):
         src = tmp_path / "broken.json"
         src.write_text("{ not json")
@@ -266,6 +277,20 @@ class TestCliVerify:
         text = capsys.readouterr().out
         assert "verdict: invalid" in text
         assert "primal.alpha_nonneg              5.000e-01" in text
+
+    def test_verify_non_finite_number_exits_2(self, tmp_path, capsys):
+        # 1e400 is a standard JSON number that reads as inf
+        out = tmp_path / "solution.json"
+        cli.main(["solve", "--input", str(FIXTURES / "example1.json"), "--output", str(out)])
+        doc = _load(out)
+        doc["imputed"]["A"][0][1] = 0.125
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc).replace("0.125", "1e400"))
+        capsys.readouterr()
+        assert cli.main(["verify", "--input", str(FIXTURES / "example1.json"), "--solution", str(bad)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "verdict: invalid\nreason: imputed: non-finite entry\n"
+        assert captured.err == ""
 
     def test_verify_infeasible_solution_exits_2(self, tmp_path, capsys):
         doc = _load(FIXTURES / "example4.json")
@@ -497,6 +522,50 @@ def test_malformed_problem_exits_1(tmp_path, capsys, case):
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith(f"{field}: ") and "Traceback" not in err
     assert not out.exists()
+
+
+def _number(value):
+    def write(doc, field):
+        doc[field][0] = value
+        return json.dumps(doc).encode()  # allow_nan: NaN, Infinity, -Infinity tokens
+    return write
+
+
+# (document, its first numeric field) -> bytes that standard JSON in UTF-8 does not allow
+UNREADABLE_DOCUMENTS = {
+    "NaN token": _number(math.nan),
+    "Infinity token": _number(math.inf),
+    "-Infinity token": _number(-math.inf),
+    "not UTF-8": lambda doc, field: b"\xff\xfe" + json.dumps(doc).encode(),
+    "nested 100 000 deep": lambda doc, field: b"[" * 100_000,
+}
+
+
+@pytest.mark.parametrize("command", ["solve", "verify"])
+@pytest.mark.parametrize("case", UNREADABLE_DOCUMENTS, ids=str)
+def test_unreadable_document_exits_1(tmp_path, capsys, command, case):
+    problem, path, out = str(FIXTURES / "example1.json"), tmp_path / "document.json", tmp_path / "solution.json"
+    if command == "solve":
+        path.write_bytes(UNREADABLE_DOCUMENTS[case](_load(problem), "b"))
+        argv = ["solve", "--input", str(path), "--output", str(out)]
+    else:
+        assert cli.main(["solve", "--input", problem, "--output", str(out)]) == 0
+        path.write_bytes(UNREADABLE_DOCUMENTS[case](_load(out), "cost"))
+        argv = ["verify", "--input", problem, "--solution", str(path)]
+    capsys.readouterr()
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith(f"{path}: "), err
+
+
+@pytest.mark.parametrize("command", ["solve", "regions"])
+def test_unwritable_output_exits_1(tmp_path, capsys, command):
+    out = tmp_path / "missing" / "out.json"
+    extra = ["--bbox=-8,-8,8,8"] if command == "regions" else []
+    # fixture 2 solves without a validation warning, so the write error is the only line
+    assert cli.main([command, "--input", str(FIXTURES / "example2.json"), "--output", str(out)] + extra) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith(f"{out}: cannot write: "), err
 
 
 # Structural fuzzing of the documents the command line reads: each example

@@ -139,12 +139,10 @@ class TestBasics:
         assert out.status == LpStatus.INFEASIBLE
         assert out.infeasibility > 0.5
 
-    def test_unbounded_gives_ray(self):
+    def test_unbounded_is_reported(self):
         out = solve_lp(simple([-1.0, 0.0], [([0, 1], ">=", 0.0)]))
         assert out.status == LpStatus.UNBOUNDED
-        ray = out.ray
-        assert ray is not None
-        assert float(np.array([-1.0, 0.0]) @ ray) < 0
+        assert out.solution is None and out.value is None
 
     def test_equality_only(self):
         out = solve_lp(simple([1.0, 1.0], [([1, 2], "=", 4.0)], bounds=((0, None), (0, None))))
@@ -333,18 +331,16 @@ class TestNoRows:
         assert out.value == -5.0
 
     @pytest.mark.parametrize(
-        "objective, bounds, ray",
+        "objective, bounds",
         [
-            ([0.0, 2.0], ((0.0, None), (None, None)), [0.0, -1.0]),  # free variable
-            ([-1.0, 0.5], ((2.0, None), (0.0, None)), [1.0, 0.0]),  # negative cost, lower bound only
-            ([1.0, -3.0], ((None, 4.0), (-1.0, None)), [0.0, 1.0]),  # most negative cost column wins
+            ([0.0, 2.0], ((0.0, None), (None, None))),  # free variable
+            ([-1.0, 0.5], ((2.0, None), (0.0, None))),  # negative cost, lower bound only
+            ([1.0, -3.0], ((None, 4.0), (-1.0, None))),  # two descent columns
         ],
     )
-    def test_unbounded_along_a_unit_coordinate(self, objective, bounds, ray):
+    def test_unbounded_along_a_unit_coordinate(self, objective, bounds):
         out = solve_lp(simple(objective, [], bounds=bounds))
         assert out.status == LpStatus.UNBOUNDED
-        assert np.array_equal(out.ray, ray)
-        assert float(np.asarray(objective) @ out.ray) < 0.0
 
 
 class TestBoundValues:
@@ -415,7 +411,7 @@ class TestColumnMap:
 def outcomes_equal(a, b):
     return (
         a.status == b.status
-        and all(np.array_equal(getattr(a, f), getattr(b, f)) for f in ("solution", "ray"))
+        and np.array_equal(a.solution, b.solution)
         and a.value == b.value
         and a.infeasibility == b.infeasibility
     )
@@ -526,8 +522,6 @@ class TestAgainstHighs:
             # a feasible point with HiGHS's optimal value is optimal
             assert abs(out.value - res.fun) <= 1e-7 * (1.0 + abs(res.fun)), (label, out.value, res.fun)
             assert_feasible(out.solution, cons, label)
-        elif expected == LpStatus.UNBOUNDED:
-            assert float(objective @ out.ray) < 0.0, label
         return expected
 
     def test_status_and_value_match(self):

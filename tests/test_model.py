@@ -505,29 +505,6 @@ def test_far_row_does_not_widen_the_tie_band(model):
     assert sol.active_index == 2
 
 
-@GAP_MODELS
-def test_gap_subresults_match_the_solution(model):
-    solved = 0
-    for seed in range(20):
-        problem, x, structure, omega, _ = MAKERS[model](seed)
-        for side in (omega, gen.couple_rows(omega)):
-            sol = io_recover.solve(model, problem, x, structure=structure, omega=side)
-            if sol.subresults is None:
-                continue
-            solved += 1
-            assert [sub.t_i for sub in sol.subresults] == sol.per_constraint["t"].tolist()
-            assert np.array_equal(sol.subresults[sol.active_index - 1].imputed, sol.imputed)
-            for i, sub in enumerate(sol.subresults):
-                if model != ModelKind.RLO_CCU_DG:
-                    assert sub.extra.size == 0
-                    continue
-                # row i's fractional allocation within its budget
-                assert sub.extra.shape == (len(structure.sets[i]),)
-                assert np.all((sub.extra >= -1e-9) & (sub.extra <= 1.0 + 1e-9))
-                assert sub.extra.sum() <= sub.imputed[i] + 1e-9
-    assert solved >= 30
-
-
 # Row order carries no meaning: permuting the rows permutes the answer.
 
 def _permuted(model, problem, structure, data, perm):

@@ -7,6 +7,7 @@ from io_recover import (
     ForwardProblem,
     ModelKind,
     NormKind,
+    NumericalFailureError,
     Prior,
     PriorEpsilon,
     RhsEpsilon,
@@ -259,23 +260,17 @@ class TestEdgePolicies:
         assert sol.objective_value == pytest.approx(0.0, abs=1e-12)
         assert float(sol.imputed[1] @ case.x_hat) == pytest.approx(case.problem.b[1], abs=1e-9)
 
-    def test_unbounded_subproblem_maps_to_unbounded_gap(self, monkeypatch):
+    def test_unbounded_gap_lp_is_a_numerical_failure(self, monkeypatch):
+        # each gap LP bounds its own objective, so only a failing engine reports one unbounded
         import io_recover.nominal as nominal_mod
         from io_recover.lp import LpOutcome, LpStatus
 
         case = example_case(1)
-
-        def fake_batch(lps):
-            return [
-                LpOutcome(status=LpStatus.UNBOUNDED, ray=np.arange(6, dtype=float))
-                for _ in lps
-            ]
-
-        monkeypatch.setattr(nominal_mod, "solve_lp_batch", fake_batch)
-        sol = nominal_mod.solve_nlo_dg(case.problem, case.x_hat, case.omega)
-        assert sol.status == Status.UNBOUNDED_GAP
-        assert sol.ray.shape == (3, 2)
-        assert sol.active_index == 1
+        monkeypatch.setattr(
+            nominal_mod, "solve_lp_batch", lambda lps: [LpOutcome(status=LpStatus.UNBOUNDED) for _ in lps]
+        )
+        with pytest.raises(NumericalFailureError, match="constraint 1 reported unbounded"):
+            nominal_mod.solve_nlo_dg(case.problem, case.x_hat, case.omega)
 
 
 class TestTrivialEscapes:

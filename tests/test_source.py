@@ -1,10 +1,10 @@
 """The library reads no environment variable and runs no worker pool: one
 execution path, whatever the process environment.  Every module uses what
-it imports, and the LP engine returns nothing its callers do not read.  The
-rule for a valid solve input lives in one function, `model.check_inputs`,
-which every solver and the trivial-escape re-solve call, and an infeasible
-solution is built in `model` alone.  The benchmark's traced runs find every
-function they wrap."""
+it imports, and neither the LP engine nor a solver returns a field its
+callers do not read.  The rule for a valid solve input lives in one
+function, `model.check_inputs`, which every solver and the trivial-escape
+re-solve call, and an infeasible solution is built in `model` alone.  The
+benchmark's traced runs find every function they wrap."""
 
 import ast
 import dataclasses
@@ -16,6 +16,7 @@ from pathlib import Path
 import pytest
 
 from io_recover.lp import LpOutcome
+from io_recover.model import InverseSolution
 
 ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted((ROOT / "src" / "io_recover").glob("*.py"))
@@ -40,15 +41,24 @@ def test_every_import_is_used(path):
     assert sorted(imported - used) == []
 
 
-def test_every_lp_outcome_field_is_read():
-    # work the engine does per LP for a field no caller reads is waste
+def _unread_fields(cls, home):
+    """Fields of dataclass `cls` read as an attribute in no module but `home`."""
     read = set()
     for path in SOURCES:
-        if path.name != "lp.py":
+        if path.name != home:
             tree = ast.parse(path.read_text(encoding="utf-8"))
             read |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
-    fields = [f.name for f in dataclasses.fields(LpOutcome)]
-    assert [name for name in fields if name not in read] == []
+    return [f.name for f in dataclasses.fields(cls) if f.name not in read]
+
+
+def test_every_lp_outcome_field_is_read():
+    # work the engine does per LP for a field no caller reads is waste
+    assert _unread_fields(LpOutcome, "lp.py") == []
+
+
+def test_every_solution_field_is_read():
+    # a result field that no module, command or document reads is carried for nothing
+    assert _unread_fields(InverseSolution, "model.py") == []
 
 
 def test_traced_layers_resolve():
