@@ -3,8 +3,9 @@ from an observed decision of a linear program (minimize c'x s.t. Ax >= b).
 
 Six models: constraint-matrix, interval-magnitude, and budget recovery,
 each minimizing the duality gap or enforcing strong duality against a
-prior.  Every solve reduces to closed forms or at most one small LP per
-constraint, handled by the built-in dense simplex.
+prior.  The three gap models solve one small LP per constraint with the
+built-in dense simplex; the three strong-duality models run no LP, only
+closed forms.
 """
 
 from .cardinality import GammaBounds, compute_gamma_bounds, solve_rlo_ccu_dg, solve_rlo_ccu_sd
@@ -15,7 +16,6 @@ from .errors import (
     NumericalFailureError,
     PreconditionError,
     ProblemFileError,
-    UnsupportedNormError,
     ZeroObservationError,
     ZeroVectorError,
 )

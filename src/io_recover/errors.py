@@ -25,10 +25,6 @@ class ZeroObservationError(PreconditionError):
     """The observed point is the zero vector, which cannot anchor a strong-duality solve."""
 
 
-class UnsupportedNormError(PreconditionError):
-    """The requested norm is outside the set this operation solves exactly."""
-
-
 class NominalInfeasibleError(InverseLpError):
     """The observed point violates the nominal constraints; carries the worst row (0-based)."""
 

@@ -1,36 +1,32 @@
 """Recovery of interval-uncertainty magnitudes.
 
-Both models solve one LP per constraint over nonnegative deviation
-magnitudes.  The gap model's LP for row i maximizes row i's protection
-subject to robust feasibility of every row and the side constraints.
-When a side constraint couples parameters, every LP spans the flattened
-magnitudes of every row, and the m LPs share one equality form.  When the
-side constraints fold into bounds, LP i covers only row i's |J_i|
-magnitudes and the single row of its robust feasibility; every other row
-keeps its lower bound, which is feasible whenever that row's own LP is,
-since the loads |x_j| are nonnegative.
-The strong-duality model separates by forward row, since its objective
-sum_i w_i ||alpha_i - alpha_hat_i|| and its constraints do: the LP for row
-i covers only row i's uncertain columns and finds f_i, the cheapest move
-making the row robust-active; the cost g_i of keeping the row
-robust-feasible follows from it (0 when the prior row fits, f_i
-otherwise), and the objective with row i active is f_i + sum(g) - g_i.
+The gap model solves one LP per constraint: maximize row i's protection
+subject to robust feasibility of every row and the side constraints.  When
+a side constraint couples parameters, every LP spans every row's
+magnitudes and the m LPs share one equality form.  When the side
+constraints fold into bounds, LP i covers only row i's |J_i| magnitudes
+and its own robust feasibility; every other row keeps its lower bound,
+which is feasible whenever that row's own LP is, since the loads |x_j| are
+nonnegative.
+The strong-duality model runs no LP: its objective and constraints
+separate by row, and each row's move is a projection in closed form.
 """
+
+import math
 
 import numpy as np
 
-from .errors import PreconditionError, UnsupportedNormError
-from .geometry import NormKind, realized_row_interval
-from .lp import Constraints, LinearProgram, LpStatus, solve_lp_batch
+from .errors import PreconditionError
+from .geometry import NormKind, dual_norm, dual_norm_maximizer, norm_value, realized_row_interval
+from .lp import Constraints, LinearProgram, solve_lp_batch
 from .model import (
     InverseSolution,
     ModelKind,
-    active_row,
-    active_solution,
     canonicalize_omega,
     check_inputs,
     gap_solution,
     param_keys,
+    sd_solution,
 )
 
 
@@ -96,42 +92,50 @@ def solve_rlo_iu_dg(problem, x_hat, structure, omega):
     )
 
 
-def _activation_lp(load, center, target, weight, norm):
-    """Cheapest weighted move of one row's magnitudes that makes the row robust-active.
-
-    Columns: the row's magnitudes, then the deviation bounds (one per
-    magnitude for l1, one shared for linf); rows: two deviation bounds per
-    magnitude and the activeness equality load . alpha = target.
-    """
-    k = load.size
-    dev = -np.eye(k) if norm == NormKind.L1 else -np.ones((k, 1))
-    bands = np.stack([np.hstack([np.eye(k), dev]), np.hstack([-np.eye(k), dev])], axis=1)  # up_j, down_j
-    A = np.vstack([bands.reshape(2 * k, -1), np.concatenate([load, np.zeros(dev.shape[1])])])
-    rhs = np.append(np.column_stack([center, -center]), target)
-    objective = np.concatenate([np.zeros(k), np.full(dev.shape[1], weight)])
-    return LinearProgram(objective, Constraints(A, ("<=",) * (2 * k) + ("=",), rhs, np.zeros(objective.size)))
+def _activation(load, center, target, norm):
+    """The point of {alpha >= 0 : load . alpha = target} closest to `center`
+    in `norm`, and its distance (inf when no column is loaded and the load
+    must change).  Zero-load columns keep their centre.  A raise moves along
+    the loads' dual-norm maximizer, which is nonnegative.  A cut takes l1's
+    columns to 0 by decreasing load, lowest index first (a continuous
+    knapsack), and sets alpha = max(0, center - d * step) for l2 (step =
+    load) and linf (step = 1), with d from one sweep over the breakpoints
+    center / step (Held, Wolfe and Crowder 1974; Duchi et al. 2008)."""
+    alpha = np.array(center, dtype=float)
+    on = load > 0.0
+    gap = target - float(load @ alpha)
+    if gap == 0.0 or not on.any():
+        return alpha, 0.0 if gap == 0.0 else math.inf
+    ell, c = load[on], alpha[on]
+    if gap > 0.0:
+        move = gap / dual_norm(ell, norm) * dual_norm_maximizer(ell, norm)
+    elif norm == NormKind.L1:
+        order = np.argsort(-ell, kind="stable")
+        ahead = np.zeros(ell.size)  # the load cut by the columns ahead of each one
+        ahead[order[1:]] = np.cumsum((ell * c)[order])[:-1]
+        move = -np.minimum(c, np.maximum(-gap - ahead, 0.0) / ell)
+    else:
+        step = ell if norm == NormKind.L2 else np.ones(ell.size)
+        order = np.argsort(c / step, kind="stable")
+        # with d between breakpoints k - 1 and k, load = rest[k] - d * slope[k]
+        rest = np.cumsum((ell * c)[order][::-1])[::-1]
+        slope = np.cumsum((ell * step)[order][::-1])[::-1]
+        k = min(int(np.sum(rest - (c / step)[order] * slope > target)), ell.size - 1)
+        move = -np.minimum(c, (rest[k] - target) / slope[k] * step)
+    alpha[on] = c + move
+    return alpha, norm_value(move, norm)
 
 
 def solve_rlo_iu_sd(problem, x_hat, structure, prior):
     """Smallest weighted perturbation of prior magnitudes achieving exact optimality.
 
-    Feasible exactly when the observation satisfies the nominal
-    constraints; the norm must be l1 or linf so the per-row subproblems
-    stay linear, and the prior magnitudes must be nonnegative.  One LP per
-    row over that row's magnitudes gives f_i, the cheapest move making row
-    i robust-active.  Keeping row i robust-feasible costs g_i = 0 when its
-    prior row fits (load <= surplus) and g_i = f_i otherwise: any feasible
-    row can be pulled toward the prior until it is active, staying
-    nonnegative and no farther away, so the f-optimum is also the
-    cheapest feasible row.  The row with the smallest objective
-    t_i = f_i + sum(g) - g_i is made active (`active_row`).
+    Feasible exactly when the observation is nominal-feasible.  Row i's
+    cheapest move to robust-active, f_i, is a projection (`_activation`).
+    Keeping row i robust-feasible costs 0 when its prior row fits, else f_i:
+    the norm being convex, a feasible row pulled to active comes no closer.
     """
     x = check_inputs(ModelKind.RLO_IU_SD, problem, x_hat, structure, prior=prior)
     surplus = _surplus(problem, x, structure)
-    if prior.norm not in (NormKind.L1, NormKind.LINF):
-        raise UnsupportedNormError(
-            "deviation recovery under strong duality supports l1 and linf priors only"
-        )
     m = problem.m
     worst = int(np.argmin(surplus))
     if surplus[worst] < -1e-9:
@@ -141,27 +145,16 @@ def solve_rlo_iu_sd(problem, x_hat, structure, prior):
             f"(violation {-surplus[worst]:g}); no magnitudes can restore feasibility",
         )
     w = prior.weights(m)
-    cols = [list(s) for s in structure.sets]
-    centers = [prior.estimates[i, cols[i]] for i in range(m)]
-    loads = [np.abs(x[cols[i]]) for i in range(m)]
-    fits = np.array([float(loads[i] @ centers[i]) <= surplus[i] for i in range(m)])
-    lps = [_activation_lp(loads[i], centers[i], surplus[i], w[i], prior.norm) for i in range(m)]
-    outcomes = solve_lp_batch(lps)
-
-    f = np.array([out.value if out.status == LpStatus.OPTIMAL else np.inf for out in outcomes])
-    g = np.where(fits, 0.0, f)
-    if not np.all(np.isfinite(g)) or not np.any(np.isfinite(f)):
-        return InverseSolution.infeasible(
-            ModelKind.RLO_IU_SD, "no constraint can be made robust-active at the observation"
-        )
-
-    t = f + np.sum(g) - g
-    i_star = active_row(t, f + np.sum(g))
-    alpha = np.zeros((m, problem.n))
-    for i in range(m):
-        moved = i == i_star or not fits[i]
-        alpha[i, cols[i]] = np.maximum(outcomes[i].solution[: len(cols[i])], 0.0) if moved else centers[i]
-    cost = realized_row_interval(problem.A[i_star], alpha[i_star], structure.sets[i_star], x)
-    return active_solution(
-        ModelKind.RLO_IU_SD, i_star, alpha, cost, t[i_star], {"f": f, "g": g, "t": t}, False
+    f, fits = np.zeros(m), np.zeros(m, dtype=bool)
+    centers, moved = np.zeros((m, problem.n)), np.zeros((m, problem.n))
+    for i, cols in enumerate(map(list, structure.sets)):
+        load, center = np.abs(x[cols]), prior.estimates[i, cols]
+        centers[i, cols] = center
+        fits[i] = float(load @ center) <= surplus[i]
+        moved[i, cols], distance = _activation(load, center, surplus[i], prior.norm)
+        f[i] = w[i] * distance if distance < math.inf else math.inf  # a zero weight keeps inf, not NaN
+    return sd_solution(
+        ModelKind.RLO_IU_SD, f, fits, moved, centers,
+        lambda i, alpha: realized_row_interval(problem.A[i], alpha[i], structure.sets[i], x),
+        "no constraint can be made robust-active at the observation",
     )

@@ -1,5 +1,6 @@
 """Shared domain types, dimension/assumption validation, and the solution model,
-with the one tail that turns a gap model's per-row LP outcomes into a solution.
+with the two tails that turn per-row results into a solution: one for the
+gap models' LP outcomes, one for the strong-duality models' moves.
 
 Constraint sense is fixed: minimize c'x subject to Ax >= b.  Callers with
 <=/maximize problems must pre-negate.  Library indices are 0-based; the
@@ -477,6 +478,26 @@ def gap_solution(model, outcomes, offset, lower, blocks, shape, realize, infeasi
     )
 
 
+def sd_solution(model, f, fits, moved, prior, realize, infeasible_message, zero_row=None):
+    """Solution of a strong-duality model: `moved[i]` makes row i active at
+    cost f_i (inf if no move does), and keeping row i costs g_i = 0 if its
+    `prior` row `fits`, else f_i.  The row of least t = f + sum(g) - g is
+    made active; it and the rows that do not fit move.  `realize` and
+    `zero_row` are as in `gap_solution`.  nlo-sd reports f and g, rlo-iu-sd t too.
+    """
+    g = np.where(fits, 0.0, f)
+    if not np.all(np.isfinite(g)) or not np.any(np.isfinite(f)):
+        return InverseSolution.infeasible(model, infeasible_message)
+    t = f + np.sum(g) - g
+    i_star = active_row(t, f + np.sum(g))
+    imputed = np.where((fits & (np.arange(f.size) != i_star))[:, None], prior, moved)
+    per_constraint = {"f": f, "g": g, "t": t} if model.family == "iu" else {"f": f, "g": g}
+    return active_solution(
+        model, i_star, imputed, realize(i_star, imputed), t[i_star], per_constraint,
+        zero_row is not None and zero_row(imputed),
+    )
+
+
 # Assumption checks.  Levels: "pass", "warn" (documented circumvention or
 # not certifiable), "fail" (formally violated).
 
@@ -664,10 +685,6 @@ def validate(problem, x_hat, structure, model, omega=None, prior=None):
                 if movable
                 else _entry("A6", "fail", (), "every uncertain column is zero at the observed point")
             )
-            if prior.norm == NormKind.L2:
-                entries.append(
-                    _entry("norm", "fail", (), "deviation recovery solves exactly for l1/linf priors only")
-                )
 
     if model.family == "ccu":
         surplus = problem.surplus(x)

@@ -23,12 +23,11 @@ from .model import (
     Status,
     UncertaintyStructure,
     WeightBoost,
-    active_row,
-    active_solution,
     canonicalize_omega,
     check_inputs,
     gap_solution,
     param_keys,
+    sd_solution,
 )
 
 
@@ -74,9 +73,8 @@ def solve_nlo_sd(problem, x_hat, prior):
     Per row, the prior vector is projected onto the hyperplane that makes
     the row active at the observation (cost f_i, weighted); keeping the row
     feasible costs g_i = 0 when the prior row fits (a_hat_i . x >= b_i) and
-    f_i otherwise.  The row with the smallest objective t_i = f_i + sum(g) -
-    g_i is made active (`active_row`), every other row that does not fit is
-    projected, and the cost vector is the active row.
+    f_i otherwise.  The row with the smallest t_i = f_i + sum(g) - g_i is
+    made active (`model.sd_solution`); the cost vector is that row.
     """
     x = check_inputs(ModelKind.NLO_SD, problem, x_hat, UncertaintyStructure.nominal(), prior=prior)
     if not np.any(x != 0.0):
@@ -84,23 +82,14 @@ def solve_nlo_sd(problem, x_hat, prior):
     m = problem.m
     w = prior.weights(m)
     a_hat = np.asarray(prior.estimates, dtype=float)
-
-    f = np.zeros(m)
-    fits = np.zeros(m, dtype=bool)
-    rows_f = []
+    f, fits, moved = np.zeros(m), np.zeros(m, dtype=bool), np.zeros_like(a_hat)
     for i in range(m):
-        a_f, dist = project_hyperplane(a_hat[i], x, problem.b[i], prior.norm)
-        rows_f.append(a_f)
-        f[i] = w[i] * dist
+        moved[i], distance = project_hyperplane(a_hat[i], x, problem.b[i], prior.norm)
+        f[i] = w[i] * distance
         fits[i] = float(a_hat[i] @ x) >= float(problem.b[i])
-    g = np.where(fits, 0.0, f)
-
-    t = f + np.sum(g) - g
-    i_star = active_row(t, f + np.sum(g))
-    A = np.vstack([a_hat[i] if fits[i] and i != i_star else rows_f[i] for i in range(m)])
-    solution = active_solution(
-        ModelKind.NLO_SD, i_star, A, A[i_star].copy(), t[i_star],
-        {"f": f, "g": g}, _has_zero_row(A),
+    solution = sd_solution(
+        ModelKind.NLO_SD, f, fits, moved, a_hat, lambda i, A: A[i].copy(),
+        "no constraint can be made active at the observation", zero_row=_has_zero_row,
     )
     if solution.status == Status.TRIVIAL_DETECTED:
         hints = verify.diagnose_trivial(

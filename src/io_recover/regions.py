@@ -211,6 +211,8 @@ def region_polylines(bundle, solution=None, bbox=(-8.0, -8.0, 8.0, 8.0)):
         raise DimensionError("bbox", "expected x0 < x1 and y0 < y1")
     if max(-x0, x1, -y0, y1) >= _REACH_LIMIT:
         raise DimensionError("bbox", f"entries must lie within +-{_REACH_LIMIT:.3g}")
+    if solution is not None and solution.imputed is not None and not np.all(np.isfinite(solution.imputed)):
+        raise DimensionError("imputed", "non-finite entry")
     box = (x0, y0, x1, y1)
     variant = _FAMILY_VARIANT[bundle.model.family]
     out = list(_polylines_for(problem, bundle.structure, box, "nominal", Variant.NOMINAL, problem.A))

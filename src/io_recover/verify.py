@@ -8,6 +8,7 @@ pi_i times the share of each column's deviation in force.  The budget
 family adds only its auxiliary (y, z) block.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,8 +50,8 @@ class CertificateReport:
     REPORT_TOL * (1 + scale) for those in data units, where scale is the
     largest |entry| of A, b, the observation, the cost and the imputed
     block.  A solution holding a non-finite number is "invalid", with no
-    residuals.  The gap value c'x - b'pi (gap models only) is not a
-    residual.
+    residuals, and a residual that overflows reads inf, with no numpy
+    warning.  The gap value c'x - b'pi (gap models only) is not a residual.
     """
 
     residuals: dict
@@ -63,8 +64,9 @@ class CertificateReport:
 
 
 def _excess(values):
-    # largest entry above zero, 0 when none is (or there are no entries)
-    return max(0.0, float(values.max(initial=0.0)))
+    # largest entry above zero, 0 when none is (or there are no entries), inf when one is NaN
+    top = float(np.max(values, initial=0.0))
+    return math.inf if math.isnan(top) else max(0.0, top)
 
 
 def _deviation_block(model, problem, structure, imputed, point):
@@ -119,6 +121,7 @@ def _nontriviality(model, problem, structure, solution):
     return {"cost_nonzero": cost_ok, "rows_nonzero_all_orthants": rows_ok, "orthants_checked": 2**problem.n}
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def check_certificate(model, problem, x_hat, structure, solution):
     """Rebuild the auxiliary and dual blocks for a solution and report residuals.
 
@@ -151,11 +154,11 @@ def check_certificate(model, problem, x_hat, structure, solution):
     aux = {}
     dual_aux = {}
     normalization = abs(float(np.sum(pi)) - 1.0)
-    dual["pi_nonneg"] = float(max(0.0, -float(np.min(pi))))
+    dual["pi_nonneg"] = _excess(-pi)
 
     if model.family == "nlo":
         realized = imputed
-        primal["feasibility"] = float(np.max(np.maximum(problem.b - imputed @ x, 0.0)))
+        primal["feasibility"] = _excess(problem.b - imputed @ x)
         dual["cost_match"] = float(np.max(np.abs(imputed.T @ pi - c)))
     else:
         mask, alpha, share, strict_share = _deviation_block(model, problem, structure, imputed, x)
@@ -173,7 +176,7 @@ def check_certificate(model, problem, x_hat, structure, solution):
         pairing = _excess(np.abs(phi - lam - mu)[mask])
         if model.family == "iu":
             robust = problem.A @ x - u.sum(axis=1) - problem.b
-            primal["robust_feasibility"] = float(max(0.0, -float(np.min(robust))))
+            primal["robust_feasibility"] = _excess(-robust)
             primal["alpha_nonneg"] = _excess(-alpha[mask])
             dual["multiplier_pairing"] = pairing
             aux["u"] = u
@@ -185,8 +188,8 @@ def check_certificate(model, problem, x_hat, structure, solution):
             y = np.where(mask, np.maximum(u - z[:, None], 0.0), 0.0)
             robust = problem.A @ x - y.sum(axis=1) - gamma * z - problem.b
             primal["aux_cover"] = _excess((u - y - z[:, None])[mask])
-            primal["robust_feasibility"] = float(max(0.0, -float(np.min(robust))))
-            primal["aux_nonneg"] = float(max(0.0, -min(float(np.min(y)), float(np.min(z)))))
+            primal["robust_feasibility"] = _excess(-robust)
+            primal["aux_nonneg"] = _excess(-np.append(y, z))
             primal["budget_range"] = _excess(np.maximum(-gamma, gamma - mask.sum(axis=1)))
             dual["allocation_cap"] = _excess((phi - pi[:, None])[mask])
             dual["multiplier_pairing"] = pairing
@@ -202,10 +205,10 @@ def check_certificate(model, problem, x_hat, structure, solution):
     if model.is_sd:
         strong_duality = abs(gap_value)
         if solution.objective_value is not None:
-            consistency["objective_nonneg"] = float(max(0.0, -solution.objective_value))
+            consistency["objective_nonneg"] = _excess(-solution.objective_value)
     else:
         duality_gap = gap_value
-        consistency["gap_nonneg"] = float(max(0.0, -gap_value))
+        consistency["gap_nonneg"] = _excess(-gap_value)
         if solution.duality_gap is not None:
             consistency["gap_consistency"] = abs(gap_value - float(solution.duality_gap))
     if solution.active_index is not None:

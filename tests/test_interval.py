@@ -1,3 +1,6 @@
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -15,15 +18,16 @@ from io_recover import (
     SideConstraints,
     Status,
     UncertaintyStructure,
-    UnsupportedNormError,
     check_certificate,
     realized_row_interval,
     solve_lp,
+    solve_lp_batch,
     solve_rlo_iu_dg,
     solve_rlo_iu_sd,
     validate,
 )
 from io_recover import interval
+from io_recover.geometry import norm_value
 from io_recover.fixtures import evaluate_example, example_case
 from oracle import brute_force_min, oracle_tolerance
 
@@ -196,16 +200,24 @@ class TestIuDg:
 
 
 class TestIuSd:
-    def test_l2_rejected(self):
-        case = example_case(4)
-        prior = Prior(estimates=case.prior.estimates, norm=NormKind.L2)
-        with pytest.raises(UnsupportedNormError):
-            solve_rlo_iu_sd(case.problem, case.x_hat, case.structure, prior)
-
     def test_lp_call_count_is_m(self, calls):
+        # the rows are projections in closed form: no LP, whatever the norm
         case = example_case(4)
-        solve_rlo_iu_sd(case.problem, case.x_hat, case.structure, case.prior)
-        assert calls["lp_solve"] == case.problem.m
+        for norm in NormKind:
+            sol = solve_rlo_iu_sd(case.problem, case.x_hat, case.structure, Prior(case.prior.estimates, norm=norm))
+            assert sol.status == Status.OPTIMAL
+        assert calls["lp_solve"] == 0
+
+    def test_l2_prior_validates_and_certifies(self):
+        case = example_case(4)
+        prior = Prior(case.prior.estimates, norm=NormKind.L2)
+        # the norm adds no validation entry
+        report = validate(case.problem, case.x_hat, case.structure, case.model, prior=prior)
+        assert report == validate(case.problem, case.x_hat, case.structure, case.model, prior=case.prior)
+        sol = solve_rlo_iu_sd(case.problem, case.x_hat, case.structure, prior)
+        assert sol.status == Status.OPTIMAL
+        report = check_certificate(case.model, case.problem, case.x_hat, case.structure, sol)
+        assert report.verdict == "valid"
 
     def test_no_row_can_be_made_robust_active(self, calls):
         # the observation is 0 on every uncertain column, so no magnitude
@@ -216,7 +228,7 @@ class TestIuSd:
         sol = solve_rlo_iu_sd(problem, [0.0, 1.0], structure, prior)
         assert sol.status == Status.INFEASIBLE
         assert sol.message == "no constraint can be made robust-active at the observation"
-        assert calls["lp_solve"] == problem.m
+        assert calls["lp_solve"] == 0
 
     def test_infeasible_iff_nominal_infeasible(self):
         case = example_case(4)
@@ -302,26 +314,6 @@ class TestIuSd:
         assert pc["t"] == pytest.approx([1.5, 1.5, 1.0], abs=1e-12)
         assert sol.active_index == 3
 
-    def test_each_lp_spans_one_forward_row(self, monkeypatch):
-        problem, x, structure, prior = _all_uncertain_10x5()
-        seen = []
-
-        def record(lps):
-            seen.extend(lps)
-            return solve_lp_batch(lps)
-
-        solve_lp_batch = interval.solve_lp_batch
-        monkeypatch.setattr(interval, "solve_lp_batch", record)
-        for norm in (NormKind.L1, NormKind.LINF):
-            seen.clear()
-            sol = solve_rlo_iu_sd(problem, x, structure, Prior(prior.estimates, norm=norm))
-            assert sol.status == Status.OPTIMAL
-            assert len(seen) == problem.m
-            for i, lp in enumerate(seen):
-                size = len(structure.sets[i])
-                assert lp.constraints.A.shape[0] <= 2 * size + 1, (norm, i, lp.constraints.A.shape)
-                assert lp.num_vars <= 2 * size, (norm, i, lp.num_vars)
-
     @pytest.mark.parametrize("variant", ["plain", "l1-weights", "linf-weights"])
     def test_matches_joint_lp(self, variant):
         rng = np.random.default_rng({"plain": 0, "l1-weights": 1, "linf-weights": 2}[variant])
@@ -370,7 +362,7 @@ class TestIuSd:
 
 
 class TestIuSdNegativePrior:
-    """A negative prior magnitude is rejected before any LP is built: the
+    """A negative prior magnitude is rejected before any row is solved: the
     per-row rule g_i = 0 or f_i holds only for nonnegative priors."""
 
     problem = ForwardProblem(A=[[1.0, 1.0], [1.0, 1.0]], b=[1.0, 1.0])
@@ -398,3 +390,113 @@ class TestIuSdNegativePrior:
         structure = UncertaintyStructure.interval(((1,), (0, 1)))
         sol = solve_rlo_iu_sd(self.problem, self.x, structure, self.prior)
         assert sol.status == Status.OPTIMAL
+
+
+def activation_lp(load, center, target, norm):
+    """The LP the closed form replaced: the cheapest move of one row's
+    magnitudes making the row robust-active, over the magnitudes and their
+    deviation bounds (one per magnitude for l1, one shared for linf)."""
+    k = load.size
+    dev = -np.eye(k) if norm == NormKind.L1 else -np.ones((k, 1))
+    bands = np.stack([np.hstack([np.eye(k), dev]), np.hstack([-np.eye(k), dev])], axis=1)  # up_j, down_j
+    A = np.vstack([bands.reshape(2 * k, -1), np.concatenate([load, np.zeros(dev.shape[1])])])
+    rhs = np.append(np.column_stack([center, -center]), target)
+    objective = np.concatenate([np.zeros(k), np.ones(dev.shape[1])])
+    return LinearProgram(objective, Constraints(A, ("<=",) * (2 * k) + ("=",), rhs, np.zeros(objective.size)))
+
+
+def l2_activation_by_bisection(load, center, target):
+    """alpha(lam) = max(0, center + lam * load) with load . alpha(lam) = target,
+    lam found by bisection: the l2 projection's optimality condition."""
+    def reach(lam):
+        return float(load @ np.maximum(0.0, center + lam * load))
+
+    lo, hi = -1.0, 1.0
+    while reach(lo) > target:
+        lo *= 2.0
+    while reach(hi) < target:
+        hi *= 2.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if reach(mid) < target else (lo, mid)
+    alpha = np.maximum(0.0, center + 0.5 * (lo + hi) * load)
+    return alpha, float(np.linalg.norm(alpha - center))
+
+
+def _bench_instances():
+    spec = importlib.util.spec_from_file_location(
+        "bench_instances", Path(__file__).resolve().parent.parent / "bench" / "instances.py"
+    )
+    instances = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(instances)
+    return instances
+
+
+def activation_rows():
+    """(load, center, target) of every row of the rlo-iu-sd draws of
+    `gen.make_iu_sd` (seeds 0-199) and of the benchmark's draws at 10 x 5,
+    20 x 10 and 40 x 10 (seeds 1-3, both tilts)."""
+    rows = []
+    for seed in range(200):
+        problem, x, structure, prior, _ = gen.make_iu_sd(seed)
+        surplus = problem.surplus(x)
+        for i, cols in enumerate(structure.sets):
+            rows.append((np.abs(x[list(cols)]), prior.estimates[i, list(cols)], surplus[i]))
+    instances = _bench_instances()
+    for m, n in ((10, 5), (20, 10), (40, 10)):
+        for seed in (1, 2, 3):
+            for tilt in (1.0, -1.0):
+                inst = instances.generate("rlo-iu-sd", m, n, seed, 1, tilt, "l1")
+                surplus = inst.A @ inst.x - inst.b
+                rows += [(np.abs(inst.x), inst.alpha[i], surplus[i]) for i in range(m)]
+    return rows
+
+
+class TestActivation:
+    """`interval._activation`, the closed form of rlo-iu-sd's row subproblem."""
+
+    def _check_feasible(self, alpha, load, target):
+        assert np.all(alpha >= 0.0)
+        assert abs(float(load @ alpha) - target) <= 1e-9 * (1.0 + abs(target))
+
+    @pytest.mark.parametrize("norm", [NormKind.L1, NormKind.LINF])
+    def test_matches_the_row_lp(self, norm):
+        rows = activation_rows()
+        outcomes = solve_lp_batch([activation_lp(load, center, target, norm) for load, center, target in rows])
+        for (load, center, target), out in zip(rows, outcomes):
+            assert out.status == LpStatus.OPTIMAL
+            alpha, distance = interval._activation(load, center, target, norm)
+            assert abs(distance - out.value) <= 1e-12 * (1.0 + abs(out.value))
+            self._check_feasible(alpha, load, target)
+            assert norm_value(alpha - center, norm) == pytest.approx(distance, rel=1e-12, abs=1e-15)
+
+    def test_l2_matches_bisection(self):
+        for load, center, target in activation_rows():
+            alpha, distance = interval._activation(load, center, target, NormKind.L2)
+            self._check_feasible(alpha, load, target)
+            ref_alpha, ref_distance = l2_activation_by_bisection(load, center, target)
+            assert abs(distance - ref_distance) <= 1e-12 * (1.0 + ref_distance)
+            assert np.allclose(alpha, ref_alpha, rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("norm", list(NormKind))
+    def test_zero_loads_keep_their_centre(self, norm):
+        load = np.array([0.0, 2.0, 0.0, 1.0])
+        center = np.array([0.3, 0.1, 0.7, 0.2])
+        for target in (0.0, 0.3, 5.0):
+            alpha, _ = interval._activation(load, center, target, norm)
+            assert alpha[[0, 2]] == pytest.approx(center[[0, 2]], abs=0.0)
+            self._check_feasible(alpha, load, target)
+        zero = np.zeros(4)
+        assert interval._activation(zero, center, 0.0, norm) == (pytest.approx(center, abs=0.0), 0.0)
+        assert interval._activation(zero, center, 0.5, norm)[1] == np.inf
+
+    def test_l1_ties_move_the_lowest_index(self):
+        load = np.array([1.0, 2.0, 2.0, 1.0])
+        center = np.array([0.5, 0.25, 0.25, 0.5])  # load . center = 2
+        alpha, distance = interval._activation(load, center, 3.0, NormKind.L1)
+        assert alpha == pytest.approx([0.5, 0.75, 0.25, 0.5], abs=1e-15)
+        assert distance == pytest.approx(0.5, abs=1e-15)
+        # lowering by 1.25: both load-2 columns go to 0 (1.0), then column 0 gives 0.25
+        alpha, distance = interval._activation(load, center, 0.75, NormKind.L1)
+        assert alpha == pytest.approx([0.25, 0.0, 0.0, 0.5], abs=1e-15)
+        assert distance == pytest.approx(0.75, abs=1e-15)

@@ -4,6 +4,7 @@ import io
 import json
 import math
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -183,15 +184,15 @@ class TestCliSolve:
         assert not out.exists()
 
     def test_solver_rejection_prints_one_line(self, tmp_path, capsys):
-        # without its prior, fixture 4 (rlo-iu-sd) falls back to an l2 prior,
-        # which validation flags and the solver rejects: one line, not three
-        doc = _load(FIXTURES / "example4.json")
-        del doc["prior"]
+        # at the zero observation, fixture 2 (nlo-sd) fails validation's A3
+        # check and the solver rejects it: one line, not two
+        doc = _load(FIXTURES / "example2.json")
+        doc["x_hat"] = [0.0, 0.0]
         src = tmp_path / "problem.json"
         src.write_text(json.dumps(doc))
         out = tmp_path / "solution.json"
         assert cli.main(["solve", "--input", str(src), "--output", str(out)]) == 1
-        assert capsys.readouterr().err == "deviation recovery under strong duality supports l1 and linf priors only\n"
+        assert capsys.readouterr().err == "strong-duality recovery needs a nonzero observation\n"
         assert not out.exists()
 
     def test_lp_failure_prints_one_line(self, tmp_path, capsys, monkeypatch):
@@ -413,6 +414,46 @@ class TestCliRegions:
         assert cli.main(
             ["regions", "--input", str(src), "--bbox=-8,-8,8,8", "--output", str(out)]
         ) == 1
+
+
+class TestSolutionValueFuzz:
+    """One imputed entry of a fixture's solution set to a huge or
+    overflowing number: verify and regions answer with their usual output
+    or one diagnostic line, and numpy warns of nothing."""
+
+    VALUES = ("1e300", "-1e300", "1e308", "-1e308", "1e400")  # 1e400 reads as inf
+
+    @pytest.mark.parametrize("number", range(1, 9))
+    def test_verify_and_regions(self, tmp_path, capsys, number):
+        problem, solved = str(FIXTURES / f"example{number}.json"), tmp_path / "solution.json"
+        assert cli.main(["solve", "--input", problem, "--output", str(solved)]) in (0, 3)
+        capsys.readouterr()
+        doc = _load(solved)
+        ((field, imputed),) = doc["imputed"].items()
+        bad, out = tmp_path / "bad.json", tmp_path / "regions.json"
+        for index in np.ndindex(np.shape(imputed)):
+            for value in self.VALUES:
+                changed = copy.deepcopy(doc)
+                row = changed["imputed"][field]
+                for k in index[:-1]:
+                    row = row[k]
+                row[index[-1]] = "@"
+                bad.write_text(json.dumps(changed).replace('"@"', value))
+                for argv, usual in (
+                    (["verify", "--input", problem, "--solution", str(bad)], "verdict: "),
+                    (["regions", "--input", problem, "--solution", str(bad), "--bbox=-8,-8,8,8",
+                      "--output", str(out)], ""),
+                ):
+                    with warnings.catch_warnings():
+                        warnings.simplefilter("error", RuntimeWarning)
+                        code = cli.main(argv)
+                    stdout, stderr = capsys.readouterr()
+                    case = (number, index, value, argv[0], code, stdout, stderr)
+                    assert code in (0, 1, 2, 3), case
+                    if stderr:
+                        assert stderr.count("\n") == 1 and stdout == "", case
+                    else:
+                        assert stdout.startswith(usual) and (usual or stdout == ""), case
 
 
 def _set(field, value):

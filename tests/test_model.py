@@ -346,12 +346,6 @@ class TestValidate:
         assert sol.objective_value == plain.objective_value
         assert np.array_equal(sol.imputed, plain.imputed)
 
-    def test_iu_sd_l2_norm_flagged(self):
-        case = example_case(4)
-        prior = Prior(estimates=case.prior.estimates, norm=NormKind.L2)
-        report = validate(case.problem, case.x_hat, case.structure, case.model, prior=prior)
-        assert report.level("norm") == "fail"
-
     def test_a1_certified_by_boxes(self):
         case = example_case(1)
         report = validate(case.problem, case.x_hat, case.structure, case.model, omega=case.omega)

@@ -4,7 +4,8 @@ it imports, and neither the LP engine nor a solver returns a field its
 callers do not read.  The rule for a valid solve input lives in one
 function, `model.check_inputs`, which every solver and the trivial-escape
 re-solve call, and an infeasible solution is built in `model` alone.  The
-benchmark's traced runs find every function they wrap."""
+benchmark's traced runs find every function they wrap, and every error
+class is raised or caught somewhere in the library."""
 
 import ast
 import dataclasses
@@ -115,3 +116,27 @@ def test_perturbation_calls_the_one_check():
 def test_infeasible_solutions_come_from_model(path):
     # every solver reports an unsolvable input through InverseSolution.infeasible
     assert re.search(r"\bStatus\.INFEASIBLE", path.read_text(encoding="utf-8")) is None
+
+
+def _raised_or_caught(tree):
+    """Names of the exception classes raised or caught anywhere in `tree`."""
+    exprs = [node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+             for node in ast.walk(tree) if isinstance(node, ast.Raise) and node.exc is not None]
+    exprs += [node.type for node in ast.walk(tree) if isinstance(node, ast.ExceptHandler) and node.type is not None]
+    names = set()
+    for expr in exprs:
+        for node in ast.walk(expr):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+    return names
+
+
+def test_every_error_class_is_raised_or_caught():
+    # an exported error the library never raises or catches is dead weight;
+    # InverseLpError is the base callers catch
+    tree = ast.parse(SOURCE["errors.py"].read_text(encoding="utf-8"))
+    classes = {node.name for node in tree.body if isinstance(node, ast.ClassDef)} - {"InverseLpError"}
+    used = set().union(*(_raised_or_caught(ast.parse(path.read_text(encoding="utf-8"))) for path in SOURCES))
+    assert sorted(classes - used) == []

@@ -208,6 +208,16 @@ class TestFaultInjection:
         report = check_certificate(case.model, case.problem, case.x_hat, case.structure, bad)
         assert (report.verdict, report.reason) == ("invalid", f"{field}: non-finite entry")
 
+    def test_overflowing_residual_reads_inf(self):
+        # at x_1 = -2 both products of alpha x + u overflow, to -inf and inf,
+        # and their sum is NaN: the bound it checks is broken, so it reads inf, not 0
+        case, sol = _solved(3)
+        imputed = np.array(sol.imputed)
+        imputed[0, 0] = 1e308
+        report = check_certificate(case.model, case.problem, case.x_hat, case.structure, replace(sol, imputed=imputed))
+        assert report.verdict == "invalid"
+        assert report.residuals["primal.deviation_bound_lo"] == math.inf
+
     def test_active_row_consistency_flip(self):
         case, sol = _solved(6)
         bad = replace(sol, active_index=1)  # row 1 realization differs from the cost
