@@ -1,12 +1,13 @@
 """Recovery of per-row deviation budgets under cardinality-constrained uncertainty.
 
 The activation budget of each row (the smallest budget whose protection
-value equals the nominal surplus) is computed greedily; the gap model then
-solves one small LP per constraint and the strong-duality model is closed
-form in those budgets.  The gap model's LP for row i has variables
-(budgets, row i's fractional allocation): all m budgets while a side
-constraint couples budgets, only gamma_i once the side constraints fold
-into bounds, in which case every other row's budget takes its lower bound.
+value equals the nominal surplus) is computed greedily, and caps each
+row's feasible budget.  The strong-duality model is closed form in those
+budgets.  The gap model solves one small LP per constraint, over all m
+budgets and row i's fractional allocation, while a side constraint
+couples budgets.  Once the side constraints fold into bounds it runs no
+LP: row i's optimum is the continuous knapsack at its budget cap, and
+every other row's budget takes its lower bound.
 """
 
 from dataclasses import dataclass
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NominalInfeasibleError
-from .geometry import gamma_bar, norm_value, realized_row_cardinality
+from .geometry import gamma_bar, norm_value, protection_value, realized_row_cardinality
 from .lp import Constraints, LinearProgram, solve_lp_batch
 from .model import (
     InverseSolution,
@@ -26,6 +27,7 @@ from .model import (
     clamp_budget_prior,
     gap_solution,
     param_keys,
+    row_gap_solution,
 )
 
 
@@ -49,7 +51,11 @@ class GammaBounds:
 def compute_gamma_bounds(problem, structure, x_hat):
     """Per-row activation budgets; raises when the observation is nominal-infeasible."""
     # the input rule of either budget model: neither omega nor a prior is read here
-    x = check_inputs(ModelKind.RLO_CCU_DG, problem, x_hat, structure)
+    return _gamma_bounds(problem, structure, check_inputs(ModelKind.RLO_CCU_DG, problem, x_hat, structure))
+
+
+def _gamma_bounds(problem, structure, x):
+    """`compute_gamma_bounds` at an observation its caller has checked."""
     surplus = problem.surplus(x)
     worst = int(np.argmin(surplus))
     if surplus[worst] < -1e-9:
@@ -76,47 +82,50 @@ def solve_rlo_ccu_dg(problem, x_hat, structure, omega):
 
     Per candidate row: maximize that row's protected loss over (budgets,
     fractional allocation) subject to the feasibility box on budgets and
-    the side constraints.  With a coupling side constraint each LP spans
-    all m budgets, which keeps the coupling exact; when the side
-    constraints fold into bounds, LP i has gamma_i and row i's |J_i|
-    allocations, and the other budgets take their lower bounds.
+    the side constraints.  With a coupling side constraint this is one LP
+    per row over all m budgets and row i's |J_i| allocations, which keeps
+    the coupling exact.  When the side constraints fold into bounds, row
+    i's optimum is the continuous knapsack at its budget cap
+    (`protection_value`); the active row takes its cap and every other
+    budget its lower bound.
     """
     x = check_inputs(ModelKind.RLO_CCU_DG, problem, x_hat, structure, omega=omega)
     m = problem.m
     try:
-        gb = compute_gamma_bounds(problem, structure, x)
+        gb = _gamma_bounds(problem, structure, x)
     except NominalInfeasibleError as exc:
         return InverseSolution.infeasible(ModelKind.RLO_CCU_DG, str(exc))
     surplus = problem.surplus(x)
     keys = param_keys(ModelKind.RLO_CCU_DG, problem, structure)
     canon = canonicalize_omega(omega, keys, lower_floor=np.zeros(m), upper_cap=gb.theta_upper)
+    infeasible = "no budgets satisfy both the feasibility box and the side constraints"
     if not canon.feasible:
-        return InverseSolution.infeasible(
-            ModelKind.RLO_CCU_DG, "no budgets satisfy both the feasibility box and the side constraints"
-        )
+        return InverseSolution.infeasible(ModelKind.RLO_CCU_DG, infeasible)
 
-    coupled = canon.G.shape[0] > 0
-    head = m if coupled else 1  # budget variables per LP
-    blocks = [slice(None) if coupled else slice(i, i + 1) for i in range(m)]
+    def realize(i, gamma):
+        return realized_row_cardinality(problem.A[i], structure.alpha[i], gamma[i], structure.sets[i], x)
+
+    if not canon.G.shape[0]:
+        protection = [protection_value(structure.alpha[i], canon.upper[i], structure.sets[i], x) for i in range(m)]
+        return row_gap_solution(
+            ModelKind.RLO_CCU_DG, surplus, -np.array(protection),
+            lambda i: np.where(np.arange(m) == i, canon.upper, canon.lower), realize,
+        )
     rhs = np.append(0.0, canon.h)  # the budget row, then the side constraints
     lps = []
     for i in range(m):
         values = np.array([structure.alpha[i, j] * abs(x[j]) for j in structure.sets[i]])
-        objective = np.zeros(head + values.size)
-        objective[head:] = -values
+        objective = np.zeros(m + values.size)
+        objective[m:] = -values
         A = np.zeros((rhs.size, objective.size))
-        A[0, head:] = 1.0
-        A[0, i if coupled else 0] = -1.0
-        A[1:, :head] = canon.G[:, blocks[i]]
-        lower = np.concatenate([canon.lower[blocks[i]], np.zeros(values.size)])
-        upper = np.concatenate([canon.upper[blocks[i]], np.ones(values.size)])
+        A[0, m:] = 1.0
+        A[0, i] = -1.0
+        A[1:, :m] = canon.G
+        lower = np.concatenate([canon.lower, np.zeros(values.size)])
+        upper = np.concatenate([canon.upper, np.ones(values.size)])
         lps.append(LinearProgram(objective, Constraints(A, ("<=",) * rhs.size, rhs, lower, upper)))
     return gap_solution(
-        ModelKind.RLO_CCU_DG, solve_lp_batch(lps), surplus, canon.lower, blocks, lambda values: values,
-        lambda i, gamma: realized_row_cardinality(
-            problem.A[i], structure.alpha[i], gamma[i], structure.sets[i], x
-        ),
-        "no budgets satisfy both the feasibility box and the side constraints",
+        ModelKind.RLO_CCU_DG, solve_lp_batch(lps), surplus, lambda values: values[:m], realize, infeasible,
     )
 
 
@@ -131,7 +140,7 @@ def solve_rlo_ccu_sd(problem, x_hat, structure, prior):
     x = check_inputs(ModelKind.RLO_CCU_SD, problem, x_hat, structure, prior=prior)
     m = problem.m
     try:
-        gb = compute_gamma_bounds(problem, structure, x)
+        gb = _gamma_bounds(problem, structure, x)
     except NominalInfeasibleError as exc:
         return InverseSolution.infeasible(ModelKind.RLO_CCU_SD, str(exc))
     if not gb.i_hat:

@@ -1,13 +1,14 @@
 """Recovery of interval-uncertainty magnitudes.
 
-The gap model solves one LP per constraint: maximize row i's protection
-subject to robust feasibility of every row and the side constraints.  When
-a side constraint couples parameters, every LP spans every row's
-magnitudes and the m LPs share one equality form.  When the side
-constraints fold into bounds, LP i covers only row i's |J_i| magnitudes
-and its own robust feasibility; every other row keeps its lower bound,
-which is feasible whenever that row's own LP is, since the loads |x_j| are
-nonnegative.
+The gap model maximizes row i's protection, per row i, subject to robust
+feasibility of every row and the side constraints.  When a side
+constraint couples parameters, that is one LP per row over every row's
+magnitudes, and the m LPs share one equality form.  When the side
+constraints fold into bounds, the rows separate and the model runs no LP:
+row i's subproblem is one constraint over a box, a continuous knapsack
+solved in closed form, and every other row keeps its lower bounds, which
+are feasible whenever that row's own subproblem is, since the loads
+|x_j| are nonnegative.
 The strong-duality model runs no LP: its objective and constraints
 separate by row, and each row's move is a projection in closed form.
 """
@@ -20,12 +21,14 @@ from .errors import PreconditionError
 from .geometry import NormKind, dual_norm, dual_norm_maximizer, norm_value, realized_row_interval
 from .lp import Constraints, LinearProgram, solve_lp_batch
 from .model import (
+    ZERO_TOL,
     InverseSolution,
     ModelKind,
     canonicalize_omega,
     check_inputs,
     gap_solution,
     param_keys,
+    row_gap_solution,
     sd_solution,
 )
 
@@ -46,16 +49,38 @@ def _alpha_matrix(problem, key_rows, key_cols, values):
     return alpha
 
 
+def _fill(load, lower, upper, target):
+    """Row magnitudes from `lower` toward `upper` reaching load . alpha =
+    `target`: the loaded columns rise in turn, largest load first (lowest
+    column on ties, as rlo-iu-sd's l1 cut takes them), each until the
+    target is met (every loaded column reaches `upper` when that falls
+    short).  Zero-load columns keep `lower`."""
+    alpha = lower.copy()
+    on = load > 0.0
+    ell, lo, up = load[on], lower[on], upper[on]
+    if ell @ up <= target:
+        alpha[on] = up
+        return alpha
+    order = np.argsort(-ell, kind="stable")
+    ahead = np.zeros(ell.size)  # the load added by the columns ahead of each one
+    ahead[order] = np.concatenate(([0.0], np.cumsum((ell * (up - lo))[order])))[:-1]
+    alpha[on] = np.minimum(up, lo + np.maximum(target - ell @ lo - ahead, 0.0) / ell)
+    return alpha
+
+
 def solve_rlo_iu_dg(problem, x_hat, structure, omega):
     """Impute deviation magnitudes minimizing the duality gap.
 
     Per candidate row: maximize that row's protection subject to robust
     feasibility of every row, nonnegativity, and the side constraints.
-    With a coupling side constraint each LP spans all rows' magnitudes;
-    when the side constraints fold into bounds, LP i has row i's |J_i|
-    magnitudes and one row, and the other rows take their lower bounds.
-    The problem is infeasible iff some row's LP is.  The cost vector is
-    the realized active row in the observation's orthant.
+    With a coupling side constraint this is one LP per row over all rows'
+    magnitudes.  When the side constraints fold into bounds the rows
+    separate: with loads w = |x_J| and row i's box [lower, upper], row i's
+    protection is min(surplus_i, w . upper), reached from the lower bounds
+    by `_fill`, and every other row keeps its lower bounds.  The problem is
+    infeasible iff some row's least protection w . lower exceeds its
+    surplus (by more than ZERO_TOL (1 + |surplus_i|) in the box-only case).
+    The cost vector is the realized active row in the observation's orthant.
     """
     x = check_inputs(ModelKind.RLO_IU_DG, problem, x_hat, structure, omega=omega)
     surplus = _surplus(problem, x, structure)
@@ -69,27 +94,32 @@ def solve_rlo_iu_dg(problem, x_hat, structure, omega):
     key_cols = np.array([j for _, _, j in keys], dtype=np.intp)
     weight = np.abs(x[key_cols])
     own = key_rows == np.arange(m)[:, None]  # own[i, k]: key k is a magnitude of row i
+    infeasible = "no nonnegative magnitudes in the side constraints keep the observation robust-feasible"
+
+    def realize(i, alpha):
+        return realized_row_interval(problem.A[i], alpha[i], structure.sets[i], x)
+
     if canon.G.shape[0]:
         constraints = Constraints(
             np.vstack([np.where(own, weight, 0.0), canon.G]), ("<=",) * (m + canon.G.shape[0]),
             np.concatenate([surplus, canon.h]), canon.lower, canon.upper,
         )
         lps = [LinearProgram(np.where(own[i], -weight, 0.0), constraints) for i in range(m)]
-        blocks = [slice(None)] * m
-    else:
-        blocks = own
-        lps = [
-            LinearProgram(
-                -weight[b], Constraints(weight[None, b], ("<=",), surplus[[i]], canon.lower[b], canon.upper[b])
-            )
-            for i, b in enumerate(own)
-        ]
-    return gap_solution(
-        ModelKind.RLO_IU_DG, solve_lp_batch(lps), surplus, canon.lower, blocks,
-        lambda values: _alpha_matrix(problem, key_rows, key_cols, values),
-        lambda i, alpha: realized_row_interval(problem.A[i], alpha[i], structure.sets[i], x),
-        "no nonnegative magnitudes in the side constraints keep the observation robust-feasible",
-    )
+        return gap_solution(
+            ModelKind.RLO_IU_DG, solve_lp_batch(lps), surplus,
+            lambda values: _alpha_matrix(problem, key_rows, key_cols, values), realize, infeasible,
+        )
+    least = np.bincount(key_rows, weight * canon.lower, m)
+    if np.any(least > surplus + ZERO_TOL * (1.0 + np.abs(surplus))):
+        return InverseSolution.infeasible(ModelKind.RLO_IU_DG, infeasible)
+    most = np.bincount(key_rows, weight * np.where(weight > 0.0, canon.upper, 0.0), m)  # no 0 * inf
+
+    def imputed(i):
+        values = canon.lower.copy()
+        values[own[i]] = _fill(weight[own[i]], canon.lower[own[i]], canon.upper[own[i]], surplus[i])
+        return _alpha_matrix(problem, key_rows, key_cols, values)
+
+    return row_gap_solution(ModelKind.RLO_IU_DG, surplus, -np.minimum(surplus, most), imputed, realize)
 
 
 def _activation(load, center, target, norm):

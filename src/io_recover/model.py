@@ -1,6 +1,7 @@
 """Shared domain types, dimension/assumption validation, and the solution model,
 with the two tails that turn per-row results into a solution: one for the
-gap models' LP outcomes, one for the strong-duality models' moves.
+gap models' row values (LP outcomes or closed forms), one for the
+strong-duality models' moves.
 
 Constraint sense is fixed: minimize c'x subject to Ax >= b.  Callers with
 <=/maximize problems must pre-negate.  Library indices are 0-based; the
@@ -158,12 +159,11 @@ class UncertaintyStructure:
             return
         if len(self.sets) != problem.m:
             raise DimensionError("uncertain_columns", f"{len(self.sets)} rows for m = {problem.m}")
+        n = problem.n
         for i, s in enumerate(self.sets):
-            for j in s:
-                if j >= problem.n:
-                    raise DimensionError(
-                        "uncertain_columns", f"row {i + 1} references column {j + 1} > n = {problem.n}"
-                    )
+            if s and s[-1] >= n:  # sets are sorted: the first column past n is the first bad one
+                j = next(j for j in s if j >= n)
+                raise DimensionError("uncertain_columns", f"row {i + 1} references column {j + 1} > n = {n}")
         if self.variant == Variant.CARDINALITY:
             if self.alpha is None:
                 raise DimensionError("alpha", "cardinality structure needs fixed deviation magnitudes")
@@ -445,17 +445,15 @@ def active_solution(model, i_star, imputed, cost, objective, per_constraint, zer
     )
 
 
-def gap_solution(model, outcomes, offset, lower, blocks, shape, realize, infeasible_message, zero_row=None):
+def gap_solution(model, outcomes, offset, shape, realize, infeasible_message, zero_row=None):
     """Solution of a gap model from its per-row LP outcomes, LP i for row i.
 
-    t_i = offset[i] + the value of LP i.  The active row is `active_row(t,
-    |offset| + |value|)`; its LP's leading variables are the parameters in
-    `blocks[i]` of the natural order, and the others keep `lower`.  `shape`
-    turns a parameter vector into the imputed block, `realize(i, imputed)`
-    gives the cost vector with row i active, and `zero_row(imputed)` reports
-    a vanishing imputed row.  An infeasible LP makes the model infeasible,
-    with `infeasible_message` (which may cite `{infeasibility}`, phase 1's
-    figure).  An unbounded LP raises NumericalFailureError.
+    LP i spans every parameter, so t_i = offset[i] + the value of LP i and
+    `shape` turns the active row's LP solution into the imputed block; the
+    rest is `row_gap_solution`.  An infeasible LP makes the model
+    infeasible, with `infeasible_message` (which may cite
+    `{infeasibility}`, phase 1's figure).  An unbounded LP raises
+    NumericalFailureError.
     """
     # LP i holds row i's own constraint, which bounds its objective below
     # (nlo-dg: x . a_i >= b_i; rlo-iu-dg: |x_J| . alpha_i <= surplus_i;
@@ -467,14 +465,23 @@ def gap_solution(model, outcomes, offset, lower, blocks, shape, realize, infeasi
         if out.status == LpStatus.INFEASIBLE:
             return InverseSolution.infeasible(model, infeasible_message.format(infeasibility=out.infeasibility))
     values = np.array([out.value for out in outcomes])
+    return row_gap_solution(model, offset, values, lambda i: shape(outcomes[i].solution), realize, zero_row)
+
+
+def row_gap_solution(model, offset, values, imputed, realize, zero_row=None):
+    """Solution of a gap model from each row's subproblem value.
+
+    t_i = offset[i] + values[i], and the active row is `active_row(t,
+    |offset| + |values|)`.  `imputed(i)` gives the imputed block with row i
+    active, `realize(i, imputed)` the cost vector with row i active, and
+    `zero_row(imputed)` reports a vanishing imputed row.
+    """
     t = offset + values
     i_star = active_row(t, np.abs(offset) + np.abs(values))
-    params = lower.copy()
-    params[blocks[i_star]] = outcomes[i_star].solution[: params[blocks[i_star]].size]
-    imputed = shape(params)
+    block = imputed(i_star)
     return active_solution(
-        model, i_star, imputed, realize(i_star, imputed), t[i_star], {"t": t},
-        zero_row is not None and zero_row(imputed),
+        model, i_star, block, realize(i_star, block), t[i_star], {"t": t},
+        zero_row is not None and zero_row(block),
     )
 
 
@@ -576,12 +583,12 @@ def check_inputs(model, problem, x_hat, structure, omega=None, prior=None):
             if est.shape != (problem.m, problem.n):
                 raise DimensionError("prior.estimates", f"shape {est.shape} != ({problem.m}, {problem.n})")
             if model == ModelKind.RLO_IU_SD:
-                for i, cols in enumerate(structure.sets):
-                    for j in cols:
-                        if est[i, j] < 0.0:
-                            raise DimensionError(
-                                "prior.estimates", f"alpha[{i + 1}][{j + 1}] = {est[i, j]:g} is negative"
-                            )
+                # the negative entries in row-major order; the first on an uncertain column is reported
+                for i, j in zip(*np.nonzero(est < 0.0)):
+                    if j in structure.sets[i]:
+                        raise DimensionError(
+                            "prior.estimates", f"alpha[{i + 1}][{j + 1}] = {est[i, j]:g} is negative"
+                        )
     if model.is_sd and prior is None:
         raise DimensionError("prior", f"required by model {model.value}")
     if model.is_sd and omega is not None:

@@ -59,7 +59,7 @@ def solve_nlo_dg(problem, x_hat, omega):
     )
     lps = [LinearProgram(loads[i], constraints) for i in range(m)]
     return gap_solution(
-        ModelKind.NLO_DG, solve_lp_batch(lps), -problem.b, canon.lower, [slice(None)] * m,
+        ModelKind.NLO_DG, solve_lp_batch(lps), -problem.b,
         lambda values: values.reshape(m, n), lambda i, A: A[i].copy(),
         "no matrix in the side constraints keeps the observation feasible "
         "(phase-one infeasibility {infeasibility:g})",

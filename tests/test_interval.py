@@ -118,16 +118,25 @@ class TestIuDg:
         assert calls["lp_solve"] == problem.m
         assert len(std_builds) == 1
 
-    def test_box_only_omega_solves_one_row_per_lp(self, std_builds, calls):
+    def test_box_only_omega_runs_no_lp(self, std_builds, calls, monkeypatch):
+        monkeypatch.setattr(interval, "Constraints", None)  # building one would raise
         for seed in range(5):
             problem, x, structure, omega, _ = gen.make_iu_dg(seed)
-            std_builds.clear()
-            calls.clear()
             sol = solve_rlo_iu_dg(problem, x, structure, omega)
             assert sol.status in (Status.OPTIMAL, Status.TRIVIAL_DETECTED)
-            assert calls["lp_solve"] == problem.m
-            assert [lp.num_vars for lp in std_builds] == [len(s) for s in structure.sets]
-            assert all(lp.A.shape[0] == 1 for lp in std_builds)
+        assert calls["lp_solve"] == 0
+        assert std_builds == []
+
+    def test_box_only_fill_takes_the_largest_load_first(self):
+        # surplus 3, box [0.1, 1]: columns 2 and 3 tie on the largest load, so column 2
+        # rises to 1 and column 3 takes the rest; column 4 (load 0) keeps 0.1
+        prob = ForwardProblem(A=[[1.0, 1.0, 1.0, 1.0]], b=[-2.0])
+        x = [1.0, -2.0, 2.0, 0.0]
+        structure = UncertaintyStructure.interval(((0, 1, 2, 3),))
+        omega = SideConstraints(G=np.vstack([np.eye(4), -np.eye(4)]), h=[1.0] * 4 + [-0.1] * 4)
+        sol = solve_rlo_iu_dg(prob, x, structure, omega)
+        assert sol.imputed[0] == pytest.approx([0.1, 1.0, 0.45, 0.1], abs=1e-12)
+        assert sol.duality_gap == 0.0
 
     def test_empty_uncertain_set_rejected(self):
         prob = ForwardProblem(A=[[1.0, 0.0], [0.0, 1.0]], b=[0.0, 0.0])

@@ -174,6 +174,19 @@ def test_certificate_names_a_long_observation(number):
             case.structure, solution)
 
 
+@pytest.mark.parametrize("estimates, sets, message", [
+    ([[0.1, 0.2, 0.3], [0.1, 0.2, 0.3]], ((0,), (1, 4, 3, 6)), "row 2 references column 4 > n = 3"),
+    ([[0.1, -0.2, -0.3], [-0.4, 0.2, -0.5]], ((0, 2), (1, 2)), "alpha[1][3] = -0.3 is negative"),
+    ([[0.1, -0.2, 0.3], [-0.4, 0.2, -0.5]], ((0, 2), (1, 2)), "alpha[2][3] = -0.5 is negative"),
+], ids=["column past n", "negative prior", "negative prior off the first columns"])
+def test_check_inputs_names_the_first_offender(estimates, sets, message):
+    problem = ForwardProblem(A=np.ones((2, 3)), b=[0.0, 0.0])
+    prior = Prior(estimates=estimates, norm=NormKind.L1)
+    with pytest.raises(DimensionError) as err:
+        check_inputs(ModelKind.RLO_IU_SD, problem, [1.0, 1.0, 1.0], UncertaintyStructure.interval(sets), prior=prior)
+    assert str(err.value).endswith(message)
+
+
 @pytest.mark.parametrize("model", [m for m in MAKERS if m.family != "nlo"], ids=lambda m: m.value)
 def test_solver_rejects_the_wrong_variant(model):
     problem, x, _, data, _ = MAKERS[model](0)
@@ -372,7 +385,7 @@ class TestValidate:
         assert report.level("A1") == "fail"
 
 
-# The gap models' shared tail: per-row LP outcomes to t, the active row and the solution.
+# The gap models' shared tail: per-row values (LP outcomes or closed forms) to t, the active row and the solution.
 
 def _near_tie(model, scale=1.0):
     """A gap instance whose least t is shared, up to rounding, by several rows,
@@ -380,7 +393,13 @@ def _near_tie(model, scale=1.0):
     if model == ModelKind.NLO_DG:
         problem, x, structure, omega, _ = gen.make_nlo_dg(7)
     elif model == ModelKind.RLO_IU_DG:
-        problem, x, structure, omega = gen.make_dg_box(model, 20, 10, 3)
+        # box-only: row 2 is row 1 times c, its box short of its surplus and
+        # wider on column 1 by (c - 1) * surplus_1, so t_2 = t_1 = 0.8 up to rounding
+        c, x = 1.4, np.array([1.0, 2.0, -1.0])
+        a, b, upper = np.array([1.0, 1.5, 0.5]), 2.0, np.array([0.2, 0.1, 0.3])
+        problem = ForwardProblem(A=np.vstack([a, c * a]), b=[b, c * b])
+        structure = UncertaintyStructure.interval(((0, 1, 2),) * 2)
+        omega = gen._box_omega(np.zeros(6), np.concatenate([upper, upper + [(c - 1.0) * 1.5, 0.0, 0.0]]))
     else:
         problem, x, structure, omega, _ = gen.make_ccu_dg(1)
         structure = UncertaintyStructure.cardinality(structure.sets, structure.alpha * scale)
