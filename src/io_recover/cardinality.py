@@ -7,7 +7,9 @@ budgets.  The gap model solves one small LP per constraint, over all m
 budgets and row i's fractional allocation, while a side constraint
 couples budgets.  Once the side constraints fold into bounds it runs no
 LP: row i's optimum is the continuous knapsack at its budget cap, and
-every other row's budget takes its lower bound.
+every other row's budget takes its lower bound.  Both models hand their
+per-row results to `model`'s one tail, which picks the active row and
+realizes the cost vector under its budget.
 """
 
 from dataclasses import dataclass
@@ -15,19 +17,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NominalInfeasibleError
-from .geometry import gamma_bar, norm_value, protection_value, realized_row_cardinality
+from .geometry import gamma_bar, norm_value, protection_value
 from .lp import Constraints, LinearProgram, solve_lp_batch
 from .model import (
     InverseSolution,
     ModelKind,
-    active_row,
-    active_solution,
     canonicalize_omega,
     check_inputs,
     clamp_budget_prior,
     gap_solution,
+    lp_gap_solution,
     param_keys,
-    row_gap_solution,
+    row_solution,
 )
 
 
@@ -101,15 +102,11 @@ def solve_rlo_ccu_dg(problem, x_hat, structure, omega):
     infeasible = "no budgets satisfy both the feasibility box and the side constraints"
     if not canon.feasible:
         return InverseSolution.infeasible(ModelKind.RLO_CCU_DG, infeasible)
-
-    def realize(i, gamma):
-        return realized_row_cardinality(problem.A[i], structure.alpha[i], gamma[i], structure.sets[i], x)
-
     if not canon.G.shape[0]:
         protection = [protection_value(structure.alpha[i], canon.upper[i], structure.sets[i], x) for i in range(m)]
-        return row_gap_solution(
-            ModelKind.RLO_CCU_DG, surplus, -np.array(protection),
-            lambda i: np.where(np.arange(m) == i, canon.upper, canon.lower), realize,
+        return gap_solution(
+            ModelKind.RLO_CCU_DG, problem, structure, x, surplus, -np.array(protection),
+            lambda i: np.where(np.arange(m) == i, canon.upper, canon.lower),
         )
     rhs = np.append(0.0, canon.h)  # the budget row, then the side constraints
     lps = []
@@ -124,8 +121,9 @@ def solve_rlo_ccu_dg(problem, x_hat, structure, omega):
         lower = np.concatenate([canon.lower, np.zeros(values.size)])
         upper = np.concatenate([canon.upper, np.ones(values.size)])
         lps.append(LinearProgram(objective, Constraints(A, ("<=",) * rhs.size, rhs, lower, upper)))
-    return gap_solution(
-        ModelKind.RLO_CCU_DG, solve_lp_batch(lps), surplus, lambda values: values[:m], realize, infeasible,
+    return lp_gap_solution(
+        ModelKind.RLO_CCU_DG, problem, structure, x, solve_lp_batch(lps), surplus,
+        lambda values: values[:m], infeasible,
     )
 
 
@@ -134,8 +132,9 @@ def solve_rlo_ccu_sd(problem, x_hat, structure, prior):
 
     Per activatable row the activation premium is the signed budget move
     onto its activation bracket; the row minimizing the norm of the full
-    deviation vector is activated (`active_row`), the other activatable
-    rows are capped at feasibility, and the rest keep their prior budgets.
+    deviation vector is activated (`model.row_solution`) and takes its
+    moved budget, the other activatable rows are capped at feasibility,
+    and the rest keep their prior budgets.
     """
     x = check_inputs(ModelKind.RLO_CCU_SD, problem, x_hat, structure, prior=prior)
     m = problem.m
@@ -148,29 +147,17 @@ def solve_rlo_ccu_sd(problem, x_hat, structure, prior):
             ModelKind.RLO_CCU_SD, "no constraint's surplus is within reach of its protection function"
         )
     gamma_hat = clamp_budget_prior(prior, structure)
-
-    f = np.zeros(m)
-    for i in gb.i_hat:
-        target = min(max(gamma_hat[i], gb.gamma_lower[i]), gb.gamma_upper[i])
-        f[i] = target - gamma_hat[i]
+    rows = list(gb.i_hat)
+    moved, kept = gamma_hat.copy(), gamma_hat.copy()  # row i's budget when it is active, when it is not
+    moved[rows] = np.minimum(np.maximum(gamma_hat[rows], gb.gamma_lower[rows]), gb.gamma_upper[rows])
+    kept[rows] = np.minimum(gamma_hat[rows], gb.gamma_upper[rows])
+    f = moved - gamma_hat
     g = np.minimum(f, 0.0)
-
-    t = np.full(m, np.inf)  # the norm of the deviation vector with row i active
-    for i in gb.i_hat:
-        vec = g.copy()
-        vec[i] = f[i]
-        t[i] = norm_value(vec, prior.norm)
-    i_star = active_row(t, t)
-
-    gamma = gamma_hat.copy()
-    for i in gb.i_hat:
-        if i == i_star:
-            gamma[i] = min(max(gamma_hat[i], gb.gamma_lower[i]), gb.gamma_upper[i])
-        else:
-            gamma[i] = min(gamma_hat[i], gb.gamma_upper[i])
-    cost = realized_row_cardinality(
-        problem.A[i_star], structure.alpha[i_star], gamma[i_star], structure.sets[i_star], x
-    )
-    return active_solution(
-        ModelKind.RLO_CCU_SD, i_star, gamma, cost, t[i_star], {"f": f, "g": g}, False
+    deviations = np.where(np.eye(m, dtype=bool), f, g)  # row i: the deviation vector with row i active
+    t = np.full(m, np.inf)
+    for i in rows:
+        t[i] = norm_value(deviations[i], prior.norm)
+    return row_solution(
+        ModelKind.RLO_CCU_SD, problem, structure, x, t, t,
+        lambda i: np.where(np.arange(m) == i, moved, kept), {"f": f, "g": g},
     )

@@ -11,14 +11,17 @@ are feasible whenever that row's own subproblem is, since the loads
 |x_j| are nonnegative.
 The strong-duality model runs no LP: its objective and constraints
 separate by row, and each row's move is a projection in closed form.
+Both models hand their per-row results to `model`'s one tail, which picks
+the active row and realizes the cost vector in the observation's orthant.
 """
 
 import math
+import sys
 
 import numpy as np
 
 from .errors import PreconditionError
-from .geometry import NormKind, dual_norm, dual_norm_maximizer, norm_value, realized_row_interval
+from .geometry import NormKind, dual_norm, dual_norm_maximizer, norm_value
 from .lp import Constraints, LinearProgram, solve_lp_batch
 from .model import (
     ZERO_TOL,
@@ -27,8 +30,8 @@ from .model import (
     canonicalize_omega,
     check_inputs,
     gap_solution,
+    lp_gap_solution,
     param_keys,
-    row_gap_solution,
     sd_solution,
 )
 
@@ -95,19 +98,15 @@ def solve_rlo_iu_dg(problem, x_hat, structure, omega):
     weight = np.abs(x[key_cols])
     own = key_rows == np.arange(m)[:, None]  # own[i, k]: key k is a magnitude of row i
     infeasible = "no nonnegative magnitudes in the side constraints keep the observation robust-feasible"
-
-    def realize(i, alpha):
-        return realized_row_interval(problem.A[i], alpha[i], structure.sets[i], x)
-
     if canon.G.shape[0]:
         constraints = Constraints(
             np.vstack([np.where(own, weight, 0.0), canon.G]), ("<=",) * (m + canon.G.shape[0]),
             np.concatenate([surplus, canon.h]), canon.lower, canon.upper,
         )
         lps = [LinearProgram(np.where(own[i], -weight, 0.0), constraints) for i in range(m)]
-        return gap_solution(
-            ModelKind.RLO_IU_DG, solve_lp_batch(lps), surplus,
-            lambda values: _alpha_matrix(problem, key_rows, key_cols, values), realize, infeasible,
+        return lp_gap_solution(
+            ModelKind.RLO_IU_DG, problem, structure, x, solve_lp_batch(lps), surplus,
+            lambda values: _alpha_matrix(problem, key_rows, key_cols, values), infeasible,
         )
     least = np.bincount(key_rows, weight * canon.lower, m)
     if np.any(least > surplus + ZERO_TOL * (1.0 + np.abs(surplus))):
@@ -119,18 +118,19 @@ def solve_rlo_iu_dg(problem, x_hat, structure, omega):
         values[own[i]] = _fill(weight[own[i]], canon.lower[own[i]], canon.upper[own[i]], surplus[i])
         return _alpha_matrix(problem, key_rows, key_cols, values)
 
-    return row_gap_solution(ModelKind.RLO_IU_DG, surplus, -np.minimum(surplus, most), imputed, realize)
+    return gap_solution(ModelKind.RLO_IU_DG, problem, structure, x, surplus, -np.minimum(surplus, most), imputed)
 
 
 def _activation(load, center, target, norm):
     """The point of {alpha >= 0 : load . alpha = target} closest to `center`
-    in `norm`, and its distance (inf when no column is loaded and the load
-    must change).  Zero-load columns keep their centre.  A raise moves along
-    the loads' dual-norm maximizer, which is nonnegative.  A cut takes l1's
-    columns to 0 by decreasing load, lowest index first (a continuous
-    knapsack), and sets alpha = max(0, center - d * step) for l2 (step =
-    load) and linf (step = 1), with d from one sweep over the breakpoints
-    center / step (Held, Wolfe and Crowder 1974; Duchi et al. 2008)."""
+    in `norm`, and its distance (inf when the load must change and no column
+    is loaded, or must rise past the floats).  Zero-load columns keep their
+    centre.  A raise moves along the loads' dual-norm maximizer, which is
+    nonnegative.  A cut takes l1's columns to 0 by decreasing load, lowest
+    index first (a continuous knapsack), and sets alpha = max(0, center -
+    d * step) for l2 (step = load) and linf (step = 1), with d from one
+    sweep over the breakpoints center / step (Held, Wolfe and Crowder
+    1974; Duchi et al. 2008)."""
     alpha = np.array(center, dtype=float)
     on = load > 0.0
     gap = target - float(load @ alpha)
@@ -138,7 +138,10 @@ def _activation(load, center, target, norm):
         return alpha, 0.0 if gap == 0.0 else math.inf
     ell, c = load[on], alpha[on]
     if gap > 0.0:
-        move = gap / dual_norm(ell, norm) * dual_norm_maximizer(ell, norm)
+        dual = dual_norm(ell, norm)  # a Python float, so dual * max reads inf, unwarned, when dual > 1
+        if gap >= dual * sys.float_info.max:  # loads too small for any float move to reach the target
+            return alpha, math.inf
+        move = gap / dual * dual_norm_maximizer(ell, norm)
     elif norm == NormKind.L1:
         order = np.argsort(-ell, kind="stable")
         ahead = np.zeros(ell.size)  # the load cut by the columns ahead of each one
@@ -184,7 +187,6 @@ def solve_rlo_iu_sd(problem, x_hat, structure, prior):
         moved[i, cols], distance = _activation(load, center, surplus[i], prior.norm)
         f[i] = w[i] * distance if distance < math.inf else math.inf  # a zero weight keeps inf, not NaN
     return sd_solution(
-        ModelKind.RLO_IU_SD, f, fits, moved, centers,
-        lambda i, alpha: realized_row_interval(problem.A[i], alpha[i], structure.sets[i], x),
+        ModelKind.RLO_IU_SD, problem, structure, x, f, fits, moved, centers,
         "no constraint can be made robust-active at the observation",
     )

@@ -247,7 +247,9 @@ class _Start:
             if _simplex(T, basis, cost1, np.ones(std.ncols, dtype=bool), self.degen_limit) != "optimal":
                 raise NumericalFailureError("phase one reported unbounded")
             value1 = float(cost1[basis] @ T[:, -1])
-            if value1 > FEAS_TOL * (1.0 + float(np.max(np.abs(std.b), initial=0.0))):
+            # scaled by the rows phase 1 must satisfy: a slack row's bound loosens no other row's test
+            artificial = ~std.structural[std.basis]
+            if value1 > FEAS_TOL * (1.0 + float(np.max(np.abs(std.b[artificial]), initial=0.0))):
                 self.infeasibility = value1
                 return
             # Drive leftover artificials out of the basis; all-zero rows are redundant.

@@ -1,7 +1,8 @@
 """Shared domain types, dimension/assumption validation, and the solution model,
-with the two tails that turn per-row results into a solution: one for the
-gap models' row values (LP outcomes or closed forms), one for the
-strong-duality models' moves.
+with the one tail of all six solvers (`row_solution`): it picks the active
+row, realizes the cost vector from it (`realized_row`) and reports the
+solution.  Thin adapters feed it the gap models' row values (closed forms
+or LP outcomes) and the strong-duality moves of nlo-sd and rlo-iu-sd.
 
 Constraint sense is fixed: minimize c'x subject to Ax >= b.  Callers with
 <=/maximize problems must pre-negate.  Library indices are 0-based; the
@@ -15,7 +16,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import DimensionError, NumericalFailureError, PreconditionError
-from .geometry import NormKind
+from .geometry import NormKind, realized_row_cardinality, realized_row_interval
 from .lp import LpStatus
 
 ZERO_TOL = 1e-9
@@ -42,6 +43,11 @@ class ModelKind(str, Enum):
         if self.value.startswith("nlo"):
             return "nlo"
         return "iu" if "-iu-" in self.value else "ccu"
+
+    @property
+    def variant(self):
+        """The uncertainty the model's rows are realized under."""
+        return {"nlo": Variant.NOMINAL, "iu": Variant.INTERVAL, "ccu": Variant.CARDINALITY}[self.family]
 
 
 class Status(str, Enum):
@@ -420,22 +426,40 @@ def active_row(t, scale):
     return int(np.argmax(np.isfinite(t) & (t <= t[j] + ZERO_TOL * (1.0 + scale + scale[j]))))
 
 
-def active_solution(model, i_star, imputed, cost, objective, per_constraint, zero_row):
-    """Solution making constraint `i_star` (0-based) the active one.
+def realized_row(variant, problem, structure, params, i, x):
+    """Row i of the constraint as realized at x under `variant`'s
+    uncertainty, with the model's parameters `params` (the matrix, the
+    magnitudes or the budgets, one row or entry per constraint): the row
+    itself for the nominal variant, and the row under full or budgeted
+    deviation (a budget clamped into [0, |J_i|]) for the robust ones."""
+    params = np.asarray(params, dtype=float)
+    if variant == Variant.NOMINAL:
+        return params[i].copy()
+    if variant == Variant.INTERVAL:
+        return realized_row_interval(problem.A[i], params[i], structure.sets[i], x)
+    budget = min(max(float(params[i]), 0.0), float(len(structure.sets[i])))
+    return realized_row_cardinality(problem.A[i], structure.alpha[i], budget, structure.sets[i], x)
 
-    The dual is the unit vector on `i_star`; the duality gap is `objective`
-    for the gap models and 0 under strong duality.  The status is
-    trivial-detected when the cost vector vanishes or `zero_row` reports
-    a vanishing imputed row.  `imputed` has one row or entry per constraint.
+
+def row_solution(model, problem, structure, x, t, scale, imputed, per_constraint):
+    """The one tail of every solver: make row i* = `active_row(t, scale)`
+    active.  The imputed block is `imputed(i*)`, the cost vector row i* of
+    it realized at the observation x, the dual the unit vector on i*, the
+    objective t_i*, and the duality gap t_i* for the gap models and 0 under
+    strong duality.  The status is trivial-detected when the cost vanishes,
+    or for the nlo family when any imputed row does.
     """
-    pi = np.zeros(len(imputed))
-    pi[i_star] = 1.0
-    objective = float(objective)
-    trivial = zero_row or float(np.max(np.abs(cost))) <= ZERO_TOL
+    i_star = active_row(t, scale)
+    block = imputed(i_star)
+    cost = realized_row(model.variant, problem, structure, block, i_star, x)
+    pi = (np.arange(problem.m) == i_star).astype(float)
+    objective = float(t[i_star])
+    rows = block if model.family == "nlo" else cost[None]
+    trivial = bool(np.any(np.max(np.abs(rows), axis=1) <= ZERO_TOL))
     return InverseSolution(
         model=model,
         status=Status.TRIVIAL_DETECTED if trivial else Status.OPTIMAL,
-        imputed=imputed,
+        imputed=block,
         cost=cost,
         dual_pi=pi,
         duality_gap=0.0 if model.is_sd else objective,
@@ -445,15 +469,20 @@ def active_solution(model, i_star, imputed, cost, objective, per_constraint, zer
     )
 
 
-def gap_solution(model, outcomes, offset, shape, realize, infeasible_message, zero_row=None):
-    """Solution of a gap model from its per-row LP outcomes, LP i for row i.
+def gap_solution(model, problem, structure, x, offset, values, imputed):
+    """Solution of a gap model from each row's subproblem value:
+    t_i = offset[i] + values[i] at scale |offset| + |values|, reported as
+    `t`; `imputed` is as in `row_solution`."""
+    t = offset + values
+    return row_solution(model, problem, structure, x, t, np.abs(offset) + np.abs(values), imputed, {"t": t})
 
-    LP i spans every parameter, so t_i = offset[i] + the value of LP i and
-    `shape` turns the active row's LP solution into the imputed block; the
-    rest is `row_gap_solution`.  An infeasible LP makes the model
-    infeasible, with `infeasible_message` (which may cite
-    `{infeasibility}`, phase 1's figure).  An unbounded LP raises
-    NumericalFailureError.
+
+def lp_gap_solution(model, problem, structure, x, outcomes, offset, shape, infeasible_message):
+    """`gap_solution` from per-row LP outcomes, LP i for row i: values[i] is
+    the value of LP i, and `shape` turns its solution into the imputed
+    block.  An infeasible LP makes the model infeasible, with
+    `infeasible_message` (which may cite `{infeasibility}`, phase 1's
+    figure).  An unbounded LP raises NumericalFailureError.
     """
     # LP i holds row i's own constraint, which bounds its objective below
     # (nlo-dg: x . a_i >= b_i; rlo-iu-dg: |x_J| . alpha_i <= surplus_i;
@@ -465,43 +494,24 @@ def gap_solution(model, outcomes, offset, shape, realize, infeasible_message, ze
         if out.status == LpStatus.INFEASIBLE:
             return InverseSolution.infeasible(model, infeasible_message.format(infeasibility=out.infeasibility))
     values = np.array([out.value for out in outcomes])
-    return row_gap_solution(model, offset, values, lambda i: shape(outcomes[i].solution), realize, zero_row)
+    return gap_solution(model, problem, structure, x, offset, values, lambda i: shape(outcomes[i].solution))
 
 
-def row_gap_solution(model, offset, values, imputed, realize, zero_row=None):
-    """Solution of a gap model from each row's subproblem value.
-
-    t_i = offset[i] + values[i], and the active row is `active_row(t,
-    |offset| + |values|)`.  `imputed(i)` gives the imputed block with row i
-    active, `realize(i, imputed)` the cost vector with row i active, and
-    `zero_row(imputed)` reports a vanishing imputed row.
-    """
-    t = offset + values
-    i_star = active_row(t, np.abs(offset) + np.abs(values))
-    block = imputed(i_star)
-    return active_solution(
-        model, i_star, block, realize(i_star, block), t[i_star], {"t": t},
-        zero_row is not None and zero_row(block),
-    )
-
-
-def sd_solution(model, f, fits, moved, prior, realize, infeasible_message, zero_row=None):
-    """Solution of a strong-duality model: `moved[i]` makes row i active at
+def sd_solution(model, problem, structure, x, f, fits, moved, prior, infeasible_message):
+    """Solution of nlo-sd and rlo-iu-sd: `moved[i]` makes row i active at
     cost f_i (inf if no move does), and keeping row i costs g_i = 0 if its
     `prior` row `fits`, else f_i.  The row of least t = f + sum(g) - g is
-    made active; it and the rows that do not fit move.  `realize` and
-    `zero_row` are as in `gap_solution`.  nlo-sd reports f and g, rlo-iu-sd t too.
+    made active; it and the rows that do not fit move.  nlo-sd reports f
+    and g, rlo-iu-sd t too.
     """
     g = np.where(fits, 0.0, f)
     if not np.all(np.isfinite(g)) or not np.any(np.isfinite(f)):
         return InverseSolution.infeasible(model, infeasible_message)
     t = f + np.sum(g) - g
-    i_star = active_row(t, f + np.sum(g))
-    imputed = np.where((fits & (np.arange(f.size) != i_star))[:, None], prior, moved)
     per_constraint = {"f": f, "g": g, "t": t} if model.family == "iu" else {"f": f, "g": g}
-    return active_solution(
-        model, i_star, imputed, realize(i_star, imputed), t[i_star], per_constraint,
-        zero_row is not None and zero_row(imputed),
+    return row_solution(
+        model, problem, structure, x, t, f + np.sum(g),
+        lambda i: np.where((fits & (np.arange(f.size) != i))[:, None], prior, moved), per_constraint,
     )
 
 
@@ -558,7 +568,9 @@ def check_inputs(model, problem, x_hat, structure, omega=None, prior=None):
     no negative magnitude on an uncertain column for rlo-iu-sd).  A
     strong-duality model needs a prior and takes no omega; a gap model
     takes no prior.  A wrong-shaped, missing or unused field raises
-    DimensionError naming it.
+    DimensionError naming it, and so does an observation at which the rows
+    the model builds on (A for the robust families, the prior for nlo-sd)
+    have a surplus beyond the floats, naming x_hat.
     """
     x = np.array(x_hat, dtype=float)
     if x.ndim != 1:
@@ -595,6 +607,13 @@ def check_inputs(model, problem, x_hat, structure, omega=None, prior=None):
         raise DimensionError("omega", f"not used by model {model.value}")
     if model.is_dg and prior is not None:
         raise DimensionError("prior", f"not used by model {model.value}")
+    if model != ModelKind.NLO_DG:
+        # the rows the model builds on at x: A for the robust families, the prior for nlo-sd
+        name, rows = ("prior.estimates", prior.estimates) if model == ModelKind.NLO_SD else ("A", problem.A)
+        with np.errstate(over="ignore", invalid="ignore"):
+            finite = np.isfinite(rows @ x - problem.b)
+        if not finite.all():
+            raise DimensionError("x_hat", f"{name} x_hat - b overflows on constraint {int(np.argmin(finite)) + 1}")
     return _freeze(x)
 
 

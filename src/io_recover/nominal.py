@@ -13,7 +13,6 @@ from .errors import DimensionError, ZeroObservationError
 from .geometry import project_hyperplane
 from .lp import Constraints, LinearProgram, solve_lp_batch
 from .model import (
-    ZERO_TOL,
     ForwardProblem,
     InverseSolution,
     ModelKind,
@@ -25,14 +24,10 @@ from .model import (
     WeightBoost,
     canonicalize_omega,
     check_inputs,
-    gap_solution,
+    lp_gap_solution,
     param_keys,
     sd_solution,
 )
-
-
-def _has_zero_row(matrix):
-    return bool(np.any(np.max(np.abs(matrix), axis=1) <= ZERO_TOL))
 
 
 def solve_nlo_dg(problem, x_hat, omega):
@@ -41,7 +36,8 @@ def solve_nlo_dg(problem, x_hat, omega):
     One LP per constraint over the flattened matrix: minimize that row's
     surplus subject to the side constraints and feasibility of every row.
     The gap equals the smallest achievable surplus; the cost vector is the
-    winning row.
+    winning row.  An observation whose products with omega's bounds
+    overflow raises DimensionError naming x_hat.
     """
     structure = UncertaintyStructure.nominal()
     x = check_inputs(ModelKind.NLO_DG, problem, x_hat, structure, omega=omega)
@@ -53,17 +49,23 @@ def solve_nlo_dg(problem, x_hat, omega):
 
     own = np.array([key[1] for key in keys]) == np.arange(m)[:, None]  # own[i, k]: key k is in row i
     loads = np.where(own, np.tile(x, m), 0.0)  # loads[i] . a = a_i . x
+    # LP i shifts b_i by a_i . x at a_i's finite bounds: beyond the floats no LP answer is finite
+    edges = np.abs(np.vstack([canon.lower, canon.upper]))
+    reach = np.where(edges < np.inf, edges, 0.0).sum(axis=0)
+    with np.errstate(over="ignore"):
+        finite = np.isfinite(np.abs(loads) @ reach + np.abs(problem.b))
+    if not finite.all():
+        raise DimensionError("x_hat", f"a_i . x_hat overflows at omega's bounds on constraint {np.argmin(finite) + 1}")
     constraints = Constraints(
         np.vstack([loads, canon.G]), (">=",) * m + ("<=",) * canon.G.shape[0],
         np.concatenate([problem.b, canon.h]), canon.lower, canon.upper,
     )
     lps = [LinearProgram(loads[i], constraints) for i in range(m)]
-    return gap_solution(
-        ModelKind.NLO_DG, solve_lp_batch(lps), -problem.b,
-        lambda values: values.reshape(m, n), lambda i, A: A[i].copy(),
+    return lp_gap_solution(
+        ModelKind.NLO_DG, problem, structure, x, solve_lp_batch(lps), -problem.b,
+        lambda values: values.reshape(m, n),
         "no matrix in the side constraints keeps the observation feasible "
         "(phase-one infeasibility {infeasibility:g})",
-        zero_row=_has_zero_row,
     )
 
 
@@ -76,7 +78,8 @@ def solve_nlo_sd(problem, x_hat, prior):
     f_i otherwise.  The row with the smallest t_i = f_i + sum(g) - g_i is
     made active (`model.sd_solution`); the cost vector is that row.
     """
-    x = check_inputs(ModelKind.NLO_SD, problem, x_hat, UncertaintyStructure.nominal(), prior=prior)
+    structure = UncertaintyStructure.nominal()
+    x = check_inputs(ModelKind.NLO_SD, problem, x_hat, structure, prior=prior)
     if not np.any(x != 0.0):
         raise ZeroObservationError("strong-duality recovery needs a nonzero observation")
     m = problem.m
@@ -88,13 +91,11 @@ def solve_nlo_sd(problem, x_hat, prior):
         f[i] = w[i] * distance
         fits[i] = float(a_hat[i] @ x) >= float(problem.b[i])
     solution = sd_solution(
-        ModelKind.NLO_SD, f, fits, moved, a_hat, lambda i, A: A[i].copy(),
-        "no constraint can be made active at the observation", zero_row=_has_zero_row,
+        ModelKind.NLO_SD, problem, structure, x, f, fits, moved, a_hat,
+        "no constraint can be made active at the observation",
     )
     if solution.status == Status.TRIVIAL_DETECTED:
-        hints = verify.diagnose_trivial(
-            solution, problem, UncertaintyStructure.nominal(), prior=prior, x_hat=x
-        )
+        hints = verify.diagnose_trivial(solution, problem, structure, prior=prior, x_hat=x)
         solution = replace(solution, remediations=tuple(hints))
     return solution
 

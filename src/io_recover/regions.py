@@ -15,16 +15,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError
-from .geometry import realized_row_cardinality, realized_row_interval
-from .model import Variant
+from .model import Variant, realized_row
 
 _EPS = 1e-12
 # Box coordinates and |row . p - b_i| of every drawn row stay below this over
 # the box, so the difference of two such values and the coordinate sums over
 # a cell's vertices (fewer than 16) stay finite.
 _REACH_LIMIT = sys.float_info.max / 16
-# the uncertainty a model family's prior and imputed rows are realized under
-_FAMILY_VARIANT = {"nlo": Variant.NOMINAL, "iu": Variant.INTERVAL, "ccu": Variant.CARDINALITY}
 
 
 @dataclass(frozen=True)
@@ -117,37 +114,23 @@ def _segment_in_cell(row, rhs, cell):
     return ((float(x0), float(y0)), (float(x1), float(y1)))
 
 
-def _partition(bbox, structure, kind_variant, alpha):
+def _partition(bbox, structure, variant):
     x0, y0, x1, y1 = bbox
     cells = [[(x0, y0), (x1, y0), (x1, y1), (x0, y1)]]
-    if kind_variant == Variant.NOMINAL:
+    if variant == Variant.NOMINAL:
         return cells
     cells = _split_cells(cells, (1.0, 0.0), 0.0)
     cells = _split_cells(cells, (0.0, 1.0), 0.0)
-    if kind_variant == Variant.CARDINALITY:
+    if variant == Variant.CARDINALITY:
         for i, cols in enumerate(structure.sets):
             if len(cols) == 2:
-                a1 = alpha[i, cols[0]]
-                a2 = alpha[i, cols[1]]
+                a1 = structure.alpha[i, cols[0]]
+                a2 = structure.alpha[i, cols[1]]
                 if a1 > 0.0 and a2 > 0.0:
                     # order swap lines a1 |x| = a2 |y|
                     cells = _split_cells(cells, (a1, -a2), 0.0)
                     cells = _split_cells(cells, (a1, a2), 0.0)
     return cells
-
-
-def _realization(variant, problem, structure, params, row, point):
-    if variant == Variant.NOMINAL:
-        return np.asarray(params, dtype=float)[row]
-    if variant == Variant.INTERVAL:
-        return realized_row_interval(
-            problem.A[row], np.asarray(params, dtype=float)[row], structure.sets[row], point
-        )
-    budget = float(np.asarray(params, dtype=float)[row])
-    budget = min(max(budget, 0.0), float(len(structure.sets[row])))
-    return realized_row_cardinality(
-        problem.A[row], structure.alpha[row], budget, structure.sets[row], point
-    )
 
 
 def _check_reach(problem, structure, bbox, kind, variant, params):
@@ -177,24 +160,20 @@ def _check_reach(problem, structure, bbox, kind, variant, params):
 
 def _polylines_for(problem, structure, bbox, kind, variant, params):
     _check_reach(problem, structure, bbox, kind, variant, params)
-    alpha = structure.alpha if variant == Variant.CARDINALITY else None
-    cells = _partition(bbox, structure, variant, alpha)
+    cells = _partition(bbox, structure, variant)
     out = []
     for i in range(problem.m):
         segments = []
         for cell in cells:
-            row = _realization(variant, problem, structure, params, i, _centroid(cell))
+            row = realized_row(variant, problem, structure, params, i, _centroid(cell))
             if max(abs(row[0]), abs(row[1])) <= 1e-12:
                 continue
             seg = _segment_in_cell(row, problem.b[i], cell)
             if seg is not None:
                 segments.append(seg)
-        seen = []
-        for seg in sorted(segments):
-            if not seen or seg != seen[-1]:
-                seen.append(seg)
-        if seen:
-            out.append(RegionPolyline(constraint_index=i + 1, kind=kind, segments=tuple(seen)))
+        if segments:
+            distinct = tuple(sorted(set(segments)))
+            out.append(RegionPolyline(constraint_index=i + 1, kind=kind, segments=distinct))
     return out
 
 
@@ -214,7 +193,7 @@ def region_polylines(bundle, solution=None, bbox=(-8.0, -8.0, 8.0, 8.0)):
     if solution is not None and solution.imputed is not None and not np.all(np.isfinite(solution.imputed)):
         raise DimensionError("imputed", "non-finite entry")
     box = (x0, y0, x1, y1)
-    variant = _FAMILY_VARIANT[bundle.model.family]
+    variant = bundle.model.variant
     out = list(_polylines_for(problem, bundle.structure, box, "nominal", Variant.NOMINAL, problem.A))
     if bundle.prior is not None and bundle.model.is_sd:
         out += _polylines_for(

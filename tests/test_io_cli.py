@@ -456,6 +456,35 @@ class TestSolutionValueFuzz:
                         assert stdout.startswith(usual) and (usual or stdout == ""), case
 
 
+class TestProblemValueFuzz:
+    """The first entry of a fixture's A, b or x_hat set to a huge or
+    subnormal number: solve answers with an exit code of 0 to 3 and one
+    diagnostic line on exit 1, and numpy warns of nothing."""
+
+    VALUES = ("1e300", "-1e300", "1e308", "-1e308", "1e-320")
+
+    @pytest.mark.parametrize("number", range(1, 9))
+    def test_solve(self, tmp_path, capsys, number):
+        doc = _load(FIXTURES / f"example{number}.json")
+        bad, out = tmp_path / "bad.json", tmp_path / "solution.json"
+        for field in ("A", "b", "x_hat"):
+            for value in self.VALUES:
+                changed = copy.deepcopy(doc)
+                entry = changed[field]
+                while isinstance(entry[0], list):
+                    entry = entry[0]
+                entry[0] = "@"
+                bad.write_text(json.dumps(changed).replace('"@"', value))
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error", RuntimeWarning)
+                    code = cli.main(["solve", "--input", str(bad), "--output", str(out)])
+                stdout, stderr = capsys.readouterr()
+                case = (number, field, value, code, stderr)
+                assert code in (0, 1, 2, 3), case
+                if code == 1:
+                    assert stderr.count("\n") == 1 and stdout == "", case
+
+
 def _set(field, value):
     def mutate(doc):
         doc[field] = value

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
 import io_recover.lp as lp_mod
 from io_recover import (
@@ -506,7 +507,7 @@ class TestAgainstHighs:
     """Differential check of solve_lp against HiGHS (scipy.optimize.linprog)."""
 
     @staticmethod
-    def _highs(linprog, objective, cons):
+    def _highs(objective, cons):
         rows = list(zip(cons.A, cons.sense, cons.rhs))
         A_ub = [c if s == "<=" else -c for c, s, _ in rows if s != "="]
         b_ub = [r if s == "<=" else -r for _, s, r in rows if s != "="]
@@ -515,12 +516,12 @@ class TestAgainstHighs:
         return linprog(objective, A_ub=A_ub or None, b_ub=b_ub or None, A_eq=A_eq or None,
                        b_eq=b_eq or None, bounds=list(zip(cons.lower, cons.upper)), method="highs")
 
-    def _check(self, linprog, out, objective, cons, label):
-        res = self._highs(linprog, objective, cons)
+    def _check(self, out, objective, cons, label):
+        res = self._highs(objective, cons)
         status = res.status
         # HiGHS's presolve can call a feasible unbounded LP infeasible;
         # on a zero objective it settles feasibility alone.
-        if status == 2 and self._highs(linprog, np.zeros_like(objective), cons).status == 0:
+        if status == 2 and self._highs(np.zeros_like(objective), cons).status == 0:
             status = 3
         expected = {0: LpStatus.OPTIMAL, 2: LpStatus.INFEASIBLE, 3: LpStatus.UNBOUNDED}[status]
         assert out.status == expected, (label, out.status, res.message)
@@ -531,21 +532,19 @@ class TestAgainstHighs:
         return expected
 
     def test_status_and_value_match(self):
-        linprog = pytest.importorskip("scipy.optimize").linprog
         rng = np.random.default_rng(20261018)
         seen = {LpStatus.OPTIMAL: 0, LpStatus.INFEASIBLE: 0, LpStatus.UNBOUNDED: 0}
         no_rows = 0
         for trial in range(600):
             objective, cons = random_lp(rng, integer=trial % 2 == 0)
             out = solve_lp(LinearProgram(objective, cons))
-            seen[self._check(linprog, out, objective, cons, trial)] += 1
+            seen[self._check(out, objective, cons, trial)] += 1
             no_rows += not cons.A.shape[0]
         assert min(seen.values()) >= 100, seen
         assert no_rows >= 50
 
     def test_shared_start_batches_match(self, std_builds):
         # four objectives over each row set, solved from one shared start
-        linprog = pytest.importorskip("scipy.optimize").linprog
         rng = np.random.default_rng(20261019)
         seen = {LpStatus.OPTIMAL: 0, LpStatus.INFEASIBLE: 0, LpStatus.UNBOUNDED: 0}
         trials = 150
@@ -558,6 +557,6 @@ class TestAgainstHighs:
             ]
             lps = [LinearProgram(c, shared) for c in objectives]
             for k, (c, out) in enumerate(zip(objectives, solve_lp_batch(lps))):
-                seen[self._check(linprog, out, c, shared, (trial, k))] += 1
+                seen[self._check(out, c, shared, (trial, k))] += 1
         assert len(std_builds) == trials
         assert min(seen.values()) >= 100, seen

@@ -3,9 +3,11 @@ execution path, whatever the process environment.  Every module uses what
 it imports, and neither the LP engine nor a solver returns a field its
 callers do not read.  The rule for a valid solve input lives in one
 function, `model.check_inputs`, which every solver and the trivial-escape
-re-solve call, and an infeasible solution is built in `model` alone.  The
-benchmark's traced runs find every function they wrap, and every error
-class is raised or caught somewhere in the library."""
+re-solve call, and every solution is built in `model` alone: an infeasible
+one by `InverseSolution.infeasible`, the others by the one tail that picks
+and realizes the active row.  The benchmark's traced runs find every
+function they wrap, and every error class is raised or caught somewhere
+in the library."""
 
 import ast
 import dataclasses
@@ -116,6 +118,16 @@ def test_perturbation_calls_the_one_check():
 def test_infeasible_solutions_come_from_model(path):
     # every solver reports an unsolvable input through InverseSolution.infeasible
     assert re.search(r"\bStatus\.INFEASIBLE", path.read_text(encoding="utf-8")) is None
+
+
+@pytest.mark.parametrize("name", ["nominal.py", "interval.py", "cardinality.py"])
+def test_one_solution_tail(name):
+    # the active row is picked, its cost realized and the solution built in model.row_solution alone
+    tree = ast.parse(SOURCE[name].read_text(encoding="utf-8"))
+    assert _called(tree) & {"active_row", "realized_row_interval", "realized_row_cardinality"} == set()
+    built = [node for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "InverseSolution"]
+    assert built == []
 
 
 def _raised_or_caught(tree):
