@@ -1,8 +1,9 @@
 """Recovery of per-row deviation budgets under cardinality-constrained uncertainty.
 
-The activation budget of each row (the smallest budget whose protection
-value equals the nominal surplus) is computed greedily, and caps each
-row's feasible budget.  The strong-duality model is closed form in those
+The activation budgets of all rows (the budgets whose protection value
+equals the nominal surplus) come from one ranking of the products
+alpha_ij |x_j| (`geometry.activation_budgets`), and cap each row's
+feasible budget.  The strong-duality model is closed form in those
 budgets.  The gap model solves one small LP per constraint, over all m
 budgets and row i's fractional allocation, while a side constraint
 couples budgets.  Once the side constraints fold into bounds it runs no
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NominalInfeasibleError
-from .geometry import gamma_bar, norm_value, protection_value
+from .geometry import activation_budgets, norm_value, products, protection
 from .lp import Constraints, LinearProgram, solve_lp_batch
 from .model import (
     InverseSolution,
@@ -61,21 +62,13 @@ def _gamma_bounds(problem, structure, x):
     worst = int(np.argmin(surplus))
     if surplus[worst] < -1e-9:
         raise NominalInfeasibleError(worst, float(-surplus[worst]))
-    m = problem.m
-    lower = np.full(m, np.nan)
-    upper = np.full(m, np.nan)
-    theta = np.zeros(m)
-    i_hat = []
-    for i in range(m):
-        res = gamma_bar(problem, structure.alpha[i], structure.sets[i], x, i)
-        if res.kind == "not_applicable":
-            theta[i] = float(len(structure.sets[i]))
-        else:
-            i_hat.append(i)
-            lower[i] = res.lower
-            upper[i] = res.upper
-            theta[i] = res.upper
-    return GammaBounds(i_hat=tuple(i_hat), gamma_lower=lower, gamma_upper=upper, theta_upper=theta)
+    mask = structure.mask(problem.n)
+    lower, upper = activation_budgets(problem.A, problem.b, structure.alpha, mask, x)
+    reach = ~np.isnan(lower)
+    return GammaBounds(
+        i_hat=tuple(np.flatnonzero(reach).tolist()), gamma_lower=lower, gamma_upper=upper,
+        theta_upper=np.where(reach, upper, mask.sum(axis=1)),
+    )
 
 
 def solve_rlo_ccu_dg(problem, x_hat, structure, omega):
@@ -87,7 +80,7 @@ def solve_rlo_ccu_dg(problem, x_hat, structure, omega):
     per row over all m budgets and row i's |J_i| allocations, which keeps
     the coupling exact.  When the side constraints fold into bounds, row
     i's optimum is the continuous knapsack at its budget cap
-    (`protection_value`); the active row takes its cap and every other
+    (`protection`); the active row takes its cap and every other
     budget its lower bound.
     """
     x = check_inputs(ModelKind.RLO_CCU_DG, problem, x_hat, structure, omega=omega)
@@ -102,16 +95,18 @@ def solve_rlo_ccu_dg(problem, x_hat, structure, omega):
     infeasible = "no budgets satisfy both the feasibility box and the side constraints"
     if not canon.feasible:
         return InverseSolution.infeasible(ModelKind.RLO_CCU_DG, infeasible)
+    mask = structure.mask(problem.n)
     if not canon.G.shape[0]:
-        protection = [protection_value(structure.alpha[i], canon.upper[i], structure.sets[i], x) for i in range(m)]
+        loss = protection(structure.alpha, mask, x, canon.upper)
         return gap_solution(
-            ModelKind.RLO_CCU_DG, problem, structure, x, surplus, -np.array(protection),
+            ModelKind.RLO_CCU_DG, problem, structure, x, surplus, -loss,
             lambda i: np.where(np.arange(m) == i, canon.upper, canon.lower),
         )
     rhs = np.append(0.0, canon.h)  # the budget row, then the side constraints
+    loads = products(structure.alpha, mask, x)
     lps = []
     for i in range(m):
-        values = np.array([structure.alpha[i, j] * abs(x[j]) for j in structure.sets[i]])
+        values = loads[i, mask[i]]
         objective = np.zeros(m + values.size)
         objective[m:] = -values
         A = np.zeros((rhs.size, objective.size))

@@ -1,8 +1,9 @@
 """Closed-form geometric kernel shared by every solver.
 
 Norms and their maximizers, point-to-hyperplane/halfspace projections,
-realized robust constraint rows, protection values, and the minimal
-activation budget of a row.
+realized robust constraint rows, and the budget kernel: one ranking of
+every row's products alpha_ij |x_j| serves the deviation shares, the
+protection values and the activation budgets of all m rows at once.
 
 Sign convention: sgn(0) = +1 throughout.  At a zero component the
 deviation term multiplies zero, so the convention never changes a value.
@@ -40,11 +41,11 @@ def _plain_l2(x):
 
 
 def _l2_norm(x):
-    """||x||_2, rescaled by the largest |x_k| when x . x overflows."""
+    """||x||_2, rescaled by the largest |x_k| when x . x underflows or overflows."""
     nv = _plain_l2(x)
-    if nv == math.inf:
-        big = float(np.max(np.abs(x)))
-        if big < math.inf:
+    if nv < 1e-150 or nv == math.inf:
+        big = float(np.max(np.abs(x), initial=0.0))
+        if 0.0 < big < math.inf:
             nv = big * _plain_l2(x / big)
     return nv
 
@@ -78,11 +79,8 @@ def dual_norm_maximizer(x, norm):
     if not np.any(x != 0.0):
         raise ZeroVectorError("dual_norm_maximizer requires a nonzero vector")
     if norm == NormKind.L2:
-        nv = _plain_l2(x)
-        if nv < 1e-150 or nv == math.inf:  # x . x underflows or overflows: rescale by the largest entry first
-            x = x / np.max(np.abs(x))
-            nv = _plain_l2(x)
-        return x / nv
+        nv = _l2_norm(x)
+        return x / nv if nv < math.inf else dual_norm_maximizer(x / 2.0, norm)  # halving keeps the direction
     if norm == NormKind.L1:
         k = int(np.argmax(np.abs(x)))
         v = np.zeros_like(x)
@@ -143,6 +141,98 @@ def realized_row_interval(a_i, alpha_i, cols, x):
     return row
 
 
+# Budget uncertainty, every row at once: row i deviates the columns of J_i
+# (row i of an m x n `mask`) in order of the products alpha_ij |x_j|, a
+# continuous knapsack (Bertsimas and Sim 2004).  The functions below the
+# kernel are its one-row views.
+
+def products(alpha, mask, x):
+    """alpha_ij |x_j| on the uncertain columns, 0 elsewhere (m x n)."""
+    return np.where(mask, alpha, 0.0) * np.abs(x)
+
+
+def ranked(alpha, mask, x):
+    """Every row's columns by alpha_ij |x_j| descending, by one stable
+    argsort: ties go to the lower column and the columns outside J_i last.
+    Returns (order, values): the columns in rank order and the products in
+    that order (0 past |J_i|)."""
+    values = products(alpha, mask, x)
+    order = np.argsort(np.where(mask, -values, np.inf), axis=1, kind="stable")
+    return order, np.take_along_axis(values, order, axis=1)
+
+
+def _split(budget, mask):
+    """Per row, the number of fully deviated columns and the fractional part
+    (0 below 1e-12) of a budget clamped into [0, |J_i|]."""
+    budget = np.minimum(np.maximum(budget, 0.0), mask.sum(axis=1))
+    full = np.floor(budget + _VALUE_TOL)
+    frac = budget - full
+    return full, np.where(frac < _VALUE_TOL, 0.0, frac)
+
+
+def budget_share(alpha, mask, x, budget):
+    """The share of each column's deviation in force (m x n) when row i
+    deviates by budget[i]: 1 on its floor(budget[i]) highest-ranked
+    columns, the fractional part on the next, 0 elsewhere."""
+    order, _ = ranked(alpha, mask, x)
+    full, frac = _split(budget, mask)
+    rank = np.argsort(order, axis=1)
+    return np.where(rank < full[:, None], 1.0, np.where(rank == full[:, None], frac[:, None], 0.0))
+
+
+def _sums(values):
+    """sums[:, k]: the sum of each row's k largest products, added in rank order."""
+    return np.cumsum(np.pad(values, ((0, 0), (1, 0))), axis=1)
+
+
+def protection(alpha, mask, x, budget):
+    """Each row's worst-case surplus loss at its budget: the continuous
+    knapsack of its products with capacity budget[i], summed in rank order."""
+    _, values = ranked(alpha, mask, x)
+    full, frac = _split(budget, mask)
+    i, k = np.arange(full.size), full.astype(np.intp)
+    following = np.pad(values, ((0, 0), (0, 1)))[i, k]  # the product of rank k, 0 past the last
+    return _sums(values)[i, k] + frac * np.where(frac > 0.0, following, 0.0)
+
+
+def activation_budgets(A, b, alpha, mask, x):
+    """Each row's activation budgets: the least and the largest budget at
+    which its protection equals its nominal surplus a_i . x - b_i (0 when
+    the surplus is in (-1e-9, 0)).  They differ only when the surplus is the
+    full protection and some product is 0: then every budget from the count
+    of positive products to |J_i| works.  NaN where no budget does (a
+    surplus below -1e-9 or above the full protection)."""
+    surplus = np.array([a @ x for a in A]) - b  # one dot per row: the m-row call and a one-row view agree
+    _, values = ranked(alpha, mask, x)
+    sums = _sums(values)
+    s, total = np.maximum(surplus, 0.0), sums[:, -1]
+    # below the full protection: the first rank whose product the surplus reaches, and its share of it
+    i = np.arange(s.size)
+    r = np.argmax(sums[:, 1:] >= (s - _VALUE_TOL)[:, None], axis=1)
+    value = values[i, r]
+    share = np.maximum(s - sums[i, r], 0.0) / np.maximum(value, _VALUE_TOL)
+    partial = np.where(value > _VALUE_TOL, r + share, r)
+    whole = s >= total - _ACTIVE_TOL
+    lower = np.where(whole, np.sum(values > _VALUE_TOL, axis=1), partial)
+    upper = np.where(whole, mask.sum(axis=1), partial)
+    out = (surplus < -_ACTIVE_TOL) | (s > total + _ACTIVE_TOL)
+    return np.where(out, np.nan, lower), np.where(out, np.nan, upper)
+
+
+def _one_row(alpha_i, cols, x):
+    """alpha_i and the mask of `cols` as 1 x n blocks, and x as a vector."""
+    x = np.asarray(x, dtype=float)
+    mask = np.zeros((1, x.size), dtype=bool)
+    mask[0, list(cols)] = True
+    return np.asarray(alpha_i, dtype=float)[None], mask, x
+
+
+def _budget(budget, cols):
+    if budget < -_ACTIVE_TOL or budget > len(cols) + _ACTIVE_TOL:
+        raise PreconditionError(f"budget {budget} outside [0, {len(cols)}]")
+    return np.array([float(budget)])
+
+
 @dataclass(frozen=True)
 class SortedUncertainty:
     """Columns of one row ordered by alpha_ij |x_j| descending (ties: lower column first)."""
@@ -152,26 +242,10 @@ class SortedUncertainty:
 
 
 def sorted_uncertainty(alpha_i, cols, x):
-    alpha_i = np.asarray(alpha_i, dtype=float)
-    x = np.asarray(x, dtype=float)
-    pairs = sorted(((j, alpha_i[j] * abs(x[j])) for j in cols), key=lambda p: (-p[1], p[0]))
-    order = tuple(j for j, _ in pairs)
-    values = np.array([v for _, v in pairs], dtype=float)
-    return SortedUncertainty(order=order, values=values)
-
-
-def _split_budget(budget, size):
-    """(full, frac): number of fully deviated items and the fractional part."""
-    if budget < -_ACTIVE_TOL or budget > size + _ACTIVE_TOL:
-        raise PreconditionError(f"budget {budget} outside [0, {size}]")
-    budget = min(max(float(budget), 0.0), float(size))
-    full = int(math.floor(budget + _VALUE_TOL))
-    frac = budget - full
-    if frac < _VALUE_TOL:
-        frac = 0.0
-    if full > size:
-        full, frac = size, 0.0
-    return full, frac
+    alpha, mask, x = _one_row(alpha_i, cols, x)
+    order, values = ranked(alpha, mask, x)
+    size = int(mask.sum())
+    return SortedUncertainty(order=tuple(int(j) for j in order[0, :size]), values=values[0, :size])
 
 
 def realized_row_cardinality(a_i, alpha_i, budget, cols, x):
@@ -181,20 +255,9 @@ def realized_row_cardinality(a_i, alpha_i, budget, cols, x):
     the next deviates by the fractional part, the rest stay nominal.
     """
     a_i = np.asarray(a_i, dtype=float)
-    x = np.asarray(x, dtype=float)
-    alpha_i = _check_alpha(alpha_i, cols)
-    su = sorted_uncertainty(alpha_i, cols, x)
-    full, frac = _split_budget(budget, len(su.order))
-    row = a_i.astype(float).copy()
-    for rank, j in enumerate(su.order):
-        if rank < full:
-            dev = 1.0
-        elif rank == full and frac > 0.0:
-            dev = frac
-        else:
-            break
-        row[j] -= (1.0 if x[j] >= 0.0 else -1.0) * alpha_i[j] * dev
-    return row
+    alpha, mask, x = _one_row(_check_alpha(alpha_i, cols), cols, x)
+    share = budget_share(alpha, mask, x, _budget(budget, cols))[0]
+    return np.where(share > 0.0, a_i - sgn(x) * alpha[0] * share, a_i)
 
 
 def protection_value(alpha_i, budget, cols, x):
@@ -204,13 +267,8 @@ def protection_value(alpha_i, budget, cols, x):
     with capacity `budget`: sum of the floor(budget) largest values plus
     the fractional part times the next one.
     """
-    alpha_i = _check_alpha(alpha_i, cols)
-    su = sorted_uncertainty(alpha_i, cols, x)
-    full, frac = _split_budget(budget, len(su.order))
-    total = float(np.sum(su.values[:full]))
-    if frac > 0.0 and full < len(su.order):
-        total += frac * float(su.values[full])
-    return total
+    alpha, mask, x = _one_row(_check_alpha(alpha_i, cols), cols, x)
+    return float(protection(alpha, mask, x, _budget(budget, cols))[0])
 
 
 @dataclass(frozen=True)
@@ -229,68 +287,37 @@ class GammaBarResult:
 
 
 def gamma_bar(problem, alpha_i, cols, x_hat, row):
-    """Smallest budget at which the protection value equals the row's nominal surplus.
-
-    Greedy inversion of the sorted cumulative sums; when the surplus equals
-    the full protection and some alpha_ij |x_j| = 0, every budget in
+    """Smallest budget at which the protection value equals the row's
+    nominal surplus (`activation_budgets` of row `row`); when the surplus
+    equals the full protection and some alpha_ij |x_j| = 0, every budget in
     [lower, |cols|] is active, reported as an interval.
     """
-    x_hat = np.asarray(x_hat, dtype=float)
-    alpha_i = _check_alpha(alpha_i, cols)
-    a_i = np.asarray(problem.A, dtype=float)[row]
-    surplus = float(a_i @ x_hat) - float(problem.b[row])
+    alpha, mask, x = _one_row(_check_alpha(alpha_i, cols), cols, x_hat)
+    A = np.asarray(problem.A, dtype=float)[row : row + 1]
+    b = np.asarray(problem.b, dtype=float)[row : row + 1]
+    lower, upper = (float(v[0]) for v in activation_budgets(A, b, alpha, mask, x))
+    if not math.isnan(lower):
+        return GammaBarResult(kind="interval" if lower < upper else "unique", lower=lower, upper=upper)
+    surplus = float(A[0] @ x) - float(b[0])
     if surplus < -_ACTIVE_TOL:
-        return GammaBarResult(
-            kind="not_applicable",
-            reason=f"constraint {row + 1} is nominal-infeasible (surplus {surplus:g})",
-        )
-    surplus = max(surplus, 0.0)
-    su = sorted_uncertainty(alpha_i, cols, x_hat)
-    total = float(np.sum(su.values))
-    size = len(su.order)
-    if surplus > total + _ACTIVE_TOL:
-        return GammaBarResult(
-            kind="not_applicable",
-            reason=f"surplus {surplus:g} exceeds the full protection {total:g}",
-        )
-    if surplus >= total - _ACTIVE_TOL:
-        positive = int(np.sum(su.values > _VALUE_TOL))
-        if positive < size:
-            return GammaBarResult(kind="interval", lower=float(positive), upper=float(size))
-        return GammaBarResult(kind="unique", lower=float(size), upper=float(size))
-    cum = 0.0
-    for rank in range(size):
-        value = float(su.values[rank])
-        if cum + value >= surplus - _VALUE_TOL:
-            if value <= _VALUE_TOL:
-                gb = float(rank)
-            else:
-                gb = rank + max(surplus - cum, 0.0) / value
-            return GammaBarResult(kind="unique", lower=gb, upper=gb)
-        cum += value
-    return GammaBarResult(kind="unique", lower=float(size), upper=float(size))
+        reason = f"constraint {row + 1} is nominal-infeasible (surplus {surplus:g})"
+    else:
+        total = float(protection(alpha, mask, x, mask.sum(axis=1))[0])
+        reason = f"surplus {surplus:g} exceeds the full protection {total:g}"
+    return GammaBarResult(kind="not_applicable", reason=reason)
 
 
 def aux_optimum(alpha_i, budget, cols, x_hat):
     """Cheapest auxiliary block certifying one row's protection value.
 
-    Returns dense (u, y, z): u_j = alpha_ij |x_j|, z = the sorted value at
-    position ceil(budget) (the largest value when budget = 0), and
+    Returns dense (u, y, z): u_j = alpha_ij |x_j|, z = the smallest value
+    in force at the budget (the largest value when budget = 0), and
     y_j = max(u_j - z, 0); then sum(y) + budget * z = protection_value.
     """
-    x_hat = np.asarray(x_hat, dtype=float)
-    alpha_i = _check_alpha(alpha_i, cols)
-    su = sorted_uncertainty(alpha_i, cols, x_hat)
-    full, frac = _split_budget(budget, len(su.order))
-    n = x_hat.size
-    u = np.zeros(n, dtype=float)
-    y = np.zeros(n, dtype=float)
-    for j in cols:
-        u[j] = alpha_i[j] * abs(x_hat[j])
-    if not su.order:
-        return u, y, 0.0
-    pos = full if frac > 0.0 else max(full - 1, 0)
-    z = float(su.values[min(pos, len(su.order) - 1)])
-    for j in cols:
-        y[j] = max(u[j] - z, 0.0)
-    return u, y, z
+    alpha, mask, x = _one_row(_check_alpha(alpha_i, cols), cols, x_hat)
+    share = budget_share(alpha, mask, x, _budget(budget, cols))[0]
+    u = products(alpha, mask, x)[0]
+    if not cols:
+        return u, np.zeros(x.size), 0.0
+    z = float(np.min(u[share > 0.0])) if np.any(share > 0.0) else float(np.max(u[mask[0]]))
+    return u, np.where(mask[0], np.maximum(u - z, 0.0), 0.0), z

@@ -55,9 +55,9 @@ def _alpha_matrix(problem, key_rows, key_cols, values):
 def _fill(load, lower, upper, target):
     """Row magnitudes from `lower` toward `upper` reaching load . alpha =
     `target`: the loaded columns rise in turn, largest load first (lowest
-    column on ties, as rlo-iu-sd's l1 cut takes them), each until the
-    target is met (every loaded column reaches `upper` when that falls
-    short).  Zero-load columns keep `lower`."""
+    column on ties), each until the target is met (every loaded column
+    reaches `upper` when that falls short).  Zero-load columns keep
+    `lower`."""
     alpha = lower.copy()
     on = load > 0.0
     ell, lo, up = load[on], lower[on], upper[on]
@@ -127,7 +127,7 @@ def _activation(load, center, target, norm):
     is loaded, or must rise past the floats).  Zero-load columns keep their
     centre.  A raise moves along the loads' dual-norm maximizer, which is
     nonnegative.  A cut takes l1's columns to 0 by decreasing load, lowest
-    index first (a continuous knapsack), and sets alpha = max(0, center -
+    index first (`_fill` of the amounts cut), and sets alpha = max(0, center -
     d * step) for l2 (step = load) and linf (step = 1), with d from one
     sweep over the breakpoints center / step (Held, Wolfe and Crowder
     1974; Duchi et al. 2008)."""
@@ -143,10 +143,7 @@ def _activation(load, center, target, norm):
             return alpha, math.inf
         move = gap / dual * dual_norm_maximizer(ell, norm)
     elif norm == NormKind.L1:
-        order = np.argsort(-ell, kind="stable")
-        ahead = np.zeros(ell.size)  # the load cut by the columns ahead of each one
-        ahead[order[1:]] = np.cumsum((ell * c)[order])[:-1]
-        move = -np.minimum(c, np.maximum(-gap - ahead, 0.0) / ell)
+        move = -_fill(ell, np.zeros(ell.size), c, -gap)
     else:
         step = ell if norm == NormKind.L2 else np.ones(ell.size)
         order = np.argsort(c / step, kind="stable")

@@ -12,11 +12,12 @@ Constraint sense is fixed: minimize c'x subject to Ax >= b.  Callers with
 
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import chain
 
 import numpy as np
 
 from .errors import DimensionError, NumericalFailureError, PreconditionError
-from .geometry import NormKind, realized_row_cardinality, realized_row_interval
+from .geometry import NormKind, activation_budgets, realized_row_cardinality, realized_row_interval
 from .lp import LpStatus
 
 ZERO_TOL = 1e-9
@@ -131,7 +132,7 @@ class UncertaintyStructure:
     alpha: np.ndarray = None
 
     def __post_init__(self):
-        sets = tuple(tuple(sorted(set(int(j) for j in s))) for s in self.sets)
+        sets = tuple(tuple(np.sort(list({int(j) for j in s})).tolist()) for s in self.sets)
         for i, s in enumerate(sets):
             for j in s:
                 if j < 0:
@@ -159,6 +160,13 @@ class UncertaintyStructure:
     @classmethod
     def cardinality(cls, sets, alpha):
         return cls(variant=Variant.CARDINALITY, sets=tuple(sets), alpha=alpha)
+
+    def mask(self, n):
+        """The m x n uncertain-column mask: entry (i, j) is True when j is in J_i."""
+        counts = [len(s) for s in self.sets]
+        mask = np.zeros((len(counts), n), dtype=bool)
+        mask[np.repeat(np.arange(len(counts)), counts), np.fromiter(chain.from_iterable(self.sets), np.intp)] = True
+        return mask
 
     def check_against(self, problem):
         if self.variant == Variant.NOMINAL:
@@ -684,31 +692,23 @@ def validate(problem, x_hat, structure, model, omega=None, prior=None):
         else:
             entries.append(_entry("A3", "fail", (), "observed point is the zero vector"))
 
+    mask = structure.mask(n)
     if model.family == "iu":
         empty = [i for i in range(m) if not structure.sets[i]]
         if empty:
             entries.append(_entry("A4", "fail", empty, "row has no uncertain coefficients"))
         else:
             entries.append(_entry("A4", "pass"))
-        bad5 = []
-        for i in range(m):
-            if problem.b[i] > 0:
-                continue
-            certain = [j for j in range(n) if j not in structure.sets[i]]
-            if not any(problem.A[i, j] != 0.0 for j in certain):
-                bad5.append(i)
+        bad5 = np.flatnonzero((problem.b <= 0) & ~np.any((problem.A != 0.0) & ~mask, axis=1))
         entries.append(
             _entry("A5", "fail", bad5, "no certainly nonzero coefficient and b <= 0")
-            if bad5
+            if bad5.size
             else _entry("A5", "pass")
         )
         if model == ModelKind.RLO_IU_SD:
-            movable = any(
-                any(x[j] != 0.0 for j in structure.sets[i]) for i in range(m)
-            )
             entries.append(
                 _entry("A6", "pass")
-                if movable
+                if np.any(mask & (x != 0.0))
                 else _entry("A6", "fail", (), "every uncertain column is zero at the observed point")
             )
 
@@ -722,14 +722,9 @@ def validate(problem, x_hat, structure, model, omega=None, prior=None):
         )
         ambiguous = []
         if not bad7:
-            for i in range(m):
-                vals = np.array(
-                    [structure.alpha[i, j] * abs(x[j]) for j in structure.sets[i]]
-                )
-                total = float(np.sum(vals))
-                if abs(surplus[i] - total) <= 1e-9 and np.any(vals <= 1e-12):
-                    ambiguous.append(i)
-        if ambiguous:
+            lower, upper = activation_budgets(problem.A, problem.b, structure.alpha, mask, x)
+            ambiguous = np.flatnonzero(lower < upper)
+        if len(ambiguous):
             entries.append(
                 _entry("A8", "warn", ambiguous, "a range of budgets activates this row; both endpoints are reported")
             )
@@ -752,19 +747,11 @@ def validate(problem, x_hat, structure, model, omega=None, prior=None):
                 entries.append(
                     _entry("xi", "warn", weighted, "budget recovery ignores prior weights; all are taken as 1")
                 )
-        bad10 = []
-        for i in range(m):
-            strong = any(
-                abs(problem.A[i, j]) > structure.alpha[i, j] for j in structure.sets[i]
-            )
-            certain = any(
-                problem.A[i, j] != 0.0 for j in range(n) if j not in structure.sets[i]
-            )
-            if not (strong or certain):
-                bad10.append(i)
+        # a coefficient stays nonzero under deviation: |a_ij| > alpha_ij on J_i, or a_ij != 0 off it
+        bad10 = np.flatnonzero(~np.any(np.where(mask, np.abs(problem.A) > structure.alpha, problem.A != 0.0), axis=1))
         entries.append(
             _entry("A10", "fail", bad10, "every coefficient can be deviated to zero")
-            if bad10
+            if bad10.size
             else _entry("A10", "pass")
         )
 

@@ -142,11 +142,8 @@ def _check_reach(problem, structure, bbox, kind, variant, params):
         coeffs = np.abs(np.asarray(params, dtype=float))
     else:
         deviation = params if variant == Variant.INTERVAL else structure.alpha
-        uncertain = np.zeros(problem.A.shape, dtype=bool)
-        for i, cols in enumerate(structure.sets):
-            uncertain[i, list(cols)] = True
         with np.errstate(over="ignore"):
-            coeffs = np.abs(problem.A) + np.where(uncertain, np.abs(deviation), 0.0)
+            coeffs = np.abs(problem.A) + np.where(structure.mask(problem.n), np.abs(deviation), 0.0)
     x0, y0, x1, y1 = bbox
     with np.errstate(over="ignore"):
         reach = coeffs @ [max(-x0, x1), max(-y0, y1)] + np.abs(problem.b)

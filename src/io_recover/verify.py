@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PreconditionError
-from .geometry import sgn
+from .geometry import budget_share, sgn
 from .model import (
     ModelKind,
     PriorEpsilon,
@@ -76,29 +76,17 @@ def _deviation_block(model, problem, structure, imputed, point):
     mask, the magnitudes on it (the imputed ones for interval uncertainty,
     the fixed ones for a budget; 0 off the mask), and the part of each
     column's deviation in force.  Interval uncertainty is the full-budget
-    case: every uncertain column deviates fully.  A budget, clamped into
-    [0, |J_i|], deviates the columns fully in order of alpha |point|
-    descending (ties: lower column first) and the next one by the
-    fractional part, which `share` takes when it is >= 1e-12 (the realized
-    rows) and `strict_share` when it is > 1e-12 (the multipliers).
+    case: every uncertain column deviates fully.  A budget deviates the
+    columns as `geometry.budget_share` ranks them; `share` takes a
+    fractional part >= 1e-12 (the realized rows) and `strict_share` one
+    > 1e-12 (the multipliers).
     """
-    mask = np.zeros((problem.m, problem.n), dtype=bool)
-    for i, cols in enumerate(structure.sets):
-        mask[i, list(cols)] = True
+    mask = structure.mask(problem.n)
     if model.family == "iu":
         fully = mask * 1.0
         return mask, np.where(mask, imputed, 0.0), fully, fully
-    alpha = np.where(mask, structure.alpha, 0.0)
-    budget = np.minimum(np.maximum(imputed, 0.0), mask.sum(axis=1))[:, None]
-    order = np.argsort(np.where(mask, -(alpha * np.abs(point)), np.inf), axis=1, kind="stable")
-    rank = np.argsort(order, axis=1)
-    full = np.floor(budget + 1e-12)
-    frac = budget - full
-
-    def share(take):
-        return np.where(rank < full, 1.0, np.where((rank == full) & take, frac, 0.0))
-
-    return mask, alpha, share(frac >= 1e-12), share(frac > 1e-12)
+    share = budget_share(structure.alpha, mask, point, imputed)
+    return mask, np.where(mask, structure.alpha, 0.0), share, np.where(share > 1e-12, share, 0.0)
 
 
 def _nontriviality(model, problem, structure, solution):

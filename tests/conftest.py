@@ -24,13 +24,14 @@ def pytest_terminal_summary(terminalreporter):
 
 @pytest.fixture
 def calls(monkeypatch):
-    """Counts of the LPs solved ("lp_solve") and of the gamma_bar calls
-    ("gamma_bar") made through the library during the test.
+    """Counts of the LPs solved ("lp_solve") and of the activation-budget
+    rankings ("activation_budgets") made through the library during the test.
 
     solve_lp_batch (one count per LP in the batch), through which every
-    solver solves its LPs, and gamma_bar are wrapped wherever a loaded
-    io_recover module binds them, so the names the solver modules import
-    are counted too.  `calls.clear()` starts the counts again.
+    solver solves its LPs, and geometry.activation_budgets (one count per
+    call, whatever its row count) are wrapped wherever a loaded io_recover
+    module binds them, so the names the solver modules import are counted
+    too.  `calls.clear()` starts the counts again.
     """
     counts = Counter()
 
@@ -43,7 +44,7 @@ def calls(monkeypatch):
 
     wrappers = {
         id(lp_mod.solve_lp_batch): counting(lp_mod.solve_lp_batch, "lp_solve", len),
-        id(geometry.gamma_bar): counting(geometry.gamma_bar, "gamma_bar", lambda problem: 1),
+        id(geometry.activation_budgets): counting(geometry.activation_budgets, "activation_budgets", lambda A: 1),
     }
     for key, mod in list(sys.modules.items()):
         if key == "io_recover" or key.startswith("io_recover."):

@@ -159,7 +159,8 @@ def test_criterion_08():
 @_criterion(
     9,
     "complexity contract: nlo-dg m LPs; rlo-iu-dg and rlo-ccu-dg m LPs when a side constraint couples "
-    "parameters, none when the side constraints fold into bounds; the strong-duality models none",
+    "parameters, none when the side constraints fold into bounds; the strong-duality models none; "
+    "one activation-budget ranking per budget solve",
 )
 def test_criterion_09(calls):
     rng = np.random.default_rng(90210)
@@ -197,13 +198,13 @@ def test_criterion_09(calls):
         if sol.status == Status.OPTIMAL:
             assert calls["lp_solve"] == (problem.m if coupled else 0)
             counted["ccu"].add(coupled)
-        assert calls["gamma_bar"] <= problem.m
+        assert calls["activation_budgets"] == 1
 
         problem, x, structure, prior, _ = gen.make_ccu_sd(seed)
         calls.clear()
         solve_rlo_ccu_sd(problem, x, structure, prior)
         assert calls["lp_solve"] == 0
-        assert calls["gamma_bar"] <= problem.m
+        assert calls["activation_budgets"] == 1
         checked += 1
     assert checked == 8
     assert counted == {"iu": {False, True}, "ccu": {False, True}}

@@ -72,10 +72,10 @@ class TestGammaBounds:
         assert gb.gamma_lower[0] == pytest.approx(1.0)
         assert gb.gamma_upper[0] == pytest.approx(2.0)
 
-    def test_gamma_bar_counter(self, calls):
+    def test_one_ranking_per_solve(self, calls):
         case = example_case(5)
         compute_gamma_bounds(case.problem, case.structure, case.x_hat)
-        assert calls["gamma_bar"] == case.problem.m
+        assert calls["activation_budgets"] == 1
 
     def test_theta_soundness(self):
         rng = np.random.default_rng(15)
@@ -108,11 +108,11 @@ class TestGammaBounds:
 
 
 class TestCcuDg:
-    def test_lp_and_gamma_bar_counts(self, calls):
+    def test_lp_and_ranking_counts(self, calls):
         case = example_case(5)
         solve_rlo_ccu_dg(case.problem, case.x_hat, case.structure, case.omega)
         assert calls["lp_solve"] == case.problem.m
-        assert calls["gamma_bar"] <= case.problem.m
+        assert calls["activation_budgets"] == 1
 
     def test_box_only_omega_runs_no_lp(self, std_builds, calls, monkeypatch):
         monkeypatch.setattr(cardinality, "Constraints", None)  # building one would raise
@@ -181,7 +181,7 @@ class TestCcuSd:
         case = example_case(6)
         solve_rlo_ccu_sd(case.problem, case.x_hat, case.structure, case.prior)
         assert calls["lp_solve"] == 0
-        assert calls["gamma_bar"] <= case.problem.m
+        assert calls["activation_budgets"] == 1
 
     def test_prior_admitting_active_row_is_free(self):
         case = example_case(6)

@@ -25,7 +25,7 @@ from io_recover import (
     solve_lp,
     sorted_uncertainty,
 )
-from io_recover.geometry import norm_value
+from io_recover.geometry import activation_budgets, budget_share, norm_value, products, protection
 
 NORMS = (NormKind.L1, NormKind.L2, NormKind.LINF)
 
@@ -71,6 +71,20 @@ class TestDualNorm:
             assert dual_norm(x, NormKind.L2) == pytest.approx(5.0 * scale, rel=1e-15)
             assert norm_value(x, NormKind.L2) == pytest.approx(5.0 * scale, rel=1e-15)
             assert dual_norm_maximizer(x, NormKind.L2) == pytest.approx([0.6, -0.8], rel=1e-15)
+
+    def test_l2_of_tiny_vector_is_nonzero(self):
+        # x . x underflows below ~1e-162, where the plain norm reads 0
+        for scale in (1e-160, 1e-200, 1e-300):
+            x = np.array([3.0, -4.0]) * scale
+            assert dual_norm(x, NormKind.L2) == pytest.approx(5.0 * scale, rel=1e-15)
+            assert norm_value(x, NormKind.L2) == pytest.approx(5.0 * scale, rel=1e-15)
+        assert norm_value(np.zeros(3), NormKind.L2) == 0.0
+        assert norm_value(np.zeros(0), NormKind.L2) == 0.0
+
+    def test_maximizer_past_the_floats_has_unit_norm(self):
+        # ||x||_2 itself exceeds the largest float
+        v = dual_norm_maximizer([1.5e308, -1.5e308], NormKind.L2)
+        assert v == pytest.approx([math.sqrt(0.5), -math.sqrt(0.5)], rel=1e-15)
 
     @given(x=vectors, pick=st.integers(0, 2))
     @settings(max_examples=200, deadline=None)
@@ -378,3 +392,87 @@ class TestAuxOptimum:
             direct = protection_value(alpha, budget, tuple(range(k)), x)
             assert float(np.sum(y)) + budget * z == pytest.approx(direct, abs=1e-9)
             assert np.all(y >= -1e-12) and z >= -1e-12
+
+
+def _kernel_blocks(count, seed):
+    """Random m x n budget blocks (alpha, mask, x): small integer magnitudes
+    and observations give tied and zero products, and some rows have no
+    uncertain column."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        m, n = int(rng.integers(1, 6)), int(rng.integers(1, 7))
+        alpha = rng.choice([0.0, 0.5, 1.0, 2.0, 3.7], size=(m, n))
+        x = rng.choice([-2.0, -1.0, 0.0, 0.5, 1.0, 1.3], size=n)
+        mask = rng.random((m, n)) < 0.7
+        mask[rng.random(m) < 0.15] = False
+        yield rng, alpha, mask, x
+
+
+def _near_integer_budgets(rng, size):
+    """Budgets in [0, |J_i|]: uniform, integer, or within 1e-12 of an integer."""
+    base = np.floor(rng.uniform(0.0, size + 1.0))
+    nudge = rng.choice([0.0, 1e-13, -1e-13, 5e-13, -5e-13, 2e-12])
+    budget = np.where(rng.random(size.shape) < 0.5, base + nudge, rng.uniform(0.0, size))
+    return np.minimum(np.maximum(budget, 0.0), size)
+
+
+class TestBudgetKernel:
+    """The m-row kernel against the row LPs it solves in closed form."""
+
+    def test_protection_equals_the_knapsack_lp_row_by_row(self):
+        for rng, alpha, mask, x in _kernel_blocks(150, 41):
+            size = mask.sum(axis=1)
+            budget = _near_integer_budgets(rng, size)
+            values = products(alpha, mask, x)
+            got = protection(alpha, mask, x, budget)
+            share = budget_share(alpha, mask, x, budget)
+            assert np.all((share >= 0.0) & (share <= 1.0)) and not np.any(share[~mask])
+            assert share.sum(axis=1) == pytest.approx(budget, abs=1e-11)
+            near = np.abs(budget - np.round(budget)) < 1e-12  # deviates whole columns only
+            assert np.all(np.isin(share[near], (0.0, 1.0)))
+            assert got == pytest.approx((share * values).sum(axis=1), abs=1e-12)
+            for i in range(alpha.shape[0]):
+                v = values[i, mask[i]]
+                if not v.size:
+                    assert got[i] == 0.0
+                    continue
+                lp = LinearProgram(-v, Constraints([np.ones(v.size)], ("<=",), [budget[i]], np.zeros(v.size), np.ones(v.size)))
+                assert got[i] == pytest.approx(-solve_lp(lp).value, abs=1e-9)
+                assert got[i] == protection_value(alpha[i], budget[i], tuple(np.flatnonzero(mask[i])), x)
+
+    def test_activation_budgets_match_the_lp_characterization(self):
+        # lower: the least sum(phi) with v . phi = surplus, 0 <= phi <= 1; upper: the
+        # largest budget whose protection stays at the surplus; NaN iff that LP is infeasible
+        seen = set()
+        for rng, alpha, mask, x in _kernel_blocks(150, 43):
+            m, n = alpha.shape
+            values = products(alpha, mask, x)
+            total = values.sum(axis=1)
+            kind = rng.integers(0, 5, m)  # inside, the full protection, above it, slightly or far below 0
+            surplus = np.choose(kind, [rng.uniform(0.0, 1.0, m) * total, total, total + 0.5, np.full(m, -5e-10), np.full(m, -1.0)])
+            A = rng.uniform(-2.0, 2.0, (m, n))
+            b = np.array([a @ x for a in A]) - surplus
+            lower, upper = activation_budgets(A, b, alpha, mask, x)
+            size = mask.sum(axis=1)
+            for i in range(m):
+                s = float(A[i] @ x - b[i])
+                v = values[i, mask[i]]
+                if s < -1e-9 or max(s, 0.0) > total[i] + 1e-9:
+                    assert np.isnan(lower[i]) and np.isnan(upper[i])
+                    seen.add("out")
+                    continue
+                s = max(s, 0.0)
+                cols = tuple(np.flatnonzero(mask[i]))
+                if v.size:
+                    lp = LinearProgram(np.ones(v.size), Constraints([v], ("=",), [s], np.zeros(v.size), np.ones(v.size)))
+                    assert lower[i] == pytest.approx(solve_lp(lp).value, abs=1e-7)
+                else:
+                    assert lower[i] == 0.0
+                assert lower[i] <= upper[i] <= size[i]
+                assert protection_value(alpha[i], upper[i], cols, x) == pytest.approx(s, abs=1e-9)
+                if upper[i] < size[i]:
+                    assert protection_value(alpha[i], min(upper[i] + 1e-6, size[i]), cols, x) > s
+                seen.add("interval" if lower[i] < upper[i] else "unique")
+                res = gamma_bar(ForwardProblem(A=A, b=b), alpha[i], cols, x, i)
+                assert (res.lower, res.upper) == (lower[i], upper[i])
+        assert seen == {"out", "unique", "interval"}

@@ -499,6 +499,13 @@ class TestActivation:
         assert interval._activation(zero, center, 0.0, norm) == (pytest.approx(center, abs=0.0), 0.0)
         assert interval._activation(zero, center, 0.5, norm)[1] == np.inf
 
+    def test_l2_raise_with_tiny_loads_is_finite(self):
+        # load . load underflows: the loads' l2 norm is rescaled, not read as 0
+        load = np.array([1e-300, 1e-301])
+        alpha, distance = interval._activation(load, np.zeros(2), 3.0, NormKind.L2)
+        assert distance == pytest.approx(3.0 / (1e-300 * 1.01**0.5), rel=1e-12)
+        assert float(load @ alpha) == pytest.approx(3.0, rel=1e-12)
+
     def test_l1_ties_move_the_lowest_index(self):
         load = np.array([1.0, 2.0, 2.0, 1.0])
         center = np.array([0.5, 0.25, 0.25, 0.5])  # load . center = 2

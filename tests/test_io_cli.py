@@ -484,6 +484,18 @@ class TestProblemValueFuzz:
                 if code == 1:
                     assert stderr.count("\n") == 1 and stdout == "", case
 
+    @pytest.mark.parametrize("number, code", [(2, 0), (7, 3), (8, 3)])
+    def test_tiny_observation(self, tmp_path, capsys, number, code):
+        # x_hat . x_hat underflows: the nlo-sd observation still reads nonzero
+        doc = _load(FIXTURES / f"example{number}.json")
+        doc["x_hat"] = [v * 1e-200 for v in doc["x_hat"]]
+        tiny, out = tmp_path / "tiny.json", tmp_path / "solution.json"
+        tiny.write_text(json.dumps(doc))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert cli.main(["solve", "--input", str(tiny), "--output", str(out)]) == code
+        assert _load(out)["certificate"]["verdict"] == "valid"
+
 
 def _set(field, value):
     def mutate(doc):

@@ -5,7 +5,8 @@ callers do not read.  The rule for a valid solve input lives in one
 function, `model.check_inputs`, which every solver and the trivial-escape
 re-solve call, and every solution is built in `model` alone: an infeasible
 one by `InverseSolution.infeasible`, the others by the one tail that picks
-and realizes the active row.  The benchmark's traced runs find every
+and realizes the active row.  Budget uncertainty's products alpha |x| are
+ranked by `geometry`'s kernel alone.  The benchmark's traced runs find every
 function they wrap, and every error class is raised or caught somewhere
 in the library."""
 
@@ -128,6 +129,13 @@ def test_one_solution_tail(name):
     built = [node for node in ast.walk(tree)
              if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "InverseSolution"]
     assert built == []
+
+
+@pytest.mark.parametrize("name", ["cardinality.py", "verify.py", "model.py"])
+def test_budgets_are_ranked_in_geometry_alone(name):
+    # alpha |x| is ranked once, by geometry's m-row kernel; its per-row views are for callers outside
+    ranking = {"argsort", "sorted", "gamma_bar", "protection_value"}
+    assert _called(ast.parse(SOURCE[name].read_text(encoding="utf-8"))) & ranking == set()
 
 
 def _raised_or_caught(tree):
