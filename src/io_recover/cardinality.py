@@ -2,13 +2,13 @@
 
 The activation budgets of all rows (the budgets whose protection value
 equals the nominal surplus) come from one ranking of the products
-alpha_ij |x_j| (`geometry.activation_budgets`), and cap each row's
-feasible budget.  The strong-duality model is closed form in those
-budgets.  The gap model solves one small LP per constraint, over all m
-budgets and row i's fractional allocation, while a side constraint
-couples budgets.  Once the side constraints fold into bounds it runs no
-LP: row i's optimum is the continuous knapsack at its budget cap, and
-every other row's budget takes its lower bound.  Both models hand their
+alpha_ij |x_j| (`geometry.ranked`), and cap each row's feasible budget;
+the same ranking gives the protection at those caps.  The strong-duality
+model is closed form in those budgets.  The gap model solves one small
+LP per constraint, over all m budgets and row i's fractional allocation,
+while a side constraint couples budgets.  Once the side constraints fold
+into bounds it runs no LP: row i's optimum is the continuous knapsack at
+its budget cap, and every other row's budget takes its lower bound.  Both models hand their
 per-row results to `model`'s one tail, which picks the active row and
 realizes the cost vector under its budget.
 """
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NominalInfeasibleError
-from .geometry import activation_budgets, norm_value, products, protection
+from .geometry import activation, knapsack, norm_value, products, ranked
 from .lp import Constraints, LinearProgram, solve_lp_batch
 from .model import (
     InverseSolution,
@@ -53,22 +53,27 @@ class GammaBounds:
 def compute_gamma_bounds(problem, structure, x_hat):
     """Per-row activation budgets; raises when the observation is nominal-infeasible."""
     # the input rule of either budget model: neither omega nor a prior is read here
-    return _gamma_bounds(problem, structure, check_inputs(ModelKind.RLO_CCU_DG, problem, x_hat, structure))
+    return _budget_rows(problem, structure, check_inputs(ModelKind.RLO_CCU_DG, problem, x_hat, structure))[0]
 
 
-def _gamma_bounds(problem, structure, x):
-    """`compute_gamma_bounds` at an observation its caller has checked."""
+def _budget_rows(problem, structure, x):
+    """What a budget solve reads of its rows, at an observation its caller
+    has checked: (GammaBounds, nominal surplus, uncertain-column mask,
+    ranked products).  One ranking serves the activation budgets and the
+    protection at the caps."""
     surplus = problem.surplus(x)
     worst = int(np.argmin(surplus))
     if surplus[worst] < -1e-9:
         raise NominalInfeasibleError(worst, float(-surplus[worst]))
     mask = structure.mask(problem.n)
-    lower, upper = activation_budgets(problem.A, problem.b, structure.alpha, mask, x)
+    _, values = ranked(structure.alpha, mask, x)
+    lower, upper = activation(problem.A, problem.b, mask, x, values)
     reach = ~np.isnan(lower)
-    return GammaBounds(
+    bounds = GammaBounds(
         i_hat=tuple(np.flatnonzero(reach).tolist()), gamma_lower=lower, gamma_upper=upper,
         theta_upper=np.where(reach, upper, mask.sum(axis=1)),
     )
+    return bounds, surplus, mask, values
 
 
 def solve_rlo_ccu_dg(problem, x_hat, structure, omega):
@@ -80,24 +85,22 @@ def solve_rlo_ccu_dg(problem, x_hat, structure, omega):
     per row over all m budgets and row i's |J_i| allocations, which keeps
     the coupling exact.  When the side constraints fold into bounds, row
     i's optimum is the continuous knapsack at its budget cap
-    (`protection`); the active row takes its cap and every other
+    (`geometry.knapsack`); the active row takes its cap and every other
     budget its lower bound.
     """
     x = check_inputs(ModelKind.RLO_CCU_DG, problem, x_hat, structure, omega=omega)
     m = problem.m
     try:
-        gb = _gamma_bounds(problem, structure, x)
+        gb, surplus, mask, values = _budget_rows(problem, structure, x)
     except NominalInfeasibleError as exc:
         return InverseSolution.infeasible(ModelKind.RLO_CCU_DG, str(exc))
-    surplus = problem.surplus(x)
     keys = param_keys(ModelKind.RLO_CCU_DG, problem, structure)
     canon = canonicalize_omega(omega, keys, lower_floor=np.zeros(m), upper_cap=gb.theta_upper)
     infeasible = "no budgets satisfy both the feasibility box and the side constraints"
     if not canon.feasible:
         return InverseSolution.infeasible(ModelKind.RLO_CCU_DG, infeasible)
-    mask = structure.mask(problem.n)
     if not canon.G.shape[0]:
-        loss = protection(structure.alpha, mask, x, canon.upper)
+        loss = knapsack(values, mask, canon.upper)
         return gap_solution(
             ModelKind.RLO_CCU_DG, problem, structure, x, surplus, -loss,
             lambda i: np.where(np.arange(m) == i, canon.upper, canon.lower),
@@ -134,7 +137,7 @@ def solve_rlo_ccu_sd(problem, x_hat, structure, prior):
     x = check_inputs(ModelKind.RLO_CCU_SD, problem, x_hat, structure, prior=prior)
     m = problem.m
     try:
-        gb = _gamma_bounds(problem, structure, x)
+        gb = _budget_rows(problem, structure, x)[0]
     except NominalInfeasibleError as exc:
         return InverseSolution.infeasible(ModelKind.RLO_CCU_SD, str(exc))
     if not gb.i_hat:

@@ -185,25 +185,24 @@ def _sums(values):
     return np.cumsum(np.pad(values, ((0, 0), (1, 0))), axis=1)
 
 
-def protection(alpha, mask, x, budget):
-    """Each row's worst-case surplus loss at its budget: the continuous
-    knapsack of its products with capacity budget[i], summed in rank order."""
-    _, values = ranked(alpha, mask, x)
+def knapsack(values, mask, budget):
+    """Each row's continuous knapsack of its ranked products `values` (from
+    `ranked`) with capacity budget[i], summed in rank order."""
     full, frac = _split(budget, mask)
     i, k = np.arange(full.size), full.astype(np.intp)
     following = np.pad(values, ((0, 0), (0, 1)))[i, k]  # the product of rank k, 0 past the last
     return _sums(values)[i, k] + frac * np.where(frac > 0.0, following, 0.0)
 
 
-def activation_budgets(A, b, alpha, mask, x):
-    """Each row's activation budgets: the least and the largest budget at
-    which its protection equals its nominal surplus a_i . x - b_i (0 when
-    the surplus is in (-1e-9, 0)).  They differ only when the surplus is the
-    full protection and some product is 0: then every budget from the count
-    of positive products to |J_i| works.  NaN where no budget does (a
-    surplus below -1e-9 or above the full protection)."""
+def protection(alpha, mask, x, budget):
+    """Each row's worst-case surplus loss at its budget: the continuous
+    knapsack of its products with capacity budget[i]."""
+    return knapsack(ranked(alpha, mask, x)[1], mask, budget)
+
+
+def activation(A, b, mask, x, values):
+    """`activation_budgets` from the ranked products `values` (from `ranked`)."""
     surplus = np.array([a @ x for a in A]) - b  # one dot per row: the m-row call and a one-row view agree
-    _, values = ranked(alpha, mask, x)
     sums = _sums(values)
     s, total = np.maximum(surplus, 0.0), sums[:, -1]
     # below the full protection: the first rank whose product the surplus reaches, and its share of it
@@ -217,6 +216,16 @@ def activation_budgets(A, b, alpha, mask, x):
     upper = np.where(whole, mask.sum(axis=1), partial)
     out = (surplus < -_ACTIVE_TOL) | (s > total + _ACTIVE_TOL)
     return np.where(out, np.nan, lower), np.where(out, np.nan, upper)
+
+
+def activation_budgets(A, b, alpha, mask, x):
+    """Each row's activation budgets: the least and the largest budget at
+    which its protection equals its nominal surplus a_i . x - b_i (0 when
+    the surplus is in (-1e-9, 0)).  They differ only when the surplus is the
+    full protection and some product is 0: then every budget from the count
+    of positive products to |J_i| works.  NaN where no budget does (a
+    surplus below -1e-9 or above the full protection)."""
+    return activation(A, b, mask, x, ranked(alpha, mask, x)[1])
 
 
 def _one_row(alpha_i, cols, x):

@@ -4,10 +4,14 @@ Dantzig pricing with a fall-back to Bland's rule after a run of
 degenerate pivots; fixed tie-breaking throughout, so identical inputs
 give bit-identical outcomes.  The equality form comes from one column
 map: a variable with a lower bound is shifted onto one nonnegative
-column, one with only an upper bound is mirrored onto one, a free one is
-split into a nonnegative pair, and a two-sided bound adds one range row.
-The same map builds the rows and the cost and maps solutions back.  One
-pivot routine serves both phases and the drive-out of artificial columns.
+column, one with only an upper bound is mirrored onto one, and a free
+one is split into a nonnegative pair.  The same map builds the rows and
+the cost and maps solutions back.  A two-sided bound adds no row: it
+caps its column, and the ratio test keeps the cap (the upper-bounding
+technique; Dantzig, Econometrica 1955; Chvatal, Linear Programming,
+ch. 8).  A nonbasic column at its cap is complemented (u' = cap - u), so
+every nonbasic column sits at 0 and one pivot routine serves both phases
+and the drive-out of artificial columns.
 
 Phase 1 and the drive-out never read the objective, so LPs that share
 one `Constraints` object share a start: a batch runs them once per run
@@ -121,30 +125,30 @@ class _Std:
     shifted column and for u+, -1 for a mirrored column and for u-.
     offset[k] is variable k's lower bound (shifted), its upper bound
     (mirrored) or 0 (split), so x = offset + bincount(owner, sign * u).
-    The LP's rows come first, negated where their shifted right-hand side
-    is negative, then one range row per two-sided bound.  The
-    slack, surplus and artificial columns follow the variable columns in
-    row order; `structural` marks every column but the artificials.  The
-    initial basis (one slack or artificial per row) is a +1 identity.  The
-    form reads no objective, so it serves every LP over the same
-    constraints; `cost` maps each LP's objective onto its columns.
+    cap[c] is hi - lo for the column of a two-sided variable and inf for
+    every other column.  The rows are the LP's, negated where their
+    shifted right-hand side is negative.  The slack, surplus and
+    artificial columns follow the variable columns in row order;
+    `structural` marks every column but the artificials.  The initial
+    basis (one slack or artificial per row) is a +1 identity.  The form
+    reads no objective, so it serves every LP over the same constraints;
+    `cost` maps each LP's objective onto its columns.
     """
 
     def __init__(self, cons):
         p = cons.num_vars
-        owner, sign, offset, range_col, range_cap = [], [], [], [], []
+        owner, sign, offset, cap = [], [], [], []
         for k, (lo, hi) in enumerate(zip(cons.lower.tolist(), cons.upper.tolist())):
             if lo == -math.inf and hi == math.inf:
                 owner += [k, k]
                 sign += [1.0, -1.0]
+                cap += [math.inf, math.inf]
                 offset.append(0.0)
                 continue
-            if lo > -math.inf and hi < math.inf:
-                range_col.append(len(owner))
-                range_cap.append(hi - lo)
             owner.append(k)
             sign.append(1.0 if lo > -math.inf else -1.0)
             offset.append(lo if lo > -math.inf else hi)
+            cap.append(hi - lo)  # inf unless both bounds are finite
         self.owner = np.array(owner, dtype=np.intp)
         self.sign = np.array(sign)
         self.offset = np.array(offset)
@@ -157,7 +161,6 @@ class _Std:
         b = cons.rhs - shift
         row_sign = np.where(b < 0.0, -1.0, 1.0)
         senses = [_FLIPPED[sense] if s < 0.0 else sense for sense, s in zip(cons.sense, row_sign)]
-        senses += [LE] * len(range_col)
 
         extra_row, extra_val, self.basis = [], [], []
         for i, sense in enumerate(senses):
@@ -170,12 +173,14 @@ class _Std:
         self.m = len(senses)
         self.ncols = nvar + len(extra_row)
         self.A = np.zeros((self.m, self.ncols))
-        self.A[: len(R), :nvar] = R[:, self.owner] * self.sign * row_sign[:, None]
-        self.A[len(R) + np.arange(len(range_col)), range_col] = 1.0
+        self.A[:, :nvar] = R[:, self.owner] * self.sign * row_sign[:, None]
         self.A[extra_row, np.arange(nvar, self.ncols)] = extra_val
-        self.b = np.concatenate([b * row_sign, range_cap])
+        self.b = b * row_sign
+        self.cap = np.full(self.ncols, np.inf)
+        self.cap[:nvar] = cap
         self.structural = np.ones(self.ncols, dtype=bool)
         self.structural[[j for j, s in zip(self.basis, senses) if s != LE]] = False
+        self.barred = np.where(self.structural, 0.0, np.inf)  # phase 2 enters no artificial
 
     def cost(self, objective):
         """The cost vector of the equality form for an objective over x."""
@@ -197,54 +202,89 @@ def _pivot(T, i, j):
     T[rows] -= T[rows, j, None] * T[i]
 
 
-def _simplex(T, basis, cost, allowed, degen_limit):
-    """Run simplex pivots on tableau T (m x n+1) in place, entering only
-    allowed columns.
+def _complement(T, j, cap):
+    """Replace column j's variable u by cap - u: the right-hand side moves
+    by cap times the column, and the column changes sign."""
+    T[:, -1] -= cap * T[:, j]
+    T[:, j] *= -1.0
 
-    Returns "optimal" or "unbounded".
+
+def _simplex(T, basis, cost, flip, cap, barred, degen_limit):
+    """Run simplex steps on tableau T (m x n+1) in place; `barred` is inf
+    on the columns that may not enter and 0 elsewhere.
+
+    Every nonbasic column sits at 0: flip marks the complemented columns,
+    whose cost is negated in `cost`.  The entering column moves until a
+    basic variable falls to 0, a basic variable rises to its cap (it leaves
+    and is complemented) or it reaches its own cap (it is complemented, a
+    bound flip with no pivot); on a tie the lowest row pivots, and a flip
+    comes after every row.  Returns "optimal" or "unbounded".
     """
+    if not cost.size:
+        return "optimal"  # no column to enter
     degenerate = 0
     bland = False
+    m = len(basis)
+    caps = cap.tolist()
     for _ in range(MAX_PIVOTS):
-        red = (cost - cost[basis] @ T[:, :-1]).tolist()
-        candidates = [j for j, r in enumerate(red) if r < -OPT_TOL and allowed[j]]
-        if not candidates:
+        red = cost - cost[basis] @ T[:, :-1] + barred
+        j = int(red.argmin())  # the most negative, the lowest column on a tie
+        if red[j] >= -OPT_TOL:
             return "optimal"
         if bland or degenerate > degen_limit:
             bland = True
-            j = candidates[0]
-        else:
-            j = min(candidates, key=lambda j: (red[j], j))
-        rhs = T[:, -1].tolist()
-        ratios = [(rhs[i] / c, i) for i, c in enumerate(T[:, j].tolist()) if c > RATIO_TOL]
-        if not ratios:
+            j = int((red < -OPT_TOL).argmax())  # the lowest column that improves
+        step, i, at_cap = math.inf, m, False
+        for r, (a, value, k) in enumerate(zip(T[:, j].tolist(), T[:, -1].tolist(), basis)):
+            if a > RATIO_TOL:
+                ratio, rises = value / a, False
+            elif a < -RATIO_TOL and caps[k] < math.inf:
+                ratio, rises = (caps[k] - value) / -a, True
+            else:
+                continue
+            if ratio < step:
+                step, i, at_cap = ratio, r, rises
+        if caps[j] < step:
+            step, i = caps[j], m
+        if step == math.inf:
             return "unbounded"
-        ratio, i = min(ratios)
-        degenerate = degenerate + 1 if ratio <= RATIO_TOL else 0
-        _pivot(T, i, j)
-        basis[i] = j
+        degenerate = degenerate + 1 if step <= RATIO_TOL else 0
+        if i == m:
+            leaving = j
+        else:
+            leaving = basis[i]
+            _pivot(T, i, j)
+            basis[i] = j
+            if not at_cap:
+                continue
+        _complement(T, leaving, caps[leaving])
+        flip[leaving] = not flip[leaving]
+        cost[leaving] = -cost[leaving]
     raise NumericalFailureError(f"simplex did not terminate within {MAX_PIVOTS} pivots")
 
 
 class _Start:
     """The objective-free start of a solve, shared by every LP over the
     same constraints: the equality form, phase 1 and the drive-out of
-    leftover artificials.  The artificial columns stay in the tableau T:
-    phase 2 never enters them, and dropping them gives the same outcomes,
-    but gathering the kept columns once per start costs what the smaller
-    phase 2 saves.
+    leftover artificials.  The tableau T has one row per LP row (fewer
+    once the drive-out drops redundant ones), and flip marks the columns
+    phase 1 left complemented at their caps.  The artificial columns stay
+    in T: phase 2 never enters them, and dropping them gives the same
+    outcomes, but gathering the kept columns once per start costs what the
+    smaller phase 2 saves.
     """
 
     def __init__(self, constraints):
         std = self.std = _Std(constraints)
         T = np.hstack([std.A, std.b.reshape(-1, 1)])
         basis = list(std.basis)
+        flip = np.zeros(std.ncols, dtype=bool)
         self.degen_limit = 10 * (std.ncols + std.m)
         self.infeasibility = None
 
         cost1 = (~std.structural).astype(float)
         if cost1.any():
-            if _simplex(T, basis, cost1, np.ones(std.ncols, dtype=bool), self.degen_limit) != "optimal":
+            if _simplex(T, basis, cost1, flip, std.cap, np.zeros(std.ncols), self.degen_limit) != "optimal":
                 raise NumericalFailureError("phase one reported unbounded")
             value1 = float(cost1[basis] @ T[:, -1])
             # scaled by the rows phase 1 must satisfy: a slack row's bound loosens no other row's test
@@ -265,7 +305,7 @@ class _Start:
             if not keep.all():
                 T = T[keep]
                 basis = [j for j, k in zip(basis, keep) if k]
-        self.T, self.basis = T, basis
+        self.T, self.basis, self.flip = T, basis, flip
 
 
 def _phase_two(start, lp):
@@ -273,14 +313,16 @@ def _phase_two(start, lp):
     if start.infeasibility is not None:
         return LpOutcome(status=LpStatus.INFEASIBLE, infeasibility=start.infeasibility)
     std = start.std
+    flip = start.flip.copy()
     cost = std.cost(lp.objective)
+    np.negative(cost, out=cost, where=flip)
     T = start.T.copy()
     basis = list(start.basis)
-    if _simplex(T, basis, cost, std.structural, start.degen_limit) == "unbounded":
+    if _simplex(T, basis, cost, flip, std.cap, std.barred, start.degen_limit) == "unbounded":
         return LpOutcome(status=LpStatus.UNBOUNDED)
     u = np.zeros(std.ncols)
     u[basis] = T[:, -1]
-    x = std.to_original(u)
+    x = std.to_original(np.where(flip, std.cap - u, u))  # complemented columns back to u
     return LpOutcome(status=LpStatus.OPTIMAL, solution=x, value=float(lp.objective @ x))
 
 

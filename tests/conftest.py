@@ -28,10 +28,11 @@ def calls(monkeypatch):
     rankings ("activation_budgets") made through the library during the test.
 
     solve_lp_batch (one count per LP in the batch), through which every
-    solver solves its LPs, and geometry.activation_budgets (one count per
-    call, whatever its row count) are wrapped wherever a loaded io_recover
-    module binds them, so the names the solver modules import are counted
-    too.  `calls.clear()` starts the counts again.
+    solver solves its LPs, and geometry.activation (one count per call,
+    whatever its row count), through which geometry.activation_budgets and
+    the budget solvers compute activation budgets, are wrapped wherever a
+    loaded io_recover module binds them, so the names the solver modules
+    import are counted too.  `calls.clear()` starts the counts again.
     """
     counts = Counter()
 
@@ -44,7 +45,7 @@ def calls(monkeypatch):
 
     wrappers = {
         id(lp_mod.solve_lp_batch): counting(lp_mod.solve_lp_batch, "lp_solve", len),
-        id(geometry.activation_budgets): counting(geometry.activation_budgets, "activation_budgets", lambda A: 1),
+        id(geometry.activation): counting(geometry.activation, "activation_budgets", lambda A: 1),
     }
     for key, mod in list(sys.modules.items()):
         if key == "io_recover" or key.startswith("io_recover."):

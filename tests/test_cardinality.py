@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -122,6 +124,32 @@ class TestCcuDg:
             assert sol.status in (Status.OPTIMAL, Status.TRIVIAL_DETECTED)
         assert calls["lp_solve"] == 0
         assert std_builds == []
+
+    def test_box_only_solve_ranks_once(self, calls, monkeypatch):
+        # one mask, one ranking of all m rows and one nominal surplus serve
+        # the whole box-only solve: the activation budgets, the protection at
+        # the caps and the tail
+        counts = Counter()
+
+        def counted(owner, name):
+            real = getattr(owner, name)
+
+            def wrapper(*args):
+                counts[name] += 1
+                return real(*args)
+
+            monkeypatch.setattr(owner, name, wrapper)
+
+        counted(cardinality, "ranked")
+        counted(UncertaintyStructure, "mask")
+        counted(ForwardProblem, "surplus")
+        for seed in range(5):
+            counts.clear()
+            calls.clear()
+            problem, x, structure, omega, _ = gen.make_ccu_dg(seed)
+            solve_rlo_ccu_dg(problem, x, structure, omega)
+            assert counts == {"ranked": 1, "mask": 1, "surplus": 1}, seed
+            assert calls == {"activation_budgets": 1}, seed
 
     def test_zero_budgets_give_min_surplus(self):
         case = example_case(5)

@@ -6,9 +6,13 @@ import io_recover.lp as lp_mod
 from io_recover import (
     Constraints,
     DimensionError,
+    ForwardProblem,
     LinearProgram,
     LpStatus,
+    ModelKind,
     NumericalFailureError,
+    SideConstraints,
+    solve,
     solve_lp,
     solve_lp_batch,
 )
@@ -52,6 +56,26 @@ def random_lp(rng, integer):
     return draw(), constraints(p, rows, bounds)
 
 
+def nlo_dg_shaped(rng, p, shift):
+    """(objective, Constraints) shaped like one nlo-dg LP: p two-sided
+    variables in blocks, one >= row per block over its own variables, and
+    one all-ones <= row.  shift = +1 draws every >= row's right-hand side
+    above its value at the lower bounds, -1 below it, so the shifted rows
+    keep their sense or flip."""
+    blocks = int(rng.integers(2, 6))
+    owner = np.sort(rng.integers(0, blocks, p))
+    lower = rng.choice([-3.0, -1.5, 0.0, 0.5], p)
+    upper = lower + rng.choice([0.5, 1.0, 3.0, 6.0], p)
+    loads = np.where(owner == np.arange(blocks)[:, None], rng.uniform(-2.0, 2.0, p), 0.0)
+    at_lower = loads @ lower
+    reach = np.maximum(loads, 0.0) @ (upper - lower)  # the most a row can rise from the lower bounds
+    rhs = at_lower + shift * rng.uniform(0.05, 0.5, blocks) * reach
+    total = float(lower.sum() + rng.uniform(0.1, 1.0) * (upper - lower).sum())
+    cons = Constraints(np.vstack([loads, np.ones(p)]), (">=",) * blocks + ("<=",),
+                       np.append(rhs, total), lower, upper)
+    return loads[int(rng.integers(0, blocks))] + rng.choice([0.0, 0.1], p), cons
+
+
 def assert_feasible(x, cons, label=None):
     """x satisfies every row of cons by its sense within 1e-9 * (1 + |rhs|)
     and every bound within 1e-9 * (1 + |bound|): checked against the input,
@@ -66,17 +90,39 @@ def assert_feasible(x, cons, label=None):
         assert hi == np.inf or x[j] <= hi + 1e-9 * (1.0 + abs(hi)), (label, "upper", j, x[j], hi)
 
 
+@pytest.fixture
+def steps(monkeypatch):
+    """The engine's steps, in order: ("pivot", column) for each pivot and
+    ("complement", column) for each column complemented at its cap."""
+    log = []
+    pivot, complement = lp_mod._pivot, lp_mod._complement
+
+    def logged_pivot(T, i, j):
+        log.append(("pivot", int(j)))
+        pivot(T, i, j)
+
+    def logged_complement(T, j, cap):
+        log.append(("complement", int(j)))
+        complement(T, j, cap)
+
+    monkeypatch.setattr(lp_mod, "_pivot", logged_pivot)
+    monkeypatch.setattr(lp_mod, "_complement", logged_complement)
+    return log
+
+
 def scalar_equality_form(lp):
-    """Rows, right-hand sides and cost of the equality form, and the map back
-    to x, one variable and one coefficient at a time: the reference for the
-    column map of lp._Std."""
+    """Rows, right-hand sides, column caps and cost of the equality form, and
+    the map back to x, one variable and one coefficient at a time: the
+    reference for the column map of lp._Std.  The rows are the LP's alone:
+    a two-sided bound caps its column at hi - lo."""
     cons = lp.constraints
     bounds = [(lo if lo > -np.inf else None, hi if hi < np.inf else None) for lo, hi in zip(cons.lower, cons.upper)]
-    columns, ncols = [], 0  # per variable: (first column, kind, offset)
+    columns, caps = [], []  # per variable: (first column, kind, offset); per column: its cap
     for lo, hi in bounds:
         kind = "split" if lo is None and hi is None else ("shift" if lo is not None else "mirror")
-        columns.append((ncols, kind, {"split": 0.0, "shift": lo, "mirror": hi}[kind]))
-        ncols += 2 if kind == "split" else 1
+        columns.append((len(caps), kind, {"split": 0.0, "shift": lo, "mirror": hi}[kind]))
+        caps += [hi - lo if lo is not None and hi is not None else np.inf] * (2 if kind == "split" else 1)
+    ncols = len(caps)
 
     def mapped(coeffs):
         out, shift = np.zeros(ncols), 0.0
@@ -96,10 +142,6 @@ def scalar_equality_form(lp):
         b = rhs_k - shift
         rows.append(-coeffs if b < 0.0 else coeffs)
         rhs.append(-b if b < 0.0 else b)
-    for (lo, hi), (col, _, _) in zip(bounds, columns):
-        if lo is not None and hi is not None:
-            rows.append(np.eye(ncols)[col])
-            rhs.append(hi - lo)
 
     def to_original(u):
         x = []
@@ -107,7 +149,8 @@ def scalar_equality_form(lp):
             x.append(u[col] - u[col + 1] if kind == "split" else offset + (u[col] if kind == "shift" else -u[col]))
         return np.array(x)
 
-    return np.array(rows).reshape(len(rows), ncols), np.array(rhs), mapped(lp.objective)[0], to_original
+    rows = np.array(rows).reshape(len(rows), ncols)
+    return rows, np.array(rhs), np.array(caps), mapped(lp.objective)[0], to_original
 
 
 class TestBasics:
@@ -328,6 +371,96 @@ class TestDegenerate:
         assert out.status == LpStatus.OPTIMAL
         assert out.value == pytest.approx(-0.05, abs=1e-9)
 
+    def test_bland_with_complemented_columns(self, monkeypatch, steps):
+        # the same instance with every variable in [0, 1]: x3 = 1 meets its
+        # cap and row 3 at once.  Bland's rule runs from the first degenerate
+        # step (limit 0), and columns are complemented at their caps
+        cons = constraints(4, [
+            ([0.25, -60.0, -0.04, 9.0], "<=", 0.0),
+            ([0.5, -90.0, -0.02, 3.0], "<=", 0.0),
+            ([0.0, 0.0, 1.0, 0.0], "<=", 1.0),
+        ], bounds=((0, 1),) * 4)
+        objective = np.array([-0.75, 150.0, -0.02, 6.0])
+        simplex = lp_mod._simplex
+        monkeypatch.setattr(lp_mod, "_simplex", lambda *args: simplex(*args[:-1], 0))
+        out = solve_lp(LinearProgram(objective, cons))
+        assert ("complement", 2) in steps
+        assert out.status == LpStatus.OPTIMAL
+        assert out.value == pytest.approx(-0.05, abs=1e-9)
+        assert out.solution == pytest.approx([0.04, 0.0, 1.0, 0.0], abs=1e-9)
+        TestAgainstHighs()._check(out, objective, cons, "bland")
+
+
+class TestBoundedVariables:
+    """Two-sided bounds are column caps kept by the ratio test, not rows."""
+
+    def test_entering_variable_flips_to_its_cap(self, steps):
+        # min -x1 - x2 with x1 + x2 <= 10, x1 in [0, 2], x2 in [0, 3]: each
+        # entering variable reaches its own cap before the row binds, so both
+        # are bound flips and no pivot is made
+        cons = constraints(2, [([1.0, 1.0], "<=", 10.0)], bounds=((0, 2), (0, 3)))
+        out = solve_lp(LinearProgram(np.array([-1.0, -1.0]), cons))
+        assert steps == [("complement", 0), ("complement", 1)]
+        assert out.status == LpStatus.OPTIMAL
+        assert np.array_equal(out.solution, [2.0, 3.0])
+        assert out.value == -5.0
+
+    def test_basic_variable_leaves_at_its_cap(self, steps):
+        # min -2 x1 - x2 with x1 - x2 <= 0.5, x1 + x2 <= 10, x1 in [0, 1],
+        # x2 in [0, 4].  x1 enters at row 1 (x1 = 0.5); x2 enters next and
+        # raises the basic x1 to its cap 1 first, so x1 leaves at its cap.
+        # Hand optimum: x = (1, 4), value -6
+        cons = constraints(2, [([1.0, -1.0], "<=", 0.5), ([1.0, 1.0], "<=", 10.0)], bounds=((0, 1), (0, 4)))
+        objective = np.array([-2.0, -1.0])
+        out = solve_lp(LinearProgram(objective, cons))
+        assert steps[:3] == [("pivot", 0), ("pivot", 1), ("complement", 0)]
+        assert out.status == LpStatus.OPTIMAL
+        assert out.solution == pytest.approx([1.0, 4.0], abs=1e-12)
+        assert out.value == pytest.approx(-6.0, abs=1e-12)
+        TestAgainstHighs()._check(out, objective, cons, "leaves at cap")
+
+    def test_resolve_with_complemented_columns_is_bit_identical(self, steps):
+        rng = np.random.default_rng(3)
+        lp = LinearProgram(*nlo_dg_shaped(rng, 40, shift=1.0))
+        first = solve_lp(lp)
+        assert first.status == LpStatus.OPTIMAL
+        assert any(kind == "complement" for kind, _ in steps)
+        flipped = len(steps)
+        for _ in range(3):
+            again = solve_lp(lp)
+            assert outcomes_equal(first, again)
+            assert np.array_equal(first.solution, again.solution)
+        assert steps == steps[:flipped] * 4
+
+    def test_rows_are_the_lps_own(self):
+        # no row restates a bound: the equality form has one row per LP row
+        rng = np.random.default_rng(8)
+        for trial in range(200):
+            _, cons = random_lp(rng, integer=trial % 2 == 0)
+            std = lp_mod._Std(cons)
+            assert std.A.shape[0] == cons.A.shape[0], trial
+            assert np.array_equal(np.isfinite(std.cap[: std.owner.size]),
+                                  np.isfinite(cons.lower[std.owner]) & np.isfinite(cons.upper[std.owner])), trial
+
+    def test_nlo_dg_tableau_has_one_row_per_lp_row(self, std_builds):
+        # nlo-dg at 20 x 10: 20 feasibility rows and one coupling row over 200
+        # coefficients in [-3, 3], and no row for the box
+        rng = np.random.default_rng(20)
+        m, n = 20, 10
+        x = rng.uniform(0.5, 2.0, n) * rng.choice([-1.0, 1.0], n)
+        A = rng.uniform(-2.0, 2.0, (m, n))
+        A *= np.where(A @ x < 0.0, -1.0, 1.0)[:, None]
+        problem = ForwardProblem(A=A, b=A @ x * rng.uniform(0.1, 0.9, m))
+        p = m * n
+        omega = SideConstraints(G=np.vstack([np.eye(p), -np.eye(p), np.ones((1, p))]),
+                                h=np.concatenate([np.full(2 * p, 3.0), [float(p)]]))
+        solution = solve(ModelKind.NLO_DG, problem, x, omega=omega)
+        assert solution.active_index is not None
+        (cons,) = std_builds
+        assert cons.A.shape == (21, 200)
+        assert lp_mod._Std(cons).A.shape[0] == 21
+        assert lp_mod._Start(cons).T.shape[0] == 21
+
 
 class TestNoRows:
     # rows=() and no two-sided bound: the equality form has no rows at all
@@ -348,6 +481,18 @@ class TestNoRows:
     def test_unbounded_along_a_unit_coordinate(self, objective, bounds):
         out = solve_lp(simple(objective, [], bounds=bounds))
         assert out.status == LpStatus.UNBOUNDED
+
+    @pytest.mark.parametrize("rows, status", [
+        (0, LpStatus.OPTIMAL), ([(">=", 1.0)], LpStatus.INFEASIBLE), ([("<=", 1.0)], LpStatus.OPTIMAL),
+    ])
+    def test_no_variables(self, rows, status):
+        # an LP over no variables: no column can enter, and a row is feasible iff 0 meets it
+        rows = rows or []
+        cons = Constraints(np.zeros((len(rows), 0)), [s for s, _ in rows], [r for _, r in rows])
+        out = solve_lp(LinearProgram(np.zeros(0), cons))
+        assert out.status == status
+        if status == LpStatus.OPTIMAL:
+            assert out.solution.shape == (0,) and out.value == 0.0
 
 
 class TestBoundValues:
@@ -403,11 +548,13 @@ class TestColumnMap:
         rng = np.random.default_rng(5)
         for trial in range(300):
             lp = LinearProgram(*random_lp(rng, integer=trial % 2 == 0))
-            rows, rhs, cost, to_original = scalar_equality_form(lp)
+            rows, rhs, caps, cost, to_original = scalar_equality_form(lp)
             std = lp_mod._Std(lp.constraints)
             nvar = cost.size
             assert np.array_equal(std.A[:, :nvar], rows), trial
             assert np.array_equal(std.b, rhs), trial
+            assert np.array_equal(std.cap[:nvar], caps), trial
+            assert np.all(std.cap[nvar:] == np.inf), trial
             full_cost = std.cost(lp.objective)
             assert np.array_equal(full_cost[:nvar], cost), trial
             assert not np.any(full_cost[nvar:])
@@ -560,3 +707,20 @@ class TestAgainstHighs:
                 seen[self._check(out, c, shared, (trial, k))] += 1
         assert len(std_builds) == trials
         assert min(seen.values()) >= 100, seen
+
+    def test_nlo_dg_shaped_batches_match(self, std_builds):
+        # 120 shared starts of 10 to 60 two-sided variables, a few >= rows and
+        # one all-ones <= row, each solved for its rows' objectives; even
+        # trials keep every >= row's sense after the shift, odd ones flip it
+        rng = np.random.default_rng(20261020)
+        seen = {LpStatus.OPTIMAL: 0, LpStatus.INFEASIBLE: 0, LpStatus.UNBOUNDED: 0}
+        trials = 120
+        for trial in range(trials):
+            p = int(rng.integers(10, 61))
+            _, shared = nlo_dg_shaped(rng, p, shift=1.0 if trial % 2 == 0 else -1.0)
+            objectives = list(shared.A[:-1]) + [rng.uniform(-1.0, 1.0, p)]
+            lps = [LinearProgram(c, shared) for c in objectives]
+            for k, (c, out) in enumerate(zip(objectives, solve_lp_batch(lps))):
+                seen[self._check(out, c, shared, (trial, k))] += 1
+        assert len(std_builds) == trials
+        assert seen[LpStatus.OPTIMAL] >= 400 and not seen[LpStatus.UNBOUNDED], seen
