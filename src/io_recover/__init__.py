@@ -24,17 +24,14 @@ from .errors import (
 from .geometry import (
     GammaBarResult,
     NormKind,
-    SortedUncertainty,
     aux_optimum,
     dual_norm,
     dual_norm_maximizer,
     gamma_bar,
     project_halfspace,
     project_hyperplane,
-    protection_value,
     realized_row_cardinality,
     realized_row_interval,
-    sorted_uncertainty,
 )
 from .interval import solve_rlo_iu_dg, solve_rlo_iu_sd
 from .lp import Constraints, LinearProgram, LpOutcome, LpStatus, solve_lp, solve_lp_batch

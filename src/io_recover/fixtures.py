@@ -3,18 +3,20 @@
 Eight cases, one per solver behavior worth demonstrating: gap and
 strong-duality recovery of the constraint matrix (1, 2), of interval
 magnitudes (3, 4), of deviation budgets (5, 6), and the trivial-output
-escape paths (7, 8).  Each case carries the checks the demo command
-asserts; values marked as 2-decimal are compared at printed precision,
-the rest at 1e-6.
+escape paths (7, 8).  Each instance is a problem document shipped with
+the package, examples/example<number>.json.  Each case carries the
+checks the demo command asserts; values marked as 2-decimal are compared
+at printed precision, the rest at 1e-6.
 """
 
+import json
 from dataclasses import dataclass
+from importlib import resources
 
 import numpy as np
 
 from . import solve
 from .cardinality import compute_gamma_bounds
-from .geometry import NormKind
 from .model import (
     ForwardProblem,
     ModelKind,
@@ -26,6 +28,7 @@ from .model import (
     WeightBoost,
 )
 from .nominal import perturb_and_resolve
+from .problem_io import ProblemBundle, parse_problem
 
 DERIVED_TOL = 1e-6
 PRINTED_TOL = 5e-3
@@ -52,166 +55,33 @@ class CheckResult:
     ok: bool
 
 
-_BASE_A = np.array([[1.0, 0.0], [0.0, 1.0], [-2.0, -1.0]])
-_BASE_B = np.array([-6.0, -6.0, -10.0])
-_BASE_X = np.array([-2.0, 6.0])
-_BASE_SETS = ((0,), (1,), (0, 1))
-
-
-def _case_1():
-    # params: a11 a12 a21 a22 a31 a32
-    G = np.array(
-        [
-            [-1, 0, 0, 0, 0, 0],
-            [1, 0, 0, 0, 0, 0],
-            [0, 1, 0, 0, 0, 0],
-            [0, -1, 0, 0, 0, 0],
-            [0, 0, 1, 0, 0, 0],
-            [0, 0, -1, 0, 0, 0],
-            [0, 0, 0, -1, 0, 0],
-            [0, 0, 0, 1, 0, 0],
-            [0, 0, 0, 0, 1, 0],
-            [0, 0, 0, 0, 0, -1],
-            [0, 0, 0, 0, 0, 1],
-            [0, 0, 0, 2, 1, 0],
-        ],
-        dtype=float,
-    )
-    h = np.array([-1.0, 1.5, 0.0, 0.0, 0.0, 0.0, -2.0, 3.0, -2.0, 2.0, -0.5, 2.0])
-    return DemoCase(
-        number=1,
-        title="matrix recovery, minimum duality gap",
-        model=ModelKind.NLO_DG,
-        problem=ForwardProblem(A=_BASE_A, b=_BASE_B),
-        x_hat=_BASE_X,
-        structure=UncertaintyStructure.nominal(),
-        omega=SideConstraints(G=G, h=h),
-    )
-
-
-def _case_2():
-    return DemoCase(
-        number=2,
-        title="matrix recovery, strong duality (euclidean prior)",
-        model=ModelKind.NLO_SD,
-        problem=ForwardProblem(A=_BASE_A, b=_BASE_B),
-        x_hat=_BASE_X,
-        structure=UncertaintyStructure.nominal(),
-        prior=Prior(estimates=_BASE_A, norm=NormKind.L2),
-    )
-
-
-def _interval_omega():
-    # params: alpha11 alpha22 alpha31 alpha32; each >= 0.5, sum <= 2.5
-    G = np.vstack([-np.eye(4), np.ones((1, 4))])
-    h = np.array([-0.5, -0.5, -0.5, -0.5, 2.5])
-    return SideConstraints(G=G, h=h)
-
-
-def _case_3():
-    return DemoCase(
-        number=3,
-        title="interval magnitudes, minimum duality gap",
-        model=ModelKind.RLO_IU_DG,
-        problem=ForwardProblem(A=_BASE_A, b=_BASE_B),
-        x_hat=_BASE_X,
-        structure=UncertaintyStructure.interval(_BASE_SETS),
-        omega=_interval_omega(),
-    )
-
-
-def _case_4():
-    est = np.zeros((3, 2))
-    est[0, 0] = 0.5
-    est[1, 1] = 0.5
-    est[2] = (1.0, 0.0)
-    return DemoCase(
-        number=4,
-        title="interval magnitudes, strong duality (l1 prior)",
-        model=ModelKind.RLO_IU_SD,
-        problem=ForwardProblem(A=_BASE_A, b=_BASE_B),
-        x_hat=_BASE_X,
-        structure=UncertaintyStructure.interval(_BASE_SETS),
-        prior=Prior(estimates=est, norm=NormKind.L1),
-    )
-
-
-def _ccu_alpha():
-    alpha = np.zeros((3, 2))
-    alpha[0, 0] = 2.5
-    alpha[1, 1] = 0.5
-    alpha[2] = (2.0, 1.0)
-    return alpha
-
-
-def _case_5():
-    G = np.vstack([-np.eye(3), np.ones((1, 3))])
-    h = np.array([-0.2, -0.2, -0.2, 1.0])
-    return DemoCase(
-        number=5,
-        title="deviation budgets, minimum duality gap",
-        model=ModelKind.RLO_CCU_DG,
-        problem=ForwardProblem(A=_BASE_A, b=_BASE_B),
-        x_hat=_BASE_X,
-        structure=UncertaintyStructure.cardinality(_BASE_SETS, _ccu_alpha()),
-        omega=SideConstraints(G=G, h=h),
-    )
-
-
-def _case_6():
-    return DemoCase(
-        number=6,
-        title="deviation budgets, strong duality (l1 prior)",
-        model=ModelKind.RLO_CCU_SD,
-        problem=ForwardProblem(A=_BASE_A, b=_BASE_B),
-        x_hat=_BASE_X,
-        structure=UncertaintyStructure.cardinality(_BASE_SETS, _ccu_alpha()),
-        prior=Prior(estimates=np.array([0.2, 1.0, 1.0]), norm=NormKind.L1),
-    )
-
-
-def _case_7():
-    A = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [-1.0, -1.0]])
-    return DemoCase(
-        number=7,
-        title="trivial cost vector escape (zero right-hand side)",
-        model=ModelKind.NLO_SD,
-        problem=ForwardProblem(A=A, b=np.array([-3.0, -3.0, 0.0, -10.0])),
-        x_hat=np.array([2.0, 2.0]),
-        structure=UncertaintyStructure.nominal(),
-        prior=Prior(estimates=A, norm=NormKind.L2),
-    )
-
-
-def _case_8():
-    A = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]])
-    return DemoCase(
-        number=8,
-        title="trivialized constraint escape (infeasible prior row)",
-        model=ModelKind.NLO_SD,
-        problem=ForwardProblem(A=A, b=np.array([2.0, -4.0, 0.0])),
-        x_hat=np.array([2.0, 2.0]),
-        structure=UncertaintyStructure.nominal(),
-        prior=Prior(estimates=A, norm=NormKind.L2),
-    )
-
-
-_CASES = {1: _case_1, 2: _case_2, 3: _case_3, 4: _case_4, 5: _case_5, 6: _case_6, 7: _case_7, 8: _case_8}
+_TITLES = {
+    1: "matrix recovery, minimum duality gap",
+    2: "matrix recovery, strong duality (euclidean prior)",
+    3: "interval magnitudes, minimum duality gap",
+    4: "interval magnitudes, strong duality (l1 prior)",
+    5: "deviation budgets, minimum duality gap",
+    6: "deviation budgets, strong duality (l1 prior)",
+    7: "trivial cost vector escape (zero right-hand side)",
+    8: "trivialized constraint escape (infeasible prior row)",
+}
 
 
 def example_case(number):
-    if number not in _CASES:
+    """Demo case `number`, parsed from the package's examples/example<number>.json."""
+    if number not in _TITLES:
         raise KeyError(f"no demo example {number}; choose 1..8")
-    return _CASES[number]()
+    text = resources.files(__package__).joinpath("examples", f"example{number}.json").read_text("utf-8")
+    bundle = parse_problem(json.loads(text))
+    return DemoCase(number, _TITLES[number], bundle.model, bundle.problem, bundle.x_hat,
+                    bundle.structure, bundle.omega, bundle.prior)
 
 
 def all_examples():
-    return tuple(example_case(n) for n in sorted(_CASES))
+    return tuple(example_case(n) for n in sorted(_TITLES))
 
 
 def case_bundle(case):
-    from .problem_io import ProblemBundle
-
     return ProblemBundle(
         model=case.model,
         problem=case.problem,

@@ -242,21 +242,6 @@ def _budget(budget, cols):
     return np.array([float(budget)])
 
 
-@dataclass(frozen=True)
-class SortedUncertainty:
-    """Columns of one row ordered by alpha_ij |x_j| descending (ties: lower column first)."""
-
-    order: tuple
-    values: np.ndarray
-
-
-def sorted_uncertainty(alpha_i, cols, x):
-    alpha, mask, x = _one_row(alpha_i, cols, x)
-    order, values = ranked(alpha, mask, x)
-    size = int(mask.sum())
-    return SortedUncertainty(order=tuple(int(j) for j in order[0, :size]), values=values[0, :size])
-
-
 def realized_row_cardinality(a_i, alpha_i, budget, cols, x):
     """Effective row when at most `budget` coefficients deviate (one fractionally).
 
@@ -267,17 +252,6 @@ def realized_row_cardinality(a_i, alpha_i, budget, cols, x):
     alpha, mask, x = _one_row(_check_alpha(alpha_i, cols), cols, x)
     share = budget_share(alpha, mask, x, _budget(budget, cols))[0]
     return np.where(share > 0.0, a_i - sgn(x) * alpha[0] * share, a_i)
-
-
-def protection_value(alpha_i, budget, cols, x):
-    """Worst-case surplus loss of one row for a deviation budget.
-
-    Equals the continuous-knapsack optimum of the values alpha_ij |x_j|
-    with capacity `budget`: sum of the floor(budget) largest values plus
-    the fractional part times the next one.
-    """
-    alpha, mask, x = _one_row(_check_alpha(alpha_i, cols), cols, x)
-    return float(protection(alpha, mask, x, _budget(budget, cols))[0])
 
 
 @dataclass(frozen=True)
@@ -321,7 +295,7 @@ def aux_optimum(alpha_i, budget, cols, x_hat):
 
     Returns dense (u, y, z): u_j = alpha_ij |x_j|, z = the smallest value
     in force at the budget (the largest value when budget = 0), and
-    y_j = max(u_j - z, 0); then sum(y) + budget * z = protection_value.
+    y_j = max(u_j - z, 0); then sum(y) + budget * z is the row's protection.
     """
     alpha, mask, x = _one_row(_check_alpha(alpha_i, cols), cols, x_hat)
     share = budget_share(alpha, mask, x, _budget(budget, cols))[0]

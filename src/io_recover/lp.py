@@ -279,7 +279,7 @@ class _Start:
         T = np.hstack([std.A, std.b.reshape(-1, 1)])
         basis = list(std.basis)
         flip = np.zeros(std.ncols, dtype=bool)
-        self.degen_limit = 10 * (std.ncols + std.m)
+        self.degen_limit = min(10 * (std.ncols + std.m), MAX_PIVOTS // 2)  # Bland gets pivots to run
         self.infeasibility = None
 
         cost1 = (~std.structural).astype(float)

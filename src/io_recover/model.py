@@ -263,13 +263,15 @@ class SideConstraints:
 
 @dataclass(frozen=True)
 class CanonicalOmega:
-    """Side constraints split into per-parameter bounds plus coupled rows."""
+    """Side constraints split into per-parameter bounds plus coupled rows;
+    `couples`: some coupled row ties parameters of different forward rows."""
 
     lower: np.ndarray
     upper: np.ndarray
     G: np.ndarray
     h: np.ndarray
     feasible: bool
+    couples: bool
 
 
 def canonicalize_omega(omega, keys, lower_floor=None, upper_cap=None):
@@ -295,19 +297,14 @@ def canonicalize_omega(omega, keys, lower_floor=None, upper_cap=None):
     np.minimum.at(hi, col[g > 0], bound[g > 0])
     np.maximum.at(lo, col[g < 0], bound[g < 0])
     feasible = not (np.any(h[count == 0] < -1e-9) or np.any(lo > hi + 1e-9))
-    return CanonicalOmega(lower=lo, upper=hi, G=G[count > 1], h=h[count > 1], feasible=feasible)
-
-
-def omega_couples_rows(omega, keys):
-    """True when some side-constraint row ties parameters of different forward rows."""
-    if omega is None:
-        return False
-    G, _ = omega.arranged(keys)
-    nonzero = G != 0.0
-    touched = nonzero[nonzero.sum(axis=1) > 1]  # a row of one entry couples nothing
-    rows = np.array([key[1] for key in keys])
-    lowest = np.min(np.where(touched, rows, np.inf), axis=1, initial=np.inf)
-    return bool(np.any(touched & (rows != lowest[:, None])))
+    kept = count > 1
+    couples = False
+    if kept.any():
+        touched = nonzero[kept]
+        rows = np.array([key[1] for key in keys])  # the forward row of each parameter
+        lowest = np.min(np.where(touched, rows, np.inf), axis=1)
+        couples = bool(np.any(touched & (rows != lowest[:, None])))
+    return CanonicalOmega(lower=lo, upper=hi, G=G[kept], h=h[kept], feasible=feasible, couples=couples)
 
 
 @dataclass(frozen=True, eq=False)
@@ -642,15 +639,14 @@ def validate(problem, x_hat, structure, model, omega=None, prior=None):
     if model == ModelKind.NLO_DG:
         bad, uncertifiable = [], []
         keys = param_keys(model, problem, structure)
-        coupled = omega_couples_rows(omega, keys) if omega is not None else False
-        canon = None if omega is None else canonicalize_omega(omega, keys)
+        canon = canonicalize_omega(omega, keys)
         for i in range(m):
             if problem.b[i] > 0:
                 continue
             if omega is None:
                 bad.append(i)
                 continue
-            if coupled:
+            if canon.couples:
                 uncertifiable.append(i)
                 continue
             cols = slice(i * n, (i + 1) * n)  # ("a", i, j) in natural order

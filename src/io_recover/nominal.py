@@ -10,7 +10,7 @@ import numpy as np
 
 from . import verify
 from .errors import DimensionError, ZeroObservationError
-from .geometry import project_hyperplane
+from .geometry import dual_norm, dual_norm_maximizer
 from .lp import Constraints, LinearProgram, solve_lp_batch
 from .model import (
     ForwardProblem,
@@ -82,14 +82,13 @@ def solve_nlo_sd(problem, x_hat, prior):
     x = check_inputs(ModelKind.NLO_SD, problem, x_hat, structure, prior=prior)
     if not np.any(x != 0.0):
         raise ZeroObservationError("strong-duality recovery needs a nonzero observation")
-    m = problem.m
-    w = prior.weights(m)
+    w = prior.weights(problem.m)
     a_hat = np.asarray(prior.estimates, dtype=float)
-    f, fits, moved = np.zeros(m), np.zeros(m, dtype=bool), np.zeros_like(a_hat)
-    for i in range(m):
-        moved[i], distance = project_hyperplane(a_hat[i], x, problem.b[i], prior.norm)
-        f[i] = w[i] * distance
-        fits[i] = float(a_hat[i] @ x) >= float(problem.b[i])
+    # every row's projection onto its hyperplane a . x = b_i moves it along the one maximizer v
+    dn, v = dual_norm(x, prior.norm), dual_norm_maximizer(x, prior.norm)
+    dots = np.array([a @ x for a in a_hat])  # one dot per row, as geometry.project_hyperplane takes it
+    t = (dots - problem.b) / dn
+    moved, f, fits = a_hat - t[:, None] * v, w * np.abs(t), dots >= problem.b
     solution = sd_solution(
         ModelKind.NLO_SD, problem, structure, x, f, fits, moved, a_hat,
         "no constraint can be made active at the observation",

@@ -69,40 +69,36 @@ def _excess(values):
     return math.inf if math.isnan(top) else max(0.0, top)
 
 
-def _deviation_block(model, problem, structure, imputed, point):
+def _deviation_block(model, structure, mask, imputed, point):
     """Masked magnitudes and deviation shares of every row at `point`.
 
-    Returns (mask, alpha, share, strict_share): the m x n uncertain-column
-    mask, the magnitudes on it (the imputed ones for interval uncertainty,
-    the fixed ones for a budget; 0 off the mask), and the part of each
-    column's deviation in force.  Interval uncertainty is the full-budget
+    Returns (alpha, share, strict_share): the magnitudes on the m x n
+    uncertain-column `mask` (the imputed ones for interval uncertainty, the
+    fixed ones for a budget; 0 off the mask), and the part of each column's
+    deviation in force.  Interval uncertainty is the full-budget
     case: every uncertain column deviates fully.  A budget deviates the
     columns as `geometry.budget_share` ranks them; `share` takes a
     fractional part >= 1e-12 (the realized rows) and `strict_share` one
     > 1e-12 (the multipliers).
     """
-    mask = structure.mask(problem.n)
     if model.family == "iu":
         fully = mask * 1.0
-        return mask, np.where(mask, imputed, 0.0), fully, fully
+        return np.where(mask, imputed, 0.0), fully, fully
     share = budget_share(structure.alpha, mask, point, imputed)
-    return mask, np.where(mask, structure.alpha, 0.0), share, np.where(share > 1e-12, share, 0.0)
+    return np.where(mask, structure.alpha, 0.0), share, np.where(share > 1e-12, share, 0.0)
 
 
-def _nontriviality(model, problem, structure, solution):
+def _nontriviality(model, problem, structure, mask, solution):
     cost_ok = solution.cost is not None and float(np.max(np.abs(solution.cost))) > 1e-9
     if model.family == "nlo":
-        A = solution.imputed
-        rows_ok = all(float(np.max(np.abs(A[i]))) > 1e-9 for i in range(problem.m))
+        rows_ok = bool(np.all(np.abs(solution.imputed).max(axis=1) > 1e-9))
         return {"cost_nonzero": cost_ok, "rows_nonzero_all_orthants": rows_ok, "orthants_checked": 1}
     # In the orthant of signs s, coordinate j of a realized row is
     # a_j - s_j * dev_j with dev_j >= 0 independent of s (a budget ranks the
     # columns by alpha_j |s_j| = alpha_j).  So the row vanishes in some
     # orthant exactly when |a_j| = dev_j for every j; dev = a - (row at s = +1).
     plus = np.ones(problem.n)
-    _, alpha, share, _ = _deviation_block(
-        model, problem, structure, np.asarray(solution.imputed, dtype=float), plus
-    )
+    alpha, share, _ = _deviation_block(model, structure, mask, np.asarray(solution.imputed, dtype=float), plus)
     row = problem.A - alpha * share  # sgn(plus) = +1
     dev = problem.A - row
     rows_ok = not np.any(np.abs(np.abs(problem.A) - dev).max(axis=1) <= 1e-9)
@@ -143,13 +139,14 @@ def check_certificate(model, problem, x_hat, structure, solution):
     dual_aux = {}
     normalization = abs(float(np.sum(pi)) - 1.0)
     dual["pi_nonneg"] = _excess(-pi)
+    mask = structure.mask(problem.n)
 
     if model.family == "nlo":
         realized = imputed
         primal["feasibility"] = _excess(problem.b - imputed @ x)
         dual["cost_match"] = float(np.max(np.abs(imputed.T @ pi - c)))
     else:
-        mask, alpha, share, strict_share = _deviation_block(model, problem, structure, imputed, x)
+        alpha, share, strict_share = _deviation_block(model, structure, mask, imputed, x)
         realized = problem.A - sgn(x) * alpha * share
         u = alpha * np.abs(x)
         phi = pi[:, None] * strict_share
@@ -225,7 +222,7 @@ def check_certificate(model, problem, x_hat, structure, solution):
         aux=aux,
         dual_aux=dual_aux,
         duality_gap=duality_gap,
-        nontriviality=_nontriviality(model, problem, structure, solution),
+        nontriviality=_nontriviality(model, problem, structure, mask, solution),
         verdict=verdict,
         reason=reason,
     )

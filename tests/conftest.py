@@ -91,6 +91,13 @@ def knapsack_continuous(values, capacity):
     return phi, float(values @ phi)
 
 
+def knapsack_protection(alpha_i, budget, cols, x):
+    """One row's protection at `budget`, the reference for geometry.protection:
+    the knapsack of its products alpha_ij |x_j| over the columns `cols`."""
+    alpha_i, x = np.asarray(alpha_i, dtype=float), np.asarray(x, dtype=float)
+    return knapsack_continuous([alpha_i[j] * abs(x[j]) for j in cols], budget)[1]
+
+
 def vertex_enumeration_min(objective, rows):
     """Independent LP oracle: scan all basic solutions of the row system.
 

@@ -12,15 +12,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from conftest import knapsack_protection
 from io_recover.errors import InverseLpError, PreconditionError
-from io_recover.geometry import NormKind, dual_norm, protection_value
-from io_recover.model import (
-    ModelKind,
-    canonicalize_omega,
-    clamp_budget_prior,
-    omega_couples_rows,
-    param_keys,
-)
+from io_recover.geometry import NormKind, dual_norm
+from io_recover.model import ModelKind, canonicalize_omega, clamp_budget_prior, param_keys
 
 GRID_CAP = 10_000_000
 _CHUNK = 262_144
@@ -134,8 +129,7 @@ def brute_force_min(model, problem, x_hat, structure, omega_or_prior, spec):
         canon = canonicalize_omega(omega, keys, lower_floor=floor, upper_cap=cap)
         if not canon.feasible:
             return np.inf, None
-        coupled = omega is not None and omega_couples_rows(omega, keys)
-        if coupled:
+        if canon.couples:
             return _dg_product(model, problem, structure, x, surplus, keys, canon, spec)
         return _dg_separable(model, problem, structure, x, surplus, keys, canon, spec)
 
@@ -179,7 +173,7 @@ def _dg_separable(model, problem, structure, x, surplus, keys, canon, spec):
                 if model == ModelKind.RLO_CCU_DG:
                     prot = np.array(
                         [
-                            protection_value(structure.alpha[i], g[0], structure.sets[i], x)
+                            knapsack_protection(structure.alpha[i], g[0], structure.sets[i], x)
                             for g in grid
                         ]
                     )
@@ -240,7 +234,7 @@ def _dg_product(model, problem, structure, x, surplus, keys, canon, spec):
                 axis_i = axes[pos[0]]
                 table = np.array(
                     [
-                        protection_value(structure.alpha[i], v, structure.sets[i], x)
+                        knapsack_protection(structure.alpha[i], v, structure.sets[i], x)
                         for v in axis_i
                     ]
                 )
@@ -379,7 +373,7 @@ def _ccu_sd_oracle(problem, structure, x, surplus, keys, prior, spec):
         axes.append(axis)
         tables.append(
             np.array(
-                [protection_value(structure.alpha[i], v, structure.sets[i], x) for v in axis]
+                [knapsack_protection(structure.alpha[i], v, structure.sets[i], x) for v in axis]
             )
         )
     _check_cap(_grid_size(axes))

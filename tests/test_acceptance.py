@@ -25,7 +25,6 @@ from io_recover import (
     dual_norm_maximizer,
     gamma_bar,
     project_hyperplane,
-    protection_value,
     realized_row_cardinality,
     realized_row_interval,
     solve_lp,
@@ -37,7 +36,7 @@ from io_recover import (
     solve_rlo_iu_sd,
 )
 from io_recover.fixtures import evaluate_example, example_case, solve_case
-from io_recover.geometry import norm_value
+from io_recover.geometry import norm_value, protection
 from io_recover.verify import REPORT_TOL
 from oracle import brute_force_min, oracle_tolerance
 
@@ -321,9 +320,8 @@ def test_criterion_12():
         k = int(rng.integers(1, 5))
         alpha = np.abs(rng.normal(size=k)) + 0.05
         x = rng.normal(size=k) + 0.1
-        cols = tuple(range(k))
-        grid = np.linspace(0.0, k, 2 * k + 1)  # half-integer sampling
-        vals = np.array([protection_value(alpha, g, cols, x) for g in grid])
+        grid = np.linspace(0.0, k, 2 * k + 1)  # half-integer sampling, one row per budget
+        vals = protection(np.tile(alpha, (grid.size, 1)), np.ones((grid.size, k), dtype=bool), x, grid)
         assert np.all(np.diff(vals) >= -1e-9)
         slopes = np.diff(vals) / np.diff(grid)
         assert np.all(np.diff(slopes) <= 1e-9)

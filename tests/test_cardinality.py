@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import gen
-from conftest import knapsack_continuous
+from conftest import knapsack_continuous, knapsack_protection
 from io_recover import (
     ForwardProblem,
     ModelKind,
@@ -15,7 +15,6 @@ from io_recover import (
     Status,
     UncertaintyStructure,
     compute_gamma_bounds,
-    protection_value,
     realized_row_cardinality,
     solve_rlo_ccu_dg,
     solve_rlo_ccu_sd,
@@ -91,7 +90,7 @@ class TestGammaBounds:
                 i = int(rng.integers(0, problem.m))
                 g = float(rng.uniform(0, len(structure.sets[i])))
                 in_theta = g <= gb.theta_upper[i] + 1e-9
-                prot = protection_value(structure.alpha[i], g, structure.sets[i], x)
+                prot = knapsack_protection(structure.alpha[i], g, structure.sets[i], x)
                 assert in_theta == (prot <= surplus[i] + 1e-9), (seed, i, g)
                 checked += 1
 
@@ -103,7 +102,7 @@ class TestGammaBounds:
             gb = compute_gamma_bounds(problem, structure, x)
             surplus = problem.surplus(x)
             for i in gb.i_hat:
-                prot = protection_value(
+                prot = knapsack_protection(
                     structure.alpha[i], gb.gamma_lower[i], structure.sets[i], x
                 )
                 assert prot == pytest.approx(surplus[i], abs=1e-9)
@@ -252,7 +251,7 @@ class TestCcuSd:
             if sol.status != Status.OPTIMAL:
                 continue
             k = sol.active_index - 1
-            prot = protection_value(structure.alpha[k], sol.imputed[k], structure.sets[k], x)
+            prot = knapsack_protection(structure.alpha[k], sol.imputed[k], structure.sets[k], x)
             assert prot == pytest.approx(problem.surplus(x)[k], abs=1e-9)
 
     def test_budget_cap_agrees_with_interval_activation(self):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import knapsack_continuous
+from conftest import knapsack_continuous, knapsack_protection
 from io_recover import (
     ForwardProblem,
     Constraints,
@@ -19,13 +19,11 @@ from io_recover import (
     gamma_bar,
     project_halfspace,
     project_hyperplane,
-    protection_value,
     realized_row_cardinality,
     realized_row_interval,
     solve_lp,
-    sorted_uncertainty,
 )
-from io_recover.geometry import activation_budgets, budget_share, norm_value, products, protection
+from io_recover.geometry import activation_budgets, budget_share, norm_value, products, protection, ranked
 
 NORMS = (NormKind.L1, NormKind.L2, NormKind.LINF)
 
@@ -216,10 +214,12 @@ class TestRealizations:
         with pytest.raises(PreconditionError):
             realized_row_cardinality([1.0, 1.0], [1.0, 1.0], 2.5, (0, 1), [1.0, 1.0])
 
-    def test_sorted_uncertainty_tie_break(self):
-        su = sorted_uncertainty([1.0, 2.0, 1.0], (0, 1, 2), [2.0, 1.0, 2.0])
-        assert su.order == (0, 1, 2)
-        assert su.values == pytest.approx([2.0, 2.0, 2.0])
+    def test_ranked_tie_break(self):
+        # equal products keep column order; a column outside J_i ranks last with product 0
+        order, values = ranked(np.array([[1.0, 2.0, 1.0, 9.0]]), np.array([[True, True, True, False]]),
+                               np.array([2.0, 1.0, 2.0, 1.0]))
+        assert order.tolist() == [[0, 1, 2, 3]]
+        assert values.tolist() == [[2.0, 2.0, 2.0, 0.0]]
 
     def test_sign_convention_at_zero_never_changes_products(self):
         rng = np.random.default_rng(11)
@@ -236,13 +236,21 @@ class TestRealizations:
             )
 
 
+def _one_row_protection(alpha_i, x, budgets):
+    """geometry.protection of one row of budget uncertainty over all its
+    columns, at each budget in `budgets` (one kernel row per budget)."""
+    alpha_i = np.asarray(alpha_i, dtype=float)
+    budgets = np.asarray(budgets, dtype=float)
+    rows = (budgets.size, alpha_i.size)
+    return protection(np.broadcast_to(alpha_i, rows), np.ones(rows, dtype=bool), np.asarray(x, dtype=float), budgets)
+
+
 class TestProtectionAndKnapsack:
     def test_example_row3_budget(self):
-        val = protection_value([2.0, 1.0], 1.5, (0, 1), [-2.0, 6.0])
-        assert val == pytest.approx(8.0)
+        assert _one_row_protection([2.0, 1.0], [-2.0, 6.0], [1.5]) == pytest.approx([8.0])
 
     def test_zero_budget(self):
-        assert protection_value([2.0, 1.0], 0.0, (0, 1), [-2.0, 6.0]) == 0.0
+        assert _one_row_protection([2.0, 1.0], [-2.0, 6.0], [0.0]).tolist() == [0.0]
 
     def test_protection_equals_knapsack_lp(self):
         rng = np.random.default_rng(5)
@@ -251,7 +259,7 @@ class TestProtectionAndKnapsack:
             alpha = np.abs(rng.normal(size=k)) + 0.01
             x = rng.normal(size=k)
             budget = float(rng.uniform(0, k))
-            direct = protection_value(alpha, budget, tuple(range(k)), x)
+            direct = _one_row_protection(alpha, x, [budget])[0]
             values = alpha * np.abs(x)
             lp = LinearProgram(-values, Constraints([np.ones(k)], ("<=",), [budget], np.zeros(k), np.ones(k)))
             out = solve_lp(lp)
@@ -264,7 +272,7 @@ class TestProtectionAndKnapsack:
             alpha = np.abs(rng.normal(size=k)) + 0.05
             x = rng.normal(size=k) + 0.1
             grid = np.linspace(0.0, k, 4 * k + 1)
-            vals = [protection_value(alpha, g, tuple(range(k)), x) for g in grid]
+            vals = _one_row_protection(alpha, x, grid)
             diffs = np.diff(vals)
             assert np.all(diffs >= -1e-9)  # nondecreasing
             slopes = diffs / np.diff(grid)
@@ -331,7 +339,7 @@ class TestGammaBar:
         assert res.lower == pytest.approx(1.0)
         assert res.upper == pytest.approx(2.0)
         for g in (res.lower, res.upper):
-            assert protection_value([1.0, 5.0], g, (0, 1), [2.0, 0.0]) == pytest.approx(2.0)
+            assert knapsack_protection([1.0, 5.0], g, (0, 1), [2.0, 0.0]) == pytest.approx(2.0)
 
     def test_greedy_matches_lp_oracle(self):
         rng = np.random.default_rng(17)
@@ -352,7 +360,7 @@ class TestGammaBar:
             out = solve_lp(lp)
             assert out.status.value == "optimal"
             assert res.lower == pytest.approx(out.value, abs=1e-7)
-            assert protection_value(alpha, res.lower, cols, x) == pytest.approx(surplus, abs=1e-9)
+            assert knapsack_protection(alpha, res.lower, cols, x) == pytest.approx(surplus, abs=1e-9)
 
     def test_nominal_infeasible_reason(self):
         prob = ForwardProblem(A=[[1.0]], b=[2.0])
@@ -389,7 +397,7 @@ class TestAuxOptimum:
             x = rng.normal(size=k)
             budget = float(rng.uniform(0, k))
             u, y, z = aux_optimum(alpha, budget, tuple(range(k)), x)
-            direct = protection_value(alpha, budget, tuple(range(k)), x)
+            direct = knapsack_protection(alpha, budget, tuple(range(k)), x)
             assert float(np.sum(y)) + budget * z == pytest.approx(direct, abs=1e-9)
             assert np.all(y >= -1e-12) and z >= -1e-12
 
@@ -438,7 +446,7 @@ class TestBudgetKernel:
                     continue
                 lp = LinearProgram(-v, Constraints([np.ones(v.size)], ("<=",), [budget[i]], np.zeros(v.size), np.ones(v.size)))
                 assert got[i] == pytest.approx(-solve_lp(lp).value, abs=1e-9)
-                assert got[i] == protection_value(alpha[i], budget[i], tuple(np.flatnonzero(mask[i])), x)
+                assert got[i] == pytest.approx(knapsack_protection(alpha[i], budget[i], np.flatnonzero(mask[i]), x), abs=1e-10)
 
     def test_activation_budgets_match_the_lp_characterization(self):
         # lower: the least sum(phi) with v . phi = surplus, 0 <= phi <= 1; upper: the
@@ -469,9 +477,9 @@ class TestBudgetKernel:
                 else:
                     assert lower[i] == 0.0
                 assert lower[i] <= upper[i] <= size[i]
-                assert protection_value(alpha[i], upper[i], cols, x) == pytest.approx(s, abs=1e-9)
+                assert knapsack_protection(alpha[i], upper[i], cols, x) == pytest.approx(s, abs=1e-9)
                 if upper[i] < size[i]:
-                    assert protection_value(alpha[i], min(upper[i] + 1e-6, size[i]), cols, x) > s
+                    assert knapsack_protection(alpha[i], min(upper[i] + 1e-6, size[i]), cols, x) > s
                 seen.add("interval" if lower[i] < upper[i] else "unique")
                 res = gamma_bar(ForwardProblem(A=A, b=b), alpha[i], cols, x, i)
                 assert (res.lower, res.upper) == (lower[i], upper[i])

@@ -1,5 +1,6 @@
 import contextlib
 import copy
+import fnmatch
 import io
 import json
 import math
@@ -17,7 +18,8 @@ from io_recover import DimensionError, NumericalFailureError, ProblemFileError, 
 from io_recover import lp as lp_mod
 from io_recover.fixtures import all_examples, case_bundle, example_case, solve_case
 
-FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+ROOT = Path(__file__).resolve().parent.parent
+FIXTURES = ROOT / "fixtures"
 
 
 def _load(path):
@@ -34,10 +36,18 @@ class TestProblemFiles:
         assert again == bundle
         assert problem_io.serialize_problem(again) == doc
 
-    def test_checked_in_fixtures_match_embedded(self):
-        for case in all_examples():
-            doc = _load(FIXTURES / f"example{case.number}.json")
-            assert problem_io.parse_problem(doc) == case_bundle(case)
+    def test_fixtures_is_the_package_examples(self):
+        # one copy of the demo documents: the benchmark and the README read them at fixtures/
+        assert FIXTURES.resolve() == (ROOT / "src" / "io_recover" / "examples").resolve()
+
+    def test_examples_are_package_data(self):
+        tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+        with open(ROOT / "pyproject.toml", "rb") as fp:
+            patterns = tomllib.load(fp)["tool"]["setuptools"]["package-data"]["io_recover"]
+        package = ROOT / "src" / "io_recover"
+        files = sorted(path.relative_to(package).as_posix() for path in (package / "examples").iterdir())
+        assert files == [f"examples/example{n}.json" for n in range(1, 9)]
+        assert all(any(fnmatch.fnmatch(name, pattern) for pattern in patterns) for name in files)
 
     def test_unknown_top_level_field_rejected(self):
         doc = _load(FIXTURES / "example1.json")

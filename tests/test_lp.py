@@ -371,6 +371,24 @@ class TestDegenerate:
         assert out.status == LpStatus.OPTIMAL
         assert out.value == pytest.approx(-0.05, abs=1e-9)
 
+    def test_bland_starts_before_the_pivot_cap_on_wide_lps(self):
+        # the cycling instance with 1000 zero columns: 10 (ncols + m) degenerate
+        # steps would outlast MAX_PIVOTS, so Bland's rule starts at MAX_PIVOTS // 2
+        pad = [0.0] * 1000
+        lp = simple(
+            [-0.75, 150.0, -0.02, 6.0] + pad,
+            [
+                ([0.25, -60.0, -0.04, 9.0] + pad, "<=", 0.0),
+                ([0.5, -90.0, -0.02, 3.0] + pad, "<=", 0.0),
+                ([0.0, 0.0, 1.0, 0.0] + pad, "<=", 1.0),
+            ],
+            bounds=((0, None),) * 1004,
+        )
+        out = solve_lp(lp)
+        assert out.status == LpStatus.OPTIMAL
+        assert out.value == pytest.approx(-0.05, abs=1e-9)
+        assert out.solution == pytest.approx([0.04, 0.0, 1.0, 0.0] + pad, abs=1e-9)
+
     def test_bland_with_complemented_columns(self, monkeypatch, steps):
         # the same instance with every variable in [0, 1]: x3 = 1 meets its
         # cap and row 3 at once.  Bland's rule runs from the first degenerate

@@ -17,9 +17,7 @@ from io_recover import (
 )
 from io_recover.fixtures import example_case
 from io_recover.geometry import norm_value
-from io_recover.model import (
-    Status, canonicalize_omega, check_inputs, clamp_budget_prior, omega_couples_rows, param_keys,
-)
+from io_recover.model import Status, canonicalize_omega, check_inputs, clamp_budget_prior, param_keys
 
 
 class TestTypes:
@@ -233,17 +231,17 @@ class TestOmega:
     def test_coupling_detection(self):
         case = example_case(1)
         keys = param_keys(ModelKind.NLO_DG, case.problem, case.structure)
-        assert omega_couples_rows(case.omega, keys)
+        assert canonicalize_omega(case.omega, keys).couples
         case3 = example_case(3)
         keys3 = param_keys(ModelKind.RLO_IU_DG, case3.problem, case3.structure)
-        assert omega_couples_rows(case3.omega, keys3)
+        assert canonicalize_omega(case3.omega, keys3).couples
         box = SideConstraints(G=-np.eye(4), h=np.zeros(4))
-        assert not omega_couples_rows(box, keys3)
+        assert not canonicalize_omega(box, keys3).couples
 
 
 def _loop_canonical(omega, keys, lower_floor, upper_cap):
-    """canonicalize_omega and omega_couples_rows written row by row: the
-    reference for the masked versions."""
+    """canonicalize_omega written row by row: the reference for the masked
+    version."""
     p = len(keys)
     lo = np.full(p, -np.inf) if lower_floor is None else np.maximum(np.full(p, -np.inf), lower_floor)
     hi = np.full(p, np.inf) if upper_cap is None else np.minimum(np.full(p, np.inf), upper_cap)
@@ -286,7 +284,7 @@ def test_masked_omega_matches_row_loop():
         assert np.array_equal(canon.lower, lo) and np.array_equal(canon.upper, hi), trial
         assert np.array_equal(canon.G, Gc) and canon.G.shape == Gc.shape, trial
         assert np.array_equal(canon.h, hc) and canon.feasible == feasible, trial
-        assert omega_couples_rows(omega, keys) == couples, trial
+        assert canon.couples == couples, trial
 
 
 class TestValidate:

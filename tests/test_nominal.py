@@ -176,6 +176,23 @@ class TestSdBehavior:
         assert np.allclose(sol.cost, sol.imputed[k])
         assert sol.duality_gap == 0.0
 
+    def test_rows_match_the_per_row_projection(self):
+        # projecting all rows in one pass gives, bit for bit, what project_hyperplane gives row by row
+        rng = np.random.default_rng(5)
+        for trial in range(90):
+            m, n = int(rng.integers(1, 40)), int(rng.integers(1, 12))
+            A = rng.normal(size=(m, n))
+            x = rng.normal(size=n)
+            b = A @ x - rng.uniform(-1.0, 1.0, m)
+            prior = Prior(estimates=A + rng.normal(scale=0.3, size=A.shape), xi=rng.uniform(0.5, 2.0, m),
+                          norm=list(NormKind)[trial % 3])
+            sol = solve_nlo_sd(ForwardProblem(A=A, b=b), x, prior)
+            moved, dist = zip(*(project_hyperplane(a, x, b_i, prior.norm) for a, b_i in zip(prior.estimates, b)))
+            fits = np.array([float(a @ x) >= b_i for a, b_i in zip(prior.estimates, b)])
+            assert np.array_equal(sol.per_constraint["f"], prior.weights(m) * np.array(dist)), trial
+            keep = fits & (np.arange(m) != sol.active_index - 1)
+            assert np.array_equal(sol.imputed, np.where(keep[:, None], prior.estimates, np.array(moved))), trial
+
     def test_feasible_prior_with_active_row_is_free(self):
         A = np.array([[1.0, 1.0], [0.0, 1.0]])
         x = np.array([1.0, 1.0])

@@ -6,7 +6,8 @@ function, `model.check_inputs`, which every solver and the trivial-escape
 re-solve call, and every solution is built in `model` alone: an infeasible
 one by `InverseSolution.infeasible`, the others by the one tail that picks
 and realizes the active row.  Budget uncertainty's products alpha |x| are
-ranked by `geometry`'s kernel alone.  The benchmark's traced runs find every
+ranked by `geometry`'s kernel alone, and nlo-sd projects all its rows in
+one pass.  The benchmark's traced runs find every
 function they wrap, and every error class is raised or caught somewhere
 in the library."""
 
@@ -134,8 +135,13 @@ def test_one_solution_tail(name):
 @pytest.mark.parametrize("name", ["cardinality.py", "verify.py", "model.py"])
 def test_budgets_are_ranked_in_geometry_alone(name):
     # alpha |x| is ranked once, by geometry's m-row kernel; its per-row views are for callers outside
-    ranking = {"argsort", "sorted", "gamma_bar", "protection_value"}
+    ranking = {"argsort", "sorted", "gamma_bar"}
     assert _called(ast.parse(SOURCE[name].read_text(encoding="utf-8"))) & ranking == set()
+
+
+def test_nlo_sd_projects_every_row_at_once():
+    # the dual norm of x and its maximizer are computed once per solve, not once per row
+    assert "project_hyperplane" not in _called(ast.parse(SOURCE["nominal.py"].read_text(encoding="utf-8")))
 
 
 def _raised_or_caught(tree):

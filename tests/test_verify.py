@@ -23,12 +23,7 @@ from io_recover import (
     solve_rlo_iu_dg,
 )
 from io_recover.fixtures import all_examples, example_case, solve_case
-from io_recover.geometry import (
-    aux_optimum,
-    realized_row_cardinality,
-    realized_row_interval,
-    sorted_uncertainty,
-)
+from io_recover.geometry import aux_optimum, realized_row_cardinality, realized_row_interval
 from io_recover.verify import REPORT_TOL, UNIT_FREE
 from oracle import GridOracleSpec, GridTooLargeError, brute_force_min
 
@@ -386,10 +381,10 @@ def _loop_certificate(model, problem, x_hat, structure, solution):
             range_res = max(range_res, -gamma[i], gamma[i] - size)
             budget = min(max(float(gamma[i]), 0.0), float(size))
             u[i], y[i], z[i] = aux_optimum(alpha[i], budget, structure.sets[i], x)
-            su = sorted_uncertainty(alpha[i], structure.sets[i], x)
+            order = sorted(structure.sets[i], key=lambda j: (-alpha[i, j] * abs(x[j]), j))
             full = int(math.floor(budget + 1e-12))
             frac = budget - full
-            for rank, j in enumerate(su.order):
+            for rank, j in enumerate(order):
                 if rank < full:
                     phi[i, j] = pi[i]
                 elif rank == full and frac > 1e-12:
