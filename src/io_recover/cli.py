@@ -73,7 +73,7 @@ def _format_value(value):
 
 def _cmd_demo(args):
     case, solution, checks = fixtures.evaluate_example(args.example)
-    print(f"example {case.number}: {case.title} [{case.model.value}]")
+    print(f"example {args.example}: {fixtures.TITLES[args.example]} [{case.model.value}]")
     print(f"  status: {solution.status.value}")
     failed = None
     for chk in checks:
@@ -85,7 +85,7 @@ def _cmd_demo(args):
         if not chk.ok and failed is None:
             failed = chk.name
     if failed is not None:
-        _err(f"mismatch in example {case.number}: {failed}")
+        _err(f"mismatch in example {args.example}: {failed}")
         return EXIT_INPUT
     return EXIT_OK
 

@@ -17,33 +17,12 @@ import numpy as np
 
 from . import solve
 from .cardinality import compute_gamma_bounds
-from .model import (
-    ForwardProblem,
-    ModelKind,
-    Prior,
-    PriorEpsilon,
-    RhsEpsilon,
-    SideConstraints,
-    UncertaintyStructure,
-    WeightBoost,
-)
+from .model import PriorEpsilon, RhsEpsilon, WeightBoost
 from .nominal import perturb_and_resolve
-from .problem_io import ProblemBundle, parse_problem
+from .problem_io import parse_problem
 
 DERIVED_TOL = 1e-6
 PRINTED_TOL = 5e-3
-
-
-@dataclass(frozen=True)
-class DemoCase:
-    number: int
-    title: str
-    model: ModelKind
-    problem: ForwardProblem
-    x_hat: np.ndarray
-    structure: UncertaintyStructure
-    omega: SideConstraints = None
-    prior: Prior = None
 
 
 @dataclass(frozen=True)
@@ -55,7 +34,7 @@ class CheckResult:
     ok: bool
 
 
-_TITLES = {
+TITLES = {
     1: "matrix recovery, minimum duality gap",
     2: "matrix recovery, strong duality (euclidean prior)",
     3: "interval magnitudes, minimum duality gap",
@@ -68,28 +47,15 @@ _TITLES = {
 
 
 def example_case(number):
-    """Demo case `number`, parsed from the package's examples/example<number>.json."""
-    if number not in _TITLES:
+    """The ProblemBundle of demo case `number`, parsed from the package's examples/example<number>.json."""
+    if number not in TITLES:
         raise KeyError(f"no demo example {number}; choose 1..8")
     text = resources.files(__package__).joinpath("examples", f"example{number}.json").read_text("utf-8")
-    bundle = parse_problem(json.loads(text))
-    return DemoCase(number, _TITLES[number], bundle.model, bundle.problem, bundle.x_hat,
-                    bundle.structure, bundle.omega, bundle.prior)
+    return parse_problem(json.loads(text))
 
 
 def all_examples():
-    return tuple(example_case(n) for n in sorted(_TITLES))
-
-
-def case_bundle(case):
-    return ProblemBundle(
-        model=case.model,
-        problem=case.problem,
-        x_hat=case.x_hat,
-        structure=case.structure,
-        omega=case.omega,
-        prior=case.prior,
-    )
+    return tuple(example_case(n) for n in sorted(TITLES))
 
 
 def solve_case(case):

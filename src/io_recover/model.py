@@ -117,6 +117,11 @@ class ForwardProblem:
         )
 
 
+def _entries(sets):
+    """The (row, column) index arrays of the uncertain entries of `sets`, in row-major order."""
+    return np.repeat(np.arange(len(sets)), [len(s) for s in sets]), np.fromiter(chain.from_iterable(sets), np.intp)
+
+
 @dataclass(frozen=True, eq=False)
 class UncertaintyStructure:
     """Which coefficients of each row are uncertain, and how.
@@ -133,20 +138,24 @@ class UncertaintyStructure:
 
     def __post_init__(self):
         sets = tuple(tuple(np.sort(list({int(j) for j in s})).tolist()) for s in self.sets)
-        for i, s in enumerate(sets):
-            for j in s:
-                if j < 0:
-                    raise DimensionError("uncertain_columns", f"row {i + 1} has negative column index")
+        rows, cols = _entries(sets)
+        if np.any(cols < 0):
+            raise DimensionError("uncertain_columns", f"row {rows[np.argmax(cols < 0)] + 1} has negative column index")
         object.__setattr__(self, "sets", sets)
         if self.alpha is not None:
             alpha = np.asarray(self.alpha, dtype=float)
             if alpha.ndim != 2:
                 raise DimensionError("alpha", "must be a matrix")
             _require_finite("alpha", alpha)
-            for i, s in enumerate(sets):
-                for j in s:
-                    if alpha[i, j] < 0.0:
-                        raise DimensionError("alpha", f"alpha[{i + 1}][{j + 1}] is negative")
+            # the first uncertain entry outside alpha, then the first negative one, in row-major order
+            outside = (rows >= alpha.shape[0]) | (cols >= alpha.shape[1])
+            if outside.any():
+                k = np.argmax(outside)
+                raise DimensionError("alpha", f"shape {alpha.shape} has no entry [{rows[k] + 1}][{cols[k] + 1}]")
+            negative = alpha[rows, cols] < 0.0
+            if negative.any():
+                k = np.argmax(negative)
+                raise DimensionError("alpha", f"alpha[{rows[k] + 1}][{cols[k] + 1}] is negative")
             object.__setattr__(self, "alpha", _freeze(alpha))
 
     @classmethod
@@ -163,9 +172,8 @@ class UncertaintyStructure:
 
     def mask(self, n):
         """The m x n uncertain-column mask: entry (i, j) is True when j is in J_i."""
-        counts = [len(s) for s in self.sets]
-        mask = np.zeros((len(counts), n), dtype=bool)
-        mask[np.repeat(np.arange(len(counts)), counts), np.fromiter(chain.from_iterable(self.sets), np.intp)] = True
+        mask = np.zeros((len(self.sets), n), dtype=bool)
+        mask[_entries(self.sets)] = True
         return mask
 
     def check_against(self, problem):
@@ -556,10 +564,6 @@ class ValidationReport:
         return tuple(e for e in self.entries if e.level == "warn")
 
 
-def _entry(check, level, rows=(), message=""):
-    return ValidationEntry(check=check, level=level, rows=tuple(int(r) + 1 for r in rows), message=message)
-
-
 def check_inputs(model, problem, x_hat, structure, omega=None, prior=None):
     """Check one solve input and return the observation as a frozen vector.
 
@@ -599,13 +603,13 @@ def check_inputs(model, problem, x_hat, structure, omega=None, prior=None):
         elif model.is_sd:
             if est.shape != (problem.m, problem.n):
                 raise DimensionError("prior.estimates", f"shape {est.shape} != ({problem.m}, {problem.n})")
-            if model == ModelKind.RLO_IU_SD:
-                # the negative entries in row-major order; the first on an uncertain column is reported
-                for i, j in zip(*np.nonzero(est < 0.0)):
-                    if j in structure.sets[i]:
-                        raise DimensionError(
-                            "prior.estimates", f"alpha[{i + 1}][{j + 1}] = {est[i, j]:g} is negative"
-                        )
+            negative = est < 0.0
+            if model == ModelKind.RLO_IU_SD and negative.any():
+                # the first negative entry on an uncertain column, in row-major order, is reported
+                negative &= structure.mask(problem.n)
+                if negative.any():
+                    i, j = divmod(int(np.argmax(negative)), problem.n)
+                    raise DimensionError("prior.estimates", f"alpha[{i + 1}][{j + 1}] = {est[i, j]:g} is negative")
     if model.is_sd and prior is None:
         raise DimensionError("prior", f"required by model {model.value}")
     if model.is_sd and omega is not None:
@@ -629,127 +633,70 @@ def validate(problem, x_hat, structure, model, omega=None, prior=None):
     under strong duality is a warn, not an error: the solve still runs and
     trivial outputs are detected and remediated downstream.  The input is
     checked by `check_inputs`, so a strong-duality model without a prior
-    raises, as its solver does.
+    raises, as its solver does.  Each assumption is one boolean test over
+    the rows, and `flag` reports it.
     """
     model = ModelKind(model)
     x = check_inputs(model, problem, x_hat, structure, omega, prior)
+    m, n, A, b = problem.m, problem.n, problem.A, problem.b
+    mask = structure.mask(n)
     entries = []
-    m, n = problem.m, problem.n
+
+    def flag(check, rows, message, level="fail"):
+        """`level` on the rows set in the boolean vector `rows` (a scalar tests
+        the whole input and lists no row), or one pass when none is set."""
+        if not rows.any():
+            entries.append(ValidationEntry(check, "pass"))
+        else:
+            listed = tuple((np.flatnonzero(rows) + 1).tolist()) if rows.ndim else ()
+            entries.append(ValidationEntry(check, level, listed, message))
 
     if model == ModelKind.NLO_DG:
-        bad, uncertifiable = [], []
-        keys = param_keys(model, problem, structure)
-        canon = canonicalize_omega(omega, keys)
-        for i in range(m):
-            if problem.b[i] > 0:
-                continue
-            if omega is None:
-                bad.append(i)
-                continue
-            if canon.couples:
-                uncertifiable.append(i)
-                continue
-            cols = slice(i * n, (i + 1) * n)  # ("a", i, j) in natural order
-            # uncoupled: a side row on row i's parameters reads no other row, so a_i = 0 meets it iff h >= 0
-            within = np.any(canon.G[:, cols] != 0.0, axis=1)
+        canon = canonicalize_omega(omega, param_keys(model, problem, structure))
+        if canon.couples:
+            flag("A1", b <= 0,
+                 "coupled side constraints: zero-row exclusion checked a-posteriori on the solution", "warn")
+        else:
+            # uncoupled: a side row on row i's parameters reads no other row, so a_i = 0 meets it iff h >= 0;
+            # the parameters are ("a", i, j) in natural order
+            within = (canon.G.reshape(-1, m, n) != 0.0).any(axis=2)
             zero_allowed = (
-                np.all(canon.lower[cols] <= 1e-12) and np.all(canon.upper[cols] >= -1e-12)
-                and np.all(canon.h[within] >= -1e-12)
+                (canon.lower.reshape(m, n) <= 1e-12).all(axis=1) & (canon.upper.reshape(m, n) >= -1e-12).all(axis=1)
+                & ~(within & (canon.h < -1e-12)[:, None]).any(axis=0)
             )
-            if zero_allowed and problem.b[i] <= 1e-12:
-                bad.append(i)
-        if bad:
-            entries.append(
-                _entry("A1", "fail", bad, "a zero row is admissible: b <= 0 and the side constraints allow it")
-            )
-        if uncertifiable:
-            entries.append(
-                _entry(
-                    "A1", "warn", uncertifiable,
-                    "coupled side constraints: zero-row exclusion checked a-posteriori on the solution",
-                )
-            )
-        if not bad and not uncertifiable:
-            entries.append(_entry("A1", "pass"))
+            flag("A1", (b <= 0) & zero_allowed, "a zero row is admissible: b <= 0 and the side constraints allow it")
 
     if model == ModelKind.NLO_SD:
-        zero_b = [i for i in range(m) if problem.b[i] == 0.0]
-        if zero_b:
-            entries.append(
-                _entry("A2", "warn", zero_b, "zero right-hand side: trivial output possible; perturbation paths apply")
-            )
-        else:
-            entries.append(_entry("A2", "pass"))
-        zero_rows = [i for i in range(m) if not np.any(prior.estimates[i] != 0.0)]
-        if zero_rows:
-            entries.append(_entry("A2", "fail", zero_rows, "prior row is the zero vector"))
-        if np.any(x != 0.0):
-            entries.append(_entry("A3", "pass"))
-        else:
-            entries.append(_entry("A3", "fail", (), "observed point is the zero vector"))
+        flag("A2", b == 0.0, "zero right-hand side: trivial output possible; perturbation paths apply", "warn")
+        zero_rows = ~(prior.estimates != 0.0).any(axis=1)
+        if zero_rows.any():  # no pass entry: the pass above stands for A2
+            flag("A2", zero_rows, "prior row is the zero vector")
+        flag("A3", ~(x != 0.0).any(), "observed point is the zero vector")
 
-    mask = structure.mask(n)
     if model.family == "iu":
-        empty = [i for i in range(m) if not structure.sets[i]]
-        if empty:
-            entries.append(_entry("A4", "fail", empty, "row has no uncertain coefficients"))
-        else:
-            entries.append(_entry("A4", "pass"))
-        bad5 = np.flatnonzero((problem.b <= 0) & ~np.any((problem.A != 0.0) & ~mask, axis=1))
-        entries.append(
-            _entry("A5", "fail", bad5, "no certainly nonzero coefficient and b <= 0")
-            if bad5.size
-            else _entry("A5", "pass")
-        )
+        flag("A4", ~mask.any(axis=1), "row has no uncertain coefficients")
+        flag("A5", (b <= 0) & ~((A != 0.0) & ~mask).any(axis=1), "no certainly nonzero coefficient and b <= 0")
         if model == ModelKind.RLO_IU_SD:
-            entries.append(
-                _entry("A6", "pass")
-                if np.any(mask & (x != 0.0))
-                else _entry("A6", "fail", (), "every uncertain column is zero at the observed point")
-            )
+            flag("A6", ~(mask & (x != 0.0)).any(), "every uncertain column is zero at the observed point")
 
     if model.family == "ccu":
-        surplus = problem.surplus(x)
-        bad7 = [i for i in range(m) if surplus[i] < -1e-9]
-        entries.append(
-            _entry("A7", "fail", bad7, "observed point violates the nominal constraint")
-            if bad7
-            else _entry("A7", "pass")
-        )
-        ambiguous = []
-        if not bad7:
-            lower, upper = activation_budgets(problem.A, problem.b, structure.alpha, mask, x)
-            ambiguous = np.flatnonzero(lower < upper)
-        if len(ambiguous):
-            entries.append(
-                _entry("A8", "warn", ambiguous, "a range of budgets activates this row; both endpoints are reported")
-            )
-        else:
-            entries.append(_entry("A8", "pass"))
+        violated = problem.surplus(x) < -1e-9
+        flag("A7", violated, "observed point violates the nominal constraint")
+        ambiguous = np.zeros(m, dtype=bool)
+        if not violated.any():  # the activation budgets are read only at a nominally feasible point
+            lower, upper = activation_budgets(A, b, structure.alpha, mask, x)
+            ambiguous = lower < upper
+        flag("A8", ambiguous, "a range of budgets activates this row; both endpoints are reported", "warn")
         if model == ModelKind.RLO_CCU_SD:
-            off = [
-                i
-                for i in range(m)
-                if prior.estimates[i] < 0.0 or prior.estimates[i] > len(structure.sets[i])
-            ]
-            if off:
-                entries.append(
-                    _entry("A9", "warn", off, "budget prior outside [0, |J_i|]; clamped to the nearest endpoint")
-                )
-            else:
-                entries.append(_entry("A9", "pass"))
-            weighted = np.flatnonzero(prior.weights(m) != 1.0)
-            if weighted.size:
-                entries.append(
-                    _entry("xi", "warn", weighted, "budget recovery ignores prior weights; all are taken as 1")
-                )
+            est = prior.estimates
+            flag("A9", (est < 0.0) | (est > mask.sum(axis=1)),
+                 "budget prior outside [0, |J_i|]; clamped to the nearest endpoint", "warn")
+            weighted = prior.weights(m) != 1.0
+            if weighted.any():  # no pass entry
+                flag("xi", weighted, "budget recovery ignores prior weights; all are taken as 1", "warn")
         # a coefficient stays nonzero under deviation: |a_ij| > alpha_ij on J_i, or a_ij != 0 off it
-        bad10 = np.flatnonzero(~np.any(np.where(mask, np.abs(problem.A) > structure.alpha, problem.A != 0.0), axis=1))
-        entries.append(
-            _entry("A10", "fail", bad10, "every coefficient can be deviated to zero")
-            if bad10.size
-            else _entry("A10", "pass")
-        )
+        flag("A10", ~np.where(mask, np.abs(A) > structure.alpha, A != 0.0).any(axis=1),
+             "every coefficient can be deviated to zero")
 
     return ValidationReport(entries=tuple(entries))
 

@@ -4,6 +4,7 @@ Gap minimization solves one LP per constraint over the flattened matrix;
 strong duality is closed form via projections of the prior rows.
 """
 
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -114,15 +115,18 @@ def perturb_and_resolve(problem, x_hat, prior, strategy):
     Strategies: nudge the right-hand side of a row, nudge one prior
     coefficient, or boost a row's weight so a different row is activated.
     The inputs are checked as the solve checks them, and a row or column
-    outside the problem raises DimensionError naming it.
+    that is not an integer index into the problem raises DimensionError
+    naming it.
     """
     check_inputs(ModelKind.NLO_SD, problem, x_hat, UncertaintyStructure.nominal(), prior=prior)
     if not isinstance(strategy, (RhsEpsilon, PriorEpsilon, WeightBoost)):
         raise TypeError(f"unknown perturbation strategy {strategy!r}")
-    if not 0 <= strategy.row < problem.m:
-        raise DimensionError("strategy.row", f"{strategy.row} outside 0..{problem.m - 1}")
-    if isinstance(strategy, PriorEpsilon) and not 0 <= strategy.col < problem.n:
-        raise DimensionError("strategy.col", f"{strategy.col} outside 0..{problem.n - 1}")
+    if not (isinstance(strategy.row, numbers.Integral) and 0 <= strategy.row < problem.m):
+        raise DimensionError("strategy.row", f"{strategy.row!r} is not an index in 0..{problem.m - 1}")
+    if isinstance(strategy, PriorEpsilon) and not (
+        isinstance(strategy.col, numbers.Integral) and 0 <= strategy.col < problem.n
+    ):
+        raise DimensionError("strategy.col", f"{strategy.col!r} is not an index in 0..{problem.n - 1}")
     b = np.asarray(problem.b, dtype=float).copy()
     est = np.asarray(prior.estimates, dtype=float).copy()
     xi = prior.weights(problem.m).copy()

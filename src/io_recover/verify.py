@@ -9,6 +9,7 @@ family adds only its auxiliary (y, z) block.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,9 +50,9 @@ class CertificateReport:
     REPORT_TOL for the unit-free residuals (UNIT_FREE), and
     REPORT_TOL * (1 + scale) for those in data units, where scale is the
     largest |entry| of A, b, the observation, the cost and the imputed
-    block.  A solution holding a non-finite number is "invalid", with no
-    residuals, and a residual that overflows reads inf, with no numpy
-    warning.  The gap value c'x - b'pi (gap models only) is not a residual.
+    block.  A solution holding a non-finite number, or an `active_index`
+    outside 1..m, is "invalid", with no residuals, and a residual that
+    overflows reads inf, with no numpy warning.  The gap value c'x - b'pi (gap models only) is not a residual.
     """
 
     residuals: dict
@@ -126,11 +127,16 @@ def check_certificate(model, problem, x_hat, structure, solution):
     pi = np.asarray(solution.dual_pi, dtype=float)
     c = np.asarray(solution.cost, dtype=float)
     imputed = np.asarray(solution.imputed, dtype=float)
-    for name, value in (("cost", c), ("dual_pi", pi), ("imputed", imputed),
-                        ("duality_gap", solution.duality_gap), ("objective_value", solution.objective_value)):
-        if value is not None and not np.isfinite(value).all():
-            return CertificateReport(residuals={}, aux={}, dual_aux={}, nontriviality={}, verdict="invalid",
-                                     reason=f"{name}: non-finite entry")
+    fields = (("cost", c), ("dual_pi", pi), ("imputed", imputed),
+              ("duality_gap", solution.duality_gap), ("objective_value", solution.objective_value))
+    reasons = [f"{name}: non-finite entry" for name, value in fields
+               if value is not None and not np.isfinite(value).all()]
+    active = solution.active_index
+    if active is not None and not (isinstance(active, numbers.Integral) and 1 <= active <= problem.m):
+        reasons.append(f"active_index: {active!r} outside 1..{problem.m}")
+    if reasons:
+        return CertificateReport(residuals={}, aux={}, dual_aux={}, nontriviality={}, verdict="invalid",
+                                 reason=reasons[0])
 
     primal = {}
     dual = {}

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 import io_recover
 from io_recover import DimensionError, NumericalFailureError, ProblemFileError, cli, problem_io
 from io_recover import lp as lp_mod
-from io_recover.fixtures import all_examples, case_bundle, example_case, solve_case
+from io_recover.fixtures import example_case, solve_case
 
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = ROOT / "fixtures"
@@ -30,7 +30,7 @@ def _load(path):
 class TestProblemFiles:
     @pytest.mark.parametrize("number", range(1, 9))
     def test_round_trip(self, number):
-        bundle = case_bundle([c for c in all_examples() if c.number == number][0])
+        bundle = example_case(number)
         doc = problem_io.serialize_problem(bundle)
         again = problem_io.parse_problem(doc)
         assert again == bundle

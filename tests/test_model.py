@@ -16,8 +16,16 @@ from io_recover import (
     validate,
 )
 from io_recover.fixtures import example_case
-from io_recover.geometry import norm_value
-from io_recover.model import Status, canonicalize_omega, check_inputs, clamp_budget_prior, param_keys
+from io_recover.geometry import activation_budgets, norm_value
+from io_recover.model import (
+    Status,
+    ValidationEntry,
+    ValidationReport,
+    canonicalize_omega,
+    check_inputs,
+    clamp_budget_prior,
+    param_keys,
+)
 
 
 class TestTypes:
@@ -43,6 +51,12 @@ class TestTypes:
     def test_structure_alpha_nonneg(self):
         with pytest.raises(DimensionError):
             UncertaintyStructure.cardinality(((0,),), [[-1.0]])
+
+    @pytest.mark.parametrize("sets", [((5,),), ((0,), (1,))], ids=["column past alpha", "row past alpha"])
+    def test_structure_entry_outside_alpha_names_alpha(self, sets):
+        with pytest.raises(DimensionError) as err:
+            UncertaintyStructure.cardinality(sets, np.zeros((1, 2)))
+        assert err.value.field == "alpha"
 
     def test_prior_weights_nonneg(self):
         with pytest.raises(DimensionError):
@@ -381,6 +395,180 @@ class TestValidate:
         prob = ForwardProblem(A=[[1.0, 0.0]], b=[-1.0])
         report = validate(prob, [1.0, 0.0], UncertaintyStructure.nominal(), ModelKind.NLO_DG)
         assert report.level("A1") == "fail"
+
+
+def _loop_entry(check, level, rows=(), message=""):
+    return ValidationEntry(check=check, level=level, rows=tuple(int(r) + 1 for r in rows), message=message)
+
+
+def _loop_validate(problem, x_hat, structure, model, omega=None, prior=None):
+    """The standing assumptions checked row by row, with one pass/fail/warn
+    branch per check: the reference `validate` must reproduce entry for entry."""
+    model = ModelKind(model)
+    x = check_inputs(model, problem, x_hat, structure, omega, prior)
+    entries = []
+    m, n = problem.m, problem.n
+    if model == ModelKind.NLO_DG:
+        bad, uncertifiable = [], []
+        canon = canonicalize_omega(omega, param_keys(model, problem, structure))
+        for i in range(m):
+            if problem.b[i] > 0:
+                continue
+            if omega is None:
+                bad.append(i)
+                continue
+            if canon.couples:
+                uncertifiable.append(i)
+                continue
+            cols = slice(i * n, (i + 1) * n)
+            within = np.any(canon.G[:, cols] != 0.0, axis=1)
+            zero_allowed = (
+                np.all(canon.lower[cols] <= 1e-12) and np.all(canon.upper[cols] >= -1e-12)
+                and np.all(canon.h[within] >= -1e-12)
+            )
+            if zero_allowed and problem.b[i] <= 1e-12:
+                bad.append(i)
+        if bad:
+            entries.append(
+                _loop_entry("A1", "fail", bad, "a zero row is admissible: b <= 0 and the side constraints allow it")
+            )
+        if uncertifiable:
+            entries.append(_loop_entry(
+                "A1", "warn", uncertifiable,
+                "coupled side constraints: zero-row exclusion checked a-posteriori on the solution",
+            ))
+        if not bad and not uncertifiable:
+            entries.append(_loop_entry("A1", "pass"))
+    if model == ModelKind.NLO_SD:
+        zero_b = [i for i in range(m) if problem.b[i] == 0.0]
+        if zero_b:
+            entries.append(_loop_entry(
+                "A2", "warn", zero_b, "zero right-hand side: trivial output possible; perturbation paths apply"
+            ))
+        else:
+            entries.append(_loop_entry("A2", "pass"))
+        zero_rows = [i for i in range(m) if not np.any(prior.estimates[i] != 0.0)]
+        if zero_rows:
+            entries.append(_loop_entry("A2", "fail", zero_rows, "prior row is the zero vector"))
+        if np.any(x != 0.0):
+            entries.append(_loop_entry("A3", "pass"))
+        else:
+            entries.append(_loop_entry("A3", "fail", (), "observed point is the zero vector"))
+    mask = structure.mask(n)
+    if model.family == "iu":
+        empty = [i for i in range(m) if not structure.sets[i]]
+        if empty:
+            entries.append(_loop_entry("A4", "fail", empty, "row has no uncertain coefficients"))
+        else:
+            entries.append(_loop_entry("A4", "pass"))
+        bad5 = np.flatnonzero((problem.b <= 0) & ~np.any((problem.A != 0.0) & ~mask, axis=1))
+        entries.append(
+            _loop_entry("A5", "fail", bad5, "no certainly nonzero coefficient and b <= 0")
+            if bad5.size else _loop_entry("A5", "pass")
+        )
+        if model == ModelKind.RLO_IU_SD:
+            entries.append(
+                _loop_entry("A6", "pass") if np.any(mask & (x != 0.0))
+                else _loop_entry("A6", "fail", (), "every uncertain column is zero at the observed point")
+            )
+    if model.family == "ccu":
+        surplus = problem.surplus(x)
+        bad7 = [i for i in range(m) if surplus[i] < -1e-9]
+        entries.append(
+            _loop_entry("A7", "fail", bad7, "observed point violates the nominal constraint")
+            if bad7 else _loop_entry("A7", "pass")
+        )
+        ambiguous = []
+        if not bad7:
+            lower, upper = activation_budgets(problem.A, problem.b, structure.alpha, mask, x)
+            ambiguous = np.flatnonzero(lower < upper)
+        if len(ambiguous):
+            entries.append(_loop_entry(
+                "A8", "warn", ambiguous, "a range of budgets activates this row; both endpoints are reported"
+            ))
+        else:
+            entries.append(_loop_entry("A8", "pass"))
+        if model == ModelKind.RLO_CCU_SD:
+            off = [i for i in range(m) if prior.estimates[i] < 0.0 or prior.estimates[i] > len(structure.sets[i])]
+            if off:
+                entries.append(_loop_entry(
+                    "A9", "warn", off, "budget prior outside [0, |J_i|]; clamped to the nearest endpoint"
+                ))
+            else:
+                entries.append(_loop_entry("A9", "pass"))
+            weighted = np.flatnonzero(prior.weights(m) != 1.0)
+            if weighted.size:
+                entries.append(_loop_entry(
+                    "xi", "warn", weighted, "budget recovery ignores prior weights; all are taken as 1"
+                ))
+        bad10 = np.flatnonzero(~np.any(np.where(mask, np.abs(problem.A) > structure.alpha, problem.A != 0.0), axis=1))
+        entries.append(
+            _loop_entry("A10", "fail", bad10, "every coefficient can be deviated to zero")
+            if bad10.size else _loop_entry("A10", "pass")
+        )
+    return ValidationReport(entries=tuple(entries))
+
+
+def _validation_corpus(model):
+    """The model's generated instances, seeds 0-199: b as drawn and with row
+    seed % m set to 0, -1 or 1e-13, each at the drawn x and at x = 0.  A gap
+    model's omega is as drawn, absent or coupled by `gen.couple_rows`, by seed % 3."""
+    for seed in range(200):
+        problem, x, structure, data, _ = MAKERS[model](seed)
+        if model.is_dg:
+            data = (data, None, None if data is None else gen.couple_rows(data))[seed % 3]
+        for value in (None, 0.0, -1.0, 1e-13):
+            b = np.array(problem.b)
+            if value is not None:
+                b[seed % problem.m] = value
+            for point in (x, np.zeros_like(x)):
+                yield model, ForwardProblem(A=problem.A, b=b), point, structure, data
+
+
+def _assert_same_validation(model, problem, x, structure, data):
+    kwargs = {"prior": data} if model.is_sd else {"omega": data}
+    report = validate(problem, x, structure, model, **kwargs)
+    assert report == _loop_validate(problem, x, structure, model, **kwargs)
+    return report
+
+
+def _made_by_hand():
+    """Instances for the branches the generators do not reach."""
+    A = np.array([[1.0, 1.0], [1.0, -1.0]])
+    zero_prior_row = Prior(estimates=[[0.0, 0.0], [1.0, -1.0]])
+    nominal = UncertaintyStructure.nominal()
+    yield ModelKind.NLO_SD, ForwardProblem(A=A, b=[1.0, 0.5]), [1.0, 1.0], nominal, zero_prior_row
+    interval = UncertaintyStructure.interval(((0,), ()))
+    yield ModelKind.RLO_IU_DG, ForwardProblem(A=A, b=[0.5, -0.5]), [1.0, 1.0], interval, None
+    ccu = UncertaintyStructure.cardinality(((0, 1), (1,)), [[1.0, 1.0], [0.0, 0.5]])
+    ccu_problem = ForwardProblem(A=A, b=[-1.0, -1.0])
+    yield ModelKind.RLO_CCU_SD, ccu_problem, [1.0, 1.0], ccu, Prior(estimates=[2.5, -0.5], norm=NormKind.L1)
+    yield ModelKind.RLO_CCU_SD, ccu_problem, [1.0, 1.0], ccu, Prior(estimates=[1.0, 1.0], xi=[1.0, 3.0])
+    yield ModelKind.RLO_CCU_DG, ccu_problem, [-9.0, 1.0], ccu, None
+    # row 1: -a11 - a12 <= -1 rules its zero row out; row 2 may be zero
+    omega = SideConstraints(G=[[-1.0, -1.0, 0.0, 0.0]], h=[-1.0])
+    yield ModelKind.NLO_DG, ForwardProblem(A=A, b=[0.0, -1.0]), [1.0, 1.0], nominal, omega
+
+
+class TestValidateMatchesRowLoop:
+    """validate's one array test per assumption against the row-by-row reference."""
+
+    @pytest.mark.parametrize("model", list(MAKERS), ids=lambda m: m.value)
+    def test_generated_corpus(self, model):
+        seen = set()
+        count = 0
+        for case in _validation_corpus(model):
+            seen |= {(e.check, e.level) for e in _assert_same_validation(*case).entries}
+            count += 1
+        assert count == 1600
+        assert {level for _, level in seen} >= {"pass", "fail"}
+
+    def test_branches_made_by_hand(self):
+        seen = set()
+        for case in _made_by_hand():
+            seen |= {(e.check, e.level) for e in _assert_same_validation(*case).entries}
+        assert seen >= {("A2", "fail"), ("A4", "fail"), ("A9", "warn"), ("xi", "warn"), ("A10", "fail"),
+                        ("A7", "fail"), ("A8", "pass"), ("A1", "fail")}
 
 
 # The gap models' shared tail: per-row values (LP outcomes or closed forms) to t, the active row and the solution.

@@ -324,8 +324,10 @@ class TestTrivialEscapes:
             (RhsEpsilon(row=9, delta=0.1), "strategy.row"),
             (PriorEpsilon(row=0, col=7, delta=0.1), "strategy.col"),
             (WeightBoost(row=-1, weight=2.0), "strategy.row"),  # would boost the last row
+            (RhsEpsilon(row=1.5, delta=0.1), "strategy.row"),
+            (PriorEpsilon(row=0, col=0.5, delta=0.1), "strategy.col"),
         ],
-        ids=["rhs row", "prior column", "negative weight row"],
+        ids=["rhs row", "prior column", "negative weight row", "fractional row", "fractional column"],
     )
     def test_perturbation_outside_the_problem_names_the_field(self, strategy, field):
         case = example_case(2)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from io_recover import DimensionError
-from io_recover.fixtures import case_bundle, example_case, solve_case
+from io_recover.fixtures import example_case, solve_case
 from io_recover.regions import region_polylines
 from io_recover.geometry import realized_row_cardinality, realized_row_interval
 
@@ -43,9 +43,8 @@ def _residual(bundle, solution, poly, point):
 
 @pytest.mark.parametrize("number", [2, 3, 4, 5, 6])
 def test_every_point_sits_on_its_realized_boundary(number):
-    case = example_case(number)
-    bundle = case_bundle(case)
-    solution = solve_case(case)
+    bundle = example_case(number)
+    solution = solve_case(bundle)
     polylines = region_polylines(bundle, solution=solution, bbox=BBOX)
     assert polylines
     for poly in polylines:
@@ -58,8 +57,7 @@ def test_every_point_sits_on_its_realized_boundary(number):
 
 
 def test_nominal_rows_are_single_straight_segments():
-    case = example_case(2)
-    bundle = case_bundle(case)
+    bundle = example_case(2)
     polylines = region_polylines(bundle, bbox=BBOX)
     for i in range(1, 4):
         polys = _segments(polylines, "nominal", i)
@@ -70,9 +68,8 @@ def test_nominal_rows_are_single_straight_segments():
 
 
 def test_interval_breakpoint_on_vertical_axis():
-    case = example_case(4)
-    bundle = case_bundle(case)
-    solution = solve_case(case)
+    bundle = example_case(4)
+    solution = solve_case(bundle)
     polylines = region_polylines(bundle, solution=solution, bbox=BBOX)
     row3 = _segments(polylines, "imputed_robust", 3)[0]
     assert len(row3.segments) >= 2
@@ -82,9 +79,8 @@ def test_interval_breakpoint_on_vertical_axis():
 
 
 def test_budget_breakpoints_on_axes_and_order_swap_lines():
-    case = example_case(6)
-    bundle = case_bundle(case)
-    solution = solve_case(case)
+    bundle = example_case(6)
+    solution = solve_case(bundle)
     polylines = region_polylines(bundle, solution=solution, bbox=BBOX)
     row3 = _segments(polylines, "imputed_robust", 3)[0]
     assert len(row3.segments) >= 2
@@ -108,9 +104,8 @@ def test_budget_breakpoints_on_axes_and_order_swap_lines():
 
 
 def test_prior_robust_only_when_prior_present():
-    case = example_case(3)
-    bundle = case_bundle(case)
-    solution = solve_case(case)
+    bundle = example_case(3)
+    solution = solve_case(bundle)
     polylines = region_polylines(bundle, solution=solution, bbox=BBOX)
     kinds = {p.kind for p in polylines}
     assert kinds == {"nominal", "imputed_robust"}
@@ -129,5 +124,5 @@ def test_box_is_rejected_where_a_drawn_row_could_overflow(number, half, message)
     case = example_case(number)
     box = (-half, -half, half, half)
     with pytest.raises(DimensionError) as err:
-        region_polylines(case_bundle(case), solution=solve_case(case), bbox=box)
+        region_polylines(case, solution=solve_case(case), bbox=box)
     assert err.value.field == "bbox" and message in str(err.value)

@@ -6,10 +6,10 @@ function, `model.check_inputs`, which every solver and the trivial-escape
 re-solve call, and every solution is built in `model` alone: an infeasible
 one by `InverseSolution.infeasible`, the others by the one tail that picks
 and realizes the active row.  Budget uncertainty's products alpha |x| are
-ranked by `geometry`'s kernel alone, and nlo-sd projects all its rows in
-one pass.  The benchmark's traced runs find every
-function they wrap, and every error class is raised or caught somewhere
-in the library."""
+ranked by `geometry`'s kernel alone, nlo-sd projects all its rows in
+one pass, and `validate` tests each assumption on all rows at once.  The
+benchmark's traced runs find every function they wrap, and every error
+class is raised or caught somewhere in the library."""
 
 import ast
 import dataclasses
@@ -142,6 +142,13 @@ def test_budgets_are_ranked_in_geometry_alone(name):
 def test_nlo_sd_projects_every_row_at_once():
     # the dual norm of x and its maximizer are computed once per solve, not once per row
     assert "project_hyperplane" not in _called(ast.parse(SOURCE["nominal.py"].read_text(encoding="utf-8")))
+
+
+def test_validate_tests_every_row_at_once():
+    # each standing assumption is one array test over all rows, not a per-row scan
+    scans = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+    assert [type(node).__name__ for node in ast.walk(_functions(SOURCE["model.py"])["validate"])
+            if isinstance(node, scans)] == []
 
 
 def _raised_or_caught(tree):

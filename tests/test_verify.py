@@ -203,6 +203,15 @@ class TestFaultInjection:
         report = check_certificate(case.model, case.problem, case.x_hat, case.structure, bad)
         assert (report.verdict, report.reason) == ("invalid", f"{field}: non-finite entry")
 
+    @pytest.mark.parametrize("active", [0, -2, 4])
+    def test_active_index_outside_the_rows_is_invalid(self, active):
+        # row 0 would read the last row, and row m + 1 none
+        case, sol = _solved(1)
+        bad = replace(sol, active_index=active)
+        report = check_certificate(case.model, case.problem, case.x_hat, case.structure, bad)
+        assert (report.verdict, report.residuals) == ("invalid", {})
+        assert report.reason == f"active_index: {active} outside 1..3"
+
     def test_overflowing_residual_reads_inf(self):
         # at x_1 = -2 both products of alpha x + u overflow, to -inf and inf,
         # and their sum is NaN: the bound it checks is broken, so it reads inf, not 0
@@ -307,7 +316,7 @@ class TestDiagnose:
 
 
 def test_every_optimal_fixture_certificate_is_valid():
-    for case in all_examples():
+    for number, case in enumerate(all_examples(), start=1):
         sol = solve_case(case)
         if sol.status not in (Status.OPTIMAL, Status.TRIVIAL_DETECTED):
             continue
@@ -315,7 +324,7 @@ def test_every_optimal_fixture_certificate_is_valid():
         assert np.all(sol.dual_pi >= 0.0)
         assert sol.duality_gap >= -1e-9
         report = check_certificate(case.model, case.problem, case.x_hat, case.structure, sol)
-        assert report.verdict == "valid", (case.number, report.reason)
+        assert report.verdict == "valid", (number, report.reason)
 
 
 def _sign_split(pi_i, xj):
