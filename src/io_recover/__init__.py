@@ -6,8 +6,9 @@ each minimizing the duality gap or enforcing strong duality against a
 prior.  The gap models solve one small LP per constraint with the
 built-in dense simplex (nlo-dg always; rlo-iu-dg and rlo-ccu-dg while a
 side constraint couples parameters, and in closed form once the side
-constraints fold into bounds); the three strong-duality models run no LP,
-only closed forms.
+constraints fold into bounds); a model's m LPs share one feasible set,
+for rlo-ccu-dg the m budgets alone.  The three strong-duality models run
+no LP, only closed forms.
 """
 
 from .cardinality import GammaBounds, compute_gamma_bounds, solve_rlo_ccu_dg, solve_rlo_ccu_sd

@@ -4,13 +4,12 @@ The activation budgets of all rows (the budgets whose protection value
 equals the nominal surplus) come from one ranking of the products
 alpha_ij |x_j| (`geometry.ranked`), and cap each row's feasible budget;
 the same ranking gives the protection at those caps.  The strong-duality
-model is closed form in those budgets.  The gap model solves one small
-LP per constraint, over all m budgets and row i's fractional allocation,
-while a side constraint couples budgets.  Once the side constraints fold
-into bounds it runs no LP: row i's optimum is the continuous knapsack at
-its budget cap, and every other row's budget takes its lower bound.  Both models hand their
-per-row results to `model`'s one tail, which picks the active row and
-realizes the cost vector under its budget.
+model is closed form in those budgets.  The gap model's row i takes the
+continuous knapsack at its largest feasible budget: the box's upper bound
+once the side constraints fold into bounds (no LP), else the optimum of
+one LP per row over the m budgets alone.  Both models hand their per-row
+results to `model`'s one tail, which picks the active row and realizes
+the cost vector under its budget.
 """
 
 from dataclasses import dataclass
@@ -18,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NominalInfeasibleError
-from .geometry import activation, knapsack, norm_value, products, ranked
+from .geometry import activation, knapsack, norm_value, ranked
 from .lp import Constraints, LinearProgram, solve_lp_batch
 from .model import (
     InverseSolution,
@@ -27,7 +26,7 @@ from .model import (
     check_inputs,
     clamp_budget_prior,
     gap_solution,
-    lp_gap_solution,
+    lp_values,
     param_keys,
     row_solution,
 )
@@ -79,14 +78,13 @@ def _budget_rows(problem, structure, x):
 def solve_rlo_ccu_dg(problem, x_hat, structure, omega):
     """Impute budgets minimizing the duality gap.
 
-    Per candidate row: maximize that row's protected loss over (budgets,
-    fractional allocation) subject to the feasibility box on budgets and
-    the side constraints.  With a coupling side constraint this is one LP
-    per row over all m budgets and row i's |J_i| allocations, which keeps
-    the coupling exact.  When the side constraints fold into bounds, row
-    i's optimum is the continuous knapsack at its budget cap
-    (`geometry.knapsack`); the active row takes its cap and every other
-    budget its lower bound.
+    Row i's protected loss is the continuous knapsack of its products
+    (`geometry.knapsack`), which never decreases as its budget grows, so
+    its optimum is the knapsack at its cap: the largest budget i in the
+    feasibility box and the side constraints.  Box-only, the cap is the
+    upper bound, and every other budget takes its lower bound.  With a
+    coupling side constraint, LP i maximizes budget i over the m budgets
+    (one `Constraints` for all m), and its budgets are row i's block.
     """
     x = check_inputs(ModelKind.RLO_CCU_DG, problem, x_hat, structure, omega=omega)
     m = problem.m
@@ -99,30 +97,15 @@ def solve_rlo_ccu_dg(problem, x_hat, structure, omega):
     infeasible = "no budgets satisfy both the feasibility box and the side constraints"
     if not canon.feasible:
         return InverseSolution.infeasible(ModelKind.RLO_CCU_DG, infeasible)
-    if not canon.G.shape[0]:
-        loss = knapsack(values, mask, canon.upper)
-        return gap_solution(
-            ModelKind.RLO_CCU_DG, problem, structure, x, surplus, -loss,
-            lambda i: np.where(np.arange(m) == i, canon.upper, canon.lower),
-        )
-    rhs = np.append(0.0, canon.h)  # the budget row, then the side constraints
-    loads = products(structure.alpha, mask, x)
-    lps = []
-    for i in range(m):
-        values = loads[i, mask[i]]
-        objective = np.zeros(m + values.size)
-        objective[m:] = -values
-        A = np.zeros((rhs.size, objective.size))
-        A[0, m:] = 1.0
-        A[0, i] = -1.0
-        A[1:, :m] = canon.G
-        lower = np.concatenate([canon.lower, np.zeros(values.size)])
-        upper = np.concatenate([canon.upper, np.ones(values.size)])
-        lps.append(LinearProgram(objective, Constraints(A, ("<=",) * rhs.size, rhs, lower, upper)))
-    return lp_gap_solution(
-        ModelKind.RLO_CCU_DG, problem, structure, x, solve_lp_batch(lps), surplus,
-        lambda values: values[:m], infeasible,
-    )
+    cap, imputed = canon.upper, lambda i: np.where(np.arange(m) == i, canon.upper, canon.lower)
+    if canon.G.shape[0]:
+        constraints = Constraints(canon.G, ("<=",) * canon.G.shape[0], canon.h, canon.lower, canon.upper)
+        outcomes = solve_lp_batch([LinearProgram(objective, constraints) for objective in -np.eye(m)])
+        cap = lp_values(ModelKind.RLO_CCU_DG, outcomes, infeasible)
+        if isinstance(cap, InverseSolution):
+            return cap
+        cap, imputed = -cap, lambda i: outcomes[i].solution
+    return gap_solution(ModelKind.RLO_CCU_DG, problem, structure, x, surplus, -knapsack(values, mask, cap), imputed)
 
 
 def solve_rlo_ccu_sd(problem, x_hat, structure, prior):

@@ -137,7 +137,13 @@ class UncertaintyStructure:
     alpha: np.ndarray = None
 
     def __post_init__(self):
-        sets = tuple(tuple(np.sort(list({int(j) for j in s})).tolist()) for s in self.sets)
+        listed = [list(s) for s in self.sets]
+        kinds = set(map(type, chain.from_iterable(listed)))  # a bool is an int, but not a column index
+        bad = {kind for kind in kinds if kind is bool or not issubclass(kind, (int, np.integer))}
+        if bad:
+            i, j = next((i, j) for i, s in enumerate(listed) for j in s if type(j) in bad)
+            raise DimensionError("uncertain_columns", f"row {i + 1} has column index {j!r}, not an integer")
+        sets = tuple(tuple(np.sort(list({int(j) for j in s})).tolist()) for s in listed)
         rows, cols = _entries(sets)
         if np.any(cols < 0):
             raise DimensionError("uncertain_columns", f"row {rows[np.argmax(cols < 0)] + 1} has negative column index")
@@ -425,6 +431,12 @@ class InverseSolution:
         return cls(model=model, status=Status.INFEASIBLE, message=message)
 
 
+def block_shapes(model, m, n):
+    """The shape of each block of a solution to an m x n problem: n costs,
+    m duals, and the imputed m x n matrix, or m budgets for rlo-ccu."""
+    return {"cost": (n,), "dual_pi": (m,), "imputed": (m,) if model.family == "ccu" else (m, n)}
+
+
 def active_row(t, scale):
     """The active row: the lowest i with t_i <= t_j + ZERO_TOL * (1 + s_i + s_j),
     where j = argmin t and s = `scale`.
@@ -490,23 +502,28 @@ def gap_solution(model, problem, structure, x, offset, values, imputed):
     return row_solution(model, problem, structure, x, t, np.abs(offset) + np.abs(values), imputed, {"t": t})
 
 
-def lp_gap_solution(model, problem, structure, x, outcomes, offset, shape, infeasible_message):
-    """`gap_solution` from per-row LP outcomes, LP i for row i: values[i] is
-    the value of LP i, and `shape` turns its solution into the imputed
-    block.  An infeasible LP makes the model infeasible, with
-    `infeasible_message` (which may cite `{infeasibility}`, phase 1's
-    figure).  An unbounded LP raises NumericalFailureError.
-    """
-    # LP i holds row i's own constraint, which bounds its objective below
-    # (nlo-dg: x . a_i >= b_i; rlo-iu-dg: |x_J| . alpha_i <= surplus_i;
-    # rlo-ccu-dg: each allocation in [0, 1]), so in exact arithmetic no gap
-    # LP is unbounded: an engine that says otherwise has failed numerically
+def lp_values(model, outcomes, infeasible_message):
+    """Each LP's value (LP i for row i), or, if one is infeasible, the model's
+    infeasible solution with `infeasible_message` (which may cite phase 1's
+    `{infeasibility}`).  An unbounded LP raises NumericalFailureError."""
+    # LP i holds row i's own constraint or a box, which bounds its objective
+    # below (nlo-dg: x . a_i >= b_i; rlo-iu-dg: |x_J| . alpha_i <= surplus_i;
+    # rlo-ccu-dg: each budget within [0, |J_i|]), so in exact arithmetic no
+    # gap LP is unbounded: an engine that says otherwise has failed numerically
     for i, out in enumerate(outcomes):
         if out.status == LpStatus.UNBOUNDED:
             raise NumericalFailureError(f"the gap LP of constraint {i + 1} reported unbounded")
         if out.status == LpStatus.INFEASIBLE:
             return InverseSolution.infeasible(model, infeasible_message.format(infeasibility=out.infeasibility))
-    values = np.array([out.value for out in outcomes])
+    return np.array([out.value for out in outcomes])
+
+
+def lp_gap_solution(model, problem, structure, x, outcomes, offset, shape, infeasible_message):
+    """`gap_solution` with LP i's value (`lp_values`) as row i's, and
+    `shape` turning LP i's solution into the imputed block."""
+    values = lp_values(model, outcomes, infeasible_message)
+    if isinstance(values, InverseSolution):
+        return values
     return gap_solution(model, problem, structure, x, offset, values, lambda i: shape(outcomes[i].solution))
 
 

@@ -11,11 +11,12 @@ endpoints.
 import math
 import sys
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
 from .errors import DimensionError
-from .model import Variant, realized_row
+from .model import Variant, block_shapes, realized_row
 
 _EPS = 1e-12
 # Box coordinates and |row . p - b_i| of every drawn row stay below this over
@@ -97,18 +98,8 @@ def _segment_in_cell(row, rhs, cell):
             unique.append(pt)
     if len(unique) < 2:
         return None
-    if len(unique) > 2:
-        # keep the farthest pair (collinear sliver points can stack up)
-        best = (0, 1)
-        best_d = -1.0
-        for a in range(len(unique)):
-            for b_ in range(a + 1, len(unique)):
-                d = math.hypot(unique[a][0] - unique[b_][0], unique[a][1] - unique[b_][1])
-                if d > best_d:
-                    best_d = d
-                    best = (a, b_)
-        unique = [unique[best[0]], unique[best[1]]]
-    (x0, y0), (x1, y1) = unique
+    # keep the farthest pair, the first one on ties (collinear sliver points can stack up)
+    (x0, y0), (x1, y1) = max(combinations(unique, 2), key=lambda pair: math.dist(*pair))
     if (x0, y0) > (x1, y1):
         (x0, y0), (x1, y1) = (x1, y1), (x0, y0)
     return ((float(x0), float(y0)), (float(x1), float(y1)))
@@ -187,7 +178,11 @@ def region_polylines(bundle, solution=None, bbox=(-8.0, -8.0, 8.0, 8.0)):
         raise DimensionError("bbox", "expected x0 < x1 and y0 < y1")
     if max(-x0, x1, -y0, y1) >= _REACH_LIMIT:
         raise DimensionError("bbox", f"entries must lie within +-{_REACH_LIMIT:.3g}")
-    if solution is not None and solution.imputed is not None and not np.all(np.isfinite(solution.imputed)):
+    imputed = None if solution is None else solution.imputed
+    shape = block_shapes(bundle.model, problem.m, problem.n)["imputed"]
+    if imputed is not None and np.shape(imputed) != shape:
+        raise DimensionError("imputed", f"shape {np.shape(imputed)} is not {shape}")
+    if imputed is not None and not np.all(np.isfinite(imputed)):
         raise DimensionError("imputed", "non-finite entry")
     box = (x0, y0, x1, y1)
     variant = bundle.model.variant
@@ -196,10 +191,8 @@ def region_polylines(bundle, solution=None, bbox=(-8.0, -8.0, 8.0, 8.0)):
         out += _polylines_for(
             problem, bundle.structure, box, "prior_robust", variant, bundle.prior.estimates
         )
-    if solution is not None and solution.imputed is not None:
-        out += _polylines_for(
-            problem, bundle.structure, box, "imputed_robust", variant, solution.imputed
-        )
+    if imputed is not None:
+        out += _polylines_for(problem, bundle.structure, box, "imputed_robust", variant, imputed)
     return out
 
 

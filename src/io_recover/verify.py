@@ -22,6 +22,7 @@ from .model import (
     RhsEpsilon,
     Status,
     WeightBoost,
+    block_shapes,
     check_inputs,
 )
 
@@ -50,9 +51,11 @@ class CertificateReport:
     REPORT_TOL for the unit-free residuals (UNIT_FREE), and
     REPORT_TOL * (1 + scale) for those in data units, where scale is the
     largest |entry| of A, b, the observation, the cost and the imputed
-    block.  A solution holding a non-finite number, or an `active_index`
-    outside 1..m, is "invalid", with no residuals, and a residual that
-    overflows reads inf, with no numpy warning.  The gap value c'x - b'pi (gap models only) is not a residual.
+    block.  A solution missing a block or holding one of the wrong shape
+    (`model.block_shapes`), holding a non-finite number, or with an
+    `active_index` outside 1..m, is "invalid", with no residuals, its
+    reason naming the field.  A residual that overflows reads inf, with
+    no numpy warning.  The gap value c'x - b'pi (gap models only) is not a residual.
     """
 
     residuals: dict
@@ -124,19 +127,19 @@ def check_certificate(model, problem, x_hat, structure, solution):
         raise PreconditionError("certificates apply to optimal or trivial-detected solutions only")
     # checked against the family's gap model: a certificate reads no omega or prior
     x = check_inputs(ModelKind(model.value.replace("-sd", "-dg")), problem, x_hat, structure)
-    pi = np.asarray(solution.dual_pi, dtype=float)
-    c = np.asarray(solution.cost, dtype=float)
-    imputed = np.asarray(solution.imputed, dtype=float)
-    fields = (("cost", c), ("dual_pi", pi), ("imputed", imputed),
-              ("duality_gap", solution.duality_gap), ("objective_value", solution.objective_value))
-    reasons = [f"{name}: non-finite entry" for name, value in fields
-               if value is not None and not np.isfinite(value).all()]
+    shapes = block_shapes(model, problem.m, problem.n)
+    fields = {name: getattr(solution, name) for name in (*shapes, "duality_gap", "objective_value")}
+    reasons = [f"{name}: missing" if fields[name] is None else f"{name}: shape {np.shape(fields[name])} is not {shape}"
+               for name, shape in shapes.items() if np.shape(fields[name]) != shape]
+    fields = {name: np.asarray(value, dtype=float) for name, value in fields.items() if value is not None}
+    reasons += [f"{name}: non-finite entry" for name, value in fields.items() if not np.isfinite(value).all()]
     active = solution.active_index
     if active is not None and not (isinstance(active, numbers.Integral) and 1 <= active <= problem.m):
         reasons.append(f"active_index: {active!r} outside 1..{problem.m}")
     if reasons:
         return CertificateReport(residuals={}, aux={}, dual_aux={}, nontriviality={}, verdict="invalid",
                                  reason=reasons[0])
+    c, pi, imputed = (fields[name] for name in shapes)
 
     primal = {}
     dual = {}

@@ -14,6 +14,7 @@ from io_recover import (
     SideConstraints,
     Status,
     UncertaintyStructure,
+    check_certificate,
     compute_gamma_bounds,
     realized_row_cardinality,
     solve_rlo_ccu_dg,
@@ -22,6 +23,9 @@ from io_recover import (
 )
 from io_recover import cardinality
 from io_recover.fixtures import evaluate_example, example_case
+from io_recover.geometry import products
+from io_recover.lp import Constraints, LinearProgram, solve_lp_batch
+from io_recover.model import canonicalize_omega, lp_gap_solution, param_keys
 from oracle import brute_force_min, oracle_tolerance
 
 
@@ -115,6 +119,15 @@ class TestCcuDg:
         assert calls["lp_solve"] == case.problem.m
         assert calls["activation_budgets"] == 1
 
+    def test_one_equality_form_serves_all_m_lps(self, std_builds, calls):
+        # LP i maximizes budget i over one set: the budget box and omega's k coupled rows
+        case = example_case(5)
+        sol = solve_rlo_ccu_dg(case.problem, case.x_hat, case.structure, case.omega)
+        assert sol.status == Status.OPTIMAL
+        assert calls["lp_solve"] == case.problem.m
+        (constraints,) = std_builds
+        assert constraints.A.shape == (1, case.problem.m)
+
     def test_box_only_omega_runs_no_lp(self, std_builds, calls, monkeypatch):
         monkeypatch.setattr(cardinality, "Constraints", None)  # building one would raise
         for seed in range(5):
@@ -201,6 +214,90 @@ class TestCcuDg:
                 continue
             tol = oracle_tolerance(ModelKind.RLO_CCU_DG, problem, x, structure, spec)
             assert abs(sol.duality_gap - value) <= tol, (seed, sol.duality_gap, value, tol)
+
+
+def _joint_lp_solve(problem, x, structure, omega):
+    """The reference for coupled rlo-ccu-dg: LP i ranges over all m budgets
+    and row i's |J_i| allocations phi in [0, 1], and maximizes row i's
+    protected loss values . phi subject to sum(phi) <= gamma_i, the budget
+    box and omega's coupled rows.  The solver's LPs range over the budgets
+    alone and take the loss from the knapsack at LP i's largest gamma_i."""
+    m = problem.m
+    x = np.asarray(x, dtype=float)
+    infeasible = "no budgets satisfy both the feasibility box and the side constraints"
+    theta = compute_gamma_bounds(problem, structure, x).theta_upper
+    keys = param_keys(ModelKind.RLO_CCU_DG, problem, structure)
+    canon = canonicalize_omega(omega, keys, lower_floor=np.zeros(m), upper_cap=theta)
+    if not canon.feasible:
+        return None
+    mask = structure.mask(problem.n)
+    loads = products(structure.alpha, mask, x)
+    rhs = np.append(0.0, canon.h)  # the budget row, then the side constraints
+    lps = []
+    for i in range(m):
+        values = loads[i, mask[i]]
+        objective = np.concatenate([np.zeros(m), -values])
+        A = np.zeros((rhs.size, objective.size))
+        A[0, m:] = 1.0
+        A[0, i] = -1.0
+        A[1:, :m] = canon.G
+        lower = np.concatenate([canon.lower, np.zeros(values.size)])
+        upper = np.concatenate([canon.upper, np.ones(values.size)])
+        lps.append(LinearProgram(objective, Constraints(A, ("<=",) * rhs.size, rhs, lower, upper)))
+    return lp_gap_solution(
+        ModelKind.RLO_CCU_DG, problem, structure, x, solve_lp_batch(lps), problem.surplus(x),
+        lambda values: values[:m], infeasible,
+    )
+
+
+def _bind_rows(omega, structure, seed, mixed):
+    """omega plus one or two random rows through a random point of the
+    budget box, pulled in by up to 0.3: nonnegative coefficients, or
+    coefficients of either sign with `mixed`."""
+    rng = np.random.default_rng([seed, int(mixed)])
+    m = len(structure.sets)
+    k = int(rng.integers(1, 3))
+    G = rng.uniform(-1.0, 1.0, (k, m)) if mixed else rng.uniform(0.1, 1.0, (k, m))
+    point = rng.uniform(0.0, 1.0, m) * np.array([min(2.0, len(s)) for s in structure.sets])
+    h = G @ point - rng.uniform(0.0, 0.3, k)
+    return SideConstraints(G=np.vstack([omega.G, G]), h=np.append(omega.h, h))
+
+
+def _coupled_corpus():
+    case = example_case(5)
+    yield "fixture 5", case.problem, case.x_hat, case.structure, case.omega
+    for seed in range(100):
+        problem, x, structure, omega, _ = gen.make_ccu_dg(seed)
+        yield f"{seed} couple_rows", problem, x, structure, gen.couple_rows(omega)
+        for mixed in (False, True):
+            yield f"{seed} mixed={mixed}", problem, x, structure, _bind_rows(omega, structure, seed, mixed)
+
+
+class TestCcuDgMatchesJointLp:
+    """Coupled rlo-ccu-dg's budget-only LPs against the joint budget-and-allocation LPs."""
+
+    def test_coupled_corpus(self):
+        solved = infeasible = 0
+        for label, problem, x, structure, omega in _coupled_corpus():
+            sol = solve_rlo_ccu_dg(problem, x, structure, omega)
+            ref = _joint_lp_solve(problem, x, structure, omega)
+            if ref is None or ref.status == Status.INFEASIBLE:
+                assert sol.status == Status.INFEASIBLE, label
+                infeasible += 1
+                continue
+            assert sol.status == ref.status, label
+            t, t_ref = sol.per_constraint["t"], ref.per_constraint["t"]
+            assert np.all(np.abs(t - t_ref) <= 1e-12 * (1.0 + np.abs(t_ref))), (label, t, t_ref)
+            band = np.flatnonzero(t_ref - t_ref.min() <= 1e-12 * (1.0 + abs(t_ref.min())))
+            assert sol.active_index == ref.active_index or sol.active_index - 1 in band, label
+            gamma = sol.imputed
+            theta = compute_gamma_bounds(problem, structure, x).theta_upper
+            assert np.all(omega.G @ gamma <= omega.h + 1e-9 * (1.0 + np.abs(omega.h))), label
+            assert np.all((gamma >= -1e-9) & (gamma <= theta + 1e-9)), label
+            report = check_certificate(ModelKind.RLO_CCU_DG, problem, x, structure, sol)
+            assert report.verdict == "valid", (label, report.reason)
+            solved += 1
+        assert solved >= 150 and infeasible >= 10, (solved, infeasible)
 
 
 class TestCcuSd:

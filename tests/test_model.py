@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -57,6 +59,19 @@ class TestTypes:
         with pytest.raises(DimensionError) as err:
             UncertaintyStructure.cardinality(sets, np.zeros((1, 2)))
         assert err.value.field == "alpha"
+
+    @pytest.mark.parametrize("column", [1.5, 1.0, True, np.bool_(True), "1", math.nan, 1e30],
+                             ids=["fraction", "whole float", "bool", "numpy bool", "string", "nan", "1e30"])
+    def test_column_index_that_is_not_an_integer_names_uncertain_columns(self, column):
+        # int() would truncate 1.5 and 1.0, read True and "1" as column 1, and raise on nan and 1e30
+        with pytest.raises(DimensionError) as err:
+            UncertaintyStructure.interval([(0,), (column, 0)])
+        assert err.value.field == "uncertain_columns"
+        assert "row 2" in str(err.value)
+
+    def test_python_and_numpy_integer_columns_are_accepted(self):
+        sets = [(np.int64(1), 0), np.array([1], dtype=np.int32), range(2)]
+        assert UncertaintyStructure.interval(sets).sets == ((0, 1), (1,), (0, 1))
 
     def test_prior_weights_nonneg(self):
         with pytest.raises(DimensionError):

@@ -1,9 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from io_recover import DimensionError
 from io_recover.fixtures import example_case, solve_case
-from io_recover.regions import region_polylines
+from io_recover.regions import _segment_in_cell, region_polylines
 from io_recover.geometry import realized_row_cardinality, realized_row_interval
 
 BBOX = (-8.0, -8.0, 8.0, 8.0)
@@ -126,3 +128,22 @@ def test_box_is_rejected_where_a_drawn_row_could_overflow(number, half, message)
     with pytest.raises(DimensionError) as err:
         region_polylines(case, solution=solve_case(case), bbox=box)
     assert err.value.field == "bbox" and message in str(err.value)
+
+
+@pytest.mark.parametrize("number", [1, 3, 5])
+@pytest.mark.parametrize("cut", [lambda v: v[:1], lambda v: v[..., None], lambda v: v[0, ...]],
+                         ids=["one row", "extra axis", "first entry"])
+def test_wrong_shaped_imputed_block_names_imputed(number, cut):
+    case = example_case(number)
+    solution = solve_case(case)
+    bad = replace(solution, imputed=cut(np.asarray(solution.imputed)))
+    with pytest.raises(DimensionError) as err:
+        region_polylines(case, solution=bad, bbox=BBOX)
+    assert err.value.field == "imputed"
+
+
+def test_segment_on_collinear_vertices_spans_the_farthest_pair():
+    # the line y = 0 holds three vertices of the cell: the segment runs between the outer two
+    cell = [(0.0, 0.0), (0.5, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]
+    assert _segment_in_cell((0.0, 1.0), 0.0, cell) == ((0.0, 0.0), (1.0, 0.0))
+    assert _segment_in_cell((0.0, 1.0), 0.0, cell[1:] + cell[:1]) == ((0.0, 0.0), (1.0, 0.0))

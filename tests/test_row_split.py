@@ -4,7 +4,10 @@ When the side constraints of rlo-iu-dg or rlo-ccu-dg fold into bounds, row
 i's subproblem covers row i's parameters only, solved in closed form, and
 every other row takes its lower bound.  Appending an all-ones row that
 never binds keeps the same feasible set but couples the rows, so the
-solver takes the joint LPs; both answers must agree.
+solver takes the joint LPs; both answers must agree.  rlo-ccu-dg's joint
+LPs find the budget caps only, and both paths take the knapsack at them,
+so `test_cardinality.py` also checks its LPs against the joint
+budget-and-allocation LPs.
 """
 
 import warnings

@@ -7,9 +7,10 @@ re-solve call, and every solution is built in `model` alone: an infeasible
 one by `InverseSolution.infeasible`, the others by the one tail that picks
 and realizes the active row.  Budget uncertainty's products alpha |x| are
 ranked by `geometry`'s kernel alone, nlo-sd projects all its rows in
-one pass, and `validate` tests each assumption on all rows at once.  The
-benchmark's traced runs find every function they wrap, and every error
-class is raised or caught somewhere in the library."""
+one pass, each gap model's m LPs share one feasible set, and `validate`
+tests each assumption on all rows at once.  The benchmark's traced runs
+find every function they wrap, and every error class is raised or caught
+somewhere in the library."""
 
 import ast
 import dataclasses
@@ -144,11 +145,22 @@ def test_nlo_sd_projects_every_row_at_once():
     assert "project_hyperplane" not in _called(ast.parse(SOURCE["nominal.py"].read_text(encoding="utf-8")))
 
 
+SCANS = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+
+
+@pytest.mark.parametrize("name", ["nominal.py", "interval.py", "cardinality.py"])
+def test_gap_lps_share_one_feasible_set(name):
+    # one Constraints for the m LPs, so the engine builds one equality form and runs one phase 1
+    (solver,) = [node for key, node in _functions(SOURCE[name]).items() if key.endswith("_dg")]
+    assert "Constraints" in _called(solver)
+    assert [node.lineno for node in ast.walk(solver)
+            if isinstance(node, SCANS) and "Constraints" in _called(node)] == []
+
+
 def test_validate_tests_every_row_at_once():
     # each standing assumption is one array test over all rows, not a per-row scan
-    scans = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
     assert [type(node).__name__ for node in ast.walk(_functions(SOURCE["model.py"])["validate"])
-            if isinstance(node, scans)] == []
+            if isinstance(node, SCANS)] == []
 
 
 def _raised_or_caught(tree):

@@ -203,6 +203,30 @@ class TestFaultInjection:
         report = check_certificate(case.model, case.problem, case.x_hat, case.structure, bad)
         assert (report.verdict, report.reason) == ("invalid", f"{field}: non-finite entry")
 
+    @pytest.mark.parametrize("number", [1, 3, 5])
+    @pytest.mark.parametrize("field, cut", [
+        ("imputed", lambda v: v[:1]),  # one row (nlo, iu) or one budget (ccu)
+        ("imputed", lambda v: v[..., None]),
+        ("imputed", lambda v: None),
+        ("cost", lambda v: v[:-1]),
+        ("cost", lambda v: None),
+        ("dual_pi", lambda v: np.append(v, 0.0)),
+        ("dual_pi", lambda v: None),
+    ], ids=["imputed row", "imputed extra axis", "imputed missing", "cost short", "cost missing",
+            "dual_pi long", "dual_pi missing"])
+    def test_missing_or_wrong_shaped_block_is_invalid(self, number, field, cut):
+        # a wrong shape would broadcast, or raise from numpy, rather than fail a residual
+        case, sol = _solved(number)
+        bad = replace(sol, **{field: cut(np.array(getattr(sol, field)))})
+        report = check_certificate(case.model, case.problem, case.x_hat, case.structure, bad)
+        assert (report.verdict, report.residuals) == ("invalid", {})
+        assert report.reason.startswith(f"{field}: "), report.reason
+
+    def test_fixture_5_with_one_budget_is_invalid(self):
+        case, sol = _solved(5)
+        report = check_certificate(case.model, case.problem, case.x_hat, case.structure, replace(sol, imputed=[0.6]))
+        assert (report.verdict, report.reason) == ("invalid", "imputed: shape (1,) is not (3,)")
+
     @pytest.mark.parametrize("active", [0, -2, 4])
     def test_active_index_outside_the_rows_is_invalid(self, active):
         # row 0 would read the last row, and row m + 1 none
