@@ -1,9 +1,11 @@
 """Closed-form geometric kernel shared by every solver.
 
 Norms and their maximizers, point-to-hyperplane/halfspace projections,
-realized robust constraint rows, and the budget kernel: one ranking of
+realized robust constraint rows, the budget kernel: one ranking of
 every row's products alpha_ij |x_j| serves the deviation shares, the
-protection values and the activation budgets of all m rows at once.
+protection values and the activation budgets of all m rows at once, and
+the box knapsack that prices the gap models' one coupling side row for
+all m rows at once.
 
 Sign convention: sgn(0) = +1 throughout.  At a zero component the
 deviation term multiplies zero, so the convention never changes a value.
@@ -15,7 +17,7 @@ import math
 
 import numpy as np
 
-from .errors import PreconditionError, ZeroVectorError
+from .errors import NumericalFailureError, PreconditionError, ZeroVectorError
 
 _VALUE_TOL = 1e-12
 _ACTIVE_TOL = 1e-9
@@ -198,6 +200,101 @@ def protection(alpha, mask, x, budget):
     """Each row's worst-case surplus loss at its budget: the continuous
     knapsack of its products with capacity budget[i]."""
     return knapsack(ranked(alpha, mask, x)[1], mask, budget)
+
+
+@dataclass(frozen=True)
+class BoxKnapsack:
+    """`box_knapsack`'s answer, one entry or row per row of its blocks.
+
+    `value` is the minimum (-inf where unbounded), `point` an optimal point
+    or, where the value is -inf, a feasible point from which `ray` (0 on
+    the other rows) is a direction of the box along which c . z falls
+    without bound and the row stays feasible.  `shortfall` is d - max r . z
+    over the box: the row is infeasible where it is positive.
+    """
+
+    value: np.ndarray
+    point: np.ndarray
+    ray: np.ndarray
+    shortfall: np.ndarray
+
+
+def box_knapsack(c, r, d, lower, upper):
+    """Each row's continuous knapsack min c . z s.t. r . z >= d, lower <= z
+    <= upper, for m x n blocks c, r, lower, upper (bounds may be infinite)
+    and d of length m (-inf leaves a row's constraint out); one
+    multiplier prices the row (Dantzig 1957; Everett 1963).
+
+    Every coordinate starts at its preferred bound: the cheaper one, or,
+    at zero cost, the one r favours; where that bound is infinite (or r_j
+    = 0 too), at the box point nearest 0.  Moving toward the bound r
+    favours adds resource r_j z_j at the ratio c_j / r_j.  A seller is a
+    coordinate of positive ratio whose cheaper bound is infinite: it can
+    hand back resource without limit, so the multiplier is at least the
+    largest seller ratio (0 without sellers), and every coordinate below
+    that floor fills up.  The rest fill by lowest ratio first, lowest
+    column on ties (one stable argsort of the m x n block, cumulative
+    sums along each row), until r . z reaches d; a surplus goes back
+    through the lowest-column seller at the floor.  A row is unbounded
+    when a coordinate outside r has an infinite cheaper bound, a filling
+    coordinate below the floor has no limit, or a seller meets d = -inf;
+    its point is then the zero-cost knapsack's.
+    """
+    c, r, lower, upper = (np.asarray(a, dtype=float) for a in (c, r, lower, upper))
+    d = np.asarray(d, dtype=float)
+    rows = np.arange(c.shape[0])
+    item = r != 0.0
+    near = np.minimum(np.maximum(lower, 0.0), upper)
+    lean = np.where(c != 0.0, c, -r)  # the preferred bound: upper below 0, lower above, else near
+    preferred = np.where(lean < 0.0, upper, np.where(lean > 0.0, lower, near))
+    endless_side = np.isinf(preferred)
+    anchor = np.where(endless_side, near, preferred)
+    most = np.where(r > 0.0, upper, lower)  # the bound r favours
+    # the resource a coordinate can add from its anchor, and its ratio: 0 outside r, with no 0 * inf
+    cap, ratio, step = np.zeros(c.shape), np.zeros(c.shape), np.zeros(c.shape)
+    with np.errstate(over="ignore"):
+        np.multiply(np.abs(r), np.abs(most - anchor), out=cap, where=item)
+        np.divide(c, r, out=ratio, where=item)
+        short = d - (r * anchor).sum(axis=1)
+    seller = (ratio > 0.0) & endless_side
+    floor = np.where(seller, ratio, 0.0).max(axis=1)
+    room = cap > 0.0
+    forced = room & (ratio < floor[:, None])
+    moved = np.where(forced, cap, 0.0)
+    short -= moved.sum(axis=1)
+    fill = room & ~forced
+    grid = rows[:, None], np.where(fill, ratio, np.inf).argsort(axis=1, kind="stable")
+    caps = np.where(fill, cap, 0.0)[grid]
+    before = np.zeros(c.shape)  # the resource of the fills ahead, with no inf - inf
+    caps[:, :-1].cumsum(axis=1, out=before[:, 1:])
+    moved[grid] += np.minimum(np.maximum(short[:, None] - before, 0.0), caps)
+    first = seller & (ratio == floor[:, None])
+    back, giver = first.any(axis=1) & (short < 0.0), first.argmax(axis=1)
+    moved[rows, giver] += np.where(back, short, 0.0)
+    free = ~item & endless_side  # outside r only a nonzero cost picks an infinite bound
+    endless = forced & (cap == np.inf)
+    unbounded = (free | endless).any(axis=1) | (back & (short == -np.inf))
+    with np.errstate(over="ignore"):
+        np.divide(moved, r, out=step, where=item)
+        point = np.where(room & (moved >= cap), most, anchor + step) + 0.0
+    beyond = ~(np.isfinite(point).all(axis=1) | unbounded)
+    if beyond.any():
+        raise NumericalFailureError(f"the knapsack of constraint {beyond.argmax() + 1} lies beyond the floats")
+    ray = np.zeros(c.shape)
+    if unbounded.any():
+        k = np.flatnonzero(unbounded)
+        point[k] = box_knapsack(np.zeros((k.size, c.shape[1])), r[k], d[k], lower[k], upper[k]).point
+        # a free coordinate; else an endless fill, alone at a negative ratio, else
+        # traded against the giving seller; else that seller alone
+        j, e = free.argmax(axis=1), endless.argmax(axis=1)
+        lone = free.any(axis=1)
+        ray[rows[lone], j[lone]] = -np.sign(c[rows[lone], j[lone]])
+        fills = unbounded & ~lone & endless.any(axis=1)
+        ray[rows[fills], e[fills]] = 1.0 / r[rows[fills], e[fills]]
+        gives = unbounded & ~lone & ~(fills & (ratio[rows, e] < 0.0))
+        ray[rows[gives], giver[gives]] -= 1.0 / r[rows[gives], giver[gives]]
+    value = np.where(unbounded, -np.inf, (c * point).sum(axis=1))
+    return BoxKnapsack(value=value, point=point, ray=ray, shortfall=short - before[:, -1] - caps[:, -1])
 
 
 def activation(A, b, mask, x, values):

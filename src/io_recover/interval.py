@@ -1,10 +1,12 @@
 """Recovery of interval-uncertainty magnitudes.
 
 The gap model maximizes row i's protection, per row i, subject to robust
-feasibility of every row and the side constraints.  When a side
-constraint couples parameters, that is one LP per row over every row's
-magnitudes, and the m LPs share one equality form.  When the side
-constraints fold into bounds, the rows separate and the model runs no LP:
+feasibility of every row and the side constraints.  When two or more
+coupling side rows are left, that is one LP per row over every row's
+magnitudes, and the m LPs share one equality form.  One coupling row is
+priced in closed form by continuous knapsacks (`model.knapsack_values`).
+When the side constraints fold into bounds, the rows separate and the
+model runs no LP:
 row i's subproblem is one constraint over a box, a continuous knapsack
 solved in closed form, and every other row keeps its lower bounds, which
 are feasible whenever that row's own subproblem is, since the loads
@@ -30,6 +32,7 @@ from .model import (
     canonicalize_omega,
     check_inputs,
     gap_solution,
+    knapsack_values,
     lp_gap_solution,
     param_keys,
     sd_solution,
@@ -44,12 +47,6 @@ def _surplus(problem, x, structure):
             f"constraint {empty[0] + 1} has no uncertain coefficients"
         )
     return problem.surplus(x)
-
-
-def _alpha_matrix(problem, key_rows, key_cols, values):
-    alpha = np.zeros((problem.m, problem.n))
-    alpha[key_rows, key_cols] = np.maximum(values, 0.0)
-    return alpha
 
 
 def _fill(load, lower, upper, target):
@@ -76,13 +73,15 @@ def solve_rlo_iu_dg(problem, x_hat, structure, omega):
 
     Per candidate row: maximize that row's protection subject to robust
     feasibility of every row, nonnegativity, and the side constraints.
-    With a coupling side constraint this is one LP per row over all rows'
-    magnitudes.  When the side constraints fold into bounds the rows
-    separate: with loads w = |x_J| and row i's box [lower, upper], row i's
-    protection is min(surplus_i, w . upper), reached from the lower bounds
-    by `_fill`, and every other row keeps its lower bounds.  The problem is
-    infeasible iff some row's least protection w . lower exceeds its
-    surplus (by more than ZERO_TOL (1 + |surplus_i|) in the box-only case).
+    With two or more coupling side rows this is one LP per row over all
+    rows' magnitudes; one coupling row is priced by knapsacks in closed
+    form (`model.knapsack_values`).  When the side constraints fold into
+    bounds the rows separate: with loads w = |x_J| and row i's box
+    [lower, upper], row i's protection is min(surplus_i, w . upper),
+    reached from the lower bounds by `_fill`, and every other row keeps
+    its lower bounds.  The problem is infeasible iff some row's least
+    protection w . lower exceeds its surplus (by more than ZERO_TOL
+    (1 + |surplus_i|) in the closed forms).
     The cost vector is the realized active row in the observation's orthant.
     """
     x = check_inputs(ModelKind.RLO_IU_DG, problem, x_hat, structure, omega=omega)
@@ -93,12 +92,18 @@ def solve_rlo_iu_dg(problem, x_hat, structure, omega):
     canon = canonicalize_omega(omega, keys, lower_floor=np.zeros(p))
     if not canon.feasible:
         return InverseSolution.infeasible(ModelKind.RLO_IU_DG, "side constraints are contradictory")
-    key_rows = np.array([i for _, i, _ in keys], dtype=np.intp)
-    key_cols = np.array([j for _, _, j in keys], dtype=np.intp)
+    key_rows, key_cols = keys.rows, keys.cols
     weight = np.abs(x[key_cols])
-    own = key_rows == np.arange(m)[:, None]  # own[i, k]: key k is a magnitude of row i
     infeasible = "no nonnegative magnitudes in the side constraints keep the observation robust-feasible"
-    if canon.G.shape[0]:
+
+    def block(values):
+        """`values` over the magnitudes as an m x n block, 0 off the uncertain columns."""
+        out = np.zeros((m, problem.n))
+        out[key_rows, key_cols] = values
+        return out
+
+    if canon.G.shape[0] > 1:
+        own = key_rows == np.arange(m)[:, None]  # own[i, k]: key k is a magnitude of row i
         constraints = Constraints(
             np.vstack([np.where(own, weight, 0.0), canon.G]), ("<=",) * (m + canon.G.shape[0]),
             np.concatenate([surplus, canon.h]), canon.lower, canon.upper,
@@ -106,7 +111,15 @@ def solve_rlo_iu_dg(problem, x_hat, structure, omega):
         lps = [LinearProgram(np.where(own[i], -weight, 0.0), constraints) for i in range(m)]
         return lp_gap_solution(
             ModelKind.RLO_IU_DG, problem, structure, x, solve_lp_batch(lps), surplus,
-            lambda values: _alpha_matrix(problem, key_rows, key_cols, values), infeasible,
+            lambda values: np.maximum(block(values), 0.0), infeasible,
+        )
+    if canon.G.shape[0]:
+        found = knapsack_values(ModelKind.RLO_IU_DG, canon, block(-weight), -surplus, block, infeasible)
+        if isinstance(found, InverseSolution):
+            return found
+        values, imputed = found
+        return gap_solution(
+            ModelKind.RLO_IU_DG, problem, structure, x, surplus, values, lambda i: np.maximum(imputed(i), 0.0)
         )
     least = np.bincount(key_rows, weight * canon.lower, m)
     if np.any(least > surplus + ZERO_TOL * (1.0 + np.abs(surplus))):
@@ -114,9 +127,10 @@ def solve_rlo_iu_dg(problem, x_hat, structure, omega):
     most = np.bincount(key_rows, weight * np.where(weight > 0.0, canon.upper, 0.0), m)  # no 0 * inf
 
     def imputed(i):
+        own = key_rows == i
         values = canon.lower.copy()
-        values[own[i]] = _fill(weight[own[i]], canon.lower[own[i]], canon.upper[own[i]], surplus[i])
-        return _alpha_matrix(problem, key_rows, key_cols, values)
+        values[own] = _fill(weight[own], canon.lower[own], canon.upper[own], surplus[i])
+        return np.maximum(block(values), 0.0)
 
     return gap_solution(ModelKind.RLO_IU_DG, problem, structure, x, surplus, -np.minimum(surplus, most), imputed)
 

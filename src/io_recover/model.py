@@ -10,6 +10,7 @@ Constraint sense is fixed: minimize c'x subject to Ax >= b.  Callers with
 1-based, matching the usual presentation of small worked instances.
 """
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import chain
@@ -17,7 +18,7 @@ from itertools import chain
 import numpy as np
 
 from .errors import DimensionError, NumericalFailureError, PreconditionError
-from .geometry import NormKind, activation_budgets, realized_row_cardinality, realized_row_interval
+from .geometry import NormKind, activation_budgets, box_knapsack, realized_row_cardinality, realized_row_interval
 from .lp import LpStatus
 
 ZERO_TOL = 1e-9
@@ -208,13 +209,40 @@ class UncertaintyStructure:
         return self.alpha is None or np.array_equal(self.alpha, other.alpha)
 
 
+class ParamKeys(Sequence):
+    """A model's imputed parameters in natural flattening order: keys
+    ("a", i, j), ("alpha", i, j) or ("gamma", i), built on first use (only
+    a side constraint that names its columns reads them).  `rows` and
+    `cols` give each parameter's forward row and column as index arrays."""
+
+    def __init__(self, kind, rows, cols=None):
+        self.kind, self.rows, self.cols = kind, rows, cols
+        self._keys = None
+
+    def _built(self):
+        if self._keys is None:
+            heads = [(self.kind, i) for i in self.rows.tolist()]
+            self._keys = heads if self.cols is None else [head + (j,) for head, j in zip(heads, self.cols.tolist())]
+        return self._keys
+
+    def __len__(self):
+        return self.rows.size
+
+    def __getitem__(self, k):
+        return self._built()[k]
+
+    def __iter__(self):
+        return iter(self._built())
+
+
 def param_keys(model, problem, structure):
     """Natural flattening order of the imputed parameters for a model."""
+    m, n = problem.m, problem.n
     if model.family == "nlo":
-        return [("a", i, j) for i in range(problem.m) for j in range(problem.n)]
+        return ParamKeys("a", np.repeat(np.arange(m), n), np.tile(np.arange(n), m))
     if model.family == "iu":
-        return [("alpha", i, j) for i in range(problem.m) for j in structure.sets[i]]
-    return [("gamma", i) for i in range(problem.m)]
+        return ParamKeys("alpha", *_entries(structure.sets))
+    return ParamKeys("gamma", np.arange(m))
 
 
 @dataclass(frozen=True, eq=False)
@@ -291,8 +319,12 @@ class CanonicalOmega:
 def canonicalize_omega(omega, keys, lower_floor=None, upper_cap=None):
     """Merge single-parameter rows of omega into bounds; keep the rest.
 
-    lower_floor/upper_cap are model-intrinsic bounds (e.g. deviations >= 0,
-    budgets within the per-row column count) merged in as well.
+    `keys` is the model's `ParamKeys`.  lower_floor/upper_cap are
+    model-intrinsic bounds (e.g. deviations >= 0, budgets within the
+    per-row column count) merged in as well.  G is read once: one product
+    of its nonzero pattern gives each row's count of parameters and the
+    column of a single one; only the kept rows are read again, for the
+    forward rows they touch.
     """
     p = len(keys)
     lo = np.full(p, -np.inf)
@@ -302,22 +334,19 @@ def canonicalize_omega(omega, keys, lower_floor=None, upper_cap=None):
     if upper_cap is not None:
         hi = np.minimum(hi, np.asarray(upper_cap, dtype=float))
     G, h = (np.zeros((0, p)), np.zeros(0)) if omega is None else omega.arranged(keys)
-    nonzero = G != 0.0
-    count = nonzero.sum(axis=1)
+    count, at = ((G != 0.0) @ np.stack([np.ones(p), np.arange(p)], axis=1)).T
     single = np.flatnonzero(count == 1)
-    col = nonzero[single].argmax(axis=1) if single.size else single
+    col = at[single].astype(np.intp)
     g = G[single, col]
     bound = h[single] / g
     np.minimum.at(hi, col[g > 0], bound[g > 0])
     np.maximum.at(lo, col[g < 0], bound[g < 0])
     feasible = not (np.any(h[count == 0] < -1e-9) or np.any(lo > hi + 1e-9))
     kept = count > 1
-    couples = False
-    if kept.any():
-        touched = nonzero[kept]
-        rows = np.array([key[1] for key in keys])  # the forward row of each parameter
-        lowest = np.min(np.where(touched, rows, np.inf), axis=1)
-        couples = bool(np.any(touched & (rows != lowest[:, None])))
+    touched = G[kept] != 0.0
+    # a kept row couples when it touches a forward row below the last one it touches
+    last = np.max(np.where(touched, keys.rows, -1), axis=1, initial=-1)
+    couples = bool(np.any(touched & (keys.rows != last[:, None])))
     return CanonicalOmega(lower=lo, upper=hi, G=G[kept], h=h[kept], feasible=feasible, couples=couples)
 
 
@@ -516,6 +545,72 @@ def lp_values(model, outcomes, infeasible_message):
         if out.status == LpStatus.INFEASIBLE:
             return InverseSolution.infeasible(model, infeasible_message.format(infeasibility=out.infeasibility))
     return np.array([out.value for out in outcomes])
+
+
+def _descend(point, direction, c, target):
+    """Each row of `point` moved along `direction`, along which c . z falls,
+    until c . z is at most `target`."""
+    excess = np.sum(c * point, axis=-1) - target
+    step = np.divide(excess, -np.sum(c * direction, axis=-1), out=np.zeros_like(excess), where=excess > 0.0)
+    return point + step[..., None] * direction
+
+
+def knapsack_values(model, canon, q, d, block, infeasible_message):
+    """Each LP's value in closed form when the side constraints `canon` keep
+    at most one coupling row `g . z <= h` (g = 0 and h = 0 when they keep
+    none).
+
+    `block` lays a vector over the parameters out as an m x n block, one
+    row per constraint (0 where a row has no parameter).  Row k's
+    parameters z_k range over the box; LP i minimizes q_i . z_i subject to
+    every row's own q_k . z_k >= d_k and the coupling row.  Row k != i only
+    has to stay feasible on the least of the coupling row it can use,
+    u_k = min g_k . z_k (a `geometry.box_knapsack`), which leaves row i the
+    budget H_i = h - sum of the other u_k, and LP i's value is max(d_i,
+    min q_i . z_i s.t. g_i . z_i <= H_i), one more knapsack: the set holds
+    a point on each side of d_i when d_i binds, so it holds one on it.
+    Returns (values, imputed) with imputed(i) LP i's point as an m x n
+    block, or the model's infeasible solution when some row's own knapsack
+    falls short (its deficit is the `{infeasibility}` `infeasible_message`
+    may cite) or sum(u) > h (by sum(u) - h).
+
+    In the block, rows k != i take their least-use point; a row whose least
+    use is unbounded moves along its ray until it uses an equal share of
+    what the others leave.  Row i takes its knapsack point, and where d_i
+    binds, the point between it and its least-use point with q_i . z_i = d_i.
+    """
+    lower, upper = block(canon.lower), block(canon.upper)
+    g, h = (block(canon.G[0]), float(canon.h[0])) if canon.G.shape[0] else (np.zeros_like(q), 0.0)
+    least = box_knapsack(g, q, d, lower, upper)
+    failing = least.shortfall > ZERO_TOL * (1.0 + np.abs(d))
+    if failing.any():
+        return InverseSolution.infeasible(
+            model, infeasible_message.format(infeasibility=least.shortfall[np.argmax(failing)])
+        )
+    lost = least.value == -np.inf
+    used = np.where(lost, 0.0, least.value)  # no -inf in the sums
+    total = float(np.sum(used))
+    if not lost.any() and total - h > ZERO_TOL * (1.0 + abs(h) + float(np.sum(np.abs(used)))):
+        return InverseSolution.infeasible(model, infeasible_message.format(infeasibility=total - h))
+    others = np.sum(np.where(np.eye(used.size, dtype=bool), 0.0, used), axis=1)  # sum over k != i
+    budget = np.where(lost.sum() > lost, np.inf, h - others)
+    best = box_knapsack(q, -g, -budget, lower, upper)
+
+    def imputed(i):
+        z = least.point.copy()
+        own = _descend(least.point[i], least.ray[i], g[i], budget[i]) if lost[i] else least.point[i]
+        if best.value[i] >= d[i]:
+            z[i] = best.point[i]
+        else:
+            toward = best.ray[i] if best.value[i] == -np.inf else best.point[i] - own
+            z[i] = _descend(own, toward, q[i], d[i])
+        rest = lost & (np.arange(lost.size) != i)
+        if rest.any():
+            share = (h - float(g[i] @ z[i]) - others[i]) / rest.sum()
+            z[rest] = _descend(least.point[rest], least.ray[rest], g[rest], share)
+        return z
+
+    return np.maximum(d, best.value), imputed
 
 
 def lp_gap_solution(model, problem, structure, x, outcomes, offset, shape, infeasible_message):

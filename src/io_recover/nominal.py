@@ -1,7 +1,9 @@
 """Constraint-matrix recovery for the plain linear forward problem.
 
-Gap minimization solves one LP per constraint over the flattened matrix;
-strong duality is closed form via projections of the prior rows.
+Gap minimization prices one coupling side row in closed form
+(`model.knapsack_values`) and solves one LP per constraint over the
+flattened matrix when more are left; strong duality is closed form via
+projections of the prior rows.
 """
 
 import numbers
@@ -25,6 +27,8 @@ from .model import (
     WeightBoost,
     canonicalize_omega,
     check_inputs,
+    gap_solution,
+    knapsack_values,
     lp_gap_solution,
     param_keys,
     sd_solution,
@@ -34,11 +38,14 @@ from .model import (
 def solve_nlo_dg(problem, x_hat, omega):
     """Impute the constraint matrix minimizing the duality gap at the observation.
 
-    One LP per constraint over the flattened matrix: minimize that row's
-    surplus subject to the side constraints and feasibility of every row.
-    The gap equals the smallest achievable surplus; the cost vector is the
-    winning row.  An observation whose products with omega's bounds
-    overflow raises DimensionError naming x_hat.
+    Per constraint i: minimize row i's surplus subject to the side
+    constraints and feasibility of every row.  When the side constraints
+    keep at most one coupling row, each row's value and point are
+    knapsacks in closed form (`model.knapsack_values`); with two or more,
+    one LP per constraint over the flattened matrix, all m over one
+    feasible set.  The gap equals the smallest achievable surplus; the
+    cost vector is the winning row.  An observation whose products with
+    omega's bounds overflow raises DimensionError naming x_hat.
     """
     structure = UncertaintyStructure.nominal()
     x = check_inputs(ModelKind.NLO_DG, problem, x_hat, structure, omega=omega)
@@ -47,27 +54,34 @@ def solve_nlo_dg(problem, x_hat, omega):
     canon = canonicalize_omega(omega, keys)
     if not canon.feasible:
         return InverseSolution.infeasible(ModelKind.NLO_DG, "side constraints are contradictory")
-
-    own = np.array([key[1] for key in keys]) == np.arange(m)[:, None]  # own[i, k]: key k is in row i
-    loads = np.where(own, np.tile(x, m), 0.0)  # loads[i] . a = a_i . x
-    # LP i shifts b_i by a_i . x at a_i's finite bounds: beyond the floats no LP answer is finite
+    # row i's value shifts b_i by a_i . x at a_i's finite bounds: beyond the floats none is finite
     edges = np.abs(np.vstack([canon.lower, canon.upper]))
-    reach = np.where(edges < np.inf, edges, 0.0).sum(axis=0)
+    reach = np.where(edges < np.inf, edges, 0.0).sum(axis=0).reshape(m, n)
     with np.errstate(over="ignore"):
-        finite = np.isfinite(np.abs(loads) @ reach + np.abs(problem.b))
+        finite = np.isfinite(reach @ np.abs(x) + np.abs(problem.b))
     if not finite.all():
         raise DimensionError("x_hat", f"a_i . x_hat overflows at omega's bounds on constraint {np.argmin(finite) + 1}")
-    constraints = Constraints(
-        np.vstack([loads, canon.G]), (">=",) * m + ("<=",) * canon.G.shape[0],
-        np.concatenate([problem.b, canon.h]), canon.lower, canon.upper,
+    infeasible = ("no matrix in the side constraints keeps the observation feasible "
+                  "(phase-one infeasibility {infeasibility:g})")
+    k = canon.G.shape[0]
+    if k > 1:
+        loads = np.where(keys.rows == np.arange(m)[:, None], np.tile(x, m), 0.0)  # loads[i] . a = a_i . x
+        constraints = Constraints(
+            np.vstack([loads, canon.G]), (">=",) * m + ("<=",) * k,
+            np.concatenate([problem.b, canon.h]), canon.lower, canon.upper,
+        )
+        lps = [LinearProgram(loads[i], constraints) for i in range(m)]
+        return lp_gap_solution(
+            ModelKind.NLO_DG, problem, structure, x, solve_lp_batch(lps), -problem.b,
+            lambda values: values.reshape(m, n), infeasible,
+        )
+    found = knapsack_values(
+        ModelKind.NLO_DG, canon, np.broadcast_to(x, (m, n)), problem.b, lambda v: v.reshape(m, n), infeasible
     )
-    lps = [LinearProgram(loads[i], constraints) for i in range(m)]
-    return lp_gap_solution(
-        ModelKind.NLO_DG, problem, structure, x, solve_lp_batch(lps), -problem.b,
-        lambda values: values.reshape(m, n),
-        "no matrix in the side constraints keeps the observation feasible "
-        "(phase-one infeasibility {infeasibility:g})",
-    )
+    if isinstance(found, InverseSolution):
+        return found
+    values, imputed = found
+    return gap_solution(ModelKind.NLO_DG, problem, structure, x, -problem.b, values, imputed)
 
 
 def solve_nlo_sd(problem, x_hat, prior):

@@ -47,6 +47,18 @@ def couple_rows(omega):
     return SideConstraints(G=np.vstack([omega.G, np.ones((1, p))]), h=np.append(omega.h, 1e6))
 
 
+def two_couplings(omega):
+    """omega with its last row repeated at twice the scale: the same
+    polyhedron.  When that row couples parameters, as the fixtures' last
+    rows and `couple_rows`' row do, two coupling rows are left after
+    `canonicalize_omega`, and the gap solvers take their m LPs in place of
+    the closed form for one."""
+    return SideConstraints(
+        G=np.vstack([omega.G, 2.0 * omega.G[-1:]]), h=np.append(omega.h, 2.0 * omega.h[-1]),
+        variable_map=omega.variable_map,
+    )
+
+
 def make_nlo_dg(seed):
     rng = np.random.default_rng(seed)
     m = int(rng.integers(2, 5))

@@ -157,22 +157,25 @@ def test_criterion_08():
 
 @_criterion(
     9,
-    "complexity contract: nlo-dg m LPs; rlo-iu-dg and rlo-ccu-dg m LPs when a side constraint couples "
-    "parameters, none when the side constraints fold into bounds; the strong-duality models none; "
-    "one activation-budget ranking per budget solve",
+    "complexity contract: each gap model runs m LPs when its side constraints keep two or more coupling rows "
+    "after canonicalize_omega, none otherwise; the strong-duality models none; one activation-budget ranking "
+    "per budget solve",
 )
 def test_criterion_09(calls):
     rng = np.random.default_rng(90210)
     checked = 0
-    counted = {"iu": set(), "ccu": set()}  # side constraints (box-only, coupled) whose LPs were counted
-    for seed in rng.integers(0, 100_000, size=8):
+    # the gap instances' side constraints: box-only, one coupling row, two coupling rows (the LPs)
+    forms = (lambda omega: omega, gen.couple_rows, lambda omega: gen.two_couplings(gen.couple_rows(omega)))
+    counted = {"nlo": set(), "iu": set(), "ccu": set()}  # the forms whose LPs were counted
+    for seed in rng.integers(0, 100_000, size=9):
         seed = int(seed)
-        coupled = checked % 2 == 1  # every other gap instance takes the joint LPs
-        couple = gen.couple_rows if coupled else (lambda omega: omega)
+        form = checked % 3
+        couple, lps = forms[form], form == 2
         problem, x, structure, omega, _ = gen.make_nlo_dg(seed)
         calls.clear()
-        solve_nlo_dg(problem, x, omega)
-        assert calls["lp_solve"] == problem.m
+        solve_nlo_dg(problem, x, couple(omega))
+        assert calls["lp_solve"] == (problem.m if lps else 0)
+        counted["nlo"].add(form)
 
         problem, x, structure, prior, _ = gen.make_nlo_sd(seed)
         calls.clear()
@@ -182,8 +185,8 @@ def test_criterion_09(calls):
         problem, x, structure, omega, _ = gen.make_iu_dg(seed)
         calls.clear()
         solve_rlo_iu_dg(problem, x, structure, couple(omega))
-        assert calls["lp_solve"] == (problem.m if coupled else 0)
-        counted["iu"].add(coupled)
+        assert calls["lp_solve"] == (problem.m if lps else 0)
+        counted["iu"].add(form)
 
         problem, x, structure, prior, _ = gen.make_iu_sd(seed)
         calls.clear()
@@ -195,8 +198,8 @@ def test_criterion_09(calls):
         calls.clear()
         sol = solve_rlo_ccu_dg(problem, x, structure, couple(omega))
         if sol.status == Status.OPTIMAL:
-            assert calls["lp_solve"] == (problem.m if coupled else 0)
-            counted["ccu"].add(coupled)
+            assert calls["lp_solve"] == (problem.m if lps else 0)
+            counted["ccu"].add(form)
         assert calls["activation_budgets"] == 1
 
         problem, x, structure, prior, _ = gen.make_ccu_sd(seed)
@@ -205,9 +208,9 @@ def test_criterion_09(calls):
         assert calls["lp_solve"] == 0
         assert calls["activation_budgets"] == 1
         checked += 1
-    assert checked == 8
-    assert counted == {"iu": {False, True}, "ccu": {False, True}}
-    return "8 random instances per model; gap models on box-only and coupled side constraints"
+    assert checked == 9
+    assert counted == {"nlo": {0, 1, 2}, "iu": {0, 1, 2}, "ccu": {0, 1, 2}}
+    return "9 random instances per model; gap models box-only and with one and two coupling rows"
 
 
 def make_iu_sd_l2(seed):

@@ -114,19 +114,23 @@ class TestGammaBounds:
 
 class TestCcuDg:
     def test_lp_and_ranking_counts(self, calls):
+        # fixture 5's one coupling row, twice: the m LPs; once: the closed form
         case = example_case(5)
-        solve_rlo_ccu_dg(case.problem, case.x_hat, case.structure, case.omega)
+        solve_rlo_ccu_dg(case.problem, case.x_hat, case.structure, gen.two_couplings(case.omega))
         assert calls["lp_solve"] == case.problem.m
         assert calls["activation_budgets"] == 1
+        calls.clear()
+        solve_rlo_ccu_dg(case.problem, case.x_hat, case.structure, case.omega)
+        assert calls == {"activation_budgets": 1}
 
     def test_one_equality_form_serves_all_m_lps(self, std_builds, calls):
         # LP i maximizes budget i over one set: the budget box and omega's k coupled rows
         case = example_case(5)
-        sol = solve_rlo_ccu_dg(case.problem, case.x_hat, case.structure, case.omega)
+        sol = solve_rlo_ccu_dg(case.problem, case.x_hat, case.structure, gen.two_couplings(case.omega))
         assert sol.status == Status.OPTIMAL
         assert calls["lp_solve"] == case.problem.m
         (constraints,) = std_builds
-        assert constraints.A.shape == (1, case.problem.m)
+        assert constraints.A.shape == (2, case.problem.m)
 
     def test_box_only_omega_runs_no_lp(self, std_builds, calls, monkeypatch):
         monkeypatch.setattr(cardinality, "Constraints", None)  # building one would raise

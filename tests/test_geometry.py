@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linprog
 
 from conftest import knapsack_continuous, knapsack_protection
 from io_recover import (
@@ -23,7 +24,15 @@ from io_recover import (
     realized_row_interval,
     solve_lp,
 )
-from io_recover.geometry import activation_budgets, budget_share, norm_value, products, protection, ranked
+from io_recover.geometry import (
+    activation_budgets,
+    box_knapsack,
+    budget_share,
+    norm_value,
+    products,
+    protection,
+    ranked,
+)
 
 NORMS = (NormKind.L1, NormKind.L2, NormKind.LINF)
 
@@ -484,3 +493,74 @@ class TestBudgetKernel:
                 res = gamma_bar(ForwardProblem(A=A, b=b), alpha[i], cols, x, i)
                 assert (res.lower, res.upper) == (lower[i], upper[i])
         assert seen == {"out", "unique", "interval"}
+
+
+class TestBoxKnapsack:
+    """geometry.box_knapsack: min c . z s.t. r . z >= d over a box, every row at once."""
+
+    def test_fills_by_lowest_ratio_then_lowest_column(self):
+        # ratios 1, 0.5, 0.5, 2 from the lower bounds 0: the tied columns 2 and 3 fill first, in turn
+        out = box_knapsack([[1.0, 1.0, 1.0, 2.0]], [[1.0, 2.0, 2.0, 1.0]], [5.0], np.zeros((1, 4)), np.ones((1, 4)))
+        assert out.point.tolist() == [[1.0, 1.0, 1.0, 0.0]]
+        assert out.value.tolist() == [3.0] and out.shortfall[0] == -1.0
+
+    def test_zero_cost_coordinates_sit_where_the_row_favours(self):
+        # c = 0: r > 0 at the upper bound, r < 0 at the lower, r = 0 at the box point nearest 0
+        out = box_knapsack([[0.0, 0.0, 0.0]], [[1.0, -1.0, 0.0]], [-10.0], [[-1.0, -2.0, 1.0]], [[2.0, 3.0, 4.0]])
+        assert out.point.tolist() == [[2.0, -2.0, 1.0]] and out.value.tolist() == [0.0]
+
+    def test_a_seller_hands_back_the_surplus(self):
+        # z_0 has no lower bound and ratio 1: it falls until r . z = d
+        out = box_knapsack([[1.0, 0.0]], [[1.0, 1.0]], [0.5], [[-np.inf, 0.0]], [[5.0, 2.0]])
+        assert out.point.tolist() == [[-1.5, 2.0]] and out.value.tolist() == [-1.5]
+
+    def test_unbounded_rows_give_a_point_and_a_ray(self):
+        # row 1: a free coordinate outside r; row 2: a filling coordinate without limit at a
+        # negative ratio; row 3: the seller of a row with no constraint
+        inf = np.inf
+        out = box_knapsack(
+            [[1.0, 0.0], [-1.0, 0.0], [1.0, 0.0]], [[0.0, 1.0], [1.0, 0.0], [1.0, 0.0]], [1.0, 0.0, -inf],
+            [[-inf, 0.0], [0.0, 0.0], [-inf, 0.0]], [[0.0, 2.0], [inf, 0.0], [0.0, 0.0]],
+        )
+        assert out.value.tolist() == [-inf, -inf, -inf]
+        assert out.ray.tolist() == [[-1.0, 0.0], [1.0, 0.0], [-1.0, 0.0]]
+        assert np.all(np.isfinite(out.point))
+
+    def test_agrees_with_highs_on_infinite_boxes(self):
+        rng = np.random.default_rng(2024)
+        seen = set()
+        for trial in range(150):
+            m, n = int(rng.integers(1, 4)), int(rng.integers(1, 5))
+            c, r = (rng.integers(-2, 3, (m, n)).astype(float) for _ in range(2))
+            lower = rng.integers(-3, 2, (m, n)).astype(float)
+            upper = lower + rng.integers(0, 4, (m, n))
+            lower[rng.random((m, n)) < 0.25] = -np.inf
+            upper[rng.random((m, n)) < 0.25] = np.inf
+            d = rng.integers(-4, 5, m).astype(float)
+            d[rng.random(m) < 0.1] = -np.inf
+            out = box_knapsack(c, r, d, lower, upper)
+            for i in range(m):
+                label = (trial, i)
+                bounds = [(None if lo == -np.inf else lo, None if hi == np.inf else hi) for lo, hi in zip(lower[i], upper[i])]
+                if d[i] == -np.inf:
+                    ref = linprog(c[i], bounds=bounds, method="highs")
+                else:
+                    ref = linprog(c[i], A_ub=-r[i][None], b_ub=[-d[i]], bounds=bounds, method="highs")
+                if ref.status == 2:
+                    assert out.shortfall[i] > 0.0, label
+                    seen.add("infeasible")
+                    continue
+                z = out.point[i]
+                assert out.shortfall[i] <= 1e-12 and np.all(np.isfinite(z)), label
+                assert np.all(z >= lower[i]) and np.all(z <= upper[i]) and r[i] @ z >= d[i] - 1e-12, label
+                if ref.status == 3:
+                    ray = out.ray[i]
+                    assert out.value[i] == -np.inf and c[i] @ ray < 0.0, label
+                    assert d[i] == -np.inf or r[i] @ ray >= 0.0, label
+                    assert np.all((ray <= 0.0) | (upper[i] == np.inf)) and np.all((ray >= 0.0) | (lower[i] == -np.inf)), label
+                    seen.add("unbounded")
+                else:
+                    assert out.value[i] == pytest.approx(ref.fun, abs=1e-12) and c[i] @ z == pytest.approx(out.value[i], abs=1e-12), label
+                    assert not out.ray[i].any(), label
+                    seen.add("optimal")
+        assert seen == {"optimal", "unbounded", "infeasible"}

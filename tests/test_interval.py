@@ -104,15 +104,19 @@ def test_example_4_checks():
 
 class TestIuDg:
     def test_lp_call_count_is_m(self, calls):
+        # fixture 3's one coupling row, twice: the m LPs; once: the closed form
         case = example_case(3)
-        solve_rlo_iu_dg(case.problem, case.x_hat, case.structure, case.omega)
+        solve_rlo_iu_dg(case.problem, case.x_hat, case.structure, gen.two_couplings(case.omega))
         assert calls["lp_solve"] == case.problem.m
+        calls.clear()
+        solve_rlo_iu_dg(case.problem, case.x_hat, case.structure, case.omega)
+        assert calls["lp_solve"] == 0
 
     def test_one_equality_form_serves_all_m_lps(self, std_builds, calls):
-        # the all-ones row never binds but couples the rows, so every LP
+        # the all-ones rows never bind but couple the rows, so every LP
         # spans every row's magnitudes
         problem, x, structure, _ = _all_uncertain_10x5()
-        omega = gen.couple_rows(SideConstraints(G=np.eye(50), h=np.full(50, 3.0)))
+        omega = gen.two_couplings(gen.couple_rows(SideConstraints(G=np.eye(50), h=np.full(50, 3.0))))
         sol = solve_rlo_iu_dg(problem, x, structure, omega)
         assert sol.status == Status.OPTIMAL
         assert calls["lp_solve"] == problem.m

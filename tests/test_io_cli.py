@@ -205,13 +205,24 @@ class TestCliSolve:
         assert capsys.readouterr().err == "strong-duality recovery needs a nonzero observation\n"
         assert not out.exists()
 
+    @staticmethod
+    def _two_couplings(tmp_path):
+        """Fixture 1 with its coupling row repeated at twice the scale
+        (`gen.two_couplings`): nlo-dg then takes its m LPs."""
+        doc = _load(FIXTURES / "example1.json")
+        doc["omega"]["G"].append([2.0 * v for v in doc["omega"]["G"][-1]])
+        doc["omega"]["h"].append(2.0 * doc["omega"]["h"][-1])
+        src = tmp_path / "problem.json"
+        src.write_text(json.dumps(doc))
+        return src
+
     def test_lp_failure_prints_one_line(self, tmp_path, capsys, monkeypatch):
         def failing(*args):
             raise NumericalFailureError("synthetic failure")
 
         monkeypatch.setattr(lp_mod, "_phase_two", failing)
         out = tmp_path / "solution.json"
-        assert cli.main(["solve", "--input", str(FIXTURES / "example1.json"), "--output", str(out)]) == 1
+        assert cli.main(["solve", "--input", str(self._two_couplings(tmp_path)), "--output", str(out)]) == 1
         assert capsys.readouterr().err == "synthetic failure\n"
         assert not out.exists()
 
@@ -221,7 +232,7 @@ class TestCliSolve:
         unbounded = lp_mod.LpOutcome(status=lp_mod.LpStatus.UNBOUNDED)
         monkeypatch.setattr(nominal_mod, "solve_lp_batch", lambda lps: [unbounded for _ in lps])
         out = tmp_path / "solution.json"
-        assert cli.main(["solve", "--input", str(FIXTURES / "example1.json"), "--output", str(out)]) == 1
+        assert cli.main(["solve", "--input", str(self._two_couplings(tmp_path)), "--output", str(out)]) == 1
         assert capsys.readouterr().err == "the gap LP of constraint 1 reported unbounded\n"
         assert not out.exists()
 

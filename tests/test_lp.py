@@ -1,7 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.optimize import linprog
 
+import gen
 import io_recover.lp as lp_mod
 from io_recover import (
     Constraints,
@@ -334,9 +337,10 @@ class TestDeterminismAndBatch:
     @pytest.mark.parametrize("step", ["_Start", "_phase_two"])
     @pytest.mark.parametrize("number", [1, 3, 4, 5])
     def test_numerical_failure_raises_from_solve(self, monkeypatch, step, number, calls):
-        # fixtures 1, 3 and 5 are the LP models: nlo-dg, rlo-iu-dg, rlo-ccu-dg.
-        # Fixture 4's rlo-iu-sd solves its rows in closed form, so a failing
-        # engine does not reach it
+        # fixtures 1, 3 and 5 are the gap models nlo-dg, rlo-iu-dg and rlo-ccu-dg:
+        # with their one coupling row twice, they run the LP engine.  Fixture
+        # 4's rlo-iu-sd solves its rows in closed form, so a failing engine
+        # does not reach it
         def failing(*args):
             raise NumericalFailureError("synthetic failure")
 
@@ -347,7 +351,7 @@ class TestDeterminismAndBatch:
             assert calls["lp_solve"] == 0
             return
         with pytest.raises(NumericalFailureError, match="^synthetic failure$"):
-            solve_case(case)
+            solve_case(replace(case, omega=gen.two_couplings(case.omega)))
 
     def test_batch_order(self):
         lps = [simple([1.0], [([1.0], ">=", float(k))]) for k in range(8)]
@@ -461,7 +465,7 @@ class TestBoundedVariables:
                                   np.isfinite(cons.lower[std.owner]) & np.isfinite(cons.upper[std.owner])), trial
 
     def test_nlo_dg_tableau_has_one_row_per_lp_row(self, std_builds):
-        # nlo-dg at 20 x 10: 20 feasibility rows and one coupling row over 200
+        # nlo-dg at 20 x 10: 20 feasibility rows and two coupling rows over 200
         # coefficients in [-3, 3], and no row for the box
         rng = np.random.default_rng(20)
         m, n = 20, 10
@@ -472,12 +476,12 @@ class TestBoundedVariables:
         p = m * n
         omega = SideConstraints(G=np.vstack([np.eye(p), -np.eye(p), np.ones((1, p))]),
                                 h=np.concatenate([np.full(2 * p, 3.0), [float(p)]]))
-        solution = solve(ModelKind.NLO_DG, problem, x, omega=omega)
+        solution = solve(ModelKind.NLO_DG, problem, x, omega=gen.two_couplings(omega))
         assert solution.active_index is not None
         (cons,) = std_builds
-        assert cons.A.shape == (21, 200)
-        assert lp_mod._Std(cons).A.shape[0] == 21
-        assert lp_mod._Start(cons).T.shape[0] == 21
+        assert cons.A.shape == (22, 200)
+        assert lp_mod._Std(cons).A.shape[0] == 22
+        assert lp_mod._Start(cons).T.shape[0] == 22
 
 
 class TestNoRows:

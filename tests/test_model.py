@@ -21,6 +21,7 @@ from io_recover.fixtures import example_case
 from io_recover.geometry import activation_budgets, norm_value
 from io_recover.model import (
     Status,
+    ParamKeys,
     ValidationEntry,
     ValidationReport,
     canonicalize_omega,
@@ -232,7 +233,7 @@ class TestOmega:
         G = np.array([[2.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
         h = np.array([6.0, -1.0, 2.0, 3.5])
         omega = SideConstraints(G=G, h=h)
-        keys = [("gamma", 0), ("gamma", 1)]
+        keys = ParamKeys("gamma", np.arange(2))
         canon = canonicalize_omega(omega, keys)
         assert canon.lower == pytest.approx([1.0, -np.inf])
         assert canon.upper == pytest.approx([3.0, 2.0])
@@ -241,7 +242,7 @@ class TestOmega:
 
     def test_crossed_bounds_flagged_infeasible(self):
         omega = SideConstraints(G=[[1.0], [-1.0]], h=[1.0, -2.0])
-        canon = canonicalize_omega(omega, [("gamma", 0)])
+        canon = canonicalize_omega(omega, ParamKeys("gamma", np.arange(1)))
         assert not canon.feasible
 
     def test_variable_order_permutes_columns(self):
@@ -300,7 +301,7 @@ def test_masked_omega_matches_row_loop():
     rng = np.random.default_rng(11)
     for trial in range(400):
         m, n = int(rng.integers(1, 5)), int(rng.integers(0, 4))
-        keys = [("alpha", i, j) for i in range(m) for j in range(n)]
+        keys = ParamKeys("alpha", np.repeat(np.arange(m), n), np.tile(np.arange(n), m))
         p = len(keys)
         G = rng.choice([0.0, 0.0, 0.0, 1.0, -1.0, 2.0, -0.5], (int(rng.integers(0, 8)), p))
         h = rng.choice([0.0, 1.0, -1.0, -1e-10, -1e-8, 3.0], G.shape[0])
@@ -592,7 +593,10 @@ def _near_tie(model, scale=1.0):
     """A gap instance whose least t is shared, up to rounding, by several rows,
     with A, b and every parameter in data units multiplied by `scale`."""
     if model == ModelKind.NLO_DG:
-        problem, x, structure, omega, _ = gen.make_nlo_dg(7)
+        # box-only: row 1's least a . x is 0.1 + 0.2 and row 2's 0.3, so t_1 = t_2 up to rounding
+        problem, x = ForwardProblem(A=np.zeros((2, 2)), b=[0.0, 0.0]), np.ones(2)
+        structure = UncertaintyStructure.nominal()
+        omega = gen._box_omega(np.array([0.1, 0.2, 0.3, 0.0]), np.ones(4))
     elif model == ModelKind.RLO_IU_DG:
         # box-only: row 2 is row 1 times c, its box short of its surplus and
         # wider on column 1 by (c - 1) * surplus_1, so t_2 = t_1 = 0.8 up to rounding

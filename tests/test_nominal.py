@@ -42,9 +42,13 @@ def test_example_2_checks():
 
 class TestDgBehavior:
     def test_lp_call_count_is_m(self, calls):
+        # fixture 1's one coupling row, twice: the m LPs; once: the closed form
         case = example_case(1)
-        solve_nlo_dg(case.problem, case.x_hat, case.omega)
+        solve_nlo_dg(case.problem, case.x_hat, gen.two_couplings(case.omega))
         assert calls["lp_solve"] == case.problem.m
+        calls.clear()
+        solve_nlo_dg(case.problem, case.x_hat, case.omega)
+        assert calls["lp_solve"] == 0
 
     def test_one_equality_form_serves_all_m_lps(self, std_builds, calls):
         rng = np.random.default_rng(3)
@@ -53,7 +57,7 @@ class TestDgBehavior:
         b = A @ x - 0.5
         G = np.vstack([np.eye(15), -np.eye(15), np.ones((1, 15))])
         h = np.concatenate([np.full(30, 3.0), [15.0]])
-        sol = solve_nlo_dg(ForwardProblem(A=A, b=b), x, SideConstraints(G=G, h=h))
+        sol = solve_nlo_dg(ForwardProblem(A=A, b=b), x, gen.two_couplings(SideConstraints(G=G, h=h)))
         assert sol.status == Status.OPTIMAL
         assert calls["lp_solve"] == 5
         assert len(std_builds) == 1
@@ -64,7 +68,8 @@ class TestDgBehavior:
         G = np.vstack([np.eye(p), -np.eye(p)])
         h = np.concatenate([np.ones(p), np.zeros(p)])
         problem = ForwardProblem(A=np.ones((3, 2)), b=[1.0, 5.0, 1.0])
-        sol = solve_nlo_dg(problem, np.array([1.0, 1.0]), SideConstraints(G=G, h=h))
+        omega = gen.two_couplings(gen.couple_rows(SideConstraints(G=G, h=h)))
+        sol = solve_nlo_dg(problem, np.array([1.0, 1.0]), omega)
         assert sol.status == Status.INFEASIBLE
         assert "phase-one infeasibility" in sol.message
         assert len(std_builds) == 1
@@ -287,7 +292,7 @@ class TestEdgePolicies:
             nominal_mod, "solve_lp_batch", lambda lps: [LpOutcome(status=LpStatus.UNBOUNDED) for _ in lps]
         )
         with pytest.raises(NumericalFailureError, match="constraint 1 reported unbounded"):
-            nominal_mod.solve_nlo_dg(case.problem, case.x_hat, case.omega)
+            nominal_mod.solve_nlo_dg(case.problem, case.x_hat, gen.two_couplings(case.omega))
 
 
 class TestTrivialEscapes:

@@ -2,11 +2,12 @@
 
 When the side constraints of rlo-iu-dg or rlo-ccu-dg fold into bounds, row
 i's subproblem covers row i's parameters only, solved in closed form, and
-every other row takes its lower bound.  Appending an all-ones row that
-never binds keeps the same feasible set but couples the rows, so the
-solver takes the joint LPs; both answers must agree.  rlo-ccu-dg's joint
-LPs find the budget caps only, and both paths take the knapsack at them,
-so `test_cardinality.py` also checks its LPs against the joint
+every other row takes its lower bound.  Appending two all-ones rows that
+never bind (`gen.couple_rows`, then `gen.two_couplings`) keeps the same
+feasible set but leaves two coupling rows, so the solver takes the joint
+LPs; both answers must agree.  rlo-ccu-dg's joint LPs find the budget
+caps only, and both paths take the knapsack at them, so
+`test_cardinality.py` also checks its LPs against the joint
 budget-and-allocation LPs.
 """
 
@@ -56,11 +57,12 @@ def _lower_rows(model, problem, structure, omega):
 def _agree(model, label, problem, x, structure, omega, joint_omega=None):
     """Solve box-only (no RuntimeWarning) and on the joint LPs, assert the
     answers agree, and return whether the model was feasible.  The joint
-    LPs take `joint_omega`, by default `omega` coupled by `gen.couple_rows`."""
+    LPs take `joint_omega`, by default `omega` coupled twice by
+    `gen.couple_rows` and `gen.two_couplings`."""
     solve = SOLVERS[model]
     if joint_omega is None:
         p = len(param_keys(model, problem, structure))
-        joint_omega = gen.couple_rows(omega or SideConstraints(G=np.zeros((0, p)), h=np.zeros(0)))
+        joint_omega = gen.two_couplings(gen.couple_rows(omega or SideConstraints(G=np.zeros((0, p)), h=np.zeros(0))))
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         per_row = solve(problem, x, structure, omega)
@@ -135,6 +137,6 @@ def test_infeasible_when_a_later_row_lp_is():
     structure = UncertaintyStructure.interval(((0,), (1,)))
     omega = SideConstraints(G=[[0.0, -1.0]], h=[-2.0])  # alpha_22 >= 2
     per_row = solve_rlo_iu_dg(problem, [1.0, 1.0], structure, omega)
-    joint = solve_rlo_iu_dg(problem, [1.0, 1.0], structure, gen.couple_rows(omega))
+    joint = solve_rlo_iu_dg(problem, [1.0, 1.0], structure, gen.two_couplings(gen.couple_rows(omega)))
     assert per_row.status == joint.status == Status.INFEASIBLE
     assert per_row.message == joint.message

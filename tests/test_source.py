@@ -7,8 +7,9 @@ re-solve call, and every solution is built in `model` alone: an infeasible
 one by `InverseSolution.infeasible`, the others by the one tail that picks
 and realizes the active row.  Budget uncertainty's products alpha |x| are
 ranked by `geometry`'s kernel alone, nlo-sd projects all its rows in
-one pass, each gap model's m LPs share one feasible set, and `validate`
-tests each assumption on all rows at once.  The benchmark's traced runs
+one pass, each gap model prices one coupling row by the one knapsack
+kernel and shares one feasible set over its m LPs when more are left, and
+`validate` tests each assumption on all rows at once.  The benchmark's traced runs
 find every function they wrap, and every error class is raised or caught
 somewhere in the library."""
 
@@ -138,6 +139,19 @@ def test_budgets_are_ranked_in_geometry_alone(name):
     # alpha |x| is ranked once, by geometry's m-row kernel; its per-row views are for callers outside
     ranking = {"argsort", "sorted", "gamma_bar"}
     assert _called(ast.parse(SOURCE[name].read_text(encoding="utf-8"))) & ranking == set()
+
+
+@pytest.mark.parametrize("name", ["nominal.py", "interval.py", "cardinality.py"])
+def test_one_coupling_row_takes_the_one_kernel(name):
+    # a single coupling row is priced by model.knapsack_values over geometry.box_knapsack, not by LPs
+    (solver,) = [node for key, node in _functions(SOURCE[name]).items() if key.endswith("_dg")]
+    assert "knapsack_values" in _called(solver)
+    assert "box_knapsack" in _called(_functions(SOURCE["model.py"])["knapsack_values"])
+
+
+def test_nominal_sorts_nothing():
+    # the knapsacks' ratios are sorted in geometry alone
+    assert _called(ast.parse(SOURCE["nominal.py"].read_text(encoding="utf-8"))) & {"argsort", "sort", "sorted"} == set()
 
 
 def test_nlo_sd_projects_every_row_at_once():
