@@ -3,11 +3,12 @@ from an observed decision of a linear program (minimize c'x s.t. Ax >= b).
 
 Six models: constraint-matrix, interval-magnitude, and budget recovery,
 each minimizing the duality gap or enforcing strong duality against a
-prior.  The gap models take a closed form while the side constraints
-keep at most one coupling row (continuous knapsacks, `geometry.box_knapsack`),
-and otherwise one small LP per constraint with the built-in dense simplex;
-a model's m LPs share one feasible set, for rlo-ccu-dg the m budgets
-alone.  The three strong-duality models run no LP, only closed forms.
+prior.  The gap models' subproblems are stated once, in `model.gap_values`:
+a closed form while the side constraints keep at most one coupling row
+(continuous knapsacks, `geometry.box_knapsack`), and otherwise one small
+LP per constraint with the built-in dense simplex, the m LPs over one
+feasible set (for rlo-ccu-dg the m budgets alone).  The three
+strong-duality models run no LP, only closed forms.
 """
 
 from .cardinality import GammaBounds, compute_gamma_bounds, solve_rlo_ccu_dg, solve_rlo_ccu_sd

@@ -6,9 +6,8 @@ alpha_ij |x_j| (`geometry.ranked`), and cap each row's feasible budget;
 the same ranking gives the protection at those caps.  The strong-duality
 model is closed form in those budgets.  The gap model's row i takes the
 continuous knapsack at its largest feasible budget: the box's upper bound
-once the side constraints fold into bounds, min(upper_i, H_i / g_i) in
-closed form under one coupling row (`model.knapsack_values`), else the
-optimum of one LP per row over the m budgets alone.  Both models hand
+once the side constraints fold into bounds, else `model.gap_values`'
+largest budget i over the m budgets alone.  Both models hand
 their per-row results to `model`'s one tail, which picks the active row
 and realizes the cost vector under its budget.
 """
@@ -19,7 +18,6 @@ import numpy as np
 
 from .errors import NominalInfeasibleError
 from .geometry import activation, knapsack, norm_value, ranked
-from .lp import Constraints, LinearProgram, solve_lp_batch
 from .model import (
     InverseSolution,
     ModelKind,
@@ -27,8 +25,7 @@ from .model import (
     check_inputs,
     clamp_budget_prior,
     gap_solution,
-    knapsack_values,
-    lp_values,
+    gap_values,
     param_keys,
     row_solution,
 )
@@ -84,10 +81,9 @@ def solve_rlo_ccu_dg(problem, x_hat, structure, omega):
     (`geometry.knapsack`), which never decreases as its budget grows, so
     its optimum is the knapsack at its cap: the largest budget i in the
     feasibility box and the side constraints.  Box-only, the cap is the
-    upper bound, and every other budget takes its lower bound.  With one
-    coupling row g . gamma <= h, the cap and the block come from
-    `model.knapsack_values`; with more, LP i maximizes budget i over the m
-    budgets (one `Constraints` for all m), and its budgets are row i's block.
+    upper bound, and every other budget takes its lower bound.  With a
+    coupling row left, LP i maximizes budget i over the m budgets, with no
+    own row (`model.gap_values`), and its budgets are row i's block.
     """
     x = check_inputs(ModelKind.RLO_CCU_DG, problem, x_hat, structure, omega=omega)
     m = problem.m
@@ -101,21 +97,12 @@ def solve_rlo_ccu_dg(problem, x_hat, structure, omega):
     if not canon.feasible:
         return InverseSolution.infeasible(ModelKind.RLO_CCU_DG, infeasible)
     cap, imputed = canon.upper, lambda i: np.where(np.arange(m) == i, canon.upper, canon.lower)
-    if canon.G.shape[0] == 1:
-        found = knapsack_values(
-            ModelKind.RLO_CCU_DG, canon, -np.ones((m, 1)), np.full(m, -np.inf), lambda v: v.reshape(m, 1), infeasible
-        )
+    if canon.G.shape[0]:
+        found = gap_values(ModelKind.RLO_CCU_DG, canon, keys, -np.ones(m), np.full(m, -np.inf), infeasible)
         if isinstance(found, InverseSolution):
             return found
         cap, block = found
         cap, imputed = -cap, lambda i: block(i)[:, 0]
-    elif canon.G.shape[0]:
-        constraints = Constraints(canon.G, ("<=",) * canon.G.shape[0], canon.h, canon.lower, canon.upper)
-        outcomes = solve_lp_batch([LinearProgram(objective, constraints) for objective in -np.eye(m)])
-        cap = lp_values(ModelKind.RLO_CCU_DG, outcomes, infeasible)
-        if isinstance(cap, InverseSolution):
-            return cap
-        cap, imputed = -cap, lambda i: outcomes[i].solution
     return gap_solution(ModelKind.RLO_CCU_DG, problem, structure, x, surplus, -knapsack(values, mask, cap), imputed)
 
 

@@ -122,9 +122,10 @@ def project_halfspace(a_hat, x_hat, b, norm):
 
 def _check_alpha(alpha_i, cols):
     alpha_i = np.asarray(alpha_i, dtype=float)
-    for j in cols:
-        if alpha_i[j] < 0.0:
-            raise PreconditionError(f"deviation magnitude alpha[{j}] is negative")
+    cols = list(cols)  # indexes as one column at a time did: one that is not an integer raises IndexError
+    negative = np.flatnonzero(alpha_i[cols] < 0.0)
+    if negative.size:  # the first in `cols` order is named
+        raise PreconditionError(f"deviation magnitude alpha[{cols[negative[0]]}] is negative")
     return alpha_i
 
 
@@ -137,9 +138,9 @@ def realized_row_interval(a_i, alpha_i, cols, x):
     a_i = np.asarray(a_i, dtype=float)
     x = np.asarray(x, dtype=float)
     alpha_i = _check_alpha(alpha_i, cols)
-    row = a_i.astype(float).copy()
-    for j in cols:
-        row[j] -= (1.0 if x[j] >= 0.0 else -1.0) * alpha_i[j]
+    cols = np.asarray(cols, dtype=np.intp)  # integers: _check_alpha indexed with them
+    row = a_i.copy()
+    np.subtract.at(row, cols, np.where(x[cols] >= 0.0, 1.0, -1.0) * alpha_i[cols])  # a repeated column twice
     return row
 
 

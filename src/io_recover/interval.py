@@ -1,16 +1,13 @@
 """Recovery of interval-uncertainty magnitudes.
 
 The gap model maximizes row i's protection, per row i, subject to robust
-feasibility of every row and the side constraints.  When two or more
-coupling side rows are left, that is one LP per row over every row's
-magnitudes, and the m LPs share one equality form.  One coupling row is
-priced in closed form by continuous knapsacks (`model.knapsack_values`).
-When the side constraints fold into bounds, the rows separate and the
-model runs no LP:
-row i's subproblem is one constraint over a box, a continuous knapsack
-solved in closed form, and every other row keeps its lower bounds, which
-are feasible whenever that row's own subproblem is, since the loads
-|x_j| are nonnegative.
+feasibility of every row and the side constraints; while they keep a
+coupling row, `model.gap_values` solves that subproblem over every row's
+magnitudes.  When the side constraints fold into bounds, the rows
+separate: row i's subproblem is one constraint over a box, a continuous
+knapsack solved in closed form here (`_fill`), and every other row keeps
+its lower bounds, which are feasible whenever that row's own subproblem
+is, since the loads |x_j| are nonnegative.
 The strong-duality model runs no LP: its objective and constraints
 separate by row, and each row's move is a projection in closed form.
 Both models hand their per-row results to `model`'s one tail, which picks
@@ -24,7 +21,6 @@ import numpy as np
 
 from .errors import PreconditionError
 from .geometry import NormKind, dual_norm, dual_norm_maximizer, norm_value
-from .lp import Constraints, LinearProgram, solve_lp_batch
 from .model import (
     ZERO_TOL,
     InverseSolution,
@@ -32,8 +28,7 @@ from .model import (
     canonicalize_omega,
     check_inputs,
     gap_solution,
-    knapsack_values,
-    lp_gap_solution,
+    gap_values,
     param_keys,
     sd_solution,
 )
@@ -41,11 +36,9 @@ from .model import (
 
 def _surplus(problem, x, structure):
     """The nominal surplus at the observation; every row needs an uncertain column."""
-    empty = [i for i in range(problem.m) if not structure.sets[i]]
-    if empty:
-        raise PreconditionError(
-            f"constraint {empty[0] + 1} has no uncertain coefficients"
-        )
+    empty = np.fromiter(map(len, structure.sets), np.intp, problem.m) == 0
+    if empty.any():
+        raise PreconditionError(f"constraint {np.argmax(empty) + 1} has no uncertain coefficients")
     return problem.surplus(x)
 
 
@@ -72,11 +65,10 @@ def solve_rlo_iu_dg(problem, x_hat, structure, omega):
     """Impute deviation magnitudes minimizing the duality gap.
 
     Per candidate row: maximize that row's protection subject to robust
-    feasibility of every row, nonnegativity, and the side constraints.
-    With two or more coupling side rows this is one LP per row over all
-    rows' magnitudes; one coupling row is priced by knapsacks in closed
-    form (`model.knapsack_values`).  When the side constraints fold into
-    bounds the rows separate: with loads w = |x_J| and row i's box
+    feasibility of every row, -w . alpha_k >= -surplus_k with loads w =
+    |x_J|, nonnegativity, and the side constraints (`model.gap_values`
+    while they keep a coupling row).  When the side constraints fold into
+    bounds the rows separate: with row i's box
     [lower, upper], row i's protection is min(surplus_i, w . upper),
     reached from the lower bounds by `_fill`, and every other row keeps
     its lower bounds.  The problem is infeasible iff some row's least
@@ -92,45 +84,26 @@ def solve_rlo_iu_dg(problem, x_hat, structure, omega):
     canon = canonicalize_omega(omega, keys, lower_floor=np.zeros(p))
     if not canon.feasible:
         return InverseSolution.infeasible(ModelKind.RLO_IU_DG, "side constraints are contradictory")
-    key_rows, key_cols = keys.rows, keys.cols
-    weight = np.abs(x[key_cols])
+    weight = np.abs(x[keys.cols])
     infeasible = "no nonnegative magnitudes in the side constraints keep the observation robust-feasible"
-
-    def block(values):
-        """`values` over the magnitudes as an m x n block, 0 off the uncertain columns."""
-        out = np.zeros((m, problem.n))
-        out[key_rows, key_cols] = values
-        return out
-
-    if canon.G.shape[0] > 1:
-        own = key_rows == np.arange(m)[:, None]  # own[i, k]: key k is a magnitude of row i
-        constraints = Constraints(
-            np.vstack([np.where(own, weight, 0.0), canon.G]), ("<=",) * (m + canon.G.shape[0]),
-            np.concatenate([surplus, canon.h]), canon.lower, canon.upper,
-        )
-        lps = [LinearProgram(np.where(own[i], -weight, 0.0), constraints) for i in range(m)]
-        return lp_gap_solution(
-            ModelKind.RLO_IU_DG, problem, structure, x, solve_lp_batch(lps), surplus,
-            lambda values: np.maximum(block(values), 0.0), infeasible,
-        )
     if canon.G.shape[0]:
-        found = knapsack_values(ModelKind.RLO_IU_DG, canon, block(-weight), -surplus, block, infeasible)
+        found = gap_values(ModelKind.RLO_IU_DG, canon, keys, -weight, -surplus, infeasible)
         if isinstance(found, InverseSolution):
             return found
         values, imputed = found
         return gap_solution(
             ModelKind.RLO_IU_DG, problem, structure, x, surplus, values, lambda i: np.maximum(imputed(i), 0.0)
         )
-    least = np.bincount(key_rows, weight * canon.lower, m)
+    least = np.bincount(keys.rows, weight * canon.lower, m)
     if np.any(least > surplus + ZERO_TOL * (1.0 + np.abs(surplus))):
         return InverseSolution.infeasible(ModelKind.RLO_IU_DG, infeasible)
-    most = np.bincount(key_rows, weight * np.where(weight > 0.0, canon.upper, 0.0), m)  # no 0 * inf
+    most = np.bincount(keys.rows, weight * np.where(weight > 0.0, canon.upper, 0.0), m)  # no 0 * inf
 
     def imputed(i):
-        own = key_rows == i
+        own = keys.rows == i
         values = canon.lower.copy()
         values[own] = _fill(weight[own], canon.lower[own], canon.upper[own], surplus[i])
-        return np.maximum(block(values), 0.0)
+        return np.maximum(keys.block(values), 0.0)
 
     return gap_solution(ModelKind.RLO_IU_DG, problem, structure, x, surplus, -np.minimum(surplus, most), imputed)
 

@@ -1,8 +1,9 @@
 """Shared domain types, dimension/assumption validation, and the solution model,
 with the one tail of all six solvers (`row_solution`): it picks the active
 row, realizes the cost vector from it (`realized_row`) and reports the
-solution.  Thin adapters feed it the gap models' row values (closed forms
-or LP outcomes) and the strong-duality moves of nlo-sd and rlo-iu-sd.
+solution.  `gap_values` finds the gap models' row values, in closed form or
+by the m LPs (this module is the library's one client of the LP engine),
+and `sd_solution` takes the strong-duality moves of nlo-sd and rlo-iu-sd.
 
 Constraint sense is fixed: minimize c'x subject to Ax >= b.  Callers with
 <=/maximize problems must pre-negate.  Library indices are 0-based; the
@@ -19,7 +20,7 @@ import numpy as np
 
 from .errors import DimensionError, NumericalFailureError, PreconditionError
 from .geometry import NormKind, activation_budgets, box_knapsack, realized_row_cardinality, realized_row_interval
-from .lp import LpStatus
+from .lp import Constraints, LinearProgram, LpStatus, solve_lp_batch
 
 ZERO_TOL = 1e-9
 
@@ -130,7 +131,8 @@ class UncertaintyStructure:
     For the interval variant the per-row magnitudes are the quantity being
     imputed, so `alpha` stays None.  For the cardinality variant `alpha`
     holds the fixed magnitudes (dense m x n; entries outside the column
-    sets are ignored).
+    sets are ignored).  `entries` holds the (row, column) index arrays of
+    the uncertain entries in row-major order, built once.
     """
 
     variant: Variant
@@ -149,6 +151,9 @@ class UncertaintyStructure:
         if np.any(cols < 0):
             raise DimensionError("uncertain_columns", f"row {rows[np.argmax(cols < 0)] + 1} has negative column index")
         object.__setattr__(self, "sets", sets)
+        rows.setflags(write=False)
+        cols.setflags(write=False)
+        object.__setattr__(self, "entries", (rows, cols))
         if self.alpha is not None:
             alpha = np.asarray(self.alpha, dtype=float)
             if alpha.ndim != 2:
@@ -180,7 +185,7 @@ class UncertaintyStructure:
     def mask(self, n):
         """The m x n uncertain-column mask: entry (i, j) is True when j is in J_i."""
         mask = np.zeros((len(self.sets), n), dtype=bool)
-        mask[_entries(self.sets)] = True
+        mask[self.entries] = True
         return mask
 
     def check_against(self, problem):
@@ -189,10 +194,11 @@ class UncertaintyStructure:
         if len(self.sets) != problem.m:
             raise DimensionError("uncertain_columns", f"{len(self.sets)} rows for m = {problem.m}")
         n = problem.n
-        for i, s in enumerate(self.sets):
-            if s and s[-1] >= n:  # sets are sorted: the first column past n is the first bad one
-                j = next(j for j in s if j >= n)
-                raise DimensionError("uncertain_columns", f"row {i + 1} references column {j + 1} > n = {n}")
+        rows, cols = self.entries
+        past = cols >= n
+        if past.any():  # the first in row-major order: the first row's least column past n
+            k = np.argmax(past)
+            raise DimensionError("uncertain_columns", f"row {rows[k] + 1} references column {cols[k] + 1} > n = {n}")
         if self.variant == Variant.CARDINALITY:
             if self.alpha is None:
                 raise DimensionError("alpha", "cardinality structure needs fixed deviation magnitudes")
@@ -213,10 +219,12 @@ class ParamKeys(Sequence):
     """A model's imputed parameters in natural flattening order: keys
     ("a", i, j), ("alpha", i, j) or ("gamma", i), built on first use (only
     a side constraint that names its columns reads them).  `rows` and
-    `cols` give each parameter's forward row and column as index arrays."""
+    `cols` give each parameter's forward row and column as index arrays,
+    and `shape` the block the parameters lay out in (`block`): m x n, or
+    m x 1 for the budgets."""
 
-    def __init__(self, kind, rows, cols=None):
-        self.kind, self.rows, self.cols = kind, rows, cols
+    def __init__(self, kind, shape, rows, cols=None):
+        self.kind, self.shape, self.rows, self.cols = kind, shape, rows, cols
         self._keys = None
 
     def _built(self):
@@ -224,6 +232,13 @@ class ParamKeys(Sequence):
             heads = [(self.kind, i) for i in self.rows.tolist()]
             self._keys = heads if self.cols is None else [head + (j,) for head, j in zip(heads, self.cols.tolist())]
         return self._keys
+
+    def block(self, values):
+        """`values` over the parameters as the `shape` block, one row per
+        constraint, 0 where a row has no parameter."""
+        out = np.zeros(self.shape)
+        out[self.rows, 0 if self.cols is None else self.cols] = values
+        return out
 
     def __len__(self):
         return self.rows.size
@@ -239,10 +254,10 @@ def param_keys(model, problem, structure):
     """Natural flattening order of the imputed parameters for a model."""
     m, n = problem.m, problem.n
     if model.family == "nlo":
-        return ParamKeys("a", np.repeat(np.arange(m), n), np.tile(np.arange(n), m))
+        return ParamKeys("a", (m, n), np.repeat(np.arange(m), n), np.tile(np.arange(n), m))
     if model.family == "iu":
-        return ParamKeys("alpha", *_entries(structure.sets))
-    return ParamKeys("gamma", np.arange(m))
+        return ParamKeys("alpha", (m, n), *structure.entries)
+    return ParamKeys("gamma", (m, 1), np.arange(m))
 
 
 @dataclass(frozen=True, eq=False)
@@ -466,6 +481,22 @@ def block_shapes(model, m, n):
     return {"cost": (n,), "dual_pi": (m,), "imputed": (m,) if model.family == "ccu" else (m, n)}
 
 
+def read_block(value, shape):
+    """A solution block as a float array of `shape` (`block_shapes`), read
+    one way for every caller: returns (array, None), or (None, reason)
+    when the block is missing or not an array of numbers of that shape (a
+    ragged nest has none).  A None entry reads as NaN."""
+    if value is None:
+        return None, "missing"
+    try:
+        array = np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        return None, f"not an array of numbers of shape {shape}"
+    if array.shape != shape:
+        return None, f"shape {array.shape} is not {shape}"
+    return array, None
+
+
 def active_row(t, scale):
     """The active row: the lowest i with t_i <= t_j + ZERO_TOL * (1 + s_i + s_j),
     where j = argmin t and s = `scale`.
@@ -531,22 +562,6 @@ def gap_solution(model, problem, structure, x, offset, values, imputed):
     return row_solution(model, problem, structure, x, t, np.abs(offset) + np.abs(values), imputed, {"t": t})
 
 
-def lp_values(model, outcomes, infeasible_message):
-    """Each LP's value (LP i for row i), or, if one is infeasible, the model's
-    infeasible solution with `infeasible_message` (which may cite phase 1's
-    `{infeasibility}`).  An unbounded LP raises NumericalFailureError."""
-    # LP i holds row i's own constraint or a box, which bounds its objective
-    # below (nlo-dg: x . a_i >= b_i; rlo-iu-dg: |x_J| . alpha_i <= surplus_i;
-    # rlo-ccu-dg: each budget within [0, |J_i|]), so in exact arithmetic no
-    # gap LP is unbounded: an engine that says otherwise has failed numerically
-    for i, out in enumerate(outcomes):
-        if out.status == LpStatus.UNBOUNDED:
-            raise NumericalFailureError(f"the gap LP of constraint {i + 1} reported unbounded")
-        if out.status == LpStatus.INFEASIBLE:
-            return InverseSolution.infeasible(model, infeasible_message.format(infeasibility=out.infeasibility))
-    return np.array([out.value for out in outcomes])
-
-
 def _descend(point, direction, c, target):
     """Each row of `point` moved along `direction`, along which c . z falls,
     until c . z is at most `target`."""
@@ -555,32 +570,27 @@ def _descend(point, direction, c, target):
     return point + step[..., None] * direction
 
 
-def knapsack_values(model, canon, q, d, block, infeasible_message):
-    """Each LP's value in closed form when the side constraints `canon` keep
+def knapsack_values(model, canon, keys, q, d, infeasible_message):
+    """`gap_values` in closed form, when the side constraints `canon` keep
     at most one coupling row `g . z <= h` (g = 0 and h = 0 when they keep
     none).
 
-    `block` lays a vector over the parameters out as an m x n block, one
-    row per constraint (0 where a row has no parameter).  Row k's
-    parameters z_k range over the box; LP i minimizes q_i . z_i subject to
-    every row's own q_k . z_k >= d_k and the coupling row.  Row k != i only
-    has to stay feasible on the least of the coupling row it can use,
-    u_k = min g_k . z_k (a `geometry.box_knapsack`), which leaves row i the
-    budget H_i = h - sum of the other u_k, and LP i's value is max(d_i,
-    min q_i . z_i s.t. g_i . z_i <= H_i), one more knapsack: the set holds
-    a point on each side of d_i when d_i binds, so it holds one on it.
-    Returns (values, imputed) with imputed(i) LP i's point as an m x n
-    block, or the model's infeasible solution when some row's own knapsack
-    falls short (its deficit is the `{infeasibility}` `infeasible_message`
-    may cite) or sum(u) > h (by sum(u) - h).
+    Row k's parameters z_k range over the box, and row k != i only has to
+    stay feasible on the least of the coupling row it can use, u_k = min
+    g_k . z_k (a `geometry.box_knapsack`).  That leaves row i the budget
+    H_i = h - sum of the other u_k, and LP i's value is max(d_i, min q_i .
+    z_i s.t. g_i . z_i <= H_i), one more knapsack: the set holds a point on
+    each side of d_i when d_i binds, so it holds one on it.  The model is
+    infeasible when some row's own knapsack falls short (its deficit is
+    the `{infeasibility}`) or sum(u) > h (by sum(u) - h).
 
     In the block, rows k != i take their least-use point; a row whose least
     use is unbounded moves along its ray until it uses an equal share of
     what the others leave.  Row i takes its knapsack point, and where d_i
     binds, the point between it and its least-use point with q_i . z_i = d_i.
     """
-    lower, upper = block(canon.lower), block(canon.upper)
-    g, h = (block(canon.G[0]), float(canon.h[0])) if canon.G.shape[0] else (np.zeros_like(q), 0.0)
+    q, lower, upper = keys.block(q), keys.block(canon.lower), keys.block(canon.upper)
+    g, h = (keys.block(canon.G[0]), float(canon.h[0])) if canon.G.shape[0] else (np.zeros_like(q), 0.0)
     least = box_knapsack(g, q, d, lower, upper)
     failing = least.shortfall > ZERO_TOL * (1.0 + np.abs(d))
     if failing.any():
@@ -613,13 +623,38 @@ def knapsack_values(model, canon, q, d, block, infeasible_message):
     return np.maximum(d, best.value), imputed
 
 
-def lp_gap_solution(model, problem, structure, x, outcomes, offset, shape, infeasible_message):
-    """`gap_solution` with LP i's value (`lp_values`) as row i's, and
-    `shape` turning LP i's solution into the imputed block."""
-    values = lp_values(model, outcomes, infeasible_message)
-    if isinstance(values, InverseSolution):
-        return values
-    return gap_solution(model, problem, structure, x, offset, values, lambda i: shape(outcomes[i].solution))
+def gap_values(model, canon, keys, q, d, infeasible_message):
+    """Each gap model's row values, the one place that decides how they are
+    found.  LP i minimizes q_i . z_i subject to every row's own q_k . z_k >=
+    d_k (none where d_k = -inf), the side constraints `canon` and their box,
+    with `q` one coefficient per parameter and z_k row k's parameters.
+
+    At most one coupling row left, the LPs are knapsacks in closed form
+    (`knapsack_values`); with more, the m LPs share one `Constraints`, and
+    so one equality form and one phase 1.  Returns (values, imputed) with
+    imputed(i) LP i's point as a `keys.block`, or the model's infeasible
+    solution with `infeasible_message` (which may cite the
+    `{infeasibility}`).  An unbounded LP raises NumericalFailureError.
+    """
+    if canon.G.shape[0] <= 1:
+        return knapsack_values(model, canon, keys, q, d, infeasible_message)
+    loads = np.where(keys.rows == np.arange(d.size)[:, None], q, 0.0)  # loads[i] . z = q_i . z_i
+    own = d > -np.inf
+    constraints = Constraints(
+        np.vstack([loads[own], canon.G]), (">=",) * int(own.sum()) + ("<=",) * canon.G.shape[0],
+        np.concatenate([d[own], canon.h]), canon.lower, canon.upper,
+    )
+    outcomes = solve_lp_batch([LinearProgram(load, constraints) for load in loads])
+    # LP i holds row i's own constraint or a box, which bounds its objective
+    # below (nlo-dg: x . a_i >= b_i; rlo-iu-dg: |x_J| . alpha_i <= surplus_i;
+    # rlo-ccu-dg: each budget within [0, |J_i|]), so in exact arithmetic no
+    # gap LP is unbounded: an engine that says otherwise has failed numerically
+    for i, out in enumerate(outcomes):
+        if out.status == LpStatus.UNBOUNDED:
+            raise NumericalFailureError(f"the gap LP of constraint {i + 1} reported unbounded")
+        if out.status == LpStatus.INFEASIBLE:
+            return InverseSolution.infeasible(model, infeasible_message.format(infeasibility=out.infeasibility))
+    return np.array([out.value for out in outcomes]), lambda i: keys.block(outcomes[i].solution)
 
 
 def sd_solution(model, problem, structure, x, f, fits, moved, prior, infeasible_message):

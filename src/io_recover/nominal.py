@@ -1,9 +1,8 @@
 """Constraint-matrix recovery for the plain linear forward problem.
 
-Gap minimization prices one coupling side row in closed form
-(`model.knapsack_values`) and solves one LP per constraint over the
-flattened matrix when more are left; strong duality is closed form via
-projections of the prior rows.
+Gap minimization hands each row's subproblem over the flattened matrix
+to `model.gap_values`; strong duality is closed form via projections of
+the prior rows.
 """
 
 import numbers
@@ -14,7 +13,6 @@ import numpy as np
 from . import verify
 from .errors import DimensionError, ZeroObservationError
 from .geometry import dual_norm, dual_norm_maximizer
-from .lp import Constraints, LinearProgram, solve_lp_batch
 from .model import (
     ForwardProblem,
     InverseSolution,
@@ -28,8 +26,7 @@ from .model import (
     canonicalize_omega,
     check_inputs,
     gap_solution,
-    knapsack_values,
-    lp_gap_solution,
+    gap_values,
     param_keys,
     sd_solution,
 )
@@ -39,45 +36,27 @@ def solve_nlo_dg(problem, x_hat, omega):
     """Impute the constraint matrix minimizing the duality gap at the observation.
 
     Per constraint i: minimize row i's surplus subject to the side
-    constraints and feasibility of every row.  When the side constraints
-    keep at most one coupling row, each row's value and point are
-    knapsacks in closed form (`model.knapsack_values`); with two or more,
-    one LP per constraint over the flattened matrix, all m over one
-    feasible set.  The gap equals the smallest achievable surplus; the
-    cost vector is the winning row.  An observation whose products with
-    omega's bounds overflow raises DimensionError naming x_hat.
+    constraints and feasibility of every row, x . a_k >= b_k
+    (`model.gap_values`).  The gap equals the smallest achievable surplus;
+    the cost vector is the winning row.  An observation whose products
+    with omega's bounds overflow raises DimensionError naming x_hat.
     """
     structure = UncertaintyStructure.nominal()
     x = check_inputs(ModelKind.NLO_DG, problem, x_hat, structure, omega=omega)
-    m, n = problem.m, problem.n
     keys = param_keys(ModelKind.NLO_DG, problem, structure)
     canon = canonicalize_omega(omega, keys)
     if not canon.feasible:
         return InverseSolution.infeasible(ModelKind.NLO_DG, "side constraints are contradictory")
     # row i's value shifts b_i by a_i . x at a_i's finite bounds: beyond the floats none is finite
     edges = np.abs(np.vstack([canon.lower, canon.upper]))
-    reach = np.where(edges < np.inf, edges, 0.0).sum(axis=0).reshape(m, n)
+    reach = keys.block(np.where(edges < np.inf, edges, 0.0).sum(axis=0))
     with np.errstate(over="ignore"):
         finite = np.isfinite(reach @ np.abs(x) + np.abs(problem.b))
     if not finite.all():
         raise DimensionError("x_hat", f"a_i . x_hat overflows at omega's bounds on constraint {np.argmin(finite) + 1}")
     infeasible = ("no matrix in the side constraints keeps the observation feasible "
                   "(phase-one infeasibility {infeasibility:g})")
-    k = canon.G.shape[0]
-    if k > 1:
-        loads = np.where(keys.rows == np.arange(m)[:, None], np.tile(x, m), 0.0)  # loads[i] . a = a_i . x
-        constraints = Constraints(
-            np.vstack([loads, canon.G]), (">=",) * m + ("<=",) * k,
-            np.concatenate([problem.b, canon.h]), canon.lower, canon.upper,
-        )
-        lps = [LinearProgram(loads[i], constraints) for i in range(m)]
-        return lp_gap_solution(
-            ModelKind.NLO_DG, problem, structure, x, solve_lp_batch(lps), -problem.b,
-            lambda values: values.reshape(m, n), infeasible,
-        )
-    found = knapsack_values(
-        ModelKind.NLO_DG, canon, np.broadcast_to(x, (m, n)), problem.b, lambda v: v.reshape(m, n), infeasible
-    )
+    found = gap_values(ModelKind.NLO_DG, canon, keys, x[keys.cols], problem.b, infeasible)
     if isinstance(found, InverseSolution):
         return found
     values, imputed = found

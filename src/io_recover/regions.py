@@ -16,7 +16,7 @@ from itertools import combinations
 import numpy as np
 
 from .errors import DimensionError
-from .model import Variant, block_shapes, realized_row
+from .model import Variant, block_shapes, read_block, realized_row
 
 _EPS = 1e-12
 # Box coordinates and |row . p - b_i| of every drawn row stay below this over
@@ -179,11 +179,12 @@ def region_polylines(bundle, solution=None, bbox=(-8.0, -8.0, 8.0, 8.0)):
     if max(-x0, x1, -y0, y1) >= _REACH_LIMIT:
         raise DimensionError("bbox", f"entries must lie within +-{_REACH_LIMIT:.3g}")
     imputed = None if solution is None else solution.imputed
-    shape = block_shapes(bundle.model, problem.m, problem.n)["imputed"]
-    if imputed is not None and np.shape(imputed) != shape:
-        raise DimensionError("imputed", f"shape {np.shape(imputed)} is not {shape}")
-    if imputed is not None and not np.all(np.isfinite(imputed)):
-        raise DimensionError("imputed", "non-finite entry")
+    if imputed is not None:
+        imputed, reason = read_block(imputed, block_shapes(bundle.model, problem.m, problem.n)["imputed"])
+        if reason is None and not np.isfinite(imputed).all():
+            reason = "non-finite entry"
+        if reason:
+            raise DimensionError("imputed", reason)
     box = (x0, y0, x1, y1)
     variant = bundle.model.variant
     out = list(_polylines_for(problem, bundle.structure, box, "nominal", Variant.NOMINAL, problem.A))

@@ -24,6 +24,7 @@ from .model import (
     WeightBoost,
     block_shapes,
     check_inputs,
+    read_block,
 )
 
 REPORT_TOL = 1e-7
@@ -128,10 +129,11 @@ def check_certificate(model, problem, x_hat, structure, solution):
     # checked against the family's gap model: a certificate reads no omega or prior
     x = check_inputs(ModelKind(model.value.replace("-sd", "-dg")), problem, x_hat, structure)
     shapes = block_shapes(model, problem.m, problem.n)
-    fields = {name: getattr(solution, name) for name in (*shapes, "duality_gap", "objective_value")}
-    reasons = [f"{name}: missing" if fields[name] is None else f"{name}: shape {np.shape(fields[name])} is not {shape}"
-               for name, shape in shapes.items() if np.shape(fields[name]) != shape]
-    fields = {name: np.asarray(value, dtype=float) for name, value in fields.items() if value is not None}
+    read = {name: read_block(getattr(solution, name), shape) for name, shape in shapes.items()}
+    reasons = [f"{name}: {reason}" for name, (_, reason) in read.items() if reason]
+    fields = {name: array for name, (array, _) in read.items() if array is not None}
+    fields |= {name: np.asarray(getattr(solution, name), dtype=float) for name in ("duality_gap", "objective_value")
+               if getattr(solution, name) is not None}
     reasons += [f"{name}: non-finite entry" for name, value in fields.items() if not np.isfinite(value).all()]
     active = solution.active_index
     if active is not None and not (isinstance(active, numbers.Integral) and 1 <= active <= problem.m):

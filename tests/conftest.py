@@ -69,6 +69,21 @@ def std_builds(monkeypatch):
     return built
 
 
+def ragged(block):
+    """`block` as nested lists with its second entry cut to one item (a row)
+    or doubled (a budget): a nest of no shape, as [[1, 2], [3], [1, 1]]."""
+    rows = np.asarray(block).tolist()
+    rows[1] = rows[1][:1] if isinstance(rows[1], list) else [rows[1], rows[1]]
+    return rows
+
+
+def holding_none(block):
+    """`block` as nested lists with None as its first entry."""
+    rows = np.asarray(block).astype(object)
+    rows.flat[0] = None
+    return rows.tolist()
+
+
 def knapsack_continuous(values, capacity):
     """Greedy fractional fill of items in descending value order.
 

@@ -21,11 +21,11 @@ from io_recover import (
     solve_rlo_ccu_sd,
     solve_rlo_iu_sd,
 )
-from io_recover import cardinality
+from io_recover import cardinality, model
 from io_recover.fixtures import evaluate_example, example_case
 from io_recover.geometry import products
-from io_recover.lp import Constraints, LinearProgram, solve_lp_batch
-from io_recover.model import canonicalize_omega, lp_gap_solution, param_keys
+from io_recover.lp import Constraints, LinearProgram, LpStatus, solve_lp_batch
+from io_recover.model import InverseSolution, canonicalize_omega, gap_solution, param_keys
 from oracle import brute_force_min, oracle_tolerance
 
 
@@ -133,7 +133,7 @@ class TestCcuDg:
         assert constraints.A.shape == (2, case.problem.m)
 
     def test_box_only_omega_runs_no_lp(self, std_builds, calls, monkeypatch):
-        monkeypatch.setattr(cardinality, "Constraints", None)  # building one would raise
+        monkeypatch.setattr(model, "Constraints", None)  # building one would raise
         for seed in range(5):
             problem, x, structure, omega, _ = gen.make_ccu_dg(seed)
             sol = solve_rlo_ccu_dg(problem, x, structure, omega)
@@ -248,9 +248,13 @@ def _joint_lp_solve(problem, x, structure, omega):
         lower = np.concatenate([canon.lower, np.zeros(values.size)])
         upper = np.concatenate([canon.upper, np.ones(values.size)])
         lps.append(LinearProgram(objective, Constraints(A, ("<=",) * rhs.size, rhs, lower, upper)))
-    return lp_gap_solution(
-        ModelKind.RLO_CCU_DG, problem, structure, x, solve_lp_batch(lps), problem.surplus(x),
-        lambda values: values[:m], infeasible,
+    outcomes = solve_lp_batch(lps)
+    assert LpStatus.UNBOUNDED not in [out.status for out in outcomes]  # each LP's box bounds it
+    if LpStatus.INFEASIBLE in [out.status for out in outcomes]:
+        return InverseSolution.infeasible(ModelKind.RLO_CCU_DG, infeasible)
+    values = np.array([out.value for out in outcomes])
+    return gap_solution(
+        ModelKind.RLO_CCU_DG, problem, structure, x, problem.surplus(x), values, lambda i: outcomes[i].solution[:m]
     )
 
 

@@ -1,9 +1,9 @@
 """One coupling row: each gap model's closed form against its m LPs.
 
 When the side constraints keep one coupling row after `canonicalize_omega`,
-the gap solvers price it in closed form (`model.knapsack_values`).
+`model.gap_values` prices it in closed form (`model.knapsack_values`).
 Repeating that row at twice the scale (`gen.two_couplings`) keeps the same
-polyhedron but leaves two coupling rows, so the solver takes its m LPs;
+polyhedron but leaves two coupling rows, so it takes the m LPs;
 both answers must agree on feasibility, every row's t and the active row,
 and the closed form's imputed block must satisfy the side constraints and
 every row's own constraint and carry a valid certificate.  (Whether a
@@ -11,9 +11,10 @@ solution is optimal or trivial-detected depends on the block, whose rows
 k != i the LPs and the closed form each pick by their own rule.)
 
 The corpus: `tests/gen.py`'s instances coupled by `gen.couple_rows` and by
-one random row of either sign, fixtures 1, 3 and 5, and a family with
-integer data whose boxes leave about a fifth of their bounds infinite and
-whose observations hold zeros.
+one random row of either sign, for rlo-iu-dg again with the observation on
+some rows' nominal boundary (their LP rows hold with equality), fixtures
+1, 3 and 5, and a family with integer data whose boxes leave about a
+fifth of their bounds infinite and whose observations hold zeros.
 """
 
 import numpy as np
@@ -101,6 +102,18 @@ def _wide(model, seed):
     return ForwardProblem(A=A, b=b), x, structure, SideConstraints(G=np.array(G), h=np.array(h))
 
 
+def _on_boundary(seed):
+    """`gen.make_iu_dg`'s draw with the observation on the nominal boundary
+    of about half the rows, one at least (b_i = a_i . x, a zero surplus):
+    the LPs' own rows -w . alpha_i >= -surplus_i then hold with equality
+    at the zero floor."""
+    problem, x, structure, omega, _ = gen.make_iu_dg(seed)
+    rng = np.random.default_rng([seed, 31])
+    on = rng.random(problem.m) < 0.5
+    on[rng.integers(problem.m)] = True
+    return ForwardProblem(A=problem.A, b=np.where(on, problem.A @ x, problem.b)), x, structure, omega
+
+
 def corpus(model):
     case = example_case(FIXTURES[model])
     yield f"fixture {FIXTURES[model]}", case.problem, case.x_hat, case.structure, case.omega
@@ -108,6 +121,11 @@ def corpus(model):
         problem, x, structure, omega, _ = MAKERS[model](seed)
         yield f"gen {seed}", problem, x, structure, gen.couple_rows(omega)
         yield f"gen {seed} random row", problem, x, structure, _random_row(omega, seed)
+        if model == ModelKind.RLO_IU_DG:
+            problem, x, structure, omega = _on_boundary(seed)
+            assert not problem.surplus(x).all()
+            yield f"gen {seed} on the boundary", problem, x, structure, gen.couple_rows(omega)
+            yield f"gen {seed} on the boundary, random row", problem, x, structure, _random_row(omega, seed)
     for seed in range(400 if model == ModelKind.NLO_DG else 200):
         yield f"wide {seed}", *_wide(model, seed)
 

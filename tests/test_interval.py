@@ -26,7 +26,7 @@ from io_recover import (
     solve_rlo_iu_sd,
     validate,
 )
-from io_recover import interval
+from io_recover import interval, model
 from io_recover.geometry import norm_value
 from io_recover.fixtures import evaluate_example, example_case
 from oracle import brute_force_min, oracle_tolerance
@@ -123,7 +123,7 @@ class TestIuDg:
         assert len(std_builds) == 1
 
     def test_box_only_omega_runs_no_lp(self, std_builds, calls, monkeypatch):
-        monkeypatch.setattr(interval, "Constraints", None)  # building one would raise
+        monkeypatch.setattr(model, "Constraints", None)  # building one would raise
         for seed in range(5):
             problem, x, structure, omega, _ = gen.make_iu_dg(seed)
             sol = solve_rlo_iu_dg(problem, x, structure, omega)

@@ -227,10 +227,10 @@ class TestCliSolve:
         assert not out.exists()
 
     def test_unbounded_gap_lp_prints_one_line(self, tmp_path, capsys, monkeypatch):
-        import io_recover.nominal as nominal_mod
+        import io_recover.model as model_mod
 
         unbounded = lp_mod.LpOutcome(status=lp_mod.LpStatus.UNBOUNDED)
-        monkeypatch.setattr(nominal_mod, "solve_lp_batch", lambda lps: [unbounded for _ in lps])
+        monkeypatch.setattr(model_mod, "solve_lp_batch", lambda lps: [unbounded for _ in lps])
         out = tmp_path / "solution.json"
         assert cli.main(["solve", "--input", str(self._two_couplings(tmp_path)), "--output", str(out)]) == 1
         assert capsys.readouterr().err == "the gap LP of constraint 1 reported unbounded\n"

@@ -233,7 +233,7 @@ class TestOmega:
         G = np.array([[2.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
         h = np.array([6.0, -1.0, 2.0, 3.5])
         omega = SideConstraints(G=G, h=h)
-        keys = ParamKeys("gamma", np.arange(2))
+        keys = ParamKeys("gamma", (2, 1), np.arange(2))
         canon = canonicalize_omega(omega, keys)
         assert canon.lower == pytest.approx([1.0, -np.inf])
         assert canon.upper == pytest.approx([3.0, 2.0])
@@ -242,7 +242,7 @@ class TestOmega:
 
     def test_crossed_bounds_flagged_infeasible(self):
         omega = SideConstraints(G=[[1.0], [-1.0]], h=[1.0, -2.0])
-        canon = canonicalize_omega(omega, ParamKeys("gamma", np.arange(1)))
+        canon = canonicalize_omega(omega, ParamKeys("gamma", (1, 1), np.arange(1)))
         assert not canon.feasible
 
     def test_variable_order_permutes_columns(self):
@@ -301,7 +301,7 @@ def test_masked_omega_matches_row_loop():
     rng = np.random.default_rng(11)
     for trial in range(400):
         m, n = int(rng.integers(1, 5)), int(rng.integers(0, 4))
-        keys = ParamKeys("alpha", np.repeat(np.arange(m), n), np.tile(np.arange(n), m))
+        keys = ParamKeys("alpha", (m, n), np.repeat(np.arange(m), n), np.tile(np.arange(n), m))
         p = len(keys)
         G = rng.choice([0.0, 0.0, 0.0, 1.0, -1.0, 2.0, -0.5], (int(rng.integers(0, 8)), p))
         h = rng.choice([0.0, 1.0, -1.0, -1e-10, -1e-8, 3.0], G.shape[0])

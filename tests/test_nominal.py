@@ -284,15 +284,15 @@ class TestEdgePolicies:
 
     def test_unbounded_gap_lp_is_a_numerical_failure(self, monkeypatch):
         # each gap LP bounds its own objective, so only a failing engine reports one unbounded
-        import io_recover.nominal as nominal_mod
+        import io_recover.model as model_mod
         from io_recover.lp import LpOutcome, LpStatus
 
         case = example_case(1)
         monkeypatch.setattr(
-            nominal_mod, "solve_lp_batch", lambda lps: [LpOutcome(status=LpStatus.UNBOUNDED) for _ in lps]
+            model_mod, "solve_lp_batch", lambda lps: [LpOutcome(status=LpStatus.UNBOUNDED) for _ in lps]
         )
         with pytest.raises(NumericalFailureError, match="constraint 1 reported unbounded"):
-            nominal_mod.solve_nlo_dg(case.problem, case.x_hat, gen.two_couplings(case.omega))
+            solve_nlo_dg(case.problem, case.x_hat, gen.two_couplings(case.omega))
 
 
 class TestTrivialEscapes:

@@ -3,6 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from conftest import holding_none, ragged
 from io_recover import DimensionError
 from io_recover.fixtures import example_case, solve_case
 from io_recover.regions import _segment_in_cell, region_polylines
@@ -131,8 +132,8 @@ def test_box_is_rejected_where_a_drawn_row_could_overflow(number, half, message)
 
 
 @pytest.mark.parametrize("number", [1, 3, 5])
-@pytest.mark.parametrize("cut", [lambda v: v[:1], lambda v: v[..., None], lambda v: v[0, ...]],
-                         ids=["one row", "extra axis", "first entry"])
+@pytest.mark.parametrize("cut", [lambda v: v[:1], lambda v: v[..., None], lambda v: v[0, ...], ragged, holding_none],
+                         ids=["one row", "extra axis", "first entry", "ragged", "holding None"])
 def test_wrong_shaped_imputed_block_names_imputed(number, cut):
     case = example_case(number)
     solution = solve_case(case)

@@ -7,9 +7,11 @@ re-solve call, and every solution is built in `model` alone: an infeasible
 one by `InverseSolution.infeasible`, the others by the one tail that picks
 and realizes the active row.  Budget uncertainty's products alpha |x| are
 ranked by `geometry`'s kernel alone, nlo-sd projects all its rows in
-one pass, each gap model prices one coupling row by the one knapsack
-kernel and shares one feasible set over its m LPs when more are left, and
-`validate` tests each assumption on all rows at once.  The benchmark's traced runs
+one pass, and each gap model hands its subproblems to `model.gap_values`,
+which prices one coupling row by the one knapsack kernel and shares one
+feasible set over the m LPs when more are left.  `model` is the one module
+besides the package's re-exports to import the LP engine, and `validate`
+tests each assumption on all rows at once.  The benchmark's traced runs
 find every function they wrap, and every error class is raised or caught
 somewhere in the library."""
 
@@ -141,12 +143,21 @@ def test_budgets_are_ranked_in_geometry_alone(name):
     assert _called(ast.parse(SOURCE[name].read_text(encoding="utf-8"))) & ranking == set()
 
 
+def _gap_solver(name):
+    (solver,) = [node for key, node in _functions(SOURCE[name]).items() if key.endswith("_dg")]
+    return solver
+
+
+MODEL = _functions(SOURCE["model.py"])
+
+
 @pytest.mark.parametrize("name", ["nominal.py", "interval.py", "cardinality.py"])
 def test_one_coupling_row_takes_the_one_kernel(name):
-    # a single coupling row is priced by model.knapsack_values over geometry.box_knapsack, not by LPs
-    (solver,) = [node for key, node in _functions(SOURCE[name]).items() if key.endswith("_dg")]
-    assert "knapsack_values" in _called(solver)
-    assert "box_knapsack" in _called(_functions(SOURCE["model.py"])["knapsack_values"])
+    # the gap solver hands its subproblems to model.gap_values, which prices a single coupling row
+    # by model.knapsack_values over geometry.box_knapsack, not by LPs
+    assert "gap_values" in _called(_gap_solver(name))
+    assert "knapsack_values" in _called(MODEL["gap_values"])
+    assert "box_knapsack" in _called(MODEL["knapsack_values"])
 
 
 def test_nominal_sorts_nothing():
@@ -164,11 +175,26 @@ SCANS = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.Genera
 
 @pytest.mark.parametrize("name", ["nominal.py", "interval.py", "cardinality.py"])
 def test_gap_lps_share_one_feasible_set(name):
-    # one Constraints for the m LPs, so the engine builds one equality form and runs one phase 1
-    (solver,) = [node for key, node in _functions(SOURCE[name]).items() if key.endswith("_dg")]
-    assert "Constraints" in _called(solver)
-    assert [node.lineno for node in ast.walk(solver)
+    # the gap LPs are built in model.gap_values alone, on one Constraints for all m, so the
+    # engine builds one equality form and runs one phase 1
+    assert "gap_values" in _called(_gap_solver(name))
+    gap_values = MODEL["gap_values"]
+    assert "Constraints" in _called(gap_values)
+    assert [node.lineno for node in ast.walk(gap_values)
             if isinstance(node, SCANS) and "Constraints" in _called(node)] == []
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.name not in ("model.py", "__init__.py")],
+                         ids=lambda p: p.name)
+def test_only_model_imports_the_lp_engine(path):
+    # model.gap_values is the library's one client of the engine; __init__ re-exports it
+    imported = set()  # each module by its last dotted part, and each name imported from one
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            imported |= {alias.name.rpartition(".")[2] for alias in node.names}
+        if isinstance(node, ast.ImportFrom) and node.module:
+            imported.add(node.module.rpartition(".")[2])
+    assert "lp" not in imported
 
 
 def test_validate_tests_every_row_at_once():

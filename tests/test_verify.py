@@ -6,6 +6,7 @@ import pytest
 
 import gen
 import io_recover
+from conftest import holding_none, ragged
 from io_recover import (
     ForwardProblem,
     InverseSolution,
@@ -208,14 +209,17 @@ class TestFaultInjection:
         ("imputed", lambda v: v[:1]),  # one row (nlo, iu) or one budget (ccu)
         ("imputed", lambda v: v[..., None]),
         ("imputed", lambda v: None),
+        ("imputed", ragged),
+        ("imputed", holding_none),
         ("cost", lambda v: v[:-1]),
         ("cost", lambda v: None),
         ("dual_pi", lambda v: np.append(v, 0.0)),
         ("dual_pi", lambda v: None),
-    ], ids=["imputed row", "imputed extra axis", "imputed missing", "cost short", "cost missing",
-            "dual_pi long", "dual_pi missing"])
+    ], ids=["imputed row", "imputed extra axis", "imputed missing", "imputed ragged", "imputed holding None",
+            "cost short", "cost missing", "dual_pi long", "dual_pi missing"])
     def test_missing_or_wrong_shaped_block_is_invalid(self, number, field, cut):
-        # a wrong shape would broadcast, or raise from numpy, rather than fail a residual
+        # a wrong shape would broadcast, or raise from numpy, rather than fail a residual;
+        # a ragged block has no shape, and None reads as a non-finite entry
         case, sol = _solved(number)
         bad = replace(sol, **{field: cut(np.array(getattr(sol, field)))})
         report = check_certificate(case.model, case.problem, case.x_hat, case.structure, bad)
