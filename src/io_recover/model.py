@@ -146,11 +146,17 @@ class UncertaintyStructure:
         if bad:
             i, j = next((i, j) for i, s in enumerate(listed) for j in s if type(j) in bad)
             raise DimensionError("uncertain_columns", f"row {i + 1} has column index {j!r}, not an integer")
-        sets = tuple(tuple(np.sort(list({int(j) for j in s})).tolist()) for s in listed)
-        rows, cols = _entries(sets)
+        # every row's columns sorted and each kept once, in one pass over the (row, column) pairs
+        rows, cols = _entries(listed)
+        order = np.lexsort((cols, rows))
+        rows, cols = rows[order], cols[order]
+        first = np.ones(rows.size, dtype=bool)
+        first[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
+        rows, cols = rows[first], cols[first]
         if np.any(cols < 0):
             raise DimensionError("uncertain_columns", f"row {rows[np.argmax(cols < 0)] + 1} has negative column index")
-        object.__setattr__(self, "sets", sets)
+        flat, ends = cols.tolist(), np.cumsum(np.bincount(rows, minlength=len(listed))).tolist()
+        object.__setattr__(self, "sets", tuple(tuple(flat[a:b]) for a, b in zip([0] + ends, ends)))
         rows.setflags(write=False)
         cols.setflags(write=False)
         object.__setattr__(self, "entries", (rows, cols))

@@ -151,6 +151,65 @@ def _parse_variable_order(names, model):
     return tuple(keys)
 
 
+def _first(flags, default):
+    """The index of the first true flag, or `default` when none is."""
+    return next((k for k, flag in enumerate(flags) if flag), default)
+
+
+def _column_sets(doc, m, n):
+    """uncertain_columns as 0-based column tuples in listed order, and their
+    (row, column) index arrays.  The pairs are checked all at once, not
+    entry by entry; the first fault in row-major order is the one reported."""
+    raw = _require(doc, "uncertain_columns", list)
+    if len(raw) != m:
+        raise ProblemFileError("uncertain_columns", f"expected {m} rows")
+    k = _first((type(row) is not list for row in raw), m)  # rows before k are lists
+    flat = list(itertools.chain.from_iterable(raw[:k]))
+    if set(map(type, flat)) <= {int} and (not flat or 1 <= min(flat) and max(flat) <= n):  # at C speed
+        bad = len(flat)
+    else:
+        bad = _first((type(j) is not int or not 1 <= j <= n for j in flat), len(flat))
+    lengths = list(map(len, raw[:k]))
+    rows = np.repeat(np.arange(k), lengths)
+    cols = np.array(flat[:bad], dtype=np.intp) - 1
+    repeated = np.ones(bad, dtype=bool)  # an entry naming a column its row named before
+    repeated[np.unique(rows[:bad] * n + cols, return_index=True)[1]] = False
+    if repeated.any():
+        p = np.argmax(repeated)
+        raise ProblemFileError("uncertain_columns", f"row {rows[p] + 1}: column {cols[p] + 1} listed twice")
+    if bad < len(flat):
+        raise ProblemFileError("uncertain_columns", f"row {rows[bad] + 1}: column {flat[bad]!r} outside 1..{n}")
+    if k < m:
+        raise ProblemFileError("uncertain_columns", f"row {k + 1} must be a list")
+    ends, columns = list(itertools.accumulate(lengths)), cols.tolist()
+    return tuple(tuple(columns[a:b]) for a, b in zip([0] + ends, ends)), (rows, cols)
+
+
+def _magnitudes(doc, sets, entries, n):
+    """alpha, one number per uncertain column of each row, as a dense m x n
+    matrix (zero off the column sets).  The first fault in row-major order
+    is the one reported."""
+    m = len(sets)
+    raw = _require(doc, "alpha", list)
+    if len(raw) != m:
+        raise ProblemFileError("alpha", f"expected {m} rows")
+    if (set(map(type, raw)) == {list} and list(map(len, raw)) == list(map(len, sets))
+            and set(map(type, itertools.chain.from_iterable(raw))) <= {int, float}):  # at C speed
+        k = m
+    else:
+        k = _first((type(row) is not list or len(row) != len(s) or not all(map(_is_number, row))
+                    for row, s in zip(raw, sets)), m)
+    count = sum(map(len, sets[:k]))
+    alpha = np.zeros((m, n))
+    try:
+        alpha[entries[0][:count], entries[1][:count]] = list(itertools.chain.from_iterable(raw[:k]))
+    except OverflowError:
+        raise ProblemFileError("alpha", "number out of range") from None
+    if k < m:
+        raise ProblemFileError("alpha", f"row {k + 1} must list one number per uncertain column")
+    return alpha
+
+
 def parse_problem(doc):
     """Build the solver inputs from a problem document (strict)."""
     if not isinstance(doc, dict):
@@ -173,44 +232,13 @@ def parse_problem(doc):
     x_hat = _vector(doc, "x_hat", n)
     problem = ForwardProblem(A=A, b=b)
 
-    sets = None
+    sets = alpha_rows = None
     if "uncertain_columns" in doc:
-        raw_sets = _require(doc, "uncertain_columns", list)
-        if len(raw_sets) != m:
-            raise ProblemFileError("uncertain_columns", f"expected {m} rows")
-        sets = []
-        for i, row in enumerate(raw_sets):
-            if not isinstance(row, list):
-                raise ProblemFileError("uncertain_columns", f"row {i + 1} must be a list")
-            cols = []
-            for j in row:
-                if type(j) is not int or j < 1 or j > n:
-                    raise ProblemFileError(
-                        "uncertain_columns", f"row {i + 1}: column {j!r} outside 1..{n}"
-                    )
-                if j - 1 in cols:
-                    raise ProblemFileError("uncertain_columns", f"row {i + 1}: column {j} listed twice")
-                cols.append(j - 1)
-            sets.append(tuple(cols))
-        sets = tuple(sets)
-
-    alpha_rows = None
+        sets, entries = _column_sets(doc, m, n)
     if "alpha" in doc:
         if sets is None:
             raise ProblemFileError("alpha", "needs uncertain_columns")
-        raw_alpha = _require(doc, "alpha", list)
-        if len(raw_alpha) != m:
-            raise ProblemFileError("alpha", f"expected {m} rows")
-        alpha_rows = np.zeros((m, n))
-        for i, row in enumerate(raw_alpha):
-            if not isinstance(row, list) or len(row) != len(sets[i]) or not all(map(_is_number, row)):
-                raise ProblemFileError(
-                    "alpha", f"row {i + 1} must list one number per uncertain column"
-                )
-            try:
-                alpha_rows[i, list(sets[i])] = row
-            except OverflowError:
-                raise ProblemFileError("alpha", "number out of range") from None
+        alpha_rows = _magnitudes(doc, sets, entries, n)
 
     if model.family == "nlo":
         structure = UncertaintyStructure.nominal()
@@ -428,8 +456,13 @@ def parse_solution(doc, bundle):
         rows = _within(doc, "per_constraint")
         per_constraint = {name.removeprefix("per_constraint."): _vector(rows, name, m, math.inf) for name in rows}
     for field in ("duality_gap", "objective_value"):
-        if doc.get(field) is not None and not _is_number(doc[field]):
+        value = doc.get(field)
+        if value is not None and not _is_number(value):
             raise ProblemFileError(field, "expected a number")
+        try:
+            float(value or 0)
+        except OverflowError:  # an integer beyond the float range
+            raise ProblemFileError(field, "number out of range") from None
     active = doc.get("active_index")
     if active is not None and (type(active) is not int or not 1 <= active <= m):
         raise ProblemFileError("active_index", f"expected a constraint index in 1..{m}")
@@ -464,29 +497,69 @@ def load_json(path):
         raise ProblemFileError(str(path), f"invalid JSON: {exc}") from None
 
 
-def _standard(value):
-    """value with numpy scalars and arrays as Python values and every
-    non-finite float as None."""
-    if isinstance(value, dict):
-        return {key: _standard(item) for key, item in value.items()}
-    if isinstance(value, (list, tuple)):
-        if set(map(type, value)) <= {float} and all(map(math.isfinite, value)):  # at C speed
-            return value
-        return [_standard(item) for item in value]
-    if isinstance(value, np.ndarray):
-        return _standard(value.tolist())
-    if isinstance(value, (float, np.floating)):
-        return float(value) if math.isfinite(value) else None
-    if isinstance(value, np.integer):
-        return int(value)
-    if isinstance(value, np.bool_):
-        return bool(value)
-    return value
+_escape = json.encoder.encode_basestring_ascii  # the stdlib's own string writer
+
+
+def _write(value, pad, out):
+    """Append value's text in json.dumps(indent=2)'s layout to the list `out`,
+    byte for byte; `pad` is the newline and indent that open value's line.
+    numpy scalars and arrays are written as Python values and a non-finite
+    float as null.  Dict keys must be strings."""
+    kind = type(value)
+    if kind is list or kind is tuple:
+        if not value:
+            out.append("[]")
+            return
+        inner = pad + "  "
+        try:  # a flat list of floats in one join; a finite float's repr has no "n", inf and nan do
+            flat = ("," + inner).join(map(float.__repr__, value))
+        except TypeError:  # an entry that is not a float
+            flat = "n"
+        if "n" not in flat:
+            out.append("[" + inner + flat + pad + "]")
+            return
+        sep = "[" + inner
+        for item in value:
+            out.append(sep)
+            _write(item, inner, out)
+            sep = "," + inner
+        out.append(pad + "]")
+    elif kind is dict:
+        if not value:
+            out.append("{}")
+            return
+        inner = pad + "  "
+        sep = "{" + inner
+        for key, item in value.items():
+            out.append(sep + _escape(key) + ": ")
+            _write(item, inner, out)
+            sep = "," + inner
+        out.append(pad + "}")
+    elif kind is str:
+        out.append(_escape(value))
+    elif isinstance(value, (float, np.floating)):
+        out.append(float.__repr__(float(value)) if math.isfinite(value) else "null")
+    elif value is None or isinstance(value, (bool, np.bool_)):
+        out.append("null" if value is None else "true" if value else "false")
+    elif isinstance(value, (int, np.integer)):
+        out.append(int.__repr__(int(value)))
+    elif isinstance(value, np.ndarray):
+        _write(value.tolist(), pad, out)
+    else:
+        raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+
+
+def _text(doc):
+    """doc as json.dumps(doc, indent=2, allow_nan=False) writes it once numpy
+    values are made Python values and non-finite floats None."""
+    out = []
+    _write(doc, "\n", out)
+    return "".join(out)
 
 
 def dump_json(path, doc):
     """Write doc as standard JSON: a non-finite number becomes null."""
-    text = json.dumps(_standard(doc), indent=2, allow_nan=False)  # one write: faster than json.dump's many
+    text = _text(doc)
     try:
         with open(path, "w", encoding="utf-8") as fp:
             fp.write(text + "\n")

@@ -27,6 +27,36 @@ def _load(path):
         return json.load(fp)
 
 
+def _column_sets_by_row(doc, m, n):
+    """The reference reading of uncertain_columns and alpha, entry by entry:
+    the listed 0-based sets and the dense magnitudes, or the first fault's message."""
+    raw, sets = doc["uncertain_columns"], []
+    if len(raw) != m:
+        return f"uncertain_columns: expected {m} rows"
+    for i, row in enumerate(raw):
+        if not isinstance(row, list):
+            return f"uncertain_columns: row {i + 1} must be a list"
+        cols = []
+        for j in row:
+            if type(j) is not int or not 1 <= j <= n:
+                return f"uncertain_columns: row {i + 1}: column {j!r} outside 1..{n}"
+            if j - 1 in cols:
+                return f"uncertain_columns: row {i + 1}: column {j} listed twice"
+            cols.append(j - 1)
+        sets.append(tuple(cols))
+    if len(doc["alpha"]) != m:
+        return f"alpha: expected {m} rows"
+    alpha = np.zeros((m, n))
+    for i, row in enumerate(doc["alpha"]):
+        if not isinstance(row, list) or len(row) != len(sets[i]) or not all(type(v) in (int, float) for v in row):
+            return f"alpha: row {i + 1} must list one number per uncertain column"
+        try:
+            alpha[i, list(sets[i])] = row
+        except OverflowError:
+            return "alpha: number out of range"
+    return tuple(sets), alpha.tolist()
+
+
 class TestProblemFiles:
     @pytest.mark.parametrize("number", range(1, 9))
     def test_round_trip(self, number):
@@ -87,6 +117,34 @@ class TestProblemFiles:
         doc["uncertain_columns"][0] = [0]
         with pytest.raises(ProblemFileError):
             problem_io.parse_problem(doc)
+
+    @given(data=st.data())
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    def test_column_sets_match_the_row_by_row_reading(self, data):
+        m, n = data.draw(st.integers(1, 4), label="m"), data.draw(st.integers(1, 4), label="n")
+        sets = data.draw(st.lists(st.lists(st.integers(1, n), max_size=n, unique=True), min_size=m, max_size=m))
+        alpha = [data.draw(st.lists(st.floats(0, 10) | st.integers(0, 10), min_size=len(s), max_size=len(s)))
+                 for s in sets]
+        doc = {"uncertain_columns": sets, "alpha": alpha}
+        junk = st.integers(-1, n + 1) | st.sampled_from([True, 2.0, None, "1", 10**30, 10**400, [1], []])
+        for _ in range(data.draw(st.integers(0, 3), label="faults")):
+            rows = doc[data.draw(st.sampled_from(sorted(doc)), label="field")]
+            i = data.draw(st.integers(0, len(rows) - 1), label="row") if rows else 0
+            action = data.draw(st.sampled_from(["entry", "row", "append", "drop"]), label="action")
+            if action == "entry" and rows and isinstance(rows[i], list) and rows[i]:
+                rows[i][data.draw(st.integers(0, len(rows[i]) - 1), label="entry")] = data.draw(junk)
+            elif action == "row" and rows:
+                rows[i] = data.draw(junk)
+            elif action == "append":
+                rows.append(data.draw(junk))
+            elif rows:
+                del rows[i]
+        try:
+            sets, entries = problem_io._column_sets(doc, m, n)
+            read = (sets, problem_io._magnitudes(doc, sets, entries, n).tolist())
+        except ProblemFileError as exc:
+            read = str(exc)
+        assert read == _column_sets_by_row(doc, m, n)
 
     def test_negative_prior_magnitude_rejected(self):
         doc = _load(FIXTURES / "example4.json")
@@ -313,6 +371,21 @@ class TestCliVerify:
         captured = capsys.readouterr()
         assert captured.out == "verdict: invalid\nreason: imputed: non-finite entry\n"
         assert captured.err == ""
+
+    @pytest.mark.parametrize("number", range(1, 9))
+    @pytest.mark.parametrize("field", ["duality_gap", "objective_value"])
+    def test_verify_integer_beyond_any_float_exits_1(self, tmp_path, capsys, number, field):
+        problem, out = str(FIXTURES / f"example{number}.json"), tmp_path / "solution.json"
+        assert cli.main(["solve", "--input", problem, "--output", str(out)]) in (0, 3)
+        for value in (10**400, -(10**400)):
+            doc = _load(out)
+            doc[field] = value
+            bad = tmp_path / "bad.json"
+            bad.write_text(json.dumps(doc))
+            capsys.readouterr()
+            assert cli.main(["verify", "--input", problem, "--solution", str(bad)]) == 1
+            captured = capsys.readouterr()
+            assert (captured.out, captured.err) == ("", f"{field}: number out of range\n")
 
     def test_verify_infeasible_solution_exits_2(self, tmp_path, capsys):
         doc = _load(FIXTURES / "example4.json")

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gen
 import io_recover
@@ -73,6 +75,20 @@ class TestTypes:
     def test_python_and_numpy_integer_columns_are_accepted(self):
         sets = [(np.int64(1), 0), np.array([1], dtype=np.int32), range(2)]
         assert UncertaintyStructure.interval(sets).sets == ((0, 1), (1,), (0, 1))
+
+    @given(st.lists(st.lists(st.integers(-1, 6), max_size=6), max_size=5))
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    def test_each_row_keeps_its_columns_sorted_and_once(self, sets):
+        negative = [i for i, s in enumerate(sets) if any(j < 0 for j in s)]
+        if negative:
+            with pytest.raises(DimensionError, match=f"row {negative[0] + 1} has negative column index"):
+                UncertaintyStructure.interval(sets)
+            return
+        structure = UncertaintyStructure.interval(sets)
+        expected = tuple(tuple(sorted(set(s))) for s in sets)
+        assert structure.sets == expected
+        rows, cols = structure.entries
+        assert list(zip(rows.tolist(), cols.tolist())) == [(i, j) for i, s in enumerate(expected) for j in s]
 
     def test_prior_weights_nonneg(self):
         with pytest.raises(DimensionError):

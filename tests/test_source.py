@@ -11,7 +11,9 @@ one pass, and each gap model hands its subproblems to `model.gap_values`,
 which prices one coupling row by the one knapsack kernel and shares one
 feasible set over the m LPs when more are left.  `model` is the one module
 besides the package's re-exports to import the LP engine, and `validate`
-tests each assumption on all rows at once.  The benchmark's traced runs
+tests each assumption on all rows at once.  Documents are written by
+`problem_io`'s own writer, not by the stdlib's indenting encoder, which is
+pure Python.  The benchmark's traced runs
 find every function they wrap, and every error class is raised or caught
 somewhere in the library."""
 
@@ -225,3 +227,14 @@ def test_every_error_class_is_raised_or_caught():
     classes = {node.name for node in tree.body if isinstance(node, ast.ClassDef)} - {"InverseLpError"}
     used = set().union(*(_raised_or_caught(ast.parse(path.read_text(encoding="utf-8"))) for path in SOURCES))
     assert sorted(classes - used) == []
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_indented_json_dumps(path):
+    # json.dump(s) with an indent runs the stdlib's pure-Python encoder; problem_io's writer
+    # gives the same bytes at the speed of the float reprs
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    calls = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Call)
+             and getattr(node.func, "attr", getattr(node.func, "id", None)) in ("dump", "dumps")
+             and any(keyword.arg == "indent" for keyword in node.keywords)]
+    assert calls == []
