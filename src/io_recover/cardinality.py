@@ -4,7 +4,9 @@ The activation budgets of all rows (the budgets whose protection value
 equals the nominal surplus) come from one ranking of the products
 alpha_ij |x_j| (`geometry.ranked`), and cap each row's feasible budget;
 the same ranking gives the protection at those caps.  The strong-duality
-model is closed form in those budgets.  The gap model's row i takes the
+model is closed form in those budgets: row i's objective is the norm of
+the budget moves with row i active, and one norm of the m moves gives it
+for every row, in memory linear in m.  The gap model's row i takes the
 continuous knapsack at its largest feasible budget: the box's upper bound
 once the side constraints fold into bounds, else `model.gap_values`'
 largest budget i over the m budgets alone.  Both models hand
@@ -17,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NominalInfeasibleError
-from .geometry import activation, knapsack, norm_value, ranked
+from .geometry import NormKind, activation, knapsack, norm_value, ranked
 from .model import (
     InverseSolution,
     ModelKind,
@@ -132,10 +134,17 @@ def solve_rlo_ccu_sd(problem, x_hat, structure, prior):
     kept[rows] = np.minimum(gamma_hat[rows], gb.gamma_upper[rows])
     f = moved - gamma_hat
     g = np.minimum(f, 0.0)
-    deviations = np.where(np.eye(m, dtype=bool), f, g)  # row i: the deviation vector with row i active
+    # row i's deviation vector is g with entry i set to f_i: g itself where f_i <= 0, and where
+    # f_i > 0, g with the rise f_i on its entry i, which g holds at 0
+    base, rise = norm_value(g, prior.norm), np.maximum(f, 0.0)
+    if prior.norm == NormKind.L1:
+        own = base + rise
+    elif prior.norm == NormKind.L2:
+        own = np.hypot(base, rise)
+    else:
+        own = np.maximum(base, rise)
     t = np.full(m, np.inf)
-    for i in rows:
-        t[i] = norm_value(deviations[i], prior.norm)
+    t[rows] = own[rows]
     return row_solution(
         ModelKind.RLO_CCU_SD, problem, structure, x, t, t,
         lambda i: np.where(np.arange(m) == i, moved, kept), {"f": f, "g": g},

@@ -52,11 +52,15 @@ def _l2_norm(x):
     return nv
 
 
+def dual_kind(norm):
+    """The dual of `norm`: l1 and linf are each other's, l2 is its own (an
+    unknown norm passes through to norm_value's error)."""
+    return NormKind.LINF if norm == NormKind.L1 else NormKind.L1 if norm == NormKind.LINF else norm
+
+
 def dual_norm(x, norm):
     """max over ||v|| = 1 of x'v: L1 -> max|x_k|, L2 -> ||x||_2, Linf -> sum|x_k|."""
-    # l1 and linf are each other's dual, l2 is its own; an unknown norm reaches norm_value's error
-    dual = NormKind.LINF if norm == NormKind.L1 else NormKind.L1 if norm == NormKind.LINF else norm
-    return norm_value(x, dual)
+    return norm_value(x, dual_kind(norm))
 
 
 def norm_value(x, norm):
@@ -69,6 +73,34 @@ def norm_value(x, norm):
     if norm == NormKind.LINF:
         return float(np.max(np.abs(x))) if x.size else 0.0
     raise PreconditionError(f"unknown norm {norm!r}")
+
+
+def row_dots(a, b):
+    """a_i . b_i for each row of the m x n blocks a and b, one dot per row,
+    so a row's dot rounds as that row's own does; np.vdot returns inf on
+    overflow without a warning."""
+    return np.fromiter((np.vdot(u, v) for u, v in zip(a, b)), float, len(a))
+
+
+def row_norms(x, norm):
+    """norm_value of each row of the m x n block x; a row's l2 norm is
+    rescaled as `_l2_norm` rescales it."""
+    if norm == NormKind.L1:
+        return np.sum(np.abs(x), axis=1)
+    if norm == NormKind.LINF:
+        return np.max(np.abs(x), axis=1, initial=0.0)
+    if norm != NormKind.L2:
+        raise PreconditionError(f"unknown norm {norm!r}")
+    nv = np.sqrt(row_dots(x, x))
+    odd = np.flatnonzero((nv < 1e-150) | (nv == np.inf))
+    if odd.size:
+        big = np.max(np.abs(x[odd]), axis=1, initial=0.0)
+        keep = (big > 0.0) & (big < np.inf)
+        odd, big = odd[keep], big[keep]
+        scaled = x[odd] / big[:, None]
+        with np.errstate(over="ignore"):  # a norm past the largest float reads inf
+            nv[odd] = big * np.sqrt(row_dots(scaled, scaled))
+    return nv
 
 
 def dual_norm_maximizer(x, norm):

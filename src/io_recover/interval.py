@@ -9,18 +9,19 @@ knapsack solved in closed form here (`_fill`), and every other row keeps
 its lower bounds, which are feasible whenever that row's own subproblem
 is, since the loads |x_j| are nonnegative.
 The strong-duality model runs no LP: its objective and constraints
-separate by row, and each row's move is a projection in closed form.
+separate by row, and each row's move is a projection in closed form,
+made for every row in one pass over the m x n block of loads and prior
+magnitudes (`_activations`; `_activation` is its one-row view).
 Both models hand their per-row results to `model`'s one tail, which picks
 the active row and realizes the cost vector in the observation's orthant.
 """
 
-import math
 import sys
 
 import numpy as np
 
 from .errors import PreconditionError
-from .geometry import NormKind, dual_norm, dual_norm_maximizer, norm_value
+from .geometry import NormKind, dual_kind, row_dots, row_norms
 from .model import (
     ZERO_TOL,
     InverseSolution,
@@ -108,48 +109,105 @@ def solve_rlo_iu_dg(problem, x_hat, structure, omega):
     return gap_solution(ModelKind.RLO_IU_DG, problem, structure, x, surplus, -np.minimum(surplus, most), imputed)
 
 
-def _activation(load, center, target, norm):
-    """The point of {alpha >= 0 : load . alpha = target} closest to `center`
-    in `norm`, and its distance (inf when the load must change and no column
-    is loaded, or must rise past the floats).  Zero-load columns keep their
-    centre.  A raise moves along the loads' dual-norm maximizer, which is
-    nonnegative.  A cut takes l1's columns to 0 by decreasing load, lowest
-    index first (`_fill` of the amounts cut), and sets alpha = max(0, center -
-    d * step) for l2 (step = load) and linf (step = 1), with d from one
-    sweep over the breakpoints center / step (Held, Wolfe and Crowder
-    1974; Duchi et al. 2008)."""
-    alpha = np.array(center, dtype=float)
-    on = load > 0.0
-    gap = target - float(load @ alpha)
-    if gap == 0.0 or not on.any():
-        return alpha, 0.0 if gap == 0.0 else math.inf
-    ell, c = load[on], alpha[on]
-    if gap > 0.0:
-        dual = dual_norm(ell, norm)  # a Python float, so dual * max reads inf, unwarned, when dual > 1
-        if gap >= dual * sys.float_info.max:  # loads too small for any float move to reach the target
-            return alpha, math.inf
-        move = gap / dual * dual_norm_maximizer(ell, norm)
-    elif norm == NormKind.L1:
-        move = -_fill(ell, np.zeros(ell.size), c, -gap)
+def _raised(load, gap, norm):
+    """The moves of rows whose centres fall short by `gap` > 0 along the
+    loads' dual-norm maximizer, which is nonnegative: l1's largest load
+    (lowest column on ties), l2's loads over their norm, linf's loaded
+    columns.  Returns which rows a float move reaches, and their moves."""
+    dual = row_norms(load, dual_kind(norm))
+    with np.errstate(over="ignore"):  # dual * max reads inf when dual > 1
+        reach = gap < dual * sys.float_info.max  # else the loads are too small for any float move
+    load, gap, dual = load[reach], gap[reach], dual[reach]
+    if norm == NormKind.L1:
+        step = (np.arange(load.shape[1]) == load.argmax(axis=1)[:, None]).astype(float)
+    elif norm == NormKind.L2:
+        step = load / dual[:, None]
     else:
-        step = ell if norm == NormKind.L2 else np.ones(ell.size)
-        order = np.argsort(c / step, kind="stable")
-        # with d between breakpoints k - 1 and k, load = rest[k] - d * slope[k]
-        rest = np.cumsum((ell * c)[order][::-1])[::-1]
-        slope = np.cumsum((ell * step)[order][::-1])[::-1]
-        k = min(int(np.sum(rest - (c / step)[order] * slope > target)), ell.size - 1)
-        move = -np.minimum(c, (rest[k] - target) / slope[k] * step)
-    alpha[on] = c + move
-    return alpha, norm_value(move, norm)
+        step = (load > 0.0).astype(float)
+    return reach, (gap / dual)[:, None] * step
+
+
+def _lowered(load, center, target, dots, norm):
+    """The moves of rows whose centres overshoot `target`: load . center =
+    `dots` > target.  l1 takes columns to 0 by decreasing load, lowest
+    index first (`_fill` toward 0 of the amounts cut); l2 (step = load,
+    rescaled where its square would under- or overflow) and linf (step =
+    1) set alpha = max(0, center - d * step), with d from one sweep over
+    the breakpoints center / step (Held, Wolfe and Crowder 1974; Duchi et
+    al. 2008).  Either way one stable argsort orders every row's columns,
+    and cumulative sums along it price them."""
+    live = load > 0.0
+    rows = np.arange(load.shape[0])[:, None]
+    if norm == NormKind.L1:
+        order = rows, np.argsort(np.where(live, -load, np.inf), axis=1, kind="stable")
+        before, ahead = np.zeros(load.shape), np.empty(load.shape)  # ahead: the load of the columns cut first
+        np.cumsum((load * center)[order][:, :-1], axis=1, out=before[:, 1:])
+        ahead[order] = before
+        excess = dots - target
+        cut = np.zeros(load.shape)
+        np.divide(np.maximum(excess[:, None] - ahead, 0.0), load, out=cut, where=live)
+        return -np.where(live & (dots <= excess)[:, None], center, np.minimum(center, cut))
+    if norm == NormKind.L2:  # any positive multiple of the loads: one that keeps load . step in the floats
+        big = np.max(load, axis=1)
+        step = load / np.where((big < 1e-150) | (big > 1e150), big, 1.0)[:, None]
+    else:
+        step = live.astype(float)
+    ratio = np.full(load.shape, np.inf)  # the breakpoints, the unloaded columns at inf
+    np.divide(center, step, out=ratio, where=live)
+    order = rows, np.argsort(ratio, axis=1, kind="stable")[:, ::-1]  # the largest breakpoint first
+    # with d between breakpoints k + 1 and k in that order, load = rest[k] - d * slope[k]
+    rest = np.cumsum((load * center)[order], axis=1)
+    slope = np.cumsum((load * step)[order], axis=1)
+    live = live[order]
+    above = live & (rest - np.where(live, ratio[order], 0.0) * slope > target[:, None])
+    k = rows, load.shape[1] - 1 - np.minimum(above.sum(axis=1), live.sum(axis=1) - 1)[:, None]
+    return -np.minimum(center, (rest[k] - target[:, None]) / slope[k] * step)
+
+
+def _activations(load, center, target, norm):
+    """Every row's point of {alpha >= 0 : load . alpha = target} closest to
+    its centre in `norm`, from m x n blocks of loads and centres (0 off the
+    row's columns) and the m targets (`_raised`, `_lowered`).  Returns the
+    points, their distances (inf when the load must change and no column
+    is loaded, or must rise past the floats) and whether each centre fits
+    (load . center <= target).  Zero-load columns keep their centre."""
+    on = load > 0.0
+    dots = row_dots(load, center)
+    gap = target - dots
+    alpha, distance = center.copy(), np.where(gap == 0.0, 0.0, np.inf)
+
+    def place(rows, move):
+        start = center[rows]
+        alpha[rows] = np.where(on[rows], start + move, start)
+        distance[rows] = row_norms(move, norm)  # move is 0 or -0 off the loaded columns
+
+    loaded = on.any(axis=1)
+    rise, cut = np.flatnonzero((gap > 0.0) & loaded), np.flatnonzero((gap < 0.0) & loaded)
+    if rise.size:
+        reach, move = _raised(load[rise], gap[rise], norm)
+        place(rise[reach], move)
+    if cut.size:
+        place(cut, _lowered(load[cut], center[cut], target[cut], dots[cut], norm))
+    return alpha, distance, dots <= target
+
+
+def _activation(load, center, target, norm):
+    """One row's `_activations`: its point and distance."""
+    alpha, distance, _ = _activations(
+        np.asarray(load, dtype=float)[None], np.asarray(center, dtype=float)[None], np.array([target], dtype=float),
+        norm,
+    )
+    return alpha[0], float(distance[0])
 
 
 def solve_rlo_iu_sd(problem, x_hat, structure, prior):
     """Smallest weighted perturbation of prior magnitudes achieving exact optimality.
 
     Feasible exactly when the observation is nominal-feasible.  Row i's
-    cheapest move to robust-active, f_i, is a projection (`_activation`).
-    Keeping row i robust-feasible costs 0 when its prior row fits, else f_i:
-    the norm being convex, a feasible row pulled to active comes no closer.
+    cheapest move to robust-active, f_i, is a projection; `_activations`
+    makes every row's in one pass over the m x n block.  Keeping row i
+    robust-feasible costs 0 when its prior row fits, else f_i: the norm
+    being convex, a feasible row pulled to active comes no closer.
     """
     x = check_inputs(ModelKind.RLO_IU_SD, problem, x_hat, structure, prior=prior)
     surplus = _surplus(problem, x, structure)
@@ -161,15 +219,11 @@ def solve_rlo_iu_sd(problem, x_hat, structure, prior):
             f"observation is nominal-infeasible on constraint {worst + 1} "
             f"(violation {-surplus[worst]:g}); no magnitudes can restore feasibility",
         )
-    w = prior.weights(m)
-    f, fits = np.zeros(m), np.zeros(m, dtype=bool)
-    centers, moved = np.zeros((m, problem.n)), np.zeros((m, problem.n))
-    for i, cols in enumerate(map(list, structure.sets)):
-        load, center = np.abs(x[cols]), prior.estimates[i, cols]
-        centers[i, cols] = center
-        fits[i] = float(load @ center) <= surplus[i]
-        moved[i, cols], distance = _activation(load, center, surplus[i], prior.norm)
-        f[i] = w[i] * distance if distance < math.inf else math.inf  # a zero weight keeps inf, not NaN
+    mask = structure.mask(problem.n)
+    centers = np.where(mask, prior.estimates, 0.0)
+    moved, distance, fits = _activations(np.where(mask, np.abs(x), 0.0), centers, surplus, prior.norm)
+    f = np.full(m, np.inf)
+    np.multiply(prior.weights(m), distance, out=f, where=distance < np.inf)  # a zero weight keeps inf, not NaN
     return sd_solution(
         ModelKind.RLO_IU_SD, problem, structure, x, f, fits, moved, centers,
         "no constraint can be made robust-active at the observation",

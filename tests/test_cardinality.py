@@ -1,7 +1,10 @@
+import tracemalloc
 from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gen
 from conftest import knapsack_continuous, knapsack_protection
@@ -23,7 +26,7 @@ from io_recover import (
 )
 from io_recover import cardinality, model
 from io_recover.fixtures import evaluate_example, example_case
-from io_recover.geometry import products
+from io_recover.geometry import norm_value, products
 from io_recover.lp import Constraints, LinearProgram, LpStatus, solve_lp_batch
 from io_recover.model import InverseSolution, canonicalize_omega, gap_solution, param_keys
 from oracle import brute_force_min, oracle_tolerance
@@ -436,3 +439,106 @@ class TestCcuSd:
                 value,
                 tol,
             )
+
+
+class TestCcuSdScale:
+    def test_memory_stays_linear_in_m(self):
+        # row i's deviation norm comes from the norm of g and its own entry, with no m x m
+        # matrix of deviation vectors: at m = 2000 that matrix alone would take 32 MB
+        rng = np.random.default_rng(3)
+        m, n = 2000, 3
+        x = rng.uniform(0.5, 2.0, n)
+        A = rng.uniform(0.5, 2.0, (m, n))
+        alpha = rng.uniform(0.2, 0.9, (m, n)) * A
+        b = A @ x - rng.uniform(0.1, 0.9, m) * (alpha @ x)
+        structure = UncertaintyStructure.cardinality(tuple((0, 1, 2) for _ in range(m)), alpha)
+        problem = ForwardProblem(A=A, b=b)
+        for norm in NormKind:
+            prior = Prior(estimates=rng.uniform(0.0, 3.0, m), norm=norm)
+            tracemalloc.start()
+            try:
+                sol = solve_rlo_ccu_sd(problem, x, structure, prior)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert sol.status == Status.OPTIMAL
+            assert peak < 4_000_000, (norm, peak)
+
+
+def _ccu_sd_draw(seed, norm):
+    """A random rlo-ccu-sd instance: partial column sets, some x_j = 0, most
+    rows within reach of their protection."""
+    rng = np.random.default_rng(seed)
+    m, n = int(rng.integers(2, 9)), int(rng.integers(2, 7))
+    x = np.where(rng.random(n) < 0.2, 0.0, rng.uniform(-2.0, 2.0, n))
+    A = rng.uniform(-2.0, 2.0, (m, n))
+    alpha = rng.uniform(0.2, 0.9, (m, n)) * np.abs(A)
+    sets = tuple(tuple(int(j) for j in np.flatnonzero(rng.random(n) < 0.7)) or (int(rng.integers(n)),)
+                 for _ in range(m))
+    full = np.array([alpha[i, list(cols)] @ np.abs(x[list(cols)]) for i, cols in enumerate(sets)])
+    problem = ForwardProblem(A=A, b=A @ x - rng.uniform(0.0, 1.2, m) * full)
+    prior = Prior(estimates=rng.uniform(0.0, 0.15 * float(n), m), norm=norm)
+    return problem, x, UncertaintyStructure.cardinality(sets, alpha), prior
+
+
+def _ccu_t(sol, structure, problem, x, norm):
+    """Each row's objective with it active: the norm of g with entry i set to f_i."""
+    f, g = sol.per_constraint["f"], sol.per_constraint["g"]
+    reach = np.zeros(f.size, dtype=bool)
+    reach[list(compute_gamma_bounds(problem, structure, x).i_hat)] = True
+    return np.array([norm_value(np.where(np.arange(f.size) == i, f, g), norm) if reach[i] else np.inf
+                     for i in range(f.size)])
+
+
+def _separated(t, i):
+    others = np.delete(t, i)
+    return not others.size or bool(np.min(others) > t[i] + 1e-9 * (1.0 + abs(t[i])))
+
+
+class TestCcuSdMetamorphic:
+    """Relabelling rows or columns relabels rlo-ccu-sd's answer."""
+
+    @given(seed=st.integers(0, 2**32 - 1), norm=st.sampled_from(list(NormKind)), data=st.data())
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    def test_permuting_rows(self, seed, norm, data):
+        problem, x, structure, prior = _ccu_sd_draw(seed, norm)
+        perm = np.array(data.draw(st.permutations(range(problem.m))))
+        moved = solve_rlo_ccu_sd(
+            ForwardProblem(A=problem.A[perm], b=problem.b[perm]), x,
+            UncertaintyStructure.cardinality(tuple(structure.sets[i] for i in perm), structure.alpha[perm]),
+            Prior(estimates=prior.estimates[perm], norm=norm),
+        )
+        sol = solve_rlo_ccu_sd(problem, x, structure, prior)
+        assert moved.status == sol.status
+        if sol.status != Status.OPTIMAL:
+            return
+        pc, moved_pc = sol.per_constraint, moved.per_constraint
+        assert moved_pc["f"].tobytes() == pc["f"][perm].tobytes()
+        assert moved_pc["g"].tobytes() == pc["g"][perm].tobytes()
+        assert moved.objective_value == pytest.approx(sol.objective_value, rel=1e-12, abs=1e-15)
+        if _separated(_ccu_t(sol, structure, problem, x, norm), sol.active_index - 1):
+            assert perm[moved.active_index - 1] == sol.active_index - 1
+            assert moved.imputed.tobytes() == sol.imputed[perm].tobytes()
+            assert moved.cost.tobytes() == sol.cost.tobytes()
+
+    @given(seed=st.integers(0, 2**32 - 1), norm=st.sampled_from(list(NormKind)), data=st.data())
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    def test_permuting_columns(self, seed, norm, data):
+        problem, x, structure, prior = _ccu_sd_draw(seed, norm)
+        perm = np.array(data.draw(st.permutations(range(problem.n))))
+        label = np.argsort(perm)  # old column j is new column label[j]
+        moved = solve_rlo_ccu_sd(
+            ForwardProblem(A=problem.A[:, perm], b=problem.b), x[perm],
+            UncertaintyStructure.cardinality(tuple(tuple(label[list(cols)].tolist()) for cols in structure.sets),
+                                             structure.alpha[:, perm]),
+            prior,
+        )
+        sol = solve_rlo_ccu_sd(problem, x, structure, prior)
+        assert moved.status == sol.status
+        if sol.status != Status.OPTIMAL:
+            return
+        assert moved.per_constraint["f"] == pytest.approx(sol.per_constraint["f"], rel=1e-9, abs=1e-12)
+        if _separated(_ccu_t(sol, structure, problem, x, norm), sol.active_index - 1):
+            assert moved.active_index == sol.active_index
+            assert moved.imputed == pytest.approx(sol.imputed, rel=1e-9, abs=1e-12)
+            assert moved.cost == pytest.approx(sol.cost[perm], rel=1e-9, abs=1e-12)

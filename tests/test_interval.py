@@ -1,8 +1,12 @@
 import importlib.util
+import math
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gen
 from io_recover import (
@@ -27,7 +31,7 @@ from io_recover import (
     validate,
 )
 from io_recover import interval, model
-from io_recover.geometry import norm_value
+from io_recover.geometry import dual_norm, dual_norm_maximizer, norm_value
 from io_recover.fixtures import evaluate_example, example_case
 from oracle import brute_force_min, oracle_tolerance
 
@@ -327,6 +331,19 @@ class TestIuSd:
         assert pc["t"] == pytest.approx([1.5, 1.5, 1.0], abs=1e-12)
         assert sol.active_index == 3
 
+    @pytest.mark.parametrize("norm", list(NormKind))
+    def test_zero_weight_keeps_an_unreachable_row_at_inf(self, norm):
+        # row 1 must rise, but x_0 = 0 loads none of its columns: its distance is inf,
+        # and its zero weight keeps f = inf (0 * inf would read NaN)
+        problem = ForwardProblem(A=[[1.0, 0.0], [0.0, 1.0]], b=[-1.0, 0.5])
+        structure = UncertaintyStructure.interval(((0,), (1,)))
+        prior = Prior(estimates=[[0.2, 0.0], [0.0, 0.1]], xi=[0.0, 1.0], norm=norm)
+        sol = solve_rlo_iu_sd(problem, [0.0, 1.0], structure, prior)
+        assert sol.status == Status.OPTIMAL
+        assert sol.per_constraint["f"][0] == np.inf
+        assert sol.per_constraint["f"][1] == pytest.approx(0.4, abs=1e-15)
+        assert sol.active_index == 2
+
     @pytest.mark.parametrize("variant", ["plain", "l1-weights", "linf-weights"])
     def test_matches_joint_lp(self, variant):
         rng = np.random.default_rng({"plain": 0, "l1-weights": 1, "linf-weights": 2}[variant])
@@ -520,3 +537,198 @@ class TestActivation:
         alpha, distance = interval._activation(load, center, 0.75, NormKind.L1)
         assert alpha == pytest.approx([0.25, 0.0, 0.0, 0.5], abs=1e-15)
         assert distance == pytest.approx(0.75, abs=1e-15)
+
+
+def activation_by_row(load, center, target, norm):
+    """One row's activation computed over its columns alone, by the
+    geometry's one-vector norms and maximizers: the reference
+    `interval._activations` is pinned to."""
+    alpha = np.array(center, dtype=float)
+    on = load > 0.0
+    gap = target - float(load @ alpha)
+    if gap == 0.0 or not on.any():
+        return alpha, 0.0 if gap == 0.0 else math.inf
+    ell, c = load[on], alpha[on]
+    if gap > 0.0:
+        dual = dual_norm(ell, norm)
+        if gap >= dual * sys.float_info.max:
+            return alpha, math.inf
+        move = gap / dual * dual_norm_maximizer(ell, norm)
+    elif norm == NormKind.L1:
+        move = -interval._fill(ell, np.zeros(ell.size), c, -gap)
+    else:
+        step = ell if norm == NormKind.L2 else np.ones(ell.size)
+        order = np.argsort(c / step, kind="stable")
+        rest = np.cumsum((ell * c)[order][::-1])[::-1]
+        slope = np.cumsum((ell * step)[order][::-1])[::-1]
+        k = min(int(np.sum(rest - (c / step)[order] * slope > target)), ell.size - 1)
+        move = -np.minimum(c, (rest[k] - target) / slope[k] * step)
+    alpha[on] = c + move
+    return alpha, norm_value(move, norm)
+
+
+def _edge_block():
+    """Rows at the kernel's edges, on four columns: zero loads (x_j = 0 on an
+    uncertain column) with the centre fitting, short and exact; gap == 0;
+    loads of 1e-300 and 1e-301; partial column sets; l1 ties."""
+    rows = [  # (columns, loads, centres, target)
+        ((0, 1, 2, 3), (0.0, 2.0, 0.0, 1.0), (0.3, 0.1, 0.7, 0.2), 0.0),
+        ((0, 1, 2, 3), (0.0, 2.0, 0.0, 1.0), (0.3, 0.1, 0.7, 0.2), 0.3),
+        ((0, 1, 2, 3), (0.0, 2.0, 0.0, 1.0), (0.3, 0.1, 0.7, 0.2), 5.0),
+        ((0, 1, 2, 3), (0.0, 0.0, 0.0, 0.0), (0.3, 0.1, 0.7, 0.2), 0.0),
+        ((0, 1, 2, 3), (0.0, 0.0, 0.0, 0.0), (0.3, 0.1, 0.7, 0.2), 0.5),
+        ((1, 3), (0.0, 0.0, 0.0, 0.0), (0.0, 0.4, 0.0, 0.2), -1e-10),
+        ((0, 1, 2), (1.0, 2.0, 0.5, 0.0), (0.2, 0.3, 0.4, 0.0), 1.0),  # gap == 0: 0.2 + 0.6 + 0.2
+        ((0, 1), (1e-300, 1e-301, 0.0, 0.0), (0.0, 0.0, 0.0, 0.0), 3.0),
+        ((0, 1), (1e-300, 1e-301, 0.0, 0.0), (0.5, 0.25, 0.0, 0.0), 3.0),
+        ((0, 1), (1e-300, 1e-301, 0.0, 0.0), (0.5, 0.25, 0.0, 0.0), 0.0),
+        ((0, 1), (1e-300, 1e-301, 0.0, 0.0), (0.5, 0.25, 0.0, 0.0), 2e-301),
+        ((0, 2), (1.5, 0.0, 0.5, 0.0), (0.4, 0.0, 0.8, 0.0), 0.2),
+        ((2,), (0.0, 0.0, 3.0, 0.0), (0.0, 0.0, 0.1, 0.0), 0.9),
+        ((0, 1, 2, 3), (1.0, 2.0, 2.0, 1.0), (0.5, 0.25, 0.25, 0.5), 3.0),
+        ((0, 1, 2, 3), (1.0, 2.0, 2.0, 1.0), (0.5, 0.25, 0.25, 0.5), 0.75),
+        ((0, 1, 2, 3), (1.0, 2.0, 2.0, 1.0), (0.5, 0.25, 0.25, 0.5), 0.0),
+        ((1, 2, 3), (0.0, 1.0, 1.0, 1.0), (0.0, 0.3, 0.1, 0.2), 0.3),
+    ]
+    mask = np.zeros((len(rows), 4), dtype=bool)
+    for i, (cols, *_) in enumerate(rows):
+        mask[i, list(cols)] = True
+    load, center, target = (np.array([row[k] for row in rows], dtype=float) for k in (1, 2, 3))
+    return mask, np.where(mask, load, 0.0), np.where(mask, center, 0.0), target
+
+
+def activation_blocks():
+    """(mask, load, center, target) blocks as rlo-iu-sd hands them to
+    `interval._activations`: every draw of `gen.make_iu_sd` (seeds 0-199);
+    the benchmark's draws at 3 x 2 to 40 x 10 (seeds 1-3, both tilts) with
+    every column uncertain, and again on random partial column sets with
+    some x_j = 0; and `_edge_block`."""
+    blocks = []
+    for seed in range(200):
+        problem, x, structure, prior, _ = gen.make_iu_sd(seed)
+        mask = structure.mask(problem.n)
+        blocks.append((mask, np.where(mask, np.abs(x), 0.0), np.where(mask, prior.estimates, 0.0), problem.surplus(x)))
+    instances = _bench_instances()
+    rng = np.random.default_rng(0)
+    for m, n in ((3, 2), (6, 3), (10, 5), (20, 10), (40, 10)):
+        for seed in (1, 2, 3):
+            for tilt in (1.0, -1.0):
+                inst = instances.generate("rlo-iu-sd", m, n, seed, 1, tilt, "l1")
+                partial = rng.random((m, n)) < 0.6
+                partial[np.arange(m), rng.integers(0, n, m)] = True
+                for mask, x in ((np.ones((m, n), dtype=bool), inst.x),
+                                (partial, np.where(rng.random(n) < 0.3, 0.0, inst.x))):
+                    surplus = np.maximum(inst.A @ x - inst.b, 0.0)
+                    blocks.append((mask, np.where(mask, np.abs(x), 0.0), np.where(mask, inst.alpha, 0.0), surplus))
+    return blocks + [_edge_block()]
+
+
+class TestActivationsKernel:
+    """`interval._activations`, every row at once, against `activation_by_row`."""
+
+    @pytest.mark.parametrize("norm", list(NormKind))
+    def test_matches_the_row_by_row_form(self, norm):
+        # Bit for bit, except that the kernel sums over the whole row: numpy's pairwise sum
+        # groups a row of 9+ columns, some unloaded, differently from the loaded columns alone.
+        # That sum is l1's distance after a cut and linf's dual norm on a raise: within 4 ulps.
+        # An l2 cut on loads below 1e-150 squares them past the floats row by row; the kernel
+        # rescales them, and is held to the row-by-row form on loads and target rescaled alike.
+        rounded = 0
+        for mask, load, center, target in activation_blocks():
+            alpha, distance, fits = interval._activations(load, center, target, norm)
+            for i, cols in enumerate(mask):
+                assert np.all(alpha[i, ~cols] == 0.0)
+                assert fits[i] == (load[i, cols] @ center[i, cols] <= target[i])
+                big = np.max(load[i])
+                if norm == NormKind.L2 and 0.0 < big < 1e-150 and not fits[i]:
+                    ref_alpha, ref_distance = activation_by_row(
+                        load[i, cols] / big, center[i, cols], target[i] / big, norm
+                    )
+                    assert alpha[i, cols] == pytest.approx(ref_alpha, rel=1e-12, abs=1e-15)
+                    assert distance[i] == pytest.approx(ref_distance, rel=1e-12)
+                    continue
+                ref_alpha, ref_distance = activation_by_row(load[i, cols], center[i, cols], target[i], norm)
+                if cols.size <= 8 or np.all(load[i] > 0.0):
+                    assert alpha[i, cols].tobytes() == ref_alpha.tobytes()
+                    assert distance[i] == ref_distance
+                else:
+                    np.testing.assert_array_max_ulp(alpha[i, cols], ref_alpha, maxulp=4)
+                    np.testing.assert_array_max_ulp(distance[i], ref_distance, maxulp=4)
+                    rounded += distance[i] != ref_distance
+        assert rounded < 60
+
+    def test_one_row_view(self):
+        mask, load, center, target = _edge_block()
+        for norm in NormKind:
+            alpha, distance, _ = interval._activations(load, center, target, norm)
+            for i in range(target.size):
+                row_alpha, row_distance = interval._activation(load[i], center[i], target[i], norm)
+                assert row_alpha.tobytes() == alpha[i].tobytes() and row_distance == distance[i]
+
+
+def _iu_sd_draw(seed, norm):
+    """A random rlo-iu-sd instance: partial column sets, some x_j = 0, some
+    rows fitting their prior and some not."""
+    rng = np.random.default_rng(seed)
+    m, n = int(rng.integers(2, 9)), int(rng.integers(2, 7))
+    x = np.where(rng.random(n) < 0.2, 0.0, rng.uniform(-2.0, 2.0, n))
+    A = rng.uniform(-2.0, 2.0, (m, n))
+    b = A @ x - rng.uniform(0.0, 2.0, m)
+    sets = tuple(tuple(int(j) for j in np.flatnonzero(rng.random(n) < 0.6)) or (int(rng.integers(n)),)
+                 for _ in range(m))
+    prior = Prior(estimates=rng.uniform(0.0, 0.4, (m, n)), xi=rng.uniform(0.5, 2.0, m), norm=norm)
+    return ForwardProblem(A=A, b=b), x, UncertaintyStructure.interval(sets), prior
+
+
+def _separated(t, i):
+    """Whether row i's t is below every other row's by a clear margin."""
+    others = np.delete(t, i)
+    return not others.size or bool(np.min(others) > t[i] + 1e-9 * (1.0 + abs(t[i])))
+
+
+class TestIuSdMetamorphic:
+    """Relabelling rows or columns relabels rlo-iu-sd's answer: this catches
+    ordering slips in the vectorised sweeps."""
+
+    @given(seed=st.integers(0, 2**32 - 1), norm=st.sampled_from(list(NormKind)), data=st.data())
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    def test_permuting_rows(self, seed, norm, data):
+        problem, x, structure, prior = _iu_sd_draw(seed, norm)
+        perm = np.array(data.draw(st.permutations(range(problem.m))))
+        moved = solve_rlo_iu_sd(
+            ForwardProblem(A=problem.A[perm], b=problem.b[perm]), x,
+            UncertaintyStructure.interval(tuple(structure.sets[i] for i in perm)),
+            Prior(estimates=prior.estimates[perm], xi=prior.xi[perm], norm=norm),
+        )
+        sol = solve_rlo_iu_sd(problem, x, structure, prior)
+        assert moved.status == sol.status
+        if sol.status != Status.OPTIMAL:  # no row's loads reach its surplus
+            return
+        pc, moved_pc = sol.per_constraint, moved.per_constraint
+        assert moved_pc["f"].tobytes() == pc["f"][perm].tobytes()  # each row's f is its own
+        assert moved_pc["g"].tobytes() == pc["g"][perm].tobytes()
+        assert moved_pc["t"] == pytest.approx(pc["t"][perm], rel=1e-12)  # t sums g in another order
+        if _separated(pc["t"], sol.active_index - 1):
+            assert perm[moved.active_index - 1] == sol.active_index - 1
+            assert moved.imputed.tobytes() == sol.imputed[perm].tobytes()
+
+    @given(seed=st.integers(0, 2**32 - 1), norm=st.sampled_from(list(NormKind)), data=st.data())
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    def test_permuting_columns(self, seed, norm, data):
+        problem, x, structure, prior = _iu_sd_draw(seed, norm)
+        perm = np.array(data.draw(st.permutations(range(problem.n))))
+        label = np.argsort(perm)  # old column j is new column label[j]
+        moved = solve_rlo_iu_sd(
+            ForwardProblem(A=problem.A[:, perm], b=problem.b), x[perm],
+            UncertaintyStructure.interval(tuple(tuple(label[list(cols)].tolist()) for cols in structure.sets)),
+            Prior(estimates=prior.estimates[:, perm], xi=prior.xi, norm=norm),
+        )
+        sol = solve_rlo_iu_sd(problem, x, structure, prior)
+        assert moved.status == sol.status
+        if sol.status != Status.OPTIMAL:  # no row's loads reach its surplus
+            return
+        assert moved.per_constraint["f"] == pytest.approx(sol.per_constraint["f"], rel=1e-12)
+        if _separated(sol.per_constraint["t"], sol.active_index - 1):
+            assert moved.active_index == sol.active_index
+            assert moved.imputed == pytest.approx(sol.imputed[:, perm], rel=1e-12, abs=1e-15)
+            assert moved.cost == pytest.approx(sol.cost[perm], rel=1e-12, abs=1e-15)

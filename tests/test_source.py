@@ -6,8 +6,10 @@ function, `model.check_inputs`, which every solver and the trivial-escape
 re-solve call, and every solution is built in `model` alone: an infeasible
 one by `InverseSolution.infeasible`, the others by the one tail that picks
 and realizes the active row.  Budget uncertainty's products alpha |x| are
-ranked by `geometry`'s kernel alone, nlo-sd projects all its rows in
-one pass, and each gap model hands its subproblems to `model.gap_values`,
+ranked by `geometry`'s kernel alone, and each strong-duality model
+treats all its rows in one array pass: the rlo-iu-sd and rlo-ccu-sd
+solvers hold no loop, and neither rlo-iu-sd's one-row activation nor a
+norm is called in one.  Each gap model hands its subproblems to `model.gap_values`,
 which prices one coupling row by the one knapsack kernel and shares one
 feasible set over the m LPs when more are left.  `model` is the one module
 besides the package's re-exports to import the LP engine, and `validate`
@@ -197,6 +199,20 @@ def test_only_model_imports_the_lp_engine(path):
         if isinstance(node, ast.ImportFrom) and node.module:
             imported.add(node.module.rpartition(".")[2])
     assert "lp" not in imported
+
+
+@pytest.mark.parametrize("name, solver", [("interval.py", "solve_rlo_iu_sd"), ("cardinality.py", "solve_rlo_ccu_sd")])
+def test_sd_solvers_scan_no_rows(name, solver):
+    # every row's projection or deviation norm comes from one pass over the m rows' arrays
+    assert [type(node).__name__ for node in ast.walk(_functions(SOURCE[name])[solver]) if isinstance(node, SCANS)] == []
+
+
+@pytest.mark.parametrize("name", ["interval.py", "cardinality.py"])
+def test_no_row_at_a_time_kernel_in_a_loop(name):
+    # `interval._activation` is the one-row view of the all-rows kernel, for callers outside
+    tree = ast.parse(SOURCE[name].read_text(encoding="utf-8"))
+    assert [node.lineno for node in ast.walk(tree)
+            if isinstance(node, SCANS) and _called(node) & {"_activation", "norm_value"}] == []
 
 
 def test_validate_tests_every_row_at_once():
