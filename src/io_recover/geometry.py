@@ -76,10 +76,15 @@ def norm_value(x, norm):
 
 
 def row_dots(a, b):
-    """a_i . b_i for each row of the m x n blocks a and b, one dot per row,
-    so a row's dot rounds as that row's own does; np.vdot returns inf on
-    overflow without a warning."""
-    return np.fromiter((np.vdot(u, v) for u, v in zip(a, b)), float, len(a))
+    """a_i . b for each row of the m x n block a and the vector b, or a_i .
+    b_i for each row of the m x n blocks a and b: one BLAS dot per row, so
+    each rounds as the row's own a_i @ b does.  numpy takes a one-column
+    dot for a plain product, which reads -0.0 where a_i @ b, a sum from 0,
+    reads 0.0; adding 0.0 makes it that sum.  The dots of two blocks go
+    through np.vdot, which returns inf on overflow without a warning."""
+    if b.ndim == 1:
+        return np.fromiter(map(b.dot, a), float, len(a)) + 0.0
+    return np.fromiter(map(np.vdot, a, b), float, len(a))
 
 
 def row_norms(x, norm):
@@ -110,6 +115,9 @@ def dual_norm_maximizer(x, norm):
     on ties).  Linf: the componentwise sign vector.
     """
     x = np.asarray(x, dtype=float)
+    odd = np.flatnonzero(~np.isfinite(x))
+    if odd.size:  # no rescale brings an infinite l2 norm back into the floats
+        raise PreconditionError(f"dual_norm_maximizer requires finite entries: x[{odd[0]}] = {x.flat[odd[0]]}")
     if not np.any(x != 0.0):
         raise ZeroVectorError("dual_norm_maximizer requires a nonzero vector")
     if norm == NormKind.L2:
@@ -193,7 +201,7 @@ def ranked(alpha, mask, x):
     that order (0 past |J_i|)."""
     values = products(alpha, mask, x)
     order = np.argsort(np.where(mask, -values, np.inf), axis=1, kind="stable")
-    return order, np.take_along_axis(values, order, axis=1)
+    return order, values[np.arange(order.shape[0])[:, None], order]
 
 
 def _split(budget, mask):
@@ -211,13 +219,16 @@ def budget_share(alpha, mask, x, budget):
     columns, the fractional part on the next, 0 elsewhere."""
     order, _ = ranked(alpha, mask, x)
     full, frac = _split(budget, mask)
-    rank = np.argsort(order, axis=1)
+    rank = np.empty_like(order)  # each column's place in its row's ranking
+    rank[np.arange(order.shape[0])[:, None], order] = np.arange(order.shape[1])
     return np.where(rank < full[:, None], 1.0, np.where(rank == full[:, None], frac[:, None], 0.0))
 
 
 def _sums(values):
     """sums[:, k]: the sum of each row's k largest products, added in rank order."""
-    return np.cumsum(np.pad(values, ((0, 0), (1, 0))), axis=1)
+    sums = np.zeros((values.shape[0], values.shape[1] + 1))
+    sums[:, 1:] = values
+    return np.cumsum(sums, axis=1, out=sums)
 
 
 def knapsack(values, mask, budget):
@@ -225,8 +236,9 @@ def knapsack(values, mask, budget):
     `ranked`) with capacity budget[i], summed in rank order."""
     full, frac = _split(budget, mask)
     i, k = np.arange(full.size), full.astype(np.intp)
-    following = np.pad(values, ((0, 0), (0, 1)))[i, k]  # the product of rank k, 0 past the last
-    return _sums(values)[i, k] + frac * np.where(frac > 0.0, following, 0.0)
+    following = np.zeros((full.size, values.shape[1] + 1))  # the product of rank k, 0 past the last
+    following[:, :-1] = values
+    return _sums(values)[i, k] + frac * np.where(frac > 0.0, following[i, k], 0.0)
 
 
 def protection(alpha, mask, x, budget):
@@ -332,7 +344,7 @@ def box_knapsack(c, r, d, lower, upper):
 
 def activation(A, b, mask, x, values):
     """`activation_budgets` from the ranked products `values` (from `ranked`)."""
-    surplus = np.array([a @ x for a in A]) - b  # one dot per row: the m-row call and a one-row view agree
+    surplus = row_dots(A, x) - b  # the m-row call and a one-row view agree
     sums = _sums(values)
     s, total = np.maximum(surplus, 0.0), sums[:, -1]
     # below the full protection: the first rank whose product the surplus reaches, and its share of it

@@ -153,13 +153,17 @@ def _lowered(load, center, target, dots, norm):
     else:
         step = live.astype(float)
     ratio = np.full(load.shape, np.inf)  # the breakpoints, the unloaded columns at inf
-    np.divide(center, step, out=ratio, where=live)
+    with np.errstate(over="ignore"):  # a breakpoint past the floats reads inf: it goes first, as it should
+        np.divide(center, step, out=ratio, where=live)
     order = rows, np.argsort(ratio, axis=1, kind="stable")[:, ::-1]  # the largest breakpoint first
     # with d between breakpoints k + 1 and k in that order, load = rest[k] - d * slope[k]
     rest = np.cumsum((load * center)[order], axis=1)
     slope = np.cumsum((load * step)[order], axis=1)
-    live = live[order]
-    above = live & (rest - np.where(live, ratio[order], 0.0) * slope > target[:, None])
+    live, ratio = live[order], ratio[order]
+    # is the load still above target when d reaches column k's breakpoint?  Never at an infinite
+    # one (unloaded, or past the floats), where d * slope would read NaN for a zero slope
+    finite = ratio < np.inf
+    above = finite & (rest - np.where(finite, ratio, 0.0) * slope > target[:, None])
     k = rows, load.shape[1] - 1 - np.minimum(above.sum(axis=1), live.sum(axis=1) - 1)[:, None]
     return -np.minimum(center, (rest[k] - target[:, None]) / slope[k] * step)
 

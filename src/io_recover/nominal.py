@@ -12,7 +12,7 @@ import numpy as np
 
 from . import verify
 from .errors import DimensionError, ZeroObservationError
-from .geometry import dual_norm, dual_norm_maximizer
+from .geometry import dual_norm, dual_norm_maximizer, row_dots
 from .model import (
     ForwardProblem,
     InverseSolution,
@@ -80,7 +80,7 @@ def solve_nlo_sd(problem, x_hat, prior):
     a_hat = np.asarray(prior.estimates, dtype=float)
     # every row's projection onto its hyperplane a . x = b_i moves it along the one maximizer v
     dn, v = dual_norm(x, prior.norm), dual_norm_maximizer(x, prior.norm)
-    dots = np.array([a @ x for a in a_hat])  # one dot per row, as geometry.project_hyperplane takes it
+    dots = row_dots(a_hat, x)  # each row's own dot, as geometry.project_hyperplane takes it
     t = (dots - problem.b) / dn
     moved, f, fits = a_hat - t[:, None] * v, w * np.abs(t), dots >= problem.b
     solution = sd_solution(

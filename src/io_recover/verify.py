@@ -163,9 +163,9 @@ def check_certificate(model, problem, x_hat, structure, solution):
         phi = pi[:, None] * strict_share
         lam = np.where(x < 0.0, phi, 0.0)
         mu = np.where(x < 0.0, 0.0, phi)
-        cost_eq = problem.A.T @ pi - c
-        for i in range(problem.m):  # row by row: one sum over axis 0 would round differently
-            cost_eq += alpha[i] * (lam[i] - mu[i])
+        # A' pi - c plus each row's deviation term, added in row order: a cumulative sum keeps
+        # that order, where a reduction over axis 0 would round differently
+        cost_eq = np.cumsum(np.vstack((problem.A.T @ pi - c, alpha * (lam - mu))), axis=0)[-1]
         primal["deviation_bound_lo"] = _excess(-(alpha * x + u)[mask])
         primal["deviation_bound_hi"] = _excess(-(-alpha * x + u)[mask])
         dual["cost_match"] = float(np.max(np.abs(cost_eq)))
@@ -222,11 +222,9 @@ def check_certificate(model, problem, x_hat, structure, solution):
 
     scale = max(float(np.max(np.abs(arr), initial=0.0))
                 for arr in (problem.A, problem.b, x, c, imputed))
-    verdict, reason = "valid", None
-    for name, val in residuals.items():
-        if not val <= (REPORT_TOL if name in UNIT_FREE else REPORT_TOL * (1.0 + scale)):  # NaN fails
-            verdict, reason = "invalid", f"{name} = {val:g}"
-            break
+    failed = next((name for name, val in residuals.items()  # the first over its tolerance; NaN fails
+                   if not val <= (REPORT_TOL if name in UNIT_FREE else REPORT_TOL * (1.0 + scale))), None)
+    verdict, reason = ("valid", None) if failed is None else ("invalid", f"{failed} = {residuals[failed]:g}")
 
     return CertificateReport(
         residuals=residuals,

@@ -106,6 +106,18 @@ def knapsack_continuous(values, capacity):
     return phi, float(values @ phi)
 
 
+def laid_out(a, layout):
+    """`a` in C order ("C"), in Fortran order ("F"), or as a view striding
+    through a larger array ("strided")."""
+    if layout == "C":
+        return np.ascontiguousarray(a)
+    if layout == "F":
+        return np.asfortranarray(a)
+    big = np.zeros((2 * a.shape[0], 3 * a.shape[1]), dtype=a.dtype)
+    big[::2, ::3] = a
+    return big[::2, ::3]
+
+
 def knapsack_protection(alpha_i, budget, cols, x):
     """One row's protection at `budget`, the reference for geometry.protection:
     the knapsack of its products alpha_ij |x_j| over the columns `cols`."""

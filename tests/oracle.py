@@ -5,6 +5,10 @@ definitions over a lattice of parameter values; it shares no code path with
 the solvers it cross-checks.  `brute_force_min` gives the grid minimum and
 `oracle_tolerance` the step times a per-instance Lipschitz bound within
 which a solver's optimum must agree with it.
+
+The module also keeps the earlier forms of array steps that were rewritten
+for speed with the same arithmetic (the `*_by_*` functions at the end): the
+rewritten steps must reproduce them bit for bit.
 """
 
 import math
@@ -14,8 +18,9 @@ import numpy as np
 
 from conftest import knapsack_protection
 from io_recover.errors import InverseLpError, PreconditionError
-from io_recover.geometry import NormKind, dual_norm
+from io_recover.geometry import NormKind, _split, dual_norm, products
 from io_recover.model import ModelKind, canonicalize_omega, clamp_budget_prior, param_keys
+from io_recover.verify import _deviation_block
 
 GRID_CAP = 10_000_000
 _CHUNK = 262_144
@@ -456,3 +461,58 @@ def oracle_tolerance(model, problem, x_hat, structure, spec, prior=None):
         if pos:
             under = max(under, max(vals) / (2.0 * min(pos)))
     return step * (quant + under) + 1e-9
+
+
+# Earlier forms of rewritten array steps: the same arithmetic in the same
+# order, so the rewritten steps in geometry and verify match them bit for bit.
+
+def row_dots_by_row(a, b):
+    """geometry.row_dots as a loop: a_i @ b for a vector b, np.vdot of each
+    row pair for a block b."""
+    if np.ndim(b) == 1:
+        return np.array([u @ b for u in a])
+    return np.fromiter((np.vdot(u, v) for u, v in zip(a, b)), float, len(a))
+
+
+def ranked_by_take(alpha, mask, x):
+    """geometry.ranked, gathering the products by np.take_along_axis."""
+    values = products(alpha, mask, x)
+    order = np.argsort(np.where(mask, -values, np.inf), axis=1, kind="stable")
+    return order, np.take_along_axis(values, order, axis=1)
+
+
+def budget_share_by_argsort(alpha, mask, x, budget):
+    """geometry.budget_share, ranking the columns by a second argsort."""
+    order, _ = ranked_by_take(alpha, mask, x)
+    full, frac = _split(budget, mask)
+    rank = np.argsort(order, axis=1)
+    return np.where(rank < full[:, None], 1.0, np.where(rank == full[:, None], frac[:, None], 0.0))
+
+
+def sums_by_pad(values):
+    """geometry._sums, padding the leading zero column by np.pad."""
+    return np.cumsum(np.pad(values, ((0, 0), (1, 0))), axis=1)
+
+
+def knapsack_by_pad(values, mask, budget):
+    """geometry.knapsack, padding the trailing zero column by np.pad."""
+    full, frac = _split(budget, mask)
+    i, k = np.arange(full.size), full.astype(np.intp)
+    following = np.pad(values, ((0, 0), (0, 1)))[i, k]
+    return sums_by_pad(values)[i, k] + frac * np.where(frac > 0.0, following, 0.0)
+
+
+def cost_match_by_row(model, problem, x, structure, solution):
+    """check_certificate's "dual.cost_match" for a robust solution, its
+    deviation terms added to A' pi - c one row at a time."""
+    pi, c = (np.asarray(v, dtype=float) for v in (solution.dual_pi, solution.cost))
+    alpha, _, strict_share = _deviation_block(
+        model, structure, structure.mask(problem.n), np.asarray(solution.imputed, dtype=float), x
+    )
+    phi = pi[:, None] * strict_share
+    lam = np.where(x < 0.0, phi, 0.0)
+    mu = np.where(x < 0.0, 0.0, phi)
+    cost_eq = problem.A.T @ pi - c
+    for i in range(problem.m):
+        cost_eq += alpha[i] * (lam[i] - mu[i])
+    return float(np.max(np.abs(cost_eq)))

@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.optimize import linprog
 
-from conftest import knapsack_continuous, knapsack_protection
+from conftest import knapsack_continuous, knapsack_protection, laid_out
+from oracle import budget_share_by_argsort, knapsack_by_pad, ranked_by_take, row_dots_by_row, sums_by_pad
 from io_recover import (
     ForwardProblem,
     Constraints,
@@ -25,13 +27,16 @@ from io_recover import (
     solve_lp,
 )
 from io_recover.geometry import (
+    _sums,
     activation_budgets,
     box_knapsack,
     budget_share,
+    knapsack,
     norm_value,
     products,
     protection,
     ranked,
+    row_dots,
 )
 
 NORMS = (NormKind.L1, NormKind.L2, NormKind.LINF)
@@ -92,6 +97,13 @@ class TestDualNorm:
         # ||x||_2 itself exceeds the largest float
         v = dual_norm_maximizer([1.5e308, -1.5e308], NormKind.L2)
         assert v == pytest.approx([math.sqrt(0.5), -math.sqrt(0.5)], rel=1e-15)
+
+    @pytest.mark.parametrize("norm", NORMS)
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_maximizer_names_a_non_finite_entry(self, norm, bad):
+        # an infinite l2 norm stays infinite however often x is halved
+        with pytest.raises(PreconditionError, match=rf"x\[0\] = {bad}"):
+            dual_norm_maximizer([bad, 1.0], norm)
 
     @given(x=vectors, pick=st.integers(0, 2))
     @settings(max_examples=200, deadline=None)
@@ -564,3 +576,64 @@ class TestBoxKnapsack:
                     assert not out.ray[i].any(), label
                     seen.add("optimal")
         assert seen == {"optimal", "unbounded", "infeasible"}
+
+
+LAYOUTS = st.sampled_from(["C", "F", "strided"])
+
+
+@st.composite
+def budget_blocks(draw):
+    """(alpha, mask, x, budget) in a drawn layout: n from 1, tied and zero
+    products (magnitudes and observations from short lists, signed zeros
+    among them), rows with no uncertain column, and budgets of 0, |J_i|,
+    whole, fractional, within 1e-12 of a whole number, or outside [0, |J_i|]."""
+    m, n = draw(st.integers(1, 5)), draw(st.integers(1, 6))
+    alpha = draw(arrays(float, (m, n), elements=st.sampled_from([0.0, -0.0, 0.5, 1.0, 2.0]) | st.floats(0.0, 9.0)))
+    x = draw(arrays(float, n, elements=st.sampled_from([-2.0, -1.0, -0.0, 0.0, 0.5, 1.0]) | st.floats(-5.0, 5.0)))
+    mask = draw(arrays(bool, (m, n)))
+    mask[draw(arrays(bool, m))] = False
+    size = mask.sum(axis=1).astype(float)
+    frac = draw(arrays(float, m, elements=st.floats(0.0, 1.0)))
+    nudge = draw(arrays(float, m, elements=st.sampled_from([0.0, 1e-13, -1e-13, 5e-13, 2e-12])))
+    kind = draw(arrays(np.intp, m, elements=st.integers(0, 5)))
+    budget = np.choose(kind, [np.zeros(m), size, frac * size, np.floor(frac * size) + nudge, size + 0.5, -frac])
+    return laid_out(alpha, draw(LAYOUTS)), laid_out(mask, draw(LAYOUTS)), x, budget
+
+
+def _same_bits(ours, theirs):
+    assert (ours.dtype, ours.shape) == (theirs.dtype, theirs.shape)
+    assert ours.tobytes() == theirs.tobytes()
+
+
+class TestRewrittenSteps:
+    """The budget kernel's steps and row_dots against their earlier forms
+    (`oracle`), bit for bit: the rewrites keep each sum's order."""
+
+    @given(block=budget_blocks(), layout=LAYOUTS)
+    @settings(derandomize=True, max_examples=400, deadline=None)
+    def test_budget_kernel(self, block, layout):
+        alpha, mask, x, budget = block
+        for ours, theirs in zip(ranked(alpha, mask, x), ranked_by_take(alpha, mask, x)):
+            _same_bits(ours, theirs)
+        _same_bits(budget_share(alpha, mask, x, budget), budget_share_by_argsort(alpha, mask, x, budget))
+        values = laid_out(ranked(alpha, mask, x)[1], layout)
+        _same_bits(_sums(values), sums_by_pad(values))
+        _same_bits(knapsack(values, mask, budget), knapsack_by_pad(values, mask, budget))
+
+    @given(data=st.data(), m=st.integers(1, 12), n=st.integers(1, 40), layouts=st.tuples(LAYOUTS, LAYOUTS))
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    def test_row_dots(self, data, m, n, layouts):
+        # up to 40 columns: BLAS sums long rows in several accumulators, short ones in one
+        entries = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.1]) | st.floats(-1e3, 1e3)
+        a = laid_out(data.draw(arrays(float, (m, n), elements=entries)), layouts[0])
+        b = laid_out(data.draw(arrays(float, (m, n), elements=entries)), layouts[1])
+        x = data.draw(arrays(float, n, elements=entries))
+        _same_bits(row_dots(a, x), row_dots_by_row(a, x))
+        _same_bits(row_dots(a, b[0]), row_dots_by_row(a, b[0]))  # a row of a block as the vector
+        _same_bits(row_dots(a, b), row_dots_by_row(a, b))
+
+    def test_one_column_dot_is_a_sum_from_zero(self):
+        # numpy's one-element dot is the bare product 0 * -0 = -0.0; a row's dot adds it to 0.0
+        for a, x in (([[0.0]], [-0.0]), ([[-1e-200]], [1e-200]), ([[2.0], [-0.0]], [3.0])):
+            a, x = np.array(a), np.array(x)
+            _same_bits(row_dots(a, x), row_dots_by_row(a, x))

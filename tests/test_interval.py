@@ -1,6 +1,7 @@
 import importlib.util
 import math
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -526,6 +527,13 @@ class TestActivation:
         alpha, distance = interval._activation(load, np.zeros(2), 3.0, NormKind.L2)
         assert distance == pytest.approx(3.0 / (1e-300 * 1.01**0.5), rel=1e-12)
         assert float(load @ alpha) == pytest.approx(3.0, rel=1e-12)
+
+    def test_l2_cut_with_a_breakpoint_past_the_floats(self):
+        # 1e10 / 1e-300 overflows: that breakpoint reads inf and goes first, with no warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            alpha, distance = interval._activation([1e-300, 1.0], [1e10, 1.0], 0.5, NormKind.L2)
+        assert (alpha.tolist(), distance) == ([1e10, 0.5], 0.5)
 
     def test_l1_ties_move_the_lowest_index(self):
         load = np.array([1.0, 2.0, 2.0, 1.0])

@@ -7,9 +7,10 @@ re-solve call, and every solution is built in `model` alone: an infeasible
 one by `InverseSolution.infeasible`, the others by the one tail that picks
 and realizes the active row.  Budget uncertainty's products alpha |x| are
 ranked by `geometry`'s kernel alone, and each strong-duality model
-treats all its rows in one array pass: the rlo-iu-sd and rlo-ccu-sd
-solvers hold no loop, and neither rlo-iu-sd's one-row activation nor a
-norm is called in one.  Each gap model hands its subproblems to `model.gap_values`,
+treats all its rows in one array pass: the three strong-duality solvers
+and the activation budgets hold no loop, and neither rlo-iu-sd's one-row
+activation nor a norm is called in one.  The certificate holds no loop
+over the rows either.  Each gap model hands its subproblems to `model.gap_values`,
 which prices one coupling row by the one knapsack kernel and shares one
 feasible set over the m LPs when more are left.  `model` is the one module
 besides the package's re-exports to import the LP engine, and `validate`
@@ -201,10 +202,20 @@ def test_only_model_imports_the_lp_engine(path):
     assert "lp" not in imported
 
 
-@pytest.mark.parametrize("name, solver", [("interval.py", "solve_rlo_iu_sd"), ("cardinality.py", "solve_rlo_ccu_sd")])
+@pytest.mark.parametrize("name, solver", [("interval.py", "solve_rlo_iu_sd"), ("cardinality.py", "solve_rlo_ccu_sd"),
+                                          ("nominal.py", "solve_nlo_sd"), ("geometry.py", "activation")])
 def test_sd_solvers_scan_no_rows(name, solver):
-    # every row's projection or deviation norm comes from one pass over the m rows' arrays
+    # every row's projection, deviation norm or dot (geometry.row_dots) comes from one pass over the
+    # m rows' arrays; so do the activation budgets
     assert [type(node).__name__ for node in ast.walk(_functions(SOURCE[name])[solver]) if isinstance(node, SCANS)] == []
+
+
+def test_certificate_loops_over_no_rows():
+    # the cost equation adds every row's deviation term by one cumulative sum; the comprehensions
+    # that read the solution's fields stay
+    loops = (ast.For, ast.While)
+    assert [node.lineno for node in ast.walk(_functions(SOURCE["verify.py"])["check_certificate"])
+            if isinstance(node, loops)] == []
 
 
 @pytest.mark.parametrize("name", ["interval.py", "cardinality.py"])

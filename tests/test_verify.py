@@ -3,10 +3,12 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gen
 import io_recover
-from conftest import holding_none, ragged
+from conftest import holding_none, laid_out, ragged
 from io_recover import (
     ForwardProblem,
     InverseSolution,
@@ -26,7 +28,7 @@ from io_recover import (
 from io_recover.fixtures import all_examples, example_case, solve_case
 from io_recover.geometry import aux_optimum, realized_row_cardinality, realized_row_interval
 from io_recover.verify import REPORT_TOL, UNIT_FREE
-from oracle import GridOracleSpec, GridTooLargeError, brute_force_min
+from oracle import GridOracleSpec, GridTooLargeError, brute_force_min, cost_match_by_row
 
 
 def _solved(number):
@@ -540,12 +542,13 @@ def _solved_robust_corpus():
                 yield model, problem, x, structure, sol
 
 
-def _synthetic_robust_solution(rng):
-    """A seeded solution that need not be optimal: ties in alpha |x|, zero
-    coordinates, empty uncertain sets, budgets on, near and off the integers
-    and outside [0, |J_i|], negative multipliers."""
+def _synthetic_robust_solution(rng, rows=6, cols=6):
+    """A seeded solution that need not be optimal, with fewer than `rows`
+    rows and `cols` columns: ties in alpha |x|, zero coordinates, empty
+    uncertain sets, budgets on, near and off the integers and outside
+    [0, |J_i|], negative multipliers."""
     model = list(ModelKind)[2 + int(rng.integers(0, 4))]
-    m, n = int(rng.integers(1, 6)), int(rng.integers(1, 6))
+    m, n = int(rng.integers(1, rows)), int(rng.integers(1, cols))
     x = rng.choice([-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0], n)
     A = rng.choice([-2.0, -1.0, 0.0, 0.5, 1.0, 1.5], (m, n))
     sets = [tuple(int(j) for j in np.flatnonzero(rng.random(n) < 0.6)) for _ in range(m)]
@@ -602,3 +605,30 @@ class TestDeviationBlock:
         assert report.aux["z"][0] == 0.0
         assert np.array_equal(report.dual_aux["phi"], [[0.0, 0.0, 0.0], [1.0, 0.0, 1.0]])
         assert report.residuals["consistency.cost_is_active_row"] == 0.0
+
+
+class TestCostEquation:
+    """The cost equation's residual against its row-by-row loop
+    (`oracle.cost_match_by_row`), bit for bit: a cumulative sum over the rows
+    adds them in the same order."""
+
+    @given(seed=st.integers(0, 2**32 - 1), pick=st.integers(0, 5), layout=st.sampled_from(["C", "F", "strided"]))
+    @settings(derandomize=True, max_examples=400, deadline=None)
+    def test_matches_the_row_by_row_loop(self, seed, pick, layout):
+        # the four robust models' solves, or a synthetic solution (n from 1, empty sets, tied
+        # products, budgets of 0, |J_i|, fractional and out of range), small or tall: with one
+        # column and more than 8 rows, numpy's sum over axis 0 would add the rows pairwise.
+        # A is in the drawn layout
+        if pick >= 4:
+            sizes = {"rows": 40, "cols": 3} if pick == 5 else {}
+            model, problem, x, structure, sol = _synthetic_robust_solution(np.random.default_rng(seed), **sizes)
+            problem = ForwardProblem(A=laid_out(problem.A, layout), b=problem.b)
+        else:
+            model, make = ROBUST_MAKERS[pick]
+            problem, x, structure, data, _ = make(seed)
+            problem = ForwardProblem(A=laid_out(problem.A, layout), b=problem.b)
+            sol = io_recover.solve(model, problem, x, structure, **{"prior" if model.is_sd else "omega": data})
+            if sol.status not in (Status.OPTIMAL, Status.TRIVIAL_DETECTED):
+                return
+        got = check_certificate(model, problem, x, structure, sol).residuals["dual.cost_match"]
+        assert got.hex() == cost_match_by_row(model, problem, np.asarray(x, dtype=float), structure, sol).hex()
