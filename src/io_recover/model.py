@@ -78,7 +78,11 @@ def _require_finite(name, arr):
 
 @dataclass(frozen=True, eq=False)
 class ForwardProblem:
-    """Nominal data of the forward problem: minimize c'x s.t. Ax >= b."""
+    """Nominal data of the forward problem: minimize c'x s.t. Ax >= b.
+
+    A float array passed as A or b is frozen in place: it is made
+    read-only, not copied, so the caller's array can no longer be written.
+    """
 
     A: np.ndarray
     b: np.ndarray
@@ -132,7 +136,9 @@ class UncertaintyStructure:
     imputed, so `alpha` stays None.  For the cardinality variant `alpha`
     holds the fixed magnitudes (dense m x n; entries outside the column
     sets are ignored).  `entries` holds the (row, column) index arrays of
-    the uncertain entries in row-major order, built once.
+    the uncertain entries in row-major order, built once.  A float array
+    passed as alpha is frozen in place (made read-only, not copied).
+    `nominal()` returns one structure, built at import.
     """
 
     variant: Variant
@@ -178,7 +184,7 @@ class UncertaintyStructure:
 
     @classmethod
     def nominal(cls):
-        return cls(variant=Variant.NOMINAL)
+        return _NOMINAL
 
     @classmethod
     def interval(cls, sets):
@@ -219,6 +225,9 @@ class UncertaintyStructure:
         if (self.alpha is None) != (other.alpha is None):
             return False
         return self.alpha is None or np.array_equal(self.alpha, other.alpha)
+
+
+_NOMINAL = UncertaintyStructure(variant=Variant.NOMINAL)
 
 
 class ParamKeys(Sequence):
@@ -272,6 +281,10 @@ class SideConstraints:
 
     Columns follow the natural flattening order unless `variable_map`
     gives an explicit key per column (keys as produced by param_keys).
+    `entries` holds the (row, column) index arrays of G's nonzeros in
+    row-major order, read once at construction, and is right because G
+    cannot change: a float array passed as G or h is frozen in place
+    (made read-only, not copied), as the other constructors do.
     """
 
     G: np.ndarray
@@ -289,6 +302,10 @@ class SideConstraints:
         _require_finite("omega.h", h)
         object.__setattr__(self, "G", _freeze(G))
         object.__setattr__(self, "h", _freeze(h))
+        rows, cols = np.divmod(np.flatnonzero(G != 0.0), max(G.shape[1], 1))  # flatnonzero(G) is far slower
+        rows.setflags(write=False)
+        cols.setflags(write=False)
+        object.__setattr__(self, "entries", (rows, cols))
         if self.variable_map is not None:
             vm = tuple(tuple(k) for k in self.variable_map)
             if len(vm) != G.shape[1]:
@@ -301,19 +318,17 @@ class SideConstraints:
     def p(self):
         return self.G.shape[1]
 
-    def arranged(self, keys):
-        """(G, h) with columns permuted into the natural key order."""
+    def positions(self, keys):
+        """Each column's place in the natural key order, or None when the
+        columns are in it already."""
         if self.variable_map is None:
             if self.p != len(keys):
                 raise DimensionError("omega.G", f"{self.p} columns for {len(keys)} parameters")
-            return self.G, self.h
-        index = {k: pos for pos, k in enumerate(keys)}
+            return None
         if len(self.variable_map) != len(keys) or set(self.variable_map) != set(keys):
             raise DimensionError("omega.variable_order", "must name each imputed parameter exactly once")
-        perm = [index[k] for k in self.variable_map]
-        G = np.zeros((self.G.shape[0], len(keys)))
-        G[:, perm] = self.G
-        return G, self.h
+        index = {k: pos for pos, k in enumerate(keys)}
+        return np.array([index[k] for k in self.variable_map], dtype=np.intp)
 
     def __eq__(self, other):
         return (
@@ -342,10 +357,11 @@ def canonicalize_omega(omega, keys, lower_floor=None, upper_cap=None):
 
     `keys` is the model's `ParamKeys`.  lower_floor/upper_cap are
     model-intrinsic bounds (e.g. deviations >= 0, budgets within the
-    per-row column count) merged in as well.  G is read once: one product
-    of its nonzero pattern gives each row's count of parameters and the
-    column of a single one; only the kept rows are read again, for the
-    forward rows they touch.
+    per-row column count) merged in as well.  G is not scanned again: its
+    nonzeros, listed once in `omega.entries`, give each row's count of
+    parameters, the column of a single one and the forward rows a kept
+    row touches, in time linear in G's rows, columns and nonzeros.  Only
+    the kept rows of G are copied, into the natural key order.
     """
     p = len(keys)
     lo = np.full(p, -np.inf)
@@ -354,21 +370,28 @@ def canonicalize_omega(omega, keys, lower_floor=None, upper_cap=None):
         lo = np.maximum(lo, np.asarray(lower_floor, dtype=float))
     if upper_cap is not None:
         hi = np.minimum(hi, np.asarray(upper_cap, dtype=float))
-    G, h = (np.zeros((0, p)), np.zeros(0)) if omega is None else omega.arranged(keys)
-    count, at = ((G != 0.0) @ np.stack([np.ones(p), np.arange(p)], axis=1)).T
+    omega = SideConstraints(G=np.zeros((0, p)), h=np.zeros(0)) if omega is None else omega
+    G, h, (rows, cols), place = omega.G, omega.h, omega.entries, omega.positions(keys)
+    param = cols if place is None else place[cols]  # each nonzero's parameter, in the natural key order
+    count = np.bincount(rows, minlength=h.size)
     single = np.flatnonzero(count == 1)
-    col = at[single].astype(np.intp)
-    g = G[single, col]
+    first = (np.cumsum(count) - count)[single]  # the one nonzero of each single row
+    g = G[single, cols[first]]
+    col = param[first]
     bound = h[single] / g
     np.minimum.at(hi, col[g > 0], bound[g > 0])
     np.maximum.at(lo, col[g < 0], bound[g < 0])
     feasible = not (np.any(h[count == 0] < -1e-9) or np.any(lo > hi + 1e-9))
     kept = count > 1
-    touched = G[kept] != 0.0
-    # a kept row couples when it touches a forward row below the last one it touches
-    last = np.max(np.where(touched, keys.rows, -1), axis=1, initial=-1)
-    couples = bool(np.any(touched & (keys.rows != last[:, None])))
-    return CanonicalOmega(lower=lo, upper=hi, G=G[kept], h=h[kept], feasible=feasible, couples=couples)
+    # a kept row couples when two of its consecutive nonzeros lie on different forward rows
+    forward = keys.rows[param]
+    couples = bool(np.any((rows[1:] == rows[:-1]) & (forward[1:] != forward[:-1])))
+    if place is None:
+        arranged = G[kept]
+    else:
+        arranged = np.zeros((int(np.count_nonzero(kept)), p))
+        arranged[:, place] = G[kept]
+    return CanonicalOmega(lower=lo, upper=hi, G=arranged, h=h[kept], feasible=feasible, couples=couples)
 
 
 @dataclass(frozen=True, eq=False)
@@ -376,7 +399,9 @@ class Prior:
     """Prior estimates of the imputed parameters with per-row weights.
 
     estimates is m x n (per-row vectors) for matrix/deviation recovery and
-    length m for budget recovery.  Weights default to all ones.
+    length m for budget recovery.  Weights default to all ones.  A float
+    array passed as estimates or xi is frozen in place (made read-only,
+    not copied).
     """
 
     estimates: np.ndarray
@@ -746,7 +771,7 @@ def check_inputs(model, problem, x_hat, structure, omega=None, prior=None):
         raise PreconditionError("budget models need a cardinality structure")
     structure.check_against(problem)
     if omega is not None:
-        omega.arranged(param_keys(model, problem, structure))
+        omega.positions(param_keys(model, problem, structure))
     if prior is not None:
         prior.weights(problem.m)
         est = prior.estimates

@@ -11,6 +11,12 @@ from io_recover import lp as lp_mod
 _acceptance_lines = []
 
 
+def assert_same_bits(ours, theirs):
+    """Two arrays of one dtype and shape holding the same bytes: -0.0 is not 0.0."""
+    assert (ours.dtype, ours.shape) == (theirs.dtype, theirs.shape)
+    assert ours.tobytes() == theirs.tobytes()
+
+
 def record_acceptance(line):
     _acceptance_lines.append(line)
 

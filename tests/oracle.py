@@ -19,7 +19,7 @@ import numpy as np
 from conftest import knapsack_protection
 from io_recover.errors import InverseLpError, PreconditionError
 from io_recover.geometry import NormKind, _split, dual_norm, products
-from io_recover.model import ModelKind, canonicalize_omega, clamp_budget_prior, param_keys
+from io_recover.model import CanonicalOmega, ModelKind, canonicalize_omega, clamp_budget_prior, param_keys
 from io_recover.verify import _deviation_block
 
 GRID_CAP = 10_000_000
@@ -464,7 +464,7 @@ def oracle_tolerance(model, problem, x_hat, structure, spec, prior=None):
 
 
 # Earlier forms of rewritten array steps: the same arithmetic in the same
-# order, so the rewritten steps in geometry and verify match them bit for bit.
+# order, so the rewritten steps in geometry, verify and model match them bit for bit.
 
 def row_dots_by_row(a, b):
     """geometry.row_dots as a loop: a_i @ b for a vector b, np.vdot of each
@@ -516,3 +516,36 @@ def cost_match_by_row(model, problem, x, structure, solution):
     for i in range(problem.m):
         cost_eq += alpha[i] * (lam[i] - mu[i])
     return float(np.max(np.abs(cost_eq)))
+
+
+def canonicalize_by_product(omega, keys, lower_floor=None, upper_cap=None):
+    """model.canonicalize_omega scanning the whole of G, permuted into the
+    natural key order, by one product of its nonzero pattern with
+    [1, column]: each row's count of parameters and the column of a single
+    one."""
+    p = len(keys)
+    lo = np.full(p, -np.inf)
+    hi = np.full(p, np.inf)
+    if lower_floor is not None:
+        lo = np.maximum(lo, np.asarray(lower_floor, dtype=float))
+    if upper_cap is not None:
+        hi = np.minimum(hi, np.asarray(upper_cap, dtype=float))
+    G, h = (np.zeros((0, p)), np.zeros(0)) if omega is None else (omega.G, omega.h)
+    order = None if omega is None else omega.positions(keys)
+    if order is not None:
+        G = np.zeros((G.shape[0], p))
+        G[:, order] = omega.G
+    count, at = ((G != 0.0) @ np.stack([np.ones(p), np.arange(p)], axis=1)).T
+    single = np.flatnonzero(count == 1)
+    col = at[single].astype(np.intp)
+    g = G[single, col]
+    bound = h[single] / g
+    np.minimum.at(hi, col[g > 0], bound[g > 0])
+    np.maximum.at(lo, col[g < 0], bound[g < 0])
+    feasible = not (np.any(h[count == 0] < -1e-9) or np.any(lo > hi + 1e-9))
+    kept = count > 1
+    touched = G[kept] != 0.0
+    # a kept row couples when it touches a forward row below the last one it touches
+    last = np.max(np.where(touched, keys.rows, -1), axis=1, initial=-1)
+    couples = bool(np.any(touched & (keys.rows != last[:, None])))
+    return CanonicalOmega(lower=lo, upper=hi, G=G[kept], h=h[kept], feasible=feasible, couples=couples)

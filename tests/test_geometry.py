@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.optimize import linprog
 
-from conftest import knapsack_continuous, knapsack_protection, laid_out
+from conftest import assert_same_bits, knapsack_continuous, knapsack_protection, laid_out
 from oracle import budget_share_by_argsort, knapsack_by_pad, ranked_by_take, row_dots_by_row, sums_by_pad
 from io_recover import (
     ForwardProblem,
@@ -600,11 +600,6 @@ def budget_blocks(draw):
     return laid_out(alpha, draw(LAYOUTS)), laid_out(mask, draw(LAYOUTS)), x, budget
 
 
-def _same_bits(ours, theirs):
-    assert (ours.dtype, ours.shape) == (theirs.dtype, theirs.shape)
-    assert ours.tobytes() == theirs.tobytes()
-
-
 class TestRewrittenSteps:
     """The budget kernel's steps and row_dots against their earlier forms
     (`oracle`), bit for bit: the rewrites keep each sum's order."""
@@ -614,11 +609,11 @@ class TestRewrittenSteps:
     def test_budget_kernel(self, block, layout):
         alpha, mask, x, budget = block
         for ours, theirs in zip(ranked(alpha, mask, x), ranked_by_take(alpha, mask, x)):
-            _same_bits(ours, theirs)
-        _same_bits(budget_share(alpha, mask, x, budget), budget_share_by_argsort(alpha, mask, x, budget))
+            assert_same_bits(ours, theirs)
+        assert_same_bits(budget_share(alpha, mask, x, budget), budget_share_by_argsort(alpha, mask, x, budget))
         values = laid_out(ranked(alpha, mask, x)[1], layout)
-        _same_bits(_sums(values), sums_by_pad(values))
-        _same_bits(knapsack(values, mask, budget), knapsack_by_pad(values, mask, budget))
+        assert_same_bits(_sums(values), sums_by_pad(values))
+        assert_same_bits(knapsack(values, mask, budget), knapsack_by_pad(values, mask, budget))
 
     @given(data=st.data(), m=st.integers(1, 12), n=st.integers(1, 40), layouts=st.tuples(LAYOUTS, LAYOUTS))
     @settings(derandomize=True, max_examples=300, deadline=None)
@@ -628,12 +623,12 @@ class TestRewrittenSteps:
         a = laid_out(data.draw(arrays(float, (m, n), elements=entries)), layouts[0])
         b = laid_out(data.draw(arrays(float, (m, n), elements=entries)), layouts[1])
         x = data.draw(arrays(float, n, elements=entries))
-        _same_bits(row_dots(a, x), row_dots_by_row(a, x))
-        _same_bits(row_dots(a, b[0]), row_dots_by_row(a, b[0]))  # a row of a block as the vector
-        _same_bits(row_dots(a, b), row_dots_by_row(a, b))
+        assert_same_bits(row_dots(a, x), row_dots_by_row(a, x))
+        assert_same_bits(row_dots(a, b[0]), row_dots_by_row(a, b[0]))  # a row of a block as the vector
+        assert_same_bits(row_dots(a, b), row_dots_by_row(a, b))
 
     def test_one_column_dot_is_a_sum_from_zero(self):
         # numpy's one-element dot is the bare product 0 * -0 = -0.0; a row's dot adds it to 0.0
         for a, x in (([[0.0]], [-0.0]), ([[-1e-200]], [1e-200]), ([[2.0], [-0.0]], [3.0])):
             a, x = np.array(a), np.array(x)
-            _same_bits(row_dots(a, x), row_dots_by_row(a, x))
+            assert_same_bits(row_dots(a, x), row_dots_by_row(a, x))

@@ -162,9 +162,11 @@ class TestProblemFiles:
         bundle = problem_io.parse_problem(doc)
         base = problem_io.parse_problem(_load(FIXTURES / "example5.json"))
         keys = [("gamma", 0), ("gamma", 1), ("gamma", 2)]
-        Ga, ha = bundle.omega.arranged(keys)
-        Gb, hb = base.omega.arranged(keys)
-        assert np.allclose(Ga, Gb) and np.allclose(ha, hb)
+        order = bundle.omega.positions(keys)
+        assert order.tolist() == [2, 0, 1] and base.omega.positions(keys) is None
+        Ga = np.zeros(bundle.omega.G.shape)
+        Ga[:, order] = bundle.omega.G
+        assert np.allclose(Ga, base.omega.G) and np.allclose(bundle.omega.h, base.omega.h)
 
 
 class TestCliSolve:

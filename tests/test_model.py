@@ -4,9 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import gen
 import io_recover
+from conftest import assert_same_bits
+from oracle import canonicalize_by_product
 from io_recover import (
     DimensionError,
     ForwardProblem,
@@ -24,6 +27,7 @@ from io_recover.geometry import activation_budgets, norm_value
 from io_recover.model import (
     Status,
     ParamKeys,
+    Variant,
     ValidationEntry,
     ValidationReport,
     canonicalize_omega,
@@ -47,6 +51,42 @@ class TestTypes:
         prob = ForwardProblem(A=[[1.0, 0.0]], b=[0.0])
         with pytest.raises(ValueError):
             prob.A[0, 0] = 5.0
+
+    def test_constructors_freeze_the_callers_float_arrays(self):
+        # a float array is kept as passed, not copied, and made read-only: the caller can no longer write it
+        A, b, alpha, G, h, est, xi = (np.ones(shape) for shape in [(2, 2), 2, (2, 2), (1, 4), 1, (2, 2), 2])
+        built = [
+            (ForwardProblem(A=A, b=b), {"A": A, "b": b}),
+            (UncertaintyStructure.cardinality([(0,), (1,)], alpha), {"alpha": alpha}),
+            (SideConstraints(G=G, h=h), {"G": G, "h": h}),
+            (Prior(estimates=est, xi=xi), {"estimates": est, "xi": xi}),
+        ]
+        for obj, arrays_passed in built:
+            for name, arr in arrays_passed.items():
+                assert getattr(obj, name) is arr and not arr.flags.writeable, name
+        with pytest.raises(ValueError):
+            A[0, 0] = 5.0
+        # other inputs are converted into a new array, and the caller's own is left as it was
+        ints = np.ones((2, 2), dtype=int)
+        assert ForwardProblem(A=ints, b=[1.0, 1.0]).A is not ints and ints.flags.writeable
+
+    def test_nominal_structure_is_built_once(self):
+        nominal = UncertaintyStructure.nominal()
+        assert nominal is UncertaintyStructure.nominal()
+        assert nominal.variant == Variant.NOMINAL and nominal.sets == () and nominal.alpha is None
+        for arr in nominal.entries:
+            with pytest.raises(ValueError):
+                arr[...] = 0
+
+    @given(G=arrays(float, st.tuples(st.integers(0, 5), st.integers(0, 4)),
+                    elements=st.sampled_from([0.0, -0.0, 1.0, -2.5, 1e-300])))
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    def test_side_constraints_read_the_nonzeros_once(self, G):
+        omega = SideConstraints(G=G, h=np.zeros(G.shape[0]))
+        for ours, theirs in zip(omega.entries, np.nonzero(G)):
+            assert_same_bits(ours, theirs)
+            with pytest.raises(ValueError):
+                ours[...] = 0
 
     def test_observed_point_must_be_vector(self):
         problem = ForwardProblem(A=[[1.0]], b=[0.0])
@@ -262,17 +302,20 @@ class TestOmega:
         assert not canon.feasible
 
     def test_variable_order_permutes_columns(self):
-        keys = [("gamma", 0), ("gamma", 1)]
+        keys = ParamKeys("gamma", (2, 1), np.arange(2))
         omega = SideConstraints(
-            G=[[1.0, 0.0]], h=[5.0], variable_map=(("gamma", 1), ("gamma", 0))
+            G=[[1.0, 0.0], [1.0, 2.0]], h=[5.0, 6.0], variable_map=(("gamma", 1), ("gamma", 0))
         )
-        G, h = omega.arranged(keys)
-        assert np.allclose(G, [[0.0, 1.0]])
+        assert omega.positions(keys).tolist() == [1, 0]
+        assert SideConstraints(G=[[1.0, 0.0]], h=[5.0]).positions(keys) is None
+        canon = canonicalize_omega(omega, keys)
+        assert np.array_equal(canon.upper, [np.inf, 5.0])
+        assert np.array_equal(canon.G, [[2.0, 1.0]])
 
     def test_variable_order_must_cover_all(self):
         omega = SideConstraints(G=[[1.0, 0.0]], h=[5.0], variable_map=(("gamma", 1), ("gamma", 1)))
         with pytest.raises(DimensionError):
-            omega.arranged([("gamma", 0), ("gamma", 1)])
+            omega.positions([("gamma", 0), ("gamma", 1)])
 
     def test_coupling_detection(self):
         case = example_case(1)
@@ -291,7 +334,10 @@ def _loop_canonical(omega, keys, lower_floor, upper_cap):
     p = len(keys)
     lo = np.full(p, -np.inf) if lower_floor is None else np.maximum(np.full(p, -np.inf), lower_floor)
     hi = np.full(p, np.inf) if upper_cap is None else np.minimum(np.full(p, np.inf), upper_cap)
-    G, h = omega.arranged(keys)
+    G, h, order = omega.G, omega.h, omega.positions(keys)
+    if order is not None:
+        G = np.zeros(G.shape)
+        G[:, order] = omega.G
     coupled, coupled_rhs, feasible, couples = [], [], True, False
     for r in range(G.shape[0]):
         nz = np.flatnonzero(G[r])
@@ -331,6 +377,56 @@ def test_masked_omega_matches_row_loop():
         assert np.array_equal(canon.G, Gc) and canon.G.shape == Gc.shape, trial
         assert np.array_equal(canon.h, hc) and canon.feasible == feasible, trial
         assert canon.couples == couples, trial
+
+
+@st.composite
+def side_constraints(draw):
+    """(omega, keys, floor, cap) over one gap model's parameters: rows that
+    are zero, single, within one forward row, dense or sparse, zeros of
+    either sign, right-hand sides on both sides of -1e-9, a permuted
+    `variable_order`, and floors and caps that may cross; omega is None
+    now and then."""
+    family = draw(st.sampled_from(["a", "alpha", "gamma"]))
+    m, n = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    if family == "a":
+        keys = ParamKeys("a", (m, n), np.repeat(np.arange(m), n), np.tile(np.arange(n), m))
+    elif family == "alpha":
+        keys = ParamKeys("alpha", (m, n), *np.nonzero(draw(arrays(bool, (m, n)))))  # no column at all: p = 0
+    else:
+        keys = ParamKeys("gamma", (m, 1), np.arange(m))
+    p = len(keys)
+    values = st.sampled_from([1.0, -1.0, 2.0, -0.5, 3.25, 1e-300])
+    kinds = draw(st.lists(st.sampled_from(["zero", "single", "within", "dense", "sparse"]), max_size=8))
+    G = np.zeros((len(kinds), p))
+    for r, kind in enumerate(kinds):
+        if p and kind == "single":
+            G[r, draw(st.integers(0, p - 1))] = draw(values)
+        elif p and kind == "within":
+            cols = np.flatnonzero(keys.rows == keys.rows[draw(st.integers(0, p - 1))])
+            G[r, cols] = draw(arrays(float, cols.size, elements=values))
+        elif kind in ("dense", "sparse"):
+            G[r] = draw(arrays(float, p, elements=values if kind == "dense" else values | st.just(0.0)))
+    G = np.where(draw(arrays(bool, G.shape)), -G, G)  # -0.0 where a zero is negated
+    h = draw(arrays(float, len(kinds), elements=st.sampled_from([0.0, -0.0, 1.0, -1.0, -1e-10, -1e-8, 0.7])))
+    perm = draw(st.permutations(range(p)))
+    order = tuple(keys[k] for k in perm) if draw(st.booleans()) else None
+    omega = SideConstraints(G=G if order is None else G[:, perm], h=h, variable_map=order)
+    bounds = arrays(float, p, elements=st.sampled_from([-1.0, -0.0, 0.0, 0.5, 2.0, np.inf]))
+    floor = draw(st.none() | st.just(np.zeros(p)) | bounds)
+    cap = draw(st.none() | bounds)
+    return None if draw(st.integers(0, 9)) == 0 else omega, keys, floor, cap
+
+
+@given(case=side_constraints())
+@settings(derandomize=True, max_examples=500, deadline=None)
+def test_canonical_omega_matches_the_product_scan(case):
+    # read from the nonzeros listed at construction, every field is as the whole-G scan made it
+    ours, theirs = canonicalize_omega(*case), canonicalize_by_product(*case)
+    for name in ("lower", "upper", "G", "h"):
+        assert_same_bits(getattr(ours, name), getattr(theirs, name))
+    assert ours.G.flags.c_contiguous
+    for name in ("feasible", "couples"):
+        assert type(getattr(ours, name)) is bool and getattr(ours, name) == getattr(theirs, name)
 
 
 class TestValidate:

@@ -14,7 +14,8 @@ over the rows either.  Each gap model hands its subproblems to `model.gap_values
 which prices one coupling row by the one knapsack kernel and shares one
 feasible set over the m LPs when more are left.  `model` is the one module
 besides the package's re-exports to import the LP engine, and `validate`
-tests each assumption on all rows at once.  Documents are written by
+tests each assumption on all rows at once.  Side constraints read G's
+nonzeros once, when built, and `canonicalize_omega` works from them.  Documents are written by
 `problem_io`'s own writer, not by the stdlib's indenting encoder, which is
 pure Python.  The benchmark's traced runs
 find every function they wrap, and every error class is raised or caught
@@ -102,7 +103,7 @@ def _functions(path):
 
 SOURCE = {path.name: path for path in SOURCES}
 # the input rule, and the structure's and omega's checks it runs
-INPUT_CHECKS = {"check_inputs", "check_against", "arranged"}
+INPUT_CHECKS = {"check_inputs", "check_against", "positions"}
 
 
 def test_solve_only_dispatches():
@@ -163,6 +164,22 @@ def test_one_coupling_row_takes_the_one_kernel(name):
     assert "gap_values" in _called(_gap_solver(name))
     assert "knapsack_values" in _called(MODEL["gap_values"])
     assert "box_knapsack" in _called(MODEL["knapsack_values"])
+
+
+def _reads_G(node):
+    return any(isinstance(n, ast.Name) and n.id == "G" or isinstance(n, ast.Attribute) and n.attr == "G"
+               for n in ast.walk(node))
+
+
+def test_canonicalize_reads_the_nonzeros_once():
+    # G's nonzero pattern is read once, when the side constraints are built (SideConstraints.entries):
+    # canonicalize_omega multiplies no matrix, and it only indexes G, never compares it, computes
+    # with it or hands it whole to a function
+    canon = MODEL["canonicalize_omega"]
+    assert [node.lineno for node in ast.walk(canon) if isinstance(node, ast.MatMult)] == []
+    assert "entries" in {node.attr for node in ast.walk(canon) if isinstance(node, ast.Attribute)}
+    assert [node.lineno for node in ast.walk(canon)
+            if isinstance(node, (ast.Compare, ast.Call, ast.BinOp, ast.UnaryOp)) and _reads_G(node)] == []
 
 
 def test_nominal_sorts_nothing():
