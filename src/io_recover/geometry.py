@@ -120,9 +120,9 @@ def dual_norm_maximizer(x, norm):
         raise PreconditionError(f"dual_norm_maximizer requires finite entries: x[{odd[0]}] = {x.flat[odd[0]]}")
     if not np.any(x != 0.0):
         raise ZeroVectorError("dual_norm_maximizer requires a nonzero vector")
-    if norm == NormKind.L2:
-        nv = _l2_norm(x)
-        return x / nv if nv < math.inf else dual_norm_maximizer(x / 2.0, norm)  # halving keeps the direction
+    if norm == NormKind.L2:  # where x . x under- or overflows, x rescaled by its largest entry is normalized
+        y = x if 1e-150 <= _plain_l2(x) < math.inf else x / np.max(np.abs(x))
+        return y / _plain_l2(y)
     if norm == NormKind.L1:
         k = int(np.argmax(np.abs(x)))
         v = np.zeros_like(x)

@@ -122,6 +122,11 @@ def _raised(load, gap, norm):
         step = (np.arange(load.shape[1]) == load.argmax(axis=1)[:, None]).astype(float)
     elif norm == NormKind.L2:
         step = load / dual[:, None]
+        # as dual_norm_maximizer: where load . load under- or overflows, the loads rescaled by their largest
+        plain = np.sqrt(row_dots(load, load))
+        odd = np.flatnonzero((plain < 1e-150) | (plain == np.inf))
+        scaled = load[odd] / np.max(load[odd], axis=1)[:, None]
+        step[odd] = scaled / np.sqrt(row_dots(scaled, scaled))[:, None]
     else:
         step = (load > 0.0).astype(float)
     return reach, (gap / dual)[:, None] * step
@@ -135,7 +140,8 @@ def _lowered(load, center, target, dots, norm):
     1) set alpha = max(0, center - d * step), with d from one sweep over
     the breakpoints center / step (Held, Wolfe and Crowder 1974; Duchi et
     al. 2008).  Either way one stable argsort orders every row's columns,
-    and cumulative sums along it price them."""
+    and cumulative sums along it price them; a move past the floats takes
+    its column to 0."""
     live = load > 0.0
     rows = np.arange(load.shape[0])[:, None]
     if norm == NormKind.L1:
@@ -145,16 +151,17 @@ def _lowered(load, center, target, dots, norm):
         ahead[order] = before
         excess = dots - target
         cut = np.zeros(load.shape)
-        np.divide(np.maximum(excess[:, None] - ahead, 0.0), load, out=cut, where=live)
+        with np.errstate(over="ignore"):  # a cut past the floats reads inf: the column goes to 0
+            np.divide(np.maximum(excess[:, None] - ahead, 0.0), load, out=cut, where=live)
         return -np.where(live & (dots <= excess)[:, None], center, np.minimum(center, cut))
     if norm == NormKind.L2:  # any positive multiple of the loads: one that keeps load . step in the floats
         big = np.max(load, axis=1)
         step = load / np.where((big < 1e-150) | (big > 1e150), big, 1.0)[:, None]
     else:
         step = live.astype(float)
-    ratio = np.full(load.shape, np.inf)  # the breakpoints, the unloaded columns at inf
+    ratio = np.full(load.shape, np.inf)  # the breakpoints, at inf for an unloaded column or a step of 0
     with np.errstate(over="ignore"):  # a breakpoint past the floats reads inf: it goes first, as it should
-        np.divide(center, step, out=ratio, where=live)
+        np.divide(center, step, out=ratio, where=step > 0.0)
     order = rows, np.argsort(ratio, axis=1, kind="stable")[:, ::-1]  # the largest breakpoint first
     # with d between breakpoints k + 1 and k in that order, load = rest[k] - d * slope[k]
     rest = np.cumsum((load * center)[order], axis=1)
@@ -164,8 +171,12 @@ def _lowered(load, center, target, dots, norm):
     # one (unloaded, or past the floats), where d * slope would read NaN for a zero slope
     finite = ratio < np.inf
     above = finite & (rest - np.where(finite, ratio, 0.0) * slope > target[:, None])
-    k = rows, load.shape[1] - 1 - np.minimum(above.sum(axis=1), live.sum(axis=1) - 1)[:, None]
-    return -np.minimum(center, (rest[k] - target[:, None]) / slope[k] * step)
+    k = load.shape[1] - 1 - np.minimum(above.sum(axis=1), live.sum(axis=1) - 1)
+    # d is in a segment holding no less than the target, where the tests above lose their precision too
+    k = rows, np.maximum(k, np.argmax(rest >= target[:, None], axis=1))[:, None]
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # a d past the floats cuts to 0
+        d = np.fmin((rest[k] - target[:, None]) / slope[k], sys.float_info.max)
+        return -np.minimum(center, d * step)
 
 
 def _activations(load, center, target, norm):

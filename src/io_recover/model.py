@@ -11,7 +11,6 @@ Constraint sense is fixed: minimize c'x subject to Ax >= b.  Callers with
 1-based, matching the usual presentation of small worked instances.
 """
 
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import chain
@@ -230,23 +229,15 @@ class UncertaintyStructure:
 _NOMINAL = UncertaintyStructure(variant=Variant.NOMINAL)
 
 
-class ParamKeys(Sequence):
-    """A model's imputed parameters in natural flattening order: keys
-    ("a", i, j), ("alpha", i, j) or ("gamma", i), built on first use (only
-    a side constraint that names its columns reads them).  `rows` and
-    `cols` give each parameter's forward row and column as index arrays,
-    and `shape` the block the parameters lay out in (`block`): m x n, or
-    m x 1 for the budgets."""
+class ParamKeys:
+    """A model's imputed parameters in natural flattening order: a_ij or
+    alpha_ij row by row, or gamma_i.  `rows` and `cols` give each
+    parameter's forward row and column as index arrays (`cols` is None for
+    the budgets), and `shape` the block the parameters lay out in
+    (`block`): m x n, or m x 1 for the budgets."""
 
-    def __init__(self, kind, shape, rows, cols=None):
-        self.kind, self.shape, self.rows, self.cols = kind, shape, rows, cols
-        self._keys = None
-
-    def _built(self):
-        if self._keys is None:
-            heads = [(self.kind, i) for i in self.rows.tolist()]
-            self._keys = heads if self.cols is None else [head + (j,) for head, j in zip(heads, self.cols.tolist())]
-        return self._keys
+    def __init__(self, shape, rows, cols=None):
+        self.shape, self.rows, self.cols = shape, rows, cols
 
     def block(self, values):
         """`values` over the parameters as the `shape` block, one row per
@@ -255,32 +246,41 @@ class ParamKeys(Sequence):
         out[self.rows, 0 if self.cols is None else self.cols] = values
         return out
 
+    def places(self, rows, cols=None):
+        """The places in the natural order of the parameters named by 0-based
+        `rows` and `cols` (None for the budgets), by their codes i n + j (or
+        i) among the parameters' own; None unless each is named once."""
+        m, n = self.shape
+        inside = (rows >= 0) & (rows < m)
+        if cols is not None:
+            inside &= (cols >= 0) & (cols < n)  # else a[i][n + 1] would read as a[i + 1][1]
+        if rows.size != len(self) or not inside.all():
+            return None
+        codes = self.rows if self.cols is None else self.rows * n + self.cols
+        named = rows if cols is None else rows * n + cols
+        place = np.searchsorted(codes, named)
+        found = np.array_equal(codes[np.minimum(place, len(self) - 1)], named)
+        return place if found and np.unique(place).size == place.size else None
+
     def __len__(self):
         return self.rows.size
-
-    def __getitem__(self, k):
-        return self._built()[k]
-
-    def __iter__(self):
-        return iter(self._built())
 
 
 def param_keys(model, problem, structure):
     """Natural flattening order of the imputed parameters for a model."""
     m, n = problem.m, problem.n
     if model.family == "nlo":
-        return ParamKeys("a", (m, n), np.repeat(np.arange(m), n), np.tile(np.arange(n), m))
+        return ParamKeys((m, n), np.repeat(np.arange(m), n), np.tile(np.arange(n), m))
     if model.family == "iu":
-        return ParamKeys("alpha", (m, n), *structure.entries)
-    return ParamKeys("gamma", (m, 1), np.arange(m))
+        return ParamKeys((m, n), *structure.entries)
+    return ParamKeys((m, 1), np.arange(m))
 
 
 @dataclass(frozen=True, eq=False)
 class SideConstraints:
-    """Polyhedron {z : G z <= h} over the flattened imputed parameters.
+    """Polyhedron {z : G z <= h} over the flattened imputed parameters,
+    G's columns in their natural order (`param_keys`).
 
-    Columns follow the natural flattening order unless `variable_map`
-    gives an explicit key per column (keys as produced by param_keys).
     `entries` holds the (row, column) index arrays of G's nonzeros in
     row-major order, read once at construction, and is right because G
     cannot change: a float array passed as G or h is frozen in place
@@ -289,7 +289,6 @@ class SideConstraints:
 
     G: np.ndarray
     h: np.ndarray
-    variable_map: tuple = None
 
     def __post_init__(self):
         G = np.asarray(self.G, dtype=float)
@@ -306,36 +305,16 @@ class SideConstraints:
         rows.setflags(write=False)
         cols.setflags(write=False)
         object.__setattr__(self, "entries", (rows, cols))
-        if self.variable_map is not None:
-            vm = tuple(tuple(k) for k in self.variable_map)
-            if len(vm) != G.shape[1]:
-                raise DimensionError(
-                    "omega.variable_order", f"{len(vm)} names for {G.shape[1]} columns of G"
-                )
-            object.__setattr__(self, "variable_map", vm)
 
     @property
     def p(self):
         return self.G.shape[1]
-
-    def positions(self, keys):
-        """Each column's place in the natural key order, or None when the
-        columns are in it already."""
-        if self.variable_map is None:
-            if self.p != len(keys):
-                raise DimensionError("omega.G", f"{self.p} columns for {len(keys)} parameters")
-            return None
-        if len(self.variable_map) != len(keys) or set(self.variable_map) != set(keys):
-            raise DimensionError("omega.variable_order", "must name each imputed parameter exactly once")
-        index = {k: pos for pos, k in enumerate(keys)}
-        return np.array([index[k] for k in self.variable_map], dtype=np.intp)
 
     def __eq__(self, other):
         return (
             isinstance(other, SideConstraints)
             and np.array_equal(self.G, other.G)
             and np.array_equal(self.h, other.h)
-            and self.variable_map == other.variable_map
         )
 
 
@@ -361,7 +340,7 @@ def canonicalize_omega(omega, keys, lower_floor=None, upper_cap=None):
     nonzeros, listed once in `omega.entries`, give each row's count of
     parameters, the column of a single one and the forward rows a kept
     row touches, in time linear in G's rows, columns and nonzeros.  Only
-    the kept rows of G are copied, into the natural key order.
+    the kept rows of G are copied.
     """
     p = len(keys)
     lo = np.full(p, -np.inf)
@@ -371,27 +350,21 @@ def canonicalize_omega(omega, keys, lower_floor=None, upper_cap=None):
     if upper_cap is not None:
         hi = np.minimum(hi, np.asarray(upper_cap, dtype=float))
     omega = SideConstraints(G=np.zeros((0, p)), h=np.zeros(0)) if omega is None else omega
-    G, h, (rows, cols), place = omega.G, omega.h, omega.entries, omega.positions(keys)
-    param = cols if place is None else place[cols]  # each nonzero's parameter, in the natural key order
+    G, h, (rows, cols) = omega.G, omega.h, omega.entries
     count = np.bincount(rows, minlength=h.size)
     single = np.flatnonzero(count == 1)
-    first = (np.cumsum(count) - count)[single]  # the one nonzero of each single row
-    g = G[single, cols[first]]
-    col = param[first]
+    col = cols[(np.cumsum(count) - count)[single]]  # the parameter of each single row's one nonzero
+    g = G[single, col]
     bound = h[single] / g
     np.minimum.at(hi, col[g > 0], bound[g > 0])
     np.maximum.at(lo, col[g < 0], bound[g < 0])
     feasible = not (np.any(h[count == 0] < -1e-9) or np.any(lo > hi + 1e-9))
     kept = count > 1
+    kept_rows = G[kept]
     # a kept row couples when two of its consecutive nonzeros lie on different forward rows
-    forward = keys.rows[param]
+    forward = keys.rows[cols]
     couples = bool(np.any((rows[1:] == rows[:-1]) & (forward[1:] != forward[:-1])))
-    if place is None:
-        arranged = G[kept]
-    else:
-        arranged = np.zeros((int(np.count_nonzero(kept)), p))
-        arranged[:, place] = G[kept]
-    return CanonicalOmega(lower=lo, upper=hi, G=arranged, h=h[kept], feasible=feasible, couples=couples)
+    return CanonicalOmega(lower=lo, upper=hi, G=kept_rows, h=h[kept], feasible=feasible, couples=couples)
 
 
 @dataclass(frozen=True, eq=False)
@@ -757,7 +730,8 @@ def check_inputs(model, problem, x_hat, structure, omega=None, prior=None):
     takes no prior.  A wrong-shaped, missing or unused field raises
     DimensionError naming it, and so does an observation at which the rows
     the model builds on (A for the robust families, the prior for nlo-sd)
-    have a surplus beyond the floats, naming x_hat.
+    have a surplus beyond the floats, or rlo-iu-sd's prior magnitudes a
+    load |x_J| . alpha_i beyond them, naming x_hat.
     """
     x = np.array(x_hat, dtype=float)
     if x.ndim != 1:
@@ -771,7 +745,9 @@ def check_inputs(model, problem, x_hat, structure, omega=None, prior=None):
         raise PreconditionError("budget models need a cardinality structure")
     structure.check_against(problem)
     if omega is not None:
-        omega.positions(param_keys(model, problem, structure))
+        p = len(param_keys(model, problem, structure))
+        if omega.p != p:
+            raise DimensionError("omega.G", f"{omega.p} columns for {p} parameters")
     if prior is not None:
         prior.weights(problem.m)
         est = prior.estimates
@@ -801,6 +777,12 @@ def check_inputs(model, problem, x_hat, structure, omega=None, prior=None):
             finite = np.isfinite(rows @ x - problem.b)
         if not finite.all():
             raise DimensionError("x_hat", f"{name} x_hat - b overflows on constraint {int(np.argmin(finite)) + 1}")
+    if model == ModelKind.RLO_IU_SD:
+        # and rlo-iu-sd's prior load |x_J| . alpha_i, which bounds every sum of its terms the solver makes
+        with np.errstate(over="ignore"):
+            finite = np.isfinite(np.where(structure.mask(problem.n), prior.estimates, 0.0) @ np.abs(x))
+        if not finite.all():
+            raise DimensionError("x_hat", f"prior.estimates |x_hat| overflows on constraint {np.argmin(finite) + 1}")
     return _freeze(x)
 
 

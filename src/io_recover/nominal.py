@@ -102,23 +102,26 @@ class PerturbedSolve:
     solution: InverseSolution
 
 
+def _is_index(value):
+    """An integer, but not a bool, which numpy would read as a mask."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 def perturb_and_resolve(problem, x_hat, prior, strategy):
     """Apply one escape perturbation and re-run the strong-duality solve.
 
     Strategies: nudge the right-hand side of a row, nudge one prior
     coefficient, or boost a row's weight so a different row is activated.
     The inputs are checked as the solve checks them, and a row or column
-    that is not an integer index into the problem raises DimensionError
-    naming it.
+    that is not an integer index into the problem (a bool is not one)
+    raises DimensionError naming it.
     """
     check_inputs(ModelKind.NLO_SD, problem, x_hat, UncertaintyStructure.nominal(), prior=prior)
     if not isinstance(strategy, (RhsEpsilon, PriorEpsilon, WeightBoost)):
         raise TypeError(f"unknown perturbation strategy {strategy!r}")
-    if not (isinstance(strategy.row, numbers.Integral) and 0 <= strategy.row < problem.m):
+    if not (_is_index(strategy.row) and 0 <= strategy.row < problem.m):
         raise DimensionError("strategy.row", f"{strategy.row!r} is not an index in 0..{problem.m - 1}")
-    if isinstance(strategy, PriorEpsilon) and not (
-        isinstance(strategy.col, numbers.Integral) and 0 <= strategy.col < problem.n
-    ):
+    if isinstance(strategy, PriorEpsilon) and not (_is_index(strategy.col) and 0 <= strategy.col < problem.n):
         raise DimensionError("strategy.col", f"{strategy.col!r} is not an index in 0..{problem.n - 1}")
     b = np.asarray(problem.b, dtype=float).copy()
     est = np.asarray(prior.estimates, dtype=float).copy()

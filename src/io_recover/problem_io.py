@@ -14,11 +14,12 @@ import itertools
 import json
 import math
 import re
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ProblemFileError
+from .errors import DimensionError, ProblemFileError
 from .geometry import NormKind
 from .model import (
     ForwardProblem,
@@ -29,6 +30,7 @@ from .model import (
     Status,
     UncertaintyStructure,
     check_inputs,
+    param_keys,
 )
 
 SCHEMA_VERSION = "1"
@@ -48,6 +50,7 @@ _OMEGA_FIELDS = {"omega.G", "omega.h", "omega.variable_order"}
 _PRIOR_FIELDS = {"prior.estimates", "prior.xi", "prior.norm"}
 
 _VAR_RE = re.compile(r"^(a|alpha)\[(\d+)\]\[(\d+)\]$|^(gamma)\[(\d+)\]$")
+_FITS = {"a": ("nlo",), "alpha": ("iu", "ccu"), "gamma": ("ccu",)}  # the model families a kind of name fits
 
 
 @dataclass(frozen=True)
@@ -133,22 +136,23 @@ def _vector(doc, field, size=None, null=None):
 
 
 def _parse_variable_order(names, model):
-    keys = []
+    """The 0-based (rows, cols) index arrays of the parameters the names
+    list, cols None for the budgets.  An alpha name fits a budget model
+    too, but names none of its parameters: its row reads -1."""
+    own = {"nlo": "a", "iu": "alpha", "ccu": "gamma"}[model.family]
+    rows, cols = [], []
     for name in names:
         match = _VAR_RE.match(name) if isinstance(name, str) else None
         if not match:
             raise ProblemFileError("omega.variable_order", f"cannot parse {name!r}")
-        if match.group(1):
-            kind, i, j = match.group(1), int(match.group(2)) - 1, int(match.group(3)) - 1
-            expected = "a" if model.family == "nlo" else "alpha"
-            if kind != expected:
-                raise ProblemFileError("omega.variable_order", f"{name!r} does not fit model {model.value}")
-            keys.append((kind, i, j))
-        else:
-            if model.family != "ccu":
-                raise ProblemFileError("omega.variable_order", f"{name!r} does not fit model {model.value}")
-            keys.append(("gamma", int(match.group(5)) - 1))
-    return tuple(keys)
+        kind = match.group(1) or match.group(4)
+        if model.family not in _FITS[kind]:
+            raise ProblemFileError("omega.variable_order", f"{name!r} does not fit model {model.value}")
+        # 0-based; an index past any array's reach reads as the largest
+        i, j = (min(int(g or 0), sys.maxsize) - 1 for g in (match.group(2) or match.group(5), match.group(3)))
+        rows.append(i if kind == own else -1)
+        cols.append(j)
+    return np.array(rows, dtype=np.intp), None if own == "gamma" else np.array(cols, dtype=np.intp)
 
 
 def _first(flags, default):
@@ -255,7 +259,7 @@ def parse_problem(doc):
             raise ProblemFileError("alpha", f"required by model {model.value}")
         structure = UncertaintyStructure.cardinality(sets, alpha_rows)
 
-    omega = None
+    omega = order = None
     if "omega" in doc:
         omega_doc = _within(doc, "omega")
         unknown = set(omega_doc) - _OMEGA_FIELDS
@@ -263,11 +267,11 @@ def parse_problem(doc):
             raise ProblemFileError(sorted(unknown)[0], "unknown field")
         G = _matrix(omega_doc, "omega.G")
         h = _vector(omega_doc, "omega.h", G.shape[0])
-        variable_map = None
         if "omega.variable_order" in omega_doc:
-            names = _require(omega_doc, "omega.variable_order", list)
-            variable_map = _parse_variable_order(names, model)
-        omega = SideConstraints(G=G, h=h, variable_map=variable_map)
+            order = _parse_variable_order(_require(omega_doc, "omega.variable_order", list), model)
+        omega = SideConstraints(G=G, h=h)
+        if order is not None and order[0].size != omega.p:
+            raise DimensionError("omega.variable_order", f"{order[0].size} names for {omega.p} columns of G")
 
     prior = None
     xi = None
@@ -306,6 +310,14 @@ def parse_problem(doc):
         prior = Prior(estimates=alpha_rows, xi=xi, norm=norm)
     if model == ModelKind.RLO_IU_DG and alpha_rows is not None:
         raise ProblemFileError("alpha", "not used by model rlo-iu-dg (magnitudes are imputed)")
+    if order is not None:
+        # G's columns into their natural order, checked where check_inputs checks omega: after x_hat
+        if not np.all(np.isfinite(x_hat)):
+            raise DimensionError("x_hat", "entries must be finite")
+        place = param_keys(model, problem, structure).places(*order)
+        if place is None:
+            raise DimensionError("omega.variable_order", "must name each imputed parameter exactly once")
+        omega = SideConstraints(G=omega.G.take(np.argsort(place), axis=1), h=omega.h)  # C order, as G is read
     check_inputs(model, problem, x_hat, structure, omega, prior)
 
     return ProblemBundle(
@@ -334,16 +346,7 @@ def serialize_problem(bundle):
             for i, s in enumerate(structure.sets)
         ]
     if bundle.omega is not None:
-        omega_doc = {"G": bundle.omega.G.tolist(), "h": bundle.omega.h.tolist()}
-        if bundle.omega.variable_map is not None:
-            names = []
-            for key in bundle.omega.variable_map:
-                if key[0] == "gamma":
-                    names.append(f"gamma[{key[1] + 1}]")
-                else:
-                    names.append(f"{key[0]}[{key[1] + 1}][{key[2] + 1}]")
-            omega_doc["variable_order"] = names
-        doc["omega"] = omega_doc
+        doc["omega"] = {"G": bundle.omega.G.tolist(), "h": bundle.omega.h.tolist()}
     if bundle.prior is not None:
         prior_doc = {}
         if bundle.model != ModelKind.RLO_IU_SD:

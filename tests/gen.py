@@ -54,8 +54,7 @@ def two_couplings(omega):
     `canonicalize_omega`, and the gap solvers take their m LPs in place of
     the closed form for one."""
     return SideConstraints(
-        G=np.vstack([omega.G, 2.0 * omega.G[-1:]]), h=np.append(omega.h, 2.0 * omega.h[-1]),
-        variable_map=omega.variable_map,
+        G=np.vstack([omega.G, 2.0 * omega.G[-1:]]), h=np.append(omega.h, 2.0 * omega.h[-1])
     )
 
 

@@ -80,9 +80,7 @@ def _iter_grid(axes):
 
 def _row_axes(spec, keys, row, lower=None, upper=None):
     axes = []
-    for k, key in enumerate(keys):
-        if key[1] != row:
-            continue
+    for k in _row_key_positions(keys, row):
         lo, hi = spec.parameter_box[k]
         if lower is not None:
             lo = max(lo, lower[k])
@@ -93,7 +91,7 @@ def _row_axes(spec, keys, row, lower=None, upper=None):
 
 
 def _row_key_positions(keys, row):
-    return [k for k, key in enumerate(keys) if key[1] == row]
+    return np.flatnonzero(keys.rows == row).tolist()
 
 
 def _min_over(values, mask):
@@ -168,7 +166,7 @@ def _dg_separable(model, problem, structure, x, surplus, keys, canon, spec):
         safe_margin = -np.inf
         for grid in _iter_grid(axes):
             if model == ModelKind.NLO_DG:
-                s = grid @ x[[keys[k][2] for k in positions]] - problem.b[i]
+                s = grid @ x[keys.cols[positions]] - problem.b[i]
                 feas = s >= -1e-9
                 val, k = _min_over(s, feas)
                 if val < t_i:
@@ -183,7 +181,7 @@ def _dg_separable(model, problem, structure, x, surplus, keys, canon, spec):
                         ]
                     )
                 else:
-                    w = np.array([abs(x[keys[k][2]]) for k in positions])
+                    w = np.abs(x[keys.cols[positions]])
                     prot = grid @ w
                 feas = prot <= surplus[i] + 1e-9
                 val, k = _min_over(surplus[i] - prot, feas)
@@ -227,11 +225,11 @@ def _dg_product(model, problem, structure, x, surplus, keys, canon, spec):
         for i in range(m):
             pos = positions[i]
             if model == ModelKind.NLO_DG:
-                s = grid[:, pos] @ x[[keys[k][2] for k in pos]] - problem.b[i]
+                s = grid[:, pos] @ x[keys.cols[pos]] - problem.b[i]
                 feasible &= s >= -1e-9
                 gaps[:, i] = s
             elif model == ModelKind.RLO_IU_DG:
-                w = np.array([abs(x[keys[k][2]]) for k in pos])
+                w = np.abs(x[keys.cols[pos]])
                 prot = grid[:, pos] @ w
                 feasible &= prot <= surplus[i] + 1e-9
                 gaps[:, i] = surplus[i] - prot
@@ -344,8 +342,8 @@ def _iu_sd_oracle(problem, structure, x, surplus, keys, prior, spec):
         positions = _row_key_positions(keys, i)
         axes = _row_axes(spec, keys, i, lower=np.zeros(len(keys)))
         _check_cap(_grid_size(axes))
-        weights = np.array([abs(x[keys[k][2]]) for k in positions])
-        center = np.array([prior.estimates[keys[k][1], keys[k][2]] for k in positions])
+        weights = np.abs(x[keys.cols[positions]])
+        center = prior.estimates[keys.rows[positions], keys.cols[positions]]
         band = 0.5 * spec.step * float(np.sum(weights)) + 1e-9
         measure = lambda grid, wv=weights: grid @ wv  # noqa: E731
         (g[i], g_pts[i]), (f[i], f_pts[i]) = _sd_row_scan(
@@ -519,10 +517,9 @@ def cost_match_by_row(model, problem, x, structure, solution):
 
 
 def canonicalize_by_product(omega, keys, lower_floor=None, upper_cap=None):
-    """model.canonicalize_omega scanning the whole of G, permuted into the
-    natural key order, by one product of its nonzero pattern with
-    [1, column]: each row's count of parameters and the column of a single
-    one."""
+    """model.canonicalize_omega scanning the whole of G, by one product of
+    its nonzero pattern with [1, column]: each row's count of parameters
+    and the column of a single one."""
     p = len(keys)
     lo = np.full(p, -np.inf)
     hi = np.full(p, np.inf)
@@ -531,10 +528,6 @@ def canonicalize_by_product(omega, keys, lower_floor=None, upper_cap=None):
     if upper_cap is not None:
         hi = np.minimum(hi, np.asarray(upper_cap, dtype=float))
     G, h = (np.zeros((0, p)), np.zeros(0)) if omega is None else (omega.G, omega.h)
-    order = None if omega is None else omega.positions(keys)
-    if order is not None:
-        G = np.zeros((G.shape[0], p))
-        G[:, order] = omega.G
     count, at = ((G != 0.0) @ np.stack([np.ones(p), np.arange(p)], axis=1)).T
     single = np.flatnonzero(count == 1)
     col = at[single].astype(np.intp)

@@ -158,8 +158,6 @@ def _agree(model, label, problem, x, structure, omega, calls):
         assert closed.active_index == joint.active_index, label
     imputed = np.asarray(closed.imputed, dtype=float)
     flat = imputed[structure.mask(problem.n)] if model == ModelKind.RLO_IU_DG else imputed.ravel()
-    order = omega.positions(param_keys(model, problem, structure))
-    flat = flat if order is None else flat[order]  # in G's column order
     G, h = omega.G, omega.h
     assert np.all(np.isfinite(flat)), label
     assert np.all(G @ flat <= h + TOL * (1.0 + np.abs(G) @ np.abs(flat) + np.abs(h))), label

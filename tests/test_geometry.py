@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.optimize import linprog
@@ -106,6 +106,7 @@ class TestDualNorm:
             dual_norm_maximizer([bad, 1.0], norm)
 
     @given(x=vectors, pick=st.integers(0, 2))
+    @example(x=np.array([5e-324, 5e-324]), pick=1)  # subnormal: rescaled, x / (big * ||x / big||) had norm sqrt 2
     @settings(max_examples=200, deadline=None)
     def test_holder_inequality(self, x, pick):
         norm = NORMS[pick]

@@ -674,6 +674,79 @@ class TestActivationsKernel:
                 assert row_alpha.tobytes() == alpha[i].tobytes() and row_distance == distance[i]
 
 
+def _scattered_block(rng, m, n):
+    """m rows of loads, centres and targets of 10^U(-320, 300), each row's load . centre in the
+    floats: beyond them `check_inputs` rejects the observation."""
+    load, center = 10.0 ** rng.uniform(-320.0, 300.0, (2, m, n))
+    target = 10.0 ** rng.uniform(-320.0, 300.0, m)
+    with np.errstate(over="ignore"):
+        kept = np.isfinite(np.einsum("ij,ij->i", load, center))
+    return load[kept], center[kept], target[kept]
+
+
+class TestActivationsAcrossTheFloats:
+    """`interval._activations` on rows whose loads and centres span the float range."""
+
+    def test_no_warning_and_no_nan(self):
+        # Where the row-by-row form runs without a warning too, the answers agree bit for bit, except
+        # on the l2 cuts the kernel rescales (largest load outside [1e-150, 1e150]).  There the
+        # row-by-row form works in other units, and over this range it loses the target on some rows
+        # even rescaled alike: loads (7.6e297, 1.3e-27), centres (4.2e-173, 4.1e203) and target
+        # 1.1e-303 leave its second column at 4.1e203, a load of 5.5e176.
+        compared = 0
+        for seed in range(100):
+            rng = np.random.default_rng([seed, 30])
+            load, center, target = _scattered_block(rng, 40, int(rng.integers(1, 5)))
+            for norm in NormKind:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    alpha, distance, fits = interval._activations(load, center, target, norm)
+                assert np.all(np.isfinite(alpha)) and not np.isnan(distance).any(), (seed, norm)
+                big = np.max(load, axis=1)
+                rescaled = (norm == NormKind.L2) & ~fits & ((big < 1e-150) | (big > 1e150))
+                for i in np.flatnonzero(~rescaled):
+                    try:
+                        with warnings.catch_warnings():
+                            warnings.simplefilter("error")
+                            ref_alpha, ref_distance = activation_by_row(load[i], center[i], target[i], norm)
+                    except RuntimeWarning:
+                        continue
+                    if not fits[i] and np.any(ref_alpha > center[i]):
+                        continue
+                    assert alpha[i].tobytes() == ref_alpha.tobytes() and distance[i] == ref_distance, (seed, norm, i)
+                    compared += 1
+        assert compared > 7000
+
+    @pytest.mark.parametrize(
+        "load, center, target, norm",
+        [([2.4e53, 5e276, 6.4e-276], [1.0, 1.0, 1.0], 0.5, NormKind.L2),  # a rescaled step underflows to 0
+         ([3.6e-121, 2.9e48, 3.2e-111, 6.4e-78], [1.2e277, 3.7e176, 2.4e-22, 2.5e184], 1.7e124, NormKind.L2),
+         ([3.7e38, 2.3e-200, 1.4e6, 3.4e4], [1.1e102, 8.0e198, 5.1e149, 3.9e108], 1.3e-160, NormKind.L1)],
+        ids=["step underflows", "d past the floats", "cut past the floats"],
+    )
+    def test_seen_warnings(self, load, center, target, norm):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            alpha, distance = interval._activation(load, center, target, norm)
+        assert np.all(np.isfinite(alpha)) and np.all(alpha >= 0.0) and math.isfinite(distance)
+
+    def test_a_segment_below_the_target_is_passed_by(self):
+        # the breakpoint test at column 4 cancels to noise beside 6.4e272 and puts d among the columns
+        # whose load * step underflows: the sweep goes on to the segment that holds the target
+        load = [6.979773137858915e133, 8.154796134377304e60, 3.859458455346724e-303, 8.246300421790866e125]
+        center = [2.2079185491801812e-103, 1.079674421915712e-214, 6.892482330398049e-78, 7.780252946531268e146]
+        alpha, distance = interval._activation(load, center, 1.2396222409448405e-252, NormKind.L2)
+        assert alpha.tolist() == [0.0, 0.0, center[2], 0.0] and distance == pytest.approx(center[3], rel=1e-12)
+
+    def test_overflowing_prior_load_names_x_hat(self):
+        # |x_J| . alpha_i = 1e400: the solver would multiply past the floats
+        problem = ForwardProblem(A=[[1.0, 1.0]], b=[0.0])
+        prior = Prior(estimates=[[1e200, 1.0]], norm=NormKind.L1)
+        with pytest.raises(DimensionError) as err:
+            solve_rlo_iu_sd(problem, [1e200, 1.0], UncertaintyStructure.interval([(0, 1)]), prior)
+        assert str(err.value) == "x_hat: prior.estimates |x_hat| overflows on constraint 1"
+
+
 def _iu_sd_draw(seed, norm):
     """A random rlo-iu-sd instance: partial column sets, some x_j = 0, some
     rows fitting their prior and some not."""

@@ -161,12 +161,70 @@ class TestProblemFiles:
         doc["omega"]["G"] = G[:, [2, 0, 1]].tolist()
         bundle = problem_io.parse_problem(doc)
         base = problem_io.parse_problem(_load(FIXTURES / "example5.json"))
-        keys = [("gamma", 0), ("gamma", 1), ("gamma", 2)]
-        order = bundle.omega.positions(keys)
-        assert order.tolist() == [2, 0, 1] and base.omega.positions(keys) is None
-        Ga = np.zeros(bundle.omega.G.shape)
-        Ga[:, order] = bundle.omega.G
-        assert np.allclose(Ga, base.omega.G) and np.allclose(bundle.omega.h, base.omega.h)
+        # resolved when read: G's columns are in the natural order, and written back in it
+        assert bundle == base and bundle.omega.G.tobytes() == base.omega.G.tobytes()
+        written = problem_io.serialize_problem(bundle)
+        assert "variable_order" not in written["omega"] and written == problem_io.serialize_problem(base)
+        assert problem_io.parse_problem(written) == base
+
+    @pytest.mark.parametrize(
+        "number, order, change, error",
+        [
+            (5, ["gamma[1]", "gamma[1]", "gamma[2]"], {}, "omega.variable_order: must name each imputed parameter"),
+            (5, ["gamma[1]", "alpha[2][1]", "gamma[3]"], {}, "omega.variable_order: must name each imputed parameter"),
+            (5, ["gamma[1]", "gamma[2]"], {"prior": {}}, "omega.variable_order: 2 names for 3 columns of G"),
+            (5, ["gamma[1]", "gamma[1]", "gamma[2]"], {"prior": {}}, "prior: not used by model rlo-ccu-dg"),
+            (5, ["gamma[1]", "gamma[1]", "gamma[2]"], {"x_hat": [math.inf, 1.0]}, "x_hat: entries must be finite"),
+            (3, ["alpha[1][1]", "alpha[2][2]", "alpha[3][1]", "alpha[3][3]"], {},
+             "omega.variable_order: must name each imputed parameter"),
+            (3, ["alpha[1][1]", "alpha[2][2]", "alpha[3][1]", "alpha[3][1]"], {"alpha": [[1.0], [1.0], [1.0, 1.0]]},
+             "alpha: not used by model rlo-iu-dg"),
+        ],
+        ids=["repeated", "alpha on a budget model", "count before prior", "prior first", "x_hat first",
+             "column past n", "alpha first"],
+    )
+    def test_variable_order_errors_keep_their_precedence(self, number, order, change, error):
+        # a document's column order is checked where the library checks omega: after x_hat, the
+        # prior and alpha, though the name count is checked with G
+        doc = _load(FIXTURES / f"example{number}.json")
+        doc["omega"]["variable_order"] = order
+        doc.update(change)
+        with pytest.raises((DimensionError, ProblemFileError)) as err:
+            problem_io.parse_problem(doc)
+        assert str(err.value).startswith(error)
+
+
+def _natural_names(doc):
+    """The names of a gap-model document's imputed parameters in their natural order."""
+    m, n = len(doc["A"]), len(doc["A"][0])
+    if doc["model"] == "rlo-ccu-dg":
+        return [f"gamma[{i + 1}]" for i in range(m)]
+    if doc["model"] == "rlo-iu-dg":
+        return [f"alpha[{i + 1}][{j}]" for i, row in enumerate(doc["uncertain_columns"]) for j in sorted(row)]
+    return [f"a[{i + 1}][{j + 1}]" for i in range(m) for j in range(n)]
+
+
+@given(number=st.sampled_from([1, 3, 5]), coupled=st.booleans(), data=st.data())
+@settings(derandomize=True, max_examples=60, deadline=None)
+def test_permuted_variable_order_reads_as_the_natural_document(number, coupled, data):
+    natural = _load(FIXTURES / f"example{number}.json")
+    if coupled:  # the last row repeated at twice the scale: the gap solver takes its m LPs
+        natural["omega"]["G"].append([2.0 * v for v in natural["omega"]["G"][-1]])
+        natural["omega"]["h"].append(2.0 * natural["omega"]["h"][-1])
+    names = _natural_names(natural)
+    perm = data.draw(st.permutations(range(len(names))), label="column order")
+    permuted = copy.deepcopy(natural)
+    permuted["omega"]["G"] = [[row[k] for k in perm] for row in natural["omega"]["G"]]
+    permuted["omega"]["variable_order"] = [names[k] for k in perm]
+    ours, theirs = problem_io.parse_problem(permuted).omega, problem_io.parse_problem(natural).omega
+    assert ours.G.tobytes() == theirs.G.tobytes() and ours.G.flags.c_contiguous
+    written = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for k, doc in enumerate((permuted, natural)):
+            src, out = Path(tmp) / f"problem{k}.json", Path(tmp) / f"solution{k}.json"
+            src.write_text(json.dumps(doc))
+            written.append((_run(["solve", "--input", str(src), "--output", str(out)]), out.read_bytes()))
+    assert written[0] == written[1]
 
 
 class TestCliSolve:

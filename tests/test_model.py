@@ -289,7 +289,7 @@ class TestOmega:
         G = np.array([[2.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
         h = np.array([6.0, -1.0, 2.0, 3.5])
         omega = SideConstraints(G=G, h=h)
-        keys = ParamKeys("gamma", (2, 1), np.arange(2))
+        keys = ParamKeys((2, 1), np.arange(2))
         canon = canonicalize_omega(omega, keys)
         assert canon.lower == pytest.approx([1.0, -np.inf])
         assert canon.upper == pytest.approx([3.0, 2.0])
@@ -298,24 +298,33 @@ class TestOmega:
 
     def test_crossed_bounds_flagged_infeasible(self):
         omega = SideConstraints(G=[[1.0], [-1.0]], h=[1.0, -2.0])
-        canon = canonicalize_omega(omega, ParamKeys("gamma", (1, 1), np.arange(1)))
+        canon = canonicalize_omega(omega, ParamKeys((1, 1), np.arange(1)))
         assert not canon.feasible
 
     def test_variable_order_permutes_columns(self):
-        keys = ParamKeys("gamma", (2, 1), np.arange(2))
-        omega = SideConstraints(
-            G=[[1.0, 0.0], [1.0, 2.0]], h=[5.0, 6.0], variable_map=(("gamma", 1), ("gamma", 0))
-        )
-        assert omega.positions(keys).tolist() == [1, 0]
-        assert SideConstraints(G=[[1.0, 0.0]], h=[5.0]).positions(keys) is None
+        # names (row, column) find their places in the natural order, for every kind of parameter
+        keys = ParamKeys((2, 1), np.arange(2))
+        assert keys.places(np.array([1, 0])).tolist() == [1, 0]
+        nlo = ParamKeys((2, 3), np.repeat(np.arange(2), 3), np.tile(np.arange(3), 2))
+        assert nlo.places(np.array([1, 0, 0, 1, 0, 1]), np.array([2, 0, 2, 0, 1, 1])).tolist() == [5, 0, 2, 3, 1, 4]
+        iu = ParamKeys((3, 3), np.array([0, 0, 2]), np.array([1, 2, 0]))  # the uncertain entries alone
+        assert iu.places(np.array([2, 0, 0]), np.array([0, 2, 1])).tolist() == [2, 1, 0]
+        # G read under the names [gamma[2], gamma[1]] and put into the natural order, as a document is
+        omega = SideConstraints(G=np.take([[1.0, 0.0], [1.0, 2.0]], np.argsort(keys.places(np.array([1, 0]))), axis=1),
+                                h=[5.0, 6.0])
         canon = canonicalize_omega(omega, keys)
         assert np.array_equal(canon.upper, [np.inf, 5.0])
         assert np.array_equal(canon.G, [[2.0, 1.0]])
 
     def test_variable_order_must_cover_all(self):
-        omega = SideConstraints(G=[[1.0, 0.0]], h=[5.0], variable_map=(("gamma", 1), ("gamma", 1)))
-        with pytest.raises(DimensionError):
-            omega.positions([("gamma", 0), ("gamma", 1)])
+        keys = ParamKeys((2, 3), np.array([0, 1]), np.array([0, 0]))  # a[1][1] and a[2][1]
+        faults = {
+            "repeated": ([1, 1], [0, 0]), "missing": ([0], [0]), "extra": ([0, 1, 0], [0, 0, 1]),
+            "negative row": ([0, -1], [0, 0]), "row past m": ([0, 2], [0, 0]), "not a parameter": ([0, 1], [0, 2]),
+            "column past n": ([0, 0], [0, 3]),  # a[1][4] would read as a[2][1] by its code i n + j alone
+        }
+        for label, (rows, cols) in faults.items():
+            assert keys.places(np.array(rows), np.array(cols)) is None, label
 
     def test_coupling_detection(self):
         case = example_case(1)
@@ -334,10 +343,7 @@ def _loop_canonical(omega, keys, lower_floor, upper_cap):
     p = len(keys)
     lo = np.full(p, -np.inf) if lower_floor is None else np.maximum(np.full(p, -np.inf), lower_floor)
     hi = np.full(p, np.inf) if upper_cap is None else np.minimum(np.full(p, np.inf), upper_cap)
-    G, h, order = omega.G, omega.h, omega.positions(keys)
-    if order is not None:
-        G = np.zeros(G.shape)
-        G[:, order] = omega.G
+    G, h = omega.G, omega.h
     coupled, coupled_rhs, feasible, couples = [], [], True, False
     for r in range(G.shape[0]):
         nz = np.flatnonzero(G[r])
@@ -352,7 +358,7 @@ def _loop_canonical(omega, keys, lower_floor, upper_cap):
         else:
             coupled.append(G[r])
             coupled_rhs.append(h[r])
-            couples = couples or len({keys[int(j)][1] for j in nz}) > 1
+            couples = couples or np.unique(keys.rows[nz]).size > 1
     feasible = feasible and not np.any(lo > hi + 1e-9)
     G = np.array(coupled) if coupled else np.zeros((0, p))
     h = np.array(coupled_rhs) if coupled_rhs else np.zeros(0)
@@ -363,12 +369,14 @@ def test_masked_omega_matches_row_loop():
     rng = np.random.default_rng(11)
     for trial in range(400):
         m, n = int(rng.integers(1, 5)), int(rng.integers(0, 4))
-        keys = ParamKeys("alpha", (m, n), np.repeat(np.arange(m), n), np.tile(np.arange(n), m))
+        keys = ParamKeys((m, n), np.repeat(np.arange(m), n), np.tile(np.arange(n), m))
         p = len(keys)
         G = rng.choice([0.0, 0.0, 0.0, 1.0, -1.0, 2.0, -0.5], (int(rng.integers(0, 8)), p))
         h = rng.choice([0.0, 1.0, -1.0, -1e-10, -1e-8, 3.0], G.shape[0])
-        order = tuple(keys[k] for k in rng.permutation(p)) if trial % 3 == 0 else None
-        omega = SideConstraints(G=G, h=h, variable_map=order)
+        if trial % 3 == 0:  # G read in a permuted column order, then put into the natural one
+            perm = rng.permutation(p)
+            G = G.take(np.argsort(keys.places(keys.rows[perm], keys.cols[perm])), axis=1)
+        omega = SideConstraints(G=G, h=h)
         floor = np.zeros(p) if trial % 2 else None
         cap = rng.uniform(0.0, 2.0, p) if trial % 4 == 1 else None
         lo, hi, Gc, hc, feasible, couples = _loop_canonical(omega, keys, floor, cap)
@@ -389,11 +397,11 @@ def side_constraints(draw):
     family = draw(st.sampled_from(["a", "alpha", "gamma"]))
     m, n = draw(st.integers(1, 4)), draw(st.integers(1, 3))
     if family == "a":
-        keys = ParamKeys("a", (m, n), np.repeat(np.arange(m), n), np.tile(np.arange(n), m))
+        keys = ParamKeys((m, n), np.repeat(np.arange(m), n), np.tile(np.arange(n), m))
     elif family == "alpha":
-        keys = ParamKeys("alpha", (m, n), *np.nonzero(draw(arrays(bool, (m, n)))))  # no column at all: p = 0
+        keys = ParamKeys((m, n), *np.nonzero(draw(arrays(bool, (m, n)))))  # no column at all: p = 0
     else:
-        keys = ParamKeys("gamma", (m, 1), np.arange(m))
+        keys = ParamKeys((m, 1), np.arange(m))
     p = len(keys)
     values = st.sampled_from([1.0, -1.0, 2.0, -0.5, 3.25, 1e-300])
     kinds = draw(st.lists(st.sampled_from(["zero", "single", "within", "dense", "sparse"]), max_size=8))
@@ -408,9 +416,11 @@ def side_constraints(draw):
             G[r] = draw(arrays(float, p, elements=values if kind == "dense" else values | st.just(0.0)))
     G = np.where(draw(arrays(bool, G.shape)), -G, G)  # -0.0 where a zero is negated
     h = draw(arrays(float, len(kinds), elements=st.sampled_from([0.0, -0.0, 1.0, -1.0, -1e-10, -1e-8, 0.7])))
-    perm = draw(st.permutations(range(p)))
-    order = tuple(keys[k] for k in perm) if draw(st.booleans()) else None
-    omega = SideConstraints(G=G if order is None else G[:, perm], h=h, variable_map=order)
+    perm = np.array(draw(st.permutations(range(p))), dtype=np.intp)
+    if draw(st.booleans()):  # G read under a permuted `variable_order`, then put into the natural order
+        cols = None if keys.cols is None else keys.cols[perm]
+        G = G[:, perm].take(np.argsort(keys.places(keys.rows[perm], cols)), axis=1)
+    omega = SideConstraints(G=G, h=h)
     bounds = arrays(float, p, elements=st.sampled_from([-1.0, -0.0, 0.0, 0.5, 2.0, np.inf]))
     floor = draw(st.none() | st.just(np.zeros(p)) | bounds)
     cap = draw(st.none() | bounds)
@@ -838,8 +848,8 @@ def test_far_row_does_not_widen_the_tie_band(model):
 # Row order carries no meaning: permuting the rows permutes the answer.
 
 def _permuted(model, problem, structure, data, perm):
-    """The instance with row k := row perm[k]; Omega's columns renamed through
-    a variable map, key (kind, i, ...) to (kind, inv[i], ...)."""
+    """The instance with row k := row perm[k]; Omega's columns renamed from
+    parameter (i, ...) to (inv[i], ...) and put into the new natural order."""
     inv = np.argsort(perm)
     if model.family == "nlo":
         moved = structure
@@ -849,8 +859,8 @@ def _permuted(model, problem, structure, data, perm):
         moved = UncertaintyStructure.cardinality([structure.sets[i] for i in perm], structure.alpha[perm])
     if model.is_dg:
         keys = param_keys(model, problem, structure)
-        names = tuple((key[0], int(inv[key[1]])) + key[2:] for key in keys)
-        data = SideConstraints(G=data.G, h=data.h, variable_map=names)
+        place = param_keys(model, problem, moved).places(inv[keys.rows], keys.cols)
+        data = SideConstraints(G=data.G.take(np.argsort(place), axis=1), h=data.h)
     else:
         xi = None if data.xi is None else data.xi[perm]
         data = Prior(estimates=data.estimates[perm], xi=xi, norm=data.norm)

@@ -331,8 +331,12 @@ class TestTrivialEscapes:
             (WeightBoost(row=-1, weight=2.0), "strategy.row"),  # would boost the last row
             (RhsEpsilon(row=1.5, delta=0.1), "strategy.row"),
             (PriorEpsilon(row=0, col=0.5, delta=0.1), "strategy.col"),
+            (RhsEpsilon(row=True, delta=0.1), "strategy.row"),  # numpy would shift every b
+            (PriorEpsilon(row=2, col=True, delta=0.1), "strategy.col"),  # ... the whole prior row
+            (WeightBoost(row=False, weight=10.0), "strategy.row"),  # ... and boost no weight
         ],
-        ids=["rhs row", "prior column", "negative weight row", "fractional row", "fractional column"],
+        ids=["rhs row", "prior column", "negative weight row", "fractional row", "fractional column",
+             "bool row", "bool column", "bool weight row"],
     )
     def test_perturbation_outside_the_problem_names_the_field(self, strategy, field):
         case = example_case(2)

@@ -50,7 +50,7 @@ def _lower_rows(model, problem, structure, omega):
     if model == ModelKind.RLO_CCU_DG:
         return lower
     rows = np.zeros((problem.m, problem.n))
-    rows[[i for _, i, _ in keys], [j for _, _, j in keys]] = lower
+    rows[keys.rows, keys.cols] = lower
     return rows
 
 

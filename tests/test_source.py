@@ -15,7 +15,10 @@ which prices one coupling row by the one knapsack kernel and shares one
 feasible set over the m LPs when more are left.  `model` is the one module
 besides the package's re-exports to import the LP engine, and `validate`
 tests each assumption on all rows at once.  Side constraints read G's
-nonzeros once, when built, and `canonicalize_omega` works from them.  Documents are written by
+nonzeros once, when built, and `canonicalize_omega` works from them in
+one path: G's columns follow the natural parameter order everywhere in the
+library, because `problem_io` resolves a document's `variable_order` when
+it reads it, and no other module names the column order.  Documents are written by
 `problem_io`'s own writer, not by the stdlib's indenting encoder, which is
 pure Python.  The benchmark's traced runs
 find every function they wrap, and every error class is raised or caught
@@ -103,7 +106,7 @@ def _functions(path):
 
 SOURCE = {path.name: path for path in SOURCES}
 # the input rule, and the structure's and omega's checks it runs
-INPUT_CHECKS = {"check_inputs", "check_against", "positions"}
+INPUT_CHECKS = {"check_inputs", "check_against"}
 
 
 def test_solve_only_dispatches():
@@ -180,6 +183,25 @@ def test_canonicalize_reads_the_nonzeros_once():
     assert "entries" in {node.attr for node in ast.walk(canon) if isinstance(node, ast.Attribute)}
     assert [node.lineno for node in ast.walk(canon)
             if isinstance(node, (ast.Compare, ast.Call, ast.BinOp, ast.UnaryOp)) and _reads_G(node)] == []
+
+
+def test_canonicalize_takes_one_path():
+    # G's columns arrive in the natural order: canonicalize_omega branches only on the optional
+    # inputs it was given (omega, a floor, a cap), never on how the columns are named
+    canon = MODEL["canonicalize_omega"]
+    tests = [node.test for node in ast.walk(canon) if isinstance(node, (ast.If, ast.IfExp))]
+    assert tests and all(isinstance(test, ast.Compare) and isinstance(test.ops[0], (ast.Is, ast.IsNot))
+                         and isinstance(test.comparators[0], ast.Constant) and test.comparators[0].value is None
+                         for test in tests)
+    assert _called(canon) & {"places", "argsort", "take"} == set()
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_column_order_is_resolved_when_read(path):
+    # a document's variable_order is problem_io's to resolve; no type carries a column map
+    text = path.read_text(encoding="utf-8")
+    assert "variable_map" not in text
+    assert "variable_order" not in text or path.name == "problem_io.py"
 
 
 def test_nominal_sorts_nothing():
