@@ -77,14 +77,15 @@ def norm_value(x, norm):
 
 def row_dots(a, b):
     """a_i . b for each row of the m x n block a and the vector b, or a_i .
-    b_i for each row of the m x n blocks a and b: one BLAS dot per row, so
-    each rounds as the row's own a_i @ b does.  numpy takes a one-column
-    dot for a plain product, which reads -0.0 where a_i @ b, a sum from 0,
-    reads 0.0; adding 0.0 makes it that sum.  The dots of two blocks go
-    through np.vdot, which returns inf on overflow without a warning."""
-    if b.ndim == 1:
-        return np.fromiter(map(b.dot, a), float, len(a)) + 0.0
-    return np.fromiter(map(np.vdot, a, b), float, len(a))
+    b_i for each row of the m x n blocks a and b, by one einsum reduction.
+    Each row is reduced on its own, so a one-row view a[i:i+1] gives row
+    i's bits; `tests/oracle.py` holds every row within Higham's bound
+    gamma_n sum_j |a_ij b_j| of the exact dot, plus n least subnormals for
+    products that underflow.  einsum adds the products into a zeroed
+    output, so a one-column dot of -0.0 reads 0.0, as a sum from 0 does.
+    An overflow reads inf without a warning."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.einsum("ij,j->i" if b.ndim == 1 else "ij,ij->i", a, b)
 
 
 def row_norms(x, norm):
@@ -145,7 +146,7 @@ def project_hyperplane(a_hat, x_hat, b, norm):
     if dn == 0.0:
         raise ZeroVectorError("projection requires a nonzero observed point")
     v = dual_norm_maximizer(x_hat, norm)
-    t = (float(a_hat @ x_hat) - float(b)) / dn
+    t = (float(row_dots(a_hat[None], x_hat)[0]) - float(b)) / dn  # as solve_nlo_sd takes each row's dot
     return a_hat - t * v, abs(t)
 
 
@@ -155,7 +156,7 @@ def project_halfspace(a_hat, x_hat, b, norm):
     x_hat = np.asarray(x_hat, dtype=float)
     if not np.any(x_hat != 0.0):
         raise ZeroVectorError("projection requires a nonzero observed point")
-    if float(a_hat @ x_hat) >= float(b):
+    if float(row_dots(a_hat[None], x_hat)[0]) >= float(b):
         return a_hat.copy(), 0.0
     return project_hyperplane(a_hat, x_hat, b, norm)
 
@@ -423,7 +424,7 @@ def gamma_bar(problem, alpha_i, cols, x_hat, row):
     lower, upper = (float(v[0]) for v in activation_budgets(A, b, alpha, mask, x))
     if not math.isnan(lower):
         return GammaBarResult(kind="interval" if lower < upper else "unique", lower=lower, upper=upper)
-    surplus = float(A[0] @ x) - float(b[0])
+    surplus = float(row_dots(A, x)[0]) - float(b[0])
     if surplus < -_ACTIVE_TOL:
         reason = f"constraint {row + 1} is nominal-infeasible (surplus {surplus:g})"
     else:

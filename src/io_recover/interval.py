@@ -37,7 +37,7 @@ from .model import (
 
 def _surplus(problem, x, structure):
     """The nominal surplus at the observation; every row needs an uncertain column."""
-    empty = np.fromiter(map(len, structure.sets), np.intp, problem.m) == 0
+    empty = np.bincount(structure.entries[0], minlength=problem.m) == 0
     if empty.any():
         raise PreconditionError(f"constraint {np.argmax(empty) + 1} has no uncertain coefficients")
     return problem.surplus(x)
@@ -115,21 +115,27 @@ def _raised(load, gap, norm):
     (lowest column on ties), l2's loads over their norm, linf's loaded
     columns.  Returns which rows a float move reaches, and their moves."""
     dual = row_norms(load, dual_kind(norm))
-    with np.errstate(over="ignore"):  # dual * max reads inf when dual > 1
-        reach = gap < dual * sys.float_info.max  # else the loads are too small for any float move
-    load, gap, dual = load[reach], gap[reach], dual[reach]
-    if norm == NormKind.L1:
-        step = (np.arange(load.shape[1]) == load.argmax(axis=1)[:, None]).astype(float)
-    elif norm == NormKind.L2:
-        step = load / dual[:, None]
-        # as dual_norm_maximizer: where load . load under- or overflows, the loads rescaled by their largest
-        plain = np.sqrt(row_dots(load, load))
-        odd = np.flatnonzero((plain < 1e-150) | (plain == np.inf))
-        scaled = load[odd] / np.max(load[odd], axis=1)[:, None]
-        step[odd] = scaled / np.sqrt(row_dots(scaled, scaled))[:, None]
-    else:
-        step = (load > 0.0).astype(float)
-    return reach, (gap / dual)[:, None] * step
+    with np.errstate(over="ignore"):  # a move past the floats reads inf: the loads are too small for it
+        amount = gap / dual
+        if norm == NormKind.L1:
+            step = (np.arange(load.shape[1]) == load.argmax(axis=1)[:, None]).astype(float)
+        elif norm == NormKind.L2:
+            step = load / dual[:, None]
+            # as dual_norm_maximizer: where load . load under- or overflows, the loads rescaled by their
+            # largest, and the move priced in those units, not by their norm rounded back (subnormal
+            # loads lose digits); gap / big can pass the floats where the move does not
+            plain = np.sqrt(row_dots(load, load))
+            odd = np.flatnonzero((plain < 1e-150) | (plain == np.inf))
+            big = np.max(load[odd], axis=1)
+            scaled = load[odd] / big[:, None]
+            unit = np.sqrt(row_dots(scaled, scaled))
+            step[odd] = scaled / unit[:, None]
+            per = gap[odd] / big
+            amount[odd] = np.where(per < np.inf, per / unit, gap[odd] / unit / big)
+        else:
+            step = (load > 0.0).astype(float)
+    reach = amount < np.inf
+    return reach, amount[reach, None] * step[reach]
 
 
 def _lowered(load, center, target, dots, norm):

@@ -24,7 +24,17 @@ from .lp import Constraints, LinearProgram, LpStatus, solve_lp_batch
 ZERO_TOL = 1e-9
 
 
+class Variant(str, Enum):
+    NOMINAL = "nominal"
+    INTERVAL = "interval"
+    CARDINALITY = "cardinality"
+
+
 class ModelKind(str, Enum):
+    """A model by its name.  Each member holds what its name says, set once:
+    `family` ("nlo", "iu" or "ccu"), `variant` (the uncertainty its rows
+    are realized under), and `is_dg` / `is_sd`."""
+
     NLO_DG = "nlo-dg"
     NLO_SD = "nlo-sd"
     RLO_IU_DG = "rlo-iu-dg"
@@ -32,36 +42,16 @@ class ModelKind(str, Enum):
     RLO_CCU_DG = "rlo-ccu-dg"
     RLO_CCU_SD = "rlo-ccu-sd"
 
-    @property
-    def is_dg(self):
-        return self.value.endswith("-dg")
-
-    @property
-    def is_sd(self):
-        return self.value.endswith("-sd")
-
-    @property
-    def family(self):
-        if self.value.startswith("nlo"):
-            return "nlo"
-        return "iu" if "-iu-" in self.value else "ccu"
-
-    @property
-    def variant(self):
-        """The uncertainty the model's rows are realized under."""
-        return {"nlo": Variant.NOMINAL, "iu": Variant.INTERVAL, "ccu": Variant.CARDINALITY}[self.family]
+    def __init__(self, value):
+        self.family = value.split("-")[-2]  # "nlo-dg" -> "nlo", "rlo-iu-sd" -> "iu"
+        self.variant = {"nlo": Variant.NOMINAL, "iu": Variant.INTERVAL, "ccu": Variant.CARDINALITY}[self.family]
+        self.is_dg, self.is_sd = value.endswith("-dg"), value.endswith("-sd")
 
 
 class Status(str, Enum):
     OPTIMAL = "optimal"
     INFEASIBLE = "infeasible"
     TRIVIAL_DETECTED = "trivial-detected"
-
-
-class Variant(str, Enum):
-    NOMINAL = "nominal"
-    INTERVAL = "interval"
-    CARDINALITY = "cardinality"
 
 
 def _freeze(arr):
@@ -757,10 +747,9 @@ def check_inputs(model, problem, x_hat, structure, omega=None, prior=None):
         elif model.is_sd:
             if est.shape != (problem.m, problem.n):
                 raise DimensionError("prior.estimates", f"shape {est.shape} != ({problem.m}, {problem.n})")
-            negative = est < 0.0
-            if model == ModelKind.RLO_IU_SD and negative.any():
+            if model == ModelKind.RLO_IU_SD and (est < 0.0).any():
                 # the first negative entry on an uncertain column, in row-major order, is reported
-                negative &= structure.mask(problem.n)
+                negative = (est < 0.0) & structure.mask(problem.n)
                 if negative.any():
                     i, j = divmod(int(np.argmax(negative)), problem.n)
                     raise DimensionError("prior.estimates", f"alpha[{i + 1}][{j + 1}] = {est[i, j]:g} is negative")

@@ -8,17 +8,21 @@ which a solver's optimum must agree with it.
 
 The module also keeps the earlier forms of array steps that were rewritten
 for speed with the same arithmetic (the `*_by_*` functions at the end): the
-rewritten steps must reproduce them bit for bit.
+rewritten steps must reproduce them bit for bit.  The row dots and norms,
+whose summation order is the reduction's own, are held instead to their
+exact values (`exact_dot`, `exact_l2`) within a stated bound.
 """
 
 import math
 from dataclasses import dataclass
+from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 
 from conftest import knapsack_protection
 from io_recover.errors import InverseLpError, PreconditionError
-from io_recover.geometry import NormKind, _split, dual_norm, products
+from io_recover.geometry import NormKind, _split, dual_norm, products, row_dots
 from io_recover.model import CanonicalOmega, ModelKind, canonicalize_omega, clamp_budget_prior, param_keys
 from io_recover.verify import _deviation_block
 
@@ -461,15 +465,92 @@ def oracle_tolerance(model, problem, x_hat, structure, spec, prior=None):
     return step * (quant + under) + 1e-9
 
 
+# Exact row dots and l2 norms, and the bounds a float evaluation keeps to
+# (Higham, Accuracy and Stability of Numerical Algorithms, 2002, 3.1).
+
+UNIT_ROUNDOFF = Fraction(1, 2**53)
+LEAST_SUBNORMAL = Fraction(1, 2**1074)
+DECIMAL_DIGITS = 60
+
+
+def gamma(n):
+    """Higham's gamma_n = n u / (1 - n u): any order of n - 1 additions of n
+    rounded products (fused or not) errs by at most gamma_n times their
+    absolute sum, while nothing underflows."""
+    return n * UNIT_ROUNDOFF / (1 - n * UNIT_ROUNDOFF)
+
+
+def exact_dot(a, b):
+    """sum_j a_j b_j of two float vectors, exactly."""
+    return sum((Fraction(float(u)) * Fraction(float(v)) for u, v in zip(a, b)), Fraction(0))
+
+
+def absolute_dot(a, b):
+    """sum_j |a_j b_j|, exactly."""
+    return sum((abs(Fraction(float(u)) * Fraction(float(v))) for u, v in zip(a, b)), Fraction(0))
+
+
+def dot_bound(a, b):
+    """The error bound of a float dot of n terms: gamma_n sum_j |a_j b_j|,
+    plus one least subnormal per product, which can lose up to half of one
+    when it underflows (a sum that underflows is exact)."""
+    return gamma(len(a)) * absolute_dot(a, b) + len(a) * LEAST_SUBNORMAL
+
+
+def _decimal(q):
+    """The fraction q to DECIMAL_DIGITS significant digits."""
+    return Decimal(q.numerator) / Decimal(q.denominator)
+
+
+def exact_l2(x):
+    """||x||_2 to DECIMAL_DIGITS significant digits: the sum of squares
+    exactly, its square root in `decimal`."""
+    with localcontext() as ctx:
+        ctx.prec = DECIMAL_DIGITS
+        return _decimal(sum((Fraction(float(v)) ** 2 for v in x), Fraction(0))).sqrt()
+
+
+def exact_l2_raise(load, gap):
+    """The point of {alpha : load . alpha = gap} closest to 0 in l2, and its
+    distance, to DECIMAL_DIGITS significant digits: alpha = gap load /
+    ||load||^2, at gap / ||load||."""
+    with localcontext() as ctx:
+        ctx.prec = DECIMAL_DIGITS
+        size = exact_l2(load)
+        per = Decimal(float(gap)) / size
+        return [per * Decimal(float(v)) / size for v in load], per
+
+
+def l2_bound(x):
+    """The error bound of `geometry.row_norms`' l2 norm of x's n entries:
+    gamma_{n+5} ||x||_2 plus one least subnormal.  The sum of squares errs
+    by gamma_n relatively, and by less than one more u for the squares that
+    underflow while the sum stays above 1e-300; the square root halves
+    that.  The rescale by the largest entry, taken when the sum leaves
+    [1e-300, inf), rounds each entry (2u on its square), the root and the
+    product; a subnormal norm rounds to within half a least subnormal."""
+    with localcontext() as ctx:
+        ctx.prec = DECIMAL_DIGITS
+        return _decimal(gamma(len(x) + 5)) * exact_l2(x) + _decimal(LEAST_SUBNORMAL)
+
+
 # Earlier forms of rewritten array steps: the same arithmetic in the same
 # order, so the rewritten steps in geometry, verify and model match them bit for bit.
 
 def row_dots_by_row(a, b):
-    """geometry.row_dots as a loop: a_i @ b for a vector b, np.vdot of each
-    row pair for a block b."""
+    """geometry.row_dots one row at a time, each on a one-row view: a
+    reduction that treats every row alone gives the m-row call's bits."""
     if np.ndim(b) == 1:
-        return np.array([u @ b for u in a])
-    return np.fromiter((np.vdot(u, v) for u, v in zip(a, b)), float, len(a))
+        return np.array([row_dots(a[i : i + 1], b)[0] for i in range(len(a))], dtype=float)
+    return np.array([row_dots(a[i : i + 1], b[i : i + 1])[0] for i in range(len(a))], dtype=float)
+
+
+def row_dots_by_ddot(a, b):
+    """geometry.row_dots before it was one reduction: one BLAS dot per row
+    (a_i . b, or np.vdot of each row pair), plus 0.0 for a vector b."""
+    if np.ndim(b) == 1:
+        return np.fromiter(map(b.dot, a), float, len(a)) + 0.0
+    return np.fromiter(map(np.vdot, a, b), float, len(a))
 
 
 def ranked_by_take(alpha, mask, x):

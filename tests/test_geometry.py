@@ -1,4 +1,7 @@
 import math
+import sys
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -8,7 +11,20 @@ from hypothesis.extra.numpy import arrays
 from scipy.optimize import linprog
 
 from conftest import assert_same_bits, knapsack_continuous, knapsack_protection, laid_out
-from oracle import budget_share_by_argsort, knapsack_by_pad, ranked_by_take, row_dots_by_row, sums_by_pad
+from oracle import (
+    absolute_dot,
+    budget_share_by_argsort,
+    dot_bound,
+    exact_dot,
+    exact_l2,
+    gamma,
+    knapsack_by_pad,
+    l2_bound,
+    ranked_by_take,
+    row_dots_by_ddot,
+    row_dots_by_row,
+    sums_by_pad,
+)
 from io_recover import (
     ForwardProblem,
     Constraints,
@@ -37,6 +53,7 @@ from io_recover.geometry import (
     protection,
     ranked,
     row_dots,
+    row_norms,
 )
 
 NORMS = (NormKind.L1, NormKind.L2, NormKind.LINF)
@@ -602,8 +619,10 @@ def budget_blocks(draw):
 
 
 class TestRewrittenSteps:
-    """The budget kernel's steps and row_dots against their earlier forms
-    (`oracle`), bit for bit: the rewrites keep each sum's order."""
+    """The budget kernel's steps against their earlier forms (`oracle`), bit
+    for bit: the rewrites keep each sum's order.  row_dots, one reduction
+    whose order is its own, gives each row the bits of its one-row view and
+    stays within the exact oracle's bound."""
 
     @given(block=budget_blocks(), layout=LAYOUTS)
     @settings(derandomize=True, max_examples=400, deadline=None)
@@ -619,17 +638,81 @@ class TestRewrittenSteps:
     @given(data=st.data(), m=st.integers(1, 12), n=st.integers(1, 40), layouts=st.tuples(LAYOUTS, LAYOUTS))
     @settings(derandomize=True, max_examples=300, deadline=None)
     def test_row_dots(self, data, m, n, layouts):
-        # up to 40 columns: BLAS sums long rows in several accumulators, short ones in one
+        # up to 40 columns: a reduction may sum long rows in several accumulators, short ones in one
         entries = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.1]) | st.floats(-1e3, 1e3)
         a = laid_out(data.draw(arrays(float, (m, n), elements=entries)), layouts[0])
         b = laid_out(data.draw(arrays(float, (m, n), elements=entries)), layouts[1])
         x = data.draw(arrays(float, n, elements=entries))
-        assert_same_bits(row_dots(a, x), row_dots_by_row(a, x))
-        assert_same_bits(row_dots(a, b[0]), row_dots_by_row(a, b[0]))  # a row of a block as the vector
+        for vector in (x, b[0]):  # a row of a block as the vector
+            assert_same_bits(row_dots(a, vector), row_dots_by_row(a, vector))
+            assert_within_dot_bound(row_dots(a, vector), a, vector)
         assert_same_bits(row_dots(a, b), row_dots_by_row(a, b))
+        assert_within_dot_bound(row_dots(a, b), a, b)
 
     def test_one_column_dot_is_a_sum_from_zero(self):
-        # numpy's one-element dot is the bare product 0 * -0 = -0.0; a row's dot adds it to 0.0
-        for a, x in (([[0.0]], [-0.0]), ([[-1e-200]], [1e-200]), ([[2.0], [-0.0]], [3.0])):
+        # a one-column reduction is the bare product 0 * -0 = -0.0; a row's dot adds it to 0.0
+        for a, x, dots in (([[0.0]], [-0.0], [0.0]), ([[-1e-200]], [1e-200], [0.0]), ([[2.0], [-0.0]], [3.0], [6.0, 0.0])):
             a, x = np.array(a), np.array(x)
+            assert_same_bits(row_dots(a, x), np.array(dots))
             assert_same_bits(row_dots(a, x), row_dots_by_row(a, x))
+
+
+def _across_the_floats(shape):
+    """Arrays of +-10^U(-320, 300), zeros among them: products from past the floats down to below
+    the least subnormal."""
+    magnitude = st.floats(-320.0, 300.0).map(lambda e: 10.0 ** e)
+    return arrays(float, shape, elements=st.just(0.0) | magnitude | magnitude.map(lambda v: -v))
+
+
+def _may_pass_the_floats(absolute, n):
+    """Whether a float evaluation of n terms whose exact absolute sum is `absolute` can pass the
+    largest float on the way (gamma_n bounds every partial sum's growth)."""
+    return absolute * (1 + gamma(n)) > Fraction(sys.float_info.max)
+
+
+def assert_within_dot_bound(dots, a, b):
+    """Each row's dot within `oracle.dot_bound` of its exact value; inf or NaN only where the
+    evaluation can pass the largest float."""
+    for i, value in enumerate(dots):
+        u, v = a[i], b[i] if b.ndim == 2 else b
+        if math.isfinite(value):
+            assert abs(Fraction(float(value)) - exact_dot(u, v)) <= dot_bound(u, v), i
+        else:
+            assert _may_pass_the_floats(absolute_dot(u, v), len(u)), i
+
+
+class TestRowKernelsAgainstTheExactOracle:
+    """row_dots and row_norms' l2 norm against the exact oracle, over entries
+    across the float range: the bound is Higham's, not fitted to a kernel,
+    and the earlier one-BLAS-dot-per-row form keeps to it as well."""
+
+    @given(data=st.data(), m=st.integers(1, 6), n=st.integers(1, 12), layouts=st.tuples(LAYOUTS, LAYOUTS))
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    def test_row_dots_across_the_floats(self, data, m, n, layouts):
+        a = laid_out(data.draw(_across_the_floats((m, n))), layouts[0])
+        b = laid_out(data.draw(_across_the_floats((m, n))), layouts[1])
+        x = data.draw(_across_the_floats(n))
+        for theirs in (row_dots, row_dots_by_ddot):
+            with np.errstate(over="ignore", invalid="ignore"):  # the BLAS form warns on nothing either
+                assert_within_dot_bound(theirs(a, x), a, x)
+                assert_within_dot_bound(theirs(a, b), a, b)
+        assert_same_bits(row_dots(a, x), row_dots_by_row(a, x))
+        assert_same_bits(row_dots(a, b), row_dots_by_row(a, b))
+
+    @given(data=st.data(), m=st.integers(1, 6), n=st.integers(1, 12), layout=LAYOUTS)
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    def test_row_norms_across_the_floats(self, data, m, n, layout):
+        x = laid_out(data.draw(_across_the_floats((m, n))), layout)
+        norms = row_norms(x, NormKind.L2)
+        for i, value in enumerate(norms):
+            exact = exact_l2(x[i])
+            if math.isfinite(value):
+                assert abs(Decimal(float(value)) - exact) <= l2_bound(x[i]), i
+            else:  # the norm, or the norm with its error, passes the largest float
+                assert exact + l2_bound(x[i]) > Decimal(sys.float_info.max), i
+            assert_same_bits(norms[i : i + 1], row_norms(x[i : i + 1], NormKind.L2))
+
+    @pytest.mark.parametrize("x", [[5e-324, 5e-324], [1e-320, 3e-321], [1e200, 1e200, 1e-200], [3e-160, 4e-160]])
+    def test_rescaled_row_norms(self, x):
+        x = np.array([x])
+        assert abs(Decimal(float(row_norms(x, NormKind.L2)[0])) - exact_l2(x[0])) <= l2_bound(x[0])

@@ -1,12 +1,12 @@
 import importlib.util
 import math
-import sys
 import warnings
+from decimal import Decimal
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import gen
@@ -32,9 +32,9 @@ from io_recover import (
     validate,
 )
 from io_recover import interval, model
-from io_recover.geometry import dual_norm, dual_norm_maximizer, norm_value
+from io_recover.geometry import dual_kind, dual_norm_maximizer, norm_value, row_dots, row_norms
 from io_recover.fixtures import evaluate_example, example_case
-from oracle import brute_force_min, oracle_tolerance
+from oracle import LEAST_SUBNORMAL, brute_force_min, exact_l2_raise, gamma, oracle_tolerance
 
 
 def joint_t(problem, x, structure, prior):
@@ -548,22 +548,31 @@ class TestActivation:
 
 
 def activation_by_row(load, center, target, norm):
-    """One row's activation computed over its columns alone, by the
-    geometry's one-vector norms and maximizers: the reference
-    `interval._activations` is pinned to."""
+    """One row's activation, swept over its loaded columns alone: the
+    reference `interval._activations` is pinned to.  Its dot and norms are
+    the geometry's row kernels on the whole row as a one-row view, unloaded
+    columns included, as the m-row kernel takes them; an l2 raise is priced
+    in units of the largest load where load . load under- or overflows."""
     alpha = np.array(center, dtype=float)
     on = load > 0.0
-    gap = target - float(load @ alpha)
+    dots = float(row_dots(load[None], alpha)[0])
+    gap = target - dots
     if gap == 0.0 or not on.any():
         return alpha, 0.0 if gap == 0.0 else math.inf
     ell, c = load[on], alpha[on]
     if gap > 0.0:
-        dual = dual_norm(ell, norm)
-        if gap >= dual * sys.float_info.max:
+        if norm == NormKind.L2:
+            big = 1.0 if 1e-150 <= math.sqrt(row_dots(load[None], load)[0]) < math.inf else float(ell.max())
+            unit = float(row_norms(load[None] / big, norm)[0])
+            per = float(gap) / big
+            amount, v = per / unit if per < math.inf else float(gap) / unit / big, ell / big / unit
+        else:
+            amount, v = float(gap) / float(row_norms(load[None], dual_kind(norm))[0]), dual_norm_maximizer(ell, norm)
+        if amount == math.inf:  # no float move reaches the target
             return alpha, math.inf
-        move = gap / dual * dual_norm_maximizer(ell, norm)
-    elif norm == NormKind.L1:
-        move = -interval._fill(ell, np.zeros(ell.size), c, -gap)
+        move = amount * v
+    elif norm == NormKind.L1:  # every loaded column to 0 when the row's dot says that is not too far
+        move = -c if dots <= -gap else -interval._fill(ell, np.zeros(ell.size), c, -gap)
     else:
         step = ell if norm == NormKind.L2 else np.ones(ell.size)
         order = np.argsort(c / step, kind="stable")
@@ -572,7 +581,9 @@ def activation_by_row(load, center, target, norm):
         k = min(int(np.sum(rest - (c / step)[order] * slope > target)), ell.size - 1)
         move = -np.minimum(c, (rest[k] - target) / slope[k] * step)
     alpha[on] = c + move
-    return alpha, norm_value(move, norm)
+    whole = np.zeros(load.size)
+    whole[on] = move
+    return alpha, float(row_norms(whole[None], norm)[0])
 
 
 def _edge_block():
@@ -636,12 +647,10 @@ class TestActivationsKernel:
 
     @pytest.mark.parametrize("norm", list(NormKind))
     def test_matches_the_row_by_row_form(self, norm):
-        # Bit for bit, except that the kernel sums over the whole row: numpy's pairwise sum
-        # groups a row of 9+ columns, some unloaded, differently from the loaded columns alone.
-        # That sum is l1's distance after a cut and linf's dual norm on a raise: within 4 ulps.
-        # An l2 cut on loads below 1e-150 squares them past the floats row by row; the kernel
-        # rescales them, and is held to the row-by-row form on loads and target rescaled alike.
-        rounded = 0
+        # Bit for bit: the row-by-row form takes its dot and norms over the whole row, as the
+        # kernel does.  An l2 cut on loads below 1e-150 squares them past the floats row by row;
+        # the kernel rescales them, and is held to the row-by-row form on loads and target
+        # rescaled alike.
         for mask, load, center, target in activation_blocks():
             alpha, distance, fits = interval._activations(load, center, target, norm)
             for i, cols in enumerate(mask):
@@ -649,21 +658,12 @@ class TestActivationsKernel:
                 assert fits[i] == (load[i, cols] @ center[i, cols] <= target[i])
                 big = np.max(load[i])
                 if norm == NormKind.L2 and 0.0 < big < 1e-150 and not fits[i]:
-                    ref_alpha, ref_distance = activation_by_row(
-                        load[i, cols] / big, center[i, cols], target[i] / big, norm
-                    )
-                    assert alpha[i, cols] == pytest.approx(ref_alpha, rel=1e-12, abs=1e-15)
+                    ref_alpha, ref_distance = activation_by_row(load[i] / big, center[i], target[i] / big, norm)
+                    assert alpha[i] == pytest.approx(ref_alpha, rel=1e-12, abs=1e-15)
                     assert distance[i] == pytest.approx(ref_distance, rel=1e-12)
                     continue
-                ref_alpha, ref_distance = activation_by_row(load[i, cols], center[i, cols], target[i], norm)
-                if cols.size <= 8 or np.all(load[i] > 0.0):
-                    assert alpha[i, cols].tobytes() == ref_alpha.tobytes()
-                    assert distance[i] == ref_distance
-                else:
-                    np.testing.assert_array_max_ulp(alpha[i, cols], ref_alpha, maxulp=4)
-                    np.testing.assert_array_max_ulp(distance[i], ref_distance, maxulp=4)
-                    rounded += distance[i] != ref_distance
-        assert rounded < 60
+                ref_alpha, ref_distance = activation_by_row(load[i], center[i], target[i], norm)
+                assert alpha[i].tobytes() == ref_alpha.tobytes() and distance[i] == ref_distance
 
     def test_one_row_view(self):
         mask, load, center, target = _edge_block()
@@ -682,6 +682,36 @@ def _scattered_block(rng, m, n):
     with np.errstate(over="ignore"):
         kept = np.isfinite(np.einsum("ij,ij->i", load, center))
     return load[kept], center[kept], target[kept]
+
+
+class TestRaisedAgainstTheExactOracle:
+    """An l2 raise from centres at 0 against its exact point gap load / ||load||^2.  Each
+    coordinate keeps within gamma_{4n+30} of its exact value: the norm (gamma_{n+5}, or its
+    rescaled form), the length gap / ||load||, the step load_j / ||load|| and their product
+    each round.  A load below the floats' reach of the largest one rounds as a subnormal in
+    the rescaled step, which costs each coordinate up to one least subnormal of the move's
+    length; the distance, one more norm, keeps within gamma_{5n+35} of gap / ||load||."""
+
+    @given(load=st.lists(st.floats(-320.0, 300.0).map(lambda e: 10.0 ** e), min_size=1, max_size=6),
+           gap=st.floats(-320.0, 300.0).map(lambda e: 10.0 ** e))
+    @example(load=[5e-324, 5e-324], gap=1e-16)  # the point read 1.41x too far when gap / ||load|| was rounded
+    @example(load=[1e-320, 3e-321], gap=1e-16)
+    @example(load=[5e-324, 5e-324], gap=1e-15)  # ||load|| rounds to 5e-324, under which no float move reached
+    @example(load=[1e-300, 1e-300, 1e-300], gap=2e8)  # gap / largest load passes the floats, the move does not
+    @settings(derandomize=True, max_examples=400, deadline=None)
+    def test_l2_raise(self, load, gap):
+        n = len(load)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            alpha, distance = interval._activation(load, np.zeros(n), gap, NormKind.L2)
+        point, length = exact_l2_raise(load, gap)
+        if distance == math.inf:  # only a move at the largest float's edge, or past it, is out of reach
+            assert length * (1 + Decimal(float(gamma(4 * n + 30)))) > Decimal(np.finfo(float).max)
+            return
+        tiny = Decimal(float(LEAST_SUBNORMAL)) * (1 + length)
+        for got, exact in zip(alpha, point):
+            assert abs(Decimal(float(got)) - exact) <= Decimal(float(gamma(4 * n + 30))) * exact + tiny
+        assert abs(Decimal(distance) - length) <= Decimal(float(gamma(5 * n + 35))) * length + tiny
 
 
 class TestActivationsAcrossTheFloats:

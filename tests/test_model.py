@@ -759,8 +759,9 @@ def _sd_near_tie(model, scale=1.0):
     keeps both feasible, so g = 0 and t = f.  Everything in data units is
     multiplied by `scale`."""
     if model == ModelKind.RLO_CCU_SD:
-        # budgets near 40 on 48 columns: one rounding step in t exceeds 1e-15
-        n, c = 48, 1.03
+        # budgets near 40 on 48 columns: one rounding step in t exceeds 1e-15.  At c = 1.04 that
+        # step puts row 2 below row 1 whether a row's surplus is one einsum reduction or a BLAS dot
+        n, c = 48, 1.04
         x = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
         alpha = np.round(np.linspace(0.1, 0.4, n), 3)
         v = np.sort(alpha)[::-1]

@@ -9,7 +9,8 @@ and realizes the active row.  Budget uncertainty's products alpha |x| are
 ranked by `geometry`'s kernel alone, and each strong-duality model
 treats all its rows in one array pass: the three strong-duality solvers
 and the activation budgets hold no loop, and neither rlo-iu-sd's one-row
-activation nor a norm is called in one.  The certificate holds no loop
+activation nor a norm is called in one; the kernels and solvers call no
+`map` or `np.fromiter`, a loop no scan rule sees.  The certificate holds no loop
 over the rows either.  Each gap model hands its subproblems to `model.gap_values`,
 which prices one coupling row by the one knapsack kernel and shares one
 feasible set over the m LPs when more are left.  `model` is the one module
@@ -247,6 +248,12 @@ def test_sd_solvers_scan_no_rows(name, solver):
     # every row's projection, deviation norm or dot (geometry.row_dots) comes from one pass over the
     # m rows' arrays; so do the activation budgets
     assert [type(node).__name__ for node in ast.walk(_functions(SOURCE[name])[solver]) if isinstance(node, SCANS)] == []
+
+
+@pytest.mark.parametrize("name", ["geometry.py", "nominal.py", "interval.py", "cardinality.py"])
+def test_no_row_loop_hides_in_a_call(name):
+    # map and np.fromiter make one Python call per element: a row loop that the SCANS rules do not see
+    assert _called(ast.parse(SOURCE[name].read_text(encoding="utf-8"))) & {"map", "fromiter"} == set()
 
 
 def test_certificate_loops_over_no_rows():
