@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NominalInfeasibleError
-from .geometry import NormKind, activation, knapsack, norm_value, ranked
+from .geometry import NormKind, activation, knapsack, norm_value, ranked, row_dots
 from .model import (
     InverseSolution,
     ModelKind,
@@ -67,7 +67,7 @@ def _budget_rows(problem, structure, x):
         raise NominalInfeasibleError(worst, float(-surplus[worst]))
     mask = structure.mask(problem.n)
     _, values = ranked(structure.alpha, mask, x)
-    lower, upper = activation(problem.A, problem.b, mask, x, values)
+    lower, upper = activation(row_dots(problem.A, x) - problem.b, mask, values)
     reach = ~np.isnan(lower)
     bounds = GammaBounds(
         i_hat=tuple(np.flatnonzero(reach).tolist()), gamma_lower=lower, gamma_upper=upper,

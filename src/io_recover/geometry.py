@@ -343,9 +343,10 @@ def box_knapsack(c, r, d, lower, upper):
     return BoxKnapsack(value=value, point=point, ray=ray, shortfall=short - before[:, -1] - caps[:, -1])
 
 
-def activation(A, b, mask, x, values):
-    """`activation_budgets` from the ranked products `values` (from `ranked`)."""
-    surplus = row_dots(A, x) - b  # the m-row call and a one-row view agree
+def activation(surplus, mask, values):
+    """`activation_budgets` from each row's nominal surplus and its ranked
+    products `values` (from `ranked`).  Each row is computed on its own, so
+    any subset of the rows gets the bits it gets among all m."""
     sums = _sums(values)
     s, total = np.maximum(surplus, 0.0), sums[:, -1]
     # below the full protection: the first rank whose product the surplus reaches, and its share of it
@@ -361,14 +362,16 @@ def activation(A, b, mask, x, values):
     return np.where(out, np.nan, lower), np.where(out, np.nan, upper)
 
 
-def activation_budgets(A, b, alpha, mask, x):
+def activation_budgets(A, b, alpha, mask, x, rows=slice(None)):
     """Each row's activation budgets: the least and the largest budget at
     which its protection equals its nominal surplus a_i . x - b_i (0 when
     the surplus is in (-1e-9, 0)).  They differ only when the surplus is the
     full protection and some product is 0: then every budget from the count
     of positive products to |J_i| works.  NaN where no budget does (a
-    surplus below -1e-9 or above the full protection)."""
-    return activation(A, b, mask, x, ranked(alpha, mask, x)[1])
+    surplus below -1e-9 or above the full protection).  `rows` picks the
+    rows computed, all by default; their surpluses come from the dots of
+    all of A, since A's memory layout can move a dot's bits."""
+    return activation((row_dots(A, x) - b)[rows], mask[rows], ranked(alpha[rows], mask[rows], x)[1])
 
 
 def _one_row(alpha_i, cols, x):

@@ -18,7 +18,14 @@ from itertools import chain
 import numpy as np
 
 from .errors import DimensionError, NumericalFailureError, PreconditionError
-from .geometry import NormKind, activation_budgets, box_knapsack, realized_row_cardinality, realized_row_interval
+from .geometry import (
+    NormKind,
+    activation_budgets,
+    box_knapsack,
+    products,
+    realized_row_cardinality,
+    realized_row_interval,
+)
 from .lp import Constraints, LinearProgram, LpStatus, solve_lp_batch
 
 ZERO_TOL = 1e-9
@@ -260,7 +267,7 @@ def param_keys(model, problem, structure):
     """Natural flattening order of the imputed parameters for a model."""
     m, n = problem.m, problem.n
     if model.family == "nlo":
-        return ParamKeys((m, n), np.repeat(np.arange(m), n), np.tile(np.arange(n), m))
+        return ParamKeys((m, n), *np.divmod(np.arange(m * n), n))
     if model.family == "iu":
         return ParamKeys((m, n), *structure.entries)
     return ParamKeys((m, 1), np.arange(m))
@@ -735,11 +742,14 @@ def check_inputs(model, problem, x_hat, structure, omega=None, prior=None):
         raise PreconditionError("budget models need a cardinality structure")
     structure.check_against(problem)
     if omega is not None:
-        p = len(param_keys(model, problem, structure))
+        # the count of `param_keys`: a_ij for every entry, alpha_ij on J_i, or one gamma_i per row
+        m, n = problem.m, problem.n
+        p = m * n if model.family == "nlo" else m if model.family == "ccu" else structure.entries[0].size
         if omega.p != p:
             raise DimensionError("omega.G", f"{omega.p} columns for {p} parameters")
     if prior is not None:
-        prior.weights(problem.m)
+        if prior.xi is not None:  # the weights' length; absent, they are all ones
+            prior.weights(problem.m)
         est = prior.estimates
         if model == ModelKind.RLO_CCU_SD:
             if est.ndim != 1 or est.size != problem.m:
@@ -833,8 +843,12 @@ def validate(problem, x_hat, structure, model, omega=None, prior=None):
         flag("A7", violated, "observed point violates the nominal constraint")
         ambiguous = np.zeros(m, dtype=bool)
         if not violated.any():  # the activation budgets are read only at a nominally feasible point
-            lower, upper = activation_budgets(A, b, structure.alpha, mask, x)
-            ambiguous = lower < upper
+            # a row's budgets can differ only when some product alpha_ij |x_j| on J_i is <= 1e-12
+            # (`geometry.activation`), and each row is ranked on its own, so only those rows are ranked
+            rows = np.flatnonzero((mask & (products(structure.alpha, mask, x) <= 1e-12)).any(axis=1))
+            if rows.size:
+                lower, upper = activation_budgets(A, b, structure.alpha, mask, x, rows)
+                ambiguous[rows] = lower < upper
         flag("A8", ambiguous, "a range of budgets activates this row; both endpoints are reported", "warn")
         if model == ModelKind.RLO_CCU_SD:
             est = prior.estimates
@@ -852,6 +866,6 @@ def validate(problem, x_hat, structure, model, omega=None, prior=None):
 
 def clamp_budget_prior(prior, structure):
     """Budget priors clamped into [0, |J_i|] per row (a warn, not an error)."""
-    caps = np.array([len(s) for s in structure.sets], dtype=float)
+    caps = np.bincount(structure.entries[0], minlength=len(structure.sets)).astype(float)
     est = np.asarray(prior.estimates, dtype=float)
     return np.minimum(np.maximum(est, 0.0), caps)

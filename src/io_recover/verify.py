@@ -74,8 +74,9 @@ def _excess(values):
     return math.inf if math.isnan(top) else max(0.0, top)
 
 
-def _deviation_block(model, structure, mask, imputed, point):
-    """Masked magnitudes and deviation shares of every row at `point`.
+def _deviation_block(model, structure, mask, imputed, point, rows=slice(None)):
+    """Masked magnitudes and deviation shares of the rows `rows` (all by
+    default) at `point`.
 
     Returns (alpha, share, strict_share): the magnitudes on the m x n
     uncertain-column `mask` (the imputed ones for interval uncertainty, the
@@ -84,29 +85,48 @@ def _deviation_block(model, structure, mask, imputed, point):
     case: every uncertain column deviates fully.  A budget deviates the
     columns as `geometry.budget_share` ranks them; `share` takes a
     fractional part >= 1e-12 (the realized rows) and `strict_share` one
-    > 1e-12 (the multipliers).
+    > 1e-12 (the multipliers).  Each row is ranked on its own, so a subset
+    of the rows gets the bits it gets among all m.
     """
+    mask, imputed = mask[rows], imputed[rows]
     if model.family == "iu":
         fully = mask * 1.0
         return np.where(mask, imputed, 0.0), fully, fully
-    share = budget_share(structure.alpha, mask, point, imputed)
-    return np.where(mask, structure.alpha, 0.0), share, np.where(share > 1e-12, share, 0.0)
+    alpha = structure.alpha[rows]
+    share = budget_share(alpha, mask, point, imputed)
+    return np.where(mask, alpha, 0.0), share, np.where(share > 1e-12, share, 0.0)
 
 
 def _nontriviality(model, problem, structure, mask, solution):
+    """Whether the cost is nonzero and no realized row vanishes in any orthant.
+
+    In the orthant of signs s, coordinate j of a robust family's realized
+    row is a_j - s_j * dev_j, with dev_j = a_j - (a_j - alpha_j * share_j)
+    independent of s (a budget ranks the columns by alpha_j |s_j| =
+    alpha_j).  So the row vanishes in some orthant exactly when
+    | |a_j| - dev_j | <= 1e-9 for every j.  Only the rows with
+    |a_j| - full_j <= 1e-9 for every j are ranked and tested, where full_j
+    = a_j - (a_j - alpha_j) is the deviation at share 1, rounded as dev_j
+    is.  A budget's alpha_j is >= 0 and share_j <= 1, and rounding is
+    monotone, so alpha_j * share_j <= alpha_j, dev_j <= full_j and |a_j| -
+    dev_j >= |a_j| - full_j after rounding: no row left out can vanish.
+    An interval row's share is 1, so there dev_j = full_j.  This is A10
+    with the rounding of full_j as its margin; a constant margin
+    alpha_j (1 + c u) does not bound dev_j, since where |a_j| is far above
+    alpha_j, a_j - alpha_j rounds by up to half an ulp of a_j.
+    """
     cost_ok = solution.cost is not None and float(np.max(np.abs(solution.cost))) > 1e-9
     if model.family == "nlo":
         rows_ok = bool(np.all(np.abs(solution.imputed).max(axis=1) > 1e-9))
         return {"cost_nonzero": cost_ok, "rows_nonzero_all_orthants": rows_ok, "orthants_checked": 1}
-    # In the orthant of signs s, coordinate j of a realized row is
-    # a_j - s_j * dev_j with dev_j >= 0 independent of s (a budget ranks the
-    # columns by alpha_j |s_j| = alpha_j).  So the row vanishes in some
-    # orthant exactly when |a_j| = dev_j for every j; dev = a - (row at s = +1).
-    plus = np.ones(problem.n)
-    alpha, share, _ = _deviation_block(model, structure, mask, np.asarray(solution.imputed, dtype=float), plus)
-    row = problem.A - alpha * share  # sgn(plus) = +1
-    dev = problem.A - row
-    rows_ok = not np.any(np.abs(np.abs(problem.A) - dev).max(axis=1) <= 1e-9)
+    A, imputed = problem.A, np.asarray(solution.imputed, dtype=float)
+    full = A - (A - np.where(mask, imputed if model.family == "iu" else structure.alpha, 0.0))
+    rows = np.flatnonzero((np.abs(A) - full <= 1e-9).all(axis=1))
+    rows_ok = True
+    if rows.size:
+        alpha, share, _ = _deviation_block(model, structure, mask, imputed, np.ones(problem.n), rows)
+        dev = A[rows] - (A[rows] - alpha * share)  # the realized row at s = +1 subtracted from a
+        rows_ok = not np.any(np.abs(np.abs(A[rows]) - dev).max(axis=1) <= 1e-9)
     return {"cost_nonzero": cost_ok, "rows_nonzero_all_orthants": rows_ok, "orthants_checked": 2**problem.n}
 
 

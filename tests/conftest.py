@@ -30,15 +30,19 @@ def pytest_terminal_summary(terminalreporter):
 
 @pytest.fixture
 def calls(monkeypatch):
-    """Counts of the LPs solved ("lp_solve") and of the activation-budget
-    rankings ("activation_budgets") made through the library during the test.
+    """Counts of the LPs solved ("lp_solve"), of the activation-budget
+    rankings ("activation_budgets") and of the rows whose products are
+    ranked ("ranked_rows") made through the library during the test.
 
     solve_lp_batch (one count per LP in the batch), through which every
-    solver solves its LPs, and geometry.activation (one count per call,
-    whatever its row count), through which geometry.activation_budgets and
-    the budget solvers compute activation budgets, are wrapped wherever a
-    loaded io_recover module binds them, so the names the solver modules
-    import are counted too.  `calls.clear()` starts the counts again.
+    solver solves its LPs, geometry.activation (one count per call,
+    whatever its row count), through which geometry.activation_budgets,
+    validate and the budget solvers compute activation budgets, and
+    geometry.ranked (one count per row handed to it), through which every
+    budget share, protection and activation budget is ranked, are wrapped
+    wherever a loaded io_recover module binds them, so the names the
+    solver modules import, and geometry's own calls, are counted too.
+    `calls.clear()` starts the counts again.
     """
     counts = Counter()
 
@@ -51,7 +55,8 @@ def calls(monkeypatch):
 
     wrappers = {
         id(lp_mod.solve_lp_batch): counting(lp_mod.solve_lp_batch, "lp_solve", len),
-        id(geometry.activation): counting(geometry.activation, "activation_budgets", lambda A: 1),
+        id(geometry.activation): counting(geometry.activation, "activation_budgets", lambda surplus: 1),
+        id(geometry.ranked): counting(geometry.ranked, "ranked_rows", len),
     }
     for key, mod in list(sys.modules.items()):
         if key == "io_recover" or key.startswith("io_recover."):

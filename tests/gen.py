@@ -9,13 +9,16 @@ import numpy as np
 
 from io_recover import (
     ForwardProblem,
+    InverseSolution,
     ModelKind,
     NormKind,
     Prior,
     SideConstraints,
+    Status,
     UncertaintyStructure,
     compute_gamma_bounds,
 )
+from io_recover.geometry import budget_share, protection, row_dots
 from oracle import GridOracleSpec
 
 STEP = 0.05
@@ -280,3 +283,58 @@ def make_baseline_nlo_sd(m, n, seed, norm=NormKind.L2):
     rng.uniform(0.2, 0.9, A.shape)  # the family's fixed magnitudes, unused by nlo-sd
     estimates = A + rng.uniform(-0.5, 0.5, A.shape)
     return A, b, x, Prior(estimates=estimates, norm=norm)
+
+
+def edge_rows(seed, family):
+    """A robust family's rows at the edges of validate's A8 test and the
+    certificate's all-orthant test, with a solution that need not be
+    optimal: (model, problem, x, structure, solution).
+
+    Magnitudes are 0, 1e-12 or 10^U(-300, 300), so products alpha_ij
+    |x_j| are 0, 1e-12 (at x_j = +-1), underflow, or span the floats; x_j
+    is 0, +-1 or +-10^U(-300, 0).  A row's surplus is its full protection,
+    a share of it, or (rarely) negative.  About half the rows are built to
+    vanish in some orthant: |a_ij| is the deviation alpha_ij * share_ij in
+    force at the all-plus point (the budgets' shares, or 1 under interval
+    uncertainty), moved 0-2 ulps either way, and a_ij off J_i is 0, +-1e-9
+    or a float next to it.  Budgets are 0, |J_i|, fractional or integral
+    in between; interval magnitudes are sometimes negative.
+    """
+    rng = np.random.default_rng(seed)
+    m, n = int(rng.integers(1, 6)), int(rng.integers(1, 6))
+    mask = rng.random((m, n)) < 0.7
+    sets = tuple(tuple(np.flatnonzero(row).tolist()) for row in mask)
+
+    def wide(shape):
+        return 10.0 ** rng.uniform(-300.0, 300.0, shape)
+
+    alpha = np.select([rng.random((m, n)) < p for p in (0.15, 0.25)], [0.0, 1e-12], wide((m, n)))
+    x = np.select([rng.random(n) < p for p in (0.2, 0.5)], [0.0, 1.0], 10.0 ** rng.uniform(-300.0, 0.0, n))
+    x *= rng.choice([-1.0, 1.0], n)
+    size = mask.sum(axis=1).astype(float)
+    if family == "iu":
+        model, structure = ModelKind.RLO_IU_DG, UncertaintyStructure.interval(sets)
+        imputed = np.where(rng.random((m, n)) < 0.1, -alpha, alpha)
+        deviation = imputed
+    else:
+        model, structure = ModelKind.RLO_CCU_DG, UncertaintyStructure.cardinality(sets, alpha)
+        inside = rng.uniform(0.0, size)
+        imputed = np.choose(rng.integers(0, 4, m), [np.zeros(m), size, inside, np.floor(inside)])
+        deviation = alpha * budget_share(alpha, mask, np.ones(n), imputed)
+    vanishing = np.abs(np.where(mask, deviation, 0.0))
+    steps = np.where(rng.random((m, n)) < 0.5, 0, rng.integers(-2, 3, (m, n)))
+    for _ in range(2):  # up to two ulps either way
+        vanishing = np.where(steps > 0, np.nextafter(vanishing, np.inf), vanishing)
+        vanishing = np.where(steps < 0, np.nextafter(vanishing, 0.0), vanishing)
+        steps -= np.sign(steps)
+    edge = np.array([0.0, 0.0, 1e-9, np.nextafter(1e-9, 0.0), np.nextafter(1e-9, 1.0)])
+    vanishing = np.where(mask, vanishing, rng.choice(edge, (m, n)))
+    A = np.where(rng.random((m, 1)) < 0.5, vanishing, np.where(rng.random((m, n)) < 0.2, 0.0, wide((m, n))))
+    A *= rng.choice([-1.0, 1.0], (m, n))
+    total = protection(alpha, mask, x, size)
+    cut = np.select([rng.random(m) < p for p in (0.5, 0.95)], [1.0, rng.uniform(0.0, 1.0, m)], -1.0)
+    b = row_dots(A, x) - cut * total - (cut < 0.0)
+    problem = ForwardProblem(A=A, b=b)
+    solution = InverseSolution(model=model, status=Status.OPTIMAL, imputed=imputed,
+                               cost=rng.choice([0.0, 1e-9, 1.0], n))
+    return model, problem, x, structure, solution

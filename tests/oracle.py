@@ -22,8 +22,15 @@ import numpy as np
 
 from conftest import knapsack_protection
 from io_recover.errors import InverseLpError, PreconditionError
-from io_recover.geometry import NormKind, _split, dual_norm, products, row_dots
-from io_recover.model import CanonicalOmega, ModelKind, canonicalize_omega, clamp_budget_prior, param_keys
+from io_recover.geometry import NormKind, _split, activation_budgets, dual_norm, products, row_dots
+from io_recover.model import (
+    CanonicalOmega,
+    ModelKind,
+    ValidationEntry,
+    canonicalize_omega,
+    clamp_budget_prior,
+    param_keys,
+)
 from io_recover.verify import _deviation_block
 
 GRID_CAP = 10_000_000
@@ -595,6 +602,31 @@ def cost_match_by_row(model, problem, x, structure, solution):
     for i in range(problem.m):
         cost_eq += alpha[i] * (lam[i] - mu[i])
     return float(np.max(np.abs(cost_eq)))
+
+
+def a8_by_every_row(problem, x, structure):
+    """model.validate's A8 entry, ranking every row's products: the rows
+    whose activation budgets differ, none at a nominally infeasible point."""
+    ambiguous = np.zeros(problem.m, dtype=bool)
+    if not (problem.surplus(x) < -1e-9).any():
+        lower, upper = activation_budgets(problem.A, problem.b, structure.alpha, structure.mask(problem.n), x)
+        ambiguous = lower < upper
+    if not ambiguous.any():
+        return ValidationEntry("A8", "pass")
+    return ValidationEntry("A8", "warn", tuple((np.flatnonzero(ambiguous) + 1).tolist()),
+                           "a range of budgets activates this row; both endpoints are reported")
+
+
+def nontriviality_by_every_row(model, problem, structure, mask, solution):
+    """verify._nontriviality for a robust family, forming every row's
+    deviation at the all-plus point."""
+    cost_ok = solution.cost is not None and float(np.max(np.abs(solution.cost))) > 1e-9
+    plus = np.ones(problem.n)
+    alpha, share, _ = _deviation_block(model, structure, mask, np.asarray(solution.imputed, dtype=float), plus)
+    row = problem.A - alpha * share  # sgn(plus) = +1
+    dev = problem.A - row
+    rows_ok = not np.any(np.abs(np.abs(problem.A) - dev).max(axis=1) <= 1e-9)
+    return {"cost_nonzero": cost_ok, "rows_nonzero_all_orthants": rows_ok, "orthants_checked": 2**problem.n}
 
 
 def canonicalize_by_product(omega, keys, lower_floor=None, upper_cap=None):

@@ -124,7 +124,8 @@ class TestCcuDg:
         assert calls["activation_budgets"] == 1
         calls.clear()
         solve_rlo_ccu_dg(case.problem, case.x_hat, case.structure, case.omega)
-        assert calls == {"activation_budgets": 1}
+        # the m rows ranked once, and the active row again as its realized row
+        assert calls == {"activation_budgets": 1, "ranked_rows": case.problem.m + 1}
 
     def test_one_equality_form_serves_all_m_lps(self, std_builds, calls):
         # LP i maximizes budget i over one set: the budget box and omega's k coupled rows
@@ -168,7 +169,8 @@ class TestCcuDg:
             problem, x, structure, omega, _ = gen.make_ccu_dg(seed)
             solve_rlo_ccu_dg(problem, x, structure, omega)
             assert counts == {"ranked": 1, "mask": 1, "surplus": 1}, seed
-            assert calls == {"activation_budgets": 1}, seed
+            # the m rows, and the active row again as its realized row
+            assert calls == {"activation_budgets": 1, "ranked_rows": problem.m + 1}, seed
 
     def test_zero_budgets_give_min_surplus(self):
         case = example_case(5)
@@ -542,3 +544,110 @@ class TestCcuSdMetamorphic:
             assert moved.active_index == sol.active_index
             assert moved.imputed == pytest.approx(sol.imputed, rel=1e-9, abs=1e-12)
             assert moved.cost == pytest.approx(sol.cost[perm], rel=1e-9, abs=1e-12)
+
+
+def _ccu_dg_draw(seed):
+    """A random rlo-ccu-dg instance: `_ccu_sd_draw`'s rows, with each
+    budget in a box inside [0, |J_i|] (most floors 0, caps often short of
+    the activation budget, so that t is not 0 on every row), coupled on
+    odd seeds by one all-ones row (`gen.couple_rows`)."""
+    problem, x, structure, _ = _ccu_sd_draw(seed, NormKind.L1)
+    rng = np.random.default_rng([seed, 1])
+    size = structure.mask(problem.n).sum(axis=1)
+    lower = np.where(rng.random(problem.m) < 0.3, rng.uniform(0.0, 0.3, problem.m) * size, 0.0)
+    omega = gen._box_omega(lower, lower + rng.uniform(0.0, 0.6, problem.m) * (size - lower))
+    return problem, x, structure, gen.couple_rows(omega) if seed % 2 else omega
+
+
+def _t_scale(sol, problem, x):
+    """Each row's |surplus| + |knapsack|, the size of the terms its t is the difference of."""
+    surplus = problem.surplus(x)
+    return np.abs(surplus) + np.abs(sol.per_constraint["t"] - surplus)
+
+
+def _gap_separated(sol, problem, x):
+    """The active row's t is below every other row's by more than the
+    solver's tie band (`model.active_row`) could reach, with room to spare."""
+    t, i = sol.per_constraint["t"], sol.active_index - 1
+    return bool(np.all(np.delete(t, i) > t[i] + 1e-6 * (1.0 + _t_scale(sol, problem, x).max())))
+
+
+def _untied(sol, structure, x):
+    """No two of the active row's products alpha_ij |x_j| on J_i are equal:
+    a tie deviates the lower column first, so relabelling columns can move
+    a budget's share between tied columns (the cost, not its value at x)."""
+    i = sol.active_index - 1
+    values = structure.alpha[i, list(structure.sets[i])] * np.abs(x[list(structure.sets[i])])
+    return np.unique(values).size == values.size
+
+
+class TestCcuDgMetamorphic:
+    """Rescaling the data, or relabelling rows or columns, relabels
+    rlo-ccu-dg's answer.  Ties go to the lowest row, so the active row is
+    compared only where it is separated from the others."""
+
+    @given(seed=st.integers(0, 2**32 - 1), factor=st.sampled_from([1e-3, 0.37, 3.1, 1e3]))
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    def test_scaling_the_data(self, seed, factor):
+        # the magnitudes alpha are in A's units, so they scale with (A, b); the budgets carry no units
+        problem, x, structure, omega = _ccu_dg_draw(seed)
+        scaled = solve_rlo_ccu_dg(
+            ForwardProblem(A=factor * problem.A, b=factor * problem.b), x,
+            UncertaintyStructure.cardinality(structure.sets, factor * structure.alpha), omega,
+        )
+        sol = solve_rlo_ccu_dg(problem, x, structure, omega)
+        assert scaled.status == sol.status
+        if sol.status != Status.OPTIMAL:
+            return
+        # t is a difference of terms of size `_t_scale`: it scales up to their rounding
+        noise = 1e-12 * factor * (1.0 + _t_scale(sol, problem, x))
+        assert np.all(np.abs(scaled.per_constraint["t"] - factor * sol.per_constraint["t"]) <= noise)
+        assert abs(scaled.objective_value - factor * sol.objective_value) <= noise.max()
+        if _gap_separated(sol, problem, x):
+            assert scaled.active_index == sol.active_index
+            assert scaled.imputed == pytest.approx(sol.imputed, rel=1e-9, abs=1e-12)
+            assert scaled.cost == pytest.approx(factor * sol.cost, rel=1e-9, abs=1e-12)
+
+    @given(seed=st.integers(0, 2**32 - 1), data=st.data())
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    def test_permuting_rows(self, seed, data):
+        problem, x, structure, omega = _ccu_dg_draw(seed)
+        perm = np.array(data.draw(st.permutations(range(problem.m))))
+        moved = solve_rlo_ccu_dg(
+            ForwardProblem(A=problem.A[perm], b=problem.b[perm]), x,
+            UncertaintyStructure.cardinality(tuple(structure.sets[i] for i in perm), structure.alpha[perm]),
+            SideConstraints(G=omega.G[:, perm], h=omega.h),  # new budget k is old budget perm[k]
+        )
+        sol = solve_rlo_ccu_dg(problem, x, structure, omega)
+        assert moved.status == sol.status
+        if sol.status != Status.OPTIMAL:
+            return
+        assert moved.per_constraint["t"] == pytest.approx(sol.per_constraint["t"][perm], rel=1e-12, abs=1e-15)
+        if _gap_separated(sol, problem, x):
+            assert perm[moved.active_index - 1] == sol.active_index - 1
+            assert moved.imputed == pytest.approx(sol.imputed[perm], rel=1e-12, abs=1e-15)
+            assert moved.cost == pytest.approx(sol.cost, rel=1e-12, abs=1e-15)
+
+    @given(seed=st.integers(0, 2**32 - 1), data=st.data())
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    def test_permuting_columns(self, seed, data):
+        problem, x, structure, omega = _ccu_dg_draw(seed)
+        perm = np.array(data.draw(st.permutations(range(problem.n))))
+        label = np.argsort(perm)  # old column j is new column label[j]
+        moved = solve_rlo_ccu_dg(
+            ForwardProblem(A=problem.A[:, perm], b=problem.b), x[perm],
+            UncertaintyStructure.cardinality(tuple(tuple(label[list(cols)].tolist()) for cols in structure.sets),
+                                             structure.alpha[:, perm]),
+            omega,
+        )
+        sol = solve_rlo_ccu_dg(problem, x, structure, omega)
+        assert moved.status == sol.status
+        if sol.status != Status.OPTIMAL:
+            return
+        assert moved.per_constraint["t"] == pytest.approx(sol.per_constraint["t"], rel=1e-9, abs=1e-12)
+        if _gap_separated(sol, problem, x):
+            assert moved.active_index == sol.active_index
+            assert moved.imputed == pytest.approx(sol.imputed, rel=1e-9, abs=1e-12)
+            assert moved.cost @ x[perm] == pytest.approx(sol.cost @ x, rel=1e-9, abs=1e-12)
+            if _untied(sol, structure, x):
+                assert moved.cost == pytest.approx(sol.cost[perm], rel=1e-9, abs=1e-12)

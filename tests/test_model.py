@@ -2,14 +2,14 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import gen
 import io_recover
-from conftest import assert_same_bits
-from oracle import canonicalize_by_product
+from conftest import assert_same_bits, laid_out
+from oracle import a8_by_every_row, canonicalize_by_product
 from io_recover import (
     DimensionError,
     ForwardProblem,
@@ -23,7 +23,7 @@ from io_recover import (
     validate,
 )
 from io_recover.fixtures import example_case
-from io_recover.geometry import activation_budgets, norm_value
+from io_recover.geometry import norm_value
 from io_recover.model import (
     Status,
     ParamKeys,
@@ -616,16 +616,7 @@ def _loop_validate(problem, x_hat, structure, model, omega=None, prior=None):
             _loop_entry("A7", "fail", bad7, "observed point violates the nominal constraint")
             if bad7 else _loop_entry("A7", "pass")
         )
-        ambiguous = []
-        if not bad7:
-            lower, upper = activation_budgets(problem.A, problem.b, structure.alpha, mask, x)
-            ambiguous = np.flatnonzero(lower < upper)
-        if len(ambiguous):
-            entries.append(_loop_entry(
-                "A8", "warn", ambiguous, "a range of budgets activates this row; both endpoints are reported"
-            ))
-        else:
-            entries.append(_loop_entry("A8", "pass"))
+        entries.append(a8_by_every_row(problem, x, structure))
         if model == ModelKind.RLO_CCU_SD:
             off = [i for i in range(m) if prior.estimates[i] < 0.0 or prior.estimates[i] > len(structure.sets[i])]
             if off:
@@ -707,6 +698,41 @@ class TestValidateMatchesRowLoop:
             seen |= {(e.check, e.level) for e in _assert_same_validation(*case).entries}
         assert seen >= {("A2", "fail"), ("A4", "fail"), ("A9", "warn"), ("xi", "warn"), ("A10", "fail"),
                         ("A7", "fail"), ("A8", "pass"), ("A1", "fail")}
+
+
+class TestA8RanksOnlyRowsWithAZeroProduct:
+    """A8 ranks only the rows with a product alpha_ij |x_j| <= 1e-12 on J_i,
+    the rows whose activation budgets can differ, and reports what ranking
+    every row reports (`oracle.a8_by_every_row`)."""
+
+    @given(seed=st.integers(0, 2**32 - 1), layout=st.sampled_from(["C", "F", "strided"]))
+    @settings(derandomize=True, max_examples=500, deadline=None)
+    @example(seed=278740, layout="C")  # kills a filter of products < 1e-12
+    def test_matches_ranking_every_row(self, seed, layout):
+        # zero and 1e-12 products, surpluses at the full protection, magnitudes across the floats
+        # (`gen.edge_rows`); A in the drawn layout, on which a dot's bits can depend
+        model, problem, x, structure, _ = gen.edge_rows(seed, "ccu")
+        _assert_same_validation(model, ForwardProblem(A=laid_out(problem.A, layout), b=problem.b), x, structure,
+                                None)
+
+    def test_positive_products_rank_no_row(self, calls):
+        problem, x, structure, omega = gen.make_dg_box(ModelKind.RLO_CCU_DG, 20, 5, 3)
+        report = validate(problem, x, structure, ModelKind.RLO_CCU_DG, omega=omega)
+        assert report.level("A8") == "pass"
+        assert (calls["ranked_rows"], calls["activation_budgets"]) == (0, 0)
+
+    def test_rows_with_a_zero_product_are_ranked(self, calls):
+        problem, x, structure, omega = gen.make_dg_box(ModelKind.RLO_CCU_DG, 20, 5, 3)
+        alpha = np.array(structure.alpha)
+        alpha[[4, 11], 2] = 0.0
+        # row 12's surplus is its full protection, so every budget from 4 to 5 activates it
+        b = np.array(problem.b)
+        b[11] = problem.A[11] @ x - alpha[11] @ np.abs(x)
+        problem = ForwardProblem(A=problem.A, b=b)
+        structure = UncertaintyStructure.cardinality(structure.sets, alpha)
+        report = validate(problem, x, structure, ModelKind.RLO_CCU_DG, omega=omega)
+        assert [e.rows for e in report.entries if e.check == "A8"] == [(12,)]
+        assert (calls["ranked_rows"], calls["activation_budgets"]) == (2, 1)
 
 
 # The gap models' shared tail: per-row values (LP outcomes or closed forms) to t, the active row and the solution.

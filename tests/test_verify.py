@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import gen
@@ -27,8 +27,8 @@ from io_recover import (
 )
 from io_recover.fixtures import all_examples, example_case, solve_case
 from io_recover.geometry import aux_optimum, realized_row_cardinality, realized_row_interval
-from io_recover.verify import REPORT_TOL, UNIT_FREE
-from oracle import GridOracleSpec, GridTooLargeError, brute_force_min, cost_match_by_row
+from io_recover.verify import REPORT_TOL, UNIT_FREE, _nontriviality
+from oracle import GridOracleSpec, GridTooLargeError, brute_force_min, cost_match_by_row, nontriviality_by_every_row
 
 
 def _solved(number):
@@ -632,3 +632,43 @@ class TestCostEquation:
                 return
         got = check_certificate(model, problem, x, structure, sol).residuals["dual.cost_match"]
         assert got.hex() == cost_match_by_row(model, problem, np.asarray(x, dtype=float), structure, sol).hex()
+
+
+class TestOnlyRowsThatCanVanishAreFormed:
+    """The all-orthant test forms the deviation of only the rows whose
+    coefficients all pass |a_ij| - (a_ij - (a_ij - alpha_ij)) <= 1e-9, and
+    reports what forming every row reports (`oracle.nontriviality_by_every_row`)."""
+
+    @given(seed=st.integers(0, 2**32 - 1), family=st.sampled_from(["iu", "ccu"]),
+           layout=st.sampled_from(["C", "F", "strided"]))
+    @settings(derandomize=True, max_examples=600, deadline=None)
+    @example(seed=141, family="iu", layout="C")  # kills a filter of |a_ij| - alpha_ij <= 1e-9
+    @example(seed=655, family="iu", layout="C")  # kills a strict < 1e-9
+    def test_matches_forming_every_row(self, seed, family, layout):
+        # rows built to vanish at the all-plus point and moved a few ulps, off-J_i entries at and
+        # next to 1e-9, zero products, magnitudes across the floats (`gen.edge_rows`)
+        model, problem, _, structure, sol = gen.edge_rows(seed, family)
+        problem = ForwardProblem(A=laid_out(problem.A, layout), b=problem.b)
+        mask = structure.mask(problem.n)
+        assert (_nontriviality(model, problem, structure, mask, sol)
+                == nontriviality_by_every_row(model, problem, structure, mask, sol))
+
+    def test_a_certificate_ranks_the_rows_once(self, calls):
+        problem, x, structure, omega = gen.make_dg_box(ModelKind.RLO_CCU_DG, 20, 5, 3)
+        sol = io_recover.solve(ModelKind.RLO_CCU_DG, problem, x, structure, omega=omega)
+        calls.clear()
+        report = check_certificate(ModelKind.RLO_CCU_DG, problem, x, structure, sol)
+        assert report.nontriviality["rows_nonzero_all_orthants"]
+        assert calls["ranked_rows"] == problem.m  # the deviation block at x, nothing at the all-plus point
+
+    def test_a_row_that_can_vanish_is_ranked_at_the_all_plus_point(self, calls):
+        # row 3 is its magnitudes, so at the full budget it vanishes in the orthant x >= 0
+        problem, x, structure, omega = gen.make_dg_box(ModelKind.RLO_CCU_DG, 20, 5, 3)
+        sol = io_recover.solve(ModelKind.RLO_CCU_DG, problem, x, structure, omega=omega)
+        A = np.array(problem.A)
+        A[2] = structure.alpha[2]
+        calls.clear()
+        report = check_certificate(ModelKind.RLO_CCU_DG, ForwardProblem(A=A, b=problem.b), x, structure,
+                                   replace(sol, imputed=np.where(np.arange(20) == 2, 5.0, sol.imputed)))
+        assert not report.nontriviality["rows_nonzero_all_orthants"]
+        assert calls["ranked_rows"] == problem.m + 1
