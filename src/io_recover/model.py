@@ -279,9 +279,15 @@ class SideConstraints:
     G's columns in their natural order (`param_keys`).
 
     `entries` holds the (row, column) index arrays of G's nonzeros in
-    row-major order, read once at construction, and is right because G
-    cannot change: a float array passed as G or h is frozen in place
-    (made read-only, not copied), as the other constructors do.
+    row-major order, read once at construction.  The split that
+    `canonicalize_omega` makes of the rows is derived from them then too,
+    as far as it depends on omega alone: the tightest bound each row on a
+    single parameter puts on it, whether an empty row has h < -1e-9, and
+    the indices of the kept rows (two or more nonzeros) with their
+    nonzeros' (row, column) pairs.  The kept rows themselves are not
+    copied.  All of it is read-only, and right because G cannot change: a
+    float array passed as G or h is frozen in place (made read-only, not
+    copied), as the other constructors do.
     """
 
     G: np.ndarray
@@ -299,9 +305,24 @@ class SideConstraints:
         object.__setattr__(self, "G", _freeze(G))
         object.__setattr__(self, "h", _freeze(h))
         rows, cols = np.divmod(np.flatnonzero(G != 0.0), max(G.shape[1], 1))  # flatnonzero(G) is far slower
-        rows.setflags(write=False)
-        cols.setflags(write=False)
+        count = np.bincount(rows, minlength=h.size)
+        single = np.flatnonzero(count == 1)
+        col = cols[(np.cumsum(count) - count)[single]]  # the parameter of each single row's one nonzero
+        g = G[single, col]
+        bound = h[single] / g
+        lower, upper = np.full(G.shape[1], -np.inf), np.full(G.shape[1], np.inf)
+        np.minimum.at(upper, col[g > 0], bound[g > 0])
+        np.maximum.at(lower, col[g < 0], bound[g < 0])
+        kept = np.flatnonzero(count > 1)
+        on_kept = (count > 1)[rows]
+        kept_rows, kept_cols = rows[on_kept], cols[on_kept]
+        for arr in (rows, cols, lower, upper, kept, kept_rows, kept_cols):
+            arr.setflags(write=False)
         object.__setattr__(self, "entries", (rows, cols))
+        object.__setattr__(self, "_bounds", (lower, upper))
+        object.__setattr__(self, "_empty_infeasible", bool(np.any(h[count == 0] < -1e-9)))
+        object.__setattr__(self, "_kept", kept)
+        object.__setattr__(self, "_kept_entries", (kept_rows, kept_cols))
 
     @property
     def p(self):
@@ -333,35 +354,28 @@ def canonicalize_omega(omega, keys, lower_floor=None, upper_cap=None):
 
     `keys` is the model's `ParamKeys`.  lower_floor/upper_cap are
     model-intrinsic bounds (e.g. deviations >= 0, budgets within the
-    per-row column count) merged in as well.  G is not scanned again: its
-    nonzeros, listed once in `omega.entries`, give each row's count of
-    parameters, the column of a single one and the forward rows a kept
-    row touches, in time linear in G's rows, columns and nonzeros.  Only
-    the kept rows of G are copied.
+    per-row column count) merged in as well.  The split that depends on
+    omega alone was made when omega was built (`SideConstraints`), so a
+    call reads no nonzero of G: it merges the floor and the cap into
+    omega's bounds in O(p), gathers the kept rows of G and tests whether a
+    kept row couples on those rows' nonzeros alone.
     """
     p = len(keys)
-    lo = np.full(p, -np.inf)
-    hi = np.full(p, np.inf)
-    if lower_floor is not None:
-        lo = np.maximum(lo, np.asarray(lower_floor, dtype=float))
-    if upper_cap is not None:
-        hi = np.minimum(hi, np.asarray(upper_cap, dtype=float))
-    omega = SideConstraints(G=np.zeros((0, p)), h=np.zeros(0)) if omega is None else omega
-    G, h, (rows, cols) = omega.G, omega.h, omega.entries
-    count = np.bincount(rows, minlength=h.size)
-    single = np.flatnonzero(count == 1)
-    col = cols[(np.cumsum(count) - count)[single]]  # the parameter of each single row's one nonzero
-    g = G[single, col]
-    bound = h[single] / g
-    np.minimum.at(hi, col[g > 0], bound[g > 0])
-    np.maximum.at(lo, col[g < 0], bound[g < 0])
-    feasible = not (np.any(h[count == 0] < -1e-9) or np.any(lo > hi + 1e-9))
-    kept = count > 1
-    kept_rows = G[kept]
-    # a kept row couples when two of its consecutive nonzeros lie on different forward rows
-    forward = keys.rows[cols]
-    couples = bool(np.any((rows[1:] == rows[:-1]) & (forward[1:] != forward[:-1])))
-    return CanonicalOmega(lower=lo, upper=hi, G=kept_rows, h=h[kept], feasible=feasible, couples=couples)
+    if omega is None:
+        lo, hi, kept_rows, kept_h = np.full(p, -np.inf), np.full(p, np.inf), np.zeros((0, p)), np.zeros(0)
+        infeasible = couples = False
+    else:
+        (lo, hi), (rows, cols) = omega._bounds, omega._kept_entries
+        kept_rows, kept_h, infeasible = omega.G[omega._kept], omega.h[omega._kept], omega._empty_infeasible
+        # a kept row couples when two of its consecutive nonzeros lie on different forward rows
+        forward = keys.rows[cols]
+        couples = bool(np.any((rows[1:] == rows[:-1]) & (forward[1:] != forward[:-1])))
+    # the floor and cap go first, since a tie returns the first argument: a zero keeps the sign it has
+    # when they are merged before omega's rows
+    lo = lo.copy() if lower_floor is None else np.maximum(np.asarray(lower_floor, dtype=float), lo)
+    hi = hi.copy() if upper_cap is None else np.minimum(np.asarray(upper_cap, dtype=float), hi)
+    feasible = not (infeasible or np.any(lo > hi + 1e-9))
+    return CanonicalOmega(lower=lo, upper=hi, G=kept_rows, h=kept_h, feasible=feasible, couples=couples)
 
 
 @dataclass(frozen=True, eq=False)

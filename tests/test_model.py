@@ -439,6 +439,38 @@ def test_canonical_omega_matches_the_product_scan(case):
         assert type(getattr(ours, name)) is bool and getattr(ours, name) == getattr(theirs, name)
 
 
+GAP_MAKERS = {ModelKind.NLO_DG: gen.make_nlo_dg, ModelKind.RLO_IU_DG: gen.make_iu_dg,
+              ModelKind.RLO_CCU_DG: gen.make_ccu_dg}
+OMEGA_FORMS = {"as drawn": lambda omega: omega, "couple_rows": gen.couple_rows,
+               "two_couplings": lambda omega: gen.two_couplings(gen.couple_rows(omega))}
+
+
+@given(model=st.sampled_from(sorted(GAP_MAKERS)), seed=st.integers(0, 299), form=st.sampled_from(sorted(OMEGA_FORMS)),
+       data=st.data())
+@settings(derandomize=True, max_examples=150, deadline=None)
+def test_the_split_made_at_construction_leaks_into_no_call(model, seed, form, data):
+    # one omega canonicalized under a floor and a cap, then under none, then under others, with its model's
+    # validate and solve in between: each call matches the whole-G scan of its own inputs, byte for byte,
+    # even after the caller wrote into what the earlier calls returned; the split omega holds is read-only
+    problem, x, structure, omega, _ = GAP_MAKERS[model](seed)
+    omega = OMEGA_FORMS[form](omega)
+    keys = param_keys(model, problem, structure)
+    bounds = arrays(float, len(keys), elements=st.sampled_from([-1.0, -0.0, 0.0, 0.5, 2.0, np.inf]))
+    calls = [(data.draw(bounds), data.draw(bounds)), (None, None),
+             (data.draw(st.none() | bounds), data.draw(st.none() | bounds))]
+    for floor, cap in calls:
+        ours, theirs = canonicalize_omega(omega, keys, floor, cap), canonicalize_by_product(omega, keys, floor, cap)
+        for name in ("lower", "upper", "G", "h"):
+            assert_same_bits(getattr(ours, name), getattr(theirs, name))
+            getattr(ours, name)[...] = 7.0
+        assert (ours.feasible, ours.couples) == (theirs.feasible, theirs.couples)
+        validate(problem, x, structure, model, omega=omega)
+        io_recover.solve(model, problem, x, structure, omega=omega)
+    for arr in (*omega._bounds, omega._kept, *omega._kept_entries):
+        with pytest.raises(ValueError):
+            arr[...] = 0
+
+
 class TestValidate:
     def test_example2_all_pass(self):
         case = example_case(2)

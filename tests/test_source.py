@@ -16,9 +16,9 @@ which prices one coupling row by the one knapsack kernel and shares one
 feasible set over the m LPs when more are left.  `model` is the one module
 besides the package's re-exports to import the LP engine, and `validate`
 tests each assumption on all rows at once.  Side constraints read G's
-nonzeros once, when built, and `canonicalize_omega` works from them in
-one path: G's columns follow the natural parameter order everywhere in the
-library, because `problem_io` resolves a document's `variable_order` when
+nonzeros once, when built, and split the rows into bounds and kept rows
+then; `canonicalize_omega` counts no nonzero and takes one path: G's
+columns follow the natural parameter order everywhere in the library, because `problem_io` resolves a document's `variable_order` when
 it reads it, and no other module names the column order.  Documents are written by
 `problem_io`'s own writer, not by the stdlib's indenting encoder, which is
 pure Python.  The benchmark's traced runs
@@ -176,12 +176,14 @@ def _reads_G(node):
 
 
 def test_canonicalize_reads_the_nonzeros_once():
-    # G's nonzero pattern is read once, when the side constraints are built (SideConstraints.entries):
-    # canonicalize_omega multiplies no matrix, and it only indexes G, never compares it, computes
-    # with it or hands it whole to a function
+    # G's nonzero pattern is read once, when the side constraints are built, and so is every part of
+    # the split that depends on omega alone: canonicalize_omega reads no `entries`, counts, sums,
+    # lists or scatters no nonzeros, multiplies no matrix, and only indexes G, never compares it,
+    # computes with it or hands it whole to a function
     canon = MODEL["canonicalize_omega"]
     assert [node.lineno for node in ast.walk(canon) if isinstance(node, ast.MatMult)] == []
-    assert "entries" in {node.attr for node in ast.walk(canon) if isinstance(node, ast.Attribute)}
+    assert "entries" not in {node.attr for node in ast.walk(canon) if isinstance(node, ast.Attribute)}
+    assert _called(canon) & {"bincount", "cumsum", "flatnonzero", "at"} == set()
     assert [node.lineno for node in ast.walk(canon)
             if isinstance(node, (ast.Compare, ast.Call, ast.BinOp, ast.UnaryOp)) and _reads_G(node)] == []
 
