@@ -61,13 +61,13 @@ def _budget_rows(problem, structure, x):
     has checked: (GammaBounds, nominal surplus, uncertain-column mask,
     ranked products).  One ranking serves the activation budgets and the
     protection at the caps."""
-    surplus = problem.surplus(x)
+    surplus = row_dots(problem.A, x) - problem.b  # one surplus for infeasibility, the budgets and t's offset
     worst = int(np.argmin(surplus))
     if surplus[worst] < -1e-9:
         raise NominalInfeasibleError(worst, float(-surplus[worst]))
     mask = structure.mask(problem.n)
     _, values = ranked(structure.alpha, mask, x)
-    lower, upper = activation(row_dots(problem.A, x) - problem.b, mask, values)
+    lower, upper = activation(surplus, mask, values)
     reach = ~np.isnan(lower)
     bounds = GammaBounds(
         i_hat=tuple(np.flatnonzero(reach).tolist()), gamma_lower=lower, gamma_upper=upper,

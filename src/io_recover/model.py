@@ -20,11 +20,13 @@ import numpy as np
 from .errors import DimensionError, NumericalFailureError, PreconditionError
 from .geometry import (
     NormKind,
-    activation_budgets,
+    activation,
     box_knapsack,
     products,
+    ranked,
     realized_row_cardinality,
     realized_row_interval,
+    row_dots,
 )
 from .lp import Constraints, LinearProgram, LpStatus, solve_lp_batch
 
@@ -853,7 +855,8 @@ def validate(problem, x_hat, structure, model, omega=None, prior=None):
             flag("A6", ~(mask & (x != 0.0)).any(), "every uncertain column is zero at the observed point")
 
     if model.family == "ccu":
-        violated = problem.surplus(x) < -1e-9
+        surplus = row_dots(A, x) - b  # as the budget solvers take it, for A7 and A8 alike
+        violated = surplus < -1e-9
         flag("A7", violated, "observed point violates the nominal constraint")
         ambiguous = np.zeros(m, dtype=bool)
         if not violated.any():  # the activation budgets are read only at a nominally feasible point
@@ -861,7 +864,7 @@ def validate(problem, x_hat, structure, model, omega=None, prior=None):
             # (`geometry.activation`), and each row is ranked on its own, so only those rows are ranked
             rows = np.flatnonzero((mask & (products(structure.alpha, mask, x) <= 1e-12)).any(axis=1))
             if rows.size:
-                lower, upper = activation_budgets(A, b, structure.alpha, mask, x, rows)
+                lower, upper = activation(surplus[rows], mask[rows], ranked(structure.alpha[rows], mask[rows], x)[1])
                 ambiguous[rows] = lower < upper
         flag("A8", ambiguous, "a range of budgets activates this row; both endpoints are reported", "warn")
         if model == ModelKind.RLO_CCU_SD:

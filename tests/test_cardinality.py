@@ -146,9 +146,9 @@ class TestCcuDg:
         assert std_builds == []
 
     def test_box_only_solve_ranks_once(self, calls, monkeypatch):
-        # one mask, one ranking of all m rows and one nominal surplus serve
-        # the whole box-only solve: the activation budgets, the protection at
-        # the caps and the tail
+        # one mask, one ranking of all m rows and one nominal surplus, taken
+        # by row_dots alone, serve the whole box-only solve: the infeasibility
+        # test, the activation budgets, the protection at the caps and the tail
         counts = Counter()
 
         def counted(owner, name):
@@ -163,14 +163,20 @@ class TestCcuDg:
         counted(cardinality, "ranked")
         counted(UncertaintyStructure, "mask")
         counted(ForwardProblem, "surplus")
+        counted(cardinality, "row_dots")
+        counted(model, "row_dots")
         for seed in range(5):
             counts.clear()
             calls.clear()
             problem, x, structure, omega, _ = gen.make_ccu_dg(seed)
             solve_rlo_ccu_dg(problem, x, structure, omega)
-            assert counts == {"ranked": 1, "mask": 1, "surplus": 1}, seed
+            assert counts == {"ranked": 1, "mask": 1, "row_dots": 1}, seed
             # the m rows, and the active row again as its realized row
             assert calls == {"activation_budgets": 1, "ranked_rows": problem.m + 1}, seed
+            # validate's A7 and A8 read one surplus too, the one the solve takes
+            counts.clear()
+            model.validate(problem, x, structure, ModelKind.RLO_CCU_DG, omega=omega)
+            assert (counts["row_dots"], counts["surplus"]) == (1, 0), seed
 
     def test_zero_budgets_give_min_surplus(self):
         case = example_case(5)
