@@ -18,8 +18,9 @@ besides the package's re-exports to import the LP engine, and `validate`
 tests each assumption on all rows at once.  Side constraints read G's
 nonzeros once, when built, and split the rows into bounds and kept rows
 then; `canonicalize_omega` counts no nonzero and takes one path: G's
-columns follow the natural parameter order everywhere in the library, because `problem_io` resolves a document's `variable_order` when
-it reads it, and no other module names the column order.  Documents are written by
+columns follow the natural parameter order everywhere in the library,
+because `problem_io` resolves a document's `variable_order` when it reads
+it, and no other module names the column order.  Documents are written by
 `problem_io`'s own writer, not by the stdlib's indenting encoder, which is
 pure Python.  The benchmark's traced runs
 find every function they wrap, and every error class is raised or caught
