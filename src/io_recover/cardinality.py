@@ -59,21 +59,21 @@ def compute_gamma_bounds(problem, structure, x_hat):
 def _budget_rows(problem, structure, x):
     """What a budget solve reads of its rows, at an observation its caller
     has checked: (GammaBounds, nominal surplus, uncertain-column mask,
-    ranked products).  One ranking serves the activation budgets and the
-    protection at the caps."""
+    ranking, ranked products).  One ranking serves the activation budgets,
+    the protection at the caps and the active row's realization."""
     surplus = row_dots(problem.A, x) - problem.b  # one surplus for infeasibility, the budgets and t's offset
     worst = int(np.argmin(surplus))
     if surplus[worst] < -1e-9:
         raise NominalInfeasibleError(worst, float(-surplus[worst]))
     mask = structure.mask(problem.n)
-    _, values = ranked(structure.alpha, mask, x)
+    order, values = ranked(structure.alpha, mask, x)
     lower, upper = activation(surplus, mask, values)
     reach = ~np.isnan(lower)
     bounds = GammaBounds(
         i_hat=tuple(np.flatnonzero(reach).tolist()), gamma_lower=lower, gamma_upper=upper,
         theta_upper=np.where(reach, upper, mask.sum(axis=1)),
     )
-    return bounds, surplus, mask, values
+    return bounds, surplus, mask, order, values
 
 
 def solve_rlo_ccu_dg(problem, x_hat, structure, omega):
@@ -90,7 +90,7 @@ def solve_rlo_ccu_dg(problem, x_hat, structure, omega):
     x = check_inputs(ModelKind.RLO_CCU_DG, problem, x_hat, structure, omega=omega)
     m = problem.m
     try:
-        gb, surplus, mask, values = _budget_rows(problem, structure, x)
+        gb, surplus, mask, order, values = _budget_rows(problem, structure, x)
     except NominalInfeasibleError as exc:
         return InverseSolution.infeasible(ModelKind.RLO_CCU_DG, str(exc))
     keys = param_keys(ModelKind.RLO_CCU_DG, problem, structure)
@@ -105,7 +105,9 @@ def solve_rlo_ccu_dg(problem, x_hat, structure, omega):
             return found
         cap, block = found
         cap, imputed = -cap, lambda i: block(i)[:, 0]
-    return gap_solution(ModelKind.RLO_CCU_DG, problem, structure, x, surplus, -knapsack(values, mask, cap), imputed)
+    return gap_solution(
+        ModelKind.RLO_CCU_DG, problem, structure, x, surplus, -knapsack(values, mask, cap), imputed, order
+    )
 
 
 def solve_rlo_ccu_sd(problem, x_hat, structure, prior):
@@ -120,7 +122,7 @@ def solve_rlo_ccu_sd(problem, x_hat, structure, prior):
     x = check_inputs(ModelKind.RLO_CCU_SD, problem, x_hat, structure, prior=prior)
     m = problem.m
     try:
-        gb = _budget_rows(problem, structure, x)[0]
+        gb, _, _, order, _ = _budget_rows(problem, structure, x)
     except NominalInfeasibleError as exc:
         return InverseSolution.infeasible(ModelKind.RLO_CCU_SD, str(exc))
     if not gb.i_hat:
@@ -147,5 +149,5 @@ def solve_rlo_ccu_sd(problem, x_hat, structure, prior):
     t[rows] = own[rows]
     return row_solution(
         ModelKind.RLO_CCU_SD, problem, structure, x, t, t,
-        lambda i: np.where(np.arange(m) == i, moved, kept), {"f": f, "g": g},
+        lambda i: np.where(np.arange(m) == i, moved, kept), {"f": f, "g": g}, order,
     )

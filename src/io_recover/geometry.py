@@ -214,11 +214,13 @@ def _split(budget, mask):
     return full, np.where(frac < _VALUE_TOL, 0.0, frac)
 
 
-def budget_share(alpha, mask, x, budget):
+def budget_share(alpha, mask, x, budget, order=None):
     """The share of each column's deviation in force (m x n) when row i
     deviates by budget[i]: 1 on its floor(budget[i]) highest-ranked
-    columns, the fractional part on the next, 0 elsewhere."""
-    order, _ = ranked(alpha, mask, x)
+    columns, the fractional part on the next, 0 elsewhere.  `order` is
+    these rows' ranking from `ranked`, taken here when not given."""
+    if order is None:
+        order = ranked(alpha, mask, x)[0]
     full, frac = _split(budget, mask)
     rank = np.empty_like(order)  # each column's place in its row's ranking
     rank[np.arange(order.shape[0])[:, None], order] = np.arange(order.shape[1])
@@ -392,11 +394,21 @@ def realized_row_cardinality(a_i, alpha_i, budget, cols, x):
     """Effective row when at most `budget` coefficients deviate (one fractionally).
 
     The top floor(budget) columns in sorted alpha|x| order deviate fully,
-    the next deviates by the fractional part, the rest stay nominal.
+    the next deviates by the fractional part, the rest stay nominal.  This
+    is the one-row view for callers outside; a budget solve realizes its
+    active row by `budget_row` from the ranking of all m rows.
     """
+    return budget_row(a_i, _check_alpha(alpha_i, cols), _budget(budget, cols), cols, x)
+
+
+def budget_row(a_i, alpha_i, budget, cols, x, order=None):
+    """`realized_row_cardinality` of a checked row: alpha_i >= 0 on `cols`,
+    and `budget` a one-entry array in [0, |cols|].  `order` is the row's
+    ranking as a 1 x n block from `ranked` (of this row alone or among
+    others, which ranks it alike), taken here when not given."""
     a_i = np.asarray(a_i, dtype=float)
-    alpha, mask, x = _one_row(_check_alpha(alpha_i, cols), cols, x)
-    share = budget_share(alpha, mask, x, _budget(budget, cols))[0]
+    alpha, mask, x = _one_row(alpha_i, cols, x)
+    share = budget_share(alpha, mask, x, budget, order)[0]
     return np.where(share > 0.0, a_i - sgn(x) * alpha[0] * share, a_i)
 
 

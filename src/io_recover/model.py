@@ -22,9 +22,9 @@ from .geometry import (
     NormKind,
     activation,
     box_knapsack,
+    budget_row,
     products,
     ranked,
-    realized_row_cardinality,
     realized_row_interval,
     row_dots,
 )
@@ -70,7 +70,7 @@ def _freeze(arr):
 
 
 def _require_finite(name, arr):
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise DimensionError(name, "entries must be finite")
 
 
@@ -528,32 +528,36 @@ def active_row(t, scale):
     return int(np.argmax(np.isfinite(t) & (t <= t[j] + ZERO_TOL * (1.0 + scale + scale[j]))))
 
 
-def realized_row(variant, problem, structure, params, i, x):
+def realized_row(variant, problem, structure, params, i, x, order=None):
     """Row i of the constraint as realized at x under `variant`'s
     uncertainty, with the model's parameters `params` (the matrix, the
     magnitudes or the budgets, one row or entry per constraint): the row
     itself for the nominal variant, and the row under full or budgeted
-    deviation (a budget clamped into [0, |J_i|]) for the robust ones."""
+    deviation (a budget clamped into [0, |J_i|]) for the robust ones.  A
+    budget row is realized from `order`, the ranking of every row by
+    `geometry.ranked`, or from its own ranking when none is given."""
     params = np.asarray(params, dtype=float)
     if variant == Variant.NOMINAL:
         return params[i].copy()
     if variant == Variant.INTERVAL:
         return realized_row_interval(problem.A[i], params[i], structure.sets[i], x)
-    budget = min(max(float(params[i]), 0.0), float(len(structure.sets[i])))
-    return realized_row_cardinality(problem.A[i], structure.alpha[i], budget, structure.sets[i], x)
+    cols = structure.sets[i]
+    budget = np.array([min(max(float(params[i]), 0.0), float(len(cols)))])
+    return budget_row(problem.A[i], structure.alpha[i], budget, cols, x, None if order is None else order[i : i + 1])
 
 
-def row_solution(model, problem, structure, x, t, scale, imputed, per_constraint):
+def row_solution(model, problem, structure, x, t, scale, imputed, per_constraint, order=None):
     """The one tail of every solver: make row i* = `active_row(t, scale)`
     active.  The imputed block is `imputed(i*)`, the cost vector row i* of
-    it realized at the observation x, the dual the unit vector on i*, the
-    objective t_i*, and the duality gap t_i* for the gap models and 0 under
-    strong duality.  The status is trivial-detected when the cost vanishes,
-    or for the nlo family when any imputed row does.
+    it realized at the observation x (a budget model passes its ranking of
+    every row as `order`), the dual the unit vector on i*, the objective
+    t_i*, and the duality gap t_i* for the gap models and 0 under strong
+    duality.  The status is trivial-detected when the cost vanishes, or for
+    the nlo family when any imputed row does.
     """
     i_star = active_row(t, scale)
     block = imputed(i_star)
-    cost = realized_row(model.variant, problem, structure, block, i_star, x)
+    cost = realized_row(model.variant, problem, structure, block, i_star, x, order)
     pi = (np.arange(problem.m) == i_star).astype(float)
     objective = float(t[i_star])
     rows = block if model.family == "nlo" else cost[None]
@@ -571,12 +575,12 @@ def row_solution(model, problem, structure, x, t, scale, imputed, per_constraint
     )
 
 
-def gap_solution(model, problem, structure, x, offset, values, imputed):
+def gap_solution(model, problem, structure, x, offset, values, imputed, order=None):
     """Solution of a gap model from each row's subproblem value:
     t_i = offset[i] + values[i] at scale |offset| + |values|, reported as
-    `t`; `imputed` is as in `row_solution`."""
+    `t`; `imputed` and `order` are as in `row_solution`."""
     t = offset + values
-    return row_solution(model, problem, structure, x, t, np.abs(offset) + np.abs(values), imputed, {"t": t})
+    return row_solution(model, problem, structure, x, t, np.abs(offset) + np.abs(values), imputed, {"t": t}, order)
 
 
 def _descend(point, direction, c, target):

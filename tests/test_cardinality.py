@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gen
-from conftest import knapsack_continuous, knapsack_protection
+from conftest import assert_same_bits, knapsack_continuous, knapsack_protection
 from io_recover import (
     ForwardProblem,
     ModelKind,
@@ -124,8 +124,8 @@ class TestCcuDg:
         assert calls["activation_budgets"] == 1
         calls.clear()
         solve_rlo_ccu_dg(case.problem, case.x_hat, case.structure, case.omega)
-        # the m rows ranked once, and the active row again as its realized row
-        assert calls == {"activation_budgets": 1, "ranked_rows": case.problem.m + 1}
+        # the m rows ranked once; the active row is realized from that ranking
+        assert calls == {"activation_budgets": 1, "ranked_rows": case.problem.m}
 
     def test_one_equality_form_serves_all_m_lps(self, std_builds, calls):
         # LP i maximizes budget i over one set: the budget box and omega's k coupled rows
@@ -171,8 +171,8 @@ class TestCcuDg:
             problem, x, structure, omega, _ = gen.make_ccu_dg(seed)
             solve_rlo_ccu_dg(problem, x, structure, omega)
             assert counts == {"ranked": 1, "mask": 1, "row_dots": 1}, seed
-            # the m rows, and the active row again as its realized row
-            assert calls == {"activation_budgets": 1, "ranked_rows": problem.m + 1}, seed
+            # the m rows once, the active row's realization included
+            assert calls == {"activation_budgets": 1, "ranked_rows": problem.m}, seed
             # validate's A7 and A8 read one surplus too, the one the solve takes
             counts.clear()
             model.validate(problem, x, structure, ModelKind.RLO_CCU_DG, omega=omega)
@@ -325,6 +325,15 @@ class TestCcuSd:
         solve_rlo_ccu_sd(case.problem, case.x_hat, case.structure, case.prior)
         assert calls["lp_solve"] == 0
         assert calls["activation_budgets"] == 1
+
+    def test_solve_ranks_the_rows_once(self, calls):
+        # one ranking of the m rows serves the activation budgets and the active row's realization
+        for seed in range(5):
+            problem, x, structure, prior, _ = gen.make_ccu_sd(seed)
+            calls.clear()
+            sol = solve_rlo_ccu_sd(problem, x, structure, prior)
+            assert sol.status in (Status.OPTIMAL, Status.TRIVIAL_DETECTED), seed
+            assert calls == {"activation_budgets": 1, "ranked_rows": problem.m}, seed
 
     def test_prior_admitting_active_row_is_free(self):
         case = example_case(6)
@@ -657,3 +666,52 @@ class TestCcuDgMetamorphic:
             assert moved.cost @ x[perm] == pytest.approx(sol.cost @ x, rel=1e-9, abs=1e-12)
             if _untied(sol, structure, x):
                 assert moved.cost == pytest.approx(sol.cost[perm], rel=1e-9, abs=1e-12)
+
+
+def _lattice_ties(rng):
+    """Rows whose products alpha_ij |x_j| tie often: magnitudes and |x_j| on a lattice."""
+    m, n = int(rng.integers(1, 7)), int(rng.integers(1, 6))
+    x = rng.choice([-2.0, -1.0, 0.0, 1.0, 2.0], n)
+    sets = tuple(tuple(np.flatnonzero(rng.random(n) < 0.7).tolist()) for _ in range(m))
+    alpha = rng.choice([0.0, 0.5, 1.0, 2.0], (m, n))
+    A = rng.choice([-2.0, -1.0, 0.5, 1.0, 3.0], (m, n))
+    # each row's surplus a share of its full protection, so that many rows can be made active
+    mask = np.zeros((m, n), dtype=bool)
+    for i, cols in enumerate(sets):
+        mask[i, list(cols)] = True
+    full = (np.where(mask, alpha, 0.0) * np.abs(x)).sum(axis=1)
+    b = A @ x - rng.choice([0.0, 0.5, 1.0], m) * full
+    return ForwardProblem(A=A, b=b), x, UncertaintyStructure.cardinality(sets, alpha)
+
+
+class TestActiveRowRealization:
+    """A budget solve realizes its active row from the ranking of all m rows;
+    the cost it reports is the one-row view `realized_row_cardinality` of
+    that row at its clamped budget, bit for bit."""
+
+    @given(seed=st.integers(0, 2**32 - 1), source=st.sampled_from(["edge", "ties", "gen"]),
+           norm=st.sampled_from(list(NormKind)))
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    def test_cost_is_the_one_row_view(self, seed, source, norm):
+        rng = np.random.default_rng(seed)
+        if source == "edge":  # products across the floats, zero and underflowing ones (`gen.edge_rows`)
+            _, problem, x, structure, _ = gen.edge_rows(seed % 100_000, "ccu")
+        elif source == "ties":
+            problem, x, structure = _lattice_ties(rng)
+        else:
+            problem, x, structure, _, _, _ = gen.make_ccu(seed % 100_000, with_omega=False)
+        m = problem.m
+        size = np.array([len(cols) for cols in structure.sets], dtype=float)
+        inside = rng.uniform(0.0, size)
+        # budgets of 0, |J_i|, fractional and integral in between: the gap model's box tops, the prior
+        budgets = np.choose(rng.integers(0, 4, m), [np.zeros(m), size, inside, np.floor(inside)])
+        box = SideConstraints(G=np.vstack([np.eye(m), -np.eye(m)]), h=np.concatenate([budgets, np.zeros(m)]))
+        solutions = (solve_rlo_ccu_dg(problem, x, structure, box),
+                     solve_rlo_ccu_sd(problem, x, structure, Prior(estimates=budgets, norm=norm)))
+        for sol in solutions:
+            if sol.status == Status.INFEASIBLE:
+                continue
+            i = sol.active_index - 1
+            cols = structure.sets[i]
+            budget = min(max(float(sol.imputed[i]), 0.0), float(len(cols)))
+            assert_same_bits(sol.cost, realized_row_cardinality(problem.A[i], structure.alpha[i], budget, cols, x))
