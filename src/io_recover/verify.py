@@ -69,36 +69,37 @@ class CertificateReport:
 
 
 def _excess(values):
-    # largest entry above zero, 0 when none is (or there are no entries), inf when one is NaN
-    top = float(np.max(values, initial=0.0))
-    return math.inf if math.isnan(top) else max(0.0, top)
+    # an array's largest entry above zero: 0 when none is (or it has no entries), inf when one is NaN
+    return _above(values.max(initial=0.0))
 
 
-def _deviation_block(model, structure, mask, imputed, point, rows=slice(None)):
-    """Masked magnitudes and deviation shares of the rows `rows` (all by
-    default) at `point`.
+def _above(value):
+    # a number's excess over zero, inf when it is NaN
+    value = float(value)
+    return math.inf if math.isnan(value) else max(0.0, value)
 
-    Returns (alpha, share, strict_share): the magnitudes on the m x n
-    uncertain-column `mask` (the imputed ones for interval uncertainty, the
-    fixed ones for a budget; 0 off the mask), and the part of each column's
-    deviation in force.  Interval uncertainty is the full-budget
-    case: every uncertain column deviates fully.  A budget deviates the
-    columns as `geometry.budget_share` ranks them; `share` takes a
-    fractional part >= 1e-12 (the realized rows) and `strict_share` one
-    > 1e-12 (the multipliers).  Each row is ranked on its own, so a subset
-    of the rows gets the bits it gets among all m.
+
+def _shares(model, structure, mask, imputed, point, rows=slice(None)):
+    """The part of each column's deviation in force in the rows `rows` (all
+    by default) at `point`, 0 off the m x n uncertain-column `mask`.
+
+    Interval uncertainty is the full-budget case: every uncertain column
+    deviates fully.  A budget deviates the columns as
+    `geometry.budget_share` ranks them, its fractional part taken when it
+    is >= 1e-12.  Each row is ranked on its own, so a subset of the rows
+    gets the bits it gets among all m.
     """
-    mask, imputed = mask[rows], imputed[rows]
     if model.family == "iu":
-        fully = mask * 1.0
-        return np.where(mask, imputed, 0.0), fully, fully
-    alpha = structure.alpha[rows]
-    share = budget_share(alpha, mask, point, imputed)
-    return np.where(mask, alpha, 0.0), share, np.where(share > 1e-12, share, 0.0)
+        return mask[rows] * 1.0
+    return budget_share(structure.alpha[rows], mask[rows], point, imputed[rows])
 
 
-def _nontriviality(model, problem, structure, mask, solution):
+def _nontriviality(model, problem, structure, mask, alpha, cost, imputed):
     """Whether the cost is nonzero and no realized row vanishes in any orthant.
+
+    `alpha` holds a robust family's magnitudes on the uncertain-column
+    `mask` (the imputed ones for interval uncertainty, the fixed ones for
+    a budget) and 0 off it; `cost` and `imputed` are the solution's blocks.
 
     In the orthant of signs s, coordinate j of a robust family's realized
     row is a_j - s_j * dev_j, with dev_j = a_j - (a_j - alpha_j * share_j)
@@ -115,17 +116,16 @@ def _nontriviality(model, problem, structure, mask, solution):
     alpha_j (1 + c u) does not bound dev_j, since where |a_j| is far above
     alpha_j, a_j - alpha_j rounds by up to half an ulp of a_j.
     """
-    cost_ok = solution.cost is not None and float(np.max(np.abs(solution.cost))) > 1e-9
+    cost_ok = float(np.abs(cost).max()) > 1e-9
     if model.family == "nlo":
-        rows_ok = bool(np.all(np.abs(solution.imputed).max(axis=1) > 1e-9))
+        rows_ok = bool((np.abs(imputed).max(axis=1) > 1e-9).all())
         return {"cost_nonzero": cost_ok, "rows_nonzero_all_orthants": rows_ok, "orthants_checked": 1}
-    A, imputed = problem.A, np.asarray(solution.imputed, dtype=float)
-    full = A - (A - np.where(mask, imputed if model.family == "iu" else structure.alpha, 0.0))
-    rows = np.flatnonzero((np.abs(A) - full <= 1e-9).all(axis=1))
+    A = problem.A
+    rows = np.flatnonzero((np.abs(A) - (A - (A - alpha)) <= 1e-9).all(axis=1))
     rows_ok = True
     if rows.size:
-        alpha, share, _ = _deviation_block(model, structure, mask, imputed, np.ones(problem.n), rows)
-        dev = A[rows] - (A[rows] - alpha * share)  # the realized row at s = +1 subtracted from a
+        share = _shares(model, structure, mask, imputed, np.ones(problem.n), rows)
+        dev = A[rows] - (A[rows] - alpha[rows] * share)  # the realized row at s = +1 subtracted from a
         rows_ok = not np.any(np.abs(np.abs(A[rows]) - dev).max(axis=1) <= 1e-9)
     return {"cost_nonzero": cost_ok, "rows_nonzero_all_orthants": rows_ok, "orthants_checked": 2**problem.n}
 
@@ -154,7 +154,9 @@ def check_certificate(model, problem, x_hat, structure, solution):
     fields = {name: array for name, (array, _) in read.items() if array is not None}
     fields |= {name: np.asarray(getattr(solution, name), dtype=float) for name in ("duality_gap", "objective_value")
                if getattr(solution, name) is not None}
-    reasons += [f"{name}: non-finite entry" for name, value in fields.items() if not np.isfinite(value).all()]
+    # every number read is tested in one pass; only a failing one is traced to its field
+    if fields and not np.isfinite(np.concatenate([value.ravel() for value in fields.values()])).all():
+        reasons += [f"{name}: non-finite entry" for name, value in fields.items() if not np.isfinite(value).all()]
     active = solution.active_index
     if active is not None and not (isinstance(active, numbers.Integral) and 1 <= active <= problem.m):
         reasons.append(f"active_index: {active!r} outside 1..{problem.m}")
@@ -168,32 +170,37 @@ def check_certificate(model, problem, x_hat, structure, solution):
     consistency = {}
     aux = {}
     dual_aux = {}
-    normalization = abs(float(np.sum(pi)) - 1.0)
+    normalization = abs(float(pi.sum()) - 1.0)
     dual["pi_nonneg"] = _excess(-pi)
-    mask = structure.mask(problem.n)
+    mask = alpha = None
 
     if model.family == "nlo":
-        realized = imputed
         primal["feasibility"] = _excess(problem.b - imputed @ x)
-        dual["cost_match"] = float(np.max(np.abs(imputed.T @ pi - c)))
+        dual["cost_match"] = float(np.abs(imputed.T @ pi - c).max())
     else:
-        alpha, share, strict_share = _deviation_block(model, structure, mask, imputed, x)
-        realized = problem.A - sgn(x) * alpha * share
+        # the magnitudes on the uncertain columns and 0 off them: there alpha x, u, the shares and
+        # so phi, lambda and mu are +-0, every residual below but the allocation cap reads 0 or
+        # less, and no mask is taken over them
+        mask = structure.mask(problem.n)
+        alpha = np.where(mask, imputed if model.family == "iu" else structure.alpha, 0.0)
+        share = _shares(model, structure, mask, imputed, x)
         u = alpha * np.abs(x)
-        phi = pi[:, None] * strict_share
-        lam = np.where(x < 0.0, phi, 0.0)
-        mu = np.where(x < 0.0, 0.0, phi)
+        phi = pi[:, None] * np.where(share > 1e-12, share, 0.0)
+        below = x < 0.0
+        lam = np.where(below, phi, 0.0)
+        mu = np.where(below, 0.0, phi)
         # A' pi - c plus each row's deviation term, added in row order: a cumulative sum keeps
         # that order, where a reduction over axis 0 would round differently
-        cost_eq = np.cumsum(np.vstack((problem.A.T @ pi - c, alpha * (lam - mu))), axis=0)[-1]
-        primal["deviation_bound_lo"] = _excess(-(alpha * x + u)[mask])
-        primal["deviation_bound_hi"] = _excess(-(-alpha * x + u)[mask])
-        dual["cost_match"] = float(np.max(np.abs(cost_eq)))
-        pairing = _excess(np.abs(phi - lam - mu)[mask])
+        cost_eq = np.concatenate(((problem.A.T @ pi - c)[None], alpha * (lam - mu))).cumsum(axis=0)[-1]
+        ax = alpha * x
+        primal["deviation_bound_lo"] = _excess(-(ax + u))
+        primal["deviation_bound_hi"] = _excess(ax - u)  # -(-alpha x + u), negated exactly
+        dual["cost_match"] = float(np.abs(cost_eq).max())
+        pairing = _excess(np.abs(phi - lam - mu))
         if model.family == "iu":
             robust = problem.A @ x - u.sum(axis=1) - problem.b
             primal["robust_feasibility"] = _excess(-robust)
-            primal["alpha_nonneg"] = _excess(-alpha[mask])
+            primal["alpha_nonneg"] = _excess(-alpha)
             dual["multiplier_pairing"] = pairing
             aux["u"] = u
         else:
@@ -201,12 +208,13 @@ def check_certificate(model, problem, x_hat, structure, solution):
             # z is the smallest value alpha |x| in force, the largest when none is
             z = np.where(share > 0.0, u, np.inf).min(axis=1)
             z = np.where(np.isinf(z), u.max(axis=1), z)
-            y = np.where(mask, np.maximum(u - z[:, None], 0.0), 0.0)
+            y = np.maximum(u - z[:, None], 0.0)  # 0 off the mask, where u is 0 and z >= 0
             robust = problem.A @ x - y.sum(axis=1) - gamma * z - problem.b
-            primal["aux_cover"] = _excess((u - y - z[:, None])[mask])
+            primal["aux_cover"] = _excess(u - y - z[:, None])
             primal["robust_feasibility"] = _excess(-robust)
-            primal["aux_nonneg"] = _excess(-np.append(y, z))
+            primal["aux_nonneg"] = max(_excess(-y), _excess(-z))
             primal["budget_range"] = _excess(np.maximum(-gamma, gamma - mask.sum(axis=1)))
+            # off the mask phi - pi reads -pi, which a negative pi_i makes positive
             dual["allocation_cap"] = _excess((phi - pi[:, None])[mask])
             dual["multiplier_pairing"] = pairing
             dual["budget_cap"] = _excess(phi.sum(axis=1) - gamma * pi)
@@ -221,15 +229,16 @@ def check_certificate(model, problem, x_hat, structure, solution):
     if model.is_sd:
         strong_duality = abs(gap_value)
         if solution.objective_value is not None:
-            consistency["objective_nonneg"] = _excess(-solution.objective_value)
+            consistency["objective_nonneg"] = _above(-solution.objective_value)
     else:
         duality_gap = gap_value
-        consistency["gap_nonneg"] = _excess(-gap_value)
+        consistency["gap_nonneg"] = _above(-gap_value)
         if solution.duality_gap is not None:
             consistency["gap_consistency"] = abs(gap_value - float(solution.duality_gap))
-    if solution.active_index is not None:
-        k = solution.active_index - 1
-        consistency["cost_is_active_row"] = float(np.max(np.abs(realized[k] - c)))
+    if active is not None:
+        k = active - 1  # the active row alone is realized
+        realized = imputed[k] if model.family == "nlo" else problem.A[k] - sgn(x) * alpha[k] * share[k]
+        consistency["cost_is_active_row"] = float(np.abs(realized - c).max())
 
     residuals = {
         f"{group}.{name}": val
@@ -240,10 +249,10 @@ def check_certificate(model, problem, x_hat, structure, solution):
     if strong_duality is not None:
         residuals["strong_duality"] = strong_duality
 
-    scale = max(float(np.max(np.abs(arr), initial=0.0))
-                for arr in (problem.A, problem.b, x, c, imputed))
+    scale = float(np.abs(np.concatenate((problem.A.ravel(), problem.b, x, c, imputed.ravel()))).max())
+    tol = REPORT_TOL * (1.0 + scale)
     failed = next((name for name, val in residuals.items()  # the first over its tolerance; NaN fails
-                   if not val <= (REPORT_TOL if name in UNIT_FREE else REPORT_TOL * (1.0 + scale))), None)
+                   if not val <= (REPORT_TOL if name in UNIT_FREE else tol)), None)
     verdict, reason = ("valid", None) if failed is None else ("invalid", f"{failed} = {residuals[failed]:g}")
 
     return CertificateReport(
@@ -251,7 +260,7 @@ def check_certificate(model, problem, x_hat, structure, solution):
         aux=aux,
         dual_aux=dual_aux,
         duality_gap=duality_gap,
-        nontriviality=_nontriviality(model, problem, structure, mask, solution),
+        nontriviality=_nontriviality(model, problem, structure, mask, alpha, c, imputed),
         verdict=verdict,
         reason=reason,
     )
@@ -275,11 +284,7 @@ def diagnose_trivial(solution, problem, structure, prior=None, x_hat=None):
     suggestions = []
     f = solution.per_constraint.get("f")
     g = solution.per_constraint.get("g")
-    rows = [
-        i
-        for i in range(problem.m)
-        if float(np.max(np.abs(np.asarray(solution.imputed)[i]))) <= 1e-9
-    ]
+    rows = np.flatnonzero(np.abs(np.asarray(solution.imputed)).max(axis=1) <= 1e-9).tolist()
     for i in rows:
         scale = 0.1 * max(1.0, abs(float(problem.b[i])))
         sign = 1.0
@@ -300,9 +305,9 @@ def diagnose_trivial(solution, problem, structure, prior=None, x_hat=None):
         )
         if f is not None and g is not None and solution.active_index == i + 1 and g[i] <= 1e-12:
             premium = f[i] - g[i]
-            others = [f[k] - g[k] for k in range(problem.m) if k != i]
-            if premium > 1e-12 and others:
-                ratio = min(others) / premium
+            others = np.delete(np.subtract(f, g), i)
+            if premium > 1e-12 and others.size:
+                ratio = others.min() / premium
                 weight = max(10.0, 2.0 * ratio)
                 suggestions.append(
                     WeightBoost(row=i, weight=weight, note="activate a different constraint")

@@ -14,6 +14,7 @@ exact values (`exact_dot`, `exact_l2`) within a stated bound.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -22,16 +23,23 @@ import numpy as np
 
 from conftest import knapsack_protection
 from io_recover.errors import InverseLpError, PreconditionError
-from io_recover.geometry import NormKind, _split, activation_budgets, dual_norm, products, row_dots
+from io_recover.geometry import NormKind, _split, activation_budgets, dual_norm, products, row_dots, sgn
 from io_recover.model import (
     CanonicalOmega,
     ModelKind,
+    PriorEpsilon,
+    RhsEpsilon,
+    Status,
     ValidationEntry,
+    WeightBoost,
+    block_shapes,
     canonicalize_omega,
+    check_inputs,
     clamp_budget_prior,
     param_keys,
+    read_block,
 )
-from io_recover.verify import _deviation_block
+from io_recover.verify import REPORT_TOL, UNIT_FREE, CertificateReport
 
 GRID_CAP = 10_000_000
 _CHUNK = 262_144
@@ -592,7 +600,7 @@ def cost_match_by_row(model, problem, x, structure, solution):
     """check_certificate's "dual.cost_match" for a robust solution, its
     deviation terms added to A' pi - c one row at a time."""
     pi, c = (np.asarray(v, dtype=float) for v in (solution.dual_pi, solution.cost))
-    alpha, _, strict_share = _deviation_block(
+    alpha, _, strict_share = deviation_block_by_parts(
         model, structure, structure.mask(problem.n), np.asarray(solution.imputed, dtype=float), x
     )
     phi = pi[:, None] * strict_share
@@ -622,7 +630,7 @@ def nontriviality_by_every_row(model, problem, structure, mask, solution):
     deviation at the all-plus point."""
     cost_ok = solution.cost is not None and float(np.max(np.abs(solution.cost))) > 1e-9
     plus = np.ones(problem.n)
-    alpha, share, _ = _deviation_block(model, structure, mask, np.asarray(solution.imputed, dtype=float), plus)
+    alpha, share, _ = deviation_block_by_parts(model, structure, mask, np.asarray(solution.imputed, dtype=float), plus)
     row = problem.A - alpha * share  # sgn(plus) = +1
     dev = problem.A - row
     rows_ok = not np.any(np.abs(np.abs(problem.A) - dev).max(axis=1) <= 1e-9)
@@ -655,3 +663,172 @@ def canonicalize_by_product(omega, keys, lower_floor=None, upper_cap=None):
     last = np.max(np.where(touched, keys.rows, -1), axis=1, initial=-1)
     couples = bool(np.any(touched & (keys.rows != last[:, None])))
     return CanonicalOmega(lower=lo, upper=hi, G=G[kept], h=h[kept], feasible=feasible, couples=couples)
+
+
+def _excess_by_parts(values):
+    """verify._excess through the np.max wrapper, for arrays and numbers alike."""
+    top = float(np.max(values, initial=0.0))
+    return math.inf if math.isnan(top) else max(0.0, top)
+
+
+def deviation_block_by_parts(model, structure, mask, imputed, point, rows=slice(None)):
+    """(alpha, share, strict_share) of the rows `rows` at `point`, as
+    check_certificate formed them for all m rows at once: the magnitudes
+    on the mask (0 off it), the share of each column's deviation in force
+    (`budget_share_by_argsort`, or 1 on every uncertain column under
+    interval uncertainty), and that share where it is > 1e-12."""
+    mask, imputed = mask[rows], imputed[rows]
+    if model.family == "iu":
+        fully = mask * 1.0
+        return np.where(mask, imputed, 0.0), fully, fully
+    alpha = structure.alpha[rows]
+    share = budget_share_by_argsort(alpha, mask, point, imputed)
+    return np.where(mask, alpha, 0.0), share, np.where(share > 1e-12, share, 0.0)
+
+
+def _nontriviality_by_parts(model, problem, structure, mask, solution):
+    cost_ok = solution.cost is not None and float(np.max(np.abs(solution.cost))) > 1e-9
+    if model.family == "nlo":
+        rows_ok = bool(np.all(np.abs(solution.imputed).max(axis=1) > 1e-9))
+        return {"cost_nonzero": cost_ok, "rows_nonzero_all_orthants": rows_ok, "orthants_checked": 1}
+    A, imputed = problem.A, np.asarray(solution.imputed, dtype=float)
+    full = A - (A - np.where(mask, imputed if model.family == "iu" else structure.alpha, 0.0))
+    rows = np.flatnonzero((np.abs(A) - full <= 1e-9).all(axis=1))
+    rows_ok = True
+    if rows.size:
+        alpha, share, _ = deviation_block_by_parts(model, structure, mask, imputed, np.ones(problem.n), rows)
+        dev = A[rows] - (A[rows] - alpha * share)
+        rows_ok = not np.any(np.abs(np.abs(A[rows]) - dev).max(axis=1) <= 1e-9)
+    return {"cost_nonzero": cost_ok, "rows_nonzero_all_orthants": rows_ok, "orthants_checked": 2**problem.n}
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def certificate_by_parts(model, problem, x_hat, structure, solution):
+    """verify.check_certificate as it was built from its parts: every
+    residual over the whole m x n block, masked residuals gathered by the
+    mask, the realized rows formed for all m rows, and the nontriviality
+    read from the solution's raw fields."""
+    model = ModelKind(model)
+    if solution.status not in (Status.OPTIMAL, Status.TRIVIAL_DETECTED):
+        raise PreconditionError("certificates apply to optimal or trivial-detected solutions only")
+    x = check_inputs(ModelKind(model.value.replace("-sd", "-dg")), problem, x_hat, structure)
+    shapes = block_shapes(model, problem.m, problem.n)
+    read = {name: read_block(getattr(solution, name), shape) for name, shape in shapes.items()}
+    reasons = [f"{name}: {reason}" for name, (_, reason) in read.items() if reason]
+    fields = {name: array for name, (array, _) in read.items() if array is not None}
+    fields |= {name: np.asarray(getattr(solution, name), dtype=float) for name in ("duality_gap", "objective_value")
+               if getattr(solution, name) is not None}
+    reasons += [f"{name}: non-finite entry" for name, value in fields.items() if not np.isfinite(value).all()]
+    active = solution.active_index
+    if active is not None and not (isinstance(active, numbers.Integral) and 1 <= active <= problem.m):
+        reasons.append(f"active_index: {active!r} outside 1..{problem.m}")
+    if reasons:
+        return CertificateReport(residuals={}, aux={}, dual_aux={}, nontriviality={}, verdict="invalid",
+                                 reason=reasons[0])
+    c, pi, imputed = (fields[name] for name in shapes)
+    primal, dual, consistency, aux, dual_aux = {}, {}, {}, {}, {}
+    normalization = abs(float(np.sum(pi)) - 1.0)
+    dual["pi_nonneg"] = _excess_by_parts(-pi)
+    mask = structure.mask(problem.n)
+    if model.family == "nlo":
+        realized = imputed
+        primal["feasibility"] = _excess_by_parts(problem.b - imputed @ x)
+        dual["cost_match"] = float(np.max(np.abs(imputed.T @ pi - c)))
+    else:
+        alpha, share, strict_share = deviation_block_by_parts(model, structure, mask, imputed, x)
+        realized = problem.A - sgn(x) * alpha * share
+        u = alpha * np.abs(x)
+        phi = pi[:, None] * strict_share
+        lam = np.where(x < 0.0, phi, 0.0)
+        mu = np.where(x < 0.0, 0.0, phi)
+        cost_eq = np.cumsum(np.vstack((problem.A.T @ pi - c, alpha * (lam - mu))), axis=0)[-1]
+        primal["deviation_bound_lo"] = _excess_by_parts(-(alpha * x + u)[mask])
+        primal["deviation_bound_hi"] = _excess_by_parts(-(-alpha * x + u)[mask])
+        dual["cost_match"] = float(np.max(np.abs(cost_eq)))
+        pairing = _excess_by_parts(np.abs(phi - lam - mu)[mask])
+        if model.family == "iu":
+            robust = problem.A @ x - u.sum(axis=1) - problem.b
+            primal["robust_feasibility"] = _excess_by_parts(-robust)
+            primal["alpha_nonneg"] = _excess_by_parts(-alpha[mask])
+            dual["multiplier_pairing"] = pairing
+            aux["u"] = u
+        else:
+            gamma = imputed
+            z = np.where(share > 0.0, u, np.inf).min(axis=1)
+            z = np.where(np.isinf(z), u.max(axis=1), z)
+            y = np.where(mask, np.maximum(u - z[:, None], 0.0), 0.0)
+            robust = problem.A @ x - y.sum(axis=1) - gamma * z - problem.b
+            primal["aux_cover"] = _excess_by_parts((u - y - z[:, None])[mask])
+            primal["robust_feasibility"] = _excess_by_parts(-robust)
+            primal["aux_nonneg"] = _excess_by_parts(-np.append(y, z))
+            primal["budget_range"] = _excess_by_parts(np.maximum(-gamma, gamma - mask.sum(axis=1)))
+            dual["allocation_cap"] = _excess_by_parts((phi - pi[:, None])[mask])
+            dual["multiplier_pairing"] = pairing
+            dual["budget_cap"] = _excess_by_parts(phi.sum(axis=1) - gamma * pi)
+            aux["u"], aux["y"], aux["z"] = u, y, z
+            dual_aux["phi"] = phi
+        dual_aux["lambda"] = lam
+        dual_aux["mu"] = mu
+    gap_value = float(c @ x) - float(problem.b @ pi)
+    strong_duality = None
+    duality_gap = None
+    if model.is_sd:
+        strong_duality = abs(gap_value)
+        if solution.objective_value is not None:
+            consistency["objective_nonneg"] = _excess_by_parts(-solution.objective_value)
+    else:
+        duality_gap = gap_value
+        consistency["gap_nonneg"] = _excess_by_parts(-gap_value)
+        if solution.duality_gap is not None:
+            consistency["gap_consistency"] = abs(gap_value - float(solution.duality_gap))
+    if solution.active_index is not None:
+        k = solution.active_index - 1
+        consistency["cost_is_active_row"] = float(np.max(np.abs(realized[k] - c)))
+    residuals = {
+        f"{group}.{name}": val
+        for group, values in (("primal", primal), ("dual", dual), ("consistency", consistency))
+        for name, val in values.items()
+    }
+    residuals["normalization"] = normalization
+    if strong_duality is not None:
+        residuals["strong_duality"] = strong_duality
+    scale = max(float(np.max(np.abs(arr), initial=0.0)) for arr in (problem.A, problem.b, x, c, imputed))
+    failed = next((name for name, val in residuals.items()
+                   if not val <= (REPORT_TOL if name in UNIT_FREE else REPORT_TOL * (1.0 + scale))), None)
+    verdict, reason = ("valid", None) if failed is None else ("invalid", f"{failed} = {residuals[failed]:g}")
+    return CertificateReport(
+        residuals=residuals, aux=aux, dual_aux=dual_aux, duality_gap=duality_gap,
+        nontriviality=_nontriviality_by_parts(model, problem, structure, mask, solution),
+        verdict=verdict, reason=reason,
+    )
+
+
+def diagnose_trivial_by_row(solution, problem, structure, prior=None, x_hat=None):
+    """verify.diagnose_trivial finding the trivialized rows, and the other
+    rows' premiums, one row at a time."""
+    if solution.status != Status.TRIVIAL_DETECTED:
+        return []
+    if solution.model != ModelKind.NLO_SD or solution.imputed is None:
+        return []
+    model = ModelKind.NLO_DG if prior is None else ModelKind.NLO_SD
+    x = None if x_hat is None else check_inputs(model, problem, x_hat, structure, prior=prior)
+    suggestions = []
+    f = solution.per_constraint.get("f")
+    g = solution.per_constraint.get("g")
+    rows = [i for i in range(problem.m) if float(np.max(np.abs(np.asarray(solution.imputed)[i]))) <= 1e-9]
+    for i in rows:
+        scale = 0.1 * max(1.0, abs(float(problem.b[i])))
+        sign = 1.0
+        if prior is not None and x is not None:
+            sign = 1.0 if float(prior.estimates[i] @ x) >= 0.0 else -1.0
+        suggestions.append(RhsEpsilon(row=i, delta=sign * scale, note="perturb the right-hand side"))
+        suggestions.append(PriorEpsilon(row=i, col=0, delta=scale, heuristic=True,
+                                        note="perturb the prior estimate (heuristic: first coordinate)"))
+        if f is not None and g is not None and solution.active_index == i + 1 and g[i] <= 1e-12:
+            premium = f[i] - g[i]
+            others = [f[k] - g[k] for k in range(problem.m) if k != i]
+            if premium > 1e-12 and others:
+                ratio = min(others) / premium
+                suggestions.append(WeightBoost(row=i, weight=max(10.0, 2.0 * ratio),
+                                               note="activate a different constraint"))
+    return suggestions

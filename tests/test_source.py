@@ -11,7 +11,9 @@ treats all its rows in one array pass: the three strong-duality solvers
 and the activation budgets hold no loop, and neither rlo-iu-sd's one-row
 activation nor a norm is called in one; the kernels and solvers call no
 `map` or `np.fromiter`, a loop no scan rule sees.  The certificate holds no loop
-over the rows either.  Each gap model hands its subproblems to `model.gap_values`,
+over the rows either, and reads nothing of a solve but its returned solution: `verify`
+imports no solver module and not the LP engine; `diagnose_trivial` finds the trivialized
+rows in one array pass.  Each gap model hands its subproblems to `model.gap_values`,
 which prices one coupling row by the one knapsack kernel and shares one
 feasible set over the m LPs when more are left.  `model` is the one module
 besides the package's re-exports to import the LP engine, and `validate`
@@ -265,6 +267,28 @@ def test_certificate_loops_over_no_rows():
     loops = (ast.For, ast.While)
     assert [node.lineno for node in ast.walk(_functions(SOURCE["verify.py"])["check_certificate"])
             if isinstance(node, loops)] == []
+
+
+def test_the_certificate_reads_no_solver_state():
+    # check_certificate recomputes every residual from the returned solution: verify imports from
+    # errors, geometry and model alone, never from a solver module or the LP engine, so no speed-up
+    # can hand it what a solve computed
+    modules = set()  # each io_recover module imported, by its last dotted part
+    for node in ast.walk(ast.parse(SOURCE["verify.py"].read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            modules |= {alias.name for alias in node.names} if node.module is None else {node.module}
+        elif isinstance(node, ast.ImportFrom) and node.module.startswith("io_recover"):
+            modules.add(node.module.rpartition(".")[2] if "." in node.module else node.module)
+        elif isinstance(node, ast.Import):
+            modules |= {alias.name.rpartition(".")[2] for alias in node.names if alias.name.startswith("io_recover")}
+    assert modules and modules <= {"errors", "geometry", "model"}
+
+
+def test_trivial_rows_are_found_in_one_array_pass():
+    # verify.diagnose_trivial tests every imputed row at once; its one loop walks the rows found
+    diagnose = _functions(SOURCE["verify.py"])["diagnose_trivial"]
+    assert [type(node).__name__ for node in ast.walk(diagnose) if isinstance(node, SCANS[2:])] == []
+    assert len([node for node in ast.walk(diagnose) if isinstance(node, (ast.For, ast.While))]) == 1
 
 
 @pytest.mark.parametrize("name", ["interval.py", "cardinality.py"])

@@ -8,12 +8,14 @@ from hypothesis import strategies as st
 
 import gen
 import io_recover
-from conftest import holding_none, laid_out, ragged
+from conftest import assert_same_bits, holding_none, laid_out, ragged
 from io_recover import (
     ForwardProblem,
     InverseSolution,
     ModelKind,
+    NormKind,
     PreconditionError,
+    Prior,
     PriorEpsilon,
     RhsEpsilon,
     SideConstraints,
@@ -28,7 +30,15 @@ from io_recover import (
 from io_recover.fixtures import all_examples, example_case, solve_case
 from io_recover.geometry import aux_optimum, realized_row_cardinality, realized_row_interval
 from io_recover.verify import REPORT_TOL, UNIT_FREE, _nontriviality
-from oracle import GridOracleSpec, GridTooLargeError, brute_force_min, cost_match_by_row, nontriviality_by_every_row
+from oracle import (
+    GridOracleSpec,
+    GridTooLargeError,
+    brute_force_min,
+    certificate_by_parts,
+    cost_match_by_row,
+    diagnose_trivial_by_row,
+    nontriviality_by_every_row,
+)
 
 
 def _solved(number):
@@ -344,6 +354,37 @@ class TestDiagnose:
         case, sol = _solved(2)
         assert diagnose_trivial(sol, case.problem, case.structure, prior=case.prior) == []
 
+    @pytest.mark.parametrize("number", [7, 8])
+    def test_fixture_suggestions_match_the_row_by_row_scan(self, number):
+        case, sol = _solved(number)
+        assert sol.status == Status.TRIVIAL_DETECTED
+        for prior, x in ((case.prior, case.x_hat), (case.prior, None), (None, None)):
+            assert repr(diagnose_trivial(sol, case.problem, case.structure, prior=prior, x_hat=x)) == repr(
+                diagnose_trivial_by_row(sol, case.problem, case.structure, prior=prior, x_hat=x))
+
+    @given(seed=st.integers(0, 2**32 - 1))
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    def test_drawn_suggestions_match_the_row_by_row_scan(self, seed):
+        # imputed rows at, just beside and far from the 1e-9 test, NaN rows, activation premiums
+        # at and beside the 1e-12 tests, and no f and g at all; g is finite, as a solution's is
+        # (a row that cannot be kept makes the model infeasible)
+        rng = np.random.default_rng(seed)
+        m, n = int(rng.integers(1, 7)), int(rng.integers(1, 4))
+        edge = [0.0, -0.0, 1e-9, np.nextafter(1e-9, 1.0), -1e-9, 1e-3, np.nan]
+        imputed = rng.choice(edge, (m, n)) * (rng.random((m, 1)) < 0.8) + rng.normal(size=(m, n)) * (
+            rng.random((m, 1)) < 0.3)
+        f = rng.choice([0.0, 1e-12, 2e-12, 0.5, 1.0, 3.0, np.inf], m)
+        g = np.where(rng.random(m) < 0.6, rng.choice([0.0, 1e-12, 2e-12], m), np.where(f < np.inf, f, 0.0))
+        per_constraint = {"f": f, "g": g} if rng.random() < 0.8 else {}
+        sol = InverseSolution(model=ModelKind.NLO_SD, status=Status.TRIVIAL_DETECTED, imputed=imputed,
+                              active_index=int(rng.integers(1, m + 1)), per_constraint=per_constraint)
+        problem = ForwardProblem(A=rng.normal(size=(m, n)), b=rng.choice([0.0, 0.5, -20.0], m))
+        prior = Prior(estimates=rng.normal(size=(m, n)), norm=NormKind.L2) if rng.random() < 0.7 else None
+        x = rng.normal(size=n) if rng.random() < 0.7 else None
+        structure = UncertaintyStructure.nominal()
+        assert repr(diagnose_trivial(sol, problem, structure, prior=prior, x_hat=x)) == repr(
+            diagnose_trivial_by_row(sol, problem, structure, prior=prior, x_hat=x))
+
 
 def test_every_optimal_fixture_certificate_is_valid():
     for number, case in enumerate(all_examples(), start=1):
@@ -650,7 +691,9 @@ class TestOnlyRowsThatCanVanishAreFormed:
         model, problem, _, structure, sol = gen.edge_rows(seed, family)
         problem = ForwardProblem(A=laid_out(problem.A, layout), b=problem.b)
         mask = structure.mask(problem.n)
-        assert (_nontriviality(model, problem, structure, mask, sol)
+        imputed = np.asarray(sol.imputed, dtype=float)
+        alpha = np.where(mask, imputed if family == "iu" else structure.alpha, 0.0)  # as the certificate masks them
+        assert (_nontriviality(model, problem, structure, mask, alpha, np.asarray(sol.cost, dtype=float), imputed)
                 == nontriviality_by_every_row(model, problem, structure, mask, sol))
 
     def test_a_certificate_ranks_the_rows_once(self, calls):
@@ -672,3 +715,77 @@ class TestOnlyRowsThatCanVanishAreFormed:
                                    replace(sol, imputed=np.where(np.arange(20) == 2, 5.0, sol.imputed)))
         assert not report.nontriviality["rows_nonzero_all_orthants"]
         assert calls["ranked_rows"] == problem.m + 1
+
+
+def _same_bits(ours, theirs):
+    """Two reports alike bit for bit: every residual float (-0.0 is not 0.0,
+    NaN is NaN), every auxiliary and dual block, the gap, the verdict, its
+    reason and the nontriviality."""
+    assert list(ours.residuals) == list(theirs.residuals)
+    assert [v.hex() for v in ours.residuals.values()] == [v.hex() for v in theirs.residuals.values()]
+    for mine, ref in ((ours.aux, theirs.aux), (ours.dual_aux, theirs.dual_aux)):
+        assert list(mine) == list(ref)
+        for key in mine:
+            assert_same_bits(mine[key], ref[key])
+    assert (ours.verdict, ours.reason, ours.nontriviality) == (theirs.verdict, theirs.reason, theirs.nontriviality)
+    assert (None if ours.duality_gap is None else ours.duality_gap.hex()) == (
+        None if theirs.duality_gap is None else theirs.duality_gap.hex())
+
+
+ALL_MAKERS = ((ModelKind.NLO_DG, gen.make_nlo_dg), (ModelKind.NLO_SD, gen.make_nlo_sd)) + ROBUST_MAKERS
+
+
+def _altered(rng, sol, structure, n, how):
+    """`sol` made into a solution no solver returns: a dense dual with
+    negative entries, -0.0 for every zero, a NaN or an infinity in one
+    field, or imputed entries moved off the uncertain columns (budgets
+    outside [0, |J_i|])."""
+    m = sol.dual_pi.size
+    if how == "dense":
+        return replace(sol, dual_pi=rng.uniform(-0.5, 1.0, m))
+    if how == "negzero":
+        return replace(sol, **{name: np.where(np.asarray(getattr(sol, name)) == 0.0, -0.0, getattr(sol, name))
+                               for name in ("dual_pi", "cost", "imputed")})
+    if how == "nonfinite":
+        name = rng.choice(["dual_pi", "cost", "imputed", "duality_gap", "objective_value"])
+        bad = float(rng.choice([np.nan, np.inf, -np.inf]))
+        value = np.array(getattr(sol, name), dtype=float)
+        value.flat[int(rng.integers(0, value.size))] = bad
+        return replace(sol, **{name: value if value.ndim else float(value)})
+    if how == "off_mask":
+        imputed = np.array(sol.imputed, dtype=float)
+        if imputed.ndim == 1:  # budgets beyond the range, either way
+            return replace(sol, imputed=imputed + rng.choice([-1.5, 0.0, 2.5], m))
+        mask = structure.mask(n) if structure.sets else np.zeros(imputed.shape, dtype=bool)
+        return replace(sol, imputed=np.where(mask, imputed, rng.uniform(-3.0, 3.0, imputed.shape)))
+    return sol
+
+
+class TestCertificateByParts:
+    """check_certificate against the form it was built from
+    (`oracle.certificate_by_parts`), bit for bit: every residual, every
+    reconstructed block, the gap, the verdict, its reason and the
+    nontriviality, on solver outputs and on solutions no solver returns."""
+
+    @given(seed=st.integers(0, 2**32 - 1), pick=st.integers(0, 7),
+           how=st.sampled_from(["solved", "dense", "negzero", "nonfinite", "off_mask"]),
+           layout=st.sampled_from(["C", "F", "strided"]))
+    @settings(derandomize=True, max_examples=600, deadline=None)
+    def test_matches_the_parts(self, seed, pick, how, layout):
+        rng = np.random.default_rng(seed)
+        if pick == 6:  # m = 1 possible, n from 1, empty sets, ties, budgets off the integers
+            model, problem, x, structure, sol = _synthetic_robust_solution(rng)
+        elif pick == 7:  # products across the floats, rows that vanish at the all-plus point
+            model, problem, x, structure, sol = gen.edge_rows(seed % 100_000, rng.choice(["iu", "ccu"]))
+            sol = replace(sol, dual_pi=rng.choice([0.0, 1.0, -0.5], problem.m), duality_gap=0.0,
+                          active_index=int(rng.integers(1, problem.m + 1)))
+        else:
+            model, make = ALL_MAKERS[pick]
+            problem, x, structure, data, _ = make(seed % 100_000)
+            sol = io_recover.solve(model, problem, x, structure, **{"prior" if model.is_sd else "omega": data})
+            if sol.status not in (Status.OPTIMAL, Status.TRIVIAL_DETECTED):
+                return
+        problem = ForwardProblem(A=laid_out(problem.A, layout), b=problem.b)
+        sol = _altered(rng, sol, structure, problem.n, how)
+        _same_bits(check_certificate(model, problem, x, structure, sol),
+                   certificate_by_parts(model, problem, x, structure, sol))
