@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gen
 from io_recover import (
@@ -16,6 +20,7 @@ from io_recover import (
     WeightBoost,
     ZeroObservationError,
     check_certificate,
+    dual_norm,
     perturb_and_resolve,
     project_halfspace,
     project_hyperplane,
@@ -343,3 +348,121 @@ class TestTrivialEscapes:
         with pytest.raises(DimensionError) as err:
             perturb_and_resolve(case.problem, case.x_hat, case.prior, strategy)
         assert err.value.field == field
+
+
+def _nlo_sd_draw(seed, norm):
+    """A random nlo-sd instance: a prior near A, weights around 1, and rows
+    that the prior keeps feasible or not in about equal parts."""
+    rng = np.random.default_rng(seed)
+    m, n = int(rng.integers(2, 9)), int(rng.integers(2, 7))
+    A = rng.uniform(-2.0, 2.0, (m, n))
+    x = np.where(rng.random(n) < 0.15, 0.0, rng.uniform(-2.0, 2.0, n))
+    x[int(rng.integers(n))] = rng.uniform(0.5, 2.0)  # a nonzero observation
+    estimates = A + rng.normal(scale=0.3, size=(m, n))
+    b = estimates @ x - rng.uniform(-1.0, 1.0, m)
+    xi = rng.uniform(0.5, 2.0, m) if rng.random() < 0.5 else None
+    return ForwardProblem(A=A, b=b), x, Prior(estimates=estimates, xi=xi, norm=norm)
+
+
+def _least_separated(t, i, noise):
+    """Row i's t below every other row's by more than the tie band and `noise`."""
+    others = np.delete(t, i)
+    return not others.size or bool(np.min(others) > t[i] + 1e-9 * (1.0 + abs(t[i])) + noise)
+
+
+def _tied_at_least(t, noise):
+    """The rows whose t lies within the tie band and `noise` of the least t."""
+    return set(np.flatnonzero(t <= t.min() + 1e-9 * (1.0 + np.abs(t).max()) + noise).tolist())
+
+
+class TestNloSdMetamorphic:
+    """Rescaling the prior with b, or relabelling rows or columns, relabels
+    nlo-sd's answer.
+
+    Tie rule: the active row is the lowest row whose t is within
+    1e-9 (1 + s_i + s_j) of the least t (`model.active_row`).  Every row the
+    prior does not fit has t_i = f_i + sum(g) - g_i = sum(g) up to rounding,
+    since g_i = f_i there, so such rows tie, and the lowest of them is made
+    active.  A relabelling or a rescaling can move the active row among
+    tied rows: the active row, the imputed block and the cost are compared
+    only where the least t is separated from every other; otherwise the
+    active row must be one of the rows tied at the least t.  Under l1 the
+    projection moves the largest |x_j|, the lowest such column on ties, so
+    blocks under a column permutation are compared only where that column
+    is unique.
+    """
+
+    @given(seed=st.integers(0, 2**32 - 1), norm=st.sampled_from(list(NormKind)),
+           factor=st.sampled_from([2.0**-10, 1e-3, 0.37, 3.1, 1e3, 2.0**10]))
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    def test_scaling_the_prior_and_b(self, seed, norm, factor):
+        # t_i = (a_hat_i . x - b_i) / ||x||_*: the prior and b carry one unit, the weights none
+        problem, x, prior = _nlo_sd_draw(seed, norm)
+        scaled = solve_nlo_sd(ForwardProblem(A=problem.A, b=factor * problem.b), x,
+                              Prior(estimates=factor * prior.estimates, xi=prior.xi, norm=norm))
+        sol = solve_nlo_sd(problem, x, prior)
+        assert scaled.status == sol.status
+        pc, scaled_pc = sol.per_constraint, scaled.per_constraint
+        if math.frexp(factor)[0] == 0.5:  # a power of two scales every product and quotient exactly
+            for key in ("f", "g"):
+                assert scaled_pc[key].tobytes() == (factor * pc[key]).tobytes()
+            assert scaled.objective_value == factor * sol.objective_value
+            assert scaled.active_index == sol.active_index
+            assert scaled.imputed.tobytes() == (factor * sol.imputed).tobytes()
+            return
+        # each t_i is a difference of terms of size sum_j |a_hat_ij x_j| + |b_i|, rounded at each scale
+        w = prior.weights(problem.m)
+        terms = w * (np.abs(prior.estimates) @ np.abs(x) + np.abs(problem.b)) / dual_norm(x, norm)
+        noise = 1e-12 * factor * (1.0 + terms)
+        for key in ("f", "g"):
+            assert np.all(np.abs(scaled_pc[key] - factor * pc[key]) <= noise), key
+        assert abs(scaled.objective_value - factor * sol.objective_value) <= noise.sum()
+        t = pc["f"] + pc["g"].sum() - pc["g"]
+        if _least_separated(t, sol.active_index - 1, 2.0 * noise.sum() / factor):
+            assert scaled.active_index == sol.active_index
+        assert scaled.active_index - 1 in _tied_at_least(t, 2.0 * noise.sum() / factor)
+
+    @given(seed=st.integers(0, 2**32 - 1), norm=st.sampled_from(list(NormKind)), data=st.data())
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    def test_permuting_rows(self, seed, norm, data):
+        problem, x, prior = _nlo_sd_draw(seed, norm)
+        perm = np.array(data.draw(st.permutations(range(problem.m))))
+        moved = solve_nlo_sd(
+            ForwardProblem(A=problem.A[perm], b=problem.b[perm]), x,
+            Prior(estimates=prior.estimates[perm], xi=None if prior.xi is None else prior.xi[perm], norm=norm),
+        )
+        sol = solve_nlo_sd(problem, x, prior)
+        assert moved.status == sol.status
+        pc, moved_pc = sol.per_constraint, moved.per_constraint
+        # each row's f and g are its own: only the sum of g over the rows is taken in another order
+        assert moved_pc["f"].tobytes() == pc["f"][perm].tobytes()
+        assert moved_pc["g"].tobytes() == pc["g"][perm].tobytes()
+        assert moved.objective_value == pytest.approx(sol.objective_value, rel=1e-12, abs=1e-15)
+        t = pc["f"] + pc["g"].sum() - pc["g"]
+        if _least_separated(t, sol.active_index - 1, 1e-12 * (1.0 + np.abs(t).max())):
+            assert perm[moved.active_index - 1] == sol.active_index - 1
+            assert moved.imputed.tobytes() == sol.imputed[perm].tobytes()
+            assert moved.cost.tobytes() == sol.cost.tobytes()
+        assert perm[moved.active_index - 1] in _tied_at_least(t, 1e-12 * (1.0 + np.abs(t).max()))
+
+    @given(seed=st.integers(0, 2**32 - 1), norm=st.sampled_from(list(NormKind)), data=st.data())
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    def test_permuting_columns(self, seed, norm, data):
+        problem, x, prior = _nlo_sd_draw(seed, norm)
+        perm = np.array(data.draw(st.permutations(range(problem.n))))
+        moved = solve_nlo_sd(ForwardProblem(A=problem.A[:, perm], b=problem.b), x[perm],
+                             Prior(estimates=prior.estimates[:, perm], xi=prior.xi, norm=norm))
+        sol = solve_nlo_sd(problem, x, prior)
+        assert moved.status == sol.status
+        # the dots and the dual norm add their terms in another order
+        w = prior.weights(problem.m)
+        noise = 1e-12 * w * (1.0 + np.abs(prior.estimates) @ np.abs(x) + np.abs(problem.b)) / dual_norm(x, norm)
+        for key in ("f", "g"):
+            assert np.all(np.abs(moved.per_constraint[key] - sol.per_constraint[key]) <= noise), key
+        top = np.abs(x) == np.abs(x).max()
+        t = sol.per_constraint["f"] + sol.per_constraint["g"].sum() - sol.per_constraint["g"]
+        assert moved.active_index - 1 in _tied_at_least(t, 2.0 * noise.sum())
+        if _least_separated(t, sol.active_index - 1, 2.0 * noise.sum()) and (norm != NormKind.L1 or top.sum() == 1):
+            assert moved.active_index == sol.active_index
+            assert moved.imputed == pytest.approx(sol.imputed[:, perm], rel=1e-9, abs=1e-12)
+            assert moved.cost == pytest.approx(sol.cost[perm], rel=1e-9, abs=1e-12)
