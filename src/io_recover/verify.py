@@ -121,7 +121,8 @@ def _nontriviality(model, problem, structure, mask, alpha, cost, imputed):
         rows_ok = bool((np.abs(imputed).max(axis=1) > 1e-9).all())
         return {"cost_nonzero": cost_ok, "rows_nonzero_all_orthants": rows_ok, "orthants_checked": 1}
     A = problem.A
-    rows = np.flatnonzero((np.abs(A) - (A - (A - alpha)) <= 1e-9).all(axis=1))
+    full = A - (A - alpha)
+    rows = np.flatnonzero((np.abs(A) - full <= 1e-9).all(axis=1))
     rows_ok = True
     if rows.size:
         share = _shares(model, structure, mask, imputed, np.ones(problem.n), rows)
